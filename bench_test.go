@@ -10,7 +10,6 @@
 package faultprop_test
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -29,73 +28,6 @@ import (
 )
 
 const benchRuns = 30 // experiments per app per benchmark iteration
-
-// TestMain wires the package's perf-ablation switches: FAULTPROP_NOCLEAN=1
-// disables the clean-mode interpreter for the whole process, so the same
-// binary can bench (and differentially run) the full dual-chain
-// interpreter against the default fast path.
-func TestMain(m *testing.M) {
-	if os.Getenv("FAULTPROP_NOCLEAN") != "" {
-		vm.SetCleanInterp(false)
-	}
-	os.Exit(m.Run())
-}
-
-// BenchmarkExperimentThroughput is the campaign hot-path yardstick: one op
-// is one fault-injection experiment of a fixed-seed hydro campaign on a
-// single worker (build, instrumentation and the golden run are amortized
-// across the op count by running them once per campaign invocation). The
-// runs/s metric is the number future perf PRs must not regress; allocs/op
-// tracks the steady-state experiment loop (the 8 MiB-per-experiment
-// address-space tax shows up here).
-func BenchmarkExperimentThroughput(b *testing.B) {
-	app := apps.NewHydro()
-	b.ReportAllocs()
-	res, err := harness.RunCampaign(harness.CampaignConfig{
-		App:    app,
-		Params: app.TestParams(), Sampling: harness.Sampling{Runs: b.N, Seed: 2015}, Execution: harness.Execution{SampleEvery: 64, Workers: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Tally.Total != b.N {
-		b.Fatalf("tally covers %d runs, want %d", res.Tally.Total, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
-}
-
-// BenchmarkExperimentThroughputSnapshot is BenchmarkExperimentThroughput
-// with the snapshot-fork fast path on: the campaign pays two extra golden
-// executions up front (quiesce profiling + state capture), then each
-// experiment forks from the latest snapshot preceding its faults instead
-// of re-executing the clean prefix. Results are byte-identical to the
-// baseline benchmark's campaign (see TestSnapshotForkByteIdentical); the
-// runs/s ratio between the two is the fast path's speedup.
-//
-// FAULTPROP_FULLCOPY=1 disables delta restores for the duration, so CI
-// can bench the block-granular dirty-tracking path against the
-// full-copy fallback from the same binary. FAULTPROP_NOCLEAN=1 (see
-// TestMain) additionally forces the full dual-chain interpreter, isolating
-// the clean-mode interpreter's share of the speedup.
-func BenchmarkExperimentThroughputSnapshot(b *testing.B) {
-	if os.Getenv("FAULTPROP_FULLCOPY") != "" {
-		vm.SetDeltaRestore(false)
-		defer vm.SetDeltaRestore(true)
-	}
-	app := apps.NewHydro()
-	b.ReportAllocs()
-	res, err := harness.RunCampaign(harness.CampaignConfig{
-		App:    app,
-		Params: app.TestParams(), Sampling: harness.Sampling{Runs: b.N, Seed: 2015}, Execution: harness.Execution{SampleEvery: 64, Workers: 1, Snapshots: 64},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Tally.Total != b.N {
-		b.Fatalf("tally covers %d runs, want %d", res.Tally.Total, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
-}
 
 func benchCampaign(b *testing.B, app apps.App, runs int) *harness.CampaignResult {
 	b.Helper()

@@ -11,14 +11,14 @@ import (
 	"repro/internal/vm"
 )
 
-// Snapshot-fork orchestration. A campaign runs the golden execution twice
-// up front: once with a profiling hook that maps each quiesce point to the
-// per-rank dynamic site counts reached there (RunGoldenProfile), and — once
-// the campaign has chosen which cuts pay off for its fault plans — once
-// more with a capture hook that records full job state at the chosen cuts
-// (RunGoldenCapture). Experiments whose faults all lie at or after a
-// captured cut then fork from it via RunResumed instead of re-executing
-// the clean prefix.
+// Snapshot-fork orchestration. A campaign's golden execution runs with a
+// profiling hook that maps each quiesce point to the per-rank dynamic site
+// counts reached there (RunGoldenProfile: reference outcome and cut profile
+// from one run), and — once the campaign has chosen which cuts pay off for
+// its fault plans — the program runs fault-free once more with a capture
+// hook that records full job state at the chosen cuts (RunGoldenCapture).
+// Experiments whose faults all lie at or after a captured cut then fork
+// from it via RunResumed instead of re-executing the clean prefix.
 //
 // Multi-rank capture uses a park-and-capture protocol: quiesce points fire
 // on every rank at the same collective round, each rank snapshots its own
@@ -75,7 +75,7 @@ func (p *profileHook) Quiesce(v *vm.VM, seq uint64) {
 
 // RunGoldenProfile is Run for a fault-free golden execution that also
 // returns the quiesce-point profile. The cuts are nil when the golden run
-// fails (a broken program) — callers fall back to re-execution mode.
+// fails (a broken program).
 func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
 	ranks := cfg.Ranks
 	if ranks <= 0 {

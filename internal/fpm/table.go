@@ -19,16 +19,6 @@ import (
 	"sync/atomic"
 )
 
-// tableFullCopy forces verbatim-copy restores when set; the zero value
-// (delta restores on) is the default. vm.SetDeltaRestore flips both
-// packages together.
-var tableFullCopy atomic.Bool
-
-// SetDeltaRestore toggles journal-replay delta restores (default on).
-func SetDeltaRestore(on bool) { tableFullCopy.Store(!on) }
-
-func deltaEnabled() bool { return !tableFullCopy.Load() }
-
 // tableGen hands out process-unique snapshot generations, mirroring the
 // vm memory scheme: a recycled snapshot whose backing was recaptured is
 // detected by gen mismatch instead of trusted as a stale restore base.
@@ -537,7 +527,7 @@ func (t *Table) deltaKeys(s *TableSnap) ([]int64, bool) {
 // restores, and mutating the restored table never writes through into
 // the snapshot.
 func (t *Table) RestoreSnap(s *TableSnap) int64 {
-	if deltaEnabled() && t.baseValid() {
+	if t.baseValid() {
 		if keys, ok := t.deltaKeys(s); ok {
 			for _, k := range keys {
 				if k == emptySlot {

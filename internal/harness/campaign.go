@@ -104,14 +104,15 @@ func (s Sampling) phases() int {
 type Execution struct {
 	// Workers bounds experiment-level parallelism (0: GOMAXPROCS).
 	Workers int
-	// Snapshots, when positive, enables the snapshot-fork fast path: up to
-	// this many full-state snapshots of the golden execution are captured
-	// at quiesce points chosen to precede the shard's planned injections,
-	// and each experiment forks from the best usable snapshot instead of
-	// re-executing the clean prefix (0 disables; every experiment runs
-	// from step 0). Purely a performance strategy — results are
-	// byte-identical either way — so it is excluded from the checkpoint
-	// fingerprint, and shards of one campaign may mix modes freely.
+	// Snapshots is the snapshot-fork capture budget: up to this many
+	// full-state snapshots of the golden execution are captured at quiesce
+	// points chosen to precede the shard's planned injections, and each
+	// experiment forks from the best usable snapshot instead of
+	// re-executing the clean prefix (0: nothing is captured, every
+	// experiment runs from step 0). Purely a performance strategy — results
+	// are byte-identical with any budget — so it is excluded from the
+	// checkpoint fingerprint, and shards of one campaign may mix budgets
+	// freely.
 	Snapshots int
 	// HangFactor multiplies the golden cycle count into the hang budget.
 	HangFactor float64
@@ -480,44 +481,16 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	if err := spec.validate(cfg); err != nil {
 		return nil, err
 	}
-	// Snapshot-fork campaigns draw the instrumented program from the
-	// configuration's process-wide pack, so repeated campaigns over the
-	// same configuration share one build, one quiesce profile and the
-	// captured golden snapshots (see pack.go).
-	var (
-		pack      *snapshotPack
-		inst      *ir.Program
-		siteInfos []transform.SiteInfo
-	)
-	if cfg.Snapshots > 0 {
-		p, err := packFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pack, inst, siteInfos = p, p.inst, p.sites
-	} else {
-		prog, err := cfg.App.Build(cfg.Params)
-		if err != nil {
-			return nil, fmt.Errorf("harness: build %s: %w", cfg.App.Name(), err)
-		}
-		in, infos, err := transform.InstrumentSites(prog, cfg.transformOptions())
-		if err != nil {
-			return nil, fmt.Errorf("harness: instrument %s: %w", cfg.App.Name(), err)
-		}
-		inst, siteInfos = in, infos
+	// Every campaign draws the instrumented program, its static site
+	// table, and the golden (fault-free) run — reference outputs, cycle
+	// budget, and the per-rank dynamic injection-site space — from the
+	// configuration's process-wide pack, so repeated campaigns over one
+	// configuration share one build and one golden execution (see pack.go).
+	pack, err := packFor(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Golden (fault-free) run: reference outputs, cycle budget, and the
-	// per-rank dynamic injection-site space.
-	var golden core.RunOutcome
-	if pack != nil {
-		golden = pack.golden(cfg)
-	} else {
-		golden = coreRun(inst, core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery})
-	}
-	if golden.Err != nil {
-		return nil, fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), golden.Err)
-	}
+	inst, siteInfos, golden := pack.inst, pack.sites, pack.golden
 	part := &PartialResult{
 		Fingerprint: cfg.fingerprint(),
 		App:         cfg.App.Name(),
@@ -642,16 +615,14 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		}
 	}
 
-	// Snapshot-fork schedule: profile the golden execution's quiesce
-	// points, capture snapshots where this shard's plans can use them.
-	// Failure to build one (or Snapshots: 0) just means every experiment
-	// re-executes from step 0 — results are identical either way. Adaptive
-	// shards schedule over the whole pending budget: a superset of what the
-	// planner will spend, which can only make the captured cuts less
-	// tailored, never change a result.
-	if pack != nil && len(pending) > 0 {
-		e.sched = pack.schedule(cfg, part.GoldenSites, pending)
-	}
+	// Snapshot-fork schedule: capture snapshots, within the Snapshots
+	// budget, where this shard's plans can use them. A nil schedule
+	// (Snapshots: 0, nothing usable, a failed capture) just means every
+	// experiment runs from step 0 — results are identical either way.
+	// Adaptive shards schedule over the whole pending budget: a superset of
+	// what the planner will spend, which can only make the captured cuts
+	// less tailored, never change a result.
+	e.sched = pack.schedule(cfg, part.GoldenSites, pending)
 
 	cfg.Progress.begin(spec.Size(), cfg.Workers)
 	cfg.Progress.noteResumed(e.resumed)

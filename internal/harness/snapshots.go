@@ -7,17 +7,18 @@ import (
 	"repro/internal/inject"
 )
 
-// Snapshot-fork scheduling. With CampaignConfig.Snapshots > 0 a shard pays
-// up to two extra golden executions up front — one to profile the quiesce
-// points (core.RunGoldenProfile), one to capture full state at the chosen
-// cuts (core.RunGoldenCapture) — and each experiment then forks from the
-// best captured snapshot that precedes all of its planned faults, skipping
-// the clean prefix. Both phases are cached in the configuration's
-// process-wide snapshotPack (see pack.go): campaigns after the first skip
-// the profile run entirely and capture only cuts the pack is missing.
-// Snapshot placement is purely a performance strategy: results are
-// byte-identical with any placement (including none), which is why
-// Snapshots is excluded from the checkpoint fingerprint.
+// Snapshot-fork scheduling. Every campaign's golden execution already
+// yielded the quiesce-point profile (the pack's cuts, see pack.go);
+// Execution.Snapshots is the budget of cuts a shard may capture full state
+// at. The shard pays at most one more fault-free execution
+// (core.RunGoldenCapture, and only for cuts the pack is still missing), and
+// each experiment then forks from the best captured snapshot that precedes
+// all of its planned faults, skipping the clean prefix. An experiment whose
+// fault precedes every captured cut — every experiment, when the budget is
+// 0 or the app has no quiesce points — runs from step 0. Snapshot placement
+// is purely a performance strategy: results are byte-identical with any
+// placement (including none), which is why Snapshots is excluded from the
+// checkpoint fingerprint.
 
 // snapSchedule holds a shard's captured snapshots, ordered by seq. It is
 // shared read-only across worker goroutines; forking restores copy out of
@@ -77,21 +78,14 @@ func chooseSeqs(cuts []core.SiteCut, best []int, budget int) []uint64 {
 	return seqs
 }
 
-// schedule profiles the golden execution (once per pack; later campaigns
-// reuse the cached cuts), chooses cut seqs for the shard's pending
-// experiments, and captures snapshots at the seqs the pack is still
-// missing. It returns nil — campaign falls back to re-execution for every
-// experiment — when profiling fails or no pending plan can use any cut.
+// schedule chooses cut seqs for the shard's pending experiments within the
+// cfg.Snapshots capture budget and captures snapshots at the seqs the pack
+// is still missing. It returns nil — every experiment runs from step 0 —
+// when the budget is 0, the golden execution has no quiesce points, no
+// pending plan can use any cut, or the capture run fails.
 func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []int) *snapSchedule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rcfg := core.RunConfig{Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery, Reuse: p.reuse}
-	if !p.profiled {
-		out, cuts := core.RunGoldenProfile(p.inst, rcfg)
-		if out.Err != nil || len(cuts) == 0 {
-			return nil
-		}
-		p.cuts, p.profiled = cuts, true
+	if cfg.Snapshots == 0 || len(p.cuts) == 0 {
+		return nil // nothing to capture: skip planning every pending experiment
 	}
 	best := make([]int, 0, len(pending))
 	for _, id := range pending {
@@ -103,6 +97,8 @@ func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []in
 	if len(seqs) == 0 {
 		return nil
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var missing []uint64
 	for _, s := range seqs {
 		if p.snaps[s] == nil {
@@ -110,7 +106,9 @@ func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []in
 		}
 	}
 	if len(missing) > 0 {
-		out, snaps := core.RunGoldenCapture(p.inst, rcfg, missing)
+		out, snaps := core.RunGoldenCapture(p.inst, core.RunConfig{
+			Ranks: cfg.Params.Ranks, SampleEvery: cfg.SampleEvery, Reuse: p.reuse,
+		}, missing)
 		if out.Err != nil {
 			return nil
 		}

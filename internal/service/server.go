@@ -476,7 +476,6 @@ func (s *Server) Version() VersionInfo {
 	}
 }
 
-
 func (s *Server) job(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -749,15 +748,15 @@ func (s *Server) fail(j *job, err error) {
 func (s *Server) Metrics() Metrics {
 	queued, running := s.sched.counts()
 	m := Metrics{
-		QueueDepth:  queued,
-		RunningJobs: running,
-		JobSlots:    s.cfg.JobSlots,
-		WorkerPool:  s.cfg.WorkerPool,
+		QueueDepth:   queued,
+		RunningJobs:  running,
+		JobSlots:     s.cfg.JobSlots,
+		WorkerPool:   s.cfg.WorkerPool,
 		StreamDrops:  s.obs.streamDrops.Value(),
 		CacheHits:    s.obs.cacheHits.Value(),
 		CacheMisses:  s.obs.cacheMisses.Value(),
 		RestoreBytes: s.obs.restoreBytes.Value(),
-		Outcomes:    make(map[string]int),
+		Outcomes:     make(map[string]int),
 	}
 	if s.archive != nil {
 		m.ArchiveEntries, m.ArchiveBytes = s.archive.Stats()

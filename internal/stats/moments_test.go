@@ -56,7 +56,7 @@ func TestMomentsMergeEqualsUnion(t *testing.T) {
 		k := 1 + rng.Intn(8)
 		cuts := map[int]bool{0: true, len(xs): true}
 		for i := 0; i < k; i++ {
-			cuts[rng.Intn(len(xs) + 1)] = true
+			cuts[rng.Intn(len(xs)+1)] = true
 		}
 		var bounds []int
 		for c := range cuts {

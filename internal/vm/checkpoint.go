@@ -14,78 +14,31 @@ package vm
 // a production system does not have); the paper's §5 models exist
 // precisely to estimate this quantity from FPS instead.
 //
+// A checkpoint is an ordinary vm.Snapshot (snapshot.go) and a rollback is
+// its restore body: the cost of both scales with the memory the run
+// touched, and a rolled-back VM resumes in the interpreter mode the
+// checkpoint was taken in.
+//
 // Limitations: checkpointing is per-process — rolling back one rank of an
 // MPI job would break message lockstep, so this facility is intended for
 // single-process runs (coordinated distributed checkpointing is out of
 // scope). The naive-taint ablation state is not snapshotted.
 
-type vmSnapshot struct {
-	words      []uint64
-	brk, sp    int64
-	regs       []uint64
-	frames     []frame
-	sites      uint64
-	outputs    int
-	iterations int64
-	ticks      int64
-	table      map[int64]uint64
-}
-
 // Rollbacks reports how many checkpoint restorations happened.
 func (v *VM) Rollbacks() int { return v.rollbacks }
 
-// takeSnapshot captures the full execution state. The top frame's pc is
-// stored pre-incremented so a restored execution resumes at the
-// instruction after the checkpoint intrinsic.
-func (v *VM) takeSnapshot() {
-	s := &vmSnapshot{
-		brk:        v.mem.brk,
-		sp:         v.mem.sp,
-		sites:      v.sites,
-		outputs:    len(v.outputs),
-		iterations: v.iterations,
-		ticks:      v.ticks,
-	}
-	s.words = append(s.words[:0], v.mem.words...)
-	s.regs = append(s.regs[:0], v.regs...)
-	// Frame structs copy by value; their retRegs slices are never mutated
-	// after emission, so sharing them is safe.
-	s.frames = append(s.frames[:0], v.frames...)
-	s.frames[len(s.frames)-1].pc++
-	s.table = make(map[int64]uint64, v.table.Len())
-	for _, addr := range v.table.Addresses() {
-		pv, _ := v.table.Pristine(addr)
-		s.table[addr] = pv
-	}
-	v.snap = s
-}
-
-// restoreSnapshot rewinds the VM to the last snapshot. Application cycles
-// are NOT rewound: re-executed work costs time, exactly as a real rollback
-// does. The injector's site counter is not rewound either, so a transient
-// fault does not re-fire during replay.
-func (v *VM) restoreSnapshot() {
-	s := v.snap
-	copy(v.mem.words, s.words)
-	// The bulk copy bypasses the dirty bitmap; drop any delta-restore base
-	// so a later fork restore cannot trust a stale one. (Checkpointed runs
-	// are never forked — this is defense in depth.)
-	v.mem.invalidateBase()
-	v.mem.brk = s.brk
-	v.mem.sp = s.sp
-	v.regs = append(v.regs[:0], s.regs...)
-	v.frames = append(v.frames[:0], s.frames...)
-	v.outputs = v.outputs[:s.outputs]
-	v.iterations = s.iterations
-	v.ticks = s.ticks
-	// Rebuild the table in place from the snapshot. The contamination
-	// happened even though it was undone: keep the historical peak and
-	// ever-contaminated flags.
+// rollback rewinds the VM to the last checkpoint. Application cycles are
+// NOT rewound: re-executed work costs time, exactly as a real rollback
+// does. The injector's site counter and injection history are not rewound
+// either, so a transient fault does not re-fire during replay.
+func (v *VM) rollback() {
+	cycles, pushed, sites, injCycles := v.cycles, v.pushed, v.sites, v.injCycles
+	// The contamination happened even though it is being undone: keep the
+	// historical peak and ever-contaminated flags.
 	peak, ever := v.table.Peak(), v.table.Ever()
-	v.table.Reset()
-	for addr, pv := range s.table {
-		v.table.Record(addr, pv)
-	}
+	v.injCycles = nil // detach: restore refills the slice it finds in place
+	v.restore(v.snap)
+	v.cycles, v.pushed, v.sites, v.injCycles = cycles, pushed, sites, injCycles
 	v.table.CarryHistory(peak, ever)
 	v.rollbacks++
 	v.restored = true
@@ -94,7 +47,7 @@ func (v *VM) restoreSnapshot() {
 	}
 }
 
-// checkpointTick runs the rollback policy and snapshotting at a timestep
+// checkpointTick runs the rollback policy and checkpointing at a timestep
 // boundary. Returns true when execution state was replaced and the
 // interpreter must refetch its frame.
 func (v *VM) checkpointTick() bool {
@@ -102,11 +55,11 @@ func (v *VM) checkpointTick() bool {
 		return false
 	}
 	if v.cfg.RollbackCML > 0 && v.snap != nil && v.table.Len() >= v.cfg.RollbackCML {
-		v.restoreSnapshot()
+		v.rollback()
 		return true
 	}
 	if v.ticks%v.cfg.CheckpointEvery == 0 {
-		v.takeSnapshot()
+		v.snap = v.Snapshot(v.snap)
 	}
 	return false
 }

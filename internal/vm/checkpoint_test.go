@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/inject"
@@ -149,5 +151,74 @@ func TestCheckpointIntervalRespected(t *testing.T) {
 	}
 	if a.Outputs()[0] != b.Outputs()[0] {
 		t.Error("snapshot-only run diverged")
+	}
+}
+
+// unpaired returns a shallow clone of an instrumented program whose
+// functions declare no register pairing. decodedOf lowers such a program
+// without a clean code array, so every VM built on the clone runs the full
+// dual-chain interpreter: the reference the clean-mode legs compare against.
+func unpaired(p *ir.Program) *ir.Program {
+	q := &ir.Program{ByName: p.ByName, Globals: p.Globals, GlobalWords: p.GlobalWords, Entry: p.Entry}
+	for _, f := range p.Funcs {
+		g := *f
+		g.PairedRegs = 0
+		q.Funcs = append(q.Funcs, &g)
+	}
+	return q
+}
+
+// TestCheckpointRollbackCleanMatchesFull: checkpoints record the
+// interpreter mode, so a checkpointed VM may run clean. Every observable of
+// such a run — including the rollbacks themselves — must equal the same run
+// on the unpaired clone, which can only execute the full interpreter.
+func TestCheckpointRollbackCleanMatchesFull(t *testing.T) {
+	inst := instrumentT(t, buildTickedAccum(12))
+	full := unpaired(inst)
+	golden := New(inst, Config{})
+	if err := golden.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sites := golden.Sites()
+	rolledBack := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		plan := inject.Plan{Faults: []inject.Fault{{
+			Site: (sites * seed) / 40, Bit: uint(50 - seed%20),
+		}}}
+		run := func(prog *ir.Program) (*VM, error) {
+			v := New(prog, Config{
+				CycleLimit:      8 * golden.Cycles(), // a diverging run must fail, not hang
+				Injector:        inject.NewRankInjector(plan, 0),
+				CheckpointEvery: 2,
+				RollbackCML:     1,
+			})
+			return v, v.Run()
+		}
+		before := CleanModeSwitches()
+		c, cerr := run(inst)
+		if !c.cleanOK || CleanModeSwitches() == before {
+			t.Fatalf("fault %v: checkpointed VM never ran clean", plan.Faults[0])
+		}
+		f, ferr := run(full)
+		if f.cleanOK {
+			t.Fatal("unpaired clone is clean-eligible: differential is vacuous")
+		}
+		if fmt.Sprint(cerr) != fmt.Sprint(ferr) {
+			t.Fatalf("fault %v: clean run ended %v, full run %v", plan.Faults[0], cerr, ferr)
+		}
+		if c.Rollbacks() > 0 {
+			rolledBack++
+		}
+		got := []any{c.Outputs(), c.Cycles(), c.Sites(), c.InjectionCycles(), c.Iterations(), c.Ticks(),
+			c.Rollbacks(), c.Table().Addresses(), c.Table().Peak(), c.Table().Ever()}
+		want := []any{f.Outputs(), f.Cycles(), f.Sites(), f.InjectionCycles(), f.Iterations(), f.Ticks(),
+			f.Rollbacks(), f.Table().Addresses(), f.Table().Peak(), f.Table().Ever()}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("fault %v: clean checkpointed run diverged from full:\n got %v\nwant %v",
+				plan.Faults[0], got, want)
+		}
+	}
+	if rolledBack == 0 {
+		t.Fatal("no fault triggered a rollback: differential is vacuous")
 	}
 }

@@ -3,8 +3,6 @@ package vm
 import (
 	"math/bits"
 	"sync/atomic"
-
-	"repro/internal/fpm"
 )
 
 // Restore granularity. One dirty bit covers a block of 64 words (512
@@ -12,10 +10,10 @@ import (
 // fraction of the footprint, coarse enough that the bitmap for an 8 MiB
 // address space is 16 KiB and the store-path cost is one shift+or.
 const (
-	blockShift = 6                        // log2 words per block
-	blockWords = 1 << blockShift          // words per dirty block
-	dirtyShift = blockShift + 6           // log2 words covered by one bitmap word
-	maxDeltaChainHops = 64                // bound on snapshot-chain walks
+	blockShift        = 6               // log2 words per block
+	blockWords        = 1 << blockShift // words per dirty block
+	dirtyShift        = blockShift + 6  // log2 words covered by one bitmap word
+	maxDeltaChainHops = 64              // bound on snapshot-chain walks
 )
 
 // dirtyWords returns the bitmap length (in uint64 words) covering a
@@ -30,23 +28,6 @@ func totalBlocks(size int64) int { return int((size + blockWords - 1) >> blockSh
 // never reused, so a recycled *MemSnap whose backing was recaptured is
 // always detected by a gen mismatch rather than trusted as a stale base.
 var memGen atomic.Uint64
-
-// fullCopyRestore forces the full-copy restore path when set. The zero
-// value — delta restores enabled — is the default; benches and the
-// differential tests flip it to compare the two paths.
-var fullCopyRestore atomic.Bool
-
-// SetDeltaRestore toggles block-granular delta restores for memory and
-// contamination tables (default on). Full-copy restore remains the
-// fallback either way; the toggle exists so benches and CI can measure
-// and differentially test both paths.
-func SetDeltaRestore(on bool) {
-	fullCopyRestore.Store(!on)
-	fpm.SetDeltaRestore(on)
-}
-
-// DeltaRestoreEnabled reports whether delta restores are enabled.
-func DeltaRestoreEnabled() bool { return !fullCopyRestore.Load() }
 
 // RestoreStats summarizes one restore: how many bytes were copied back
 // from the snapshot and what fraction of the address-space blocks were
@@ -144,11 +125,6 @@ func (m *Memory) Reset(size, globalWords int64) {
 	// establishing one.
 	m.base, m.baseGen = nil, 0
 }
-
-// invalidateBase drops the delta-restore base, forcing the next
-// RestoreSnap onto the full-copy path. Called by every mutation that
-// bypasses the dirty bitmap (checkpoint rollback).
-func (m *Memory) invalidateBase() { m.base, m.baseGen = nil, 0 }
 
 func (m *Memory) baseValid() bool {
 	return m.base != nil && m.baseGen != 0 && m.base.gen == m.baseGen
@@ -348,12 +324,11 @@ func (m *Memory) Snapshot(s *MemSnap) *MemSnap {
 // reports what the restore cost. When the memory's last-known-equal base
 // snapshot sits on the same chain as s, only the union of blocks dirtied
 // between the two states is copied back (delta path); otherwise — first
-// restore, size change, broken chain, or delta restores disabled — the
-// full-copy path runs. Either way the result equals the snapshotted
-// memory word for word and the snapshot stays reusable across any number
-// of restores.
+// restore, size change or broken chain — the full-copy path runs. Either
+// way the result equals the snapshotted memory word for word and the
+// snapshot stays reusable across any number of restores.
 func (m *Memory) RestoreSnap(s *MemSnap) RestoreStats {
-	if DeltaRestoreEnabled() && int64(len(m.words)) == s.size && m.baseValid() {
+	if int64(len(m.words)) == s.size && m.baseValid() {
 		if un, ok := m.deltaUnion(s); ok {
 			return m.restoreDelta(s, un)
 		}

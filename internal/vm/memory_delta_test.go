@@ -173,19 +173,27 @@ func TestDeltaRestoreChain(t *testing.T) {
 	}
 }
 
-// TestFullCopyFallbacks checks the paths that must refuse the delta:
-// delta restores disabled, and a base invalidated by Reset.
+// TestFullCopyFallbacks checks the paths that must refuse the delta: a
+// dropped base, a base whose snapshot was recaptured, and a base
+// invalidated by Reset.
 func TestFullCopyFallbacks(t *testing.T) {
 	m := NewMemory(4096, 64)
 	m.Write(3, 33)
 	s := m.Snapshot(nil)
 	m.Write(3, 44)
 
-	SetDeltaRestore(false)
+	m.base, m.baseGen = nil, 0
 	st := m.RestoreSnap(s)
-	SetDeltaRestore(true)
 	if st.Delta {
-		t.Fatalf("restore took the delta path while disabled: %+v", st)
+		t.Fatalf("restore took the delta path without a base: %+v", st)
+	}
+	checkEqualsSnap(t, m, s)
+
+	m.Write(3, 66)
+	m.baseGen-- // what recapturing the pooled base snapshot elsewhere looks like
+	st = m.RestoreSnap(s)
+	if st.Delta {
+		t.Fatalf("restore trusted a base of another generation: %+v", st)
 	}
 	checkEqualsSnap(t, m, s)
 
@@ -247,7 +255,7 @@ func FuzzDeltaRestore(f *testing.F) {
 				}
 				s := snaps[int(next())%len(snaps)]
 				if next()%2 == 1 {
-					m.invalidateBase()
+					m.base, m.baseGen = nil, 0
 				}
 				st := m.RestoreSnap(s)
 				want := snapWords(s)

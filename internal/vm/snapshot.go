@@ -23,9 +23,15 @@ import (
 // called from inside the hook, and the captured frame stack resumes at the
 // instruction after the quiescing intrinsic.
 //
+// Snapshot is the VM's one snapshot type: in-VM checkpoint/rollback
+// (checkpoint.go) captures and restores through the same Snapshot and
+// restore body, keeping only what a rollback must not rewind.
+//
 // Not snapshotted (callers must not combine them with snapshot forking):
-// the naive-taint ablation state, direct memory faults, the in-VM
-// checkpoint/rollback facility, and the job-global Clock.
+// the naive-taint ablation state, direct memory faults and the job-global
+// Clock. The last in-VM checkpoint is not part of a Snapshot either: a fork
+// with Config.CheckpointEvery set takes its first checkpoint at its next
+// due timestep.
 
 // QuiesceHook observes quiesce points. seq is the running quiesce-point
 // index of this rank's execution (0-based); for a multi-rank job every rank
@@ -83,9 +89,9 @@ func (s *Snapshot) Sites() uint64 { return s.sites }
 func (s *Snapshot) Cycles() uint64 { return s.cycles }
 
 // Snapshot captures the VM into s (reusing s's backing where possible; nil
-// allocates). It must be called from inside a Quiesce hook: the stored
-// frame stack resumes at the instruction following the quiescing
-// intrinsic.
+// allocates). It must be called while an intrinsic is retiring — from
+// inside a Quiesce hook, or by the checkpoint intrinsic itself: the stored
+// frame stack resumes at the instruction following that intrinsic.
 func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
@@ -115,9 +121,15 @@ func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 // from and must not use the unsupported features listed in the package
 // comment above.
 func (v *VM) RestoreSnap(s *Snapshot) RestoreStats {
-	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.CheckpointEvery > 0 || v.cfg.Clock != nil {
-		panic("vm: RestoreSnap with taint, memory faults, checkpointing or a global clock")
+	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.Clock != nil {
+		panic("vm: RestoreSnap with taint, memory faults or a global clock")
 	}
+	return v.restore(s)
+}
+
+// restore overwrites the VM's complete execution state with the
+// snapshot's; it is the body shared by fork restores and in-VM rollback.
+func (v *VM) restore(s *Snapshot) RestoreStats {
 	stats := v.mem.RestoreSnap(s.mem)
 	stats.Bytes += v.table.RestoreSnap(s.table)
 	v.regs = append(v.regs[:0], s.regs...)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/fpm"
 	"repro/internal/ir"
@@ -45,8 +44,8 @@ type Config struct {
 	// MemFaults are direct memory-level faults (the injection-model
 	// ablation); they fire at housekeeping granularity.
 	MemFaults []MemFault
-	// CheckpointEvery snapshots the full execution state every N timestep
-	// boundaries (0 disables checkpointing).
+	// CheckpointEvery captures the full execution state, as a Snapshot,
+	// every N timestep boundaries (0 disables checkpointing).
 	CheckpointEvery int64
 	// RollbackCML rolls back to the last snapshot when the contamination
 	// table reaches this size at a timestep boundary (0 disables; requires
@@ -107,7 +106,10 @@ type VM struct {
 	// wire is cfg.MPI's buffer-recycling extension, when it has one.
 	wire WireBufs
 
-	snap      *vmSnapshot
+	// In-VM checkpoint/rollback state (see checkpoint.go): the last
+	// checkpoint, the rollback count, and the flag telling the loop that a
+	// rollback replaced the frame stack under it.
+	snap      *Snapshot
 	rollbacks int
 	restored  bool
 
@@ -186,12 +188,11 @@ func New(prog *ir.Program, cfg Config) *VM {
 	v.refreshNextSite()
 	// Clean mode needs: a program whose dual-chain register pairing is
 	// declared, no ablation that observes the skipped instructions (taint)
-	// or mutates memory behind the table's back (memory faults), no in-VM
-	// checkpointing (its snapshots are not mode-aware), and an injector
-	// that can announce its next site — otherwise the very first fim_inj
-	// would bounce the VM out of clean mode anyway.
-	v.cleanOK = v.dprog.cleanOK && !cleanInterpOff.Load() &&
-		!cfg.TrackTaint && len(cfg.MemFaults) == 0 && cfg.CheckpointEvery == 0 &&
+	// or mutates memory behind the table's back (memory faults), and an
+	// injector that can announce its next site — otherwise the very first
+	// fim_inj would bounce the VM out of clean mode anyway.
+	v.cleanOK = v.dprog.cleanOK &&
+		!cfg.TrackTaint && len(cfg.MemFaults) == 0 &&
 		cfg.SiteObserver == nil && (cfg.Injector == nil || v.planner != nil)
 	// A fresh run starts fault-free with an all-zero register file, so
 	// shadows trivially mirror primaries. Fork restores overwrite the mode
@@ -199,21 +200,6 @@ func New(prog *ir.Program, cfg Config) *VM {
 	v.clean = v.cleanOK
 	return v
 }
-
-// cleanInterpOff disables the clean-mode interpreter when set. The zero
-// value — clean mode enabled — is the default; benches and the
-// differential tests flip it to compare the two interpreters.
-var cleanInterpOff atomic.Bool
-
-// SetCleanInterp toggles the clean-mode interpreter (default on): while a
-// rank is provably fault-free the VM skips the redundant secondary chain.
-// Takes effect for VMs constructed after the call. The full interpreter
-// remains the fallback either way; the toggle exists so benches and CI can
-// measure and differentially test both paths.
-func SetCleanInterp(on bool) { cleanInterpOff.Store(!on) }
-
-// CleanInterpEnabled reports whether the clean-mode interpreter is enabled.
-func CleanInterpEnabled() bool { return !cleanInterpOff.Load() }
 
 // refreshNextSite re-reads the injector's next planned site after any call
 // that may have advanced it.
