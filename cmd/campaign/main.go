@@ -79,7 +79,6 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/service"
 	"repro/internal/service/client"
-	"repro/internal/transform"
 )
 
 func main() {
@@ -255,39 +254,46 @@ type localOpts struct {
 	progressEvery time.Duration
 }
 
+// campaignConfig is the configuration runLocal executes for app, without
+// the per-invocation journal and progress wiring.
+func (o localOpts) campaignConfig(app apps.App) harness.CampaignConfig {
+	p := app.DefaultParams()
+	if o.scale == "test" {
+		p = app.TestParams()
+	}
+	return harness.CampaignConfig{
+		App:    app,
+		Params: p,
+		Sampling: harness.Sampling{
+			Runs:             o.runs,
+			Seed:             o.seed,
+			MultiFaultLambda: o.multi,
+			TargetCI:         o.targetCI,
+			Strata:           o.strata,
+			Sites:            o.sites,
+		},
+		Protect: o.protect,
+		Execution: harness.Execution{
+			SampleEvery: o.sample,
+			Workers:     o.workers,
+			Snapshots:   o.snapshots,
+		},
+		Retention: harness.Retention{MaxSummaries: o.maxSummaries},
+		StopAfter: o.stopAfter,
+	}
+}
+
 func runLocal(ctx context.Context, selected []apps.App, o localOpts) []*harness.CampaignResult {
 	var results []*harness.CampaignResult
 	for _, app := range selected {
-		p := app.DefaultParams()
-		if o.scale == "test" {
-			p = app.TestParams()
-		}
 		start := time.Now()
 		prog := &harness.Progress{}
 		stopTicker := prog.Ticker(os.Stderr, o.progressEvery)
 		ckpt := checkpointPath(o.checkpoint, app.Name(), len(selected))
-		res, err := harness.RunCampaignContext(ctx, harness.CampaignConfig{
-			App:    app,
-			Params: p,
-			Sampling: harness.Sampling{
-				Runs:             o.runs,
-				Seed:             o.seed,
-				MultiFaultLambda: o.multi,
-				TargetCI:         o.targetCI,
-				Strata:           o.strata,
-				Sites:            o.sites,
-			},
-			Protect: o.protect,
-			Execution: harness.Execution{
-				SampleEvery: o.sample,
-				Workers:     o.workers,
-				Snapshots:   o.snapshots,
-			},
-			Retention:   harness.Retention{MaxSummaries: o.maxSummaries},
-			Persistence: harness.Persistence{Checkpoint: ckpt, Resume: o.resume},
-			StopAfter:   o.stopAfter,
-			Progress:    prog,
-		})
+		cfg := o.campaignConfig(app)
+		cfg.Persistence = harness.Persistence{Checkpoint: ckpt, Resume: o.resume}
+		cfg.Progress = prog
+		res, err := harness.RunCampaignContext(ctx, cfg)
 		stopTicker()
 		if errors.Is(err, harness.ErrInterrupted) {
 			snap := prog.Snapshot()
@@ -317,7 +323,7 @@ func runLocal(ctx context.Context, selected []apps.App, o localOpts) []*harness.
 		}
 		fmt.Printf("# %s: %d runs in %v (golden cycles %d, %d ranks, %.1f runs/s",
 			app.Name(), ran, time.Since(start).Round(time.Millisecond),
-			res.Golden.Cycles, p.Ranks, snap.RunsPerSec)
+			res.Golden.Cycles, cfg.Params.Ranks, snap.RunsPerSec)
 		if o.targetCI > 0 {
 			fmt.Printf(", adaptive: spent %d of %d budget at ±%g", ran, o.runs, o.targetCI)
 		}
@@ -345,7 +351,9 @@ func runProtectTop(ctx context.Context, selected []apps.App, o localOpts, pct fl
 	for _, app := range selected {
 		one := []apps.App{app}
 		base := runLocal(ctx, one, o)[0]
-		total, err := staticSiteCount(app, o.scale)
+		// The baseline campaign's pack already holds the instrumented
+		// program; its static site table is the coverage denominator.
+		total, err := harness.StaticSiteCount(o.campaignConfig(app))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "protect-top %s: %v\n", app.Name(), err)
 			os.Exit(1)
@@ -362,25 +370,6 @@ func runProtectTop(ctx context.Context, selected []apps.App, o localOpts, pct fl
 		results = append(results, base)
 	}
 	return results
-}
-
-// staticSiteCount instruments the app's program the way the campaigns do
-// and counts its static fim_inj sites — the protection coverage
-// denominator (the ranking only lists sites some experiment hit).
-func staticSiteCount(app apps.App, scale string) (int, error) {
-	p := app.DefaultParams()
-	if scale == "test" {
-		p = app.TestParams()
-	}
-	prog, err := app.Build(p)
-	if err != nil {
-		return 0, err
-	}
-	inst, err := transform.Instrument(prog, transform.DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	return transform.CountStaticSites(inst), nil
 }
 
 type remoteOpts struct {

@@ -139,6 +139,15 @@ func (t *Tally) Add(o Outcome) {
 	t.Total++
 }
 
+// Merge folds another tally's counts into t. Integer sums, so merging is
+// commutative and associative.
+func (t *Tally) Merge(other Tally) {
+	for o := range t.Counts {
+		t.Counts[o] += other.Counts[o]
+	}
+	t.Total += other.Total
+}
+
 // Percent returns the percentage of runs in the class.
 func (t *Tally) Percent(o Outcome) float64 {
 	if t.Total == 0 {

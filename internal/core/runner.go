@@ -42,17 +42,31 @@ type RunConfig struct {
 	// MemFaults maps rank -> direct memory-level faults (the
 	// injection-model ablation).
 	MemFaults map[int][]vm.MemFault
-	// Reuse, when non-nil, recycles the allocation-heavy run infrastructure
-	// (per-rank VM state and the MPI job fabric) across consecutive Run
-	// calls. A Reuse must be owned by a single worker: pass it to one Run
-	// at a time.
+	// Reuse recycles the allocation-heavy run infrastructure (per-rank VM
+	// state and the MPI job fabric) across consecutive Run calls. A Reuse
+	// must be owned by a single worker: pass it to one Run at a time. Nil,
+	// or a bundle sized for another rank count, gives the run a private
+	// bundle.
 	Reuse *Reuse
+}
+
+// normalized resolves the zero-value conventions: at least one rank, and a
+// Reuse bundle of that rank count — every run executes on a bundle, so the
+// runner has one allocation path.
+func (cfg RunConfig) normalized() RunConfig {
+	if cfg.Ranks <= 0 {
+		cfg.Ranks = 1
+	}
+	if cfg.Reuse == nil || len(cfg.Reuse.states) != cfg.Ranks {
+		cfg.Reuse = NewReuse(cfg.Ranks)
+	}
+	return cfg
 }
 
 // Reuse bundles what a campaign worker recycles between experiments: one
 // vm.State per rank, the MPI job (mailbox channels, endpoints and their
 // timers), the per-rank injectors and trace recorders, and the runner's own
-// scratch. Observable results are identical with or without it.
+// scratch. Observable results do not depend on which bundle a run uses.
 type Reuse struct {
 	states []*vm.State
 	job    *mpi.Job
@@ -240,20 +254,12 @@ func RunResumed(prog *ir.Program, cfg RunConfig, snap *CampaignSnapshot) RunOutc
 }
 
 func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 1
+	cfg = cfg.normalized()
+	ru := cfg.Reuse
+	if ru.job == nil || !ru.job.Recycle(cfg.Ranks, cfg.Timeout) {
+		ru.job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
 	}
-	var job *mpi.Job
-	if cfg.Reuse != nil && cfg.Reuse.job != nil && cfg.Reuse.job.Recycle(cfg.Ranks, cfg.Timeout) {
-		job = cfg.Reuse.job
-	} else {
-		job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
-	}
-	if cfg.Reuse != nil {
-		// Keep the job for the next run; Recycle rejects it if this run
-		// aborts it.
-		cfg.Reuse.job = job
-	}
+	job := ru.job
 	if ex.onJob != nil {
 		ex.onJob(job)
 	}
@@ -275,45 +281,21 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		Spread:    &trace.RankSpread{},
 		StructCML: make(map[string]int),
 	}
-	var regions []StructRegion
-	if cfg.Reuse != nil && cfg.Reuse.regionsProg == prog {
-		regions = cfg.Reuse.regions
-	} else {
-		regions = RegionsOf(prog)
-		if cfg.Reuse != nil {
-			cfg.Reuse.regionsProg, cfg.Reuse.regions = prog, regions
-		}
+	if ru.regionsProg != prog {
+		ru.regionsProg, ru.regions = prog, RegionsOf(prog)
 	}
-
-	var states []rankState
-	var done chan int
-	if cfg.Reuse != nil && len(cfg.Reuse.rs) == cfg.Ranks {
-		states, done = cfg.Reuse.rs, cfg.Reuse.done
-	} else {
-		states = make([]rankState, cfg.Ranks)
-		done = make(chan int, cfg.Ranks)
-	}
+	regions := ru.regions
+	states, done := ru.rs, ru.done
 	// Build every VM before starting any rank: a construction panic must
-	// not escape while goroutines are already mutating (possibly pooled)
-	// state of earlier ranks.
+	// not escape while goroutines are already mutating the bundle's state
+	// of earlier ranks.
 	for r := 0; r < cfg.Ranks; r++ {
-		var rec *trace.Recorder
-		var injr *inject.RankInjector
-		var st *vm.State
-		ptsHint, ticksHint := 0, 0
-		if cfg.Reuse != nil && r < len(cfg.Reuse.states) {
-			st = cfg.Reuse.states[r]
-			rec = cfg.Reuse.recs[r]
-			ptsHint, ticksHint = cfg.Reuse.ptsHint[r], cfg.Reuse.ticksHint[r]
-			if ex.snap == nil {
-				rec.Reset(cfg.SampleEvery, ptsHint, ticksHint)
-			}
-			injr = cfg.Reuse.injs[r]
-			injr.Reset(cfg.Plan, r)
-		} else {
-			rec = &trace.Recorder{SampleEvery: cfg.SampleEvery}
-			injr = inject.NewRankInjector(cfg.Plan, r)
+		rec, injr := ru.recs[r], ru.injs[r]
+		ptsHint, ticksHint := ru.ptsHint[r], ru.ticksHint[r]
+		if ex.snap == nil {
+			rec.Reset(cfg.SampleEvery, ptsHint, ticksHint)
 		}
+		injr.Reset(cfg.Plan, r)
 		var quiesce vm.QuiesceHook
 		if r < len(ex.hooks) {
 			quiesce = ex.hooks[r]
@@ -331,7 +313,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			Abort:        job.Flag(),
 			TrackTaint:   cfg.TrackTaint,
 			MemFaults:    cfg.MemFaults[r],
-			State:        st,
+			State:        ru.states[r],
 			Quiesce:      quiesce,
 			SiteObserver: observer,
 			ForkRestore:  ex.snap != nil,
@@ -409,10 +391,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			AttributeTable(regions, st.v.Table(),
 				1+prog.GlobalWords, st.v.Mem().AllocatedWords(), rr.StructCML)
 		}
-		// No shared Clock is configured: with a nil clock the VM reports
-		// rank-local cycles as time, keeping every trace observable a
-		// deterministic function of the seed.
-		st.rec.Finish(st.v.Cycles(), st.v.Cycles(), st.v.Table().Len())
+		st.rec.Finish(st.v.Cycles(), st.v.Table().Len())
 		rr.Points = st.rec.Points()
 		if t, ok := st.rec.FirstContamination(); ok {
 			rr.FirstContam = t
@@ -420,11 +399,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		}
 		// Every observation that touches the VM's memory or table is made
 		// by now; the rank's pooled buffers can go back for the next run.
-		if cfg.Reuse != nil && r < len(cfg.Reuse.states) && cfg.Reuse.states[r] != nil {
-			cfg.Reuse.states[r].Reclaim(st.v)
-			cfg.Reuse.ptsHint[r] = len(rr.Points)
-			cfg.Reuse.ticksHint[r] = len(st.rec.Ticks())
-		}
+		ru.states[r].Reclaim(st.v)
+		ru.ptsHint[r] = len(rr.Points)
+		ru.ticksHint[r] = len(st.rec.Ticks())
 		if rr.Casualty {
 			continue
 		}

@@ -77,10 +77,8 @@ func (p *profileHook) Quiesce(v *vm.VM, seq uint64) {
 // returns the quiesce-point profile. The cuts are nil when the golden run
 // fails (a broken program).
 func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
+	cfg = cfg.normalized()
 	ranks := cfg.Ranks
-	if ranks <= 0 {
-		ranks = 1
-	}
 	profs := make([]*profileHook, ranks)
 	hooks := make([]vm.QuiesceHook, ranks)
 	for r := range hooks {
@@ -118,10 +116,8 @@ func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
 // Observation forces the full interpreter, so this run is slower than a
 // plain golden run; the arrays are nil when the golden run fails.
 func RunGoldenSiteClasses(prog *ir.Program, cfg RunConfig) (RunOutcome, [][]byte, [][]int32) {
+	cfg = cfg.normalized()
 	ranks := cfg.Ranks
-	if ranks <= 0 {
-		ranks = 1
-	}
 	classes := make([][]byte, ranks)
 	statics := make([][]int32, ranks)
 	observers := make([]vm.SiteObserver, ranks)
@@ -208,28 +204,17 @@ func (h *rankCapture) Quiesce(v *vm.VM, seq uint64) {
 // It returns the snapshots actually captured, ordered by seq; seqs past
 // the end of the execution are silently dropped.
 func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcome, []*CampaignSnapshot) {
+	cfg = cfg.normalized()
 	ranks := cfg.Ranks
-	if ranks <= 0 {
-		ranks = 1
-	}
 	want := make(map[uint64]*CampaignSnapshot, len(seqs))
 	snaps := make([]*CampaignSnapshot, 0, len(seqs))
 	for _, s := range seqs {
 		if _, dup := want[s]; dup {
 			continue
 		}
-		var cs *CampaignSnapshot
-		if cfg.Reuse != nil {
-			// Pooled shells carry the backing buffers of retired captures;
-			// vm/trace/mpi Snapshot() overwrite them in place.
-			cs = cfg.Reuse.takeSnapshotShell(s, ranks)
-		} else {
-			cs = &CampaignSnapshot{
-				Cut:  SiteCut{Seq: s, Sites: make([]uint64, ranks)},
-				vms:  make([]*vm.Snapshot, ranks),
-				recs: make([]*trace.RecorderSnap, ranks),
-			}
-		}
+		// Pooled shells carry the backing buffers of retired captures;
+		// vm/trace/mpi Snapshot() overwrite them in place.
+		cs := cfg.Reuse.takeSnapshotShell(s, ranks)
 		want[s] = cs
 		snaps = append(snaps, cs)
 	}

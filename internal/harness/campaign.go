@@ -53,7 +53,7 @@ type Sampling struct {
 	MultiFaultLambda float64
 	// Sites, when set, enables per-site propagation analytics: every
 	// experiment is attributed to the static fim_inj site of its first
-	// fault (via the one-off golden site-observer profile), its CML
+	// fault (via the pack's golden site-class profile), its CML
 	// trajectory shape and cleanse cause are recorded in the summary, and
 	// the campaign carries mergeable per-site tallies that finalize into a
 	// Wilson-ranked vulnerability table (CampaignResult.Sites).
@@ -481,61 +481,45 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	if err := spec.validate(cfg); err != nil {
 		return nil, err
 	}
-	// Every campaign draws the instrumented program, its static site
-	// table, and the golden (fault-free) run — reference outputs, cycle
-	// budget, and the per-rank dynamic injection-site space — from the
-	// configuration's process-wide pack, so repeated campaigns over one
-	// configuration share one build and one golden execution (see pack.go).
+	// Every campaign draws the instrumented program and the golden
+	// (fault-free) run — reference outputs, cycle budget, and the per-rank
+	// dynamic injection-site space — from the configuration's process-wide
+	// pack, so repeated campaigns over one configuration share one build and
+	// one golden execution (see pack.go).
 	pack, err := packFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inst, siteInfos, golden := pack.inst, pack.sites, pack.golden
 	part := &PartialResult{
-		Fingerprint: cfg.fingerprint(),
-		App:         cfg.App.Name(),
-		Params:      cfg.Params,
-		Runs:        cfg.Runs,
-		Golden: classify.Golden{
-			Outputs:    golden.Outputs,
-			Cycles:     golden.Cycles,
-			Iterations: golden.Iterations,
-		},
-		GoldenSites:    golden.SiteCounts(),
-		AllocatedWords: golden.AllocatedTotal,
+		Fingerprint:    cfg.fingerprint(),
+		App:            cfg.App.Name(),
+		Params:         cfg.Params,
+		Runs:           cfg.Runs,
+		Golden:         pack.ref,
+		GoldenSites:    pack.goldenSites,
+		AllocatedWords: pack.golden.AllocatedTotal,
 		KeepProfiles:   cfg.KeepProfiles,
 		MaxSummaries:   cfg.MaxSummaries,
 	}
-	hasSites := false
-	for _, n := range part.GoldenSites {
-		if n > 0 {
-			hasSites = true
-			break
-		}
-	}
-	if !hasSites {
-		return nil, fmt.Errorf("inject: no rank has injection sites")
-	}
 
 	criteria := classify.DefaultCriteria()
-	cycleLimit := uint64(float64(golden.Cycles) * cfg.HangFactor)
+	cycleLimit := uint64(float64(pack.ref.Cycles) * cfg.HangFactor)
 
-	// Stratified and per-site-analytic campaigns profile the golden
-	// execution once more with a site observer, mapping every (rank, site)
-	// to its instruction class and static fim_inj ordinal. One profiling
-	// run serves both consumers.
+	// Stratified and per-site-analytic campaigns additionally read the
+	// pack's site-class profile, which maps every (rank, site) to its
+	// instruction class and static fim_inj ordinal.
 	var strata *Strata
 	var sites *siteMap
 	if cfg.stratified() || cfg.Sites {
-		gsites, classes, statics, err := profileSiteSpace(inst, cfg)
+		prof, err := pack.profileSites(cfg)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.stratified() {
-			strata = &Strata{Phases: cfg.Sampling.phases(), sites: gsites, classes: classes}
+			strata = prof.strata(cfg.Sampling.phases())
 		}
 		if cfg.Sites {
-			sites = newSiteMap(siteInfos, statics)
+			sites = prof.sites
 		}
 	}
 	// The planner engages only for whole-range adaptive shards. An
@@ -546,7 +530,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	e := &campaignEngine{
 		ctx:        ctx,
 		cfg:        cfg,
-		inst:       inst,
+		inst:       pack.inst,
 		part:       part,
 		criteria:   criteria,
 		cycleLimit: cycleLimit,

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/transform"
@@ -13,18 +14,32 @@ import (
 
 // Shared golden packs: the single set-up path of every campaign.
 //
-// A pack is the process-wide cache of everything a campaign derives from
-// the fault-free execution of one (app, params, sampleEvery, protect)
-// configuration: the instrumented program and its static site table, the
-// golden outcome and quiesce-point profile (one execution yields both), and
-// the snapshots captured so far, keyed by quiesce seq. RunShardContext
-// always draws these from the configuration's pack; Execution.Snapshots
-// only sizes the capture budget (see snapshots.go). Snapshot placement is
-// purely a performance strategy — results are byte-identical with any
-// placement, including none — so sharing set-up and capture work across
-// campaigns (service tenants re-running a configuration, shards of one
-// campaign in one process) cannot change results; it only removes
-// redundant builds, golden re-executions and capture allocations.
+// A pack is the process-wide owner of everything derived from the
+// fault-free execution of one (app, params, sampleEvery, protect)
+// configuration. It holds five artefacts, each produced at most once per
+// pack and only when something first needs it:
+//
+//  1. the instrumented program and its static site table — prepare, on the
+//     first packFor of the configuration (any campaign, planner or
+//     StaticSiteCount);
+//  2. the golden outcome, also in the shapes every partial result carries
+//     (classify.Golden, per-rank site counts) — prepare, same execution;
+//  3. the quiesce-point cut profile — prepare, same execution;
+//  4. the site-class profile (per-rank consumer-class bytes and dyn→static
+//     site ordinals) — profileSites, on the first stratified or per-site
+//     shard or adaptive planner, one slower site-observer execution;
+//  5. the captured snapshots, keyed by quiesce seq — schedule
+//     (snapshots.go), one capture execution per shard that finds chosen
+//     cuts missing, within the Execution.Snapshots budget.
+//
+// Nothing else in harness, service or cmd/campaign builds, instruments or
+// executes an application fault-free. None of the artefacts depends on
+// the seed, the budget or the shard, and snapshot placement is purely a
+// performance strategy — results are byte-identical with any placement,
+// including none — so sharing them across campaigns (service tenants
+// re-running a configuration, shards and adaptive rounds of one campaign in
+// one process, a resume) cannot change results; it only removes redundant
+// builds, golden re-executions and capture allocations.
 //
 // Snapshots stored in a pack are immutable once captured: forks copy out
 // of them, never into them, and incremental capture only fills seqs that
@@ -36,7 +51,11 @@ import (
 // capture while a campaign may still be forking from it).
 const (
 	// maxPacks bounds the number of cached configurations (LRU beyond it).
-	maxPacks = 4
+	// The paper's study is five applications, and `campaign -protect-top`
+	// runs each next to a protected twin: 8 holds the study plus a twin with
+	// room to spare, so a study, its resume and its shards stop evicting and
+	// rebuilding each other's packs. An evicted pack is garbage, not cache.
+	maxPacks = 8
 	// maxPackSnaps bounds the per-pack snapshot map; past it, snapshots
 	// not chosen by the schedule being built are dropped for GC.
 	maxPackSnaps = 256
@@ -66,8 +85,30 @@ type snapshotPack struct {
 	reuse  *core.Reuse
 	golden core.RunOutcome
 	cuts   []core.SiteCut
+	// ref and goldenSites are the golden outcome in the shapes every
+	// partial result of the configuration carries.
+	ref         classify.Golden
+	goldenSites []uint64
+
+	// profile is filled by profileSites on first use, immutable afterwards.
+	profile *siteProfile
 
 	snaps map[uint64]*core.CampaignSnapshot
+}
+
+// siteProfile is the golden execution as a site observer saw it: one
+// consumer-class byte per dynamic site of every rank (the stratification
+// axis) and the dyn→static site map (per-site analytics). Both are pure
+// functions of the pack's configuration.
+type siteProfile struct {
+	counts  []uint64
+	classes [][]byte
+	sites   *siteMap
+}
+
+// strata views the profile as a stratification with the given phase count.
+func (sp *siteProfile) strata(phases int) *Strata {
+	return &Strata{Phases: phases, sites: sp.counts, classes: sp.classes}
 }
 
 // packMu guards only the registry below; set-up runs under each pack's own
@@ -79,9 +120,13 @@ var (
 	packLRU []packKey // least recently used first
 )
 
-// coreGoldenProfile indirects the golden execution so tests can count it
-// and route it through a reference program (like coreRun in campaign.go).
-var coreGoldenProfile = core.RunGoldenProfile
+// coreGoldenProfile and coreGoldenSiteClasses indirect the pack's two
+// fault-free profiling executions so tests can count them, fail them and
+// route them through a reference program (like coreRun in campaign.go).
+var (
+	coreGoldenProfile     = core.RunGoldenProfile
+	coreGoldenSiteClasses = core.RunGoldenSiteClasses
+)
 
 // packFor returns the process-wide pack for the campaign's configuration,
 // set up on first use. A pack whose set-up failed is dropped from the
@@ -121,7 +166,8 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 // prepare builds and instruments the program and runs its one golden
 // execution — reference outcome and quiesce-point profile together — the
 // first time the pack is used. An app with no quiesce points keeps its
-// empty cut list like any other.
+// empty cut list like any other; one with no injection sites cannot be
+// campaigned on at all.
 func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -145,9 +191,61 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	if golden.Err != nil {
 		return fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), golden.Err)
 	}
+	goldenSites := golden.SiteCounts()
+	if !slices.ContainsFunc(goldenSites, func(n uint64) bool { return n > 0 }) {
+		return fmt.Errorf("inject: no rank has injection sites")
+	}
 	p.inst, p.sites, p.reuse = inst, infos, reuse
 	p.golden, p.cuts, p.ready = golden, cuts, true
+	p.ref = classify.Golden{
+		Outputs:    golden.Outputs,
+		Cycles:     golden.Cycles,
+		Iterations: golden.Iterations,
+	}
+	p.goldenSites = goldenSites
 	return nil
+}
+
+// profileSites returns the pack's site-class profile, running the golden
+// execution once more under a site observer (on the pack's Reuse, slower
+// than a plain golden run) the first time anything asks. A failed profile
+// is returned but not cached, so the next caller retries.
+func (p *snapshotPack) profileSites(cfg CampaignConfig) (*siteProfile, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.profile != nil {
+		return p.profile, nil
+	}
+	out, classes, statics := coreGoldenSiteClasses(p.inst, core.RunConfig{
+		Ranks: cfg.Params.Ranks,
+		Reuse: p.reuse,
+	})
+	if out.Err != nil {
+		return nil, fmt.Errorf("harness: site-class profile of %s failed: %w", cfg.App.Name(), out.Err)
+	}
+	counts := out.SiteCounts()
+	for r, n := range counts {
+		if uint64(len(classes[r])) != n {
+			return nil, fmt.Errorf("harness: site-class profile of %s: rank %d observed %d of %d sites",
+				cfg.App.Name(), r, len(classes[r]), n)
+		}
+	}
+	p.profile = &siteProfile{counts: counts, classes: classes, sites: newSiteMap(p.sites, statics)}
+	return p.profile, nil
+}
+
+// StaticSiteCount returns the number of static fim_inj sites in the
+// configuration's instrumented program — the selective-protection coverage
+// denominator (a site ranking only lists sites some experiment hit).
+func StaticSiteCount(cfg CampaignConfig) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	p, err := packFor(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return len(p.sites), nil
 }
 
 // resetPacks drops every cached pack (tests only).

@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/transform"
 )
 
 // countGoldens wraps the coreGoldenProfile indirection and counts the
@@ -23,6 +24,20 @@ func countGoldens(t *testing.T) *atomic.Int32 {
 		return orig(prog, cfg)
 	}
 	t.Cleanup(func() { coreGoldenProfile = orig })
+	return n
+}
+
+// countSiteProfiles wraps the coreGoldenSiteClasses indirection and counts
+// the site-observer executions started until the test ends.
+func countSiteProfiles(t *testing.T) *atomic.Int32 {
+	t.Helper()
+	n := new(atomic.Int32)
+	orig := coreGoldenSiteClasses
+	coreGoldenSiteClasses = func(prog *ir.Program, cfg core.RunConfig) (core.RunOutcome, [][]byte, [][]int32) {
+		n.Add(1)
+		return orig(prog, cfg)
+	}
+	t.Cleanup(func() { coreGoldenSiteClasses = orig })
 	return n
 }
 
@@ -228,5 +243,138 @@ func TestPackLRUEviction(t *testing.T) {
 	}
 	if _, ok := packs[firstKey]; ok {
 		t.Error("least recently used pack survived eviction")
+	}
+}
+
+// TestSiteProfileOncePerPack: everything that reads the site-class profile
+// of one configuration — a Sites+Strata campaign, its kill and resume, a
+// 3-shard run of it, an adaptive campaign and the explicit-ID round shards
+// a coordinator's planner dispatches for it — shares the pack's single
+// site-observer execution (and single golden execution), and each variant
+// is byte-identical to its unsharded run.
+func TestSiteProfileOncePerPack(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	goldens := countGoldens(t)
+	profiles := countSiteProfiles(t)
+	app := apps.NewHydro()
+	cfg := CampaignConfig{
+		App:       app,
+		Params:    app.TestParams(),
+		Sampling:  Sampling{Runs: 30, Seed: 2015, Strata: 2, Sites: true},
+		Execution: Execution{SampleEvery: 64, Workers: 2, Snapshots: 2},
+	}
+	full, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Strata) == 0 || len(full.Sites) == 0 {
+		t.Fatalf("campaign carries %d strata and %d sites; the profile was never read",
+			len(full.Strata), len(full.Sites))
+	}
+
+	killed := cfg
+	killed.Checkpoint = t.TempDir() + "/sites.ckpt.jsonl"
+	killed.StopAfter = 10
+	if _, err := RunCampaign(killed); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("killed campaign returned %v, want ErrInterrupted", err)
+	}
+	resume := killed
+	resume.StopAfter = 0
+	resume.Resume = true
+	resumed, err := RunCampaign(resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStudyIdentical(t, "resumed", full, resumed)
+
+	specs, err := PlanShards(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStudyIdentical(t, "3 shards", full, runShardedVariant(t, cfg, specs, []int{2, 0, 1}))
+
+	adaptive := cfg
+	adaptive.TargetCI = 0.25
+	local, err := RunCampaign(adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parts := runCoordinatedRounds(t, adaptive, 3)
+	var acc *PartialResult
+	for _, p := range parts {
+		acc = mergeInto(t, acc, p)
+	}
+	acc.AdaptiveDone = true
+	coordinated, err := acc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStudyIdentical(t, "adaptive round shards", local, coordinated)
+
+	if n := profiles.Load(); n != 1 {
+		t.Errorf("site-class profile executed %d times over one configuration, want 1", n)
+	}
+	if n := goldens.Load(); n != 1 {
+		t.Errorf("golden executed %d times over one configuration, want 1", n)
+	}
+}
+
+// TestSiteProfileFailureNotCached: a failed site-class profile is returned
+// with the campaign's usual wrapping and is not kept, so the next campaign
+// over the configuration profiles again — on the same pack, whose golden
+// set-up did succeed.
+func TestSiteProfileFailureNotCached(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	goldens := countGoldens(t)
+	app := apps.NewHydro()
+	cfg := CampaignConfig{
+		App:       app,
+		Params:    app.TestParams(),
+		Sampling:  Sampling{Runs: 4, Seed: 1, Sites: true},
+		Execution: Execution{SampleEvery: 64, Workers: 1},
+	}
+	orig := coreGoldenSiteClasses
+	coreGoldenSiteClasses = func(prog *ir.Program, rc core.RunConfig) (core.RunOutcome, [][]byte, [][]int32) {
+		out, _, _ := orig(prog, rc)
+		out.Err = errors.New("synthetic profile failure")
+		return out, nil, nil
+	}
+	_, err := RunCampaign(cfg)
+	coreGoldenSiteClasses = orig
+	if want := "harness: site-class profile of " + app.Name() + " failed: synthetic profile failure"; err == nil || err.Error() != want {
+		t.Fatalf("campaign returned %v, want %q", err, want)
+	}
+	profiles := countSiteProfiles(t)
+	for i := 0; i < 2; i++ {
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatalf("campaign %d after a failed profile: %v", i, err)
+		}
+	}
+	if n := profiles.Load(); n != 1 {
+		t.Errorf("site-class profile executed %d times after the failure, want 1 (retried once, then cached)", n)
+	}
+	if n := goldens.Load(); n != 1 {
+		t.Errorf("golden executed %d times, want 1: a failed profile must not drop the pack", n)
+	}
+}
+
+// TestStaticSiteCountMatchesTransform: the pack's static site table has one
+// entry per fim_inj instruction of the instrumented program, with and
+// without protection.
+func TestStaticSiteCountMatchesTransform(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	for _, app := range apps.All() {
+		cfg := CampaignConfig{App: app, Params: app.TestParams(), Sampling: Sampling{Runs: 1}}
+		want := transform.CountStaticSites(buildInstrumented(t, app, cfg.Params))
+		for _, protect := range [][]int{nil, {0, 1}} {
+			cfg.Protect = protect
+			if got, err := StaticSiteCount(cfg); err != nil || got != want {
+				t.Errorf("%s protect %v: StaticSiteCount = %d, %v; the program has %d fim_inj sites",
+					app.Name(), protect, got, err, want)
+			}
+		}
 	}
 }

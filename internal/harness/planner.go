@@ -275,9 +275,10 @@ type AdaptivePlanner struct {
 }
 
 // NewAdaptivePlanner builds the planner for an adaptive configuration
-// (Sampling.TargetCI > 0) and its stratification (BuildStrata of the same
-// config).
-func NewAdaptivePlanner(cfg CampaignConfig, strata *Strata) (*AdaptivePlanner, error) {
+// (Sampling.TargetCI > 0). Its stratification comes from the
+// configuration's pack — the one workers of the same process and
+// configuration run their round shards on.
+func NewAdaptivePlanner(cfg CampaignConfig) (*AdaptivePlanner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -285,11 +286,20 @@ func NewAdaptivePlanner(cfg CampaignConfig, strata *Strata) (*AdaptivePlanner, e
 	if !cfg.Adaptive() {
 		return nil, &FieldError{Field: "Sampling.TargetCI", Reason: "adaptive planning needs a target CI"}
 	}
+	pack, err := packFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := pack.profileSites(cfg)
+	if err != nil {
+		return nil, err
+	}
 	ids := make([]int, cfg.Runs)
 	for i := range ids {
 		ids[i] = i
 	}
-	return &AdaptivePlanner{pol: newAdaptivePolicy(cfg, ids, strata, strata.sites)}, nil
+	strata := prof.strata(cfg.Sampling.phases())
+	return &AdaptivePlanner{pol: newAdaptivePolicy(cfg, ids, strata, pack.goldenSites)}, nil
 }
 
 // NextRound returns the next round's experiment IDs in ascending order,
@@ -322,10 +332,7 @@ func (p *AdaptivePlanner) Done() bool { return p.done }
 func (p *AdaptivePlanner) Fold(tallies []StratumTally) {
 	for _, st := range tallies {
 		t := p.pol.tallies[st.Stratum]
-		for o := 0; o < classify.NumOutcomes; o++ {
-			t.Counts[o] += st.Tally.Counts[o]
-		}
-		t.Total += st.Tally.Total
+		t.Merge(st.Tally)
 		p.pol.tallies[st.Stratum] = t
 	}
 }

@@ -3,6 +3,9 @@ package harness
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -112,58 +115,56 @@ func TestAdaptiveUnreachableTargetDegeneratesToFixedN(t *testing.T) {
 	}
 }
 
+// runCoordinatedRounds drives the exported planner to convergence the way
+// a coordinator does: each round's IDs go out as explicit-ID shards over
+// RunShard and the round's merged per-stratum tallies fold back. It
+// returns every round's IDs and every shard partial, in execution order.
+func runCoordinatedRounds(t *testing.T, cfg CampaignConfig, shards int) ([][]int, []*PartialResult) {
+	t.Helper()
+	planner, err := NewAdaptivePlanner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds [][]int
+	var parts []*PartialResult
+	for {
+		ids := planner.NextRound()
+		if ids == nil {
+			break
+		}
+		rounds = append(rounds, ids)
+		var roundAcc *PartialResult
+		for i, spec := range PlanRoundShards(cfg, ids, shards) {
+			p, err := RunShard(cfg, spec)
+			if err != nil {
+				t.Fatalf("round %d shard %d: %v", len(rounds), i, err)
+			}
+			parts = append(parts, p)
+			roundAcc = mergeInto(t, roundAcc, p)
+		}
+		planner.Fold(roundAcc.Strata)
+	}
+	if !planner.Done() {
+		t.Fatal("planner never converged")
+	}
+	return rounds, parts
+}
+
 // TestAdaptiveCoordinatedRoundsMatchLocal drives the exported planner the
 // way a coordinator does — rounds split into explicit-ID shards, executed
-// via RunShardContext, merged in opposite orders — and requires both merge
-// orders and the local engine to agree byte-for-byte.
+// via RunShard, merged in opposite orders — and requires both merge orders
+// and the local engine to agree byte-for-byte.
 func TestAdaptiveCoordinatedRoundsMatchLocal(t *testing.T) {
 	cfg := adaptiveConfig(80, 0.25)
 	local, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	strata, err := BuildStrata(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planner, err := NewAdaptivePlanner(cfg, strata)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, parts := runCoordinatedRounds(t, cfg, 3)
 	var fwd, rev *PartialResult
-	for round := 1; ; round++ {
-		ids := planner.NextRound()
-		if ids == nil {
-			break
-		}
-		specs := PlanRoundShards(cfg, ids, 3)
-		parts := make([]*PartialResult, len(specs))
-		for i, spec := range specs {
-			p, err := RunShard(cfg, spec)
-			if err != nil {
-				t.Fatalf("round %d shard %d: %v", round, i, err)
-			}
-			parts[i] = p
-		}
-		roundAcc := parts[0].Clone()
-		for _, p := range parts[1:] {
-			if err := roundAcc.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		planner.Fold(roundAcc.Strata)
-		// Accumulate the same parts forward and reverse: merge order must
-		// not matter.
-		for _, p := range parts {
-			fwd = mergeInto(t, fwd, p)
-		}
-		for i := len(parts) - 1; i >= 0; i-- {
-			rev = mergeInto(t, rev, parts[i])
-		}
-	}
-	if !planner.Done() {
-		t.Fatal("planner never converged")
+	for i := range parts {
+		fwd = mergeInto(t, fwd, parts[i])
+		rev = mergeInto(t, rev, parts[len(parts)-1-i])
 	}
 	fwd.AdaptiveDone = true
 	rev.AdaptiveDone = true
@@ -179,6 +180,36 @@ func TestAdaptiveCoordinatedRoundsMatchLocal(t *testing.T) {
 	assertResultsIdentical(t, "coordinated vs local", a, local)
 	if !jsonEqual(t, a, b) || !jsonEqual(t, a, local) {
 		t.Error("coordinated adaptive rounds not byte-identical to the local engine")
+	}
+}
+
+// TestAdaptivePlannerRoundSequencePinned pins the round sequences the
+// planner produced for this file's fixtures when callers still built its
+// stratification themselves (BuildStrata + NewAdaptivePlanner(cfg, strata),
+// recorded at that commit): fetching the stratification from the pack must
+// not move a single ID between rounds.
+func TestAdaptivePlannerRoundSequencePinned(t *testing.T) {
+	for _, fx := range []struct {
+		runs   int
+		target float64
+		sizes  []int
+		hash   string // FNV-64a over each round's printed ID list
+	}{
+		{80, 0.25, []int{16, 16, 16}, "dc451e2ccb8514e0"},
+		{40, 1e-9, []int{16, 16, 8}, "483b905da445d6d1"},
+		{12, 0.25, []int{12}, "3a06181cfce1f71b"},
+	} {
+		rounds, _ := runCoordinatedRounds(t, adaptiveConfig(fx.runs, fx.target), 1)
+		h := fnv.New64a()
+		var sizes []int
+		for _, ids := range rounds {
+			sizes = append(sizes, len(ids))
+			fmt.Fprintln(h, ids)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); !reflect.DeepEqual(sizes, fx.sizes) || got != fx.hash {
+			t.Errorf("budget %d target %g: rounds %v hash %s, want %v hash %s",
+				fx.runs, fx.target, sizes, got, fx.sizes, fx.hash)
+		}
 	}
 }
 

@@ -261,10 +261,7 @@ func (p *PartialResult) Merge(other *PartialResult) error {
 	}
 	p.Ranges = merged
 
-	for o := 0; o < classify.NumOutcomes; o++ {
-		p.Tally.Counts[o] += other.Tally.Counts[o]
-	}
-	p.Tally.Total += other.Tally.Total
+	p.Tally.Merge(other.Tally)
 	if p.StructTotals == nil && other.StructTotals != nil {
 		p.StructTotals = make(map[string]int, len(other.StructTotals))
 	}

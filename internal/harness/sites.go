@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analytics"
 	"repro/internal/classify"
@@ -14,9 +13,9 @@ import (
 
 // Per-site propagation analytics (Sampling.Sites). Each experiment's fault
 // plan is attributed to the static fim_inj site of its first fault via the
-// golden dyn→static profile (the same one-off site-observer run behind
-// stratification), and its outcome, CML trajectory shape, and cleanse
-// cause are tallied per site. Everything is a pure integer count over
+// golden dyn→static profile (the pack's site-class profile, the same one
+// stratification reads — see pack.go), and its outcome, CML trajectory
+// shape, and cleanse cause are tallied per site. Everything is a pure integer count over
 // seed-pure per-experiment records, so per-site tallies merge exactly like
 // StratumTally and the ranked table is byte-identical across worker
 // counts, shard layouts, snapshot-fork scheduling, and checkpoint resume.
@@ -24,8 +23,8 @@ import (
 // siteMap resolves planned faults to static injection sites: per-rank
 // dyn→static ordinal arrays from the golden site-observer profile, plus
 // one label per static site from the transform's SiteInfo table. Both are
-// pure functions of (app, params), so every shard of a campaign derives
-// the identical map independently.
+// pure functions of the pack's configuration; the pack builds the map once
+// and every shard on it shares it read-only.
 type siteMap struct {
 	statics [][]int32
 	labels  []string
@@ -94,44 +93,16 @@ type SiteTally struct {
 	Causes analytics.CauseCounts `json:"causes"`
 }
 
-// mergeSiteTallies unions two per-site tally sets by static site ordinal.
-// Labels must agree — a mismatch means the partials were built against
-// different programs and must not combine.
+// mergeSiteTallies unions two per-site tally sets by static site ordinal
+// (see mergeKeyed in strata.go).
 func mergeSiteTallies(a, b []SiteTally) ([]SiteTally, error) {
-	if len(b) == 0 {
-		return a, nil
-	}
-	if len(a) == 0 {
-		return append([]SiteTally(nil), b...), nil
-	}
-	bySite := make(map[int]SiteTally, len(a)+len(b))
-	for _, st := range a {
-		bySite[st.Site] = st
-	}
-	for _, st := range b {
-		cur, ok := bySite[st.Site]
-		if !ok {
-			bySite[st.Site] = st
-			continue
-		}
-		if cur.Label != st.Label {
-			return nil, fmt.Errorf("%w: site %d labeled %q vs %q",
-				ErrMergeMismatch, st.Site, cur.Label, st.Label)
-		}
-		for o := 0; o < classify.NumOutcomes; o++ {
-			cur.Tally.Counts[o] += st.Tally.Counts[o]
-		}
-		cur.Tally.Total += st.Tally.Total
-		cur.Shapes.Add(st.Shapes)
-		cur.Causes.Add(st.Causes)
-		bySite[st.Site] = cur
-	}
-	out := make([]SiteTally, 0, len(bySite))
-	for _, st := range bySite {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out, nil
+	return mergeKeyed(a, b, "site",
+		func(st SiteTally) (int, string) { return st.Site, st.Label },
+		func(cur *SiteTally, st SiteTally) {
+			cur.Tally.Merge(st.Tally)
+			cur.Shapes.Add(st.Shapes)
+			cur.Causes.Add(st.Causes)
+		})
 }
 
 // SiteReport is one row of the final per-site vulnerability ranking,

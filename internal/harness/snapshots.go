@@ -7,16 +7,18 @@ import (
 	"repro/internal/inject"
 )
 
-// Snapshot-fork scheduling. Every campaign's golden execution already
-// yielded the quiesce-point profile (the pack's cuts, see pack.go);
-// Execution.Snapshots is the budget of cuts a shard may capture full state
-// at. The shard pays at most one more fault-free execution
-// (core.RunGoldenCapture, and only for cuts the pack is still missing), and
-// each experiment then forks from the best captured snapshot that precedes
-// all of its planned faults, skipping the clean prefix. An experiment whose
-// fault precedes every captured cut — every experiment, when the budget is
-// 0 or the app has no quiesce points — runs from step 0. Snapshot placement
-// is purely a performance strategy: results are byte-identical with any
+// Snapshot-fork scheduling: the fifth of the pack's artefacts (pack.go
+// lists all five), and the only one a shard triggers per run rather than
+// per pack. The pack's golden execution already yielded the quiesce-point
+// profile (its cuts); Execution.Snapshots is the budget of cuts a shard may
+// capture full state at. The shard pays at most one more fault-free
+// execution (core.RunGoldenCapture, under the pack mutex on the pack's
+// Reuse, and only for cuts the pack is still missing), and each experiment
+// then forks from the best captured snapshot that precedes all of its
+// planned faults, skipping the clean prefix. An experiment whose fault
+// precedes every captured cut — every experiment, when the budget is 0 or
+// the app has no quiesce points — runs from step 0. Snapshot placement is
+// purely a performance strategy: results are byte-identical with any
 // placement (including none), which is why Snapshots is excluded from the
 // checkpoint fingerprint.
 

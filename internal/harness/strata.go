@@ -5,23 +5,21 @@ import (
 	"sort"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/ir"
 	"repro/internal/stats"
-	"repro/internal/transform"
 )
 
 // Stratification. The adaptive planner partitions a campaign's experiment
 // space by where the (first) fault lands: the instruction class consuming
-// the corrupted operand (arith / mem / cmp / ctl, from a one-off golden
-// profiling pass with a vm.SiteObserver) crossed with the golden-execution
-// phase of the dynamic site (which fraction of the rank's fault-free site
-// space precedes it). Both axes are pure functions of the seed and the
-// golden execution, so an experiment's stratum is identical no matter
-// where, when, or by whom it is computed — the property that lets shards
-// tally strata independently and a coordinator steer budget from merged
-// tallies alone.
+// the corrupted operand (arith / mem / cmp / ctl, from the pack's
+// site-class profile — see pack.go, which owns the one golden execution
+// with a vm.SiteObserver) crossed with the golden-execution phase of the
+// dynamic site (which fraction of the rank's fault-free site space precedes
+// it). Both axes are pure functions of the seed and the golden execution,
+// so an experiment's stratum is identical no matter where, when, or by whom
+// it is computed — the property that lets shards tally strata independently
+// and a coordinator steer budget from merged tallies alone.
 
 // defaultStrataPhases is the phase count used when TargetCI is set but
 // Strata is not.
@@ -54,7 +52,8 @@ func classBucket(c ir.Class) int {
 }
 
 // Strata maps fault plans to stratum indices for one campaign
-// configuration. Index 0 is the catch-all for zero-fault plans (legal in
+// configuration: a view of the pack's site-class profile at one phase
+// count. Index 0 is the catch-all for zero-fault plans (legal in
 // multi-fault mode); indices 1..NumStrata()-1 are class × phase cells.
 type Strata struct {
 	// Phases is the number of golden-execution phases per class.
@@ -63,56 +62,6 @@ type Strata struct {
 	sites []uint64
 	// classes hold one ir.Class byte per dynamic site, per rank.
 	classes [][]byte
-}
-
-// BuildStrata profiles the campaign's golden execution and returns its
-// stratification. It runs the instrumented program once with a site
-// observer (slower than a plain golden run, paid once per campaign); the
-// result depends only on (app, params), never on the seed or budget.
-func BuildStrata(cfg CampaignConfig) (*Strata, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	prog, err := cfg.App.Build(cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("harness: build %s: %w", cfg.App.Name(), err)
-	}
-	inst, err := transform.Instrument(prog, cfg.transformOptions())
-	if err != nil {
-		return nil, fmt.Errorf("harness: instrument %s: %w", cfg.App.Name(), err)
-	}
-	return buildStrata(inst, cfg)
-}
-
-// buildStrata is BuildStrata over an already-instrumented program (the
-// engine shares its build). cfg must have defaults applied.
-func buildStrata(inst *ir.Program, cfg CampaignConfig) (*Strata, error) {
-	sites, classes, _, err := profileSiteSpace(inst, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Strata{Phases: cfg.Sampling.phases(), sites: sites, classes: classes}, nil
-}
-
-// profileSiteSpace runs the one-off golden site-observer profile behind
-// both stratification and per-site analytics: per-rank golden site counts,
-// one consumer-class byte per dynamic site, and the static fim_inj ordinal
-// of every dynamic site. All three are pure functions of (app, params), so
-// every shard of a campaign derives the same profile independently.
-func profileSiteSpace(inst *ir.Program, cfg CampaignConfig) ([]uint64, [][]byte, [][]int32, error) {
-	out, classes, statics := core.RunGoldenSiteClasses(inst, core.RunConfig{Ranks: cfg.Params.Ranks})
-	if out.Err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: site-class profile of %s failed: %w", cfg.App.Name(), out.Err)
-	}
-	sites := out.SiteCounts()
-	for r, n := range sites {
-		if uint64(len(classes[r])) != n {
-			return nil, nil, nil, fmt.Errorf("harness: site-class profile of %s: rank %d observed %d of %d sites",
-				cfg.App.Name(), r, len(classes[r]), n)
-		}
-	}
-	return sites, classes, statics, nil
 }
 
 // NumStrata is the stratum index space size: the zero-fault catch-all plus
@@ -181,42 +130,56 @@ func maxHalfWidth(t classify.Tally) float64 {
 	return w
 }
 
-// mergeStratumTallies unions two per-stratum tally sets by stratum index.
-// Labels must agree — a mismatch means the partials were stratified under
-// different configurations and must not combine.
-func mergeStratumTallies(a, b []StratumTally) ([]StratumTally, error) {
+// mergeKeyed unions two keyed tally sets (per-stratum, per-site) by key,
+// folding entries both sides hold with fold and returning the result in
+// ascending key order. Labels must agree — a mismatch means the partials
+// were built under different configurations and must not combine. An empty
+// b returns a unchanged, so partials that carry no such tallies stay nil.
+func mergeKeyed[T any](a, b []T, what string, keyOf func(T) (key int, label string),
+	fold func(cur *T, other T)) ([]T, error) {
+
 	if len(b) == 0 {
 		return a, nil
 	}
 	if len(a) == 0 {
-		return append([]StratumTally(nil), b...), nil
+		return append([]T(nil), b...), nil
 	}
-	byIdx := make(map[int]StratumTally, len(a)+len(b))
-	for _, st := range a {
-		byIdx[st.Stratum] = st
+	byKey := make(map[int]T, len(a)+len(b))
+	for _, t := range a {
+		k, _ := keyOf(t)
+		byKey[k] = t
 	}
-	for _, st := range b {
-		cur, ok := byIdx[st.Stratum]
+	for _, t := range b {
+		k, label := keyOf(t)
+		cur, ok := byKey[k]
 		if !ok {
-			byIdx[st.Stratum] = st
+			byKey[k] = t
 			continue
 		}
-		if cur.Label != st.Label {
-			return nil, fmt.Errorf("%w: stratum %d labeled %q vs %q",
-				ErrMergeMismatch, st.Stratum, cur.Label, st.Label)
+		if _, curLabel := keyOf(cur); curLabel != label {
+			return nil, fmt.Errorf("%w: %s %d labeled %q vs %q",
+				ErrMergeMismatch, what, k, curLabel, label)
 		}
-		for o := 0; o < classify.NumOutcomes; o++ {
-			cur.Tally.Counts[o] += st.Tally.Counts[o]
-		}
-		cur.Tally.Total += st.Tally.Total
-		byIdx[st.Stratum] = cur
+		fold(&cur, t)
+		byKey[k] = cur
 	}
-	out := make([]StratumTally, 0, len(byIdx))
-	for _, st := range byIdx {
-		out = append(out, st)
+	keys := make([]int, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stratum < out[j].Stratum })
+	sort.Ints(keys)
+	out := make([]T, len(keys))
+	for i, k := range keys {
+		out[i] = byKey[k]
+	}
 	return out, nil
+}
+
+// mergeStratumTallies unions two per-stratum tally sets by stratum index.
+func mergeStratumTallies(a, b []StratumTally) ([]StratumTally, error) {
+	return mergeKeyed(a, b, "stratum",
+		func(st StratumTally) (int, string) { return st.Stratum, st.Label },
+		func(cur *StratumTally, st StratumTally) { cur.Tally.Merge(st.Tally) })
 }
 
 // StratumReport is one row of the final per-stratum vulnerability table.

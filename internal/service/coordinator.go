@@ -167,11 +167,7 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 func (s *Server) runAdaptiveCoordinated(ctx context.Context, j *job, st JobStatus,
 	cfg harness.CampaignConfig) (*harness.CampaignResult, error) {
 
-	strata, err := harness.BuildStrata(cfg)
-	if err != nil {
-		return nil, err
-	}
-	planner, err := harness.NewAdaptivePlanner(cfg, strata)
+	planner, err := harness.NewAdaptivePlanner(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -59,10 +59,8 @@ func (r *Recorder) Reset(sampleEvery uint64, pointsCap, ticksCap int) {
 	}
 }
 
-// OnCMLChange implements vm.Tracer. The globalTime argument is ignored:
-// it reads a clock shared across concurrently-running ranks, so its value
-// depends on goroutine interleaving.
-func (r *Recorder) OnCMLChange(localCycles, globalTime uint64, cml int) {
+// OnCMLChange implements vm.Tracer.
+func (r *Recorder) OnCMLChange(localCycles uint64, cml int) {
 	if cml > r.maxCML {
 		r.maxCML = cml
 	}
@@ -81,12 +79,12 @@ func (r *Recorder) OnCMLChange(localCycles, globalTime uint64, cml int) {
 }
 
 // OnTick implements vm.Tracer.
-func (r *Recorder) OnTick(localCycles, globalTime uint64, tick int64) {
+func (r *Recorder) OnTick(localCycles uint64, tick int64) {
 	r.ticks = append(r.ticks, TickPoint{Cycles: int64(localCycles), Tick: tick})
 }
 
 // Finish appends a final sample so the series extends to the end of the run.
-func (r *Recorder) Finish(localCycles, globalTime uint64, cml int) {
+func (r *Recorder) Finish(localCycles uint64, cml int) {
 	if cml > r.maxCML {
 		r.maxCML = cml
 	}

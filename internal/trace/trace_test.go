@@ -7,10 +7,10 @@ import (
 
 func TestRecorderRetainsChanges(t *testing.T) {
 	var r Recorder
-	r.OnCMLChange(10, 100, 1)
-	r.OnCMLChange(20, 200, 2)
-	r.OnCMLChange(30, 300, 0)
-	r.Finish(40, 400, 0)
+	r.OnCMLChange(10, 1)
+	r.OnCMLChange(20, 2)
+	r.OnCMLChange(30, 0)
+	r.Finish(40, 0)
 	pts := r.Points()
 	if len(pts) != 4 {
 		t.Fatalf("points = %v", pts)
@@ -31,7 +31,7 @@ func TestRecorderRetainsChanges(t *testing.T) {
 func TestRecorderSubsampling(t *testing.T) {
 	r := Recorder{SampleEvery: 100}
 	for c := uint64(0); c < 1000; c += 10 {
-		r.OnCMLChange(c, c, int(c))
+		r.OnCMLChange(c, int(c))
 	}
 	pts := r.Points()
 	if len(pts) < 5 || len(pts) > 15 {
@@ -45,9 +45,9 @@ func TestRecorderSubsampling(t *testing.T) {
 
 func TestRecorderZeroTransitionAlwaysRetained(t *testing.T) {
 	r := Recorder{SampleEvery: 1 << 40}
-	r.OnCMLChange(5, 5, 3) // first contamination: retained
-	r.OnCMLChange(6, 6, 0) // cleansed: subsampled away
-	r.OnCMLChange(7, 7, 1) // re-contaminated from zero: retained
+	r.OnCMLChange(5, 3) // first contamination: retained
+	r.OnCMLChange(6, 0) // cleansed: subsampled away
+	r.OnCMLChange(7, 1) // re-contaminated from zero: retained
 	pts := r.Points()
 	if len(pts) != 2 {
 		t.Fatalf("points = %v, want 2 retained", pts)
@@ -59,8 +59,8 @@ func TestRecorderZeroTransitionAlwaysRetained(t *testing.T) {
 
 func TestRecorderTicks(t *testing.T) {
 	var r Recorder
-	r.OnTick(100, 100, 1)
-	r.OnTick(200, 200, 2)
+	r.OnTick(100, 1)
+	r.OnTick(200, 2)
 	if n := len(r.Ticks()); n != 2 {
 		t.Errorf("ticks = %d", n)
 	}
@@ -76,8 +76,8 @@ func TestRecorderRestoreSnapOverCapacity(t *testing.T) {
 	var r Recorder
 	r.Reset(0, 4, 4)
 	for c := uint64(1); c <= 32; c++ {
-		r.OnCMLChange(c, c, int(c))
-		r.OnTick(c, c, int64(c))
+		r.OnCMLChange(c, int(c))
+		r.OnTick(c, int64(c))
 	}
 	snap := r.Snapshot(nil)
 
@@ -95,8 +95,8 @@ func TestRecorderRestoreSnapOverCapacity(t *testing.T) {
 
 	// Recording past the restored length must not write into the
 	// snapshot's backing.
-	r.OnCMLChange(100, 100, 7)
-	r.Finish(200, 200, 7)
+	r.OnCMLChange(100, 7)
+	r.Finish(200, 7)
 	if got := len(snap.points); got != 32 {
 		t.Fatalf("snapshot grew to %d points after post-restore recording", got)
 	}
@@ -120,14 +120,14 @@ func TestRecorderRestoreSnapOverCapacity(t *testing.T) {
 // sampling window neither loses the original timestamp nor re-stamps it.
 func TestRecorderFirstContaminationSubsampled(t *testing.T) {
 	r := Recorder{SampleEvery: 1000}
-	r.OnCMLChange(10, 10, 0) // still clean: no contamination recorded
+	r.OnCMLChange(10, 0) // still clean: no contamination recorded
 	if _, ok := r.FirstContamination(); ok {
 		t.Fatal("contamination reported before any nonzero CML")
 	}
-	r.OnCMLChange(42, 42, 3) // first contamination, mid-window
-	r.OnCMLChange(50, 50, 0) // cleansed within the window
-	r.OnCMLChange(60, 60, 5) // re-contaminated: must not re-stamp
-	r.OnCMLChange(70, 70, 9) // same window: subsampled away
+	r.OnCMLChange(42, 3) // first contamination, mid-window
+	r.OnCMLChange(50, 0) // cleansed within the window
+	r.OnCMLChange(60, 5) // re-contaminated: must not re-stamp
+	r.OnCMLChange(70, 9) // same window: subsampled away
 	if ft, ok := r.FirstContamination(); !ok || ft != 42 {
 		t.Errorf("first contamination = %d %v, want 42", ft, ok)
 	}

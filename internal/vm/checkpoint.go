@@ -32,18 +32,18 @@ func (v *VM) Rollbacks() int { return v.rollbacks }
 // does. The injector's site counter and injection history are not rewound
 // either, so a transient fault does not re-fire during replay.
 func (v *VM) rollback() {
-	cycles, pushed, sites, injCycles := v.cycles, v.pushed, v.sites, v.injCycles
+	cycles, sites, injCycles := v.cycles, v.sites, v.injCycles
 	// The contamination happened even though it is being undone: keep the
 	// historical peak and ever-contaminated flags.
 	peak, ever := v.table.Peak(), v.table.Ever()
 	v.injCycles = nil // detach: restore refills the slice it finds in place
 	v.restore(v.snap)
-	v.cycles, v.pushed, v.sites, v.injCycles = cycles, pushed, sites, injCycles
+	v.cycles, v.sites, v.injCycles = cycles, sites, injCycles
 	v.table.CarryHistory(peak, ever)
 	v.rollbacks++
 	v.restored = true
 	if v.cfg.Tracer != nil {
-		v.cfg.Tracer.OnCMLChange(v.cycles, v.globalTime(), v.table.Len())
+		v.cfg.Tracer.OnCMLChange(v.cycles, v.table.Len())
 	}
 }
 

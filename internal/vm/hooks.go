@@ -76,23 +76,10 @@ type WireBufs interface {
 // package trace; a nil Tracer disables observation.
 type Tracer interface {
 	// OnCMLChange fires whenever the contamination table size changes.
-	OnCMLChange(localCycles, globalTime uint64, cml int)
+	OnCMLChange(localCycles uint64, cml int)
 	// OnTick fires at application timestep boundaries (IntrinCheckpointT).
-	OnTick(localCycles, globalTime uint64, tick int64)
+	OnTick(localCycles uint64, tick int64)
 }
-
-// Clock is a global monotone virtual clock shared by all ranks of a job.
-// Each VM batches its instruction count into the clock so that cross-rank
-// event ordering (paper Fig. 8) has a common time base.
-type Clock struct {
-	t atomic.Uint64
-}
-
-// Add advances the clock by n cycles and returns the new time.
-func (c *Clock) Add(n uint64) uint64 { return c.t.Add(n) }
-
-// Now returns the current global time.
-func (c *Clock) Now() uint64 { return c.t.Load() }
 
 // AbortFlag is a job-wide flag raised when any rank crashes or aborts, so
 // sibling ranks stop instead of hanging.

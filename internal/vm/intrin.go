@@ -82,7 +82,7 @@ func (v *VM) intrin(fr *frame, in *ir.Instr) {
 			v.applyMemFaults()
 		}
 		if v.cfg.Tracer != nil {
-			v.cfg.Tracer.OnTick(v.cycles, v.globalTime(), argI(0))
+			v.cfg.Tracer.OnTick(v.cycles, argI(0))
 		}
 		if v.checkpointTick() {
 			return

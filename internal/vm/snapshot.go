@@ -28,10 +28,10 @@ import (
 // restore body, keeping only what a rollback must not rewind.
 //
 // Not snapshotted (callers must not combine them with snapshot forking):
-// the naive-taint ablation state, direct memory faults and the job-global
-// Clock. The last in-VM checkpoint is not part of a Snapshot either: a fork
-// with Config.CheckpointEvery set takes its first checkpoint at its next
-// due timestep.
+// the naive-taint ablation state and direct memory faults. The last in-VM
+// checkpoint is not part of a Snapshot either: a fork with
+// Config.CheckpointEvery set takes its first checkpoint at its next due
+// timestep.
 
 // QuiesceHook observes quiesce points. seq is the running quiesce-point
 // index of this rank's execution (0-based); for a multi-rank job every rank
@@ -121,8 +121,8 @@ func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 // from and must not use the unsupported features listed in the package
 // comment above.
 func (v *VM) RestoreSnap(s *Snapshot) RestoreStats {
-	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 || v.cfg.Clock != nil {
-		panic("vm: RestoreSnap with taint, memory faults or a global clock")
+	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 {
+		panic("vm: RestoreSnap with taint or memory faults")
 	}
 	return v.restore(s)
 }
@@ -135,7 +135,6 @@ func (v *VM) restore(s *Snapshot) RestoreStats {
 	v.regs = append(v.regs[:0], s.regs...)
 	v.frames = append(v.frames[:0], s.frames...)
 	v.cycles = s.cycles
-	v.pushed = s.cycles
 	v.sites = s.sites
 	v.injCycles = append(v.injCycles[:0], s.injCycles...)
 	// The output vector escapes into run results; appending into the

@@ -70,7 +70,7 @@ func observeRun(v *VM, rec *trace.Recorder, err error) observed {
 		Alloc:     v.Mem().AllocatedWords(),
 	}
 	if rec != nil {
-		rec.Finish(v.Cycles(), v.Cycles(), v.Table().Len())
+		rec.Finish(v.Cycles(), v.Table().Len())
 		o.Points = append([]trace.Point(nil), rec.Points()...)
 		o.TickPts = append([]trace.TickPoint(nil), rec.Ticks()...)
 	}

@@ -30,8 +30,6 @@ type Config struct {
 	MPI MPIEndpoint
 	// Tracer observes contamination changes and timesteps; nil disables.
 	Tracer Tracer
-	// Clock is the job-global virtual clock; nil uses local cycles.
-	Clock *Clock
 	// Abort is the job-wide failure flag; nil disables peer-failure checks.
 	Abort *AbortFlag
 	// Stdout receives debug prints (default: discarded).
@@ -85,7 +83,6 @@ type VM struct {
 	// fully overwritten before each use.
 	ret    []uint64
 	cycles uint64
-	pushed uint64 // cycles already added to the global clock
 
 	sites      uint64
 	injCycles  []uint64
@@ -317,18 +314,7 @@ func fptosi(f float64) int64 {
 	return int64(f)
 }
 
-func (v *VM) globalTime() uint64 {
-	if v.cfg.Clock != nil {
-		return v.cfg.Clock.Now()
-	}
-	return v.cycles
-}
-
 func (v *VM) housekeep() {
-	if v.cfg.Clock != nil {
-		v.cfg.Clock.Add(v.cycles - v.pushed)
-		v.pushed = v.cycles
-	}
 	if v.cfg.CycleLimit > 0 && v.cycles > v.cfg.CycleLimit {
 		v.trap(TrapCycleLimit, "")
 	}
@@ -342,7 +328,7 @@ func (v *VM) housekeep() {
 
 func (v *VM) noteCML(before int) {
 	if v.cfg.Tracer != nil && v.table.Len() != before {
-		v.cfg.Tracer.OnCMLChange(v.cycles, v.globalTime(), v.table.Len())
+		v.cfg.Tracer.OnCMLChange(v.cycles, v.table.Len())
 	}
 }
 
@@ -421,11 +407,6 @@ func (v *VM) execute() (err error) {
 			if v.cfg.Abort != nil {
 				v.cfg.Abort.Raise()
 			}
-		}
-		// Push any remaining cycles so the global clock is exact.
-		if v.cfg.Clock != nil && v.cycles > v.pushed {
-			v.cfg.Clock.Add(v.cycles - v.pushed)
-			v.pushed = v.cycles
 		}
 	}()
 	if len(v.frames) == 0 {

@@ -409,22 +409,6 @@ func TestMPIIntrinsicsWithoutEndpoint(t *testing.T) {
 	}
 }
 
-func TestGlobalClockAccumulates(t *testing.T) {
-	b := ir.NewBuilder()
-	f := b.Func("main", 0, 0)
-	i := f.NewReg()
-	f.For(i, ir.ImmI(0), ir.ImmI(5000), func() {})
-	f.Ret()
-	var clk Clock
-	v := New(b.MustBuild(), Config{Clock: &clk})
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if clk.Now() != v.Cycles() {
-		t.Errorf("clock = %d, cycles = %d", clk.Now(), v.Cycles())
-	}
-}
-
 func TestAbortFlagStopsRun(t *testing.T) {
 	b := ir.NewBuilder()
 	f := b.Func("main", 0, 0)
