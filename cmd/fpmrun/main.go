@@ -78,9 +78,14 @@ func main() {
 	if out.Run.Err != nil {
 		fmt.Printf("failure: %v\n", out.Run.Err)
 	}
+	// Casualty ranks are excluded from the aggregates; when every rank is one
+	// (every deadlock) there is no state to take a percentage of.
+	var contamPct float64
+	if out.Run.AllocatedTotal > 0 {
+		contamPct = 100 * float64(out.Run.MaxCMLTotal) / float64(out.Run.AllocatedTotal)
+	}
 	fmt.Printf("contamination: peak %d locations over %d state words (%.2f%%), %d/%d ranks\n",
-		out.Run.MaxCMLTotal, out.Run.AllocatedTotal,
-		100*float64(out.Run.MaxCMLTotal)/float64(out.Run.AllocatedTotal),
+		out.Run.MaxCMLTotal, out.Run.AllocatedTotal, contamPct,
 		out.Run.Spread.Count(), params.Ranks)
 	if len(out.Points) > 1 {
 		fmt.Println("injected rank CML profile (ms : CML):")

@@ -34,7 +34,10 @@ type RunConfig struct {
 	Plan inject.Plan
 	// SampleEvery subsamples the CML trace (0: keep every change).
 	SampleEvery uint64
-	// Timeout bounds blocking MPI calls (0: a generous default).
+	// Timeout is the wall-clock bound on a blocking MPI call (0: a generous
+	// default). It is the net under framework bugs only: stalled experiments
+	// end in logical time (mpi.ErrDeserted, mpi.ErrDeadlock), so a run that
+	// reports RunOutcome.Timeout is itself a bug report.
 	Timeout time.Duration
 	// TrackTaint enables the naive-taint tracker in every rank's VM (for
 	// the dual-chain vs. taint ablation).
@@ -216,6 +219,12 @@ type RunOutcome struct {
 	// the dirty fraction a delta restore actually rewrote.
 	RestoreDirtyBlocks int
 	RestoreTotalBlocks int
+	// Deadlock reports that the job ended because every live rank was
+	// blocked in MPI with no call able to complete (mpi.ErrDeadlock);
+	// Timeout that a blocking call hit the wall-clock safety timeout
+	// instead, which no experiment should. Telemetry: the run's results are
+	// the same either way.
+	Deadlock, Timeout bool
 }
 
 // RestoreFrac returns the fraction of memory blocks rewritten by the
@@ -368,6 +377,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 	for i := 0; i < cfg.Ranks; i++ {
 		<-done
 	}
+	out.Deadlock, out.Timeout = job.Deadlocked(), job.TimedOut()
 
 	for r := 0; r < cfg.Ranks; r++ {
 		st := states[r]

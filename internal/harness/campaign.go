@@ -890,6 +890,7 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.Forked = run.Forked
 		tr.RestoreBytes = run.RestoreBytes
 		tr.RestoreFrac = run.RestoreFrac()
+		tr.Deadlock, tr.Timeout = run.Deadlock, run.Timeout
 		phaseStart = now
 	}
 	sum := ExperimentSummary{

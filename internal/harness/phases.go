@@ -40,6 +40,13 @@ type PhaseTrace struct {
 	// RestoreFrac is the fraction of memory blocks the restore rewrote
 	// (1.0 on the full-copy path).
 	RestoreFrac float64
+	// Deadlock reports that the experiment ended because every live rank
+	// was blocked in MPI with nothing able to complete, detected in logical
+	// time; Timeout that a blocking MPI call instead ran into the wall-clock
+	// safety timeout, which no experiment should (a count above zero is a
+	// framework bug, and the answer to "is the fast path being taken?").
+	// Both classify as Crashed; neither is part of the results.
+	Deadlock, Timeout bool
 }
 
 // CampaignTimings aggregates PhaseTraces into mergeable fixed-bucket

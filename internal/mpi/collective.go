@@ -131,53 +131,30 @@ func (c *coll) join(e *Endpoint, cb contribution) (result, error) {
 	}
 	c.mu.Unlock()
 
+	j := e.job
 	t := e.armTimer()
 	defer e.disarmTimer()
 	for {
-		// Capture the watch before the doom check so a departure between the
-		// check and the select still wakes this waiter.
-		lw := e.job.leaveWatch()
-		if c.doomed(e.job, r) {
-			return result{}, ErrDeserted
+		wake, err := j.block(rank, wait{kind: waitColl, round: r})
+		if err != nil {
+			return result{}, err
 		}
 		select {
 		case <-r.ready:
+			// Unregister before releasing: a released round is recycled for
+			// the next collective, and a wait still registered on it would be
+			// judged by that round's arrival count (liveness.go, rule 2).
+			j.unblock(rank)
 			res, err := r.res, r.err
 			c.release(r)
 			return res, err
 		case <-c.done:
-			return result{}, ErrAborted
+			return result{}, j.fail(rank, ErrAborted)
 		case <-t.C:
-			return result{}, ErrTimeout
-		case <-lw:
-			// A rank departed; loop to re-check whether the round is doomed.
+			return result{}, j.fail(rank, ErrTimeout)
+		case <-wake:
 		}
 	}
-}
-
-// doomed reports whether round r can never complete: a collective needs all
-// ranks, so the round is dead as soon as any rank has left the job without
-// having joined it. Ranks present in the round cannot leave while it is
-// incomplete (join blocks them), so a departed-and-present rank implies the
-// round already completed.
-func (c *coll) doomed(j *Job, r *round) bool {
-	j.leaveMu.Lock()
-	defer j.leaveMu.Unlock()
-	if j.nleft == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.arrived == c.size {
-		// Complete; the result token is (or will be) in r.ready.
-		return false
-	}
-	for i, l := range j.left {
-		if l && !r.present[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // combine validates that all ranks entered the same collective with

@@ -8,12 +8,21 @@
 // application MPI_Abort, or a framework kill — the whole job aborts and every
 // blocked communication call returns an error, so sibling ranks crash out
 // instead of hanging (class C in the outcome taxonomy).
+//
+// A job whose ranks are all alive but can make no progress ends in logical
+// time as well (liveness.go): a call that waits on a rank that has finished
+// returns ErrDeserted, and once every rank is parked or gone and no parked
+// call can complete, all of them return ErrDeadlock. Both are decided from
+// what the ranks did, under one mutex, with no clock involved; the
+// wall-clock timeout remains only as the net under framework bugs.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ir"
@@ -24,19 +33,21 @@ import (
 var ErrAborted = errors.New("mpi: job aborted")
 
 // ErrTimeout is returned when a blocking call exceeds the job's wall-clock
-// safety timeout (a defense against framework bugs, not an MPI feature).
+// safety timeout. It is a defense against framework bugs, not an MPI feature
+// and not how stalled experiments end: a wait that can never complete is
+// ended by ErrDeserted or ErrDeadlock the moment that becomes true. A fired
+// timeout therefore means the liveness bookkeeping missed a case (or a rank
+// stalled outside MPI), and is itself a bug report.
 var ErrTimeout = errors.New("mpi: wall-clock timeout")
 
 // ErrDeserted is returned when a blocking call can provably never complete
 // because a peer rank it depends on has finished its program and left the
 // job: a collective round missing a departed rank will never fill, and a
-// receive from a departed rank with an empty queue will never match. This is
-// the deterministic, prompt form of the deadlock that the wall-clock timeout
-// would otherwise catch 60 seconds later — a desynchronized collective
-// schedule is a common consequence of an injected fault corrupting a trip
-// count, so the fast path matters for campaign throughput. Like ErrTimeout
-// and ErrAborted it surfaces in the VM as a peer-failure trap, so outcome
-// classification is unchanged.
+// receive from a departed rank with an empty queue will never match. A
+// desynchronized collective schedule is a common consequence of an injected
+// fault corrupting a trip count. ErrDeadlock is the general case, with every
+// rank still alive. Like ErrTimeout and ErrAborted both surface in the VM as
+// a peer-failure trap, so outcome classification is unchanged.
 var ErrDeserted = errors.New("mpi: peer rank finished; operation can never complete")
 
 type message struct {
@@ -57,14 +68,23 @@ type Job struct {
 	killMu sync.Mutex
 	flag   vm.AbortFlag
 
-	// Departure tracking: left[r] is set once rank r's goroutine has
-	// returned cleanly and will never communicate again. leaveCh is closed
-	// and replaced on every departure, waking blocked calls so they can
-	// re-check whether their wait has become unsatisfiable.
-	leaveMu sync.Mutex
-	left    []bool
-	nleft   int
-	leaveCh chan struct{}
+	// Liveness (liveness.go), all under leaveMu. left[r] is set once rank
+	// r's goroutine has returned cleanly and will never communicate again;
+	// waits[r] is what rank r is parked on, if it is. leaveCh is closed and
+	// replaced on every departure and on a deadlock verdict, waking parked
+	// calls so they register again and are judged anew. deadlock is the
+	// verdict once declared; timedOut records a fired safety timeout.
+	leaveMu  sync.Mutex
+	left     []bool
+	nleft    int
+	waits    []wait
+	nblocked int
+	leaveCh  chan struct{}
+	deadlock error
+	timedOut bool
+	// yield, when set (by tests, before any rank runs), is called at the
+	// edges of the liveness windows; see pause.
+	yield func()
 
 	coll coll
 	eps  []Endpoint
@@ -87,6 +107,11 @@ type Job struct {
 // defaultTimeout bounds blocking calls when the caller passes zero.
 const defaultTimeout = 60 * time.Second
 
+// mailboxCap is the depth of each per-pair mailbox: deep enough that the
+// applications' halo exchanges never park a sender, so Send is effectively
+// MPI's buffered mode and only a runaway sender meets a full mailbox.
+const mailboxCap = 1024
+
 // NewJob creates a job with the given number of ranks. timeout bounds every
 // blocking call; zero selects a generous default.
 func NewJob(size int, timeout time.Duration) *Job {
@@ -102,20 +127,24 @@ func NewJob(size int, timeout time.Duration) *Job {
 		mail:    make([][]chan message, size),
 		done:    make(chan struct{}),
 		left:    make([]bool, size),
+		waits:   make([]wait, size),
 		leaveCh: make(chan struct{}),
 		bufs:    make(chan []byte, 256),
 	}
 	for dst := range j.mail {
 		j.mail[dst] = make([]chan message, size)
 		for src := range j.mail[dst] {
-			j.mail[dst][src] = make(chan message, 1024)
+			j.mail[dst][src] = make(chan message, mailboxCap)
 		}
 	}
 	j.coll.size = size
 	j.coll.done = j.done
 	j.eps = make([]Endpoint, size)
 	for r := range j.eps {
-		j.eps[r] = Endpoint{job: j, rank: r, pending: make([][]message, size)}
+		j.eps[r] = Endpoint{
+			job: j, rank: r, pending: make([][]message, size),
+			sent: make([]atomic.Int64, size), taken: make([]atomic.Int64, size),
+		}
 	}
 	return j
 }
@@ -146,8 +175,12 @@ func (j *Job) Recycle(size int, timeout time.Duration) bool {
 	if j.nleft > 0 {
 		clear(j.left)
 		j.nleft = 0
-		j.leaveCh = make(chan struct{})
 	}
+	if j.nblocked > 0 {
+		clear(j.waits)
+		j.nblocked = 0
+	}
+	j.deadlock, j.timedOut = nil, false
 	j.leaveMu.Unlock()
 	// Skip the mail/pending drain when the world still equals the last
 	// restored snapshot (no Send/Recv ran since): the next RestoreWorld of
@@ -173,8 +206,9 @@ func (j *Job) opsSum() uint64 {
 	return n
 }
 
-// drainWorld empties every mailbox and pending buffer and marks the
-// world state as no longer matching any snapshot.
+// drainWorld empties every mailbox and pending buffer, zeroes the liveness
+// counters with them, and marks the world state as no longer matching any
+// snapshot.
 func (j *Job) drainWorld() {
 	for _, row := range j.mail {
 		for _, ch := range row {
@@ -190,9 +224,11 @@ func (j *Job) drainWorld() {
 	}
 	for r := range j.eps {
 		e := &j.eps[r]
-		for src := range e.pending {
-			clear(e.pending[src])
-			e.pending[src] = e.pending[src][:0]
+		for peer := range e.pending {
+			clear(e.pending[peer])
+			e.pending[peer] = e.pending[peer][:0]
+			e.sent[peer].Store(0)
+			e.taken[peer].Store(0)
 		}
 		e.ops = 0
 	}
@@ -238,44 +274,6 @@ func (j *Job) Done() <-chan struct{} {
 	return j.done
 }
 
-// Leave records that rank's goroutine has returned cleanly and will never
-// communicate again, and wakes every blocked call so it can re-check for
-// desertion: once a rank has left, no collective round it is absent from
-// can ever complete, and no new message from it can ever arrive. The caller
-// must guarantee all of rank's sends happened before Leave (returning from
-// the rank's program body does). Idempotent.
-func (j *Job) Leave(rank int) {
-	if rank < 0 || rank >= j.size {
-		panic(fmt.Sprintf("mpi: leave of invalid rank %d", rank))
-	}
-	j.leaveMu.Lock()
-	if !j.left[rank] {
-		j.left[rank] = true
-		j.nleft++
-		close(j.leaveCh)
-		j.leaveCh = make(chan struct{})
-	}
-	j.leaveMu.Unlock()
-}
-
-// leaveWatch returns the channel closed at the next departure. Capture it
-// before checking hasLeft: a departure between the check and the blocking
-// wait then still wakes the waiter.
-func (j *Job) leaveWatch() <-chan struct{} {
-	j.leaveMu.Lock()
-	ch := j.leaveCh
-	j.leaveMu.Unlock()
-	return ch
-}
-
-// hasLeft reports whether rank has departed.
-func (j *Job) hasLeft(rank int) bool {
-	j.leaveMu.Lock()
-	l := j.left[rank]
-	j.leaveMu.Unlock()
-	return l
-}
-
 // Aborted reports whether the job has been killed.
 func (j *Job) Aborted() bool {
 	select {
@@ -312,6 +310,12 @@ type Endpoint struct {
 	// the job sums it to detect whether point-to-point state may have
 	// changed since a world restore.
 	ops uint64
+	// sent[dst] counts the messages this rank has put into dst's mailbox,
+	// taken[src] the messages it has taken out of its mailbox from src —
+	// each counted after the channel operation, written only by the rank's
+	// own goroutine, and read by whoever judges the job's waits
+	// (liveness.go, rule 1).
+	sent, taken []atomic.Int64
 }
 
 // armTimer returns the endpoint's timeout timer, armed with the job
@@ -347,33 +351,38 @@ func (e *Endpoint) Size() int { return e.job.size }
 
 // Send enqueues msg for rank dst. It blocks only when dst's queue is full.
 func (e *Endpoint) Send(dst, tag int, msg []byte) error {
-	if dst < 0 || dst >= e.job.size {
+	j := e.job
+	if dst < 0 || dst >= j.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
 	e.ops++
+	ch := j.mail[dst][e.rank]
 	// Fast path: queue has room (the common case with deep mailboxes).
 	select {
-	case e.job.mail[dst][e.rank] <- message{tag: tag, data: msg}:
+	case ch <- message{tag: tag, data: msg}:
+		j.pause()
+		e.sent[dst].Add(1)
 		return nil
 	default:
 	}
 	t := e.armTimer()
 	defer e.disarmTimer()
 	for {
-		// A departed receiver will never drain its queue; a blocked send to
-		// it (full queue) can therefore never complete.
-		lw := e.job.leaveWatch()
-		if e.job.hasLeft(dst) {
-			return ErrDeserted
+		wake, err := j.block(e.rank, wait{kind: waitSend, peer: dst, tag: tag})
+		if err != nil {
+			return err
 		}
 		select {
-		case e.job.mail[dst][e.rank] <- message{tag: tag, data: msg}:
+		case ch <- message{tag: tag, data: msg}:
+			j.pause()
+			e.sent[dst].Add(1)
+			j.unblock(e.rank)
 			return nil
-		case <-e.job.done:
-			return ErrAborted
+		case <-j.done:
+			return j.fail(e.rank, ErrAborted)
 		case <-t.C:
-			return ErrTimeout
-		case <-lw:
+			return j.fail(e.rank, ErrTimeout)
+		case <-wake:
 		}
 	}
 }
@@ -382,21 +391,27 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 // Messages from src with other tags are buffered and matched by later
 // receives, preserving per-(pair, tag) ordering.
 func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
-	if src < 0 || src >= e.job.size {
+	j := e.job
+	if src < 0 || src >= j.size {
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
 	e.ops++
 	// Check messages already set aside.
 	for i, m := range e.pending[src] {
 		if m.tag == tag {
-			e.pending[src] = append(e.pending[src][:i], e.pending[src][i+1:]...)
+			// Delete zeroes the vacated tail slot, so the slice does not keep
+			// the last payload reachable.
+			e.pending[src] = slices.Delete(e.pending[src], i, i+1)
 			return m.data, nil
 		}
 	}
+	ch := j.mail[e.rank][src]
 	// Fast path: drain whatever is already queued without arming the timer.
 	for {
 		select {
-		case m := <-e.job.mail[e.rank][src]:
+		case m := <-ch:
+			j.pause()
+			e.taken[src].Add(1)
 			if m.tag == tag {
 				return m.data, nil
 			}
@@ -409,38 +424,29 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 	t := e.armTimer()
 	defer e.disarmTimer()
 	for {
-		// Capture the watch before checking departure: a Leave between the
-		// check and the select then still wakes this waiter. All of src's
-		// sends happen before its Leave, so once hasLeft is observed a final
-		// non-blocking drain is authoritative — an empty queue stays empty.
-		lw := e.job.leaveWatch()
-		if e.job.hasLeft(src) {
-			for {
-				select {
-				case m := <-e.job.mail[e.rank][src]:
-					if m.tag == tag {
-						return m.data, nil
-					}
-					e.pending[src] = append(e.pending[src], m)
-					continue
-				default:
-				}
-				break
-			}
-			return nil, ErrDeserted
+		// A wait registered by an earlier iteration stays in place while a
+		// message of another tag is set aside; registering again brings its
+		// taken count up to date. Once src has left, block finds either a
+		// message still to take (all of src's sends are counted before its
+		// Leave) or ErrDeserted.
+		wake, err := j.block(e.rank, wait{kind: waitRecv, peer: src, tag: tag, taken: e.taken[src].Load()})
+		if err != nil {
+			return nil, err
 		}
 		select {
-		case m := <-e.job.mail[e.rank][src]:
+		case m := <-ch:
+			j.pause()
+			e.taken[src].Add(1)
 			if m.tag == tag {
+				j.unblock(e.rank)
 				return m.data, nil
 			}
 			e.pending[src] = append(e.pending[src], m)
-		case <-e.job.done:
-			return nil, ErrAborted
+		case <-j.done:
+			return nil, j.fail(e.rank, ErrAborted)
 		case <-t.C:
-			return nil, ErrTimeout
-		case <-lw:
-			// A rank departed; loop to re-check whether it was src.
+			return nil, j.fail(e.rank, ErrTimeout)
+		case <-wake:
 		}
 	}
 }

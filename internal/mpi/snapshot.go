@@ -116,6 +116,10 @@ func (j *Job) RestoreWorld(s *WorldSnap) {
 			for _, m := range s.mail[dst][src] {
 				ch <- message{tag: m.tag, data: append([]byte(nil), m.data...)}
 			}
+			// The liveness counters follow the world: what is queued was
+			// sent, and nothing of it has been taken.
+			j.eps[src].sent[dst].Store(int64(len(s.mail[dst][src])))
+			j.eps[dst].taken[src].Store(0)
 		}
 	}
 	for r := range j.eps {

@@ -36,6 +36,10 @@ type serverObs struct {
 	// restoreFrac: dirty-block fraction per forked restore (1.0 = full
 	// copy; delta restores land proportional to what the fork dirtied).
 	restoreFrac *obs.Histogram
+	// mpiDeadlocks: experiments ended by the deadlock detector, in logical
+	// time. mpiTimeouts: experiments in which a blocking MPI call ran into
+	// the wall-clock safety timeout instead — must read 0.
+	mpiDeadlocks, mpiTimeouts *obs.Counter
 }
 
 func newServerObs() *serverObs {
@@ -64,6 +68,10 @@ func newServerObs() *serverObs {
 			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "execute")),
 		classifyLat: reg.Histogram("faultpropd_experiment_phase_seconds",
 			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "classify")),
+		mpiDeadlocks: reg.Counter("faultpropd_mpi_deadlocks_total",
+			"Experiments ended by the MPI deadlock detector, in logical time."),
+		mpiTimeouts: reg.Counter("faultpropd_mpi_timeouts_total",
+			"Experiments in which a blocking MPI call hit the wall-clock safety timeout; above 0 is a framework bug."),
 		httpRequests: make(map[string]*obs.Counter),
 	}
 	for i := range o.expLatency {
@@ -91,6 +99,12 @@ func (o *serverObs) observePhase(tr harness.PhaseTrace) {
 	if tr.Forked {
 		o.restoreBytes.Add(uint64(tr.RestoreBytes))
 		o.restoreFrac.Observe(tr.RestoreFrac)
+	}
+	if tr.Deadlock {
+		o.mpiDeadlocks.Inc()
+	}
+	if tr.Timeout {
+		o.mpiTimeouts.Inc()
 	}
 }
 

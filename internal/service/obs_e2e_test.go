@@ -355,3 +355,26 @@ func TestStreamTruncationAndReconnect(t *testing.T) {
 		t.Errorf("StreamDrops = %d, want >= 1", drops)
 	}
 }
+
+// TestMetricsCountMPIDeadlocks: a job containing a known stall (LAMMPS at
+// test scale, seed 2023, experiment 234: every rank blocks in MPI at
+// mismatched call sites) finishes in experiment time, and the registry says
+// why: one deadlock detected, no wall-clock timeout — the series that
+// answers "is the fast path being taken?" for the mpi layer.
+func TestMetricsCountMPIDeadlocks(t *testing.T) {
+	d := startDaemon(t, t.TempDir(), service.Config{JobSlots: 1})
+	st, err := d.c.Submit(context.Background(), service.JobSpec{
+		App: "LAMMPS", Scale: "test", Runs: 240, Seed: 2023, SampleEvery: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d.c, st.ID)
+	prom := fetchProm(t, d.http.URL)
+	if n, ok := promValue(t, prom, "faultpropd_mpi_deadlocks_total"); !ok || n != 1 {
+		t.Errorf("faultpropd_mpi_deadlocks_total = %v (present %v), want 1", n, ok)
+	}
+	if n, ok := promValue(t, prom, "faultpropd_mpi_timeouts_total"); !ok || n != 0 {
+		t.Errorf("faultpropd_mpi_timeouts_total = %v (present %v), want 0", n, ok)
+	}
+}
