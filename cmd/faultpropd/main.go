@@ -78,11 +78,11 @@ func main() {
 	data := flag.String("data", "faultpropd-data", "job store directory (status records, journals, results)")
 	jobs := flag.Int("jobs", 2, "concurrently running campaigns")
 	pool := flag.Int("pool", 0, "experiment workers shared across campaigns (0: GOMAXPROCS)")
-	progressEvery := flag.Duration("progress", 500*time.Millisecond, "interval between streamed progress events")
+	progressEvery := flag.Duration("progress", 500*time.Millisecond, "interval between published progress events (a coordinator's merged progress included) and unit of the shard re-dispatch backoff; no job's completion waits for it")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for running campaigns to checkpoint on shutdown")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof diagnostics on this address (empty: off)")
 	peers := flag.String("peers", "", "comma-separated peer worker URLs for coordinated (sharded) jobs")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "interval between peer worker liveness probes")
+	heartbeat := flag.Duration("heartbeat", 2*time.Second, "interval between peer worker liveness probes; also how long a shard's event stream may stay silent before the coordinator probes that shard's worker")
 	maxQueue := flag.Int("max-queue", 0, "reject submissions beyond this many queued jobs (0: unbounded)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")

@@ -426,11 +426,35 @@ type CampaignResult struct {
 }
 
 // coreRun and coreRunResumed indirect the core entry points so tests can
-// inject infrastructure failures.
+// inject infrastructure failures; coreNewReuse indirects the one place an
+// experiment worker's bundle is allocated so tests can count it.
 var (
 	coreRun        = core.Run
 	coreRunResumed = core.RunResumed
+	coreNewReuse   = core.NewReuse
 )
+
+// bundlePools is the process-wide free list of experiment-worker run
+// bundles, one sync.Pool of *core.Reuse per rank count — the only thing a
+// bundle is sized by. Which program a bundle ran last does not matter:
+// observable results do not depend on the bundle (core.Reuse), and state
+// left from another campaign is reset, or restored over by full copy,
+// before a run reads it. So a campaign's workers take their bundles here
+// and runIDs puts them back, instead of every campaign allocating and
+// zeroing Workers × Ranks fresh address spaces for what may be a few
+// dozen experiments. sync.Pool is emptied by the garbage collector: the
+// list needs no size bound, and an idle process pins nothing for long.
+var bundlePools sync.Map
+
+func bundlePool(ranks int) *sync.Pool {
+	if p, ok := bundlePools.Load(ranks); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := bundlePools.LoadOrStore(ranks, &sync.Pool{
+		New: func() any { return coreNewReuse(ranks) },
+	})
+	return p.(*sync.Pool)
+}
 
 // RunCampaign executes the campaign: a golden profiling run, then Runs
 // fault-injection experiments streamed through a single-pass aggregator.
@@ -538,7 +562,6 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		sites:      sites,
 		agg:        newAggregator(cfg),
 		completed:  make(map[int]bool, spec.Size()),
-		reuse:      make([]*core.Reuse, cfg.Workers),
 	}
 	e.agg.siteMap = sites
 	if adaptive {
@@ -664,7 +687,7 @@ func completedRanges(ids []int, completed map[int]bool) []IDRange {
 // campaigns: a worker pool that runs an arbitrary set of experiment IDs
 // through one streaming aggregator, journaling every completion. Fixed-N
 // shards call runIDs once over their pending range; the adaptive planner
-// calls it once per round, reusing the same workers' run infrastructure.
+// calls it once per round.
 type campaignEngine struct {
 	ctx        context.Context
 	cfg        CampaignConfig
@@ -683,10 +706,6 @@ type campaignEngine struct {
 	// for fixed-N shards, which never read outcomes back).
 	completed map[int]bool
 	outcomes  map[int]classify.Outcome
-
-	// reuse holds one recyclable run-infrastructure bundle per worker slot,
-	// allocated lazily and persisted across adaptive rounds.
-	reuse []*core.Reuse
 
 	resumed  int
 	executed int
@@ -723,20 +742,21 @@ func (e *campaignEngine) runIDs(ids []int) error {
 		}
 	}()
 
+	// Per-worker reuse bundle: the address spaces, contamination tables and
+	// MPI job fabric come from the process-wide free list, are recycled
+	// through every experiment of the worker, and go back below — only once
+	// every worker has exited and its last experiment has drained, however
+	// the run ended (completion, cancellation, StopAfter, journal failure).
+	pool := bundlePool(cfg.Params.Ranks)
+	bundles := make([]*core.Reuse, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := range bundles {
+		bundles[w] = pool.Get().(*core.Reuse)
 		wg.Add(1)
-		go func(w int) {
+		go func(bundle *core.Reuse) {
 			defer wg.Done()
-			// Per-worker reuse bundle: the address spaces, contamination
-			// tables and MPI job fabric are allocated once per worker slot
-			// and recycled through every experiment — and, for adaptive
-			// campaigns, across planner rounds.
-			if e.reuse[w] == nil {
-				e.reuse[w] = core.NewReuse(cfg.Params.Ranks)
-			}
 			wcfg := cfg
-			wcfg.reuse = e.reuse[w]
+			wcfg.reuse = bundle
 			// Phase tracing costs ~two time.Now calls per experiment when
 			// enabled and a nil check when not.
 			traced := cfg.Timings != nil || cfg.OnPhase != nil
@@ -776,7 +796,7 @@ func (e *campaignEngine) runIDs(ids []int) error {
 				}
 				outs <- o
 			}
-		}(w)
+		}(bundles[w])
 	}
 	go func() {
 		defer close(work)
@@ -817,6 +837,9 @@ func (e *campaignEngine) runIDs(ids []int) error {
 		}
 	}
 	halt()
+	for _, b := range bundles {
+		pool.Put(b)
+	}
 	// Cancellation is observed here, on the engine's own goroutine, rather
 	// than in the watcher above (which would race with the loop's writes).
 	if e.ctx.Err() != nil {

@@ -11,7 +11,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -96,6 +95,19 @@ func (e *APIError) Error() string {
 // nil when the daemon sent no (or an unknown) code.
 func (e *APIError) Unwrap() error { return service.ErrorForCode(e.Code) }
 
+// apiError decodes a non-2xx response's JSON error body.
+func apiError(resp *http.Response) *APIError {
+	var e struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	msg := resp.Status
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &APIError{Status: resp.StatusCode, Message: msg, Code: e.Code}
+}
+
 // retryable reports whether an attempt may be retried: transport errors,
 // 5xx responses, and 429 (pressure rejections — full queue, rate limit,
 // quota — clear as load drains) are transient; other 4xx are not.
@@ -132,15 +144,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &APIError{Status: resp.StatusCode, Message: msg, Code: e.Code}
+		return apiError(resp)
 	}
 	if out == nil {
 		return nil
@@ -301,11 +305,6 @@ func (c *Client) ArchiveTrends(ctx context.Context) ([]service.AppTrend, error) 
 	return trends, err
 }
 
-// errTruncated marks a stream the daemon cut because this watcher lagged
-// (Event.Kind "truncated"). The job is still running; Watch reconnects
-// immediately — the reconnect's journal replay recovers anything missed.
-var errTruncated = errors.New("client: watch: stream truncated by daemon")
-
 // Watch streams a job's events, invoking fn for each one until the job
 // reaches a terminal state, ctx is cancelled, or fn returns an error
 // (which Watch returns). A dropped connection before the terminal event
@@ -319,7 +318,7 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(service.Event) er
 	attempt := 0
 	for {
 		terminal, err := c.watchOnce(ctx, id, fn)
-		if errors.Is(err, errTruncated) && ctx.Err() == nil {
+		if errors.Is(err, service.ErrStreamTruncated) && ctx.Err() == nil {
 			continue
 		}
 		if terminal || !retryable(err) {
@@ -340,8 +339,8 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(service.Event) er
 	}
 }
 
-// watchOnce runs one streaming connection. terminal reports whether a
-// terminal event arrived (the stream completed its job).
+// watchOnce runs one streaming connection. terminal reports that the
+// watch is over: a terminal event arrived, or fn returned the error.
 func (c *Client) watchOnce(ctx context.Context, id string, fn func(service.Event) error) (terminal bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/jobs/"+url.PathEscape(id)+"/stream", nil)
@@ -357,44 +356,9 @@ func (c *Client) watchOnce(ctx context.Context, id string, fn func(service.Event
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return false, &APIError{Status: resp.StatusCode, Message: msg, Code: e.Code}
+		return false, apiError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev service.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return false, fmt.Errorf("client: watch: decode event: %w", err)
-		}
-		if fn != nil {
-			if err := fn(ev); err != nil {
-				return true, err
-			}
-		}
-		if ev.Kind == service.EventTruncated {
-			return false, errTruncated
-		}
-		if ev.State.Terminal() {
-			return true, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return false, fmt.Errorf("client: watch: %w", err)
-	}
-	// EOF without a terminal event: the connection dropped mid-stream.
-	return false, fmt.Errorf("client: watch: stream ended before job %s settled", id)
+	return service.ReadEvents(resp.Body, fn)
 }
 
 // Run is the full lifecycle in one call: submit the spec, watch its stream

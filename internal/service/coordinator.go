@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -20,9 +21,11 @@ import (
 //	journal completed shards recorded in job-<id>.shards.jsonl, partials
 //	        parked on disk — a coordinator restart re-runs only the
 //	        missing shards
-//	dispatch each pending shard goes to the least-loaded alive worker;
-//	        worker death (failed heartbeat, failed polls) requeues the
-//	        shard with backoff onto surviving workers
+//	dispatch each pending shard goes to the least-loaded alive worker and
+//	        is followed on that worker's event stream — its terminal
+//	        event, not a timer, ends it; worker death (failed heartbeat,
+//	        or a severed or silent stream whose liveness probe fails)
+//	        requeues the shard with backoff onto surviving workers
 //	merge   partials merge order-independently; the finalized result is
 //	        byte-identical to a single-process run of the same spec
 //
@@ -285,7 +288,7 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 	type flight struct {
 		worker WorkerInfo
 		jobID  string
-		done   int // last polled per-shard progress
+		done   int // experiments the shard's stream has reported
 	}
 	inflight := make(map[*shardTask]*flight)
 	outcomes := make(chan shardOutcome)
@@ -334,6 +337,8 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 		}()
 	}
 
+	// The ticker publishes merged progress and lets re-dispatch backoffs
+	// expire; a finished shard arrives on outcomes without waiting for it.
 	tick := time.NewTicker(s.cfg.ProgressEvery)
 	defer tick.Stop()
 
@@ -433,8 +438,8 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 				if ctx.Err() != nil {
 					return interrupted()
 				}
-				// Transient infrastructure failure (worker died, poll
-				// failed, 5xx/429): mark the worker dead so assignment
+				// Transient infrastructure failure (worker died, liveness
+				// probe failed, 5xx/429): mark the worker dead so assignment
 				// skips it until a heartbeat revives it. Retriable failures
 				// (worker job cancelled under us, unclassified flake) also
 				// requeue with backoff but do not implicate the worker.
@@ -459,8 +464,18 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 	return nil
 }
 
-// runShardOn runs one shard to completion on one worker: submit, poll
-// until terminal, fetch the partial, sanity-check its fingerprint.
+// runShardOn runs one shard to completion on one worker: submit, watch the
+// worker job's event stream to its terminal event, fetch the partial,
+// sanity-check its fingerprint. The stream alone drives the happy path: a
+// done event triggers the fetch at once, and no timer sits between a
+// shard's end and its outcome. Liveness is the status GET's (peers.job,
+// with its retries): it runs only when an attachment ended without a
+// terminal event — the connection broke, or nothing arrived for one
+// Config.Heartbeat — or on a failed or cancelled one, whose ErrorCode
+// events do not carry. What the taxonomy classifies is that call's error
+// or terminal status, never the stream's own error: a severed stream looks
+// the same for a dead worker and a dropped connection, the probe tells
+// them apart. A non-terminal answer means the job lives: attach again.
 func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 	t *shardTask, onProgress func(done int), onSubmit func(jobID string)) shardOutcome {
 
@@ -474,59 +489,104 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 	// journal, events, and logs correlate back to this submission.
 	begun := time.Now()
 	span := obs.ShardSpan(st.Trace, t.key)
+	failed := func(err error, category Category) shardOutcome {
+		return shardOutcome{task: t, worker: w, err: err, category: category}
+	}
 	wjob, err := s.peers.submit(ctx, w.URL, spec, span, st.Tenant)
 	if err != nil {
-		return shardOutcome{task: t, worker: w, err: err, category: Classify(err)}
+		return failed(err, Classify(err))
 	}
 	onSubmit(wjob.ID)
 	s.log.Debug("shard dispatched", "job", st.ID, "trace", span,
 		"shard", t.key, "worker", w.Name, "worker_job", wjob.ID)
 
+	// done is the shard's progress: the most experiment events any one
+	// attachment has delivered. Every attachment counts again from the
+	// replayed journal, so an experiment is never counted twice.
+	done := 0
 	for {
-		select {
-		case <-ctx.Done():
-			return shardOutcome{task: t, worker: w, err: ctx.Err()}
-		case <-time.After(s.cfg.ProgressEvery):
+		seen := 0
+		state, err := s.attachShard(ctx, w.URL, wjob.ID, func() {
+			if seen++; seen > done {
+				done = seen
+				onProgress(done)
+			}
+		})
+		if ctx.Err() != nil {
+			// Our own teardown; runShardSet routes it by its context.
+			return failed(ctx.Err(), CategoryNone)
 		}
-		cur, err := s.peers.job(ctx, w.URL, wjob.ID)
-		if err != nil {
-			return shardOutcome{task: t, worker: w, err: err, category: Classify(err)}
+		if errors.Is(err, ErrStreamTruncated) {
+			s.obs.shardReconnects.Inc()
+			continue
 		}
-		if cur.Progress != nil {
-			onProgress(cur.Progress.Done)
-		} else if cur.Tally != nil {
-			onProgress(cur.Tally.Total)
-		}
-		switch cur.State {
-		case StateDone:
-			part, err := s.peers.partial(ctx, w.URL, wjob.ID)
+		if state != StateDone {
+			if state == "" {
+				s.obs.shardProbes.Inc()
+				// Not a warning yet: a shard queued behind others is silent
+				// too. A probe that fails is logged where it requeues.
+				s.log.Debug("shard stream ended early, probing worker", "job", st.ID, "trace", span,
+					"shard", t.key, "worker", w.Name, "worker_job", wjob.ID, "err", err)
+			}
+			cur, err := s.peers.job(ctx, w.URL, wjob.ID)
 			if err != nil {
-				return shardOutcome{task: t, worker: w, err: err, category: Classify(err)}
+				return failed(err, Classify(err))
 			}
-			if part.Fingerprint != t.spec.Fingerprint {
-				return shardOutcome{task: t, worker: w, category: CategoryFatal,
-					err: fmt.Errorf("%w: worker %s returned %s, want %s",
-						ErrFingerprintMismatch, w.Name, part.Fingerprint, t.spec.Fingerprint)}
+			switch cur.State {
+			case StateDone:
+			case StateFailed:
+				// The worker's ErrorCode names the cause; classify it under
+				// the taxonomy, and when it maps to a sentinel, wrap that
+				// sentinel so the wire code survives into this job's failure.
+				err := fmt.Errorf("worker job %s failed: %s", wjob.ID, cur.Error)
+				if sentinel := ErrorForCode(cur.ErrorCode); sentinel != nil {
+					err = fmt.Errorf("worker job %s failed: %w: %s", wjob.ID, sentinel, cur.Error)
+				}
+				return failed(err, ClassifyCode(cur.ErrorCode))
+			case StateCancelled:
+				// Someone cancelled the worker job out from under us: not an
+				// infrastructure fault, so retriable — re-dispatch without
+				// dead-marking the worker.
+				return failed(fmt.Errorf("worker job %s was cancelled", wjob.ID), CategoryRetriable)
+			default:
+				s.obs.shardReconnects.Inc()
+				continue
 			}
-			return shardOutcome{task: t, worker: w, partial: part, elapsed: time.Since(begun)}
-		case StateFailed:
-			// The worker's ErrorCode names the cause; classify it under
-			// the taxonomy, and when it maps to a sentinel, wrap that
-			// sentinel so the wire code survives into this job's failure.
-			err := fmt.Errorf("worker job %s failed: %s", wjob.ID, cur.Error)
-			if sentinel := ErrorForCode(cur.ErrorCode); sentinel != nil {
-				err = fmt.Errorf("worker job %s failed: %w: %s", wjob.ID, sentinel, cur.Error)
-			}
-			return shardOutcome{task: t, worker: w, err: err,
-				category: ClassifyCode(cur.ErrorCode)}
-		case StateCancelled:
-			// Someone cancelled the worker job out from under us: not an
-			// infrastructure fault, so retriable — re-dispatch without
-			// dead-marking the worker.
-			return shardOutcome{task: t, worker: w, category: CategoryRetriable,
-				err: fmt.Errorf("worker job %s was cancelled", wjob.ID)}
 		}
+		part, err := s.peers.partial(ctx, w.URL, wjob.ID)
+		if err != nil {
+			return failed(err, Classify(err))
+		}
+		if part.Fingerprint != t.spec.Fingerprint {
+			return failed(fmt.Errorf("%w: worker %s returned %s, want %s",
+				ErrFingerprintMismatch, w.Name, part.Fingerprint, t.spec.Fingerprint), CategoryFatal)
+		}
+		return shardOutcome{task: t, worker: w, partial: part, elapsed: time.Since(begun)}
 	}
+}
+
+// attachShard follows a worker job's event stream on one connection,
+// calling onExperiment for every experiment event, and returns the terminal
+// state the stream ended on — or "" and the reason when it ended early. The
+// silence timer is the only clock on a shard: one Config.Heartbeat without
+// an event (a running worker job publishes progress far more often) cuts
+// the attachment so that the caller probes the worker.
+func (s *Server) attachShard(ctx context.Context, url, jobID string, onExperiment func()) (JobState, error) {
+	actx, detach := context.WithCancel(ctx)
+	defer detach()
+	silence := time.AfterFunc(s.cfg.Heartbeat, detach)
+	defer silence.Stop()
+	var final JobState
+	err := s.peers.watch(actx, url, jobID, func(ev Event) {
+		silence.Reset(s.cfg.Heartbeat)
+		if ev.Kind == EventExperiment {
+			onExperiment()
+		}
+		if ev.State.Terminal() {
+			final = ev.State
+		}
+	})
+	return final, err
 }
 
 // shardJournal appends completed-shard records, persisting each shard's

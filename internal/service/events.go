@@ -1,6 +1,12 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/obs"
@@ -110,4 +116,53 @@ func (h *hub) close() {
 		delete(h.subs, sub)
 		close(sub.ch)
 	}
+}
+
+// ErrStreamTruncated marks a stream the daemon cut because this watcher
+// lagged (the stream's last event has Kind EventTruncated). The job is
+// still running: attach again at once — the new connection's journal
+// replay recovers anything missed.
+var ErrStreamTruncated = errors.New("service: event stream truncated by daemon")
+
+// ReadEvents decodes one NDJSON event stream — the body of
+// GET /v1/jobs/{id}/stream — calling fn for every event (the truncated
+// and terminal ones included). It is the one reader of that format: the
+// typed client's Watch and the coordinator's shard watch both sit on it.
+//
+// settled reports that the watch is over: the job's terminal event
+// arrived (err is nil) or fn returned an error (err is that error).
+// Otherwise err says why this connection ended early, and the caller may
+// attach again without losing an experiment: ErrStreamTruncated, a read
+// or decode error, or io.ErrUnexpectedEOF for a stream that ended before
+// the job settled.
+func ReadEvents(r io.Reader, fn func(Event) error) (settled bool, err error) {
+	sc := bufio.NewScanner(r)
+	// One event is one line; a progress event with every outcome and
+	// stratum is a few KiB, so 16 MiB only bounds a hostile peer.
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return false, fmt.Errorf("service: event stream: decode event: %w", err)
+		}
+		if fn != nil {
+			if err := fn(ev); err != nil {
+				return true, err
+			}
+		}
+		if ev.Kind == EventTruncated {
+			return false, ErrStreamTruncated
+		}
+		if ev.State.Terminal() {
+			return true, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return false, fmt.Errorf("service: event stream: %w", err)
+	}
+	return false, fmt.Errorf("service: event stream ended before the job settled: %w", io.ErrUnexpectedEOF)
 }

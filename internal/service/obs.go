@@ -15,9 +15,17 @@ type serverObs struct {
 
 	// queueWait: submission-to-start latency of dispatched jobs.
 	queueWait *obs.Histogram
-	// shardDur: wall time of completed coordinated shards (dispatch to
-	// merged partial, including transport and polling).
+	// shardDur: wall time of completed coordinated shards (submit to
+	// fetched partial, transport included).
 	shardDur *obs.Histogram
+	// shardReconnects: re-attachments to a worker's shard event stream
+	// after the first (truncated for lagging, cut for silence, or broken).
+	// shardProbes: status GETs the coordinator made as liveness probes,
+	// because a shard's stream broke or stayed silent for one Heartbeat
+	// (a shard that waits that long for a job slot on its worker is
+	// silent too). Both read 0 while every worker streams its shards from
+	// start to terminal event — the fast path.
+	shardReconnects, shardProbes *obs.Counter
 	// streamDrops: subscribers disconnected for lagging.
 	streamDrops *obs.Counter
 	// cacheHits/cacheMisses: submissions served from the campaign archive
@@ -49,7 +57,11 @@ func newServerObs() *serverObs {
 		queueWait: reg.Histogram("faultpropd_queue_wait_seconds",
 			"Time jobs spent queued before starting.", obs.LatencyBuckets()),
 		shardDur: reg.Histogram("faultpropd_shard_seconds",
-			"Wall time of coordinated shards, dispatch to merged partial.", obs.LatencyBuckets()),
+			"Wall time of coordinated shards, submit to fetched partial.", obs.LatencyBuckets()),
+		shardReconnects: reg.Counter("faultpropd_shard_stream_reconnects_total",
+			"Re-attachments to a worker's shard event stream (truncated, silent for one heartbeat, or broken); 0 while every shard streams from start to end."),
+		shardProbes: reg.Counter("faultpropd_shard_liveness_probes_total",
+			"Worker status GETs made because a shard's event stream broke or fell silent for one heartbeat; 0 while every shard streams from start to end."),
 		streamDrops: reg.Counter("faultpropd_stream_drops_total",
 			"Event-stream subscribers dropped for lagging."),
 		cacheHits: reg.Counter("faultpropd_cache_hits_total",

@@ -20,11 +20,16 @@ import (
 // would cycle); it speaks the same /v1 wire protocol and decodes error
 // codes back into the shared sentinels.
 type peerClient struct {
+	// hc serves the request/response calls: 30 s bounds any one of them.
 	hc *http.Client
+	// stream serves watch alone. It has no whole-request Timeout — that
+	// would cut every shard longer than it — so a stream lives exactly as
+	// long as the context of the shard that opened it.
+	stream *http.Client
 }
 
 func newPeerClient() *peerClient {
-	return &peerClient{hc: &http.Client{Timeout: 30 * time.Second}}
+	return &peerClient{hc: &http.Client{Timeout: 30 * time.Second}, stream: &http.Client{}}
 }
 
 // peerError is a non-2xx response from a worker, carrying the decoded
@@ -40,6 +45,19 @@ func (e *peerError) Error() string {
 }
 
 func (e *peerError) Unwrap() error { return e.wrapped }
+
+// newPeerError decodes a non-2xx response's JSON error body.
+func newPeerError(resp *http.Response) *peerError {
+	var e struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	msg := resp.Status
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &peerError{status: resp.StatusCode, message: msg, wrapped: ErrorForCode(e.Code)}
+}
 
 // retryablePeer reports whether a worker call may be retried: transport
 // errors and 5xx are transient, 4xx are not. Context cancellation and
@@ -92,15 +110,7 @@ func (p *peerClient) doHeaders(ctx context.Context, method, base, path string, b
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &peerError{status: resp.StatusCode, message: msg, wrapped: ErrorForCode(e.Code)}
+		return newPeerError(resp)
 	}
 	if out == nil {
 		return nil
@@ -159,7 +169,32 @@ func (p *peerClient) submit(ctx context.Context, base string, spec JobSpec, trac
 	return st, err
 }
 
-// job polls one job's status.
+// watch follows one worker job's event stream on a single connection,
+// calling fn for every event. It returns nil once the job's terminal
+// event has been delivered, and otherwise why the connection ended early
+// (see ReadEvents). ctx is the only bound on the connection's life: cancel
+// it to detach.
+func (p *peerClient) watch(ctx context.Context, base, id string, fn func(Event)) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/stream", nil)
+	if err != nil {
+		return fmt.Errorf("service: peer: %w", err)
+	}
+	resp, err := p.stream.Do(req)
+	if err != nil {
+		return fmt.Errorf("service: peer GET /v1/jobs/%s/stream: %w", id, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return newPeerError(resp)
+	}
+	_, err = ReadEvents(resp.Body, func(ev Event) error {
+		fn(ev)
+		return nil
+	})
+	return err
+}
+
+// job fetches one job's status.
 func (p *peerClient) job(ctx context.Context, base, id string) (JobStatus, error) {
 	var st JobStatus
 	err := p.doRetry(ctx, http.MethodGet, base, "/v1/jobs/"+id, nil, &st)

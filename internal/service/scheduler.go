@@ -27,7 +27,8 @@ type job struct {
 	status JobStatus
 	prog   *harness.Progress
 	// coordProg is the merged progress of a coordinated (sharded) job,
-	// synthesized by the coordinator from its shard polls. Guarded by mu.
+	// synthesized by the coordinator from the experiment events of its
+	// shards' streams. Guarded by mu.
 	coordProg *harness.Snapshot
 	hub       *hub
 	cancel    context.CancelFunc

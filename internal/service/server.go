@@ -33,8 +33,9 @@ type Config struct {
 	// campaigns, shared fairly through a token gate (0: GOMAXPROCS).
 	WorkerPool int
 	// ProgressEvery is the interval between streamed progress events for a
-	// running job (0: 500ms). It also paces the coordinator's shard polls
-	// and dispatch backoff.
+	// running job (0: 500ms); a coordinator also publishes its merged
+	// progress at this pace and scales its re-dispatch backoff by it.
+	// Nothing on a job's completion path waits for it.
 	ProgressEvery time.Duration
 	// MaxQueue bounds jobs waiting for a slot; submissions beyond it are
 	// rejected with ErrQueueFull (0: unbounded).
@@ -44,7 +45,9 @@ type Config struct {
 	Peers []string
 	// Heartbeat is the interval between liveness probes of registered
 	// workers (0: 2s). A worker that fails a probe is marked dead: it
-	// receives no new shards and its in-flight shards re-dispatch.
+	// receives no new shards and its in-flight shards re-dispatch. It is
+	// also how long a shard's event stream may stay silent before the
+	// coordinator probes that shard's worker itself.
 	Heartbeat time.Duration
 	// Log receives the daemon's structured logs: request lines, job
 	// lifecycle, worker liveness transitions, slow-experiment warnings
@@ -727,8 +730,9 @@ func (s *Server) settleStopped(j *job, reason stopReason, cause error) {
 }
 
 // fail marks a job failed. The wire code of the cause (when it has one)
-// lands in JobStatus.ErrorCode, so a coordinator polling a failed shard
-// job can tell fatal causes from transient ones without string matching.
+// lands in JobStatus.ErrorCode, so a coordinator reading a failed shard
+// job's status can tell fatal causes from transient ones without string
+// matching.
 func (s *Server) fail(j *job, err error) {
 	j.mu.Lock()
 	j.status.State = StateFailed

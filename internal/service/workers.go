@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -88,11 +89,7 @@ func (r *registry) list() []WorkerInfo {
 	for _, w := range r.workers {
 		out = append(out, *w)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b WorkerInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -145,8 +142,9 @@ func (r *registry) release(name string) {
 
 // heartbeatLoop probes every registered worker each interval until ctx is
 // done. A probe failure marks the worker dead immediately — the dispatch
-// loop stops assigning to it and re-dispatches its shards when their
-// polls fail; a later success revives it.
+// loop stops assigning to it, and re-dispatches each of its shards when
+// that shard's stream breaks or goes silent and its own liveness probe
+// fails; a later success revives it.
 func (s *Server) heartbeatLoop(ctx context.Context) {
 	t := time.NewTicker(s.cfg.Heartbeat)
 	defer t.Stop()
