@@ -78,7 +78,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/recovery"
 	"repro/internal/service"
-	"repro/internal/service/client"
 )
 
 func main() {
@@ -168,47 +167,45 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	o := options{
+		runs: *runs, seed: *seed, scale: *scale, multi: *multi,
+		sample: *sample, maxSummaries: *maxSummaries, workers: *workers,
+		snapshots: *snapshots, targetCI: *targetCI, strata: *strata, sites: *sites,
+		checkpoint: *checkpoint, resume: *resume, stopAfter: *stopAfter,
+		progressEvery: *progressEvery, priority: *priority, shards: *shards,
+	}
 	var results []*harness.CampaignResult
+	var err error
 	switch {
 	case *remote != "":
-		results = runRemote(ctx, *remote, selected, remoteOpts{
-			runs: *runs, seed: *seed, scale: *scale, multi: *multi,
-			sample: *sample, maxSummaries: *maxSummaries, priority: *priority,
-			shards: *shards, snapshots: *snapshots, progressEvery: *progressEvery,
-			targetCI: *targetCI, strata: *strata, sites: *sites,
-			localFlags: *workers != 0 || *checkpoint != "" || *resume,
-		})
+		if o.workers != 0 || o.checkpoint != "" || o.resume {
+			fmt.Fprintln(os.Stderr, "note: -workers/-checkpoint/-resume are managed by the daemon and ignored with -remote")
+		}
+		results, err = runRemote(ctx, *remote, " via "+*remote, selected, o)
+		if errors.Is(err, harness.ErrInterrupted) {
+			// Detached, not cancelled: the daemon owns the job.
+			err = fmt.Errorf("%w; detached, the job keeps running on %s", err, *remote)
+		}
 	case *shards > 1:
-		results = runSharded(ctx, selected, shardedOpts{
-			runs: *runs, seed: *seed, scale: *scale, multi: *multi,
-			sample: *sample, maxSummaries: *maxSummaries,
-			shards: *shards, snapshots: *snapshots, procs: *workers, progressEvery: *progressEvery,
-			targetCI: *targetCI, strata: *strata, sites: *sites,
-			localFlags: *checkpoint != "" || *resume, logLevel: *logLevel,
+		results, err = runSharded(ctx, selected, o, service.Config{
+			ProgressEvery: 100 * time.Millisecond,
+			Heartbeat:     500 * time.Millisecond,
+			Log:           coordLogger(*logLevel),
 		})
 	case *protectTop > 0:
-		results = runProtectTop(ctx, selected, localOpts{
-			runs: *runs, seed: *seed, scale: *scale, multi: *multi,
-			sample: *sample, maxSummaries: *maxSummaries, workers: *workers,
-			snapshots: *snapshots, targetCI: *targetCI, strata: *strata,
-			checkpoint: *checkpoint, resume: *resume, stopAfter: *stopAfter,
-			progressEvery: *progressEvery,
-		}, *protectTop)
+		results, err = runProtectTop(ctx, selected, o, *protectTop)
 	default:
-		results = runLocal(ctx, selected, localOpts{
-			runs: *runs, seed: *seed, scale: *scale, multi: *multi,
-			sample: *sample, maxSummaries: *maxSummaries, workers: *workers,
-			snapshots: *snapshots, targetCI: *targetCI, strata: *strata,
-			sites:      *sites,
-			checkpoint: *checkpoint, resume: *resume, stopAfter: *stopAfter,
-			progressEvery: *progressEvery,
-		})
+		results, err = runLocal(ctx, selected, o)
 	}
 
 	if *cpuProfile != "" {
 		// Stop explicitly so the profile covers the campaigns, not the
 		// rendering below (the deferred stop then no-ops).
 		pprof.StopCPUProfile()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(exitCode(err))
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -224,7 +221,10 @@ func main() {
 		f.Close()
 	}
 
-	render(results)
+	if err := render(results); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	if *jsonOut != "" {
 		if err := harness.SaveResults(*jsonOut, results); err != nil {
@@ -235,7 +235,29 @@ func main() {
 	}
 }
 
-type localOpts struct {
+// usageError marks a run-path error that the command line caused.
+type usageError struct{ error }
+
+// exitCode maps a run path's error to the exit status: 130 for an
+// interrupted campaign, 2 for a usage error (a typed config violation — a
+// bad flag combination, or -resume pointing -target-ci at a journal written
+// by a non-adaptive campaign — is one, not a crash), 1 otherwise.
+func exitCode(err error) int {
+	var fe *harness.FieldError
+	var ue usageError
+	switch {
+	case errors.Is(err, harness.ErrInterrupted):
+		return 130
+	case errors.As(err, &fe), errors.As(err, &ue):
+		return 2
+	}
+	return 1
+}
+
+// options is the command line, filled from the flags once. campaignConfig
+// is what a local run executes and jobSpec what a daemon is sent, both read
+// from the same fields.
+type options struct {
 	runs          int
 	seed          uint64
 	scale         string
@@ -252,11 +274,13 @@ type localOpts struct {
 	resume        bool
 	stopAfter     int
 	progressEvery time.Duration
+	priority      int
+	shards        int
 }
 
 // campaignConfig is the configuration runLocal executes for app, without
 // the per-invocation journal and progress wiring.
-func (o localOpts) campaignConfig(app apps.App) harness.CampaignConfig {
+func (o options) campaignConfig(app apps.App) harness.CampaignConfig {
 	p := app.DefaultParams()
 	if o.scale == "test" {
 		p = app.TestParams()
@@ -283,7 +307,53 @@ func (o localOpts) campaignConfig(app apps.App) harness.CampaignConfig {
 	}
 }
 
-func runLocal(ctx context.Context, selected []apps.App, o localOpts) []*harness.CampaignResult {
+// jobSpec is the /v1 submission that runs app's campaign on a daemon. The
+// sampling object is nil when no sampling-policy flag is set, which keeps
+// the wire spec byte-identical to pre-adaptive submissions.
+func (o options) jobSpec(app apps.App) service.JobSpec {
+	spec := service.JobSpec{
+		App:              app.Name(),
+		Scale:            o.scale,
+		Runs:             o.runs,
+		Seed:             o.seed,
+		MultiFaultLambda: o.multi,
+		SampleEvery:      o.sample,
+		MaxSummaries:     o.maxSummaries,
+		Snapshots:        o.snapshots,
+		Priority:         o.priority,
+		Shards:           o.shards,
+		Label:            "cmd/campaign",
+	}
+	if o.targetCI != 0 || o.strata != 0 || o.sites {
+		spec.Sampling = &service.SamplingSpec{TargetCI: o.targetCI, Strata: o.strata, Sites: o.sites}
+	}
+	return spec
+}
+
+// printHeader prints the "# APP: N runs in …" line that opens an app's
+// results. N is what ran — for an adaptive campaign what it spent, not its
+// budget; how says where (" via ADDR", " across …", "" for a local run);
+// snap is the campaign's last progress snapshot, when it published one.
+func (o options) printHeader(res *harness.CampaignResult, elapsed time.Duration, how string, snap *harness.Snapshot) {
+	ran := o.runs
+	if o.targetCI > 0 {
+		ran = res.Tally.Total
+	}
+	fmt.Printf("# %s: %d runs in %v%s (golden cycles %d, %d ranks",
+		res.App, ran, elapsed.Round(time.Millisecond), how, res.Golden.Cycles, res.Params.Ranks)
+	if snap != nil {
+		fmt.Printf(", %.1f runs/s", snap.RunsPerSec)
+	}
+	if o.targetCI > 0 {
+		fmt.Printf(", adaptive: spent %d of %d budget at ±%g", ran, o.runs, o.targetCI)
+	}
+	if snap != nil && snap.Resumed > 0 {
+		fmt.Printf(", %d resumed", snap.Resumed)
+	}
+	fmt.Println(")")
+}
+
+func runLocal(ctx context.Context, selected []apps.App, o options) ([]*harness.CampaignResult, error) {
 	var results []*harness.CampaignResult
 	for _, app := range selected {
 		start := time.Now()
@@ -295,45 +365,21 @@ func runLocal(ctx context.Context, selected []apps.App, o localOpts) []*harness.
 		cfg.Progress = prog
 		res, err := harness.RunCampaignContext(ctx, cfg)
 		stopTicker()
+		snap := prog.Snapshot()
 		if errors.Is(err, harness.ErrInterrupted) {
-			snap := prog.Snapshot()
-			fmt.Fprintf(os.Stderr, "campaign %s interrupted: %v\n", app.Name(), err)
-			fmt.Fprintf(os.Stderr, "partial tally: %s\n", snap)
+			hint := ""
 			if ckpt != "" {
-				fmt.Fprintf(os.Stderr, "journal flushed to %s; rerun with -resume to continue\n", ckpt)
+				hint = fmt.Sprintf("\njournal flushed to %s; rerun with -resume to continue", ckpt)
 			}
-			os.Exit(130)
+			return results, fmt.Errorf("campaign %s interrupted: %w\npartial tally: %s%s", app.Name(), err, snap, hint)
 		}
 		if err != nil {
-			// Typed config violations (a bad flag combination, or -resume
-			// pointing -target-ci at a journal written by a non-adaptive
-			// campaign) are usage errors, not crashes.
-			var fe *harness.FieldError
-			if errors.As(err, &fe) {
-				fmt.Fprintf(os.Stderr, "campaign %s: %v\n", app.Name(), fe)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "campaign %s: %v\n", app.Name(), err)
-			os.Exit(1)
+			return results, fmt.Errorf("campaign %s: %w", app.Name(), err)
 		}
-		snap := prog.Snapshot()
-		ran := o.runs
-		if o.targetCI > 0 {
-			ran = res.Tally.Total
-		}
-		fmt.Printf("# %s: %d runs in %v (golden cycles %d, %d ranks, %.1f runs/s",
-			app.Name(), ran, time.Since(start).Round(time.Millisecond),
-			res.Golden.Cycles, cfg.Params.Ranks, snap.RunsPerSec)
-		if o.targetCI > 0 {
-			fmt.Printf(", adaptive: spent %d of %d budget at ±%g", ran, o.runs, o.targetCI)
-		}
-		if snap.Resumed > 0 {
-			fmt.Printf(", %d resumed", snap.Resumed)
-		}
-		fmt.Println(")")
+		o.printHeader(res, time.Since(start), "", &snap)
 		results = append(results, res)
 	}
-	return results
+	return results, nil
 }
 
 // runProtectTop drives the selective-protection evaluation: per app, a
@@ -345,93 +391,54 @@ func runLocal(ctx context.Context, selected []apps.App, o localOpts) []*harness.
 // same bits at the same dynamic sites — the rate delta is the protection
 // effect. The baseline results are returned for the standard study
 // rendering; the coverage-vs-overhead tables print here.
-func runProtectTop(ctx context.Context, selected []apps.App, o localOpts, pct float64) []*harness.CampaignResult {
+func runProtectTop(ctx context.Context, selected []apps.App, o options, pct float64) ([]*harness.CampaignResult, error) {
 	o.sites = true
 	var results []*harness.CampaignResult
 	for _, app := range selected {
 		one := []apps.App{app}
-		base := runLocal(ctx, one, o)[0]
+		base, err := runLocal(ctx, one, o)
+		if err != nil {
+			return results, err
+		}
 		// The baseline campaign's pack already holds the instrumented
 		// program; its static site table is the coverage denominator.
 		total, err := harness.StaticSiteCount(o.campaignConfig(app))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "protect-top %s: %v\n", app.Name(), err)
-			os.Exit(1)
+			return results, fmt.Errorf("protect-top %s: %w", app.Name(), err)
 		}
 		po := o
-		po.protect = harness.ProtectTop(base.Sites, pct, total)
+		po.protect = harness.ProtectTop(base[0].Sites, pct, total)
 		// The protected campaign has its own fingerprint (the protect set
 		// is result-determining); journaling it over the baseline's path
 		// would clobber that journal, so it runs unjournaled.
 		po.checkpoint, po.resume = "", false
-		prot := runLocal(ctx, one, po)[0]
+		prot, err := runLocal(ctx, one, po)
+		if err != nil {
+			return results, err
+		}
 		fmt.Println()
-		fmt.Print(harness.FormatProtection(pct, len(po.protect), total, base, prot))
-		results = append(results, base)
+		fmt.Print(harness.FormatProtection(pct, len(po.protect), total, base[0], prot[0]))
+		results = append(results, base[0])
 	}
-	return results
+	return results, nil
 }
 
-type remoteOpts struct {
-	runs          int
-	seed          uint64
-	scale         string
-	multi         float64
-	sample        uint64
-	maxSummaries  int
-	priority      int
-	shards        int
-	snapshots     int
-	targetCI      float64
-	strata        int
-	sites         bool
-	progressEvery time.Duration
-	localFlags    bool
-}
-
-// samplingSpec translates the sampling-policy flags into the /v1
-// sampling object, or nil when none is set (legacy daemons reject
-// unknown fields nowhere, but a nil object keeps the wire spec
-// byte-identical to pre-adaptive submissions).
-func samplingSpec(targetCI float64, strata int, sites bool) *service.SamplingSpec {
-	if targetCI == 0 && strata == 0 && !sites {
-		return nil
-	}
-	return &service.SamplingSpec{TargetCI: targetCI, Strata: strata, Sites: sites}
-}
-
-// runRemote submits one job per app to a faultpropd daemon, follows each
-// job's event stream, and fetches the final results. An interrupt detaches
-// from the stream but leaves the jobs running daemon-side.
-func runRemote(ctx context.Context, addr string, selected []apps.App, o remoteOpts) []*harness.CampaignResult {
-	if o.localFlags {
-		fmt.Fprintln(os.Stderr, "note: -workers/-checkpoint/-resume are managed by the daemon and ignored with -remote")
-	}
-	c, err := client.New(addr)
+// runRemote submits one job per app to the faultpropd daemon at addr,
+// follows each job's event stream, and fetches the final results; how words
+// the daemon in the header line. When ctx ends it stops following and
+// returns an error wrapping harness.ErrInterrupted; what becomes of the job
+// is its caller's to decide and to say.
+func runRemote(ctx context.Context, addr, how string, selected []apps.App, o options) ([]*harness.CampaignResult, error) {
+	c, err := service.NewClient(addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "remote: %v\n", err)
-		os.Exit(2)
+		return nil, usageError{fmt.Errorf("remote: %w", err)}
 	}
 	var results []*harness.CampaignResult
 	for _, app := range selected {
 		start := time.Now()
 		lastProgress := time.Time{}
-		spec := service.JobSpec{
-			App:              app.Name(),
-			Scale:            o.scale,
-			Runs:             o.runs,
-			Seed:             o.seed,
-			MultiFaultLambda: o.multi,
-			SampleEvery:      o.sample,
-			MaxSummaries:     o.maxSummaries,
-			Snapshots:        o.snapshots,
-			Priority:         o.priority,
-			Shards:           o.shards,
-			Label:            "cmd/campaign",
-			Sampling:         samplingSpec(o.targetCI, o.strata, o.sites),
-		}
 		var lastSnap *harness.Snapshot
-		res, err := c.Run(ctx, spec, func(ev service.Event) error {
+		res, err := c.Run(ctx, o.jobSpec(app), func(ev service.Event) error {
 			if ev.Kind == service.EventProgress && ev.Progress != nil {
 				lastSnap = ev.Progress
 				if o.progressEvery > 0 && time.Since(lastProgress) >= o.progressEvery {
@@ -441,37 +448,24 @@ func runRemote(ctx context.Context, addr string, selected []apps.App, o remoteOp
 			}
 			return nil
 		})
+		if err != nil && ctx.Err() != nil {
+			err = fmt.Errorf("%w (%v)", harness.ErrInterrupted, ctx.Err())
+		}
 		if err != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "remote campaign %s: detached (%v); the job keeps running on %s\n",
-					app.Name(), ctx.Err(), addr)
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "remote campaign %s: %v\n", app.Name(), err)
-			os.Exit(1)
+			return results, fmt.Errorf("campaign %s%s: %w", app.Name(), how, err)
 		}
-		fmt.Printf("# %s: %d runs in %v via %s (golden cycles %d, %d ranks",
-			app.Name(), o.runs, time.Since(start).Round(time.Millisecond), addr,
-			res.Golden.Cycles, res.Params.Ranks)
-		if lastSnap != nil {
-			fmt.Printf(", %.1f runs/s", lastSnap.RunsPerSec)
-			if lastSnap.Resumed > 0 {
-				fmt.Printf(", %d resumed", lastSnap.Resumed)
-			}
-		}
-		fmt.Println(")")
+		o.printHeader(res, time.Since(start), how, lastSnap)
 		results = append(results, res)
 	}
-	return results
+	return results, nil
 }
 
 // render prints every figure and table of the paper's evaluation.
-func render(results []*harness.CampaignResult) {
+func render(results []*harness.CampaignResult) error {
 	fmt.Println()
 	t1, err := harness.FormatTable1()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "table 1: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("table 1: %w", err)
 	}
 	fmt.Println(t1)
 	fmt.Println(harness.FormatFig5(results[0], 50))
@@ -505,6 +499,7 @@ func render(results []*harness.CampaignResult) {
 	}
 	fmt.Printf("FPS ordering (fastest propagation first): %s\n",
 		strings.Join(harness.SortedFPS(results), " > "))
+	return nil
 }
 
 // flagSections groups the command's flags by the CampaignConfig section

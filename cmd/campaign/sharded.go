@@ -23,30 +23,11 @@ import (
 // Local multi-process sharding: the command re-executes itself as N
 // short-lived worker daemons (the hidden -serve-worker mode below), runs
 // an in-process coordinator Server with those workers registered as
-// peers, and submits each campaign with Shards set. The coordinator
-// dispatches the shards over loopback HTTP and merges the partials, so
-// the local path and the -remote path exercise exactly the same code —
-// and the merged result is byte-identical to an unsharded run.
-
-type shardedOpts struct {
-	runs          int
-	seed          uint64
-	scale         string
-	multi         float64
-	sample        uint64
-	maxSummaries  int
-	shards        int
-	snapshots     int
-	procs         int
-	targetCI      float64
-	strata        int
-	sites         bool
-	progressEvery time.Duration
-	localFlags    bool
-	// logLevel enables the in-process coordinator's structured logs on
-	// stderr (shard dispatch/requeue, worker liveness); empty disables.
-	logLevel string
-}
+// peers, serves it on loopback and submits each campaign to it with Shards
+// set, as -remote would to any daemon. The coordinator dispatches the
+// shards over loopback HTTP and merges the partials, so the local path and
+// the -remote path exercise exactly the same code — and the merged result
+// is byte-identical to an unsharded run.
 
 // coordLogger builds the coordinator's slog handler for -log-level, or
 // nil (discard) when the flag is unset or unrecognized.
@@ -67,134 +48,58 @@ func coordLogger(level string) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
 }
 
-func runSharded(ctx context.Context, selected []apps.App, o shardedOpts) []*harness.CampaignResult {
-	if o.localFlags {
+// runSharded runs the campaigns across o.shards shards on o.workers local
+// worker processes (default 2) behind a private coordinator; coord carries
+// that coordinator's pacing and log, runSharded fills in where it lives and
+// whom it dispatches to. Every return path — an interrupt included — tears
+// the fleet down: the coordinator drains, which cancels the shard jobs still
+// running on the workers, the workers are stopped and waited for, and the
+// temp dir goes.
+func runSharded(ctx context.Context, selected []apps.App, o options, coord service.Config) ([]*harness.CampaignResult, error) {
+	if o.checkpoint != "" || o.resume {
 		fmt.Fprintln(os.Stderr, "note: -checkpoint/-resume journal daemon-side and are ignored with -shards (the shard journal lives in a temp dir)")
 	}
-	if o.procs <= 0 {
-		o.procs = 2
+	if o.workers <= 0 {
+		o.workers = 2
 	}
-	if o.procs > o.shards {
-		o.procs = o.shards
+	if o.workers > o.shards {
+		o.workers = o.shards
 	}
 
 	tmp, err := os.MkdirTemp("", "campaign-shards-")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sharded: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("sharded: %w", err)
 	}
 	defer os.RemoveAll(tmp)
 
-	fleet, peers, err := spawnWorkers(tmp, o.procs)
+	fleet, peers, err := spawnWorkers(tmp, o.workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sharded: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("sharded: %w", err)
 	}
 	defer stopWorkers(fleet)
 
-	srv, err := service.New(service.Config{
-		Dir:           filepath.Join(tmp, "coordinator"),
-		ProgressEvery: 100 * time.Millisecond,
-		Heartbeat:     500 * time.Millisecond,
-		Peers:         peers,
-		Log:           coordLogger(o.logLevel),
-	})
+	coord.Dir = filepath.Join(tmp, "coordinator")
+	coord.Peers = peers
+	srv, err := service.New(coord)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sharded: coordinator: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("sharded: coordinator: %w", err)
 	}
 	if err := srv.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "sharded: coordinator: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("sharded: coordinator: %w", err)
 	}
 	defer func() {
 		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = srv.Drain(dctx)
+		_ = srv.Drain(dctx) // the store is about to be deleted
 	}()
-
-	var results []*harness.CampaignResult
-	for _, app := range selected {
-		start := time.Now()
-		st, err := srv.Submit(service.JobSpec{
-			App:              app.Name(),
-			Scale:            o.scale,
-			Runs:             o.runs,
-			Seed:             o.seed,
-			MultiFaultLambda: o.multi,
-			SampleEvery:      o.sample,
-			MaxSummaries:     o.maxSummaries,
-			Snapshots:        o.snapshots,
-			Shards:           o.shards,
-			Label:            "cmd/campaign -shards",
-			Sampling:         samplingSpec(o.targetCI, o.strata, o.sites),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharded campaign %s: %v\n", app.Name(), err)
-			os.Exit(1)
-		}
-		final, err := waitForJob(ctx, srv, st.ID, app.Name(), o.progressEvery)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharded campaign %s: %v\n", app.Name(), err)
-			os.Exit(1)
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "sharded campaign %s: interrupted\n", app.Name())
-			os.Exit(130)
-		}
-		if final.State != service.StateDone {
-			fmt.Fprintf(os.Stderr, "sharded campaign %s: job settled as %s: %s\n",
-				app.Name(), final.State, final.Error)
-			os.Exit(1)
-		}
-		res, err := srv.Result(st.ID)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sharded campaign %s: %v\n", app.Name(), err)
-			os.Exit(1)
-		}
-		ran := o.runs
-		if o.targetCI > 0 {
-			ran = res.Tally.Total
-		}
-		fmt.Printf("# %s: %d runs in %v across %d shards on %d workers (golden cycles %d, %d ranks",
-			app.Name(), ran, time.Since(start).Round(time.Millisecond),
-			o.shards, o.procs, res.Golden.Cycles, res.Params.Ranks)
-		if o.targetCI > 0 {
-			fmt.Printf(", adaptive: spent %d of %d budget at ±%g", ran, o.runs, o.targetCI)
-		}
-		fmt.Println(")")
-		results = append(results, res)
+	hs, _, err := serveHTTP(srv)
+	if err != nil {
+		return nil, fmt.Errorf("sharded: coordinator: %w", err)
 	}
-	return results
-}
+	defer hs.Close()
 
-// waitForJob polls the in-process coordinator until the job settles,
-// printing progress on the requested interval.
-func waitForJob(ctx context.Context, srv *service.Server, id, app string,
-	progressEvery time.Duration) (service.JobStatus, error) {
-
-	lastProgress := time.Time{}
-	for {
-		st, err := srv.Job(id)
-		if err != nil {
-			return service.JobStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		if progressEvery > 0 && st.Progress != nil && time.Since(lastProgress) >= progressEvery {
-			lastProgress = time.Now()
-			fmt.Fprintf(os.Stderr, "%s: %s\n", app, st.Progress)
-		}
-		select {
-		case <-ctx.Done():
-			// Cancel daemon-side too; shard workers stop via peer cancels.
-			_, _ = srv.Cancel(id)
-			st, _ := srv.Job(id)
-			return st, nil
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
+	how := fmt.Sprintf(" across %d shards on %d workers", o.shards, o.workers)
+	return runRemote(ctx, hs.Addr, how, selected, o)
 }
 
 // spawnWorkers re-executes this binary n times in -serve-worker mode and
@@ -246,16 +151,18 @@ func stopWorkers(fleet []*exec.Cmd) {
 	}
 }
 
-// serveHTTP starts the server's handler on an ephemeral loopback port.
-func serveHTTP(srv *service.Server) (string, <-chan error, error) {
+// serveHTTP starts the server's handler on an ephemeral loopback port; the
+// returned server's Addr is the address it got. Serve's error arrives on the
+// channel once the server stops.
+func serveHTTP(srv *service.Server) (*http.Server, <-chan error, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Addr: ln.Addr().String(), Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	return ln.Addr().String(), errCh, nil
+	return hs, errCh, nil
 }
 
 // serveWorkerMain is the hidden -serve-worker mode: a minimal faultpropd
@@ -276,12 +183,12 @@ func serveWorkerMain(dir string) {
 		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 		os.Exit(1)
 	}
-	addr, errCh, err := serveHTTP(srv)
+	hs, errCh, err := serveHTTP(srv)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("worker listening on %s\n", addr)
+	fmt.Printf("worker listening on %s\n", hs.Addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

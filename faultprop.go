@@ -20,8 +20,8 @@
 //	internal/core       the per-experiment analysis pipeline
 //	internal/harness    campaigns, sharding/merging, the paper's figures/tables
 //	internal/model      propagation models, FPS, rollback estimators (§5)
-//	internal/service    faultpropd: the campaign daemon + shard coordinator
-//	internal/service/client  the typed /v1 HTTP client
+//	internal/service    faultpropd: the campaign daemon + shard coordinator,
+//	                    and the typed /v1 HTTP client both are reached through
 //
 // Quick start:
 //
@@ -46,7 +46,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/service"
-	"repro/internal/service/client"
 	"repro/internal/transform"
 )
 
@@ -102,7 +101,7 @@ type (
 	// JobStatus is the daemon-side record of one submitted campaign.
 	JobStatus = service.JobStatus
 	// ServiceClient is the typed HTTP client for faultpropd's /v1 API.
-	ServiceClient = client.Client
+	ServiceClient = service.Client
 )
 
 // Sentinel errors of the campaign and service layers, re-exported so
@@ -195,5 +194,5 @@ func MergePartials(parts ...*PartialResult) (*CampaignResult, error) {
 // NewServiceClient returns a typed client for the faultpropd daemon at
 // base (host:port or URL), speaking the versioned /v1 API.
 func NewServiceClient(base string) (*ServiceClient, error) {
-	return client.New(base)
+	return service.NewClient(base)
 }

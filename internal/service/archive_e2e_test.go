@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/service"
-	"repro/internal/service/client"
 )
 
 // rawResult fetches a job's stored result over plain HTTP so tests can
@@ -324,11 +323,11 @@ func TestCorruptEntryDegradesToFreshRun(t *testing.T) {
 func TestTenantQuotaOverWire(t *testing.T) {
 	d := startDaemon(t, t.TempDir(), service.Config{JobSlots: 1, TenantQuota: 1})
 	ctx := context.Background()
-	alice, err := client.New(d.http.URL, client.WithTenant("alice"))
+	alice, err := service.NewClient(d.http.URL, service.WithTenant("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := client.New(d.http.URL, client.WithTenant("bob"))
+	bob, err := service.NewClient(d.http.URL, service.WithTenant("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +369,11 @@ func TestTenantRateLimitOverWire(t *testing.T) {
 	// the bucket, and no realistic test duration refills the next one.
 	d := startDaemon(t, t.TempDir(), service.Config{TenantRate: 0.0001, TenantBurst: 1})
 	ctx := context.Background()
-	alice, err := client.New(d.http.URL, client.WithTenant("alice"))
+	alice, err := service.NewClient(d.http.URL, service.WithTenant("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := client.New(d.http.URL, client.WithTenant("bob"))
+	bob, err := service.NewClient(d.http.URL, service.WithTenant("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package client
+package service
 
 import (
 	"context"
@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/service"
 )
 
 // TestRetryTransient5xx: idempotent requests ride out transient 5xx and
@@ -22,10 +20,10 @@ func TestRetryTransient5xx(t *testing.T) {
 			http.Error(w, "warming up", http.StatusServiceUnavailable)
 			return
 		}
-		json.NewEncoder(w).Encode(service.JobStatus{ID: "7", State: service.StateDone})
+		json.NewEncoder(w).Encode(JobStatus{ID: "7", State: StateDone})
 	}))
 	defer hs.Close()
-	c, err := New(hs.URL, WithRetries(3), WithBackoff(time.Millisecond))
+	c, err := NewClient(hs.URL, WithRetries(3), WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]string{"error": "no such job"})
 	}))
 	defer hs.Close()
-	c, err := New(hs.URL, WithRetries(3), WithBackoff(time.Millisecond))
+	c, err := NewClient(hs.URL, WithRetries(3), WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	}))
 	defer hs.Close()
-	c, err := New(hs.URL, WithRetries(2), WithBackoff(time.Millisecond))
+	c, err := NewClient(hs.URL, WithRetries(2), WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +89,11 @@ func TestSubmitNotRetried(t *testing.T) {
 		http.Error(w, "hiccup", http.StatusInternalServerError)
 	}))
 	defer hs.Close()
-	c, err := New(hs.URL, WithRetries(5), WithBackoff(time.Millisecond))
+	c, err := NewClient(hs.URL, WithRetries(5), WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(context.Background(), service.JobSpec{App: "LULESH", Runs: 1}); err == nil {
+	if _, err := c.Submit(context.Background(), JobSpec{App: "LULESH", Runs: 1}); err == nil {
 		t.Fatal("failed submit reported success")
 	}
 	if calls.Load() != 1 {
@@ -114,7 +112,7 @@ func TestWatchContextCancellation(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	defer hs.Close()
-	c, err := New(hs.URL, WithRetries(0))
+	c, err := NewClient(hs.URL, WithRetries(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +138,81 @@ func TestWatchContextCancellation(t *testing.T) {
 
 // TestBareHostPort: a scheme-less address gets http.
 func TestBareHostPort(t *testing.T) {
-	c, err := New("127.0.0.1:7207")
+	c, err := NewClient("127.0.0.1:7207")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.base != "http://127.0.0.1:7207" {
 		t.Errorf("base = %q", c.base)
+	}
+}
+
+// TestPeerRetryCancelledContext is the regression test for doRetry's
+// cancellation handling: when the caller's context dies while doRetry is
+// backing off after a transient failure, the returned error must surface
+// the cancellation (errors.Is(err, context.Canceled)), not the stale
+// transport error from the last attempt — and no further attempts may be
+// made. Otherwise a deliberate coordinator teardown is indistinguishable
+// from a worker failure.
+func TestPeerRetryCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var requests atomic.Int32
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		// The caller gives up while the client is backing off.
+		cancel()
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer ws.Close()
+
+	c, err := NewClient(ws.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.doRetry(ctx, http.MethodGet, "/v1/jobs/1", nil, nil)
+	if err == nil {
+		t.Fatal("doRetry returned nil; want a cancellation error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("doRetry error = %v; want errors.Is(err, context.Canceled)", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("worker saw %d requests after cancellation; want exactly 1", n)
+	}
+}
+
+// TestRetryablePeerContextErrors: context errors are never retryable —
+// they mean the caller is done, not that the worker is unhealthy.
+func TestRetryablePeerContextErrors(t *testing.T) {
+	for _, err := range []error{context.Canceled, context.DeadlineExceeded} {
+		if retryable(err) {
+			t.Errorf("retryable(%v) = true; want false", err)
+		}
+	}
+	if !retryable(&APIError{Status: 503, Message: "busy"}) {
+		t.Error("retryable(503) = false; want true")
+	}
+	if retryable(&APIError{Status: 404, Message: "nope"}) {
+		t.Error("retryable(404) = true; want false")
+	}
+}
+
+// TestPeerDeadlineSurfaces: a deadline expiring mid-backoff behaves like
+// a cancel — the deadline error is what comes back.
+func TestPeerDeadlineSurfaces(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+	}))
+	defer ws.Close()
+
+	c, err := NewClient(ws.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.doRetry(ctx, http.MethodGet, "/v1/jobs/1", nil, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("doRetry error = %v; want errors.Is(err, context.DeadlineExceeded)", err)
 	}
 }

@@ -43,6 +43,13 @@ import (
 // does not loop forever.
 const maxShardAttempts = 5
 
+// peerCallTimeout bounds each request/response exchange with a worker
+// (submit, status, partial; retries included). The Client sets no timeout
+// of its own, and a worker that accepts a connection and then hangs must
+// surface as a Transient failure instead of holding its shard forever. A
+// shard's watch has no such bound: attachShard's silence timer covers it.
+const peerCallTimeout = 30 * time.Second
+
 // shardJournalRecord is one completed shard in the coordinator's journal.
 type shardJournalRecord struct {
 	Shard  int    `json:"shard"`
@@ -84,19 +91,41 @@ type shardOutcome struct {
 // runCoordinated executes a Shards > 1 job by decomposition: it returns
 // the merged result, or an error (wrapping ErrInterrupted for
 // cancel/drain, like the local path, so runJob's settlement logic treats
-// both transports identically). Adaptive jobs take the round-planning
-// path; fixed jobs dispatch the whole shard plan at once.
+// both transports identically).
+//
+// The campaign runs as a sequence of shard rounds. A fixed plan is one
+// round, PlanShards over [0, Runs). An adaptive job has a round per planner
+// decision: the coordinator owns the sampling policy — the same pure
+// decision core the local engine runs — and the workers never see it. Each
+// round's experiment IDs are split into explicit-ID shard specs, and the
+// round's per-stratum tallies fold back into the planner to steer the next
+// one. Because outcomes are pure functions of the seed, the coordinated
+// campaign executes the same experiment set as a local run and merges to
+// the same bytes.
+//
+// Completed shards journal under the key (round-1)*Shards + slot — the spec
+// index for a fixed plan. On coordinator restart the plan (and the planner,
+// fed the journaled partials) re-derives the identical round sequence, and
+// only what is missing is dispatched.
 func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*harness.CampaignResult, error) {
 	cfg, err := st.Spec.CampaignConfig()
 	if err != nil {
 		return nil, err
 	}
+	var planner *harness.AdaptivePlanner
 	if st.Spec.Adaptive() {
-		return s.runAdaptiveCoordinated(ctx, j, st, cfg)
+		if planner, err = harness.NewAdaptivePlanner(cfg); err != nil {
+			return nil, err
+		}
 	}
-	specs, err := harness.PlanShards(cfg, st.Spec.Shards)
-	if err != nil {
-		return nil, err
+	nextRound := func(round int) ([]harness.ShardSpec, error) {
+		switch {
+		case planner != nil:
+			return harness.PlanRoundShards(cfg, planner.NextRound(), st.Spec.Shards), nil
+		case round == 1:
+			return harness.PlanShards(cfg, st.Spec.Shards)
+		}
+		return nil, nil
 	}
 	fingerprint := cfg.Fingerprint()
 
@@ -109,94 +138,21 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 	}
 	defer journal.close()
 
-	parts := make([]*harness.PartialResult, len(specs))
-	resumedRuns := 0
-	var pending []*shardTask
-	for i := range specs {
-		if p := saved[i]; p != nil {
-			parts[i] = p
-			resumedRuns += specs[i].Size()
-			continue
-		}
-		pending = append(pending, &shardTask{spec: specs[i], key: i, slot: i})
-	}
-
-	onDone := func(t *shardTask, worker string, part *harness.PartialResult) error {
-		parts[t.slot] = part
-		return journal.record(shardJournalRecord{
-			Shard:  t.key,
-			Worker: worker,
-			Path:   s.store.ShardPartialPath(st.ID, t.key),
-		}, part)
-	}
-	base := func() harness.Snapshot {
-		snap := harness.Snapshot{Total: cfg.Runs, Resumed: resumedRuns}
-		for i, p := range parts {
-			if p == nil {
-				continue
-			}
-			snap.Done += specs[i].Size()
-			for o := range p.Tally.Counts {
-				snap.Outcomes[o] += p.Tally.Counts[o]
-			}
-		}
-		return snap
-	}
-	if err := s.runShardSet(ctx, j, st, pending, len(specs), time.Now(), onDone, base); err != nil {
-		return nil, err
-	}
-
-	res, err := harness.MergePartials(nonNil(parts)...)
-	if err != nil {
-		return nil, fmt.Errorf("merge shards: %w", err)
-	}
-	return res, nil
-}
-
-// runAdaptiveCoordinated drives an adaptive campaign over peer workers.
-// The coordinator owns the sampling policy — the same pure decision core
-// the local engine runs — and the workers never see it: each round's
-// experiment IDs are split into explicit-ID shard specs, dispatched with
-// the usual retry taxonomy, and the round's merged per-stratum tallies
-// fold back into the planner to steer the next round. Because outcomes
-// are pure functions of the seed, the coordinated campaign executes the
-// same experiment set as a local adaptive run and merges to the same
-// bytes.
-//
-// Completed round shards journal exactly like fixed shards, keyed by
-// (round, slot). On coordinator restart the planner re-derives the
-// identical round sequence, consumes the journaled partials, and
-// dispatches only what is missing.
-func (s *Server) runAdaptiveCoordinated(ctx context.Context, j *job, st JobStatus,
-	cfg harness.CampaignConfig) (*harness.CampaignResult, error) {
-
-	planner, err := harness.NewAdaptivePlanner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fingerprint := cfg.Fingerprint()
-	nShards := st.Spec.Shards
-
-	saved := s.replayShardPartials(st.ID, fingerprint)
-	journal, err := s.appendShardJournal(st.ID)
-	if err != nil {
-		return nil, err
-	}
-	defer journal.close()
-
 	started := time.Now()
-	var acc *harness.PartialResult
+	var acc *harness.PartialResult // every finished round, merged
 	resumedRuns := 0
 	for round := 1; ; round++ {
-		ids := planner.NextRound()
-		if ids == nil {
+		specs, err := nextRound(round)
+		if err != nil {
+			return nil, err
+		}
+		if len(specs) == 0 {
 			break
 		}
-		specs := harness.PlanRoundShards(cfg, ids, nShards)
 		parts := make([]*harness.PartialResult, len(specs))
 		var pending []*shardTask
 		for i := range specs {
-			key := (round-1)*nShards + i
+			key := (round-1)*st.Spec.Shards + i
 			if p := saved[key]; p != nil {
 				parts[i] = p
 				resumedRuns += specs[i].Size()
@@ -204,72 +160,69 @@ func (s *Server) runAdaptiveCoordinated(ctx context.Context, j *job, st JobStatu
 			}
 			pending = append(pending, &shardTask{spec: specs[i], key: key, slot: i})
 		}
-		if len(pending) > 0 {
-			onDone := func(t *shardTask, worker string, part *harness.PartialResult) error {
-				parts[t.slot] = part
-				return journal.record(shardJournalRecord{
-					Shard:  t.key,
-					Worker: worker,
-					Path:   s.store.ShardPartialPath(st.ID, t.key),
-				}, part)
-			}
-			base := func() harness.Snapshot {
-				snap := harness.Snapshot{Total: cfg.Runs, Resumed: resumedRuns}
-				fold := func(p *harness.PartialResult) {
-					snap.Done += p.Tally.Total
-					for o := range p.Tally.Counts {
-						snap.Outcomes[o] += p.Tally.Counts[o]
-					}
-				}
-				if acc != nil {
-					fold(acc)
-				}
-				for _, p := range parts {
-					if p != nil {
-						fold(p)
-					}
-				}
-				return snap
-			}
-			s.log.Info("adaptive round", "job", st.ID, "trace", st.Trace,
-				"round", round, "experiments", len(ids), "shards", len(pending))
-			if err := s.runShardSet(ctx, j, st, pending, len(specs), started, onDone, base); err != nil {
-				return nil, err
-			}
+		onDone := func(t *shardTask, worker string, part *harness.PartialResult) error {
+			parts[t.slot] = part
+			return journal.record(shardJournalRecord{
+				Shard:  t.key,
+				Worker: worker,
+				Path:   s.store.ShardPartialPath(st.ID, t.key),
+			}, part)
 		}
-		roundAcc := parts[0].Clone()
-		for _, p := range parts[1:] {
-			if err := roundAcc.Merge(p); err != nil {
+		base := func() harness.Snapshot {
+			snap := harness.Snapshot{Total: cfg.Runs, Resumed: resumedRuns}
+			fold := func(p *harness.PartialResult) {
+				if p == nil {
+					return
+				}
+				snap.Done += p.Tally.Total
+				for o := range p.Tally.Counts {
+					snap.Outcomes[o] += p.Tally.Counts[o]
+				}
+			}
+			fold(acc)
+			for _, p := range parts {
+				fold(p)
+			}
+			return snap
+		}
+		s.log.Info("shard round", "job", st.ID, "trace", st.Trace,
+			"round", round, "shards", len(specs), "pending", len(pending))
+		if err := s.runShardSet(ctx, j, st, pending, len(specs), started, onDone, base); err != nil {
+			return nil, err
+		}
+		for _, p := range parts {
+			if planner != nil {
+				planner.Fold(p.Strata)
+			}
+			if acc == nil {
+				acc = p.Clone()
+			} else if err := acc.Merge(p); err != nil {
 				return nil, fmt.Errorf("merge round %d shards: %w", round, err)
 			}
 		}
-		planner.Fold(roundAcc.Strata)
-		if acc == nil {
-			acc = roundAcc
-		} else if err := acc.Merge(roundAcc); err != nil {
-			return nil, fmt.Errorf("merge round %d: %w", round, err)
-		}
 	}
 	if acc == nil {
-		return nil, fmt.Errorf("adaptive campaign planned zero experiments")
+		return nil, fmt.Errorf("campaign planned zero experiments")
 	}
-	// The planner closed every stratum; the executed subset stands in for
-	// the whole budget when the accumulated partial finalizes.
-	acc.AdaptiveDone = true
+	// An adaptive planner closed every stratum on purpose: the executed
+	// subset stands in for the whole budget when the merged partial
+	// finalizes. A fixed plan must cover [0, Runs).
+	if planner != nil {
+		acc.AdaptiveDone = true
+	}
 	res, err := acc.Finalize()
 	if err != nil {
-		return nil, fmt.Errorf("finalize adaptive campaign: %w", err)
+		return nil, fmt.Errorf("merge shards: %w", err)
 	}
-	s.log.Info("adaptive campaign converged", "job", st.ID, "trace", st.Trace,
+	s.log.Info("shards merged", "job", st.ID, "trace", st.Trace,
 		"spent", acc.Tally.Total, "budget", cfg.Runs, "fingerprint", fingerprint)
 	return res, nil
 }
 
 // runShardSet dispatches a set of shard tasks across the registered
 // workers and runs them all to completion. Worker selection, the retry
-// taxonomy, merged-progress publication, and cancel/drain teardown are
-// shared between the fixed-plan coordinator (one set for the whole
-// campaign) and the adaptive coordinator (one set per planner round).
+// taxonomy, merged-progress publication, and cancel/drain teardown live
+// here, once per round of the campaign's shard plan.
 // onDone persists each fetched partial before the task counts as done;
 // base seeds each progress snapshot with the completed work the caller
 // already tracks (journal-resumed shards, earlier rounds); total sizes
@@ -369,20 +322,17 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 		// remain; a re-dispatch starts a fresh worker job.
 		tctx, tcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer tcancel()
-		type teardown struct {
-			url, name, jobID string
-		}
 		j.mu.Lock()
-		var tds []teardown
+		var tds []flight
 		for _, f := range inflight {
-			tds = append(tds, teardown{url: f.worker.URL, name: f.worker.Name, jobID: f.jobID})
+			tds = append(tds, *f)
 		}
 		j.mu.Unlock()
 		for _, td := range tds {
 			if td.jobID != "" {
-				s.peers.cancel(tctx, td.url, td.jobID)
+				_, _ = td.worker.peer.Cancel(tctx, td.jobID) // best effort
 			}
-			s.registry.release(td.name)
+			s.registry.release(td.worker.Name)
 		}
 		doneShards := total - remaining
 		if cause := context.Cause(ctx); cause != nil {
@@ -468,7 +418,7 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 // worker job's event stream to its terminal event, fetch the partial,
 // sanity-check its fingerprint. The stream alone drives the happy path: a
 // done event triggers the fetch at once, and no timer sits between a
-// shard's end and its outcome. Liveness is the status GET's (peers.job,
+// shard's end and its outcome. Liveness is the status GET's (Client.Job,
 // with its retries): it runs only when an attachment ended without a
 // terminal event — the connection broke, or nothing arrived for one
 // Config.Heartbeat — or on a failed or cancelled one, whose ErrorCode
@@ -492,7 +442,11 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 	failed := func(err error, category Category) shardOutcome {
 		return shardOutcome{task: t, worker: w, err: err, category: category}
 	}
-	wjob, err := s.peers.submit(ctx, w.URL, spec, span, st.Tenant)
+	// Submission is not retried (it is not idempotent); a failed submit
+	// requeues the shard instead.
+	cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+	wjob, err := w.peer.submit(cctx, spec, span, st.Tenant)
+	cancel()
 	if err != nil {
 		return failed(err, Classify(err))
 	}
@@ -506,7 +460,7 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 	done := 0
 	for {
 		seen := 0
-		state, err := s.attachShard(ctx, w.URL, wjob.ID, func() {
+		state, err := s.attachShard(ctx, w.peer, wjob.ID, func() {
 			if seen++; seen > done {
 				done = seen
 				onProgress(done)
@@ -528,7 +482,9 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 				s.log.Debug("shard stream ended early, probing worker", "job", st.ID, "trace", span,
 					"shard", t.key, "worker", w.Name, "worker_job", wjob.ID, "err", err)
 			}
-			cur, err := s.peers.job(ctx, w.URL, wjob.ID)
+			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+			cur, err := w.peer.Job(cctx, wjob.ID)
+			cancel()
 			if err != nil {
 				return failed(err, Classify(err))
 			}
@@ -553,7 +509,9 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 				continue
 			}
 		}
-		part, err := s.peers.partial(ctx, w.URL, wjob.ID)
+		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+		part, err := w.peer.Partial(cctx, wjob.ID)
+		cancel()
 		if err != nil {
 			return failed(err, Classify(err))
 		}
@@ -571,13 +529,13 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 // silence timer is the only clock on a shard: one Config.Heartbeat without
 // an event (a running worker job publishes progress far more often) cuts
 // the attachment so that the caller probes the worker.
-func (s *Server) attachShard(ctx context.Context, url, jobID string, onExperiment func()) (JobState, error) {
+func (s *Server) attachShard(ctx context.Context, peer *Client, jobID string, onExperiment func()) (JobState, error) {
 	actx, detach := context.WithCancel(ctx)
 	defer detach()
 	silence := time.AfterFunc(s.cfg.Heartbeat, detach)
 	defer silence.Stop()
 	var final JobState
-	err := s.peers.watch(actx, url, jobID, func(ev Event) {
+	_, err := peer.watchOnce(actx, jobID, func(ev Event) error {
 		silence.Reset(s.cfg.Heartbeat)
 		if ev.Kind == EventExperiment {
 			onExperiment()
@@ -585,6 +543,7 @@ func (s *Server) attachShard(ctx context.Context, url, jobID string, onExperimen
 		if ev.State.Terminal() {
 			final = ev.State
 		}
+		return nil
 	})
 	return final, err
 }
@@ -657,13 +616,3 @@ func (j *shardJournal) record(rec shardJournalRecord, part *harness.PartialResul
 }
 
 func (j *shardJournal) close() { _ = j.f.Close() }
-
-func nonNil(parts []*harness.PartialResult) []*harness.PartialResult {
-	out := make([]*harness.PartialResult, 0, len(parts))
-	for _, p := range parts {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -135,57 +135,112 @@ func TestCoordinatorRedispatchOnWorkerDeath(t *testing.T) {
 
 // TestCoordinatorRestartResumesShards drains the coordinator mid-campaign
 // and restarts it over the same store: journaled shards must load from
-// disk (not re-run) and only the missing shards execute.
+// disk (not re-run) and only the missing shards execute. The adaptive
+// campaign is drained inside its second planner round, so the restarted
+// planner has to re-derive round one from journaled partials alone and
+// continue with the partly journaled round two.
 func TestCoordinatorRestartResumesShards(t *testing.T) {
-	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 64, Seed: 440, SampleEvery: 64, Shards: 8}
-	local := localReference(t, spec)
+	for _, tc := range []struct {
+		name      string
+		spec      service.JobSpec
+		journaled int // shards in the journal before the drain
+	}{
+		{"fixed", service.JobSpec{App: "LULESH", Scale: "test", Runs: 64, Seed: 440, SampleEvery: 64, Shards: 8}, 1},
+		{"adaptive", service.JobSpec{App: "LULESH", Scale: "test", Runs: 1600, Seed: 440, SampleEvery: 64, Shards: 2,
+			Sampling: &service.SamplingSpec{TargetCI: 0.04, Strata: 2}}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			local := localReference(t, spec)
 
-	_, urls := startWorkerFleet(t, 2)
-	dir := t.TempDir()
-	cfg := service.Config{
-		ProgressEvery: 10 * time.Millisecond,
-		Heartbeat:     100 * time.Millisecond,
-		Peers:         urls,
+			_, urls := startWorkerFleet(t, 2)
+			dir := t.TempDir()
+			cfg := service.Config{
+				ProgressEvery: 10 * time.Millisecond,
+				Heartbeat:     100 * time.Millisecond,
+				Peers:         urls,
+			}
+			coord := startDaemon(t, dir, cfg)
+
+			st, err := coord.c.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Wait for enough shards to land in the journal, then drain.
+			journal := filepath.Join(dir, "job-"+st.ID+".shards.jsonl")
+			deadline := time.Now().Add(time.Minute)
+			for {
+				if data, err := os.ReadFile(journal); err == nil && strings.Count(string(data), "\n") >= tc.journaled {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("too few shards completed before the drain")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			coord.stop(t)
+
+			before, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled := strings.Count(string(before), "\n")
+
+			restarted := startDaemon(t, dir, cfg)
+			final := waitDone(t, restarted.c, st.ID)
+			if final.State != service.StateDone {
+				t.Fatalf("restarted job settled as %s: %s", final.State, final.Error)
+			}
+			if final.Resumed == 0 {
+				t.Errorf("restarted coordinator reports 0 resumed runs; want the %d journaled shards' runs to replay from disk", journaled)
+			}
+			merged, err := restarted.c.Result(context.Background(), st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameCampaign(t, "restarted", local, merged)
+			after, _ := os.ReadFile(journal)
+			t.Logf("%d shards journaled before the drain, %d after the restart", journaled, strings.Count(string(after), "\n"))
+			lj, _ := json.Marshal(local)
+			mj, _ := json.Marshal(merged)
+			if string(lj) != string(mj) {
+				t.Errorf("restarted result JSON is not byte-identical to the local run (%d vs %d bytes)", len(lj), len(mj))
+			}
+		})
 	}
-	coord := startDaemon(t, dir, cfg)
+}
 
-	st, err := coord.c.Submit(context.Background(), spec)
+// TestShardSubmitCarriesTenant: the shard jobs a coordinator submits to its
+// workers are accounted to the parent job's tenant — the coordinator's
+// clients are bound to a worker, not to a tenant, so the identity travels
+// as a per-call header on each shard submission.
+func TestShardSubmitCarriesTenant(t *testing.T) {
+	fleet, urls := startWorkerFleet(t, 1)
+	coord := startDaemon(t, t.TempDir(), service.Config{ProgressEvery: 10 * time.Millisecond, Peers: urls})
+	alice, err := service.NewClient(coord.http.URL, service.WithTenant("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for at least one shard to land in the journal, then drain.
-	journal := filepath.Join(dir, "job-"+st.ID+".shards.jsonl")
-	deadline := time.Now().Add(time.Minute)
-	for {
-		if data, err := os.ReadFile(journal); err == nil && strings.Count(string(data), "\n") >= 1 {
-			break
+	ctx := context.Background()
+	st, err := alice.Submit(ctx, service.JobSpec{App: "LULESH", Scale: "test", Runs: 8, Seed: 12, SampleEvery: 64, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, alice, st.ID); final.State != service.StateDone {
+		t.Fatalf("coordinated job settled as %s: %s", final.State, final.Error)
+	}
+	shards, err := fleet[0].c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 2 {
+		t.Fatalf("worker ran %d jobs, want the 2 shards", len(shards))
+	}
+	for _, sh := range shards {
+		if sh.Tenant != "alice" {
+			t.Errorf("shard job %s (%s) is accounted to tenant %q, want alice", sh.ID, sh.Spec.Label, sh.Tenant)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no shard completed before the drain")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	coord.stop(t)
-
-	before, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journaled := strings.Count(string(before), "\n")
-
-	restarted := startDaemon(t, dir, cfg)
-	final := waitDone(t, restarted.c, st.ID)
-	if final.State != service.StateDone {
-		t.Fatalf("restarted job settled as %s: %s", final.State, final.Error)
-	}
-	if final.Resumed == 0 {
-		t.Errorf("restarted coordinator reports 0 resumed runs; want the %d journaled shards' runs to replay from disk", journaled)
-	}
-	merged, err := restarted.c.Result(context.Background(), st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCampaign(t, "restarted", local, merged)
 }
 
 // TestCompatRedirectsGone pins the removal of the pre-versioning

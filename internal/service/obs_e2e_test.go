@@ -18,7 +18,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/service/client"
 )
 
 // promValue extracts the value of the first sample in a Prometheus text
@@ -316,7 +315,7 @@ func TestStreamTruncationAndReconnect(t *testing.T) {
 		defer cancel()
 		_ = srv.Drain(ctx)
 	}()
-	c, err := client.New(hs.URL, client.WithBackoff(time.Millisecond))
+	c, err := service.NewClient(hs.URL, service.WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ type Server struct {
 	gate      chan struct{}
 	mux       *http.ServeMux
 	registry  *registry
-	peers     *peerClient
 	hbStop    context.CancelFunc
 	obs       *serverObs
 	log       *slog.Logger
@@ -136,7 +135,6 @@ func New(cfg Config) (*Server, error) {
 		gate:      make(chan struct{}, cfg.WorkerPool),
 		jobs:      make(map[string]*job),
 		registry:  newRegistry(),
-		peers:     newPeerClient(),
 		obs:       newServerObs(),
 		log:       cfg.Log,
 		admission: newAdmission(cfg.TenantRate, cfg.TenantBurst),
@@ -284,16 +282,9 @@ func (s *Server) requestLogger(next http.Handler) http.Handler {
 // Submit validates and persists a new job and queues it for execution.
 // When the daemon's queue bound (Config.MaxQueue) is reached the
 // submission is rejected with ErrQueueFull. The job gets a fresh trace
-// ID; to propagate one from upstream use SubmitTrace.
+// ID and is accounted to the default tenant; SubmitTenant carries both.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	return s.SubmitTrace(spec, "")
-}
-
-// SubmitTrace is Submit with a caller-supplied trace ID (a coordinator's
-// shard span, or any upstream correlation ID). The submission is
-// accounted to the default tenant; SubmitTenant carries an explicit one.
-func (s *Server) SubmitTrace(spec JobSpec, trace string) (JobStatus, error) {
-	return s.SubmitTenant(spec, trace, "")
+	return s.SubmitTenant(spec, "", "")
 }
 
 // SubmitTenant is the full submission path: validate, admit the tenant

@@ -10,7 +10,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/harness"
 	"repro/internal/service"
-	"repro/internal/service/client"
 )
 
 // testDaemon is one running service instance over a store directory, with
@@ -18,7 +17,7 @@ import (
 type testDaemon struct {
 	srv  *service.Server
 	http *httptest.Server
-	c    *client.Client
+	c    *service.Client
 }
 
 func startDaemon(t *testing.T, dir string, cfg service.Config) *testDaemon {
@@ -35,7 +34,7 @@ func startDaemon(t *testing.T, dir string, cfg service.Config) *testDaemon {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
-	c, err := client.New(hs.URL)
+	c, err := service.NewClient(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func (d *testDaemon) stop(t *testing.T) {
 }
 
 // waitDone polls until the job settles, failing the test on timeout.
-func waitDone(t *testing.T, c *client.Client, id string) service.JobStatus {
+func waitDone(t *testing.T, c *service.Client, id string) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {

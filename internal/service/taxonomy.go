@@ -90,14 +90,16 @@ func Classify(err error) Category {
 	case errors.Is(err, harness.ErrInterrupted):
 		return CategoryRetriable
 	}
-	var pe *peerError
-	if errors.As(err, &pe) {
-		// 429 and 5xx are the worker saying "not now"; other 4xx mean the
-		// request itself is wrong and a retry would repeat the mistake.
-		if pe.status == 429 || pe.status >= 500 {
+	var apiErr *APIError
+	if errors.As(err, &apiErr) {
+		// A response without a wire code (the sentinels above caught the
+		// coded ones) routes by status: 429 and 5xx are the daemon saying
+		// "not now"; other 4xx mean the request itself is wrong and a retry
+		// would repeat the mistake.
+		if apiErr.Status == 429 || apiErr.Status >= 500 {
 			return CategoryTransient
 		}
-		if pe.status >= 400 {
+		if apiErr.Status >= 400 {
 			return CategoryPermanent
 		}
 		return CategoryRetriable

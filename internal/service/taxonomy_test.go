@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/archive"
@@ -36,7 +38,7 @@ func TestClassifyCategories(t *testing.T) {
 		{"no partial", ErrNoPartial, CategoryPermanent},
 		{"no archive entry", ErrNoArchiveEntry, CategoryPermanent},
 		{"archive disabled", ErrArchiveDisabled, CategoryPermanent},
-		{"peer 404", &peerError{status: 404, message: "no such job"}, CategoryPermanent},
+		{"peer 404", &APIError{Status: 404, Message: "no such job"}, CategoryPermanent},
 		{"wrapped invalid spec",
 			fmt.Errorf("submit: %w", ErrInvalidSpec), CategoryPermanent},
 
@@ -45,9 +47,9 @@ func TestClassifyCategories(t *testing.T) {
 		{"rate limited", ErrRateLimited, CategoryTransient},
 		{"quota exceeded", ErrQuotaExceeded, CategoryTransient},
 		{"deadline exceeded", context.DeadlineExceeded, CategoryTransient},
-		{"peer 429", &peerError{status: 429, message: "slow down"}, CategoryTransient},
-		{"peer 500", &peerError{status: 500, message: "boom"}, CategoryTransient},
-		{"peer 503", &peerError{status: 503, message: "draining"}, CategoryTransient},
+		{"peer 429", &APIError{Status: 429, Message: "slow down"}, CategoryTransient},
+		{"peer 500", &APIError{Status: 500, Message: "boom"}, CategoryTransient},
+		{"peer 503", &APIError{Status: 503, Message: "draining"}, CategoryTransient},
 		{"net error",
 			&net.OpError{Op: "dial", Err: errors.New("connection refused")},
 			CategoryTransient},
@@ -59,6 +61,31 @@ func TestClassifyCategories(t *testing.T) {
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {
 			t.Errorf("Classify(%s) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestClassifyClientErrorsByStatus: what the client returns for a response
+// that carries no wire code — a proxy's or a draining daemon's answer —
+// routes by its status for every holder of a Client, as it always did for
+// the coordinator: 429 and 5xx are Transient, any other 4xx is Permanent.
+func TestClassifyClientErrorsByStatus(t *testing.T) {
+	for status, want := range map[int]Category{
+		http.StatusServiceUnavailable: CategoryTransient,
+		http.StatusTooManyRequests:    CategoryTransient,
+		http.StatusNotFound:           CategoryPermanent,
+	} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+		}))
+		c, err := NewClient(hs.URL, WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Job(context.Background(), "1")
+		hs.Close()
+		if got := Classify(err); got != want {
+			t.Errorf("Classify(client error for a bare %d: %v) = %s, want %s", status, err, got, want)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package client
+package service
 
 import (
 	"context"
@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/service"
 )
 
 // TestWatchReconnectsOnTruncated: a stream the daemon cut with an
@@ -26,35 +24,35 @@ func TestWatchReconnectsOnTruncated(t *testing.T) {
 		enc := json.NewEncoder(w)
 		if streams.Add(1) == 1 {
 			// First connection: the watcher "lagged" and is truncated.
-			enc.Encode(service.Event{Kind: service.EventState, Job: "7", State: service.StateRunning})
-			enc.Encode(service.Event{Kind: service.EventTruncated, Job: "7"})
+			enc.Encode(Event{Kind: EventState, Job: "7", State: StateRunning})
+			enc.Encode(Event{Kind: EventTruncated, Job: "7"})
 			return
 		}
 		// Reconnect: replay an experiment, then finish.
-		enc.Encode(service.Event{Kind: service.EventExperiment, Job: "7",
-			Experiment: &service.ExperimentEvent{ID: 0, Outcome: "Vanished"}})
-		enc.Encode(service.Event{Kind: service.EventResult, Job: "7", State: service.StateDone})
+		enc.Encode(Event{Kind: EventExperiment, Job: "7",
+			Experiment: &ExperimentEvent{ID: 0, Outcome: "Vanished"}})
+		enc.Encode(Event{Kind: EventResult, Job: "7", State: StateDone})
 	})
 	mux.HandleFunc("GET /v1/jobs/7", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.JobStatus{ID: "7", State: service.StateDone})
+		json.NewEncoder(w).Encode(JobStatus{ID: "7", State: StateDone})
 	})
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 
 	// WithRetries(0): the reconnect must not need any retry budget.
-	c, err := New(hs.URL, WithRetries(0), WithBackoff(time.Millisecond))
+	c, err := NewClient(hs.URL, WithRetries(0), WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kinds []string
-	st, err := c.Watch(context.Background(), "7", func(ev service.Event) error {
+	st, err := c.Watch(context.Background(), "7", func(ev Event) error {
 		kinds = append(kinds, string(ev.Kind))
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}
-	if st.State != service.StateDone {
+	if st.State != StateDone {
 		t.Errorf("final state = %s, want done", st.State)
 	}
 	if n := streams.Load(); n != 2 {

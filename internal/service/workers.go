@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -27,6 +26,10 @@ type WorkerInfo struct {
 	// Active counts shard jobs this daemon currently has in flight on the
 	// worker.
 	Active int `json:"active"`
+
+	// peer is the client bound to URL through which this daemon dispatches
+	// to the worker (nil in a WorkerInfo decoded from the wire).
+	peer *Client
 }
 
 // registry tracks peer workers and their liveness. Liveness is probed
@@ -45,27 +48,23 @@ func newRegistry() *registry {
 // add registers (or re-registers) a worker. A re-registration under the
 // same name updates the URL and revives the worker.
 func (r *registry) add(name, rawURL string) (WorkerInfo, error) {
-	if !strings.Contains(rawURL, "://") {
-		rawURL = "http://" + rawURL
-	}
-	u, err := url.Parse(rawURL)
-	if err != nil || u.Host == "" {
+	peer, err := NewClient(rawURL)
+	if err != nil || peer.host == "" {
 		return WorkerInfo{}, fmt.Errorf("%w: worker url %q", ErrInvalidSpec, rawURL)
 	}
-	base := strings.TrimSuffix(u.String(), "/")
 	if name == "" {
-		name = u.Host
+		name = peer.host
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now().UTC()
 	if w, ok := r.workers[name]; ok {
-		w.URL = base
+		w.URL, w.peer = peer.base, peer
 		w.Alive = true
 		w.LastSeen = now
 		return *w, nil
 	}
-	w := &WorkerInfo{Name: name, URL: base, Registered: now, LastSeen: now, Alive: true}
+	w := &WorkerInfo{Name: name, URL: peer.base, Registered: now, LastSeen: now, Alive: true, peer: peer}
 	r.workers[name] = w
 	return *w, nil
 }
@@ -141,10 +140,10 @@ func (r *registry) release(name string) {
 }
 
 // heartbeatLoop probes every registered worker each interval until ctx is
-// done. A probe failure marks the worker dead immediately — the dispatch
-// loop stops assigning to it, and re-dispatches each of its shards when
-// that shard's stream breaks or goes silent and its own liveness probe
-// fails; a later success revives it.
+// done. A probe failure (one attempt, see Client.ping) marks the worker
+// dead immediately — the dispatch loop stops assigning to it, and
+// re-dispatches each of its shards when that shard's stream breaks or goes
+// silent and its own liveness probe fails; a later success revives it.
 func (s *Server) heartbeatLoop(ctx context.Context) {
 	t := time.NewTicker(s.cfg.Heartbeat)
 	defer t.Stop()
@@ -156,7 +155,7 @@ func (s *Server) heartbeatLoop(ctx context.Context) {
 		}
 		for _, w := range s.registry.list() {
 			pctx, cancel := context.WithTimeout(ctx, s.cfg.Heartbeat)
-			err := s.peers.ping(pctx, w.URL)
+			err := w.peer.ping(pctx)
 			cancel()
 			if s.registry.markAlive(w.Name, err == nil) {
 				if err == nil {
