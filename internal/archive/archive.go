@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -89,19 +88,20 @@ type fileSum struct {
 	Sum   string `json:"sum"`
 }
 
-// Record is one verified entry: its metadata, the exact result bytes that
-// were archived, and the path of the archived journal ("" when the entry
-// has none).
+// Record is one verified entry: its metadata and the exact result and
+// journal bytes that were archived (Journal is nil when the entry has
+// none).
 type Record struct {
 	Meta    Meta
 	Result  []byte
-	Journal string
+	Journal []byte
 }
 
+// The files of an entry; File takes the two payload names.
 const (
 	manifestFile = "manifest.json"
-	resultFile   = "result.json"
-	journalFile  = "journal.jsonl"
+	ResultFile   = "result.json"
+	JournalFile  = "journal.jsonl"
 )
 
 // Archive is the handle on one archive directory. It is safe for
@@ -207,19 +207,19 @@ func (a *Archive) Put(meta Meta, result []byte, journalPath string) error {
 	defer os.RemoveAll(stage)
 
 	m := manifest{Meta: meta, Files: map[string]fileSum{
-		resultFile: {Bytes: int64(len(result)), Sum: checksum(result)},
+		ResultFile: {Bytes: int64(len(result)), Sum: checksum(result)},
 	}}
-	if err := writeSynced(filepath.Join(stage, resultFile), result); err != nil {
+	if err := writeSynced(filepath.Join(stage, ResultFile), result); err != nil {
 		return fmt.Errorf("archive: put result: %w", err)
 	}
 	if journalPath != "" {
 		jdata, err := os.ReadFile(journalPath)
 		switch {
 		case err == nil:
-			if err := writeSynced(filepath.Join(stage, journalFile), jdata); err != nil {
+			if err := writeSynced(filepath.Join(stage, JournalFile), jdata); err != nil {
 				return fmt.Errorf("archive: put journal: %w", err)
 			}
-			m.Files[journalFile] = fileSum{Bytes: int64(len(jdata)), Sum: checksum(jdata)}
+			m.Files[JournalFile] = fileSum{Bytes: int64(len(jdata)), Sum: checksum(jdata)}
 		case os.IsNotExist(err):
 			// No journal (e.g. a coordinated job): the entry archives
 			// without one and cache hits replay no experiment history.
@@ -245,80 +245,90 @@ func (a *Archive) Put(meta Meta, result []byte, journalPath string) error {
 	return nil
 }
 
-// Get loads and verifies one entry. ErrNotFound when no entry exists;
-// ErrCorrupt when the entry fails integrity verification (callers treat
-// both as a miss, and should Remove a corrupt entry so a later Put heals
-// the slot).
+// Get loads and verifies one whole entry. ErrNotFound when no entry exists;
+// ErrCorrupt when any part of it fails integrity verification (callers
+// treat both as a miss, and should Remove a corrupt entry so a later Put
+// heals the slot).
 func (a *Archive) Get(fp string) (*Record, error) {
-	if err := validFingerprint(fp); err != nil {
-		return nil, err
-	}
-	dir := a.entryDir(fp)
-	m, err := a.readManifest(dir)
+	dir, m, err := a.readManifest(fp)
 	if err != nil {
 		return nil, err
 	}
-	if m.Fingerprint != fp {
-		return nil, fmt.Errorf("%w: manifest names fingerprint %s, directory is %s",
-			ErrCorrupt, m.Fingerprint, fp)
+	rec := &Record{Meta: m.Meta}
+	if rec.Result, err = m.read(dir, ResultFile); err == nil {
+		rec.Journal, err = m.read(dir, JournalFile)
 	}
-	rsum, ok := m.Files[resultFile]
-	if !ok {
-		return nil, fmt.Errorf("%w: manifest lists no result file", ErrCorrupt)
-	}
-	result, err := verifiedRead(filepath.Join(dir, resultFile), rsum)
 	if err != nil {
 		return nil, err
-	}
-	rec := &Record{Meta: m.Meta, Result: result}
-	if jsum, ok := m.Files[journalFile]; ok {
-		jpath := filepath.Join(dir, journalFile)
-		if _, err := verifiedRead(jpath, jsum); err != nil {
-			return nil, err
-		}
-		rec.Journal = jpath
 	}
 	return rec, nil
 }
 
-// readManifest loads and parses one entry's manifest, mapping a missing
-// entry to ErrNotFound and everything malformed to ErrCorrupt.
-func (a *Archive) readManifest(dir string) (*manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if os.IsNotExist(err) {
-		if _, derr := os.Stat(dir); derr == nil {
-			// The directory exists but its manifest is gone: a damaged
-			// entry, not a clean miss.
-			return nil, fmt.Errorf("%w: missing manifest", ErrCorrupt)
-		}
-		return nil, ErrNotFound
-	}
+// File loads one payload file of an entry, ResultFile or JournalFile,
+// verified against the manifest as Get verifies it — what serving a cache
+// hit's result, or its history, reads: neither has a use for the other
+// file. A journal the entry was archived without is nil. Errors as for Get.
+func (a *Archive) File(fp, name string) ([]byte, error) {
+	dir, m, err := a.readManifest(fp)
 	if err != nil {
-		return nil, fmt.Errorf("archive: %w", err)
+		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("%w: malformed manifest: %v", ErrCorrupt, err)
-	}
-	return &m, nil
+	return m.read(dir, name)
 }
 
-// verifiedRead reads a payload file and checks it against its manifest
-// checksum; any mismatch — truncation, growth, or flipped bytes — is
-// ErrCorrupt.
-func verifiedRead(path string, want fileSum) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// read returns the payload file the manifest lists under name, checked
+// against its recorded length and checksum; any mismatch — truncation,
+// growth, or flipped bytes — is ErrCorrupt.
+func (m *manifest) read(dir, name string) ([]byte, error) {
+	want, ok := m.Files[name]
+	if !ok && name == ResultFile {
+		return nil, fmt.Errorf("%w: manifest lists no result file", ErrCorrupt)
+	}
+	if !ok {
+		return nil, nil
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: %s missing", ErrCorrupt, filepath.Base(path))
+		return nil, fmt.Errorf("%w: %s missing", ErrCorrupt, name)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
 	if int64(len(data)) != want.Bytes || checksum(data) != want.Sum {
 		return nil, fmt.Errorf("%w: %s fails verification (%d bytes sum %s, manifest says %d bytes sum %s)",
-			ErrCorrupt, filepath.Base(path), len(data), checksum(data), want.Bytes, want.Sum)
+			ErrCorrupt, name, len(data), checksum(data), want.Bytes, want.Sum)
 	}
 	return data, nil
+}
+
+// readManifest loads and parses the manifest of fp's entry, mapping a
+// missing entry to ErrNotFound and everything malformed — a manifest that
+// names another fingerprint than its directory included — to ErrCorrupt.
+func (a *Archive) readManifest(fp string) (dir string, m *manifest, err error) {
+	if err := validFingerprint(fp); err != nil {
+		return "", nil, err
+	}
+	dir = a.entryDir(fp)
+	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if os.IsNotExist(err) {
+		if _, derr := os.Stat(dir); derr == nil {
+			// The directory exists but its manifest is gone: a damaged
+			// entry, not a clean miss.
+			return "", nil, fmt.Errorf("%w: missing manifest", ErrCorrupt)
+		}
+		return "", nil, ErrNotFound
+	}
+	if err != nil {
+		return "", nil, fmt.Errorf("archive: %w", err)
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return "", nil, fmt.Errorf("%w: malformed manifest: %v", ErrCorrupt, err)
+	}
+	if m.Fingerprint != fp {
+		return "", nil, fmt.Errorf("%w: manifest names fingerprint %s, directory is %s",
+			ErrCorrupt, m.Fingerprint, fp)
+	}
+	return dir, m, nil
 }
 
 // Has reports whether a verified entry exists for the fingerprint.
@@ -353,8 +363,8 @@ func (a *Archive) List() ([]Meta, error) {
 		if !d.IsDir() {
 			continue
 		}
-		m, err := a.readManifest(filepath.Join(a.entries, d.Name()))
-		if err != nil || m.Fingerprint != d.Name() {
+		_, m, err := a.readManifest(d.Name())
+		if err != nil {
 			continue
 		}
 		out = append(out, m.Meta)
@@ -391,40 +401,6 @@ func (a *Archive) Stats() (entries int, bytes int64) {
 		}
 	}
 	return entries, bytes
-}
-
-// CopyJournal streams an entry's archived journal to dst (the job store's
-// journal slot for a cache-hit job, so event-stream replay works exactly
-// like it does for a freshly run job). It is a no-op returning false when
-// the record carries no journal.
-func (r *Record) CopyJournal(dst string) (bool, error) {
-	if r.Journal == "" {
-		return false, nil
-	}
-	src, err := os.Open(r.Journal)
-	if err != nil {
-		return false, fmt.Errorf("archive: copy journal: %w", err)
-	}
-	defer src.Close()
-	tmp := dst + ".tmp"
-	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false, fmt.Errorf("archive: copy journal: %w", err)
-	}
-	if _, err := io.Copy(out, src); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return false, fmt.Errorf("archive: copy journal: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return false, fmt.Errorf("archive: copy journal: %w", err)
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return false, fmt.Errorf("archive: copy journal: %w", err)
-	}
-	return true, nil
 }
 
 // String renders a Meta compactly for logs.

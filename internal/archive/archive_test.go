@@ -53,23 +53,16 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if rec.Meta.App != "LULESH" || rec.Meta.Runs != 14 || rec.Meta.FPS != 1.25 {
 		t.Fatalf("meta mismatch: %+v", rec.Meta)
 	}
-	if rec.Journal == "" {
-		t.Fatal("expected archived journal path")
-	}
-	jdata, err := os.ReadFile(rec.Journal)
-	if err != nil || string(jdata) != "line1\nline2\n" {
-		t.Fatalf("journal content: %q err %v", jdata, err)
+	if string(rec.Journal) != "line1\nline2\n" {
+		t.Fatalf("journal content: %q", rec.Journal)
 	}
 
-	// Journal copy lands byte-identical at the destination.
-	dst := filepath.Join(t.TempDir(), "replay.jsonl")
-	copied, err := rec.CopyJournal(dst)
-	if err != nil || !copied {
-		t.Fatalf("CopyJournal: copied=%v err=%v", copied, err)
+	// The per-file reads return the same verified bytes as Get.
+	if got, err := a.File("cafe0123", ResultFile); err != nil || !bytes.Equal(got, result) {
+		t.Fatalf("File(result): %q err %v", got, err)
 	}
-	ddata, _ := os.ReadFile(dst)
-	if !bytes.Equal(ddata, jdata) {
-		t.Fatal("copied journal differs from archived journal")
+	if got, err := a.File("cafe0123", JournalFile); err != nil || !bytes.Equal(got, rec.Journal) {
+		t.Fatalf("File(journal): %q err %v", got, err)
 	}
 }
 
@@ -92,17 +85,17 @@ func TestPutWithoutJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if rec.Journal != "" {
+	if rec.Journal != nil {
 		t.Fatalf("expected no journal, got %q", rec.Journal)
 	}
-	if copied, err := rec.CopyJournal(filepath.Join(t.TempDir(), "x")); copied || err != nil {
-		t.Fatalf("CopyJournal on journal-less record: copied=%v err=%v", copied, err)
+	if got, err := a.File("ab12", JournalFile); got != nil || err != nil {
+		t.Fatalf("Journal of a journal-less entry: %q err %v", got, err)
 	}
 	// A journal path that does not exist archives cleanly with no journal.
 	if err := a.Put(testMeta("cd34"), []byte("{}"), filepath.Join(t.TempDir(), "nope.jsonl")); err != nil {
 		t.Fatalf("Put with missing journal path: %v", err)
 	}
-	if rec, err := a.Get("cd34"); err != nil || rec.Journal != "" {
+	if rec, err := a.Get("cd34"); err != nil || rec.Journal != nil {
 		t.Fatalf("Get: journal=%q err=%v", rec.Journal, err)
 	}
 }
@@ -349,5 +342,40 @@ func TestInvalidFingerprintRejected(t *testing.T) {
 		if _, err := a.Get(fp); err == nil {
 			t.Fatalf("Get accepted invalid fingerprint %q", fp)
 		}
+	}
+}
+
+// TestPerFileReadsVerifyTheirOwnFile: File vouches for the one file it
+// returns — damage to the other file is Get's business
+// (and the next submission's), not theirs.
+func TestPerFileReadsVerifyTheirOwnFile(t *testing.T) {
+	a := mustOpen(t)
+	jpath := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(jpath, []byte("a\nb\nc\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ fp, damaged, other string }{
+		{"aa01", ResultFile, JournalFile},
+		{"aa02", JournalFile, ResultFile},
+	} {
+		if err := a.Put(testMeta(tc.fp), []byte(`{"runs":14}`), jpath); err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(a.Dir(), "entries", tc.fp, tc.damaged)
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.File(tc.fp, tc.damaged); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s damaged: its own read = %v, want ErrCorrupt", tc.damaged, err)
+		}
+		if _, err := a.File(tc.fp, tc.other); err != nil {
+			t.Errorf("%s damaged: read of %s = %v, want nil", tc.damaged, tc.other, err)
+		}
+		if _, err := a.Get(tc.fp); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s damaged: Get = %v, want ErrCorrupt", tc.damaged, err)
+		}
+	}
+	if _, err := a.File("none", ResultFile); !errors.Is(err, ErrNotFound) {
+		t.Errorf("File of a missing entry = %v, want ErrNotFound", err)
 	}
 }

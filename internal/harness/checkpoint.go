@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 
+	"repro/internal/classify"
 	"repro/internal/trace"
 )
 
@@ -217,42 +219,79 @@ func (w *journalWriter) Close() error {
 	return w.f.Close()
 }
 
-// LoadJournalSummaries reads the per-experiment summaries of a checkpoint
-// journal in journal order, without validating the fingerprint: it serves
+// journalScanner is the one reader of the journal's line format; resume
+// (readJournal), the adaptive-resume diagnosis (journalHeaderFP) and event
+// replay (ReplayJournal) all sit on it. A record line may reach 256 MiB;
+// the line buffer grows on demand, so a journal of short lines costs no
+// more than its longest one.
+type journalScanner struct{ *bufio.Scanner }
+
+func newJournalScanner(r io.Reader) journalScanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 256<<20)
+	return journalScanner{sc}
+}
+
+// header decodes the journal's first line.
+func (s journalScanner) header() (journalHeader, error) {
+	var hdr journalHeader
+	if !s.Scan() {
+		return hdr, errors.New("empty journal")
+	}
+	if err := json.Unmarshal(s.Bytes(), &hdr); err != nil || hdr.Kind != "header" {
+		return hdr, errors.New("malformed header")
+	}
+	return hdr, nil
+}
+
+// next decodes the next non-blank line into rec, which must be a zero
+// value. It returns false at the end of the journal and at a line that
+// does not decode: the truncated tail a killed campaign leaves, dropped
+// silently together with anything after it.
+func (s journalScanner) next(rec any) bool {
+	for s.Scan() {
+		if line := bytes.TrimSpace(s.Bytes()); len(line) > 0 {
+			return json.Unmarshal(line, rec) == nil
+		}
+	}
+	return false
+}
+
+// JournalEvent is what an event stream shows of one journaled experiment:
+// the ExperimentSummary fields of that name, and no others.
+type JournalEvent struct {
+	ID       int
+	Outcome  classify.Outcome
+	InjRank  int
+	InjCycle uint64
+	Fired    bool
+	MaxCML   int
+}
+
+// ReplayJournal calls fn with every completed experiment of the journal in
+// r, in journal order, until fn returns false. It decodes only what a
+// JournalEvent holds and does not validate the fingerprint: it serves
 // observability (streaming completed experiments to a late subscriber),
-// not resume, which must go through RunCampaign's guarded path. A missing
-// file yields an empty slice; a truncated tail is dropped like readJournal
-// drops it.
-func LoadJournalSummaries(path string) ([]ExperimentSummary, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 256<<20)
-	var sums []ExperimentSummary
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+// not resume, which must go through RunCampaign's guarded path. A
+// truncated tail is dropped like readJournal drops it.
+func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
+	js := newJournalScanner(r)
+	for {
+		var rec struct {
+			Kind string       `json:"kind"`
+			Sum  JournalEvent `json:"sum"`
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return sums, nil // truncated tail: keep what parsed
+		if !js.next(&rec) {
+			break
 		}
-		if rec.Kind != "exp" {
-			continue
+		if rec.Kind == "exp" && !fn(rec.Sum) {
+			return nil
 		}
-		sums = append(sums, rec.Sum)
 	}
-	if err := sc.Err(); err != nil {
-		return sums, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+	if err := js.Err(); err != nil {
+		return fmt.Errorf("harness: checkpoint: %w", err)
 	}
-	return sums, nil
+	return nil
 }
 
 // journalHeaderFP reads just the fingerprint of a journal's header line,
@@ -267,13 +306,8 @@ func journalHeaderFP(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 256<<20)
-	if !sc.Scan() {
-		return "", nil
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Kind != "header" {
+	hdr, err := newJournalScanner(f).header()
+	if err != nil {
 		return "", nil
 	}
 	return hdr.Fingerprint, nil
@@ -293,14 +327,10 @@ func readJournal(path, fingerprint string) (recs []journalRecord, found bool, er
 		return nil, false, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 256<<20)
-	if !sc.Scan() {
-		return nil, false, fmt.Errorf("harness: checkpoint %s: empty journal", path)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Kind != "header" {
-		return nil, false, fmt.Errorf("harness: checkpoint %s: malformed header", path)
+	js := newJournalScanner(f)
+	hdr, err := js.header()
+	if err != nil {
+		return nil, false, fmt.Errorf("harness: checkpoint %s: %w", path, err)
 	}
 	if hdr.Version != journalVersion {
 		return nil, false, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
@@ -311,21 +341,16 @@ func readJournal(path, fingerprint string) (recs []journalRecord, found bool, er
 			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
 			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
 	}
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	for {
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return recs, true, nil // truncated tail: keep what parsed
+		if !js.next(&rec) {
+			break
 		}
-		if rec.Kind != "exp" {
-			continue
+		if rec.Kind == "exp" {
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil {
+	if err := js.Err(); err != nil {
 		return nil, true, fmt.Errorf("harness: checkpoint %s: %w", path, err)
 	}
 	return recs, true, nil

@@ -19,8 +19,12 @@
 //	GET    /v1/jobs             list all jobs
 //	GET    /v1/jobs/{id}        one job's status
 //	GET    /v1/jobs/{id}/stream NDJSON event stream (SSE with Accept: text/event-stream)
-//	GET    /v1/jobs/{id}/result final CampaignResult of a finished job
-//	GET    /v1/jobs/{id}/partial mergeable PartialResult of a finished shard job
+//	GET    /v1/jobs/{id}/result final CampaignResult of a finished job, as the
+//	                            bytes that were stored (compact JSON, no
+//	                            trailing newline; 409 no_result for a cache
+//	                            hit whose archive entry is gone or damaged)
+//	GET    /v1/jobs/{id}/partial mergeable PartialResult of a finished shard
+//	                            job, likewise the stored bytes
 //	POST   /v1/jobs/{id}/cancel cancel a queued or running job
 //	DELETE /v1/jobs/{id}        alias for cancel
 //	GET    /v1/metrics          service metrics: JSON by default, the
@@ -49,9 +53,10 @@
 // When the daemon runs with an archive (-archive-dir), every completed
 // campaign is committed to it keyed by configuration fingerprint, and a
 // repeat submission of an identical fingerprint is answered from the
-// archive: the job is born done (JobStatus.CacheHit), its result bytes
-// exactly those of the original run, its event stream replaying the
-// archived journal. The pre-versioning /api/v1/* compat redirects were
+// archive: the job is born done (JobStatus.CacheHit) as a reference to
+// the entry — its result is the entry's result bytes and its event stream
+// replays the entry's journal, each verified against the entry's manifest
+// when read and available for as long as the entry is. The pre-versioning /api/v1/* compat redirects were
 // removed after their one promised release; clients speak /v1/*.
 package service
 
@@ -301,8 +306,9 @@ type JobStatus struct {
 	// Empty for shard jobs, which are never archived whole.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// CacheHit marks a job served straight from the campaign archive: it
-	// was born terminal, its result byte-identical to the archived
-	// original run's.
+	// was born terminal, and its result and history are those of the
+	// archive entry Fingerprint names, byte-identical to the original
+	// run's for as long as that entry exists.
 	CacheHit bool `json:"cacheHit,omitempty"`
 	// Progress is a live snapshot, present while the job runs.
 	Progress *harness.Snapshot `json:"progress,omitempty"`

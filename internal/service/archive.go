@@ -14,9 +14,10 @@ import (
 
 // Campaign archive wiring: completed jobs are archived under their cache
 // key, and a repeat submission of an identical key is served straight
-// from the archive — a terminal job materializes instantly, its result
-// bytes exactly those of the original run, its journal copied so event
-// streams replay the full experiment history.
+// from the archive — a terminal job materializes instantly as a verified
+// reference to the entry: its result and its event history are the
+// entry's own bytes, read (and checked against the manifest) when asked
+// for, never copied.
 
 // cacheKey derives the archive key for a spec's campaign configuration.
 // The campaign fingerprint covers every field that determines
@@ -64,6 +65,7 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 	case errors.Is(err, archive.ErrCorrupt):
 		// A damaged entry must degrade to a miss, never a wrong result.
 		// Evict it so the fresh run's Put repairs the slot.
+		s.obs.verifyFailures.Inc()
 		s.log.Warn("archive entry corrupt, evicting", "fingerprint", key,
 			"trace", trace, "err", err)
 		if rerr := s.archive.Remove(key); rerr != nil {
@@ -77,13 +79,19 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 }
 
 // serveCached materializes a cache hit as a terminal job: a fresh job ID
-// whose stored result is byte-for-byte the archived original and whose
-// journal is a copy of the original's, so GET result, the rendered
-// study, and Watch streams are indistinguishable from a fresh run. The
-// only tells are CacheHit on the status and the zero-width
+// whose status record — the one thing persisted — names the entry by
+// Fingerprint. GET result and Watch streams of the job read the entry
+// (Result, handleStream), so they are indistinguishable from a fresh
+// run's; the only tells are CacheHit on the status and the zero-width
 // Started→Finished interval.
 func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archive.Record) (JobStatus, error) {
-	var res harness.CampaignResult
+	// The status carries three fields of the result; decoding only those
+	// still checks the syntax of the whole document.
+	var res struct {
+		Tally  classify.Tally
+		Model  struct{ FPS float64 }
+		Strata []harness.StratumReport
+	}
 	if err := json.Unmarshal(rec.Result, &res); err != nil {
 		// The entry verified against its checksum but does not decode: it
 		// was archived corrupt. Evict and report a miss upstream.
@@ -92,14 +100,7 @@ func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archi
 		return JobStatus{}, fmt.Errorf("%w: undecodable result: %v", archive.ErrCorrupt, err)
 	}
 	id := s.store.NewID()
-	if _, err := rec.CopyJournal(s.store.JournalPath(id)); err != nil {
-		return JobStatus{}, err
-	}
-	if err := s.store.SaveResultBytes(id, rec.Result); err != nil {
-		return JobStatus{}, err
-	}
 	now := time.Now().UTC()
-	tally := res.Tally
 	j := &job{
 		status: JobStatus{
 			ID:          id,
@@ -112,8 +113,9 @@ func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archi
 			Tenant:      tenant,
 			Fingerprint: key,
 			CacheHit:    true,
-			Tally:       &tally,
+			Tally:       &res.Tally,
 			FPS:         res.Model.FPS,
+			Strata:      res.Strata,
 		},
 		hub: newHub(trace, s.cfg.StreamBuffer, s.obs.streamDrops),
 	}
@@ -130,6 +132,25 @@ func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archi
 	s.log.Info("job served from archive", "job", id, "trace", trace,
 		"tenant", tenant, "fingerprint", key, "source_job", rec.Meta.SourceJob)
 	return j.snapshot(), nil
+}
+
+// entryFile reads one file (archive.ResultFile or JournalFile) of the entry
+// that cache-hit job st refers to, verified against the entry's manifest
+// on this read. A hit's result and history live exactly as long as its
+// entry: once it is evicted or damaged, or the daemon runs without its
+// archive, callers get an error and never unverified bytes. Eviction
+// stays with the submission path.
+func (s *Server) entryFile(st JobStatus, name string) ([]byte, error) {
+	if s.archive == nil {
+		return nil, ErrArchiveDisabled
+	}
+	data, err := s.archive.File(st.Fingerprint, name)
+	if errors.Is(err, archive.ErrCorrupt) {
+		s.obs.verifyFailures.Inc()
+		s.log.Warn("archive entry fails verification", "job", st.ID,
+			"trace", st.Trace, "fingerprint", st.Fingerprint, "err", err)
+	}
+	return data, err
 }
 
 // archiveResult commits a finished job's result to the archive

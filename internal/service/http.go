@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -112,30 +117,26 @@ func (s *Server) routes() {
 	}
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", cancel)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", cancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		res, err := s.Result(r.PathValue("id"))
-		if errors.Is(err, ErrJobNotFound) {
-			httpError(w, http.StatusNotFound, err)
-			return
+	// A stored document travels as the bytes that were stored: no decode,
+	// no re-encode, so what a client reads is what finish marshalled.
+	stored := func(load func(id string) ([]byte, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			data, err := load(r.PathValue("id"))
+			if errors.Is(err, ErrJobNotFound) {
+				httpError(w, http.StatusNotFound, err)
+				return
+			}
+			if err != nil {
+				httpError(w, http.StatusConflict, err)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+			w.Write(data)
 		}
-		if err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	s.mux.HandleFunc("GET /v1/jobs/{id}/partial", func(w http.ResponseWriter, r *http.Request) {
-		part, err := s.Partial(r.PathValue("id"))
-		if errors.Is(err, ErrJobNotFound) {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		if err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, part)
-	})
+	}
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", stored(s.Result))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/partial", stored(s.Partial))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		// JSON by default (the typed client's contract); the Prometheus
@@ -267,7 +268,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if sse {
 			fmt.Fprintf(w, "\n")
 		}
-		flusher.Flush()
 		return true
 	}
 
@@ -287,27 +287,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// come from disk, later ones arrive live, and the overlap dedups by
 	// experiment ID. A finished job replays its entire history.
 	seen := make(map[int]bool)
-	sums, err := harness.LoadJournalSummaries(s.store.JournalPath(st.ID))
-	if err == nil {
-		for _, sum := range sums {
-			seen[sum.ID] = true
-			ok := write(Event{Kind: EventExperiment, Job: st.ID, Experiment: &ExperimentEvent{
-				ID:      sum.ID,
-				Outcome: sum.Outcome.String(),
-				Rank:    sum.InjRank,
-				Cycle:   sum.InjCycle,
-				Fired:   sum.Fired,
-				MaxCML:  sum.MaxCML,
+	if journal, err := s.openJournal(st); err == nil {
+		err = harness.ReplayJournal(journal, func(ev harness.JournalEvent) bool {
+			seen[ev.ID] = true
+			return write(Event{Kind: EventExperiment, Job: st.ID, Experiment: &ExperimentEvent{
+				ID:      ev.ID,
+				Outcome: ev.Outcome.String(),
+				Rank:    ev.InjRank,
+				Cycle:   ev.InjCycle,
+				Fired:   ev.Fired,
+				MaxCML:  ev.MaxCML,
 				Resumed: true,
 			}})
-			if !ok {
-				return
-			}
+		})
+		journal.Close()
+		if err != nil {
+			s.log.Warn("journal replay cut short", "job", st.ID, "trace", st.Trace, "err", err)
 		}
 	}
 	sentTerminal := false
 
 	for {
+		// The opening status and the replayed history leave in one flush,
+		// then each live event in its own; the last write of the stream is
+		// flushed by the handler's return.
+		flusher.Flush()
 		select {
 		case e, ok := <-sub.ch:
 			if !ok {
@@ -356,6 +360,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// openJournal opens the experiment history a watcher of st replays: the
+// job's own checkpoint journal or, for a cache hit, the journal of the
+// archive entry it refers to, verified against the manifest on this read.
+// A coordinated job has none, and neither has a hit of one.
+func (s *Server) openJournal(st JobStatus) (io.ReadCloser, error) {
+	if !st.CacheHit {
+		return os.Open(s.store.JournalPath(st.ID))
+	}
+	data, err := s.entryFile(st, archive.JournalFile)
+	return io.NopCloser(bytes.NewReader(data)), err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

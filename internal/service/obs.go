@@ -32,6 +32,12 @@ type serverObs struct {
 	// vs run fresh (corrupt archive entries count as misses).
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+	// cacheHit: time a hit submission spent in the archive lookup and in
+	// materializing the job — the fast path, when it is taken.
+	cacheHit *obs.Histogram
+	// verifyFailures: archive reads that failed their checksum, wherever
+	// the bytes were about to be served (submit, result, stream).
+	verifyFailures *obs.Counter
 	// httpRequests: API requests served, by method.
 	httpRequests map[string]*obs.Counter
 
@@ -68,6 +74,10 @@ func newServerObs() *serverObs {
 			"Submissions served from the campaign archive."),
 		cacheMisses: reg.Counter("faultpropd_cache_misses_total",
 			"Submissions not served from the archive (absent or corrupt entry)."),
+		cacheHit: reg.Histogram("faultpropd_cache_hit_seconds",
+			"Time a cache-hit submission spent on the archive lookup and on materializing its job.", obs.LatencyBuckets()),
+		verifyFailures: reg.Counter("faultpropd_archive_verify_failures_total",
+			"Archive reads that failed checksum verification while serving a submission, a result or an event stream."),
 		injectLat: reg.Histogram("faultpropd_experiment_phase_seconds",
 			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "inject")),
 		restoreLat: reg.Histogram("faultpropd_experiment_phase_seconds",

@@ -64,7 +64,9 @@ type Config struct {
 	// shapes the retained summaries), and a repeat submission of an
 	// identical key is served straight from the archive as a cache hit —
 	// byte-identical result, journal replayed for watchers, surviving
-	// daemon restarts. Empty disables archiving and the /v1/archive API.
+	// daemon restarts. Hit jobs read the archive for as long as they are
+	// asked for, so a daemon keeps the ArchiveDir it handed them out from.
+	// Empty disables archiving and the /v1/archive API.
 	ArchiveDir string
 	// TenantQuota bounds each tenant's concurrently active (non-terminal)
 	// jobs; submissions beyond it are rejected with ErrQuotaExceeded
@@ -272,9 +274,11 @@ func (s *Server) SubmitTenant(spec JobSpec, trace, tenant string) (JobStatus, er
 		trace = obs.NewTraceID()
 	}
 	key := specCacheKey(spec)
+	lookup := time.Now()
 	if rec := s.lookupCache(key, trace); rec != nil {
 		st, err := s.serveCached(spec, trace, tenant, key, rec)
 		if err == nil {
+			s.obs.cacheHit.ObserveDuration(time.Since(lookup))
 			return st, nil
 		}
 		// A hit that failed to materialize (undecodable entry, store I/O)
@@ -368,34 +372,45 @@ func (s *Server) Jobs() []JobStatus {
 	return out
 }
 
-// Result loads a done job's full campaign result. ErrNoResult when the
-// job is known but has no stored result (not done yet, or a shard job —
-// those expose a partial instead).
-func (s *Server) Result(id string) (*harness.CampaignResult, error) {
+// Result returns a done job's campaign result as the bytes finish stored:
+// the job store's file or, for a cache hit, the archive entry's, verified
+// on this read. ErrNoResult when the job is known but has no result (not
+// done yet; a shard job — those expose a partial instead; a cache hit
+// whose archive entry is gone or damaged).
+func (s *Server) Result(id string) ([]byte, error) {
 	j := s.job(id)
 	if j == nil {
 		return nil, ErrJobNotFound
 	}
-	res, err := s.store.LoadResult(id)
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: job %s (state %s)", ErrNoResult, id, j.snapshot().State)
+	st := j.snapshot()
+	if st.CacheHit {
+		data, err := s.entryFile(st, archive.ResultFile)
+		if err != nil {
+			// %v: a corrupt entry under a fetch must not route Fatal.
+			return nil, fmt.Errorf("%w: job %s: entry %s: %v", ErrNoResult, id, st.Fingerprint, err)
+		}
+		return data, nil
 	}
-	return res, err
+	data, err := os.ReadFile(s.store.resultPath(id))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("%w: job %s (state %s)", ErrNoResult, id, st.State)
+	}
+	return data, err
 }
 
-// Partial loads a done shard job's mergeable partial aggregate.
-// ErrNoPartial when the job is known but stored no partial (not a shard
-// job, or not done yet).
-func (s *Server) Partial(id string) (*harness.PartialResult, error) {
+// Partial returns a done shard job's mergeable partial aggregate as the
+// bytes that were stored. ErrNoPartial when the job is known but stored no
+// partial (not a shard job, or not done yet).
+func (s *Server) Partial(id string) ([]byte, error) {
 	j := s.job(id)
 	if j == nil {
 		return nil, ErrJobNotFound
 	}
-	part, err := s.store.LoadPartial(s.store.partialPath(id))
+	data, err := os.ReadFile(s.store.partialPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: job %s (state %s)", ErrNoPartial, id, j.snapshot().State)
 	}
-	return part, err
+	return data, err
 }
 
 // Workers lists the registered peer workers.
@@ -580,9 +595,9 @@ func (s *Server) runJob(j *job) {
 // finish records a successful campaign: result persisted, status done,
 // result event streamed, stream closed, and the result committed to the
 // campaign archive (when one is configured) under the job's cache key.
-// The result is marshalled exactly once — the bytes in the job store and
-// the bytes in the archive are the same bytes, which is what makes a
-// later cache hit provably byte-identical.
+// The result is marshalled exactly once — the bytes in the job store, the
+// bytes in the archive and the bytes GET result sends are the same bytes,
+// which is what makes a later cache hit provably byte-identical.
 func (s *Server) finish(j *job, res *harness.CampaignResult) {
 	data, err := json.Marshal(res)
 	if err != nil {

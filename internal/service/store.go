@@ -21,6 +21,9 @@ import (
 //	job-<id>.ckpt.jsonl   the harness checkpoint journal (completed experiments)
 //	job-<id>.result.json  the final CampaignResult, written once on success
 //
+// A cache-hit job owns the status record alone: its Fingerprint names the
+// archive entry that holds the other two.
+//
 // Shard jobs and coordinated jobs add:
 //
 //	job-<id>.partial.json          a shard job's mergeable PartialResult
@@ -185,18 +188,8 @@ func (s *Store) LoadPartial(path string) (*harness.PartialResult, error) {
 	return &part, nil
 }
 
-// SaveResult writes the final campaign result of a done job.
-func (s *Store) SaveResult(id string, res *harness.CampaignResult) error {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("service: store result: %w", err)
-	}
-	return s.SaveResultBytes(id, data)
-}
-
-// SaveResultBytes atomically writes pre-marshalled result bytes — the
-// path the archive cache uses, so a cache-hit job's stored result is
-// byte-for-byte the original run's.
+// SaveResultBytes atomically writes a done job's marshalled result — the
+// same bytes the archive commits and GET result serves.
 func (s *Store) SaveResultBytes(id string, data []byte) error {
 	tmp := s.resultPath(id) + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -206,18 +199,4 @@ func (s *Store) SaveResultBytes(id string, data []byte) error {
 		return fmt.Errorf("service: store result: %w", err)
 	}
 	return nil
-}
-
-// LoadResult reads a done job's campaign result. os.IsNotExist(err) when
-// the job has no stored result.
-func (s *Store) LoadResult(id string) (*harness.CampaignResult, error) {
-	data, err := os.ReadFile(s.resultPath(id))
-	if err != nil {
-		return nil, err
-	}
-	var res harness.CampaignResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("service: store result %s: %w", id, err)
-	}
-	return &res, nil
 }
