@@ -25,8 +25,6 @@ import (
 type RunConfig struct {
 	// Ranks is the number of MPI processes.
 	Ranks int
-	// MemWords sizes each rank's address space (0: VM default).
-	MemWords int64
 	// CycleLimit kills a rank as hung; 0 disables. Campaigns use a
 	// multiple of the golden cycle count.
 	CycleLimit uint64
@@ -141,6 +139,16 @@ func NewReuse(ranks int) *Reuse {
 	return r
 }
 
+// BackedBytes returns, rank by rank, the address-space backing the bundle
+// holds between runs.
+func (ru *Reuse) BackedBytes() []int64 {
+	out := make([]int64, len(ru.states))
+	for r, st := range ru.states {
+		out[r] = st.BackedBytes()
+	}
+	return out
+}
+
 type rankState struct {
 	v   *vm.VM
 	rec *trace.Recorder
@@ -219,6 +227,11 @@ type RunOutcome struct {
 	// the dirty fraction a delta restore actually rewrote.
 	RestoreDirtyBlocks int
 	RestoreTotalBlocks int
+	// BackedBytes sums, over the run's ranks, the address-space backing
+	// allocated when the run ended (vm.Memory.BackedBytes): a few KiB a
+	// rank unless a fault made the run store far outside its data.
+	// Telemetry like the restore stats, never part of the results.
+	BackedBytes int64
 	// Deadlock reports that the job ended because every live rank was
 	// blocked in MPI with no call able to complete (mpi.ErrDeadlock);
 	// Timeout that a blocking call hit the wall-clock safety timeout
@@ -314,7 +327,6 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			observer = ex.observers[r]
 		}
 		v := vm.New(prog, vm.Config{
-			MemWords:     cfg.MemWords,
 			CycleLimit:   cfg.CycleLimit,
 			Injector:     injr,
 			MPI:          job.Endpoint(r),
@@ -394,6 +406,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		rr.FinalCML = st.v.Table().Len()
 		rr.Ever = st.v.Table().Ever()
 		rr.AllocatedWords = st.v.Mem().AllocatedWords()
+		out.BackedBytes += st.v.Mem().BackedBytes()
 		rr.TaintPeak = st.v.TaintPeak()
 		rr.MemFaultsApplied = st.v.MemFaultsApplied()
 		if st.v.Table().Len() > 0 {

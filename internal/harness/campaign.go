@@ -426,35 +426,11 @@ type CampaignResult struct {
 }
 
 // coreRun and coreRunResumed indirect the core entry points so tests can
-// inject infrastructure failures; coreNewReuse indirects the one place an
-// experiment worker's bundle is allocated so tests can count it.
+// inject infrastructure failures.
 var (
 	coreRun        = core.Run
 	coreRunResumed = core.RunResumed
-	coreNewReuse   = core.NewReuse
 )
-
-// bundlePools is the process-wide free list of experiment-worker run
-// bundles, one sync.Pool of *core.Reuse per rank count — the only thing a
-// bundle is sized by. Which program a bundle ran last does not matter:
-// observable results do not depend on the bundle (core.Reuse), and state
-// left from another campaign is reset, or restored over by full copy,
-// before a run reads it. So a campaign's workers take their bundles here
-// and runIDs puts them back, instead of every campaign allocating and
-// zeroing Workers × Ranks fresh address spaces for what may be a few
-// dozen experiments. sync.Pool is emptied by the garbage collector: the
-// list needs no size bound, and an idle process pins nothing for long.
-var bundlePools sync.Map
-
-func bundlePool(ranks int) *sync.Pool {
-	if p, ok := bundlePools.Load(ranks); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := bundlePools.LoadOrStore(ranks, &sync.Pool{
-		New: func() any { return coreNewReuse(ranks) },
-	})
-	return p.(*sync.Pool)
-}
 
 // RunCampaign executes the campaign: a golden profiling run, then Runs
 // fault-injection experiments streamed through a single-pass aggregator.
@@ -743,20 +719,16 @@ func (e *campaignEngine) runIDs(ids []int) error {
 	}()
 
 	// Per-worker reuse bundle: the address spaces, contamination tables and
-	// MPI job fabric come from the process-wide free list, are recycled
-	// through every experiment of the worker, and go back below — only once
-	// every worker has exited and its last experiment has drained, however
-	// the run ended (completion, cancellation, StopAfter, journal failure).
-	pool := bundlePool(cfg.Params.Ranks)
-	bundles := make([]*core.Reuse, cfg.Workers)
+	// MPI job fabric are recycled through every experiment of the worker.
+	// A fresh bundle is a few KiB a rank (vm.Memory backs what is written),
+	// so each run allocates its own and drops them with its workers.
 	var wg sync.WaitGroup
-	for w := range bundles {
-		bundles[w] = pool.Get().(*core.Reuse)
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(bundle *core.Reuse) {
+		go func() {
 			defer wg.Done()
 			wcfg := cfg
-			wcfg.reuse = bundle
+			wcfg.reuse = core.NewReuse(cfg.Params.Ranks)
 			// Phase tracing costs ~two time.Now calls per experiment when
 			// enabled and a nil check when not.
 			traced := cfg.Timings != nil || cfg.OnPhase != nil
@@ -796,7 +768,7 @@ func (e *campaignEngine) runIDs(ids []int) error {
 				}
 				outs <- o
 			}
-		}(bundles[w])
+		}()
 	}
 	go func() {
 		defer close(work)
@@ -837,9 +809,6 @@ func (e *campaignEngine) runIDs(ids []int) error {
 		}
 	}
 	halt()
-	for _, b := range bundles {
-		pool.Put(b)
-	}
 	// Cancellation is observed here, on the engine's own goroutine, rather
 	// than in the watcher above (which would race with the loop's writes).
 	if e.ctx.Err() != nil {
@@ -913,6 +882,7 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.Forked = run.Forked
 		tr.RestoreBytes = run.RestoreBytes
 		tr.RestoreFrac = run.RestoreFrac()
+		tr.BackedBytes = run.BackedBytes
 		tr.Deadlock, tr.Timeout = run.Deadlock, run.Timeout
 		phaseStart = now
 	}

@@ -40,6 +40,10 @@ type PhaseTrace struct {
 	// RestoreFrac is the fraction of memory blocks the restore rewrote
 	// (1.0 on the full-copy path).
 	RestoreFrac float64
+	// BackedBytes is the address-space backing the experiment's ranks held
+	// between them when it ended (core.RunOutcome.BackedBytes), forked or
+	// not: the answer to "is the small path being taken?" for memory.
+	BackedBytes int64
 	// Deadlock reports that the experiment ended because every live rank
 	// was blocked in MPI with nothing able to complete, detected in logical
 	// time; Timeout that a blocking MPI call instead ran into the wall-clock

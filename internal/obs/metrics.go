@@ -49,6 +49,20 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
+// SetMax raises the gauge to v when v is larger: a high-water mark that
+// concurrent observers can all report to.
+func (g *Gauge) SetMax(v float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the last stored value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -103,6 +103,7 @@ func TestNilCollectors(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
+	g.SetMax(4)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -117,7 +118,7 @@ func TestNilCollectors(t *testing.T) {
 // writers (run under -race in CI).
 func TestCounterGaugeConcurrent(t *testing.T) {
 	var c Counter
-	var g Gauge
+	var g, hi Gauge
 	h := NewHistogram([]float64{1})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -127,6 +128,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Set(float64(j))
+				hi.SetMax(float64(j*8 + i))
 				h.Observe(0.5)
 			}
 		}()
@@ -134,6 +136,9 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Errorf("counter=%d hist=%d, want 8000", c.Value(), h.Count())
+	}
+	if hi.SetMax(5); hi.Value() != 999*8+7 {
+		t.Errorf("high-water gauge = %v, want %d", hi.Value(), 999*8+7)
 	}
 }
 

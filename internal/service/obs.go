@@ -47,6 +47,10 @@ type serverObs struct {
 	injectLat, restoreLat, execLat, classifyLat *obs.Histogram
 	// restoreBytes: total bytes copied by snapshot-fork restores.
 	restoreBytes *obs.Counter
+	// vmBacked: the most address-space backing any one experiment's ranks
+	// held between them; it stays in the tens of KiB while every run
+	// stores only to its own data.
+	vmBacked *obs.Gauge
 	// restoreFrac: dirty-block fraction per forked restore (1.0 = full
 	// copy; delta restores land proportional to what the fork dirtied).
 	restoreFrac *obs.Histogram
@@ -84,6 +88,8 @@ func newServerObs() *serverObs {
 			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "restore")),
 		restoreBytes: reg.Counter("faultpropd_restore_bytes_total",
 			"Bytes copied by snapshot-fork restores."),
+		vmBacked: reg.Gauge("faultpropd_vm_backed_bytes",
+			"Largest address-space backing, summed over its ranks, that one experiment ended with."),
 		restoreFrac: reg.Histogram("faultpropd_restore_dirty_fraction",
 			"Dirty-block fraction per forked restore (1.0 = full copy).", obs.FractionBuckets()),
 		execLat: reg.Histogram("faultpropd_experiment_phase_seconds",
@@ -118,6 +124,7 @@ func (o *serverObs) observePhase(tr harness.PhaseTrace) {
 	o.restoreLat.ObserveDuration(tr.Restore)
 	o.execLat.ObserveDuration(tr.Execute)
 	o.classifyLat.ObserveDuration(tr.Classify)
+	o.vmBacked.SetMax(float64(tr.BackedBytes))
 	if tr.Forked {
 		o.restoreBytes.Add(uint64(tr.RestoreBytes))
 		o.restoreFrac.Observe(tr.RestoreFrac)

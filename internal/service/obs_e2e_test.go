@@ -377,3 +377,23 @@ func TestMetricsCountMPIDeadlocks(t *testing.T) {
 		t.Errorf("faultpropd_mpi_timeouts_total = %v (present %v), want 0", n, ok)
 	}
 }
+
+// TestMetricsReportBackedBytes: the registry answers "is the small path
+// being taken?" for memory. LULESH at test scale, seed 2015, stores 4 MiB
+// above its data within the first 60 experiments; the four ranks of the
+// largest experiment must still have held well under the 32 MiB four flat
+// address spaces are.
+func TestMetricsReportBackedBytes(t *testing.T) {
+	d := startDaemon(t, t.TempDir(), service.Config{JobSlots: 1})
+	st, err := d.c.Submit(context.Background(), service.JobSpec{
+		App: "LULESH", Scale: "test", Runs: 60, Seed: 2015, SampleEvery: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d.c, st.ID)
+	n, ok := promValue(t, fetchProm(t, d.http.URL), "faultpropd_vm_backed_bytes")
+	if !ok || n <= 0 || n > 1<<20 {
+		t.Errorf("faultpropd_vm_backed_bytes = %v (present %v), want within (0, 1 MiB]", n, ok)
+	}
+}

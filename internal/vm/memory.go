@@ -7,13 +7,24 @@ import (
 
 // Restore granularity. One dirty bit covers a block of 64 words (512
 // bytes): fine enough that a short forked suffix dirties a small
-// fraction of the footprint, coarse enough that the bitmap for an 8 MiB
-// address space is 16 KiB and the store-path cost is one shift+or.
+// fraction of the footprint, coarse enough that the bitmap for the
+// 1<<20-word address space is 16 KiB and the store-path cost is one
+// shift+or.
 const (
 	blockShift        = 6               // log2 words per block
 	blockWords        = 1 << blockShift // words per dirty block
 	dirtyShift        = blockShift + 6  // log2 words covered by one bitmap word
 	maxDeltaChainHops = 64              // bound on snapshot-chain walks
+)
+
+// Backing granularity. A gap page is 512 words (4 KiB, eight dirty
+// blocks): what one wild store costs. A dense extent whose last run used
+// under a quarter of it is given back once it exceeds keepWords, so small
+// extents are never reallocated and a blown-up one lasts one more run.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+	keepWords = 4096
 )
 
 // dirtyWords returns the bitmap length (in uint64 words) covering a
@@ -52,20 +63,46 @@ type RestoreStats struct {
 // state" for contamination percentages (paper Fig. 7f) is the allocated
 // extent: globals plus heap, the segments that hold application data
 // structures.
+//
+// That is the logical address space, and size fixes every bound and trap
+// in it. The backing follows what is written, not size:
+//
+//	lo     dense, words [1, 1+len(lo)): the globals, and the heap as far
+//	       up as the program has stored below brk
+//	stack  dense, words [size-len(stack), size): as far down as the
+//	       program has stored at or above sp
+//	gap    pageWords-aligned pages for stores that land anywhere else,
+//	       which only the wild access of a faulty run does
+//
+// Both extents grow by doubling and never overlap. An in-bounds word
+// with no backing reads zero, which is the invariant Snapshot and the
+// restores rest on: what they copy is the backing, and everything else is
+// zero on both sides. A load or store inside lo is the interpreter's hot
+// path, one unsigned compare; the stack, the gap, growth and the traps
+// share one call behind it.
+//
+// A wild store cannot enlarge a pooled bundle: it is outside [1, brk)
+// and [sp, size), so it gets a gap page, and Reset and both restores
+// drop every page the state they install does not have. A dense extent
+// is bounded by brk or sp, which a fault can still inflate (a corrupted
+// Alloc size, then stores into it); fit gives such an extent back after
+// the first run that does not use it.
 type Memory struct {
-	words     []uint64
+	// lo[i] is the word at address i+1. The words of its backing array
+	// beyond len(lo) are zero.
+	lo []uint64
+	// stack[i] is the word at address size-len(stack)+i. It is the tail of
+	// stackBuf, whose words in front of it are zero.
+	stack    []uint64
+	stackBuf []uint64
+	// gap[k] backs words [k<<pageShift, (k+1)<<pageShift), less whatever
+	// part of that range an extent covers (kept zero in the page).
+	gap map[int64]*[pageWords]uint64
+
+	size      int64
 	globalEnd int64
 	brk       int64 // heap break (next free heap word)
 	sp        int64 // stack pointer (lowest in-use stack word)
-
-	// Write watermarks, so Reset zeroes only the segments a run actually
-	// touched instead of the whole address space. Writes below the stack
-	// pointer (globals + heap + wild addresses) raise loHi; writes at or
-	// above it (stack frames) lower hiLo. Both are monotone within a run:
-	// after PopFrame a stale frame word sits below the new sp, but it was
-	// at or above sp when written, so hiLo still covers it.
-	loHi int64 // exclusive upper bound of dirty low-segment words
-	hiLo int64 // inclusive lower bound of dirty stack-segment words
 
 	// Delta-restore state. dirty has one bit per blockWords-sized block,
 	// set before (well, as) any write to that block lands; it records
@@ -86,44 +123,43 @@ func NewMemory(size, globalWords int64) *Memory {
 		size = globalWords + 64
 	}
 	m := &Memory{
-		words:     make([]uint64, size),
+		lo:        make([]uint64, globalWords),
 		dirty:     make([]uint64, dirtyWords(size)),
+		size:      size,
 		globalEnd: 1 + globalWords,
 		sp:        size,
-		loHi:      1,
-		hiLo:      size,
 	}
 	m.brk = m.globalEnd
 	return m
 }
 
 // Reset rewinds the address space to its NewMemory(size, globalWords) state
-// so one allocation serves many runs. Only the watermarked dirty segments
-// are zeroed; an untouched 8 MiB address space costs nothing to recycle.
+// so one allocation serves many runs. It clears what the last run backed,
+// not the address space.
 func (m *Memory) Reset(size, globalWords int64) {
 	if size < globalWords+64 {
 		size = globalWords + 64
 	}
-	if int64(len(m.words)) != size {
-		m.words = make([]uint64, size)
-		m.dirty = make([]uint64, dirtyWords(size))
-	} else {
-		if m.loHi > 1 {
-			clear(m.words[1:m.loHi])
-		}
-		if m.hiLo < size {
-			clear(m.words[m.hiLo:])
-		}
-	}
+	m.resize(size)
+	m.gap = nil
+	m.fit(int(globalWords), 0)
+	clear(m.lo)
 	m.globalEnd = 1 + globalWords
 	m.brk = m.globalEnd
 	m.sp = size
-	m.loHi = 1
-	m.hiLo = size
 	// The bitmap only means "dirty since base"; with no base it may hold
 	// garbage, and both Snapshot and a full RestoreSnap clear it before
 	// establishing one.
 	m.base, m.baseGen = nil, 0
+}
+
+// resize changes the logical size. The stack extent is addressed from the
+// top, so the caller must be about to overwrite or drop it.
+func (m *Memory) resize(size int64) {
+	if m.size != size {
+		m.size = size
+		m.dirty = make([]uint64, dirtyWords(size))
+	}
 }
 
 func (m *Memory) baseValid() bool {
@@ -143,7 +179,7 @@ func (m *Memory) markRange(base, count int64) {
 }
 
 // Size returns the total address-space size in words.
-func (m *Memory) Size() int64 { return int64(len(m.words)) }
+func (m *Memory) Size() int64 { return m.size }
 
 // AllocatedWords returns the extent of application data (globals + heap),
 // the denominator for contamination percentages.
@@ -152,34 +188,209 @@ func (m *Memory) AllocatedWords() int64 { return m.brk - 1 }
 // HeapUsed returns the number of heap words allocated so far.
 func (m *Memory) HeapUsed() int64 { return m.brk - m.globalEnd }
 
+// BackedBytes returns the bytes of word backing currently allocated: both
+// dense extents at their capacity plus the gap pages.
+func (m *Memory) BackedBytes() int64 {
+	return int64(cap(m.lo)+len(m.stackBuf)+len(m.gap)*pageWords) * 8
+}
+
 // InBounds reports whether addr names an accessible word.
 func (m *Memory) InBounds(addr int64) bool {
-	return addr >= 1 && addr < int64(len(m.words))
+	return addr >= 1 && addr < m.size
+}
+
+// inBounds reports whether [base, base+count) is fully accessible.
+func (m *Memory) inBounds(base, count int64) bool {
+	return count >= 0 && m.InBounds(base) && (count == 0 || m.InBounds(base+count-1))
 }
 
 // Read returns the word at addr; ok is false when the access traps.
 func (m *Memory) Read(addr int64) (uint64, bool) {
-	if !m.InBounds(addr) {
-		return 0, false
+	if w, ok := m.readHot(addr); ok {
+		return w, true
 	}
-	return m.words[addr], true
+	return m.readSlow(addr)
 }
 
 // Write stores the word at addr; ok is false when the access traps.
 func (m *Memory) Write(addr int64, v uint64) bool {
+	return m.writeHot(addr, v) || m.writeSlow(addr, v)
+}
+
+// readHot is Read for a word lo holds, which is every access of a
+// fault-free application run: one unsigned compare, and small enough to
+// inline into the interpreter loop, which calls readSlow itself when it
+// reports a miss (a call inside would put Read over the inlining budget).
+func (m *Memory) readHot(addr int64) (uint64, bool) {
+	if i := uint64(addr) - 1; i < uint64(len(m.lo)) {
+		return m.lo[i], true
+	}
+	return 0, false
+}
+
+// writeHot is the store counterpart of readHot: the store and its dirty bit.
+func (m *Memory) writeHot(addr int64, v uint64) bool {
+	if i := uint64(addr) - 1; i < uint64(len(m.lo)) {
+		m.lo[i] = v
+		m.dirty[uint64(addr)>>dirtyShift] |= 1 << ((uint64(addr) >> blockShift) & 63)
+		return true
+	}
+	return false
+}
+
+// readSlow is Read for every word lo does not hold: the stack, the gap,
+// unbacked words and the traps.
+//
+//go:noinline
+func (m *Memory) readSlow(addr int64) (uint64, bool) {
+	if !m.InBounds(addr) {
+		return 0, false
+	}
+	if seg, _ := m.span(addr); seg != nil {
+		return seg[0], true
+	}
+	return 0, true
+}
+
+// writeSlow is Write for every word lo does not hold, and where backing
+// is allocated.
+//
+//go:noinline
+func (m *Memory) writeSlow(addr int64, v uint64) bool {
 	if !m.InBounds(addr) {
 		return false
 	}
-	m.words[addr] = v
-	m.dirty[uint64(addr)>>dirtyShift] |= 1 << ((uint64(addr) >> blockShift) & 63)
-	if addr >= m.sp {
-		if addr < m.hiLo {
-			m.hiLo = addr
-		}
-	} else if addr >= m.loHi {
-		m.loHi = addr + 1
+	seg, _ := m.span(addr)
+	if seg == nil {
+		seg = m.back(addr)
 	}
+	seg[0] = v
+	m.markRange(addr, 1)
 	return true
+}
+
+// span returns the backing of the words from addr to the end of the region
+// addr lies in — the low extent, the stack extent or one gap page — and how
+// many words that is. seg is nil over unbacked words. addr must be in bounds.
+func (m *Memory) span(addr int64) (seg []uint64, n int64) {
+	if i := addr - 1; i < int64(len(m.lo)) {
+		return m.lo[i:], int64(len(m.lo)) - i
+	}
+	stackBase := m.size - int64(len(m.stack))
+	if addr >= stackBase {
+		return m.stack[addr-stackBase:], m.size - addr
+	}
+	if len(m.gap) == 0 {
+		return nil, stackBase - addr
+	}
+	n = min((addr|(pageWords-1))+1, stackBase) - addr
+	if p := m.gap[addr>>pageShift]; p != nil {
+		off := addr & (pageWords - 1)
+		return p[off : off+n], n
+	}
+	return nil, n
+}
+
+// back gives the unbacked word at addr backing, as a store to it requires,
+// and returns its span: heap below brk extends lo, stack at or above sp
+// extends stack (each as far as its capacity and brk or sp allow, so a
+// sweep lands here once per doubling), anything else gets a gap page.
+func (m *Memory) back(addr int64) []uint64 {
+	switch {
+	case addr < m.brk:
+		m.reserveLo(int(addr))
+		stackBase := m.size - int64(len(m.stack))
+		m.extendLo(int(min(int64(cap(m.lo)), m.brk-1, stackBase-1)))
+	case addr >= m.sp:
+		m.reserveStack(int(m.size - addr))
+		m.extendStack(int(min(int64(len(m.stackBuf)), m.size-m.sp)))
+	default:
+		if m.gap == nil {
+			m.gap = make(map[int64]*[pageWords]uint64)
+		}
+		m.gap[addr>>pageShift] = new([pageWords]uint64)
+	}
+	seg, _ := m.span(addr)
+	return seg
+}
+
+// reserveLo makes lo's capacity at least n words.
+func (m *Memory) reserveLo(n int) {
+	if n > cap(m.lo) {
+		m.lo = append(make([]uint64, 0, max(n, 2*cap(m.lo), blockWords)), m.lo...)
+	}
+}
+
+// extendLo lengthens lo to n words, which its capacity must hold.
+func (m *Memory) extendLo(n int) {
+	old := len(m.lo)
+	m.lo = m.lo[:n]
+	m.absorb(m.lo[old:], int64(old)+1)
+}
+
+// reserveStack makes stack's capacity at least n words.
+func (m *Memory) reserveStack(n int) {
+	if n > len(m.stackBuf) {
+		buf := make([]uint64, max(n, 2*len(m.stackBuf), blockWords))
+		copy(buf[len(buf)-len(m.stack):], m.stack)
+		m.stackBuf, m.stack = buf, buf[len(buf)-len(m.stack):]
+	}
+}
+
+// extendStack lengthens stack to n words, which its capacity must hold.
+func (m *Memory) extendStack(n int) {
+	old := len(m.stack)
+	m.stack = m.stackBuf[len(m.stackBuf)-n:]
+	m.absorb(m.stack[:n-old], m.size-int64(n))
+}
+
+// absorb moves what the gap pages hold of words [addr, addr+len(dst))
+// into dst, the part of an extent that has just come to cover them.
+func (m *Memory) absorb(dst []uint64, addr int64) {
+	end := addr + int64(len(dst))
+	for k, p := range m.gap {
+		first := k << pageShift
+		a, b := max(first, addr), min(first+pageWords, end)
+		if a >= b {
+			continue
+		}
+		src := p[a-first : b-first]
+		copy(dst[a-addr:], src)
+		if b-a == pageWords {
+			delete(m.gap, k)
+		} else {
+			clear(src)
+		}
+	}
+}
+
+// fit gives the dense extents exactly the lengths the state being
+// installed has, keeping every word they still cover: a longer extent is
+// cut back and the cut words zeroed, a shorter one grows over whatever
+// the gap holds there. An extent larger than keepWords of which the
+// state being replaced used under a quarter is reallocated at the size
+// it did use.
+func (m *Memory) fit(nLo, nHi int) {
+	if used := len(m.lo); nLo > used {
+		m.reserveLo(nLo)
+		m.extendLo(nLo)
+	} else {
+		clear(m.lo[nLo:])
+		m.lo = m.lo[:nLo]
+		if cap(m.lo) > keepWords && used < cap(m.lo)/4 {
+			m.lo = append(make([]uint64, 0, used), m.lo...)
+		}
+	}
+	if used := len(m.stack); nHi > used {
+		m.reserveStack(nHi)
+		m.extendStack(nHi)
+	} else {
+		clear(m.stack[:used-nHi])
+		if len(m.stackBuf) > keepWords && used < len(m.stackBuf)/4 {
+			m.stackBuf = append(make([]uint64, used-nHi, used), m.stack[used-nHi:]...)
+		}
+		m.stack = m.stackBuf[len(m.stackBuf)-nHi:]
+	}
 }
 
 // Alloc bump-allocates n words on the heap and returns the base address;
@@ -203,7 +414,14 @@ func (m *Memory) PushFrame(n int64) (int64, bool) {
 	// Stack frames are reused across calls; clear to keep runs
 	// deterministic regardless of earlier frame contents. The clear is a
 	// write like any other and must reach the dirty bitmap.
-	clear(m.words[m.sp : m.sp+n])
+	for addr, end := m.sp, m.sp+n; addr < end; {
+		seg, k := m.span(addr)
+		k = min(k, end-addr)
+		if seg != nil {
+			clear(seg[:k])
+		}
+		addr += k
+	}
 	m.markRange(m.sp, n)
 	return m.sp, true
 }
@@ -212,24 +430,36 @@ func (m *Memory) PushFrame(n int64) (int64, bool) {
 func (m *Memory) PopFrame(n int64) { m.sp += n }
 
 // Words returns a read-only view of [base, base+count); ok is false when
-// the range is not fully in bounds. The view aliases the address space —
-// it is invalidated by the next write, so callers must fully consume or
-// copy it before resuming execution.
+// the range is not fully in bounds. A range inside one dense extent —
+// every message of a fault-free run — is a view that aliases the address
+// space: it is invalidated by the next write, so callers must fully
+// consume or copy it before resuming execution. Any other range is
+// materialised.
 func (m *Memory) Words(base, count int64) ([]uint64, bool) {
-	if count < 0 || !m.InBounds(base) || (count > 0 && !m.InBounds(base+count-1)) {
+	if !m.inBounds(base, count) {
 		return nil, false
 	}
-	return m.words[base : base+count], true
+	if seg, n := m.span(base); seg != nil && count <= n {
+		return seg[:count], true
+	}
+	return m.CopyOut(base, count)
 }
 
 // CopyOut copies count words starting at base into a new slice; ok is false
 // when the range is not fully in bounds.
 func (m *Memory) CopyOut(base, count int64) ([]uint64, bool) {
-	if count < 0 || !m.InBounds(base) || (count > 0 && !m.InBounds(base+count-1)) {
+	if !m.inBounds(base, count) {
 		return nil, false
 	}
 	out := make([]uint64, count)
-	copy(out, m.words[base:base+count])
+	for dst, addr := out, base; len(dst) > 0; {
+		seg, n := m.span(addr)
+		n = min(n, int64(len(dst)))
+		if seg != nil {
+			copy(dst[:n], seg)
+		}
+		dst, addr = dst[n:], addr+n
+	}
 	return out, true
 }
 
@@ -237,40 +467,36 @@ func (m *Memory) CopyOut(base, count int64) ([]uint64, bool) {
 // in bounds.
 func (m *Memory) CopyIn(base int64, data []uint64) bool {
 	count := int64(len(data))
-	if !m.InBounds(base) || (count > 0 && !m.InBounds(base+count-1)) {
+	if !m.inBounds(base, count) {
 		return false
 	}
-	copy(m.words[base:base+count], data)
-	m.markRange(base, count)
-	if base >= m.sp {
-		if base < m.hiLo {
-			m.hiLo = base
+	for src, addr := data, base; len(src) > 0; {
+		seg, _ := m.span(addr)
+		if seg == nil {
+			seg = m.back(addr)
 		}
-	} else if base+count > m.loHi {
-		// A range crossing into the stack segment is fully covered by the
-		// low watermark; Reset zeroes [1, loHi) regardless of sp.
-		m.loHi = base + count
+		n := copy(seg, src)
+		src, addr = src[n:], addr+int64(n)
 	}
+	m.markRange(base, count)
 	return true
 }
 
 // InitGlobals installs initial global contents (used once before a run).
 func (m *Memory) InitGlobals(base int64, data []uint64) bool { return m.CopyIn(base, data) }
 
-// MemSnap is a watermark-bounded copy of an address space: only the dirty
-// low segment (globals + heap + wild writes) and the dirty stack segment
-// are copied, so the cost of a snapshot scales with the memory a run
-// actually touched, not with the 8 MiB address-space size. Everything
-// outside those two segments is zero by the Memory invariant, which is what
-// makes restoring from the two segments exact.
+// MemSnap is a copy of an address space's backing: the two dense extents
+// and whatever gap pages there are, so the cost of a snapshot scales with
+// the memory a run actually touched, not with the address-space size.
+// Everything outside them is zero by the Memory invariant, which is what
+// makes restoring from them exact.
 type MemSnap struct {
-	lo        []uint64 // words [1, loHi)
-	hi        []uint64 // words [hiLo, size)
+	lo        []uint64                     // words [1, 1+len(lo))
+	hi        []uint64                     // words [size-len(hi), size)
+	gap       map[int64]*[pageWords]uint64 // nil for a fault-free run
 	size      int64
 	globalEnd int64
 	brk, sp   int64
-	loHi      int64
-	hiLo      int64
 
 	// Chain link for delta restores. When this snapshot was captured from
 	// a memory whose content was last equal to another snapshot (the
@@ -286,6 +512,19 @@ type MemSnap struct {
 	sincePrev []uint64
 }
 
+// clonePages copies a gap; no pages is nil.
+func clonePages(gap map[int64]*[pageWords]uint64) map[int64]*[pageWords]uint64 {
+	if len(gap) == 0 {
+		return nil
+	}
+	out := make(map[int64]*[pageWords]uint64, len(gap))
+	for k, p := range gap {
+		c := *p
+		out[k] = &c
+	}
+	return out
+}
+
 // Snapshot captures the address space into s (reusing s's backing when
 // possible; nil allocates). Later writes to the memory never alias the
 // snapshot.
@@ -293,14 +532,13 @@ func (m *Memory) Snapshot(s *MemSnap) *MemSnap {
 	if s == nil {
 		s = &MemSnap{}
 	}
-	s.lo = append(s.lo[:0], m.words[1:m.loHi]...)
-	s.hi = append(s.hi[:0], m.words[m.hiLo:]...)
-	s.size = int64(len(m.words))
+	s.lo = append(s.lo[:0], m.lo...)
+	s.hi = append(s.hi[:0], m.stack...)
+	s.gap = clonePages(m.gap)
+	s.size = m.size
 	s.globalEnd = m.globalEnd
 	s.brk = m.brk
 	s.sp = m.sp
-	s.loHi = m.loHi
-	s.hiLo = m.hiLo
 	if m.baseValid() && m.base != s {
 		// Link into the base's chain: the live bitmap is exactly the set
 		// of blocks on which this snapshot may differ from the base.
@@ -325,40 +563,40 @@ func (m *Memory) Snapshot(s *MemSnap) *MemSnap {
 // snapshot sits on the same chain as s, only the union of blocks dirtied
 // between the two states is copied back (delta path); otherwise — first
 // restore, size change or broken chain — the full-copy path runs. Either
-// way the result equals the snapshotted memory word for word and the
-// snapshot stays reusable across any number of restores.
+// way the result equals the snapshotted memory word for word, backed
+// exactly as the snapshot is, and the snapshot stays reusable across any
+// number of restores.
 func (m *Memory) RestoreSnap(s *MemSnap) RestoreStats {
-	if int64(len(m.words)) == s.size && m.baseValid() {
+	if m.size == s.size && m.baseValid() {
 		if un, ok := m.deltaUnion(s); ok {
 			return m.restoreDelta(s, un)
 		}
 	}
-	if int64(len(m.words)) != s.size {
-		m.words = make([]uint64, s.size)
-		m.dirty = make([]uint64, dirtyWords(s.size))
-	} else {
-		if m.loHi > 1 {
-			clear(m.words[1:m.loHi])
-		}
-		if m.hiLo < int64(len(m.words)) {
-			clear(m.words[m.hiLo:])
-		}
-	}
-	copy(m.words[1:], s.lo)
-	copy(m.words[s.hiLo:], s.hi)
-	m.globalEnd = s.globalEnd
-	m.brk = s.brk
-	m.sp = s.sp
-	m.loHi = s.loHi
-	m.hiLo = s.hiLo
-	clear(m.dirty)
-	m.base, m.baseGen = s, s.gen
+	m.resize(s.size)
+	m.gap = nil
+	m.fit(len(s.lo), len(s.hi))
+	copy(m.lo, s.lo)
+	copy(m.stack, s.hi)
+	m.rebase(s)
 	total := totalBlocks(s.size)
 	return RestoreStats{
-		Bytes:       int64(len(s.lo)+len(s.hi)) * 8,
+		Bytes:       int64(len(s.lo)+len(s.hi)+len(s.gap)*pageWords) * 8,
 		DirtyBlocks: total,
 		TotalBlocks: total,
 	}
+}
+
+// rebase finishes a restore whose extents are in place: the gap, the
+// scalars, a clean bitmap and s as the delta base.
+func (m *Memory) rebase(s *MemSnap) {
+	if len(m.gap)+len(s.gap) > 0 {
+		m.gap = clonePages(s.gap)
+	}
+	m.globalEnd = s.globalEnd
+	m.brk = s.brk
+	m.sp = s.sp
+	clear(m.dirty)
+	m.base, m.baseGen = s, s.gen
 }
 
 // deltaUnion assembles into m.scratch the union of every block that may
@@ -398,12 +636,14 @@ func (m *Memory) deltaUnion(s *MemSnap) ([]uint64, bool) {
 }
 
 // restoreDelta rewrites exactly the blocks named by the union bitmap
-// with their content under snapshot s. Per the Memory invariant a word
-// of s is s.lo[addr-1] for addr in [1, s.loHi), s.hi[addr-s.hiLo] for
-// addr in [s.hiLo, size), and zero in between — so each dirty block is
-// reconstructed from up to three subranges.
+// with their content under snapshot s. fit first gives the memory s's
+// extents, which zeroes every word s does not back densely and moves in
+// the clean words the gap held; what is left of a dirty block is then
+// its overlap with s.lo and s.hi, and rebase installs s's own gap whole.
 func (m *Memory) restoreDelta(s *MemSnap, un []uint64) RestoreStats {
 	size := s.size
+	m.fit(len(s.lo), len(s.hi))
+	loEnd, hiBase := 1+int64(len(s.lo)), size-int64(len(s.hi))
 	var blocks int
 	var bytes int64
 	for wi, w := range un {
@@ -415,25 +655,16 @@ func (m *Memory) restoreDelta(s *MemSnap, un []uint64) RestoreStats {
 				continue
 			}
 			end := min(start+blockWords, size)
-			if a, b := max(start, 1), min(end, s.loHi); a < b {
-				copy(m.words[a:b], s.lo[a-1:b-1])
+			if a, b := max(start, 1), min(end, loEnd); a < b {
+				copy(m.lo[a-1:b-1], s.lo[a-1:b-1])
 			}
-			if a, b := max(start, s.loHi), min(end, s.hiLo); a < b {
-				clear(m.words[a:b])
-			}
-			if a, b := max(start, s.hiLo), end; a < b {
-				copy(m.words[a:b], s.hi[a-s.hiLo:b-s.hiLo])
+			if a := max(start, hiBase); a < end {
+				copy(m.stack[a-hiBase:end-hiBase], s.hi[a-hiBase:end-hiBase])
 			}
 			blocks++
 			bytes += (end - start) * 8
 		}
 	}
-	m.globalEnd = s.globalEnd
-	m.brk = s.brk
-	m.sp = s.sp
-	m.loHi = s.loHi
-	m.hiLo = s.hiLo
-	clear(m.dirty)
-	m.base, m.baseGen = s, s.gen
+	m.rebase(s)
 	return RestoreStats{Bytes: bytes, DirtyBlocks: blocks, TotalBlocks: totalBlocks(size), Delta: true}
 }

@@ -1,17 +1,34 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 )
 
-// snapWords reconstructs the full word array a snapshot denotes: lo at
-// [1, loHi), hi at [hiLo, size), zero everywhere else (the Memory
-// watermark invariant).
+// snapWords reconstructs the full word array a snapshot denotes: lo from
+// address 1, hi up to size, the gap pages where they lie, zero everywhere
+// else (the Memory invariant).
 func snapWords(s *MemSnap) []uint64 {
 	w := make([]uint64, s.size)
+	for k, p := range s.gap {
+		copy(w[k<<pageShift:], p[:])
+	}
 	copy(w[1:], s.lo)
-	copy(w[s.hiLo:], s.hi)
+	copy(w[s.size-int64(len(s.hi)):], s.hi)
 	return w
+}
+
+// checkWords asserts every word of the memory reads as want has it.
+func checkWords(t *testing.T, m *Memory, want []uint64, what string) {
+	t.Helper()
+	if m.Size() != int64(len(want)) {
+		t.Fatalf("size %d %s, want %d", m.Size(), what, len(want))
+	}
+	for a := int64(1); a < m.Size(); a++ {
+		if got, _ := m.Read(a); got != want[a] {
+			t.Fatalf("word %d = %#x %s, want %#x", a, got, what, want[a])
+		}
+	}
 }
 
 // checkEqualsSnap asserts the memory is word-for-word and
@@ -19,20 +36,12 @@ func snapWords(s *MemSnap) []uint64 {
 // s installed as the delta base.
 func checkEqualsSnap(t *testing.T, m *Memory, s *MemSnap) {
 	t.Helper()
-	want := snapWords(s)
-	if int64(len(m.words)) != s.size {
-		t.Fatalf("size %d after restore, snapshot has %d", len(m.words), s.size)
-	}
-	for a, w := range want {
-		if m.words[a] != w {
-			t.Fatalf("word %d = %#x after restore, want %#x", a, m.words[a], w)
-		}
-	}
+	checkWords(t, m, snapWords(s), "after restore")
 	if m.globalEnd != s.globalEnd || m.brk != s.brk || m.sp != s.sp ||
-		m.loHi != s.loHi || m.hiLo != s.hiLo {
-		t.Fatalf("scalars (%d,%d,%d,%d,%d) after restore, want (%d,%d,%d,%d,%d)",
-			m.globalEnd, m.brk, m.sp, m.loHi, m.hiLo,
-			s.globalEnd, s.brk, s.sp, s.loHi, s.hiLo)
+		len(m.lo) != len(s.lo) || len(m.stack) != len(s.hi) || len(m.gap) != len(s.gap) {
+		t.Fatalf("scalars (%d,%d,%d) extents (%d,%d,%d) after restore, want (%d,%d,%d) (%d,%d,%d)",
+			m.globalEnd, m.brk, m.sp, len(m.lo), len(m.stack), len(m.gap),
+			s.globalEnd, s.brk, s.sp, len(s.lo), len(s.hi), len(s.gap))
 	}
 	for i, w := range m.dirty {
 		if w != 0 {
@@ -45,7 +54,7 @@ func checkEqualsSnap(t *testing.T, m *Memory, s *MemSnap) {
 }
 
 // TestDeltaRestoreAboveWatermark forks writes above the golden low
-// watermark — into the zero gap the snapshot never copied, and into
+// extent — into the zero gap the snapshot never copied, and into
 // stack frames deeper than the snapshot ever pushed — and checks the
 // delta restore re-zeroes them.
 func TestDeltaRestoreAboveWatermark(t *testing.T) {
@@ -54,16 +63,16 @@ func TestDeltaRestoreAboveWatermark(t *testing.T) {
 		m.Write(a, uint64(a)*3)
 	}
 	s := m.Snapshot(nil)
-	if s.loHi != 65 || s.hiLo != int64(len(m.words)) {
-		t.Fatalf("unexpected golden watermarks loHi=%d hiLo=%d", s.loHi, s.hiLo)
+	if len(s.lo) != 64 || len(s.hi) != 0 || s.gap != nil {
+		t.Fatalf("unexpected golden extents lo=%d hi=%d gap=%d", len(s.lo), len(s.hi), len(s.gap))
 	}
-	// Wild write far above the golden low watermark.
+	// Wild write far above the golden low extent.
 	if !m.Write(3000, 7) {
 		t.Fatal("write trapped")
 	}
 	// Ordinary dirt inside the copied segment.
 	m.Write(30, 9)
-	// Stack dirt below the golden high watermark.
+	// Stack dirt below the golden stack extent.
 	fb, ok := m.PushFrame(32)
 	if !ok {
 		t.Fatal("push trapped")
@@ -82,7 +91,7 @@ func TestDeltaRestoreAboveWatermark(t *testing.T) {
 
 // TestDeltaRestoreWatermarkShrink runs two successive forks off one
 // snapshot where the second dirties far less than the first: the live
-// watermarks shrink back between forks and the second restore must pay
+// extents shrink back between forks and the second restore must pay
 // only for the second fork's dirt.
 func TestDeltaRestoreWatermarkShrink(t *testing.T) {
 	m := NewMemory(4096, 64)
@@ -106,7 +115,7 @@ func TestDeltaRestoreWatermarkShrink(t *testing.T) {
 	}
 	wide := st.DirtyBlocks
 	checkEqualsSnap(t, m, s)
-	// Fork 2: narrow — a single word next to the golden watermark.
+	// Fork 2: narrow — a single word next to the golden extent.
 	m.Write(2, 3)
 	st = m.RestoreSnap(s)
 	if !st.Delta {
@@ -116,7 +125,7 @@ func TestDeltaRestoreWatermarkShrink(t *testing.T) {
 		t.Fatalf("narrow fork restored %d blocks, want 1 (wide fork took %d)", st.DirtyBlocks, wide)
 	}
 	if st.DirtyBlocks >= wide {
-		t.Fatalf("watermark shrink not reflected: narrow %d >= wide %d blocks", st.DirtyBlocks, wide)
+		t.Fatalf("extent shrink not reflected: narrow %d >= wide %d blocks", st.DirtyBlocks, wide)
 	}
 	checkEqualsSnap(t, m, s)
 }
@@ -258,14 +267,8 @@ func FuzzDeltaRestore(f *testing.F) {
 					m.base, m.baseGen = nil, 0
 				}
 				st := m.RestoreSnap(s)
-				want := snapWords(s)
-				for a, w := range want {
-					if m.words[a] != w {
-						t.Fatalf("word %d = %#x after restore (delta=%v), want %#x",
-							a, m.words[a], st.Delta, w)
-					}
-				}
-				if m.loHi != s.loHi || m.hiLo != s.hiLo || m.brk != s.brk || m.sp != s.sp {
+				checkWords(t, m, snapWords(s), fmt.Sprintf("after restore (delta=%v)", st.Delta))
+				if len(m.lo) != len(s.lo) || len(m.stack) != len(s.hi) || m.brk != s.brk || m.sp != s.sp {
 					t.Fatalf("scalars diverged after restore (delta=%v)", st.Delta)
 				}
 				// Restored frames stack is the snapshot's; ours no longer applies.

@@ -2,12 +2,15 @@ package vm
 
 import "repro/internal/fpm"
 
-// State is a reusable bundle of the allocation-heavy pieces of a VM: the
-// address space, the contamination table, the register file and the frame
-// stack. A campaign worker keeps one State per rank and threads it through
-// consecutive experiments, so the dominant per-experiment cost — allocating
-// and faulting in an 8 MiB address space per rank — is paid once per worker
-// instead of once per run.
+// State is a reusable bundle of the stateful pieces of a VM: the address
+// space, the contamination table, the register file and the frame stack. A
+// campaign worker keeps one State per rank and threads it through
+// consecutive experiments. Allocation is the smaller reason — a Memory backs
+// only what its program stores to, a few KiB per rank for the applications
+// here, plus a 16 KiB dirty bitmap. The larger one is that a memory and a
+// table carried from one experiment to the next still know which snapshot
+// they last equalled and what has been dirtied since, which is what lets a
+// fork restore copy a delta instead of the whole state.
 //
 // Deliberately NOT part of a State: the output vector, trace points and
 // injection-cycle list, which escape into results and must stay owned by
@@ -31,17 +34,26 @@ type State struct {
 // the buffers.
 func NewState() *State { return &State{} }
 
+// BackedBytes returns the address-space backing the State holds between
+// runs (Memory.BackedBytes; zero before the first run).
+func (st *State) BackedBytes() int64 {
+	if st.mem == nil {
+		return 0
+	}
+	return st.mem.BackedBytes()
+}
+
 // adopt installs st's buffers (reset) into v, allocating any the State does
 // not hold yet. When forkRestore is set the memory and table skip their
 // Reset: the caller restores a snapshot over them before the VM runs, and
 // keeping the previous run's state intact is exactly what lets that
 // restore take the delta path (the dirty bitmap/journal describe the
 // state relative to the last restored snapshot).
-func (st *State) adopt(v *VM, memWords, globalWords int64, forkRestore bool) {
+func (st *State) adopt(v *VM, globalWords int64, forkRestore bool) {
 	if st.mem == nil {
-		st.mem = NewMemory(memWords, globalWords)
+		st.mem = NewMemory(MemWords, globalWords)
 	} else if !forkRestore {
-		st.mem.Reset(memWords, globalWords)
+		st.mem.Reset(MemWords, globalWords)
 	}
 	if st.table == nil {
 		st.table = fpm.NewTable()

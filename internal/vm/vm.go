@@ -18,10 +18,14 @@ import (
 	"repro/internal/ir"
 )
 
+// MemWords is the logical size of every VM's address space: 1<<20 words
+// (8 MiB), of which a Memory backs only what the program stores to. It
+// fixes the out-of-bounds trap boundary, so it is part of what a result
+// means and not a setting.
+const MemWords = 1 << 20
+
 // Config parameterizes one VM (one simulated MPI process).
 type Config struct {
-	// MemWords is the address-space size (default 1<<20 words = 8 MiB).
-	MemWords int64
 	// CycleLimit kills the run as a hang when exceeded; 0 means no limit.
 	CycleLimit uint64
 	// Injector applies LLFI++ bit flips at fim_inj sites; nil disables.
@@ -145,9 +149,6 @@ type trapPanic struct{ t *Trap }
 
 // New prepares a VM for prog. The program must have been validated.
 func New(prog *ir.Program, cfg Config) *VM {
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 20
-	}
 	if cfg.OutputLimit == 0 {
 		cfg.OutputLimit = 1 << 20
 	}
@@ -160,9 +161,9 @@ func New(prog *ir.Program, cfg Config) *VM {
 		cfg:   cfg,
 	}
 	if cfg.State != nil {
-		cfg.State.adopt(v, cfg.MemWords, prog.GlobalWords, cfg.ForkRestore)
+		cfg.State.adopt(v, prog.GlobalWords, cfg.ForkRestore)
 	} else {
-		v.mem = NewMemory(cfg.MemWords, prog.GlobalWords)
+		v.mem = NewMemory(MemWords, prog.GlobalWords)
 		v.table = fpm.NewTable()
 	}
 	if !cfg.ForkRestore || cfg.State == nil {
@@ -584,15 +585,17 @@ frames:
 
 			case ir.Load:
 				addr := int64(opA(regs, base, in))
-				w, ok := mem.Read(addr)
+				w, ok := mem.readHot(addr)
 				if !ok {
-					fr.pc = pc
-					v.trapMem(addr)
+					if w, ok = mem.readSlow(addr); !ok {
+						fr.pc = pc
+						v.trapMem(addr)
+					}
 				}
 				regs[base+int(in.dst)] = w
 			case ir.Store:
 				addr := int64(opB(regs, base, in))
-				if !mem.Write(addr, opA(regs, base, in)) {
+				if w := opA(regs, base, in); !mem.writeHot(addr, w) && !mem.writeSlow(addr, w) {
 					fr.pc = pc
 					v.trapMem(addr)
 				}
@@ -739,10 +742,12 @@ frames:
 
 			case ir.FpmFetch:
 				addr := int64(opA(regs, base, in))
-				w, ok := mem.Read(addr)
+				w, ok := mem.readHot(addr)
 				if !ok {
-					fr.pc = pc
-					v.trapMem(addr)
+					if w, ok = mem.readSlow(addr); !ok {
+						fr.pc = pc
+						v.trapMem(addr)
+					}
 				}
 				regs[base+int(in.dst)] = v.table.PristineOr(addr, w)
 
@@ -818,7 +823,7 @@ func (v *VM) fpmStore(regs []uint64, base int, in *dinstr) {
 	aS := int64(opD(regs, base, in))
 	before := v.table.Len()
 	if aP == aS {
-		if !v.mem.Write(aP, vP) {
+		if !v.mem.writeHot(aP, vP) && !v.mem.writeSlow(aP, vP) {
 			v.trapMem(aP)
 		}
 		v.table.Observe(aP, vP, vS)
