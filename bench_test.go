@@ -361,6 +361,7 @@ func BenchmarkAblationMemoryInjection(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(memApplied), "applied/30")
 	if memApplied > 0 {
 		b.ReportMetric(100*float64(memVanished)/float64(memApplied), "mem-V%")
 	}

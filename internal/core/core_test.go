@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/classify"
 	"repro/internal/inject"
 	"repro/internal/ir"
@@ -160,6 +163,56 @@ func TestTaintOverestimatesDualChain(t *testing.T) {
 	}
 	if over == 0 {
 		t.Error("taint never overestimated; ablation shows nothing")
+	}
+
+	// The ablation's numbers, pinned: Σ taint peak / Σ exact CML peak over
+	// 200 uniform single-fault plans per application (one rank, test scale,
+	// crashed runs included). Observation must not perturb the run: each
+	// taint run equals the plain run of the same plan.
+	want := map[string][2]int{
+		"LULESH": {5660, 689}, "LAMMPS": {1993, 1092}, "miniFE": {2224, 1038},
+		"AMG2013": {6116, 5480}, "MCB": {1406, 1121},
+	}
+	for _, app := range apps.All() {
+		p := app.TestParams()
+		p.Ranks = 1
+		prog, err := app.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := transform.Instrument(prog, transform.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := Run(inst, RunConfig{Ranks: 1})
+		if golden.Err != nil {
+			t.Fatal(golden.Err)
+		}
+		r := xrand.New(9)
+		var sums [2]int
+		for k := 0; k < 200; k++ {
+			plan, err := inject.UniformSinglePlan(r, golden.SiteCounts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := RunConfig{Ranks: 1, Plan: plan, CycleLimit: golden.Cycles * 4}
+			plain := Run(inst, cfg)
+			cfg.TrackTaint = true
+			run := Run(inst, cfg)
+			sums[0] += run.TaintPeakTotal
+			sums[1] += run.MaxCMLTotal
+			got := []any{run.Ranks[0].Outputs, run.Cycles, run.Ranks[0].Sites, run.MaxCMLTotal,
+				run.Ranks[0].Points, fmt.Sprint(run.Err)}
+			ref := []any{plain.Ranks[0].Outputs, plain.Cycles, plain.Ranks[0].Sites, plain.MaxCMLTotal,
+				plain.Ranks[0].Points, fmt.Sprint(plain.Err)}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s plan %d: taint run diverged from plain run:\n got %v\nwant %v", app.Name(), k, got, ref)
+			}
+		}
+		if sums != want[app.Name()] {
+			t.Errorf("%s: Σ taint/exact = %d/%d, want %d/%d", app.Name(),
+				sums[0], sums[1], want[app.Name()][0], want[app.Name()][1])
+		}
 	}
 }
 

@@ -364,17 +364,6 @@ func (t *Table) CountInRange(base, count int64) int {
 	return n
 }
 
-// CarryHistory folds another table's observation history (peak CML and the
-// ever-contaminated flag) into this one without adding entries. Used when
-// a rollback reconstructs the table from a snapshot: the contamination
-// happened even though it was undone.
-func (t *Table) CarryHistory(peak int, ever bool) {
-	if peak > t.peak {
-		t.peak = peak
-	}
-	t.everContaminated = t.everContaminated || ever
-}
-
 // Reset empties the table and clears the peak and ever-contaminated state.
 // The slot array is retained (bounded) so a pooled table re-used across
 // experiments does not reallocate.

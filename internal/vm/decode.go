@@ -1,6 +1,10 @@
 package vm
 
-import "repro/internal/ir"
+import (
+	"sync"
+
+	"repro/internal/ir"
+)
 
 // Pre-decoded interpreter form. ir.Instr is built for construction and
 // transformation: operands carry a Kind tag inspected on every read, the
@@ -14,9 +18,11 @@ import "repro/internal/ir"
 // opcode and never re-inspects flags or operand tags.
 //
 // The lowering is strictly 1:1 with the original code: pc values, jump
-// targets and frame semantics are unchanged, which keeps traps, checkpoint
-// snapshots and the taint ablation (which walks the original ir.Instr)
-// byte-identical to the previous interpreter.
+// targets and frame semantics are unchanged, which keeps traps and
+// snapshots byte-identical to the previous interpreter. Each function has
+// up to three code arrays with that one pc numbering — full, clean (see
+// buildClean) and observed (see buildObserved) — so the interpreter can
+// switch arrays mid-function.
 
 // Operand-kind bits in dinstr.kinds: bit set means the payload holds a
 // register index, clear means it is the immediate value itself.
@@ -47,7 +53,8 @@ type dinstr struct {
 	// buildClean fusion). The interpreter advances the dynamic site counter
 	// by nsites in one step, or — if a planned fault falls inside the
 	// absorbed range — re-executes the group at pc-nsites under the full
-	// interpreter.
+	// interpreter. In observed code every opObserve carries 1 to take the
+	// same cold branch.
 	nsites uint8
 }
 
@@ -57,21 +64,22 @@ type dinstr struct {
 // one dispatch hops over a whole run of skipped instructions.
 const opSkip = ir.Op(255)
 
+// opObserve is a vm-private pseudo-opcode used only in observed code
+// arrays. It never reaches the interpreter's switch: its non-zero nsites
+// sends it down the fused-site cold branch, which runs the ablations'
+// observe hook and then continues with the full-code instruction at the
+// same pc, so the full and clean loops test nothing new.
+const opObserve = ir.Op(254)
+
 // dfunc is one decoded function. code is the full lowering; clean is the
 // clean-mode variant (see buildClean) with identical pc numbering, sharing
-// code's backing when the function has nothing to skip.
+// code's backing when the function has nothing to skip; observed is nil
+// until an ablation run needs it (see buildObserved).
 type dfunc struct {
-	fn    *ir.Func
-	code  []dinstr
-	clean []dinstr
-}
-
-// codeFor selects the code array for the given interpreter mode.
-func (df *dfunc) codeFor(clean bool) []dinstr {
-	if clean {
-		return df.clean
-	}
-	return df.code
+	fn       *ir.Func
+	code     []dinstr
+	clean    []dinstr
+	observed []dinstr
 }
 
 // dprog is the decoded program, cached on the ir.Program so every VM (and
@@ -85,6 +93,25 @@ type dprog struct {
 	// not set PairedRegs (e.g. the text parser) get cleanOK=false and run
 	// the full interpreter everywhere.
 	cleanOK bool
+	// observeOnce guards the lazy build of every function's observed array.
+	observeOnce sync.Once
+}
+
+// buildObserved lowers every function's observed code array on first use,
+// so a run without ablations never pays for it. An opObserve absorbs no
+// site (its nsites is only the branch marker) and costs no cycle; the
+// full-code instruction it hands over to does the accounting.
+func (d *dprog) buildObserved() {
+	d.observeOnce.Do(func() {
+		for i := range d.funcs {
+			df := &d.funcs[i]
+			obs := make([]dinstr, len(df.code))
+			for pc := range obs {
+				obs[pc] = dinstr{op: opObserve, src: df.code[pc].src, nsites: 1}
+			}
+			df.observed = obs
+		}
+	})
 }
 
 // decodedOf returns prog's decoded form, lowering it on first use.

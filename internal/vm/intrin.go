@@ -76,16 +76,8 @@ func (v *VM) intrin(fr *frame, in *ir.Instr) {
 		fmt.Fprintf(v.cfg.Stdout, "%d\n", argI(0))
 	case ir.IntrinCheckpointT:
 		v.ticks++
-		// Timestep boundaries are natural fault-application points for
-		// the memory-level injection model.
-		if v.memFaultsDone != nil {
-			v.applyMemFaults()
-		}
 		if v.cfg.Tracer != nil {
 			v.cfg.Tracer.OnTick(v.cycles, argI(0))
-		}
-		if v.checkpointTick() {
-			return
 		}
 		// Timestep boundaries also catch fault-free reconvergence that
 		// never touched the table (a flipped register overwritten before

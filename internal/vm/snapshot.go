@@ -23,15 +23,9 @@ import (
 // called from inside the hook, and the captured frame stack resumes at the
 // instruction after the quiescing intrinsic.
 //
-// Snapshot is the VM's one snapshot type: in-VM checkpoint/rollback
-// (checkpoint.go) captures and restores through the same Snapshot and
-// restore body, keeping only what a rollback must not rewind.
-//
 // Not snapshotted (callers must not combine them with snapshot forking):
-// the naive-taint ablation state and direct memory faults. The last in-VM
-// checkpoint is not part of a Snapshot either: a fork with
-// Config.CheckpointEvery set takes its first checkpoint at its next due
-// timestep.
+// the state of the two ablations that run on the observed code array, the
+// naive-taint tracker and direct memory faults.
 
 // QuiesceHook observes quiesce points. seq is the running quiesce-point
 // index of this rank's execution (0-based); for a multi-rank job every rank
@@ -89,9 +83,9 @@ func (s *Snapshot) Sites() uint64 { return s.sites }
 func (s *Snapshot) Cycles() uint64 { return s.cycles }
 
 // Snapshot captures the VM into s (reusing s's backing where possible; nil
-// allocates). It must be called while an intrinsic is retiring — from
-// inside a Quiesce hook, or by the checkpoint intrinsic itself: the stored
-// frame stack resumes at the instruction following that intrinsic.
+// allocates). It must be called from inside a Quiesce hook, while an
+// intrinsic is retiring: the stored frame stack resumes at the instruction
+// following that intrinsic.
 func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
@@ -121,15 +115,9 @@ func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 // from and must not use the unsupported features listed in the package
 // comment above.
 func (v *VM) RestoreSnap(s *Snapshot) RestoreStats {
-	if v.cfg.TrackTaint || len(v.cfg.MemFaults) > 0 {
+	if v.observing() {
 		panic("vm: RestoreSnap with taint or memory faults")
 	}
-	return v.restore(s)
-}
-
-// restore overwrites the VM's complete execution state with the
-// snapshot's; it is the body shared by fork restores and in-VM rollback.
-func (v *VM) restore(s *Snapshot) RestoreStats {
 	stats := v.mem.RestoreSnap(s.mem)
 	stats.Bytes += v.table.RestoreSnap(s.table)
 	v.regs = append(v.regs[:0], s.regs...)
@@ -157,7 +145,7 @@ func (v *VM) restore(s *Snapshot) RestoreStats {
 		v.reframe = false
 	} else {
 		for i := range v.frames {
-			v.frames[i].code = v.frames[i].df.codeFor(v.clean)
+			v.frames[i].code = v.codeFor(v.frames[i].df)
 		}
 	}
 	return stats

@@ -7,7 +7,45 @@ import (
 	"repro/internal/inject"
 	"repro/internal/ir"
 	"repro/internal/trace"
+	"repro/internal/transform"
 )
+
+// buildTickedAccum builds a single-process program: each of `steps`
+// timesteps adds step-dependent values into an accumulator array and
+// outputs the final checksum. All arithmetic flows through memory, so an
+// injected fault contaminates the array.
+func buildTickedAccum(steps int64) *ir.Program {
+	b := ir.NewBuilder()
+	acc := b.Global("acc", 8)
+	f := b.Func("main", 0, 0)
+	s := f.NewReg()
+	i := f.NewReg()
+	f.For(s, ir.ImmI(0), ir.ImmI(steps), func() {
+		f.Tick(ir.R(s))
+		f.For(i, ir.ImmI(0), ir.ImmI(8), func() {
+			old := f.Ld(ir.ImmI(acc), ir.R(i))
+			inc := f.FMul(ir.R(f.SIToFP(ir.R(f.Add(ir.R(s), ir.ImmI(1))))), ir.ImmF(0.25))
+			f.St(ir.R(f.FAdd(ir.R(old), ir.R(inc))), ir.ImmI(acc), ir.R(i))
+		})
+	})
+	sum := f.CF(0)
+	f.For(i, ir.ImmI(0), ir.ImmI(8), func() {
+		f.Op3(ir.FAdd, sum, ir.R(sum), ir.R(f.Ld(ir.ImmI(acc), ir.R(i))))
+	})
+	f.OutputF(ir.R(sum))
+	f.Iterations(ir.ImmI(steps))
+	f.Ret()
+	return b.MustBuild()
+}
+
+func instrumentT(t *testing.T, prog *ir.Program) *ir.Program {
+	t.Helper()
+	inst, err := transform.Instrument(prog, transform.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
 
 // snapAt runs prog fault-free, capturing a snapshot (and the paired
 // recorder snapshot) at quiesce point seq; the run continues to completion

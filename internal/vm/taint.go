@@ -2,6 +2,13 @@ package vm
 
 import "repro/internal/ir"
 
+// The two ablations, naive taint tracking and direct memory faults, run
+// only on the observed code array (decode.go): every pc of it holds
+// opObserve, which makes the interpreter call observe before the real
+// instruction at that pc runs. The full and clean code arrays carry no
+// ablation code at all, and a VM without ablations never builds the
+// observed one.
+//
 // Naive taint tracking implements the baseline the paper argues against
 // (§3.2): "the general assumption that the output of an instruction becomes
 // corrupted if at least one of the inputs is corrupted". Unlike the exact
@@ -14,14 +21,18 @@ import "repro/internal/ir"
 // runs.
 
 type taintState struct {
-	regs    []bool
-	mem     map[int64]bool
-	peak    int
-	scratch []bool
+	regs []bool
+	mem  map[int64]bool
+	peak int
+	// injSeen is len(VM.injCycles) at the previous observe; injDst is the
+	// absolute register the last fim_inj wrote. A grown injCycles means that
+	// fim_inj flipped its value.
+	injSeen int
+	injDst  int
 }
 
-func newTaintState() *taintState {
-	return &taintState{mem: make(map[int64]bool)}
+func newTaintState(entryRegs int) *taintState {
+	return &taintState{regs: make([]bool, entryRegs), mem: make(map[int64]bool)}
 }
 
 func (t *taintState) markMem(addr int64, tainted bool) {
@@ -51,6 +62,22 @@ func (v *VM) TaintPeak() int {
 	return v.taint.peak
 }
 
+// observing reports whether this VM runs an ablation, and so executes the
+// observed code array.
+func (v *VM) observing() bool { return v.taint != nil || v.memFaultsDone != nil }
+
+// observe runs the ablations ahead of the instruction at pc of fr, which
+// has not executed yet: due memory faults fire first, then the taint rule
+// sees the instruction's pre-execution operands.
+func (v *VM) observe(fr *frame, pc int) {
+	if v.memFaultsDone != nil {
+		v.applyMemFaults()
+	}
+	if v.taint != nil {
+		v.taintStep(fr, &fr.fn.Code[pc])
+	}
+}
+
 func (v *VM) taintGrow(n int) {
 	for len(v.taint.regs) < n {
 		v.taint.regs = append(v.taint.regs, false)
@@ -63,12 +90,15 @@ func (v *VM) taintOf(base int, o ir.Operand) bool {
 
 // taintStep applies the naive propagation rule for one instruction, using
 // pre-execution register values (the address of a load/store is evaluated
-// before the instruction mutates anything). FimInj, Call and Ret are
-// handled inline in the interpreter loop because they need information
-// local to those cases.
+// before the instruction mutates anything).
 func (v *VM) taintStep(fr *frame, in *ir.Instr) {
 	t := v.taint
 	base := fr.regBase
+	if n := len(v.injCycles); n != t.injSeen {
+		// The fim_inj that just executed flipped the value it wrote.
+		t.injSeen = n
+		t.regs[t.injDst] = true
+	}
 	setDst := func(b bool) {
 		if in.Dst != ir.NoReg {
 			t.regs[base+int(in.Dst)] = b
@@ -79,6 +109,9 @@ func (v *VM) taintStep(fr *frame, in *ir.Instr) {
 		setDst(false)
 	case ir.Mov:
 		setDst(v.taintOf(base, in.A))
+	case ir.FimInj:
+		setDst(v.taintOf(base, in.A))
+		t.injDst = base + int(in.Dst)
 	case ir.Add, ir.Sub, ir.Mul, ir.SDiv, ir.SRem, ir.Shl, ir.LShr, ir.AShr,
 		ir.And, ir.Or, ir.Xor, ir.FAdd, ir.FSub, ir.FMul, ir.FDiv,
 		ir.SIToFP, ir.FPToSI,
@@ -102,6 +135,28 @@ func (v *VM) taintStep(fr *frame, in *ir.Instr) {
 			// Corrupted store address: the location that should have
 			// been written is corrupted too (the duplicate effect).
 			t.markMem(int64(v.val(base, in.D)), true)
+		}
+	case ir.Call:
+		// The callee's window starts clean except for its arguments.
+		cb := base + fr.fn.NumRegs
+		n := v.dprog.funcs[in.Target].fn.NumRegs
+		v.taintGrow(cb + n)
+		tf := t.regs[cb : cb+n]
+		clear(tf)
+		for i, a := range in.Args {
+			if i < n {
+				tf[i] = v.taintOf(base, a)
+			}
+		}
+	case ir.Ret:
+		// The caller's result registers take the returned operands' taint.
+		if n := len(v.frames); n > 1 {
+			cb := v.frames[n-2].regBase
+			for i, r := range fr.retRegs {
+				if i < len(in.Args) {
+					t.regs[cb+int(r)] = v.taintOf(base, in.Args[i])
+				}
+			}
 		}
 	case ir.Intrin:
 		id := ir.IntrinID(in.Target)
@@ -145,8 +200,10 @@ func (v *VM) taintStep(fr *frame, in *ir.Instr) {
 // given application cycle, flip a bit of the word at the given fractional
 // position of the allocated data segment.
 type MemFault struct {
-	// AtCycle is the application cycle at (or shortly after) which the
-	// fault applies.
+	// AtCycle is the application cycle of the fault: it applies just
+	// before the first instruction that executes once the run has counted
+	// AtCycle cycles. A fault due after the run's last instruction never
+	// applies.
 	AtCycle uint64
 	// AddrUnit in [0,1) selects the target word within the allocated
 	// globals+heap extent.
@@ -155,9 +212,8 @@ type MemFault struct {
 	Bit uint
 }
 
-// applyMemFaults fires due memory faults; called from housekeep, so
-// application is quantized to the housekeeping interval, which is the
-// paper's accelerated-injection granularity rather than a per-cycle one.
+// applyMemFaults fires due memory faults; observe calls it ahead of every
+// instruction, so a fault lands exactly at its cycle.
 func (v *VM) applyMemFaults() {
 	for i := range v.cfg.MemFaults {
 		mf := &v.cfg.MemFaults[i]

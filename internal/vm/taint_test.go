@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/ir"
 	"repro/internal/transform"
 )
@@ -90,7 +92,7 @@ func TestMemFaultAppliesAndTracks(t *testing.T) {
 	b.GlobalInit("g", []uint64{1, 2, 3, 4, 5, 6, 7, 8})
 	f := b.Func("main", 0, 0)
 	i := f.NewReg()
-	// Enough work to pass a housekeeping boundary.
+	// Work for the fault's cycle to fall into.
 	f.For(i, ir.ImmI(0), ir.ImmI(3000), func() {})
 	sum := f.CI(0)
 	f.For(i, ir.ImmI(0), ir.ImmI(8), func() {
@@ -152,6 +154,107 @@ func TestMemFaultAddrUnitClamping(t *testing.T) {
 		}
 		if v.MemFaultsApplied() != 1 {
 			t.Errorf("unit %v: applied = %d", unit, v.MemFaultsApplied())
+		}
+	}
+}
+
+// TestMemFaultInTickFreeTailApplies: a fault due five cycles before the end
+// of a run, after its last timestep boundary and its last 1024-cycle
+// housekeeping point, still fires.
+func TestMemFaultInTickFreeTailApplies(t *testing.T) {
+	prog := instrumentT(t, buildTickedAccum(40))
+	golden := New(prog, Config{})
+	if err := golden.Run(); err != nil {
+		t.Fatal(err)
+	}
+	at := golden.Cycles() - 5
+	if golden.Cycles()%1024 <= 5 {
+		t.Fatalf("%d cycles: the fault cycle is not past the last housekeeping point", golden.Cycles())
+	}
+	rec := &tickRecorder{}
+	v := New(prog, Config{Tracer: rec, MemFaults: []MemFault{{AtCycle: at, AddrUnit: 0.5, Bit: 40}}})
+	if err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.last >= at {
+		t.Fatalf("last tick at cycle %d, not before the fault at %d", rec.last, at)
+	}
+	if v.MemFaultsApplied() != 1 || !v.Table().Ever() {
+		t.Errorf("fault at cycle %d of %d: applied %d, contaminated %v",
+			at, golden.Cycles(), v.MemFaultsApplied(), v.Table().Ever())
+	}
+}
+
+// tickRecorder remembers the cycle of the last timestep boundary.
+type tickRecorder struct{ last uint64 }
+
+func (r *tickRecorder) OnCMLChange(uint64, int)       {}
+func (r *tickRecorder) OnTick(cycles uint64, _ int64) { r.last = cycles }
+
+// TestObservedArrayOnlyForAblations: only a VM running an ablation builds
+// the observed code array, and such a VM never runs the clean interpreter.
+func TestObservedArrayOnlyForAblations(t *testing.T) {
+	prog := instrumentT(t, buildTickedAccum(6)) // fresh program: no decode cached yet
+	plan := func() Injector {
+		return inject.NewRankInjector(inject.Plan{Faults: []inject.Fault{{Site: 40, Bit: 3}}}, 0)
+	}
+	plain := New(prog, Config{Injector: plan()})
+	if err := plain.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !plain.cleanOK {
+		t.Fatal("plain VM is not clean-eligible: the clean-mode leg is vacuous")
+	}
+	for _, df := range plain.dprog.funcs {
+		if df.observed != nil {
+			t.Fatalf("%s: observed array built without an ablation", df.fn.Name)
+		}
+	}
+	for _, cfg := range []Config{
+		{Injector: plan(), TrackTaint: true},
+		{Injector: plan(), MemFaults: []MemFault{{AtCycle: 100, AddrUnit: 0.5, Bit: 2}}},
+	} {
+		v := New(prog, cfg)
+		if v.cleanOK || v.clean {
+			t.Errorf("taint=%v memfaults=%d: clean mode allowed", cfg.TrackTaint, len(cfg.MemFaults))
+		}
+		if err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v.clean {
+			t.Errorf("taint=%v memfaults=%d: entered clean mode", cfg.TrackTaint, len(cfg.MemFaults))
+		}
+		for _, df := range v.dprog.funcs {
+			if len(df.observed) != len(df.code) {
+				t.Fatalf("%s: observed array has %d of %d pcs", df.fn.Name, len(df.observed), len(df.code))
+			}
+		}
+	}
+}
+
+// TestObservedArrayConcurrentFirstUse: ablation VMs built at once on one
+// decoded program share the lazily built observed array (run with -race).
+func TestObservedArrayConcurrentFirstUse(t *testing.T) {
+	prog := instrumentT(t, buildTickedAccum(4))
+	decodedOf(prog) // one shared decode; its observed array is not built yet
+	peaks := make([]int, 4)
+	var wg sync.WaitGroup
+	for i := range peaks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := New(prog, Config{Injector: &siteFlipper{site: 30, bit: 2}, TrackTaint: true})
+			if err := v.Run(); err != nil {
+				t.Error(err)
+				return
+			}
+			peaks[i] = v.TaintPeak()
+		}()
+	}
+	wg.Wait()
+	for i, p := range peaks {
+		if p != peaks[0] || p == 0 {
+			t.Errorf("VM %d: taint peak %d, VM 0 %d", i, p, peaks[0])
 		}
 	}
 }

@@ -44,15 +44,9 @@ type Config struct {
 	// the overestimation ablation).
 	TrackTaint bool
 	// MemFaults are direct memory-level faults (the injection-model
-	// ablation); they fire at housekeeping granularity.
+	// ablation); each fires just before the first instruction that executes
+	// at or after its AtCycle.
 	MemFaults []MemFault
-	// CheckpointEvery captures the full execution state, as a Snapshot,
-	// every N timestep boundaries (0 disables checkpointing).
-	CheckpointEvery int64
-	// RollbackCML rolls back to the last snapshot when the contamination
-	// table reaches this size at a timestep boundary (0 disables; requires
-	// CheckpointEvery). The re-executed work costs application cycles.
-	RollbackCML int
 	// State, when non-nil, donates reusable buffers (address space, table,
 	// registers, frames) to this VM instead of allocating fresh ones; see
 	// State. Observable behaviour is identical either way.
@@ -106,13 +100,6 @@ type VM struct {
 	prist   []uint64
 	// wire is cfg.MPI's buffer-recycling extension, when it has one.
 	wire WireBufs
-
-	// In-VM checkpoint/rollback state (see checkpoint.go): the last
-	// checkpoint, the rollback count, and the flag telling the loop that a
-	// rollback replaced the frame stack under it.
-	snap      *Snapshot
-	rollbacks int
-	restored  bool
 
 	// Clean-mode interpreter state (see cleanmode.go). clean is the
 	// current mode; cleanOK caps it (program layout + config allow clean
@@ -174,7 +161,7 @@ func New(prog *ir.Program, cfg Config) *VM {
 		}
 	}
 	if cfg.TrackTaint {
-		v.taint = newTaintState()
+		v.taint = newTaintState(prog.Funcs[prog.Entry].NumRegs)
 	}
 	if wb, ok := cfg.MPI.(WireBufs); ok {
 		v.wire = wb
@@ -182,15 +169,16 @@ func New(prog *ir.Program, cfg Config) *VM {
 	if len(cfg.MemFaults) > 0 {
 		v.memFaultsDone = make([]bool, len(cfg.MemFaults))
 	}
+	if v.observing() {
+		v.dprog.buildObserved()
+	}
 	v.planner, _ = cfg.Injector.(SitePlanner)
 	v.refreshNextSite()
 	// Clean mode needs: a program whose dual-chain register pairing is
-	// declared, no ablation that observes the skipped instructions (taint)
-	// or mutates memory behind the table's back (memory faults), and an
-	// injector that can announce its next site — otherwise the very first
-	// fim_inj would bounce the VM out of clean mode anyway.
-	v.cleanOK = v.dprog.cleanOK &&
-		!cfg.TrackTaint && len(cfg.MemFaults) == 0 &&
+	// declared, no ablation that observes every instruction (see observe),
+	// and an injector that can announce its next site — otherwise the very
+	// first fim_inj would bounce the VM out of clean mode anyway.
+	v.cleanOK = v.dprog.cleanOK && !v.observing() &&
 		cfg.SiteObserver == nil && (cfg.Injector == nil || v.planner != nil)
 	// A fresh run starts fault-free with an all-zero register file, so
 	// shadows trivially mirror primaries. Fork restores overwrite the mode
@@ -251,6 +239,19 @@ func (v *VM) trap(kind TrapKind, detail string) {
 		pc = v.frames[n-1].pc
 	}
 	panic(trapPanic{&Trap{Kind: kind, Func: fn, PC: pc, Cycles: v.cycles, Detail: detail}})
+}
+
+// codeFor selects df's code array for this VM's interpreter mode: clean
+// while the rank is provably fault-free, observed when an ablation watches
+// every instruction, full otherwise. All three share one pc numbering.
+func (v *VM) codeFor(df *dfunc) []dinstr {
+	switch {
+	case v.clean:
+		return df.clean
+	case v.observing():
+		return df.observed
+	}
+	return df.code
 }
 
 // val evaluates an undecoded operand; used off the hot path (intrinsic
@@ -322,9 +323,6 @@ func (v *VM) housekeep() {
 	if v.cfg.Abort != nil && v.cfg.Abort.Raised() {
 		v.trap(TrapPeerFailure, "job aborted")
 	}
-	if v.memFaultsDone != nil {
-		v.applyMemFaults()
-	}
 }
 
 func (v *VM) noteCML(before int) {
@@ -360,14 +358,6 @@ func (v *VM) pushFrame(fi int, args []uint64, retRegs []ir.Reg) {
 	rf := v.regs[regBase:need]
 	clear(rf)
 	copy(rf, args)
-	if v.taint != nil {
-		v.taintGrow(need)
-		tf := v.taint.regs[regBase : regBase+callee.NumRegs]
-		for i := range tf {
-			tf[i] = false
-		}
-		copy(tf, v.taint.scratch)
-	}
 	fb := int64(0)
 	if callee.Frame > 0 {
 		var ok bool
@@ -377,7 +367,7 @@ func (v *VM) pushFrame(fi int, args []uint64, retRegs []ir.Reg) {
 		}
 	}
 	v.frames = append(v.frames, frame{
-		fn: callee, df: df, code: df.codeFor(v.clean),
+		fn: callee, df: df, code: v.codeFor(df),
 		regBase: regBase, frameBase: fb, retRegs: retRegs,
 	})
 	if len(v.frames) > 4096 {
@@ -427,10 +417,11 @@ func (v *VM) execute() (err error) {
 // the inner loop touches the VM and frame structs only on the cold paths.
 // fr.pc is therefore stale between sync points and MUST be re-synced
 // (fr.pc = pc) before anything that can observe it: every trap, housekeep
-// (cycle limit / abort / memory faults can trap), and intrinsics (whose
-// checkpoint and quiesce hooks capture the frame stack). Frame changes
-// (Call, Ret, checkpoint rollback) and anything that may swap the register
-// file restart the outer loop, which refetches all cached state.
+// (cycle limit / abort can trap), and intrinsics (whose quiesce hook
+// captures the frame stack). Frame changes (Call, Ret) and anything that
+// may swap the register file restart the outer loop, which refetches all
+// cached state. The ablations have no code here: they run on the observed
+// code array, whose opObserve takes the fused-site cold branch.
 func (v *VM) loop() {
 frames:
 	for {
@@ -439,7 +430,6 @@ frames:
 		base := fr.regBase
 		regs := v.regs
 		mem := v.mem
-		taint := v.taint
 		pc := fr.pc
 		for {
 			if uint(pc) >= uint(len(code)) {
@@ -448,26 +438,30 @@ frames:
 			}
 			in := &code[pc]
 
-			if taint != nil {
-				fr.pc = pc
-				v.taintStep(fr, &fr.fn.Code[pc])
-			}
-
 			// Fused fim_inj groups (clean-mode code only): this instruction
 			// absorbed the nsites injection sites emitted just before it. If
 			// a planned fault falls inside that range, replay the group from
 			// its first fim_inj under the full interpreter; otherwise retire
 			// all of its sites in one step. Checked before cycle accounting
 			// so the replay does not count this instruction's cycle twice.
+			// Observed code (ablation runs only) shares this cold branch:
+			// opObserve lets the ablations see the instruction, then hands
+			// over to its full-code form at the same pc.
 			if in.nsites != 0 {
-				ns := v.sites + uint64(in.nsites)
-				if ns > v.nextSite {
-					fr.pc = pc - int(in.nsites)
-					v.toFullMode()
-					v.reframe = false
-					continue frames
+				if in.op == opObserve {
+					fr.pc = pc
+					v.observe(fr, pc)
+					in = &fr.df.code[pc]
+				} else {
+					ns := v.sites + uint64(in.nsites)
+					if ns > v.nextSite {
+						fr.pc = pc - int(in.nsites)
+						v.toFullMode()
+						v.reframe = false
+						continue frames
+					}
+					v.sites = ns
 				}
-				v.sites = ns
 			}
 
 			// Application cycle accounting, precomputed at decode time:
@@ -622,12 +616,6 @@ frames:
 				for _, a := range args {
 					v.ret = append(v.ret, v.val(base, a))
 				}
-				if v.taint != nil {
-					v.taint.scratch = v.taint.scratch[:0]
-					for _, a := range args {
-						v.taint.scratch = append(v.taint.scratch, v.taintOf(base, a))
-					}
-				}
 				fr.pc = pc + 1
 				v.pushFrame(int(in.target), v.ret, in.src.Rets)
 				continue frames
@@ -650,9 +638,6 @@ frames:
 				for i, r := range popped.retRegs {
 					if i < len(v.ret) {
 						v.regs[caller.regBase+int(r)] = v.ret[i]
-						if v.taint != nil && i < len(args) {
-							v.taint.regs[caller.regBase+int(r)] = v.taintOf(base, args[i])
-						}
 					}
 				}
 				continue frames
@@ -660,13 +645,6 @@ frames:
 			case ir.Intrin:
 				fr.pc = pc
 				v.intrin(fr, in.src)
-				if v.restored {
-					// A checkpoint rollback replaced the frame stack;
-					// refetch everything.
-					v.restored = false
-					v.qarm = false
-					continue frames
-				}
 				if v.clean && v.table.Len() != 0 {
 					// Incoming MPI data installed contamination records
 					// while the secondary chain was parked: rebuild the
@@ -702,9 +680,6 @@ frames:
 					// No planned fault can fire here: pass the operand
 					// through without consulting the injector.
 					v.sites++
-					if v.taint != nil {
-						v.taint.regs[base+int(in.dst)] = v.taintOf(base, in.src.A)
-					}
 					regs[base+int(in.dst)] = opA(regs, base, in)
 					break
 				}
@@ -721,9 +696,6 @@ frames:
 				}
 				val := opA(regs, base, in)
 				v.sites++
-				if v.taint != nil {
-					v.taint.regs[base+int(in.dst)] = v.taintOf(base, in.src.A)
-				}
 				if v.cfg.SiteObserver != nil {
 					v.cfg.SiteObserver(site, in.target, siteClass(fr.fn, pc))
 				}
@@ -732,9 +704,6 @@ frames:
 					val, flipped = v.cfg.Injector.OnSite(site, val)
 					if flipped {
 						v.injCycles = append(v.injCycles, v.cycles)
-						if v.taint != nil {
-							v.taint.regs[base+int(in.dst)] = true
-						}
 					}
 					v.refreshNextSite()
 				}
