@@ -3,7 +3,9 @@ package vm
 import (
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/ir"
+	"repro/internal/transform"
 )
 
 // Interpreter throughput benchmarks, per instruction class.
@@ -68,23 +70,49 @@ func BenchmarkInterpCallReturn(b *testing.B) {
 
 // BenchmarkInterpInstrumentedOverhead measures the wall-time cost of the
 // dual-chain instrumentation relative to the plain program (the virtual
-// cycle count is identical by design; real time is not).
+// cycle count is identical by design; real time is not), on the bench
+// ladder's g[i&63] += 1 kernel: /plain runs the uninstrumented program,
+// /clean the instrumented one fault-free (the clean-mode interpreter), and
+// /dual the instrumented one with the index flipped at site 0, whose
+// contamination keeps it in the full dual-chain interpreter.
 func BenchmarkInterpInstrumentedOverhead(b *testing.B) {
-	bld := ir.NewBuilder()
-	g := bld.Global("g", 64)
-	f := bld.Func("main", 0, 0)
-	i := f.NewReg()
-	f.For(i, ir.ImmI(0), ir.ImmI(int64(b.N)), func() {
-		idx := f.And(ir.R(i), ir.ImmI(63))
-		v := f.Ld(ir.ImmI(g), ir.R(idx))
-		f.St(ir.R(f.FAdd(ir.R(v), ir.ImmF(1))), ir.ImmI(g), ir.R(idx))
-	})
-	f.Ret()
-	prog := bld.MustBuild()
-	b.ResetTimer()
-	v := New(prog, Config{})
-	if err := v.Run(); err != nil {
-		b.Fatal(err)
+	build := func(n int) *ir.Program {
+		bld := ir.NewBuilder()
+		g := bld.Global("g", 64)
+		f := bld.Func("main", 0, 0)
+		i := f.NewReg()
+		f.For(i, ir.ImmI(0), ir.ImmI(int64(n)), func() {
+			idx := f.And(ir.R(i), ir.ImmI(63))
+			v := f.Ld(ir.ImmI(g), ir.R(idx))
+			f.St(ir.R(f.FAdd(ir.R(v), ir.ImmF(1))), ir.ImmI(g), ir.R(idx))
+		})
+		f.Ret()
+		return bld.MustBuild()
+	}
+	flip := inject.Plan{Faults: []inject.Fault{{Rank: 0, Site: 0, Bit: 1}}}
+	for _, mode := range []struct {
+		name         string
+		instrumented bool
+		plan         inject.Plan
+	}{{"plain", false, inject.Plan{}}, {"clean", true, inject.Plan{}}, {"dual", true, flip}} {
+		b.Run(mode.name, func(b *testing.B) {
+			prog := build(b.N)
+			if mode.instrumented {
+				var err error
+				if prog, err = transform.Instrument(prog, transform.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decodedOf(prog)
+			b.ResetTimer()
+			v := New(prog, Config{Injector: inject.NewRankInjector(mode.plan, 0)})
+			if err := v.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if contaminated := v.Table().Len() > 0; contaminated != (mode.name == "dual") {
+				b.Fatalf("%s run ended with %d contaminated words", mode.name, v.Table().Len())
+			}
+		})
 	}
 }
 

@@ -68,6 +68,15 @@ var cleanSwitches atomic.Uint64
 // interpreter transitions.
 func CleanModeSwitches() uint64 { return cleanSwitches.Load() }
 
+// fusedReplays counts, process-wide and like cleanSwitches on a cold path,
+// the full-mode fused groups that ran their fim_injs one by one because a
+// planned fault fell inside them.
+var fusedReplays atomic.Uint64
+
+// FusedReplays returns the process-wide count of full-mode fused fim_inj
+// groups replayed from the 1:1 code.
+func FusedReplays() uint64 { return fusedReplays.Load() }
+
 // toFullMode leaves clean mode: reconstructs every live frame's shadow
 // registers from their (still pristine) primaries and swaps all frames to
 // the full code array. Sets reframe so loop call-outs refetch their cached
@@ -78,7 +87,7 @@ func (v *VM) toFullMode() {
 	v.reframe = true
 	for i := range v.frames {
 		fr := &v.frames[i]
-		fr.code = fr.df.code
+		fr.code = v.codeFor(fr.df)
 		regs := v.regs[fr.regBase:]
 		for r := 0; r+1 < fr.fn.PairedRegs; r += 2 {
 			regs[r+1] = regs[r]

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -17,12 +18,34 @@ import (
 // is precomputed into a single byte — so the hot loop dispatches on the
 // opcode and never re-inspects flags or operand tags.
 //
-// The lowering is strictly 1:1 with the original code: pc values, jump
-// targets and frame semantics are unchanged, which keeps traps and
-// snapshots byte-identical to the previous interpreter. Each function has
-// up to three code arrays with that one pc numbering — full, clean (see
-// buildClean) and observed (see buildObserved) — so the interpreter can
-// switch arrays mid-function.
+// Each function has up to four code arrays, all with the original pc
+// numbering: jump targets, trap pcs and captured frame stacks are valid in
+// every one of them, which is what lets the interpreter switch arrays
+// mid-function.
+//
+//   - code is the 1:1 lowering. A VM runs it when it has a SiteObserver
+//     or an injector that cannot plan sites (every site must be seen), and
+//     for every function that lacks a PairedRegs declaration, where it is
+//     the differential reference the other arrays are tested against. The
+//     fused arrays fall back to it for the one instruction a planned fault
+//     lands in.
+//   - full is the dual-chain interpreter's array: code with every fim_inj
+//     group fused into its consumer (fuseInj) and each hot primary fused
+//     with its FlagSecondary twin (superinstructions below). A rank runs it
+//     from the moment a fault may corrupt state until it is provably
+//     fault-free again.
+//   - clean is the clean-mode array (buildClean): the secondary chain
+//     skipped, fim_inj groups fused as in full, and hot pairs of
+//     application instructions fused along the threaded fall-through. A
+//     rank runs it while it is provably fault-free: the golden run, the
+//     prefix before a fault fires, and the tail after the contamination
+//     dies.
+//   - observed is built only when the taint or memory-fault ablation runs
+//     (buildObserved) and hands every pc to code after the ablation's hook.
+//
+// full and clean alias code for a function with no instrumentation, or
+// with instrumentation but no PairedRegs, so plain programs run no fused
+// code at all.
 
 // Operand-kind bits in dinstr.kinds: bit set means the payload holds a
 // register index, clear means it is the immediate value itself.
@@ -40,44 +63,141 @@ type dinstr struct {
 	src        *ir.Instr // original instruction: Args/Rets for call-like ops
 	dst        int32
 	target     int32
-	// next is the fall-through successor pc. In full code it is always
-	// pc+1; in clean code it is the next *retained* pc, so the interpreter
-	// steps straight over skipped instrumentation without dispatching the
+	// next is the fall-through successor pc. In code it is always pc+1; in
+	// the fused arrays it is the next *retained* pc, so the interpreter
+	// steps straight over skipped instructions without dispatching the
 	// opSkip chain in between (threaded fall-through).
 	next  int32
 	op    ir.Op
 	cost  uint8 // 1 when the instruction counts an application cycle
 	kinds uint8
-	// nsites is non-zero only in clean-mode code: this instruction absorbed
-	// the nsites fim_inj instructions immediately preceding it (see
-	// buildClean fusion). The interpreter advances the dynamic site counter
-	// by nsites in one step, or — if a planned fault falls inside the
-	// absorbed range — re-executes the group at pc-nsites under the full
-	// interpreter. In observed code every opObserve carries 1 to take the
-	// same cold branch.
+	// nsites is non-zero only in fused code: this instruction absorbed the
+	// nsites fim_inj instructions immediately preceding it (see fuseInj).
+	// The interpreter advances the dynamic site counter by nsites in one
+	// step, or — if a planned fault falls inside the absorbed range — runs
+	// the group's fim_injs from code. In observed code every opObserve
+	// carries 1 to take the same cold branch.
 	nsites uint8
 }
 
-// opSkip is a vm-private pseudo-opcode used only in clean-mode code arrays:
-// it replaces an instruction whose execution is provably redundant while the
-// rank is fault-free, and its target points at the next non-skipped pc, so
-// one dispatch hops over a whole run of skipped instructions.
-const opSkip = ir.Op(255)
+// vm-private pseudo-opcodes, numbered right after ir's own so the
+// interpreter's switch stays dense.
+const (
+	// opSkip replaces an instruction the fused arrays do not execute: in
+	// clean code a secondary-chain instruction, in both fused arrays a
+	// fim_inj its consumer absorbed. Its target points at the next retained
+	// pc, so one dispatch hops over a whole skipped run (and threading
+	// means straight-line flow never dispatches it at all).
+	opSkip = ir.FpmStore + 1 + iota
+	// opObserve is used only in observed code arrays. It never reaches the
+	// interpreter's switch: its non-zero nsites sends it down the
+	// fused-site cold branch, which runs the ablations' observe hook and
+	// then continues with the code instruction at the same pc.
+	opObserve
 
-// opObserve is a vm-private pseudo-opcode used only in observed code
-// arrays. It never reaches the interpreter's switch: its non-zero nsites
-// sends it down the fused-site cold branch, which runs the ablations'
-// observe hook and then continues with the full-code instruction at the
-// same pc, so the full and clean loops test nothing new.
-const opObserve = ir.Op(254)
+	// Superinstructions execute two decoded instructions in one dispatch.
+	// The twin ones fuse a primary with its FlagSecondary twin at pc+1 in
+	// the full array and cost the primary's one cycle. opAddLoad,
+	// opICmpSLTBz and opAddJmp fuse two application instructions adjacent
+	// along the clean array's threaded fall-through and cost two: the
+	// interpreter charges the second cycle, with its housekeeping check,
+	// between the halves, at the second instruction's pc.
+	opAdd2
+	opFAdd2
+	opFMul2
+	opICmpSLT2
+	opLoadFetch
+	opAddLoad
+	opICmpSLTBz
+	opAddJmp
+)
 
-// dfunc is one decoded function. code is the full lowering; clean is the
-// clean-mode variant (see buildClean) with identical pc numbering, sharing
-// code's backing when the function has nothing to skip; observed is nil
-// until an ablation run needs it (see buildObserved).
+// superinstructions lists the pairs the decoder fuses, chosen from the
+// dynamic pair histogram of the instrumented applications (EXPERIMENTS.md,
+// "Cheaper cycles"). A superinstruction keeps its first instruction's
+// payloads a, b, dst and nsites; the second instruction's operands move to
+// c (and d), its destination or branch target to target, and, where the
+// second has fewer than two operands, its pc to d for trap reports and the
+// second cycle's housekeeping. The second instruction keeps its standalone
+// form at its own pc, so a branch to it stays valid.
+var superinstructions = []superinstruction{
+	{ir.Add, ir.Add, opAdd2, true},
+	{ir.FAdd, ir.FAdd, opFAdd2, true},
+	{ir.FMul, ir.FMul, opFMul2, true},
+	{ir.ICmpSLT, ir.ICmpSLT, opICmpSLT2, true},
+	{ir.Load, ir.FpmFetch, opLoadFetch, true},
+	{ir.Add, ir.Load, opAddLoad, false},
+	{ir.ICmpSLT, ir.Bz, opICmpSLTBz, false},
+	{ir.Add, ir.Jmp, opAddJmp, false},
+}
+
+type superinstruction struct {
+	first, second, op ir.Op
+	// twin: the second is the first's FlagSecondary twin (full arrays);
+	// otherwise both are application instructions (clean arrays).
+	twin bool
+}
+
+// superOf returns the table entry of in, the instruction at pc, and the pc
+// of its second instruction; nil when in is not a superinstruction.
+func superOf(in *dinstr, pc int) (*superinstruction, int) {
+	for i := range superinstructions {
+		if sp := &superinstructions[i]; sp.op == in.op {
+			if sp.first == sp.second {
+				return sp, pc + 1
+			}
+			return sp, int(in.d)
+		}
+	}
+	return nil, 0
+}
+
+// Fusion is one decoded instruction that retires more than its own pc: a
+// consumer that absorbed the fim_inj group before it, a superinstruction,
+// or both.
+type Fusion struct {
+	Func string
+	// Clean reports the clean array; otherwise the full array.
+	Clean bool
+	PC    int
+	// Sites is the number of fim_inj sites absorbed from PC-Sites..PC-1.
+	Sites int
+	// Second is a superinstruction's second pc, or -1.
+	Second int
+	// Twin marks a primary fused with its FlagSecondary twin.
+	Twin bool
+	// Op is "first+second" for a superinstruction, else the opcode.
+	Op string
+}
+
+// Fusions lists, function by function, every fusion in prog's decoded full
+// and clean arrays: the static answer to whether the interpreter's fast
+// paths exist for a program. Plain programs, and instrumented ones without
+// a PairedRegs declaration, have none.
+func Fusions(prog *ir.Program) []Fusion {
+	var out []Fusion
+	for _, df := range decodedOf(prog).funcs {
+		for i, arr := range [][]dinstr{df.full, df.clean} {
+			for pc := range arr {
+				in := &arr[pc]
+				f := Fusion{Func: df.fn.Name, Clean: i == 1, PC: pc, Sites: int(in.nsites), Second: -1, Op: in.op.String()}
+				if sp, spc := superOf(in, pc); sp != nil {
+					f.Second, f.Twin, f.Op = spc, sp.twin, sp.first.String()+"+"+sp.second.String()
+				}
+				if f.Sites > 0 || f.Second >= 0 {
+					out = append(out, f)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// dfunc is one decoded function: its four code arrays (see above).
 type dfunc struct {
 	fn       *ir.Func
 	code     []dinstr
+	full     []dinstr
 	clean    []dinstr
 	observed []dinstr
 }
@@ -91,7 +211,7 @@ type dprog struct {
 	// clean-mode interpreter's shadow-register reconstruction is sound
 	// program-wide. Instrumented programs loaded through a path that does
 	// not set PairedRegs (e.g. the text parser) get cleanOK=false and run
-	// the full interpreter everywhere.
+	// the 1:1 interpreter everywhere.
 	cleanOK bool
 	// observeOnce guards the lazy build of every function's observed array.
 	observeOnce sync.Once
@@ -100,7 +220,7 @@ type dprog struct {
 // buildObserved lowers every function's observed code array on first use,
 // so a run without ablations never pays for it. An opObserve absorbs no
 // site (its nsites is only the branch marker) and costs no cycle; the
-// full-code instruction it hands over to does the accounting.
+// code instruction it hands over to does the accounting.
 func (d *dprog) buildObserved() {
 	d.observeOnce.Do(func() {
 		for i := range d.funcs {
@@ -122,47 +242,45 @@ func decodedOf(prog *ir.Program) *dprog {
 	d := &dprog{funcs: make([]dfunc, len(prog.Funcs)), cleanOK: true}
 	for i, f := range prog.Funcs {
 		code := decodeFunc(f)
-		clean, ok := buildClean(f, code)
-		d.funcs[i] = dfunc{fn: f, code: code, clean: clean}
-		d.cleanOK = d.cleanOK && ok
+		df := dfunc{fn: f, code: code, full: code, clean: code}
+		if instrumented(f) {
+			if f.PairedRegs == 0 {
+				// Pairing unknown: shadow reconstruction is impossible, so
+				// the clean interpreter must never run this code, and fim_inj
+				// temporaries cannot be told from dual-chain registers.
+				d.cleanOK = false
+			} else {
+				df.full = fuse(f, slices.Clone(code), true)
+				df.clean = fuse(f, buildClean(f, code), false)
+			}
+		}
+		d.funcs[i] = df
 	}
 	prog.StoreExec(d)
 	return d
 }
 
-// buildClean lowers f's clean-mode code array: while a rank's state is
-// provably fault-free (empty contamination table, shadow registers
-// mirroring primaries), the entire secondary chain is redundant — every
-// FlagSecondary instruction and fpm_fetch only (re)computes a shadow value
-// equal to its primary twin, and fpm_store's table lookup can never observe
-// a divergence. So secondary instructions and fpm_fetch become opSkip
-// chains, and fpm_store becomes the plain store it replaced (same cost, so
-// cycle accounting is unchanged). pc numbering is preserved: branch
-// targets, trap pcs and captured frame stacks are valid in both arrays,
-// which is what lets the interpreter flip modes mid-function.
-//
-// The second return value reports whether clean-mode execution of this
-// function is sound: true when the function has no instrumentation at all
-// (clean aliases code) or declares its register pairing via PairedRegs.
-func buildClean(f *ir.Func, code []dinstr) ([]dinstr, bool) {
-	instrumented := false
+func instrumented(f *ir.Func) bool {
 	for pc := range f.Code {
 		in := &f.Code[pc]
 		if in.Flags&ir.FlagSecondary != 0 || in.Op == ir.FpmFetch || in.Op == ir.FpmStore || in.Op == ir.FimInj {
-			instrumented = true
-			break
+			return true
 		}
 	}
-	if !instrumented {
-		return code, true
-	}
-	if f.PairedRegs == 0 {
-		// Instrumented but pairing unknown: shadow reconstruction is
-		// impossible, so the clean interpreter must never run this code.
-		return code, false
-	}
-	clean := make([]dinstr, len(code))
-	copy(clean, code)
+	return false
+}
+
+// buildClean returns a copy of f's code with the clean-mode substitutions:
+// while a rank's state is provably fault-free (empty contamination table,
+// shadow registers mirroring primaries), the entire secondary chain is
+// redundant — every FlagSecondary instruction and fpm_fetch only
+// (re)computes a shadow value equal to its primary twin, and fpm_store's
+// table lookup can never observe a divergence. So secondary instructions
+// and fpm_fetch become opSkip, and fpm_store becomes the plain store it
+// replaced (same cost, so cycle accounting is unchanged). f must declare
+// PairedRegs.
+func buildClean(f *ir.Func, code []dinstr) []dinstr {
+	clean := slices.Clone(code)
 	for pc := range f.Code {
 		in := &f.Code[pc]
 		d := &clean[pc]
@@ -184,34 +302,86 @@ func buildClean(f *ir.Func, code []dinstr) ([]dinstr, bool) {
 			*d = nd
 		}
 	}
-	fuseInj(f, clean)
+	return clean
+}
+
+// fuse turns arr, a copy of f's code (or of its clean substitution), into
+// a fused array: fim_inj groups fold into their consumers, the
+// fall-through chain is threaded over skipped pcs, branches that land on a
+// skipped pc are retargeted past it, and superinstructions of the array's
+// kind (twin for full, not twin for clean) are formed along the threaded
+// chain.
+func fuse(f *ir.Func, arr []dinstr, twin bool) []dinstr {
+	fuseInj(f, arr)
 	// Thread the fall-through chain: every instruction's next (and every
 	// opSkip's target) points directly at the next retained pc, so
 	// straight-line flow never dispatches a skipped instruction. A function
 	// always ends with a retained Ret, so the chain terminates.
-	next := len(clean)
-	for pc := len(clean) - 1; pc >= 0; pc-- {
-		if clean[pc].op == opSkip {
-			clean[pc].target = int32(next)
-			clean[pc].next = int32(next)
+	next := len(arr)
+	for pc := len(arr) - 1; pc >= 0; pc-- {
+		arr[pc].next = int32(next)
+		if arr[pc].op == opSkip {
+			arr[pc].target = int32(next)
 		} else {
-			clean[pc].next = int32(next)
 			next = pc
 		}
 	}
 	// Redirect branch targets that land on a skipped pc to the first
-	// retained pc after it (the skips compute nothing in clean mode, so the
-	// jump is equivalent). Chained targets make this a single hop.
-	for pc := range clean {
-		d := &clean[pc]
+	// retained pc after it (the skips compute nothing here, so the jump is
+	// equivalent). Chained targets make this a single hop.
+	for pc := range arr {
+		d := &arr[pc]
 		switch d.op {
 		case ir.Jmp, ir.Bnz, ir.Bz:
-			if t := int(d.target); t < len(clean) && clean[t].op == opSkip {
-				d.target = clean[t].target
+			if t := int(d.target); t < len(arr) && arr[t].op == opSkip {
+				d.target = arr[t].target
 			}
 		}
 	}
-	return clean, true
+	pairUp(arr, twin)
+	return arr
+}
+
+// pairUp forms arr's superinstructions. The second instruction must absorb
+// no fim_inj sites (so a fused-site bail still replays from the head's
+// pc-nsites) and is never itself a head, so it keeps its standalone form.
+func pairUp(arr []dinstr, twin bool) {
+	second := make([]bool, len(arr))
+	for p := range arr {
+		d := &arr[p]
+		s := int(d.next)
+		if second[p] || s >= len(arr) || arr[s].nsites != 0 {
+			continue
+		}
+		e := &arr[s]
+		for _, sp := range superinstructions {
+			if sp.twin != twin || d.op != sp.first || e.op != sp.second {
+				continue
+			}
+			if twin && (s != p+1 || d.src.Flags&ir.FlagSecondary != 0 || e.src.Flags&ir.FlagSecondary == 0) {
+				continue
+			}
+			nd := *d
+			nd.op = sp.op
+			nd.next = e.next
+			nd.c = e.a
+			nd.kinds = d.kinds&(kA|kB) | (e.kinds&(kA|kB))<<2
+			switch sp.second {
+			case ir.Jmp, ir.Bz:
+				nd.target = e.target
+			default:
+				nd.target = e.dst
+			}
+			if sp.first == sp.second {
+				nd.d = e.b // a binary twin: no trap, no second cycle
+			} else {
+				nd.d = uint64(s)
+			}
+			*d = nd
+			second[s] = true
+			break
+		}
+	}
 }
 
 // fuseInj folds fim_inj groups into their consumers. The instrumentation
@@ -222,29 +392,28 @@ func buildClean(f *ir.Func, code []dinstr) ([]dinstr, bool) {
 // read the original operands directly and advance the site counter by the
 // group size in one step, turning (group size + 1) dispatches into one.
 // The fused fim_injs become opSkip so straight-line flow hops over them;
-// their pcs stay valid (a branch can land on one) and the full-mode bail
-// path re-executes the group from pc-nsites, where the full array still
-// holds the original fim_injs.
+// their pcs stay valid (a branch can land on one), and code still holds
+// the original fim_injs for a fault inside the group.
 //
 // Fusion is conservative: the consumer must carry all of its operands in
 // decoded payloads (ruling out Intrin/Call/Ret, which read src.Args), every
 // temporary in the group must be consumed by it, and the temporaries must
 // lie outside the paired-register region (no shadow twin loses its write).
 // Unfused groups simply keep their per-instruction fast path.
-func fuseInj(f *ir.Func, clean []dinstr) {
-	for pc := 0; pc < len(clean); pc++ {
-		if clean[pc].op != ir.FimInj {
+func fuseInj(f *ir.Func, arr []dinstr) {
+	for pc := 0; pc < len(arr); pc++ {
+		if arr[pc].op != ir.FimInj {
 			continue
 		}
 		start := pc
-		for pc < len(clean) && clean[pc].op == ir.FimInj {
+		for pc < len(arr) && arr[pc].op == ir.FimInj {
 			pc++
 		}
 		n := pc - start
-		if pc >= len(clean) || n > 255 {
+		if pc >= len(arr) || n > 255 {
 			continue
 		}
-		con := &clean[pc]
+		con := &arr[pc]
 		switch con.op {
 		case ir.Intrin, ir.Call, ir.Ret, ir.FimInj, opSkip, ir.Nop:
 			continue
@@ -256,7 +425,7 @@ func fuseInj(f *ir.Func, clean []dinstr) {
 		ok := true
 		sub := func(payload uint64, bit uint8) (uint64, uint8, bool) {
 			for i := 0; i < n; i++ {
-				inj := &clean[start+i]
+				inj := &arr[start+i]
 				if payload != uint64(inj.dst) {
 					continue
 				}
@@ -269,7 +438,7 @@ func fuseInj(f *ir.Func, clean []dinstr) {
 			return payload, bit, true
 		}
 		for i := 0; i < n; i++ {
-			inj := &clean[start+i]
+			inj := &arr[start+i]
 			if int(inj.dst) < f.PairedRegs || inj.kinds&(kB|kC|kD) != 0 {
 				ok = false // not a throwaway temp, or unexpected shape
 			}
@@ -307,7 +476,7 @@ func fuseInj(f *ir.Func, clean []dinstr) {
 		nd.nsites = uint8(n)
 		*con = nd
 		for i := 0; i < n; i++ {
-			clean[start+i] = dinstr{op: opSkip, src: clean[start+i].src}
+			arr[start+i] = dinstr{op: opSkip, src: arr[start+i].src}
 		}
 	}
 }

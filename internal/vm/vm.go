@@ -241,15 +241,19 @@ func (v *VM) trap(kind TrapKind, detail string) {
 	panic(trapPanic{&Trap{Kind: kind, Func: fn, PC: pc, Cycles: v.cycles, Detail: detail}})
 }
 
-// codeFor selects df's code array for this VM's interpreter mode: clean
-// while the rank is provably fault-free, observed when an ablation watches
-// every instruction, full otherwise. All three share one pc numbering.
+// codeFor selects df's code array for this VM's interpreter mode (see
+// decode.go): clean while the rank is provably fault-free, observed when an
+// ablation watches every instruction, full otherwise — or the 1:1 code when
+// the VM may not run clean at all (cleanOK), which is when a SiteObserver
+// or an injector that cannot plan its sites must see every site.
 func (v *VM) codeFor(df *dfunc) []dinstr {
 	switch {
 	case v.clean:
 		return df.clean
 	case v.observing():
 		return df.observed
+	case v.cleanOK:
+		return df.full
 	}
 	return df.code
 }
@@ -322,6 +326,18 @@ func (v *VM) housekeep() {
 	}
 	if v.cfg.Abort != nil && v.cfg.Abort.Raised() {
 		v.trap(TrapPeerFailure, "job aborted")
+	}
+}
+
+// secondCycle charges the second application cycle of a two-cycle
+// superinstruction, between its halves, with the loop's housekeeping check
+// at the second instruction's pc — so a cycle-limit or abort trap lands on
+// the same cycle and pc as in code.
+func (v *VM) secondCycle(fr *frame, in *dinstr) {
+	v.cycles++
+	if v.cycles&1023 == 0 {
+		fr.pc = int(in.d)
+		v.housekeep()
 	}
 }
 
@@ -438,29 +454,33 @@ frames:
 			}
 			in := &code[pc]
 
-			// Fused fim_inj groups (clean-mode code only): this instruction
-			// absorbed the nsites injection sites emitted just before it. If
-			// a planned fault falls inside that range, replay the group from
-			// its first fim_inj under the full interpreter; otherwise retire
-			// all of its sites in one step. Checked before cycle accounting
-			// so the replay does not count this instruction's cycle twice.
-			// Observed code (ablation runs only) shares this cold branch:
-			// opObserve lets the ablations see the instruction, then hands
-			// over to its full-code form at the same pc.
+			// Fused fim_inj groups (fused code only): this instruction
+			// absorbed the nsites injection sites emitted just before it.
+			// Unless a planned fault falls inside that range, retire all of
+			// its sites in one step. If one does, clean mode leaves for the
+			// full array and replays from the group's first pc; full mode
+			// runs the group's fim_injs from code and then this instruction
+			// in its unfused form. Checked before cycle accounting so neither
+			// path counts this instruction's cycle twice. Observed code
+			// (ablation runs only) shares this cold branch: opObserve lets
+			// the ablations see the instruction, then hands over to its code
+			// form at the same pc.
 			if in.nsites != 0 {
 				if in.op == opObserve {
 					fr.pc = pc
 					v.observe(fr, pc)
 					in = &fr.df.code[pc]
-				} else {
-					ns := v.sites + uint64(in.nsites)
-					if ns > v.nextSite {
-						fr.pc = pc - int(in.nsites)
-						v.toFullMode()
-						v.reframe = false
-						continue frames
-					}
+				} else if ns := v.sites + uint64(in.nsites); ns <= v.nextSite {
 					v.sites = ns
+				} else if v.clean {
+					fr.pc = pc - int(in.nsites)
+					v.toFullMode()
+					v.reframe = false
+					continue frames
+				} else {
+					fr.pc = pc
+					v.replayFused(fr, pc, int(in.nsites))
+					in = &fr.df.code[pc]
 				}
 			}
 
@@ -479,8 +499,8 @@ frames:
 			case ir.Nop:
 
 			case opSkip:
-				// Clean mode only: this instruction is redundant while the
-				// rank is fault-free; hop over the whole skipped run.
+				// Fused code only, reached when a bail or a replayed group
+				// resumes at a skipped pc: hop over the whole skipped run.
 				pc = int(in.target)
 				continue
 
@@ -694,20 +714,7 @@ frames:
 					v.reframe = false // this path refetches via continue
 					continue frames
 				}
-				val := opA(regs, base, in)
-				v.sites++
-				if v.cfg.SiteObserver != nil {
-					v.cfg.SiteObserver(site, in.target, siteClass(fr.fn, pc))
-				}
-				if v.cfg.Injector != nil {
-					var flipped bool
-					val, flipped = v.cfg.Injector.OnSite(site, val)
-					if flipped {
-						v.injCycles = append(v.injCycles, v.cycles)
-					}
-					v.refreshNextSite()
-				}
-				regs[base+int(in.dst)] = val
+				v.fimInj(fr, in, pc)
 
 			case ir.FpmFetch:
 				addr := int64(opA(regs, base, in))
@@ -719,6 +726,64 @@ frames:
 					}
 				}
 				regs[base+int(in.dst)] = v.table.PristineOr(addr, w)
+
+			// Superinstructions (see decode.go): the first half reads a, b
+			// and writes dst; the second reads c (and d) and writes the
+			// register, or jumps to the pc, in target.
+			case opAdd2:
+				regs[base+int(in.dst)] = uint64(int64(opA(regs, base, in)) + int64(opB(regs, base, in)))
+				regs[base+int(in.target)] = uint64(int64(opC(regs, base, in)) + int64(opD(regs, base, in)))
+			case opFAdd2:
+				regs[base+int(in.dst)] = fbits(f64(opA(regs, base, in)) + f64(opB(regs, base, in)))
+				regs[base+int(in.target)] = fbits(f64(opC(regs, base, in)) + f64(opD(regs, base, in)))
+			case opFMul2:
+				regs[base+int(in.dst)] = fbits(f64(opA(regs, base, in)) * f64(opB(regs, base, in)))
+				regs[base+int(in.target)] = fbits(f64(opC(regs, base, in)) * f64(opD(regs, base, in)))
+			case opICmpSLT2:
+				regs[base+int(in.dst)] = b2w(int64(opA(regs, base, in)) < int64(opB(regs, base, in)))
+				regs[base+int(in.target)] = b2w(int64(opC(regs, base, in)) < int64(opD(regs, base, in)))
+			case opLoadFetch:
+				addr := int64(opA(regs, base, in))
+				w, ok := mem.readHot(addr)
+				if !ok {
+					if w, ok = mem.readSlow(addr); !ok {
+						fr.pc = pc
+						v.trapMem(addr)
+					}
+				}
+				regs[base+int(in.dst)] = w
+				addr = int64(opC(regs, base, in))
+				if w, ok = mem.readHot(addr); !ok {
+					if w, ok = mem.readSlow(addr); !ok {
+						fr.pc = int(in.d)
+						v.trapMem(addr)
+					}
+				}
+				regs[base+int(in.target)] = v.table.PristineOr(addr, w)
+			case opAddLoad:
+				regs[base+int(in.dst)] = uint64(int64(opA(regs, base, in)) + int64(opB(regs, base, in)))
+				v.secondCycle(fr, in)
+				addr := int64(opC(regs, base, in))
+				w, ok := mem.readHot(addr)
+				if !ok {
+					if w, ok = mem.readSlow(addr); !ok {
+						fr.pc = int(in.d)
+						v.trapMem(addr)
+					}
+				}
+				regs[base+int(in.target)] = w
+			case opICmpSLTBz:
+				regs[base+int(in.dst)] = b2w(int64(opA(regs, base, in)) < int64(opB(regs, base, in)))
+				v.secondCycle(fr, in)
+				if opC(regs, base, in) == 0 {
+					pc = int(in.target)
+					continue
+				}
+			case opAddJmp:
+				regs[base+int(in.dst)] = uint64(int64(opA(regs, base, in)) + int64(opB(regs, base, in)))
+				v.secondCycle(fr, in)
+				pc = int(in.target)
+				continue
 
 			case ir.FpmStore:
 				fr.pc = pc
@@ -735,10 +800,47 @@ frames:
 				fr.pc = pc
 				v.trap(TrapInvalid, in.op.String())
 			}
-			// Threaded fall-through: pc+1 in full code, the next retained pc
-			// in clean code (stepping over skipped instrumentation).
+			// Threaded fall-through: pc+1 in code, the next retained pc in
+			// the fused arrays (stepping over skipped pcs).
 			pc = int(in.next)
 		}
+	}
+}
+
+// fimInj executes the fim_inj in at pc of fr with the full site semantics:
+// it numbers the dynamic site and, from the injector's next planned site
+// on, shows it to the SiteObserver, offers it to the injector, timestamps
+// a flip and re-reads the plan. The loop's pass-through fast path retires
+// earlier sites without the call.
+func (v *VM) fimInj(fr *frame, in *dinstr, pc int) {
+	base := fr.regBase
+	val := opA(v.regs, base, in)
+	site := v.sites
+	v.sites++
+	if site >= v.nextSite {
+		if v.cfg.SiteObserver != nil {
+			v.cfg.SiteObserver(site, in.target, siteClass(fr.fn, pc))
+		}
+		if v.cfg.Injector != nil {
+			var flipped bool
+			val, flipped = v.cfg.Injector.OnSite(site, val)
+			if flipped {
+				v.injCycles = append(v.injCycles, v.cycles)
+			}
+			v.refreshNextSite()
+		}
+	}
+	v.regs[base+int(in.dst)] = val
+}
+
+// replayFused runs, in full mode, the n fim_injs that the consumer at pc
+// absorbed, from code and one site at a time, because a planned fault
+// falls among them. The caller then executes the consumer's code form,
+// which reads the temporaries they wrote.
+func (v *VM) replayFused(fr *frame, pc, n int) {
+	fusedReplays.Add(1)
+	for i := pc - n; i < pc; i++ {
+		v.fimInj(fr, &fr.df.code[i], i)
 	}
 }
 
