@@ -43,6 +43,10 @@ type RunConfig struct {
 	// MemFaults maps rank -> direct memory-level faults (the
 	// injection-model ablation).
 	MemFaults map[int][]vm.MemFault
+	// Tail lists the golden cuts at which the run may end early because
+	// every rank is back in the golden state (see exit.go). Like Plan it is
+	// per-run data; golden profiling and capture runs ignore it.
+	Tail Tail
 	// Reuse recycles the allocation-heavy run infrastructure (per-rank VM
 	// state and the MPI job fabric) across consecutive Run calls. A Reuse
 	// must be owned by a single worker: pass it to one Run at a time. Nil,
@@ -88,6 +92,8 @@ type Reuse struct {
 	// reuses for fresh captures, so repeated golden captures at different
 	// cuts allocate once instead of per capture.
 	snapPool []*CampaignSnapshot
+	// vote is the cut rendezvous of capture runs and of runs with a Tail.
+	vote cutVote
 }
 
 // ReleaseSnapshot returns a retired snapshot's backing buffers to the
@@ -238,6 +244,13 @@ type RunOutcome struct {
 	// instead, which no experiment should. Telemetry: the run's results are
 	// the same either way.
 	Deadlock, Timeout bool
+	// Exited reports that the run ended at a golden-equal cut of its Tail
+	// and took the golden run's final values; SkippedCycles sums, over the
+	// ranks, the golden-tail cycles it therefore did not execute.
+	// Telemetry like the restore stats: the results are those of a full
+	// execution.
+	Exited        bool
+	SkippedCycles uint64
 }
 
 // RestoreFrac returns the fraction of memory blocks rewritten by the
@@ -249,13 +262,13 @@ func (o *RunOutcome) RestoreFrac() float64 {
 	return float64(o.RestoreDirtyBlocks) / float64(o.RestoreTotalBlocks)
 }
 
-// extras carries the snapshot-fork hooks through the shared runner body:
-// a snapshot to resume from, per-rank quiesce hooks (golden profiling and
-// capture), and a job observer for wiring capture coordination.
+// extras carries the golden runs' hooks through the shared runner body: a
+// snapshot to resume from, per-rank quiesce hooks (golden profiling), the
+// snapshots a capture run fills, and site observers.
 type extras struct {
 	snap      *CampaignSnapshot
 	hooks     []vm.QuiesceHook
-	onJob     func(*mpi.Job)
+	capture   []*CampaignSnapshot
 	observers []vm.SiteObserver
 }
 
@@ -282,8 +295,18 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		ru.job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
 	}
 	job := ru.job
-	if ex.onJob != nil {
-		ex.onJob(job)
+	// A capture run, or a run with cuts to end at, votes at its cuts.
+	var vote *cutVote
+	switch {
+	case ex.capture != nil:
+		vote = &ru.vote
+		vote.reset(job, ex.capture, true, cfg.Ranks)
+	case len(cfg.Tail.Cuts) > 0:
+		if g := cfg.Tail.Golden; g == nil || len(g.Ranks) != cfg.Ranks {
+			panic(fmt.Sprintf("core: a %d-rank run's tail lacks a golden outcome of as many ranks", cfg.Ranks))
+		}
+		vote = &ru.vote
+		vote.reset(job, cfg.Tail.Cuts, false, cfg.Ranks)
 	}
 	var restoreStart time.Time
 	if ex.snap != nil {
@@ -319,8 +342,11 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		}
 		injr.Reset(cfg.Plan, r)
 		var quiesce vm.QuiesceHook
-		if r < len(ex.hooks) {
+		switch {
+		case r < len(ex.hooks):
 			quiesce = ex.hooks[r]
+		case vote != nil:
+			quiesce = &vote.hooks[r]
 		}
 		var observer vm.SiteObserver
 		if r < len(ex.observers) {
@@ -390,6 +416,8 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		<-done
 	}
 	out.Deadlock, out.Timeout = job.Deadlocked(), job.TimedOut()
+	// Every rank stopped at the same golden-equal cut, or none did.
+	out.Exited = vote != nil && vote.exited
 
 	for r := 0; r < cfg.Ranks; r++ {
 		st := states[r]
@@ -406,6 +434,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		rr.FinalCML = st.v.Table().Len()
 		rr.Ever = st.v.Table().Ever()
 		rr.AllocatedWords = st.v.Mem().AllocatedWords()
+		if out.Exited {
+			out.SkippedCycles += spliceGolden(rr, &cfg.Tail.Golden.Ranks[r])
+		}
 		out.BackedBytes += st.v.Mem().BackedBytes()
 		rr.TaintPeak = st.v.TaintPeak()
 		rr.MemFaultsApplied = st.v.MemFaultsApplied()
@@ -414,7 +445,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			AttributeTable(regions, st.v.Table(),
 				1+prog.GlobalWords, st.v.Mem().AllocatedWords(), rr.StructCML)
 		}
-		st.rec.Finish(st.v.Cycles(), st.v.Table().Len())
+		st.rec.Finish(rr.Cycles, rr.FinalCML)
 		rr.Points = st.rec.Points()
 		if t, ok := st.rec.FirstContamination(); ok {
 			rr.FirstContam = t

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/inject"
@@ -18,14 +19,18 @@ import (
 // its fault plans — the program runs fault-free once more with a capture
 // hook that records full job state at the chosen cuts (RunGoldenCapture).
 // Experiments whose faults all lie at or after a captured cut then fork
-// from it via RunResumed instead of re-executing the clean prefix.
+// from it via RunResumed instead of re-executing the clean prefix, and
+// may end at a later one instead of executing a golden tail (exit.go).
 //
-// Multi-rank capture uses a park-and-capture protocol: quiesce points fire
-// on every rank at the same collective round, each rank snapshots its own
-// VM and recorder at the hook (no cross-goroutine reads), then parks; the
-// last rank to park is the only runner left, captures the message-passing
-// world, and releases the others. A rank that dies instead of parking
-// kills the job, whose done channel unblocks any parked sibling.
+// Multi-rank capture is one use of the cut rendezvous (cutVote below):
+// quiesce points fire on every rank at the same collective round, each rank
+// snapshots its own VM and recorder at the hook (no cross-goroutine reads)
+// and votes yes, which parks it; the last voter is the only runner left,
+// captures the message-passing world, and releases the others. The
+// golden-equivalence early exit (exit.go) is the other: each rank votes
+// whether it is golden-equal, and the last of an all-yes vote compares the
+// world instead of capturing it. A rank that dies instead of voting kills
+// the job, whose done channel unblocks any parked sibling.
 
 // SiteCut maps one quiesce point of a golden execution to the per-rank
 // dynamic site counts reached there: Sites[r] is the first site index of
@@ -41,6 +46,18 @@ type SiteCut struct {
 func (c SiteCut) Usable(plan inject.Plan) bool {
 	for _, f := range plan.Faults {
 		if f.Rank < 0 || f.Rank >= len(c.Sites) || c.Sites[f.Rank] > f.Site {
+			return false
+		}
+	}
+	return true
+}
+
+// Past reports whether every fault of the plan lies before the cut, i.e.
+// whether the golden run had executed each planned site by then, so a run
+// with this plan may end at a snapshot taken there.
+func (c SiteCut) Past(plan inject.Plan) bool {
+	for _, f := range plan.Faults {
+		if f.Rank < 0 || f.Rank >= len(c.Sites) || c.Sites[f.Rank] <= f.Site {
 			return false
 		}
 	}
@@ -69,8 +86,9 @@ type profileHook struct {
 	sites []uint64
 }
 
-func (p *profileHook) Quiesce(v *vm.VM, seq uint64) {
+func (p *profileHook) Quiesce(v *vm.VM, seq uint64) bool {
 	p.sites = append(p.sites, v.Sites())
+	return false
 }
 
 // RunGoldenProfile is Run for a fault-free golden execution that also
@@ -136,67 +154,147 @@ func RunGoldenSiteClasses(prog *ir.Program, cfg RunConfig) (RunOutcome, [][]byte
 	return out, classes, statics
 }
 
-// capturer coordinates park-and-capture across the ranks of one golden
-// capture run.
-type capturer struct {
+// cutVote is the rendezvous of one run's ranks at its cuts: the quiesce
+// points, in seq order, that cuts[i] was or is to be captured at. Every
+// rank arriving at a cut votes. A "no" decides the cut: the rank goes on at
+// once and so does every rank parked there or still to vote. A "yes" parks
+// the rank until every rank has voted yes, or one no. The last of an
+// all-yes vote settles the cut. That voter is the only rank still running,
+// and parking cannot stall anyone: no rank runs MPI between a collective
+// and its quiesce hook, and every collective is a full rendezvous, so each
+// rank still to vote has entered the collective and reaches the hook
+// without waiting on a parked one. So the settling voter may read the
+// job's world: a capture run captures it, an experiment compares it with
+// the golden capture. Waiting voters also unblock when the job dies, since
+// a dead rank never votes. The verdict is a function of the ranks' states
+// at the cut, so which rank happens to settle it does not matter.
+type cutVote struct {
 	job  *mpi.Job
 	dead <-chan struct{}
+	cuts []*CampaignSnapshot
+	// capture marks a golden capture run: every vote is yes and settling
+	// captures the world. Otherwise ranks vote GoldenEqual and settling
+	// compares.
+	capture bool
+	hooks   []rankCut
 
-	want  map[uint64]*CampaignSnapshot
-	ranks int
+	mu     sync.Mutex
+	rounds []cutRound
+	// exited records that an experiment ended at one of the cuts.
+	exited bool
+}
 
-	mu      sync.Mutex
-	parked  int
+// cutRound is the tally of one cut.
+type cutRound struct {
+	votes   int
+	no      bool
+	verdict bool
+	// release is made by the first yes-voter that has to wait and closed by
+	// the first no or the settling vote.
 	release chan struct{}
 }
 
-func (c *capturer) bind(j *mpi.Job) {
-	c.job = j
-	c.dead = j.Done()
+// reset readies the rendezvous for one run of job over cuts, reusing the
+// previous run's buffers.
+func (z *cutVote) reset(job *mpi.Job, cuts []*CampaignSnapshot, capture bool, ranks int) {
+	z.job, z.dead, z.cuts, z.capture, z.exited = job, job.Done(), cuts, capture, false
+	z.rounds = slices.Grow(z.rounds[:0], len(cuts))[:len(cuts)]
+	clear(z.rounds)
+	z.hooks = slices.Grow(z.hooks[:0], ranks)[:ranks]
+	for r := range z.hooks {
+		z.hooks[r] = rankCut{vote: z, rank: r}
+	}
 }
 
-// park blocks the calling rank until every rank of the job has parked at
-// the cut; the last parker captures the world state while it is the only
-// runner, then releases everyone.
-func (c *capturer) park(cs *CampaignSnapshot) {
-	c.mu.Lock()
-	c.parked++
-	if c.parked == c.ranks {
-		cs.world = c.job.SnapshotWorld(cs.world)
-		cs.captured = true
-		c.parked = 0
-		close(c.release)
-		c.release = make(chan struct{})
-		c.mu.Unlock()
-		return
+// vote casts one rank's vote at cut i and returns the cut's verdict: false
+// at once when the cut already has a "no" or this is one (which also
+// releases the parked voters), otherwise once every rank has voted (or
+// false when the job dies first).
+func (z *cutVote) vote(i int, yes bool) bool {
+	z.mu.Lock()
+	rd := &z.rounds[i]
+	rd.votes++
+	switch {
+	case rd.no:
+		z.mu.Unlock()
+		return false
+	case !yes:
+		rd.no = true
+		if rd.release != nil {
+			close(rd.release)
+		}
+		z.mu.Unlock()
+		return false
+	case rd.votes == len(z.hooks):
+		rd.verdict = z.settle(i)
+		if rd.release != nil {
+			close(rd.release)
+		}
+		z.mu.Unlock()
+		return rd.verdict
 	}
-	ch := c.release
-	c.mu.Unlock()
+	if rd.release == nil {
+		rd.release = make(chan struct{})
+	}
+	ch := rd.release
+	z.mu.Unlock()
 	select {
 	case <-ch:
-	case <-c.dead:
-		// A sibling died before parking; the job is going down. Returning
+		return rd.verdict
+	case <-z.dead:
+		// A sibling died before voting; the job is going down. Returning
 		// lets this rank run into the abort flag and stop.
+		return false
 	}
 }
 
-// rankCapture is one rank's capture hook.
-type rankCapture struct {
-	c    *capturer
-	rank int
+// settle is the last vote of an all-yes cut, made while every other rank
+// is parked: capture the world, or compare it with the capture and, when it
+// matches too, end the run here.
+func (z *cutVote) settle(i int) bool {
+	cs := z.cuts[i]
+	if z.capture {
+		cs.world = z.job.SnapshotWorld(cs.world)
+		cs.captured = true
+		return true
+	}
+	if !z.job.WorldEqual(cs.world) {
+		return false
+	}
+	z.exited = true
+	goldenExits.Add(1)
+	return true
 }
 
-func (h *rankCapture) Quiesce(v *vm.VM, seq uint64) {
-	cs, ok := h.c.want[seq]
-	if !ok {
-		return
+// rankCut is one rank's hook at the cuts of a cutVote.
+type rankCut struct {
+	vote *cutVote
+	rank int
+	// next is the index of the first cut this rank has not reached.
+	next int
+}
+
+func (h *rankCut) Quiesce(v *vm.VM, seq uint64) bool {
+	z := h.vote
+	for h.next < len(z.cuts) && z.cuts[h.next].Cut.Seq < seq {
+		h.next++
+	}
+	if h.next == len(z.cuts) || z.cuts[h.next].Cut.Seq != seq {
+		return false
+	}
+	i := h.next
+	h.next++
+	cs := z.cuts[i]
+	if !z.capture {
+		return z.vote(i, v.GoldenEqual(cs.vms[h.rank]))
 	}
 	cs.vms[h.rank] = v.Snapshot(cs.vms[h.rank])
 	if rec, ok := v.Tracer().(*trace.Recorder); ok {
 		cs.recs[h.rank] = rec.Snapshot(cs.recs[h.rank])
 	}
 	cs.Cut.Sites[h.rank] = v.Sites()
-	h.c.park(cs)
+	z.vote(i, true)
+	return false
 }
 
 // RunGoldenCapture re-executes the golden run and captures full campaign
@@ -205,31 +303,22 @@ func (h *rankCapture) Quiesce(v *vm.VM, seq uint64) {
 // the end of the execution are silently dropped.
 func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcome, []*CampaignSnapshot) {
 	cfg = cfg.normalized()
-	ranks := cfg.Ranks
-	want := make(map[uint64]*CampaignSnapshot, len(seqs))
 	snaps := make([]*CampaignSnapshot, 0, len(seqs))
 	for _, s := range seqs {
-		if _, dup := want[s]; dup {
+		if slices.ContainsFunc(snaps, func(cs *CampaignSnapshot) bool { return cs.Cut.Seq == s }) {
 			continue
 		}
 		// Pooled shells carry the backing buffers of retired captures;
 		// vm/trace/mpi Snapshot() overwrite them in place.
-		cs := cfg.Reuse.takeSnapshotShell(s, ranks)
-		want[s] = cs
-		snaps = append(snaps, cs)
+		snaps = append(snaps, cfg.Reuse.takeSnapshotShell(s, cfg.Ranks))
 	}
-	c := &capturer{want: want, ranks: ranks, release: make(chan struct{})}
-	hooks := make([]vm.QuiesceHook, ranks)
-	for r := range hooks {
-		hooks[r] = &rankCapture{c: c, rank: r}
-	}
-	out := runWith(prog, cfg, extras{hooks: hooks, onJob: c.bind})
+	slices.SortFunc(snaps, func(a, b *CampaignSnapshot) int { return cmp.Compare(a.Cut.Seq, b.Cut.Seq) })
+	out := runWith(prog, cfg, extras{capture: snaps})
 	kept := snaps[:0]
 	for _, cs := range snaps {
 		if cs.captured {
 			kept = append(kept, cs)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Cut.Seq < kept[j].Cut.Seq })
 	return out, kept
 }

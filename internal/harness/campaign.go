@@ -106,10 +106,12 @@ type Execution struct {
 	Workers int
 	// Snapshots is the snapshot-fork capture budget: up to this many
 	// full-state snapshots of the golden execution are captured at quiesce
-	// points chosen to precede the shard's planned injections, and each
+	// points chosen to precede the shard's planned injections; each
 	// experiment forks from the best usable snapshot instead of
-	// re-executing the clean prefix (0: nothing is captured, every
-	// experiment runs from step 0). Purely a performance strategy — results
+	// re-executing the clean prefix, and ends at a later captured cut where
+	// every rank is back in the golden state instead of executing the
+	// golden tail (0: nothing is captured, every experiment runs from step
+	// 0 to its end). Purely a performance strategy — results
 	// are byte-identical with any budget — so it is excluded from the
 	// checkpoint fingerprint, and shards of one campaign may mix budgets
 	// freely.
@@ -755,6 +757,9 @@ func (e *campaignEngine) runIDs(ids []int) error {
 				}
 				elapsed := time.Since(t0)
 				cfg.Progress.noteDone(o.sum.Outcome, elapsed)
+				if o.exited {
+					cfg.Progress.noteExit()
+				}
 				if tr != nil {
 					tr.Outcome = o.sum.Outcome
 					tr.Total = elapsed
@@ -835,6 +840,9 @@ type expOut struct {
 	points    []trace.Point
 	spread    []trace.SpreadPoint
 	structCML map[string]int
+	// exited reports a run that ended at a golden-equal cut (progress
+	// telemetry; never journaled).
+	exited bool
 }
 
 // runExperiment executes one fault-injection run and condenses it. A panic
@@ -870,7 +878,9 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		Reuse:       cfg.reuse,
 	}
 	var run core.RunOutcome
-	if snap := sched.Best(plan); snap != nil {
+	snap := sched.Best(plan)
+	rcfg.Tail = sched.Tail(plan, snap)
+	if snap != nil {
 		run = coreRunResumed(inst, rcfg, snap)
 	} else {
 		run = coreRun(inst, rcfg)
@@ -884,6 +894,7 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.RestoreFrac = run.RestoreFrac()
 		tr.BackedBytes = run.BackedBytes
 		tr.Deadlock, tr.Timeout = run.Deadlock, run.Timeout
+		tr.Exited, tr.SkippedCycles = run.Exited, run.SkippedCycles
 		phaseStart = now
 	}
 	sum := ExperimentSummary{
@@ -928,5 +939,5 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 	if tr != nil {
 		tr.Classify = time.Since(phaseStart)
 	}
-	return expOut{sum: sum, points: points, spread: run.Spread.Series(), structCML: run.StructCML}
+	return expOut{sum: sum, points: points, spread: run.Spread.Series(), structCML: run.StructCML, exited: run.Exited}
 }

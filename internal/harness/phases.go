@@ -51,6 +51,12 @@ type PhaseTrace struct {
 	// framework bug, and the answer to "is the fast path being taken?").
 	// Both classify as Crashed; neither is part of the results.
 	Deadlock, Timeout bool
+	// Exited reports that the experiment ended at a golden-equal cut
+	// instead of executing the golden tail, and SkippedCycles the tail
+	// cycles not executed, summed over ranks (core.RunOutcome): the answer
+	// to "is the early exit being taken?".
+	Exited        bool
+	SkippedCycles uint64
 }
 
 // CampaignTimings aggregates PhaseTraces into mergeable fixed-bucket
@@ -81,6 +87,11 @@ type CampaignTimings struct {
 	// RestoreBytes records the bytes copied per forked restore, same
 	// observation rule as RestoreFrac.
 	RestoreBytes *obs.Histogram `json:"restoreBytes,omitempty"`
+	// Skipped records the golden-tail cycles each experiment that ended at
+	// a golden-equal cut did not execute (power-of-four buckets, as for
+	// sizes). Only such experiments are observed, so its count is the exit
+	// count, and it merges back from shards like every histogram here.
+	Skipped *obs.Histogram `json:"skipped,omitempty"`
 }
 
 // NewCampaignTimings returns timings over the stack's standard latency
@@ -94,6 +105,7 @@ func NewCampaignTimings() *CampaignTimings {
 		Classify:     obs.NewHistogram(obs.LatencyBuckets()),
 		RestoreFrac:  obs.NewHistogram(obs.FractionBuckets()),
 		RestoreBytes: obs.NewHistogram(obs.SizeBuckets()),
+		Skipped:      obs.NewHistogram(obs.SizeBuckets()),
 	}
 	for i := range t.ByOutcome {
 		t.ByOutcome[i] = obs.NewHistogram(obs.LatencyBuckets())
@@ -119,6 +131,18 @@ func (t *CampaignTimings) Observe(tr PhaseTrace) {
 		t.RestoreFrac.Observe(tr.RestoreFrac)
 		t.RestoreBytes.Observe(float64(tr.RestoreBytes))
 	}
+	if tr.Exited {
+		t.Skipped.Observe(float64(tr.SkippedCycles))
+	}
+}
+
+// Exits returns the number of observed experiments that ended at a
+// golden-equal cut.
+func (t *CampaignTimings) Exits() int {
+	if t == nil {
+		return 0
+	}
+	return int(t.Skipped.Count())
 }
 
 // Count returns the number of experiments observed (via the phase
@@ -159,6 +183,7 @@ func (t *CampaignTimings) Merge(other *CampaignTimings) error {
 		{&t.Classify, other.Classify, obs.LatencyBuckets, "classify"},
 		{&t.RestoreFrac, other.RestoreFrac, obs.FractionBuckets, "restoreFrac"},
 		{&t.RestoreBytes, other.RestoreBytes, obs.SizeBuckets, "restoreBytes"},
+		{&t.Skipped, other.Skipped, obs.SizeBuckets, "skipped"},
 	} {
 		if *m.dst == nil {
 			*m.dst = obs.NewHistogram(m.buckets())

@@ -26,6 +26,7 @@ type Progress struct {
 	running  int
 	busy     time.Duration
 	outcomes [classify.NumOutcomes]int
+	exited   int
 }
 
 // Snapshot is a point-in-time view of campaign progress.
@@ -49,6 +50,9 @@ type Snapshot struct {
 	// Utilization is completed busy worker-time over elapsed wall-time
 	// times workers, in [0, 1].
 	Utilization float64
+	// Exited counts executed experiments that ended at a golden-equal cut
+	// instead of executing the golden tail.
+	Exited int `json:",omitempty"`
 }
 
 // begin (re)arms the Progress for one campaign. A Progress may be
@@ -70,6 +74,7 @@ func (p *Progress) begin(total, workers int) {
 	p.running = 0
 	p.busy = 0
 	p.outcomes = [classify.NumOutcomes]int{}
+	p.exited = 0
 }
 
 func (p *Progress) noteResumed(n int) {
@@ -105,6 +110,17 @@ func (p *Progress) noteDone(o classify.Outcome, d time.Duration) {
 	}
 }
 
+// noteExit counts an experiment, already noted done, that ended at a
+// golden-equal cut.
+func (p *Progress) noteExit() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.exited++
+}
+
 // Snapshot returns the current metrics.
 func (p *Progress) Snapshot() Snapshot {
 	if p == nil {
@@ -118,6 +134,7 @@ func (p *Progress) Snapshot() Snapshot {
 		Resumed:  p.resumed,
 		Running:  p.running,
 		Outcomes: p.outcomes,
+		Exited:   p.exited,
 	}
 	if p.started.IsZero() {
 		return s

@@ -15,18 +15,22 @@ import (
 // execution (core.RunGoldenCapture, under the pack mutex on the pack's
 // Reuse, and only for cuts the pack is still missing), and each experiment
 // then forks from the best captured snapshot that precedes all of its
-// planned faults, skipping the clean prefix. An experiment whose fault
+// planned faults, skipping the clean prefix, and may end at any later
+// captured snapshot past all of them where every rank is back in the golden
+// state, skipping a clean tail (core/exit.go). An experiment whose fault
 // precedes every captured cut — every experiment, when the budget is 0 or
 // the app has no quiesce points — runs from step 0. Snapshot placement is
 // purely a performance strategy: results are byte-identical with any
 // placement (including none), which is why Snapshots is excluded from the
 // checkpoint fingerprint.
 
-// snapSchedule holds a shard's captured snapshots, ordered by seq. It is
-// shared read-only across worker goroutines; forking restores copy out of
-// the snapshot, never into it.
+// snapSchedule holds a shard's captured snapshots, ordered by seq, and the
+// pack's golden outcome. It is shared read-only across worker goroutines;
+// forking restores copy out of the snapshot, never into it, and the
+// golden-equivalence early exit only reads both.
 type snapSchedule struct {
-	snaps []*core.CampaignSnapshot
+	snaps  []*core.CampaignSnapshot
+	golden *core.RunOutcome
 }
 
 // Best returns the latest captured snapshot every planned fault lies at or
@@ -41,6 +45,24 @@ func (s *snapSchedule) Best(plan inject.Plan) *core.CampaignSnapshot {
 		}
 	}
 	return nil
+}
+
+// Tail returns the captured cuts at which an experiment with this plan,
+// forked from snapshot from (nil: run from step 0), may end early: every
+// cut later than the fork point and than each planned fault. Both
+// conditions hold on a suffix of the seq-ordered cuts.
+func (s *snapSchedule) Tail(plan inject.Plan, from *core.CampaignSnapshot) core.Tail {
+	if s == nil {
+		return core.Tail{}
+	}
+	i := sort.Search(len(s.snaps), func(i int) bool {
+		cs := s.snaps[i]
+		return (from == nil || cs.Cut.Seq > from.Cut.Seq) && cs.Cut.Past(plan)
+	})
+	if i == len(s.snaps) {
+		return core.Tail{}
+	}
+	return core.Tail{Cuts: s.snaps[i:], Golden: s.golden}
 }
 
 // bestCutIndex returns the index of the latest cut usable for the plan, or
@@ -119,7 +141,7 @@ func (p *snapshotPack) schedule(cfg CampaignConfig, sites []uint64, pending []in
 		}
 		p.trim(seqs)
 	}
-	sched := &snapSchedule{snaps: make([]*core.CampaignSnapshot, 0, len(seqs))}
+	sched := &snapSchedule{snaps: make([]*core.CampaignSnapshot, 0, len(seqs)), golden: &p.golden}
 	for _, s := range seqs {
 		if cs := p.snaps[s]; cs != nil {
 			sched.snaps = append(sched.snaps, cs)

@@ -1,6 +1,10 @@
 package mpi
 
-import "sync/atomic"
+import (
+	"bytes"
+	"slices"
+	"sync/atomic"
+)
 
 // World snapshot support for the snapshot-fork fast path. A multi-rank cut
 // is taken while every rank of the job is parked at the same quiesce point
@@ -10,7 +14,9 @@ import "sync/atomic"
 // queues and each endpoint's tag-matching pending buffers. Both are
 // single-writer structures whose contents at the cut are a pure function of
 // the program, which is what makes a restored world equal to a re-executed
-// one.
+// one. The same walk over them compares a live world with a captured one
+// (WorldEqual), which is half of what lets an experiment end at a cut where
+// it is back in the golden state.
 
 // WorldSnap is a deep copy of a job's message-passing state at a quiesce
 // cut. One snapshot can seed any number of restored runs.
@@ -38,6 +44,45 @@ func copyMsgs(dst []message, src []message) []message {
 	return dst
 }
 
+// walkWorld shows visit every queue of the job's message-passing state:
+// mail[dst][src] in FIFO order (mail true), then each endpoint's
+// pending[rank][src] (mail false). A mail channel is observed by draining
+// it and refilling it with the very same messages, so live receive buffers
+// keep their identity. The walk stops at the first visit that returns
+// false and reports whether none did. Safe only while no rank goroutine
+// uses its endpoint — every rank parked at a cut, or none running.
+func (j *Job) walkWorld(visit func(mail bool, r, src int, msgs []message) bool) bool {
+	var scratch []message
+	for dst := range j.mail {
+		for src, ch := range j.mail[dst] {
+			scratch = scratch[:0]
+			for {
+				select {
+				case m := <-ch:
+					scratch = append(scratch, m)
+					continue
+				default:
+				}
+				break
+			}
+			for _, m := range scratch {
+				ch <- m
+			}
+			if !visit(true, dst, src, scratch) {
+				return false
+			}
+		}
+	}
+	for r := range j.eps {
+		for src, msgs := range j.eps[r].pending {
+			if !visit(false, r, src, msgs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SnapshotWorld captures the job's mail queues and pending buffers into s
 // (reusing s's structure when possible; nil allocates). It must be called
 // while every rank goroutine is parked — no concurrent endpoint use — and
@@ -55,37 +100,35 @@ func (j *Job) SnapshotWorld(s *WorldSnap) *WorldSnap {
 			s.pending[r] = make([][]message, j.size)
 		}
 	}
-	var scratch []message
-	for dst := range j.mail {
-		for src, ch := range j.mail[dst] {
-			// Drain the channel to observe its FIFO contents, refill it with
-			// the very same messages (live receive buffers keep their
-			// identity), and deep-copy into the snapshot. Safe only because
-			// every rank is parked.
-			scratch = scratch[:0]
-			for {
-				select {
-				case m := <-ch:
-					scratch = append(scratch, m)
-					continue
-				default:
-				}
-				break
-			}
-			for _, m := range scratch {
-				ch <- m
-			}
-			s.mail[dst][src] = copyMsgs(s.mail[dst][src], scratch)
+	j.walkWorld(func(mail bool, r, src int, msgs []message) bool {
+		q := s.pending
+		if mail {
+			q = s.mail
 		}
-	}
-	for r := range j.eps {
-		e := &j.eps[r]
-		for src := range e.pending {
-			s.pending[r][src] = copyMsgs(s.pending[r][src], e.pending[src])
-		}
-	}
+		q[r][src] = copyMsgs(q[r][src], msgs)
+		return true
+	})
 	s.gen = worldGenCounter.Add(1)
 	return s
+}
+
+// WorldEqual reports whether the job's mail queues and pending buffers hold
+// exactly the messages s captured — the same tags and payload bytes, queue
+// by queue and in order. Like SnapshotWorld it must be called while every
+// rank goroutine is parked, and leaves the job state untouched.
+func (j *Job) WorldEqual(s *WorldSnap) bool {
+	if s.size != j.size {
+		return false
+	}
+	return j.walkWorld(func(mail bool, r, src int, msgs []message) bool {
+		want := s.pending[r][src]
+		if mail {
+			want = s.mail[r][src]
+		}
+		return slices.EqualFunc(msgs, want, func(a, b message) bool {
+			return a.tag == b.tag && bytes.Equal(a.data, b.data)
+		})
+	})
 }
 
 // RestoreWorld rewinds the job's message-passing state to the snapshot.

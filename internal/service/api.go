@@ -432,6 +432,10 @@ type Metrics struct {
 	// restore this grows with what forks actually dirty, not with
 	// golden-state size times fork count.
 	RestoreBytes uint64 `json:"restoreBytes"`
+	// GoldenExits counts experiments (local plus absorbed shard partials)
+	// that ended at a captured cut where every rank was back in the golden
+	// state instead of executing the golden tail.
+	GoldenExits uint64 `json:"goldenExits"`
 	// Outcomes counts completed experiments per outcome class, summed over
 	// terminal tallies and live progress.
 	Outcomes map[string]int `json:"outcomes"`

@@ -175,6 +175,7 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 					return
 				}
 				snap.Done += p.Tally.Total
+				snap.Exited += p.Timings.Exits()
 				for o := range p.Tally.Counts {
 					snap.Outcomes[o] += p.Tally.Counts[o]
 				}

@@ -19,6 +19,7 @@ func (s *Server) Metrics() Metrics {
 		CacheHits:    s.obs.cacheHits.Value(),
 		CacheMisses:  s.obs.cacheMisses.Value(),
 		RestoreBytes: s.obs.restoreBytes.Value(),
+		GoldenExits:  s.obs.goldenExits.Value(),
 		Outcomes:     make(map[string]int),
 	}
 	if s.archive != nil {

@@ -58,6 +58,9 @@ type serverObs struct {
 	// time. mpiTimeouts: experiments in which a blocking MPI call ran into
 	// the wall-clock safety timeout instead — must read 0.
 	mpiDeadlocks, mpiTimeouts *obs.Counter
+	// goldenExits: experiments that ended at a golden-equal cut instead of
+	// executing the golden tail — the early exit, when it is taken.
+	goldenExits *obs.Counter
 }
 
 func newServerObs() *serverObs {
@@ -100,6 +103,8 @@ func newServerObs() *serverObs {
 			"Experiments ended by the MPI deadlock detector, in logical time."),
 		mpiTimeouts: reg.Counter("faultpropd_mpi_timeouts_total",
 			"Experiments in which a blocking MPI call hit the wall-clock safety timeout; above 0 is a framework bug."),
+		goldenExits: reg.Counter("faultpropd_golden_exits_total",
+			"Experiments that ended at a captured cut where every rank was back in the golden state, instead of executing the golden tail."),
 		httpRequests: make(map[string]*obs.Counter),
 	}
 	for i := range o.expLatency {
@@ -135,6 +140,9 @@ func (o *serverObs) observePhase(tr harness.PhaseTrace) {
 	if tr.Timeout {
 		o.mpiTimeouts.Inc()
 	}
+	if tr.Exited {
+		o.goldenExits.Inc()
+	}
 }
 
 // absorbTimings merges a shard partial's carried histograms into the
@@ -156,6 +164,7 @@ func (o *serverObs) absorbTimings(t *harness.CampaignTimings) {
 	// The bytes histogram carries the shard's exact per-restore copy
 	// sizes; its sum feeds the daemon-lifetime counter.
 	o.restoreBytes.Add(uint64(t.RestoreBytes.Sum()))
+	o.goldenExits.Add(uint64(t.Exits()))
 }
 
 // countRequest bumps the per-method request counter (unknown methods are

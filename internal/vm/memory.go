@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -556,6 +557,52 @@ func (m *Memory) Snapshot(s *MemSnap) *MemSnap {
 	m.base, m.baseGen = s, s.gen
 	clear(m.dirty)
 	return s
+}
+
+// EqualSnap reports whether the address space holds exactly the state s
+// captured: the same layout (size, global segment, brk, sp) and the same
+// word at every address. The two backings may differ in extent — a word
+// either side does not back reads zero — so the walk goes region by region
+// over both, and a region backed on one side only must be zero there.
+func (m *Memory) EqualSnap(s *MemSnap) bool {
+	if m.size != s.size || m.globalEnd != s.globalEnd || m.brk != s.brk || m.sp != s.sp {
+		return false
+	}
+	// The snapshot's backing, addressed through the same span as a live
+	// memory's.
+	snap := Memory{lo: s.lo, stack: s.hi, gap: s.gap, size: s.size}
+	for addr := int64(1); addr < m.size; {
+		a, na := m.span(addr)
+		b, nb := snap.span(addr)
+		n := min(na, nb)
+		switch {
+		case a == nil && b == nil:
+		case a == nil:
+			if !zero(b[:n]) {
+				return false
+			}
+		case b == nil:
+			if !zero(a[:n]) {
+				return false
+			}
+		default:
+			if !slices.Equal(a[:n], b[:n]) {
+				return false
+			}
+		}
+		addr += n
+	}
+	return true
+}
+
+// zero reports whether every word of ws is zero.
+func zero(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // RestoreSnap rewinds the address space to the snapshotted state and

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/fpm"
 )
@@ -21,7 +23,10 @@ import (
 // consistent), and, for single-process jobs, additionally at timestep
 // boundaries. The Quiesce hook fires at those points; Snapshot may only be
 // called from inside the hook, and the captured frame stack resumes at the
-// instruction after the quiescing intrinsic.
+// instruction after the quiescing intrinsic. GoldenEqual, called there
+// too, compares a running VM with a snapshot of the golden run taken at the
+// same point, which is what lets an experiment end early once it is back in
+// the golden state.
 //
 // Not snapshotted (callers must not combine them with snapshot forking):
 // the state of the two ablations that run on the observed code array, the
@@ -32,10 +37,12 @@ import (
 // observes the same seq sequence — the collective-round order — as long as
 // execution is deterministic, which golden runs are. The hook runs on the
 // rank's goroutine with the VM paused in a resumable state; it may call
-// v.Snapshot and may block (snapshot capture parks every rank of a job to
-// cut a consistent world state).
+// v.Snapshot or v.GoldenEqual and may block (snapshot capture parks every
+// rank of a job to cut a consistent world state). Returning true ends the
+// run there, as if the entry function had returned: the golden-equivalence
+// early exit, whose caller takes the rest of the run from the golden run.
 type QuiesceHook interface {
-	Quiesce(v *VM, seq uint64)
+	Quiesce(v *VM, seq uint64) (stop bool)
 }
 
 // armQuiesce schedules the Quiesce hook to fire once the current intrinsic
@@ -106,6 +113,61 @@ func (v *VM) Snapshot(s *Snapshot) *Snapshot {
 	s.qseq = v.qseq
 	s.clean = v.clean
 	return s
+}
+
+// GoldenEqual reports whether this VM, paused in a Quiesce hook, is in
+// exactly the state s captured at the same quiesce point of the fault-free
+// run, so that everything the rank would still execute — given a message
+// world equal to the golden one — is the golden run's tail. Cheap checks
+// run first. A rank is golden-equal only if no planned fault is left, its
+// table is empty, its counters and outputs so far equal the snapshot's, its
+// frame stack is the same, every live primary register equals the
+// snapshot's, each shadow equals its primary (unless the rank runs clean,
+// where shadows are stale by design) and its memory equals the snapshot's
+// word for word.
+//
+// Injection temporaries — registers at and above a function's PairedRegs —
+// are not compared: a fim_inj group writes them immediately before their
+// one consumer, so they are dead at every quiesce point, and the fused code
+// arrays never write them at all. A function without pairing has no such
+// split and is compared register for register.
+func (v *VM) GoldenEqual(s *Snapshot) bool {
+	if v.nextSite != NoSite || v.table.Len() != 0 || v.observing() ||
+		v.cycles != s.cycles || v.sites != s.sites || v.iterations != s.iterations ||
+		v.ticks != s.ticks || v.qseq != s.qseq ||
+		len(v.outputs) != len(s.outputs) || len(v.frames) != len(s.frames) {
+		return false
+	}
+	for i, o := range v.outputs {
+		if math.Float64bits(o) != math.Float64bits(s.outputs[i]) {
+			return false
+		}
+	}
+	top := len(v.frames) - 1
+	for i := range v.frames {
+		f, g := &v.frames[i], &s.frames[i]
+		pc := f.pc
+		if i == top {
+			pc++ // the snapshot resumes after the quiescing intrinsic
+		}
+		if f.fn != g.fn || pc != g.pc || f.regBase != g.regBase || f.frameBase != g.frameBase {
+			return false
+		}
+		regs := v.regs[f.regBase : f.regBase+f.fn.NumRegs]
+		gold := s.regs[g.regBase : g.regBase+f.fn.NumRegs]
+		if f.fn.PairedRegs == 0 {
+			if !slices.Equal(regs, gold) {
+				return false
+			}
+			continue
+		}
+		for r := 0; r+1 < f.fn.PairedRegs; r += 2 {
+			if regs[r] != gold[r] || (!v.clean && regs[r+1] != regs[r]) {
+				return false
+			}
+		}
+	}
+	return v.mem.EqualSnap(s.mem)
 }
 
 // RestoreSnap forks this VM from the snapshot and reports the restore

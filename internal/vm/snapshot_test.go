@@ -74,7 +74,7 @@ func snapAt(t *testing.T, prog *ir.Program, seq uint64, sampleEvery uint64) (*Sn
 
 type quiesceFunc func(v *VM, seq uint64)
 
-func (f quiesceFunc) Quiesce(v *VM, seq uint64) { f(v, seq) }
+func (f quiesceFunc) Quiesce(v *VM, seq uint64) bool { f(v, seq); return false }
 
 // observe condenses the observables that must be byte-identical between a
 // from-scratch run and a snapshot-forked run.

@@ -423,7 +423,8 @@ func (v *VM) execute() (err error) {
 	return nil
 }
 
-// loop is the interpreter. It runs until the entry function returns. It
+// loop is the interpreter. It runs until the entry function returns, or a
+// Quiesce hook ends the run at a golden-equal cut (see snapshot.go). It
 // executes the pre-decoded form (see decode.go): cycle accounting is a
 // single precomputed byte and operand fetches dispatch on a precomputed
 // kind bit instead of re-inspecting ir.Operand tags.
@@ -675,11 +676,15 @@ frames:
 				if v.qarm {
 					// The intrinsic completed at a consistent cut: fire the
 					// quiesce hook before retiring it, so a snapshot taken
-					// here resumes at the next instruction.
+					// here resumes at the next instruction. A hook that
+					// found the job back in the golden state ends the run
+					// here, as if the entry function had returned.
 					v.qarm = false
 					seq := v.qseq
 					v.qseq++
-					v.cfg.Quiesce.Quiesce(v, seq)
+					if v.cfg.Quiesce.Quiesce(v, seq) {
+						return
+					}
 				}
 				if v.reframe {
 					// A mode switch inside the intrinsic (or just above)
