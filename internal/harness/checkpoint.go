@@ -3,7 +3,6 @@ package harness
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -20,8 +19,10 @@ import (
 // the streaming aggregator consumes (summary, profile points, spread
 // series, per-structure totals), so a resumed campaign replays them into a
 // fresh aggregator and produces results identical to an uninterrupted run.
-// Every record is flushed as written: a killed campaign loses at most the
-// in-flight line, and readJournal tolerates a truncated tail.
+// Every record reaches the OS as one write: a killed campaign loses at most
+// the in-flight line, and readJournal tolerates a truncated tail. What a
+// line holds is the codec's business (journalcodec.go); this file only
+// calls appendRecord and decodeRecord.
 
 const journalVersion = 1
 
@@ -35,13 +36,18 @@ type journalHeader struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// journalRecord is one completed experiment on disk.
+// journalRecord is one line of the journal: a completed experiment, or
+// the header or plan payload the codec (journalcodec.go) writes instead
+// when one is set.
 type journalRecord struct {
 	Kind      string              `json:"kind"`
 	Sum       ExperimentSummary   `json:"sum"`
 	Points    []trace.Point       `json:"points,omitempty"`
 	Spread    []trace.SpreadPoint `json:"spread,omitempty"`
 	StructCML map[string]int      `json:"structCML,omitempty"`
+
+	header *journalHeader
+	plan   *planRecord
 }
 
 func (r journalRecord) toExpOut() expOut {
@@ -144,11 +150,11 @@ func journalFingerprint(campaignFP string, spec ShardSpec) string {
 	return fmt.Sprintf("%s|shard=%d-%d", campaignFP, spec.From, spec.To)
 }
 
-// journalWriter appends records to the checkpoint file.
+// journalWriter appends records to the checkpoint file, one write per
+// line, each encoded into the buffer the last one used.
 type journalWriter struct {
 	f   *os.File
-	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte
 }
 
 // openJournal opens the checkpoint journal for writing. A fresh campaign
@@ -169,15 +175,10 @@ func openJournal(path, fingerprint, trace string, resume bool) (*journalWriter, 
 	if err != nil {
 		return nil, fmt.Errorf("harness: checkpoint: %w", err)
 	}
-	w := &journalWriter{f: f, bw: bufio.NewWriter(f)}
-	w.enc = json.NewEncoder(w.bw)
+	w := &journalWriter{f: f}
 	if writeHeader {
 		hdr := journalHeader{Kind: "header", Version: journalVersion, Fingerprint: fingerprint, Trace: trace}
-		if err := w.enc.Encode(hdr); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
-		}
-		if err := w.bw.Flush(); err != nil {
+		if err := w.write(&journalRecord{header: &hdr}); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
 		}
@@ -185,39 +186,37 @@ func openJournal(path, fingerprint, trace string, resume bool) (*journalWriter, 
 	return w, nil
 }
 
-// append journals one completed experiment and flushes it to the OS, so a
+// append journals one completed experiment and hands it to the OS, so a
 // kill after this returns cannot lose the record.
 func (w *journalWriter) append(o expOut) error {
-	rec := journalRecord{
+	return w.write(&journalRecord{
 		Kind:      "exp",
 		Sum:       o.sum,
 		Points:    o.points,
 		Spread:    o.spread,
 		StructCML: o.structCML,
-	}
-	if err := w.enc.Encode(rec); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	})
 }
 
-// appendPlan journals one adaptive planner decision, flushed like every
+// appendPlan journals one adaptive planner decision, written like every
 // experiment record.
 func (w *journalWriter) appendPlan(round int, target float64, allocs []roundAlloc, run []int) error {
-	rec := planRecord{Kind: "plan", Round: round, TargetCI: target, Allocs: allocs, Run: run}
-	if err := w.enc.Encode(rec); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	return w.write(&journalRecord{plan: &planRecord{Kind: "plan", Round: round, TargetCI: target, Allocs: allocs, Run: run}})
 }
 
-func (w *journalWriter) Close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
+// write encodes rec and writes the line; nothing is written when rec does
+// not encode.
+func (w *journalWriter) write(rec *journalRecord) error {
+	buf, err := appendRecord(w.buf[:0], rec)
+	if err != nil {
 		return err
 	}
-	return w.f.Close()
+	w.buf = buf
+	_, err = w.f.Write(buf)
+	return err
 }
+
+func (w *journalWriter) Close() error { return w.f.Close() }
 
 // journalScanner is the one reader of the journal's line format; resume
 // (readJournal), the adaptive-resume diagnosis (journalHeaderFP) and event
@@ -238,20 +237,20 @@ func (s journalScanner) header() (journalHeader, error) {
 	if !s.Scan() {
 		return hdr, errors.New("empty journal")
 	}
-	if err := json.Unmarshal(s.Bytes(), &hdr); err != nil || hdr.Kind != "header" {
+	if err := decodeRecord(s.Bytes(), &journalRecord{header: &hdr}); err != nil || hdr.Kind != "header" {
 		return hdr, errors.New("malformed header")
 	}
 	return hdr, nil
 }
 
-// next decodes the next non-blank line into rec, which must be a zero
-// value. It returns false at the end of the journal and at a line that
-// does not decode: the truncated tail a killed campaign leaves, dropped
-// silently together with anything after it.
-func (s journalScanner) next(rec any) bool {
+// next decodes the next non-blank line into rec. It returns false at the
+// end of the journal and at a line that does not decode: the truncated
+// tail a killed campaign leaves, dropped silently together with anything
+// after it.
+func (s journalScanner) next(rec *journalRecord) bool {
 	for s.Scan() {
 		if line := bytes.TrimSpace(s.Bytes()); len(line) > 0 {
-			return json.Unmarshal(line, rec) == nil
+			return decodeRecord(line, rec) == nil
 		}
 	}
 	return false
@@ -269,22 +268,21 @@ type JournalEvent struct {
 }
 
 // ReplayJournal calls fn with every completed experiment of the journal in
-// r, in journal order, until fn returns false. It decodes only what a
-// JournalEvent holds and does not validate the fingerprint: it serves
+// r, in journal order, until fn returns false. It decodes each record as
+// readJournal does and does not validate the fingerprint: it serves
 // observability (streaming completed experiments to a late subscriber),
 // not resume, which must go through RunCampaign's guarded path. A
 // truncated tail is dropped like readJournal drops it.
 func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
 	js := newJournalScanner(r)
-	for {
-		var rec struct {
-			Kind string       `json:"kind"`
-			Sum  JournalEvent `json:"sum"`
+	var rec journalRecord
+	for js.next(&rec) {
+		if rec.Kind != "exp" {
+			continue
 		}
-		if !js.next(&rec) {
-			break
-		}
-		if rec.Kind == "exp" && !fn(rec.Sum) {
+		s := &rec.Sum
+		if !fn(JournalEvent{ID: s.ID, Outcome: s.Outcome, InjRank: s.InjRank,
+			InjCycle: s.InjCycle, Fired: s.Fired, MaxCML: s.MaxCML}) {
 			return nil
 		}
 	}
@@ -341,11 +339,8 @@ func readJournal(path, fingerprint string) (recs []journalRecord, found bool, er
 			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
 			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
 	}
-	for {
-		var rec journalRecord
-		if !js.next(&rec) {
-			break
-		}
+	var rec journalRecord
+	for js.next(&rec) {
 		if rec.Kind == "exp" {
 			recs = append(recs, rec)
 		}

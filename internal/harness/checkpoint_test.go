@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestReplayJournalMatchesReadJournal: the event-only reader and the
-// resume reader sit on one scanner, so over any journal — whole, carrying
+// TestReplayJournalMatchesReadJournal: event replay and resume decode
+// through one scanner and codec, so over any journal — whole, carrying
 // interleaved plan records, or cut anywhere in its tail — ReplayJournal
 // yields an event for exactly the records readJournal yields, in order,
 // with the same six fields.

@@ -119,9 +119,16 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// When the engine folds its StopAfter-th experiment, up to
+			// Workers more wait in its output buffer and Workers more are
+			// running, so the stop interrupts only if runs >= StopAfter +
+			// 2·Workers + 1. One worker keeps that true for both cases
+			// (12 >= 6+3, 16 >= 8+3); four let fe-multifault finish all 12
+			// and return nil now and then.
 			interrupted := base
 			interrupted.Checkpoint = ck
 			interrupted.StopAfter = tc.runs / 2
+			interrupted.Workers = 1
 			if _, err := RunCampaign(interrupted); !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", err)
 			}
