@@ -119,7 +119,7 @@ func viewOf(o RunOutcome) resultView {
 	}
 	v := resultView{Spread: o.Spread.Series(), Outputs: [][]uint64{bits(o.Outputs)}}
 	o.Spread, o.Outputs = nil, nil
-	o.RestoreDur, o.Forked, o.RestoreBytes, o.RestoreDirtyBlocks, o.RestoreTotalBlocks = 0, false, 0, 0, 0
+	o.RestoreDur, o.Forked, o.RestoreBytes = 0, false, 0
 	o.BackedBytes, o.Exited, o.SkippedCycles = 0, false, 0
 	o.Ranks = append([]RankResult(nil), o.Ranks...)
 	for r := range o.Ranks {

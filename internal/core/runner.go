@@ -226,13 +226,8 @@ type RunOutcome struct {
 	// are only meaningful when set.
 	Forked bool
 	// RestoreBytes totals the bytes copied while restoring snapshot state
-	// across all ranks (delta restores copy only dirtied blocks).
+	// across all ranks: every rank's whole snapshot.
 	RestoreBytes int64
-	// RestoreDirtyBlocks / RestoreTotalBlocks sum the per-rank memory
-	// dirty-block counts and address-space block counts; their ratio is
-	// the dirty fraction a delta restore actually rewrote.
-	RestoreDirtyBlocks int
-	RestoreTotalBlocks int
 	// BackedBytes sums, over the run's ranks, the address-space backing
 	// allocated when the run ended (vm.Memory.BackedBytes): a few KiB a
 	// rank unless a fault made the run store far outside its data.
@@ -251,15 +246,6 @@ type RunOutcome struct {
 	// execution.
 	Exited        bool
 	SkippedCycles uint64
-}
-
-// RestoreFrac returns the fraction of memory blocks rewritten by the
-// restore (1 for full-copy restores, 0 for from-scratch runs).
-func (o *RunOutcome) RestoreFrac() float64 {
-	if o.RestoreTotalBlocks == 0 {
-		return 0
-	}
-	return float64(o.RestoreDirtyBlocks) / float64(o.RestoreTotalBlocks)
 }
 
 // extras carries the golden runs' hooks through the shared runner body: a
@@ -315,11 +301,6 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		}
 		restoreStart = time.Now()
 		job.RestoreWorld(ex.snap.world)
-	} else {
-		// A recycled job may still hold the previous fork's snapshot world
-		// (Recycle keeps it so same-cut re-forks skip the refill); a
-		// from-scratch run needs it empty.
-		job.ClearWorld()
 	}
 	out := RunOutcome{
 		Ranks:     make([]RankResult, cfg.Ranks),
@@ -371,8 +352,6 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			rs := v.RestoreSnap(ex.snap.vms[r])
 			rec.RestoreSnap(ex.snap.recs[r], ptsHint, ticksHint)
 			out.RestoreBytes += rs.Bytes
-			out.RestoreDirtyBlocks += rs.DirtyBlocks
-			out.RestoreTotalBlocks += rs.TotalBlocks
 		}
 		states[r] = rankState{v: v, rec: rec, inj: injr}
 	}

@@ -16,13 +16,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
-
-// tableGen hands out process-unique snapshot generations, mirroring the
-// vm memory scheme: a recycled snapshot whose backing was recaptured is
-// detected by gen mismatch instead of trusted as a stale restore base.
-var tableGen atomic.Uint64
 
 // Table is the contamination hash table of one process: corrupted word
 // address -> pristine value. It is an open-addressed linear-probing table
@@ -49,19 +43,6 @@ type Table struct {
 	// which distinguishes Vanished from ONA outcomes even when later
 	// stores cleanse everything.
 	everContaminated bool
-
-	// Delta-restore state: journal holds the address of every logical
-	// transition (insert, value change, removal) since the table last
-	// equalled base, bounded by tableJournalCap — overflow flips
-	// journalFull and the next restore falls back to the verbatim copy.
-	// Replaying "make this table agree with the snapshot at address k"
-	// for the journalled keys is idempotent and order-independent, which
-	// is what lets chained journals union safely.
-	journal     []int64
-	journalFull bool
-	scratchKeys []int64
-	base        *TableSnap
-	baseGen     uint64
 }
 
 const (
@@ -74,14 +55,6 @@ const (
 	// tableResetCap bounds the capacity a Reset retains: a pathological
 	// experiment must not pin a huge table inside a long-lived worker pool.
 	tableResetCap = 1 << 15
-	// tableJournalCap bounds the per-epoch dirty-key journal; experiments
-	// that churn more contamination than this restore by full copy.
-	tableJournalCap = 512
-	// tableDeltaMax bounds the total replay length across a chain of
-	// journals; past it the verbatim copy is cheaper.
-	tableDeltaMax = 2048
-	// tableChainHops bounds snapshot-chain walks.
-	tableChainHops = 64
 )
 
 // NewTable returns an empty contamination table.
@@ -173,31 +146,15 @@ func (t *Table) PristineOr(addr int64, fallback uint64) uint64 {
 	return t.vals[i]
 }
 
-// journalKey notes a logical transition at key for delta restores.
-func (t *Table) journalKey(key int64) {
-	if t.journalFull {
-		return
-	}
-	if len(t.journal) >= tableJournalCap {
-		t.journalFull = true
-		return
-	}
-	t.journal = append(t.journal, key)
-}
-
 // Record notes that memory at addr now holds a corrupted word whose
 // fault-free content is pristine.
 func (t *Table) Record(addr int64, pristine uint64) {
 	if addr == emptySlot {
-		if !t.hasMin || t.minVal != pristine {
-			t.journalKey(addr)
-		}
 		t.hasMin = true
 		t.minVal = pristine
 	} else {
 		i, ok := t.slot(addr)
 		if !ok {
-			t.journalKey(addr)
 			// Grow at 3/4 occupancy, before the insert, so the probe chain
 			// found by slot() stays valid.
 			if (t.n+1)*4 > len(t.keys)*3 {
@@ -206,8 +163,6 @@ func (t *Table) Record(addr int64, pristine uint64) {
 			}
 			t.keys[i] = addr
 			t.n++
-		} else if t.vals[i] != pristine {
-			t.journalKey(addr)
 		}
 		t.vals[i] = pristine
 	}
@@ -215,46 +170,6 @@ func (t *Table) Record(addr int64, pristine uint64) {
 	if l := t.Len(); l > t.peak {
 		t.peak = l
 	}
-}
-
-// rawSet installs key -> val without touching the journal or the
-// observation history; used only when replaying a restore, where the
-// target state's history scalars are copied separately.
-func (t *Table) rawSet(key int64, val uint64) {
-	i, ok := t.slot(key)
-	if !ok {
-		if (t.n+1)*4 > len(t.keys)*3 {
-			t.grow()
-			i, _ = t.slot(key)
-		}
-		t.keys[i] = key
-		t.n++
-	}
-	t.vals[i] = val
-}
-
-// rawDel removes key with backward-shift deletion, without touching the
-// journal; the replay counterpart of Cleanse.
-func (t *Table) rawDel(key int64) {
-	i, ok := t.slot(key)
-	if !ok {
-		return
-	}
-	mask := len(t.keys) - 1
-	j := i
-	for {
-		j = (j + 1) & mask
-		k := t.keys[j]
-		if k == emptySlot {
-			break
-		}
-		if (j-t.home(k))&mask >= (j-i)&mask {
-			t.keys[i], t.vals[i] = k, t.vals[j]
-			i = j
-		}
-	}
-	t.keys[i] = emptySlot
-	t.n--
 }
 
 func (t *Table) grow() {
@@ -281,9 +196,6 @@ func (t *Table) grow() {
 // cycles of a campaign.
 func (t *Table) Cleanse(addr int64) {
 	if addr == emptySlot {
-		if t.hasMin {
-			t.journalKey(addr)
-		}
 		t.hasMin = false
 		return
 	}
@@ -291,7 +203,6 @@ func (t *Table) Cleanse(addr int64) {
 	if !ok {
 		return
 	}
-	t.journalKey(addr)
 	mask := len(t.keys) - 1
 	j := i
 	for {
@@ -379,9 +290,6 @@ func (t *Table) Reset() {
 	t.hasMin = false
 	t.peak = 0
 	t.everContaminated = false
-	t.journal = t.journal[:0]
-	t.journalFull = false
-	t.base, t.baseGen = nil, 0
 }
 
 // TableSnap is a deep copy of a Table's complete state, including the slot
@@ -398,32 +306,6 @@ type TableSnap struct {
 	minVal uint64
 	peak   int
 	ever   bool
-
-	// Chain link for delta restores, mirroring vm.MemSnap: sincePrev is
-	// the dirty-key journal accumulated between prev and this snapshot
-	// (sinceFull when it overflowed), and gen/prevGen guard against
-	// recycled snapshot objects.
-	gen       uint64
-	prev      *TableSnap
-	prevGen   uint64
-	sincePrev []int64
-	sinceFull bool
-}
-
-// lookup probes the snapshot's slot array for key (same Fibonacci probe
-// as the live table, under the snapshot's own shift).
-func (s *TableSnap) lookup(key int64) (uint64, bool) {
-	mask := len(s.keys) - 1
-	i := int((uint64(key) * fibMult) >> s.shift)
-	for {
-		switch s.keys[i] {
-		case key:
-			return s.vals[i], true
-		case emptySlot:
-			return 0, false
-		}
-		i = (i + 1) & mask
-	}
 }
 
 // Len returns the number of contaminated locations in the snapshot.
@@ -449,95 +331,16 @@ func (t *Table) Snapshot(s *TableSnap) *TableSnap {
 	s.minVal = t.minVal
 	s.peak = t.peak
 	s.ever = t.everContaminated
-	if t.baseValid() && t.base != s {
-		s.prev = t.base
-		s.prevGen = t.baseGen
-		s.sincePrev = append(s.sincePrev[:0], t.journal...)
-		s.sinceFull = t.journalFull
-	} else {
-		s.prev = nil
-		s.prevGen = 0
-		s.sincePrev = s.sincePrev[:0]
-		s.sinceFull = false
-	}
-	s.gen = tableGen.Add(1)
-	t.base, t.baseGen = s, s.gen
-	t.journal = t.journal[:0]
-	t.journalFull = false
 	return s
 }
 
-func (t *Table) baseValid() bool {
-	return t.base != nil && t.baseGen != 0 && t.base.gen == t.baseGen
-}
-
-// deltaKeys assembles into t.scratchKeys every address that may differ
-// between the live table and snapshot s: the live journal plus the
-// per-hop journals along the chain between s and the base. ok is false
-// when the chain is broken, any hop overflowed, or the total replay
-// would cost more than a verbatim copy.
-func (t *Table) deltaKeys(s *TableSnap) ([]int64, bool) {
-	if t.journalFull {
-		return nil, false
-	}
-	keys := append(t.scratchKeys[:0], t.journal...)
-	from, to := s, t.base
-	if from != to {
-		if from.gen < to.gen {
-			from, to = to, from
-		}
-		for hops := 0; from != to; hops++ {
-			p := from.prev
-			if hops >= tableChainHops || p == nil || p.gen != from.prevGen ||
-				p.gen < to.gen || from.sinceFull {
-				t.scratchKeys = keys
-				return nil, false
-			}
-			keys = append(keys, from.sincePrev...)
-			from = p
-		}
-	}
-	t.scratchKeys = keys
-	if len(keys) > tableDeltaMax {
-		return nil, false
-	}
-	return keys, true
-}
-
 // RestoreSnap rewinds the table to the snapshotted state and returns the
-// bytes it copied. When the table's last-known-equal base snapshot sits
-// on the same chain as s and the combined journals are small, the
-// restore replays "agree with s at address k" for just the journalled
-// keys — idempotent and order-independent, so chained journals union
-// safely; the slot layout may then differ from s's, which is fine
-// because every Table observable (sorted iteration, counts, probes) is
-// layout-independent. Otherwise the slot arrays are copied verbatim.
-// The snapshot is not consumed: one snapshot can seed any number of
-// restores, and mutating the restored table never writes through into
-// the snapshot.
+// bytes it copied. The slot arrays are copied verbatim; they are
+// reallocated only when the slot counts differ, so a table one experiment
+// grew does not keep its size. The snapshot is not consumed: one snapshot
+// can seed any number of restores, and mutating the restored table never
+// writes through into the snapshot.
 func (t *Table) RestoreSnap(s *TableSnap) int64 {
-	if t.baseValid() {
-		if keys, ok := t.deltaKeys(s); ok {
-			for _, k := range keys {
-				if k == emptySlot {
-					continue // carried by the hasMin/minVal scalars below
-				}
-				if pv, ok := s.lookup(k); ok {
-					t.rawSet(k, pv)
-				} else {
-					t.rawDel(k)
-				}
-			}
-			t.hasMin = s.hasMin
-			t.minVal = s.minVal
-			t.peak = s.peak
-			t.everContaminated = s.ever
-			t.base, t.baseGen = s, s.gen
-			t.journal = t.journal[:0]
-			t.journalFull = false
-			return int64(len(keys)) * 16
-		}
-	}
 	if len(t.keys) != len(s.keys) {
 		t.keys = make([]int64, len(s.keys))
 		t.vals = make([]uint64, len(s.vals))
@@ -550,9 +353,6 @@ func (t *Table) RestoreSnap(s *TableSnap) int64 {
 	t.minVal = s.minVal
 	t.peak = s.peak
 	t.everContaminated = s.ever
-	t.base, t.baseGen = s, s.gen
-	t.journal = t.journal[:0]
-	t.journalFull = false
 	return int64(len(s.keys)) * 16
 }
 

@@ -12,12 +12,12 @@ import (
 // process-wide, from one program's campaign into another's. Workers now
 // allocate their bundles per run (a fresh one is a few KiB a rank), so no
 // bundle crosses programs any more; what still does is the rest of the
-// process-wide state — the pack registry, the decoded-program cache, the
-// snapshot generation counter. The gate keeps its byte-identity half for
-// that: for every ordered pair (A, B) of the five applications, campaign B
-// run right after campaign A must marshal to the very JSON B gave in a
-// process with no packs, without snapshots and with them, on one worker and
-// on two. A follows the previous pair's B the same way, and is checked too.
+// process-wide state — the pack registry and the decoded-program cache. The
+// gate keeps its byte-identity half for that: for every ordered pair (A, B)
+// of the five applications, campaign B run right after campaign A must
+// marshal to the very JSON B gave in a process with no packs, without
+// snapshots and with them, on one worker and on two. A follows the
+// previous pair's B the same way, and is checked too.
 func TestBundleReuseAcrossPrograms(t *testing.T) {
 	t.Cleanup(resetPacks)
 	run := func(app apps.App, snapshots, workers int) string {

@@ -552,6 +552,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		// well as the campaign config (full-range runs keep the legacy
 		// campaign-only hash, so existing journals stay resumable).
 		fp := journalFingerprint(part.Fingerprint, spec)
+		var keep int64
 		if cfg.Resume {
 			if adaptive {
 				// An adaptive resume from a fixed-N journal is the one
@@ -561,10 +562,11 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 					return nil, err
 				}
 			}
-			recs, _, err := readJournal(cfg.Checkpoint, fp)
+			recs, k, err := readJournal(cfg.Checkpoint, fp)
 			if err != nil {
 				return nil, err
 			}
+			keep = k
 			inShard := make(map[int]bool, len(ids))
 			for _, id := range ids {
 				inShard[id] = true
@@ -585,7 +587,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 				}
 			}
 		}
-		jw, err := openJournal(cfg.Checkpoint, fp, cfg.Trace, cfg.Resume)
+		jw, err := openJournal(cfg.Checkpoint, fp, cfg.Trace, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -891,7 +893,9 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.Execute = now.Sub(phaseStart) - run.RestoreDur
 		tr.Forked = run.Forked
 		tr.RestoreBytes = run.RestoreBytes
-		tr.RestoreFrac = run.RestoreFrac()
+		if run.Forked {
+			tr.RestoreFrac = 1
+		}
 		tr.BackedBytes = run.BackedBytes
 		tr.Deadlock, tr.Timeout = run.Deadlock, run.Timeout
 		tr.Exited, tr.SkippedCycles = run.Exited, run.SkippedCycles

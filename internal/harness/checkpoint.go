@@ -20,7 +20,8 @@ import (
 // series, per-structure totals), so a resumed campaign replays them into a
 // fresh aggregator and produces results identical to an uninterrupted run.
 // Every record reaches the OS as one write: a killed campaign loses at most
-// the in-flight line, and readJournal tolerates a truncated tail. What a
+// the in-flight line, and a resume cuts that torn tail off before it
+// appends (readJournal, openJournal). What a
 // line holds is the codec's business (journalcodec.go); this file only
 // calls appendRecord and decodeRecord.
 
@@ -157,26 +158,28 @@ type journalWriter struct {
 	buf []byte
 }
 
-// openJournal opens the checkpoint journal for writing. A fresh campaign
-// truncates and writes the header; a resume appends below the existing
-// records (or starts a fresh journal when none exists yet).
-func openJournal(path, fingerprint, trace string, resume bool) (*journalWriter, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	writeHeader := true
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			flags |= os.O_APPEND
-			writeHeader = false
-		}
-	} else {
+// openJournal opens the checkpoint journal for writing. A resume passes
+// keep, the length of the journal's whole lines (readJournal): the file is
+// cut there, dropping a torn tail, and appended to. keep 0 — a fresh
+// campaign, or a resume with no journal yet — starts a new journal with
+// its header.
+func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, error) {
+	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if keep == 0 {
 		flags |= os.O_TRUNC
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("harness: checkpoint: %w", err)
 	}
+	if keep > 0 {
+		if err := f.Truncate(keep); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("harness: checkpoint: %w", err)
+		}
+	}
 	w := &journalWriter{f: f}
-	if writeHeader {
+	if keep == 0 {
 		hdr := journalHeader{Kind: "header", Version: journalVersion, Fingerprint: fingerprint, Trace: trace}
 		if err := w.write(&journalRecord{header: &hdr}); err != nil {
 			f.Close()
@@ -223,16 +226,30 @@ func (w *journalWriter) Close() error { return w.f.Close() }
 // replay (ReplayJournal) all sit on it. A record line may reach 256 MiB;
 // the line buffer grows on demand, so a journal of short lines costs no
 // more than its longest one.
-type journalScanner struct{ *bufio.Scanner }
+type journalScanner struct {
+	*bufio.Scanner
+	// end is the byte offset just past the current line, and whole
+	// whether that line ends in '\n'.
+	end   int64
+	whole bool
+}
 
-func newJournalScanner(r io.Reader) journalScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 256<<20)
-	return journalScanner{sc}
+func newJournalScanner(r io.Reader) *journalScanner {
+	s := &journalScanner{Scanner: bufio.NewScanner(r)}
+	s.Buffer(nil, 256<<20)
+	s.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		n, line, err := bufio.ScanLines(data, atEOF)
+		if n > 0 {
+			s.end += int64(n)
+			s.whole = data[n-1] == '\n'
+		}
+		return n, line, err
+	})
+	return s
 }
 
 // header decodes the journal's first line.
-func (s journalScanner) header() (journalHeader, error) {
+func (s *journalScanner) header() (journalHeader, error) {
 	var hdr journalHeader
 	if !s.Scan() {
 		return hdr, errors.New("empty journal")
@@ -244,11 +261,11 @@ func (s journalScanner) header() (journalHeader, error) {
 }
 
 // next decodes the next non-blank line into rec. It returns false at the
-// end of the journal and at a line that does not decode: the truncated
-// tail a killed campaign leaves, dropped silently together with anything
-// after it.
-func (s journalScanner) next(rec *journalRecord) bool {
-	for s.Scan() {
+// end of the journal, at a last line that does not end in '\n' and at a
+// line that does not decode: the torn tail a killed campaign leaves,
+// dropped silently together with anything after it.
+func (s *journalScanner) next(rec *journalRecord) bool {
+	for s.Scan() && s.whole {
 		if line := bytes.TrimSpace(s.Bytes()); len(line) > 0 {
 			return decodeRecord(line, rec) == nil
 		}
@@ -312,41 +329,48 @@ func journalHeaderFP(path string) (string, error) {
 }
 
 // readJournal loads the completed-experiment records of a checkpoint
-// journal, validating the header against the campaign fingerprint. It
-// returns found=false when no journal exists yet (a resume that starts
-// from scratch). A truncated final line — the signature of a killed
-// campaign — is dropped silently, along with anything after it.
-func readJournal(path, fingerprint string) (recs []journalRecord, found bool, err error) {
+// journal, validating the header against the campaign fingerprint. keep is
+// the byte offset just past the last line that decodes and ends in '\n':
+// what a resume keeps of the file before appending (openJournal). A torn
+// final line — the signature of a killed campaign — lies beyond it and is
+// dropped silently, along with anything after it. keep is 0 when no
+// journal exists yet (a resume that starts from scratch), or when not even
+// its header is a whole line.
+func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	js := newJournalScanner(f)
 	hdr, err := js.header()
 	if err != nil {
-		return nil, false, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, err)
 	}
 	if hdr.Version != journalVersion {
-		return nil, false, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
 			path, hdr.Version, journalVersion)
 	}
 	if hdr.Fingerprint != fingerprint {
-		return nil, false, fmt.Errorf(
+		return nil, 0, fmt.Errorf(
 			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
 			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
 	}
+	if js.whole {
+		keep = js.end
+	}
 	var rec journalRecord
 	for js.next(&rec) {
+		keep = js.end
 		if rec.Kind == "exp" {
 			recs = append(recs, rec)
 		}
 	}
 	if err := js.Err(); err != nil {
-		return nil, true, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, err)
 	}
-	return recs, true, nil
+	return recs, keep, nil
 }

@@ -48,9 +48,9 @@ func TestReplayJournalMatchesReadJournal(t *testing.T) {
 			if err := os.WriteFile(path, whole[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recs, found, err := readJournal(path, fp)
-			if err != nil || !found || len(recs) == 0 {
-				t.Fatalf("readJournal: %d records, found=%v, err=%v", len(recs), found, err)
+			recs, keep, err := readJournal(path, fp)
+			if err != nil || keep == 0 || len(recs) == 0 {
+				t.Fatalf("readJournal: %d records, keep=%d, err=%v", len(recs), keep, err)
 			}
 			var events []JournalEvent
 			if err := ReplayJournal(bytes.NewReader(whole[:n]), func(ev JournalEvent) bool {

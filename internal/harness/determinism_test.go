@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -181,6 +183,89 @@ func TestCampaignResumeToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsIdentical(t, "resume after truncated tail", full, got)
+}
+
+// TestCampaignResumeAfterTornTail cuts a journal inside its last record,
+// so that its last line has no newline, and resumes it twice: once
+// interrupted again, once to completion. The first resume must cut the
+// torn line off before it appends. Appended below it, its first record
+// would join the torn line, and every later resume would stop reading
+// there and re-run what the journal already holds.
+func TestCampaignResumeAfterTornTail(t *testing.T) {
+	app := apps.NewHydro()
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	base := CampaignConfig{
+		App: app, Params: app.TestParams(), Sampling: Sampling{Runs: 16, Seed: 29}, Execution: Execution{SampleEvery: 64, Workers: 1},
+	}
+	full, err := RunCampaign(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := base
+	interrupted.Checkpoint = ck
+	interrupted.StopAfter = 5
+	if _, err := RunCampaign(interrupted); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	if err := os.WriteFile(ck, data[:(last+len(data))/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// counting resumes ck and counts the experiments it replays from the
+	// journal and the ones it runs, which it journals.
+	counting := func(stopAfter int) (res *CampaignResult, replayed, ran int, err error) {
+		cfg := base
+		cfg.Checkpoint = ck
+		cfg.Resume = true
+		cfg.StopAfter = stopAfter
+		cfg.OnExperiment = func(_ ExperimentSummary, resumed bool) {
+			if resumed {
+				replayed++
+			} else {
+				ran++
+			}
+		}
+		res, err = RunCampaign(cfg)
+		return res, replayed, ran, err
+	}
+	_, kept, ran, err := counting(5)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	got, replayed, _, err := counting(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed != kept+ran {
+		t.Errorf("the last resume replayed %d records, want the %d the journal kept and the %d the resume before it wrote",
+			replayed, kept, ran)
+	}
+	a, _ := json.Marshal(full)
+	b, _ := json.Marshal(got)
+	if !bytes.Equal(a, b) {
+		t.Error("result after resuming a torn journal differs from the uninterrupted run")
+	}
+	data, err = os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec journalRecord
+		if i == 0 {
+			rec.header = &journalHeader{}
+		}
+		if line[len(line)-1] != '\n' || decodeRecord(bytes.TrimSpace(line), &rec) != nil {
+			t.Fatalf("journal line %d does not decode: %.80q", i+1, line)
+		}
+	}
 }
 
 // TestCampaignResumeRejectsMismatchedConfig: a journal written under one

@@ -37,7 +37,7 @@ func recordRuns(t testing.TB) *[]core.RunOutcome {
 // withoutTelemetry drops what only says how a run executed — restore
 // stats, backing, the exit itself — from its outcome.
 func withoutTelemetry(o core.RunOutcome) outcomeView {
-	o.Forked, o.RestoreBytes, o.RestoreDirtyBlocks, o.RestoreTotalBlocks = false, 0, 0, 0
+	o.Forked, o.RestoreBytes = false, 0
 	o.BackedBytes, o.Exited, o.SkippedCycles = 0, false, 0
 	return viewOf(o)
 }

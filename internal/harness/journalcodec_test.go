@@ -137,9 +137,9 @@ func TestJournalLegacyFixture(t *testing.T) {
 		t.Fatalf("the fixture must hold records and a line that does not decode (%d records, stopped %v)", len(want), stopped)
 	}
 
-	got, found, err := readJournal(legacyJournal, hdr.Fingerprint)
-	if err != nil || !found {
-		t.Fatalf("readJournal: found=%v, err=%v", found, err)
+	got, keep, err := readJournal(legacyJournal, hdr.Fingerprint)
+	if err != nil || keep == 0 {
+		t.Fatalf("readJournal: keep=%d, err=%v", keep, err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("readJournal gave %d records, want the %d before the truncated line", len(got), len(want))

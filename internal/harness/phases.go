@@ -33,12 +33,12 @@ type PhaseTrace struct {
 	// Forked reports whether the experiment forked from a campaign
 	// snapshot; the restore-cost fields below are meaningful only then.
 	Forked bool
-	// RestoreBytes is the number of bytes the snapshot restore actually
-	// copied. With delta restore this is proportional to the state the
-	// fork's previous occupant dirtied, not to golden-state size.
+	// RestoreBytes is the number of bytes the snapshot restore copied:
+	// the whole snapshot of every rank.
 	RestoreBytes int64
-	// RestoreFrac is the fraction of memory blocks the restore rewrote
-	// (1.0 on the full-copy path).
+	// RestoreFrac is 1 on a forked experiment and 0 otherwise, since every
+	// restore rewrites the whole snapshot. It is kept only because the
+	// benchmark in bench/ reads it.
 	RestoreFrac float64
 	// BackedBytes is the address-space backing the experiment's ranks held
 	// between them when it ended (core.RunOutcome.BackedBytes), forked or
@@ -78,14 +78,10 @@ type CampaignTimings struct {
 	Restore  *obs.Histogram `json:"restore,omitempty"`
 	Execute  *obs.Histogram `json:"execute"`
 	Classify *obs.Histogram `json:"classify"`
-	// RestoreFrac records the dirty-block fraction of forked restores
-	// (delta restores rewrite only the blocks dirtied since the last
-	// fork; full copies observe 1.0). Unlike Restore, only forked
-	// experiments are observed — its count doubles as the fork count.
-	// Partials from older builds carry nil, which Merge treats as empty.
-	RestoreFrac *obs.Histogram `json:"restoreFrac,omitempty"`
-	// RestoreBytes records the bytes copied per forked restore, same
-	// observation rule as RestoreFrac.
+	// RestoreBytes records the bytes copied per forked restore. Unlike
+	// Restore, only forked experiments are observed, so its count is the
+	// fork count. Partials from older builds may carry nil, which Merge
+	// treats as empty, and a restoreFrac histogram, which decoding drops.
 	RestoreBytes *obs.Histogram `json:"restoreBytes,omitempty"`
 	// Skipped records the golden-tail cycles each experiment that ended at
 	// a golden-equal cut did not execute (power-of-four buckets, as for
@@ -103,7 +99,6 @@ func NewCampaignTimings() *CampaignTimings {
 		Restore:      obs.NewHistogram(obs.LatencyBuckets()),
 		Execute:      obs.NewHistogram(obs.LatencyBuckets()),
 		Classify:     obs.NewHistogram(obs.LatencyBuckets()),
-		RestoreFrac:  obs.NewHistogram(obs.FractionBuckets()),
 		RestoreBytes: obs.NewHistogram(obs.SizeBuckets()),
 		Skipped:      obs.NewHistogram(obs.SizeBuckets()),
 	}
@@ -128,7 +123,6 @@ func (t *CampaignTimings) Observe(tr PhaseTrace) {
 	t.Execute.ObserveDuration(tr.Execute)
 	t.Classify.ObserveDuration(tr.Classify)
 	if tr.Forked {
-		t.RestoreFrac.Observe(tr.RestoreFrac)
 		t.RestoreBytes.Observe(float64(tr.RestoreBytes))
 	}
 	if tr.Exited {
@@ -181,7 +175,6 @@ func (t *CampaignTimings) Merge(other *CampaignTimings) error {
 		{&t.Restore, other.Restore, obs.LatencyBuckets, "restore"},
 		{&t.Execute, other.Execute, obs.LatencyBuckets, "execute"},
 		{&t.Classify, other.Classify, obs.LatencyBuckets, "classify"},
-		{&t.RestoreFrac, other.RestoreFrac, obs.FractionBuckets, "restoreFrac"},
 		{&t.RestoreBytes, other.RestoreBytes, obs.SizeBuckets, "restoreBytes"},
 		{&t.Skipped, other.Skipped, obs.SizeBuckets, "skipped"},
 	} {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/classify"
+	"repro/internal/obs"
 )
 
 // TestPhaseTracingCampaign: with Timings and OnPhase set, every executed
@@ -118,6 +119,9 @@ func TestShardTimingsMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if spec.Index%2 == 1 {
+			b = withLegacyRestoreFrac(t, b, p.Timings.RestoreBytes.Count())
+		}
 		var back PartialResult
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatal(err)
@@ -151,6 +155,43 @@ func TestShardTimingsMerge(t *testing.T) {
 	if string(a) != string(b) {
 		t.Error("merged sharded result differs from unsharded run")
 	}
+}
+
+// withLegacyRestoreFrac adds to a partial's JSON the restoreFrac
+// histogram that builds with a delta restore carried in their timings: the
+// dirty-block fraction of each of its forks, in that histogram's bucket
+// layout. A newer coordinator must still merge such a partial, with the
+// same results.
+func withLegacyRestoreFrac(t *testing.T, partial []byte, forks uint64) []byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(partial, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var timings map[string]json.RawMessage
+	if err := json.Unmarshal(doc["timings"], &timings); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]uint64, 13)
+	counts[3] = forks
+	frac, err := json.Marshal(obs.HistogramData{
+		Bounds: []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1},
+		Counts: counts,
+		Count:  forks,
+		Sum:    0.01 * float64(forks),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timings["restoreFrac"] = frac
+	if doc["timings"], err = json.Marshal(timings); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestJournalTraceStamp: cfg.Trace lands in the checkpoint journal

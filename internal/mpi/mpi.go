@@ -89,15 +89,6 @@ type Job struct {
 	coll coll
 	eps  []Endpoint
 
-	// World-restore bookkeeping for the snapshot-fork fast path. worldGen
-	// names the WorldSnap the mail/pending state last equalled (0: state
-	// is drained-empty or unknown), verified by comparing the sum of the
-	// endpoints' op counters against worldOps: any Send/Recv since then
-	// may have moved messages, so the state is no longer trusted and the
-	// next Recycle/RestoreWorld falls back to the full drain+refill.
-	worldGen uint64
-	worldOps uint64
-
 	// bufs is the wire-buffer freelist: receivers return fully consumed
 	// message buffers here and senders draw from it, so steady-state
 	// point-to-point traffic allocates no new buffers.
@@ -182,33 +173,15 @@ func (j *Job) Recycle(size int, timeout time.Duration) bool {
 	}
 	j.deadlock, j.timedOut = nil, false
 	j.leaveMu.Unlock()
-	// Skip the mail/pending drain when the world still equals the last
-	// restored snapshot (no Send/Recv ran since): the next RestoreWorld of
-	// the same snapshot is then a no-op, which is the common case when one
-	// worker forks consecutive experiments from the same cut. Any op since
-	// the restore invalidates the claim and the full drain runs.
-	if j.worldGen == 0 || j.opsSum() != j.worldOps {
-		j.drainWorld()
-	}
+	j.drainWorld()
 	j.coll.mu.Lock()
 	j.coll.cur = nil
 	j.coll.mu.Unlock()
 	return true
 }
 
-// opsSum totals the endpoints' Send/Recv counters. Only meaningful at
-// quiescent points, with no rank goroutines alive.
-func (j *Job) opsSum() uint64 {
-	var n uint64
-	for r := range j.eps {
-		n += j.eps[r].ops
-	}
-	return n
-}
-
-// drainWorld empties every mailbox and pending buffer, zeroes the liveness
-// counters with them, and marks the world state as no longer matching any
-// snapshot.
+// drainWorld empties every mailbox and pending buffer and zeroes the
+// liveness counters with them.
 func (j *Job) drainWorld() {
 	for _, row := range j.mail {
 		for _, ch := range row {
@@ -230,19 +203,6 @@ func (j *Job) drainWorld() {
 			e.sent[peer].Store(0)
 			e.taken[peer].Store(0)
 		}
-		e.ops = 0
-	}
-	j.worldGen = 0
-	j.worldOps = 0
-}
-
-// ClearWorld guarantees an empty message-passing state before a
-// non-forked run on a recycled job: a Recycle that kept snapshot state
-// in place (see above) is followed by either RestoreWorld — forked runs —
-// or ClearWorld. No-op when the world is already drained.
-func (j *Job) ClearWorld() {
-	if j.worldGen != 0 {
-		j.drainWorld()
 	}
 }
 
@@ -305,11 +265,6 @@ type Endpoint struct {
 	// waits. One timer per endpoint instead of one per call keeps the
 	// communication-heavy experiment loop allocation-free.
 	tmr *time.Timer
-	// ops counts Send/Recv calls on this endpoint. Written only by the
-	// rank's own goroutine, read only at quiescent points (between runs);
-	// the job sums it to detect whether point-to-point state may have
-	// changed since a world restore.
-	ops uint64
 	// sent[dst] counts the messages this rank has put into dst's mailbox,
 	// taken[src] the messages it has taken out of its mailbox from src —
 	// each counted after the channel operation, written only by the rank's
@@ -355,7 +310,6 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 	if dst < 0 || dst >= j.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
-	e.ops++
 	ch := j.mail[dst][e.rank]
 	// Fast path: queue has room (the common case with deep mailboxes).
 	select {
@@ -395,7 +349,6 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 	if src < 0 || src >= j.size {
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
-	e.ops++
 	// Check messages already set aside.
 	for i, m := range e.pending[src] {
 		if m.tag == tag {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"slices"
-	"sync/atomic"
 )
 
 // World snapshot support for the snapshot-fork fast path. A multi-rank cut
@@ -26,14 +25,7 @@ type WorldSnap struct {
 	mail [][][]message
 	// pending[rank][src] holds each endpoint's set-aside messages.
 	pending [][][]message
-	// gen is a process-unique capture identity; a job tracks the gen it
-	// last restored so re-restoring the same snapshot with no intervening
-	// Send/Recv is a no-op.
-	gen uint64
 }
-
-// worldGenCounter hands out process-unique WorldSnap generations.
-var worldGenCounter atomic.Uint64
 
 // copyMsgs deep-copies messages (payload bytes included) into dst's backing.
 func copyMsgs(dst []message, src []message) []message {
@@ -108,7 +100,6 @@ func (j *Job) SnapshotWorld(s *WorldSnap) *WorldSnap {
 		q[r][src] = copyMsgs(q[r][src], msgs)
 		return true
 	})
-	s.gen = worldGenCounter.Add(1)
 	return s
 }
 
@@ -131,7 +122,8 @@ func (j *Job) WorldEqual(s *WorldSnap) bool {
 	})
 }
 
-// RestoreWorld rewinds the job's message-passing state to the snapshot.
+// RestoreWorld rewinds the job's message-passing state to the snapshot:
+// it drains every queue and refills it, so it needs no earlier drain.
 // Call it between runs on a job of the same shape with no rank goroutines
 // alive (after Recycle). Message payloads are deep-copied out of the
 // snapshot — restored runs hand receive buffers to the wire freelist, which
@@ -139,12 +131,6 @@ func (j *Job) WorldEqual(s *WorldSnap) bool {
 func (j *Job) RestoreWorld(s *WorldSnap) {
 	if s.size != j.size {
 		panic("mpi: RestoreWorld on a job of a different size")
-	}
-	// Fast path: the job still holds exactly this snapshot's state (last
-	// restore was the same gen and no Send/Recv ran since, so nothing
-	// moved — Recycle preserved it for this check). Nothing to do.
-	if s.gen != 0 && j.worldGen == s.gen && j.opsSum() == j.worldOps {
-		return
 	}
 	for dst := range j.mail {
 		for src, ch := range j.mail[dst] {
@@ -174,8 +160,5 @@ func (j *Job) RestoreWorld(s *WorldSnap) {
 				e.pending[src] = append(e.pending[src], message{tag: m.tag, data: append([]byte(nil), m.data...)})
 			}
 		}
-		e.ops = 0
 	}
-	j.worldGen = s.gen
-	j.worldOps = 0
 }

@@ -77,9 +77,6 @@ func TestWorldEqualRejectsEachDifference(t *testing.T) {
 		if j.WorldEqual(snap) {
 			t.Errorf("%s: world still equals the capture", c.name)
 		}
-		// The edits bypass the op counters RestoreWorld's no-op fast path
-		// trusts.
-		j.worldGen = 0
 		j.RestoreWorld(snap)
 		if !j.WorldEqual(snap) {
 			t.Fatalf("%s: restored world differs from the capture", c.name)

@@ -114,21 +114,9 @@ func LatencyBuckets() []float64 {
 	}
 }
 
-// FractionBuckets returns the standard layout for ratio metrics in
-// [0, 1] (e.g. the dirty-block fraction of a delta restore): fine at the
-// low end, where block-granular restores of lightly-dirtying forks land,
-// with 1.0 as the exact full-copy bucket.
-func FractionBuckets() []float64 {
-	return []float64{
-		0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-		0.25, 0.5, 0.75, 0.9, 1,
-	}
-}
-
 // SizeBuckets returns the standard layout for byte-size metrics:
-// power-of-four from 1KiB to 1GiB, wide enough to separate delta
-// restores (KiB range at test scale) from full golden-state copies
-// (tens of MiB and up).
+// power-of-four from 1KiB to 1GiB, from a test-scale restore (a few KiB)
+// to the largest golden state (tens of MiB and up).
 func SizeBuckets() []float64 {
 	return []float64{
 		1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,

@@ -428,9 +428,8 @@ type Metrics struct {
 	ArchiveEntries int   `json:"archiveEntries"`
 	ArchiveBytes   int64 `json:"archiveBytes"`
 	// RestoreBytes totals the bytes copied by snapshot-fork restores
-	// (local experiments plus absorbed shard partials). With delta
-	// restore this grows with what forks actually dirty, not with
-	// golden-state size times fork count.
+	// (local experiments plus absorbed shard partials): every fork copies
+	// its snapshot's whole backing, a few KiB per rank.
 	RestoreBytes uint64 `json:"restoreBytes"`
 	// GoldenExits counts experiments (local plus absorbed shard partials)
 	// that ended at a captured cut where every rank was back in the golden

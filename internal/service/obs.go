@@ -51,9 +51,6 @@ type serverObs struct {
 	// held between them; it stays in the tens of KiB while every run
 	// stores only to its own data.
 	vmBacked *obs.Gauge
-	// restoreFrac: dirty-block fraction per forked restore (1.0 = full
-	// copy; delta restores land proportional to what the fork dirtied).
-	restoreFrac *obs.Histogram
 	// mpiDeadlocks: experiments ended by the deadlock detector, in logical
 	// time. mpiTimeouts: experiments in which a blocking MPI call ran into
 	// the wall-clock safety timeout instead — must read 0.
@@ -93,8 +90,6 @@ func newServerObs() *serverObs {
 			"Bytes copied by snapshot-fork restores."),
 		vmBacked: reg.Gauge("faultpropd_vm_backed_bytes",
 			"Largest address-space backing, summed over its ranks, that one experiment ended with."),
-		restoreFrac: reg.Histogram("faultpropd_restore_dirty_fraction",
-			"Dirty-block fraction per forked restore (1.0 = full copy).", obs.FractionBuckets()),
 		execLat: reg.Histogram("faultpropd_experiment_phase_seconds",
 			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "execute")),
 		classifyLat: reg.Histogram("faultpropd_experiment_phase_seconds",
@@ -132,7 +127,6 @@ func (o *serverObs) observePhase(tr harness.PhaseTrace) {
 	o.vmBacked.SetMax(float64(tr.BackedBytes))
 	if tr.Forked {
 		o.restoreBytes.Add(uint64(tr.RestoreBytes))
-		o.restoreFrac.Observe(tr.RestoreFrac)
 	}
 	if tr.Deadlock {
 		o.mpiDeadlocks.Inc()
@@ -160,7 +154,6 @@ func (o *serverObs) absorbTimings(t *harness.CampaignTimings) {
 	_ = o.restoreLat.Merge(t.Restore)
 	_ = o.execLat.Merge(t.Execute)
 	_ = o.classifyLat.Merge(t.Classify)
-	_ = o.restoreFrac.Merge(t.RestoreFrac)
 	// The bytes histogram carries the shard's exact per-restore copy
 	// sizes; its sum feeds the daemon-lifetime counter.
 	o.restoreBytes.Add(uint64(t.RestoreBytes.Sum()))

@@ -1,54 +1,23 @@
 package vm
 
-import (
-	"math/bits"
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
-// Restore granularity. One dirty bit covers a block of 64 words (512
-// bytes): fine enough that a short forked suffix dirties a small
-// fraction of the footprint, coarse enough that the bitmap for the
-// 1<<20-word address space is 16 KiB and the store-path cost is one
-// shift+or.
+// Backing granularity. A gap page is 512 words (4 KiB): what one wild
+// store costs. A dense extent starts at minExtentWords and grows by
+// doubling. One whose last run used under a quarter of it is given back
+// once it exceeds keepWords, so small extents are never reallocated and a
+// blown-up one lasts one more run.
 const (
-	blockShift        = 6               // log2 words per block
-	blockWords        = 1 << blockShift // words per dirty block
-	dirtyShift        = blockShift + 6  // log2 words covered by one bitmap word
-	maxDeltaChainHops = 64              // bound on snapshot-chain walks
+	pageShift      = 9
+	pageWords      = 1 << pageShift
+	minExtentWords = 64
+	keepWords      = 4096
 )
-
-// Backing granularity. A gap page is 512 words (4 KiB, eight dirty
-// blocks): what one wild store costs. A dense extent whose last run used
-// under a quarter of it is given back once it exceeds keepWords, so small
-// extents are never reallocated and a blown-up one lasts one more run.
-const (
-	pageShift = 9
-	pageWords = 1 << pageShift
-	keepWords = 4096
-)
-
-// dirtyWords returns the bitmap length (in uint64 words) covering a
-// size-word address space.
-func dirtyWords(size int64) int { return int(uint64(size-1)>>dirtyShift) + 1 }
-
-// totalBlocks returns the number of dirty-trackable blocks in a
-// size-word address space.
-func totalBlocks(size int64) int { return int((size + blockWords - 1) >> blockShift) }
-
-// memGen hands out process-unique snapshot generations. A generation is
-// never reused, so a recycled *MemSnap whose backing was recaptured is
-// always detected by a gen mismatch rather than trusted as a stale base.
-var memGen atomic.Uint64
 
 // RestoreStats summarizes one restore: how many bytes were copied back
-// from the snapshot and what fraction of the address-space blocks were
-// dirty. Full-copy restores report every live block dirty.
+// from the snapshot, which is all of it.
 type RestoreStats struct {
-	Bytes       int64 // bytes written while restoring
-	DirtyBlocks int   // blocks restored
-	TotalBlocks int   // blocks in the address space
-	Delta       bool  // delta path taken (false: full copy)
+	Bytes int64 // bytes written while restoring
 }
 
 // Memory is the word-addressed address space of one simulated process.
@@ -76,14 +45,14 @@ type RestoreStats struct {
 //	       which only the wild access of a faulty run does
 //
 // Both extents grow by doubling and never overlap. An in-bounds word
-// with no backing reads zero, which is the invariant Snapshot and the
-// restores rest on: what they copy is the backing, and everything else is
+// with no backing reads zero, which is the invariant Snapshot and
+// RestoreSnap rest on: what they copy is the backing, and everything else is
 // zero on both sides. A load or store inside lo is the interpreter's hot
 // path, one unsigned compare; the stack, the gap, growth and the traps
 // share one call behind it.
 //
 // A wild store cannot enlarge a pooled bundle: it is outside [1, brk)
-// and [sp, size), so it gets a gap page, and Reset and both restores
+// and [sp, size), so it gets a gap page, and Reset and RestoreSnap
 // drop every page the state they install does not have. A dense extent
 // is bounded by brk or sp, which a fault can still inflate (a corrupted
 // Alloc size, then stores into it); fit gives such an extent back after
@@ -104,17 +73,6 @@ type Memory struct {
 	globalEnd int64
 	brk       int64 // heap break (next free heap word)
 	sp        int64 // stack pointer (lowest in-use stack word)
-
-	// Delta-restore state. dirty has one bit per blockWords-sized block,
-	// set before (well, as) any write to that block lands; it records
-	// exactly the blocks that may differ from base. base/baseGen name the
-	// snapshot this memory last equalled (just after Snapshot or
-	// RestoreSnap); the base is trusted only while base.gen == baseGen,
-	// so recapturing a pooled snapshot elsewhere invalidates it.
-	dirty   []uint64
-	scratch []uint64 // union-bitmap scratch for delta restores
-	base    *MemSnap
-	baseGen uint64
 }
 
 // NewMemory builds an address space of size words with the given global
@@ -125,7 +83,6 @@ func NewMemory(size, globalWords int64) *Memory {
 	}
 	m := &Memory{
 		lo:        make([]uint64, globalWords),
-		dirty:     make([]uint64, dirtyWords(size)),
 		size:      size,
 		globalEnd: 1 + globalWords,
 		sp:        size,
@@ -141,42 +98,13 @@ func (m *Memory) Reset(size, globalWords int64) {
 	if size < globalWords+64 {
 		size = globalWords + 64
 	}
-	m.resize(size)
+	m.size = size
 	m.gap = nil
 	m.fit(int(globalWords), 0)
 	clear(m.lo)
 	m.globalEnd = 1 + globalWords
 	m.brk = m.globalEnd
 	m.sp = size
-	// The bitmap only means "dirty since base"; with no base it may hold
-	// garbage, and both Snapshot and a full RestoreSnap clear it before
-	// establishing one.
-	m.base, m.baseGen = nil, 0
-}
-
-// resize changes the logical size. The stack extent is addressed from the
-// top, so the caller must be about to overwrite or drop it.
-func (m *Memory) resize(size int64) {
-	if m.size != size {
-		m.size = size
-		m.dirty = make([]uint64, dirtyWords(size))
-	}
-}
-
-func (m *Memory) baseValid() bool {
-	return m.base != nil && m.baseGen != 0 && m.base.gen == m.baseGen
-}
-
-// markRange sets the dirty bits covering words [base, base+count).
-func (m *Memory) markRange(base, count int64) {
-	if count <= 0 {
-		return
-	}
-	first := uint64(base) >> blockShift
-	last := uint64(base+count-1) >> blockShift
-	for blk := first; blk <= last; blk++ {
-		m.dirty[blk>>6] |= 1 << (blk & 63)
-	}
 }
 
 // Size returns the total address-space size in words.
@@ -229,11 +157,10 @@ func (m *Memory) readHot(addr int64) (uint64, bool) {
 	return 0, false
 }
 
-// writeHot is the store counterpart of readHot: the store and its dirty bit.
+// writeHot is the store counterpart of readHot.
 func (m *Memory) writeHot(addr int64, v uint64) bool {
 	if i := uint64(addr) - 1; i < uint64(len(m.lo)) {
 		m.lo[i] = v
-		m.dirty[uint64(addr)>>dirtyShift] |= 1 << ((uint64(addr) >> blockShift) & 63)
 		return true
 	}
 	return false
@@ -266,7 +193,6 @@ func (m *Memory) writeSlow(addr int64, v uint64) bool {
 		seg = m.back(addr)
 	}
 	seg[0] = v
-	m.markRange(addr, 1)
 	return true
 }
 
@@ -318,7 +244,7 @@ func (m *Memory) back(addr int64) []uint64 {
 // reserveLo makes lo's capacity at least n words.
 func (m *Memory) reserveLo(n int) {
 	if n > cap(m.lo) {
-		m.lo = append(make([]uint64, 0, max(n, 2*cap(m.lo), blockWords)), m.lo...)
+		m.lo = append(make([]uint64, 0, max(n, 2*cap(m.lo), minExtentWords)), m.lo...)
 	}
 }
 
@@ -332,7 +258,7 @@ func (m *Memory) extendLo(n int) {
 // reserveStack makes stack's capacity at least n words.
 func (m *Memory) reserveStack(n int) {
 	if n > len(m.stackBuf) {
-		buf := make([]uint64, max(n, 2*len(m.stackBuf), blockWords))
+		buf := make([]uint64, max(n, 2*len(m.stackBuf), minExtentWords))
 		copy(buf[len(buf)-len(m.stack):], m.stack)
 		m.stackBuf, m.stack = buf, buf[len(buf)-len(m.stack):]
 	}
@@ -413,8 +339,7 @@ func (m *Memory) PushFrame(n int64) (int64, bool) {
 	}
 	m.sp -= n
 	// Stack frames are reused across calls; clear to keep runs
-	// deterministic regardless of earlier frame contents. The clear is a
-	// write like any other and must reach the dirty bitmap.
+	// deterministic regardless of earlier frame contents.
 	for addr, end := m.sp, m.sp+n; addr < end; {
 		seg, k := m.span(addr)
 		k = min(k, end-addr)
@@ -423,7 +348,6 @@ func (m *Memory) PushFrame(n int64) (int64, bool) {
 		}
 		addr += k
 	}
-	m.markRange(m.sp, n)
 	return m.sp, true
 }
 
@@ -479,7 +403,6 @@ func (m *Memory) CopyIn(base int64, data []uint64) bool {
 		n := copy(seg, src)
 		src, addr = src[n:], addr+int64(n)
 	}
-	m.markRange(base, count)
 	return true
 }
 
@@ -498,19 +421,6 @@ type MemSnap struct {
 	size      int64
 	globalEnd int64
 	brk, sp   int64
-
-	// Chain link for delta restores. When this snapshot was captured from
-	// a memory whose content was last equal to another snapshot (the
-	// usual case during a multi-cut golden capture run), sincePrev is the
-	// dirty bitmap accumulated between that snapshot and this one, and
-	// prev/prevGen name it. RestoreSnap can then move the memory between
-	// any two snapshots on one chain by copying only the union of the
-	// per-hop bitmaps. gen is process-unique; a prev whose gen no longer
-	// matches prevGen was recaptured and the chain is treated as broken.
-	gen       uint64
-	prev      *MemSnap
-	prevGen   uint64
-	sincePrev []uint64
 }
 
 // clonePages copies a gap; no pages is nil.
@@ -540,22 +450,6 @@ func (m *Memory) Snapshot(s *MemSnap) *MemSnap {
 	s.globalEnd = m.globalEnd
 	s.brk = m.brk
 	s.sp = m.sp
-	if m.baseValid() && m.base != s {
-		// Link into the base's chain: the live bitmap is exactly the set
-		// of blocks on which this snapshot may differ from the base.
-		s.prev = m.base
-		s.prevGen = m.baseGen
-		s.sincePrev = append(s.sincePrev[:0], m.dirty...)
-	} else {
-		s.prev = nil
-		s.prevGen = 0
-		s.sincePrev = s.sincePrev[:0]
-	}
-	s.gen = memGen.Add(1)
-	// The memory now equals s word for word; future writes are dirt
-	// relative to it.
-	m.base, m.baseGen = s, s.gen
-	clear(m.dirty)
 	return s
 }
 
@@ -606,112 +500,20 @@ func zero(ws []uint64) bool {
 }
 
 // RestoreSnap rewinds the address space to the snapshotted state and
-// reports what the restore cost. When the memory's last-known-equal base
-// snapshot sits on the same chain as s, only the union of blocks dirtied
-// between the two states is copied back (delta path); otherwise — first
-// restore, size change or broken chain — the full-copy path runs. Either
-// way the result equals the snapshotted memory word for word, backed
+// reports what the restore cost. It copies the snapshot's whole backing
+// in, so the result equals the snapshotted memory word for word, backed
 // exactly as the snapshot is, and the snapshot stays reusable across any
 // number of restores.
 func (m *Memory) RestoreSnap(s *MemSnap) RestoreStats {
-	if m.size == s.size && m.baseValid() {
-		if un, ok := m.deltaUnion(s); ok {
-			return m.restoreDelta(s, un)
-		}
-	}
-	m.resize(s.size)
+	m.size = s.size
+	// Drop the gap before fit, which would move its words into the extents.
 	m.gap = nil
 	m.fit(len(s.lo), len(s.hi))
 	copy(m.lo, s.lo)
 	copy(m.stack, s.hi)
-	m.rebase(s)
-	total := totalBlocks(s.size)
-	return RestoreStats{
-		Bytes:       int64(len(s.lo)+len(s.hi)+len(s.gap)*pageWords) * 8,
-		DirtyBlocks: total,
-		TotalBlocks: total,
-	}
-}
-
-// rebase finishes a restore whose extents are in place: the gap, the
-// scalars, a clean bitmap and s as the delta base.
-func (m *Memory) rebase(s *MemSnap) {
-	if len(m.gap)+len(s.gap) > 0 {
-		m.gap = clonePages(s.gap)
-	}
+	m.gap = clonePages(s.gap)
 	m.globalEnd = s.globalEnd
 	m.brk = s.brk
 	m.sp = s.sp
-	clear(m.dirty)
-	m.base, m.baseGen = s, s.gen
-}
-
-// deltaUnion assembles into m.scratch the union of every block that may
-// differ between the live memory and snapshot s: the live dirty bitmap
-// plus the per-hop sincePrev bitmaps along the chain between s and the
-// base, walked from the younger snapshot down to the older. ok is false
-// when the two are not connected by an intact chain.
-func (m *Memory) deltaUnion(s *MemSnap) ([]uint64, bool) {
-	nd := len(m.dirty)
-	un := m.scratch
-	if cap(un) < nd {
-		un = make([]uint64, nd)
-		m.scratch = un
-	} else {
-		un = un[:nd]
-	}
-	copy(un, m.dirty)
-	from, to := s, m.base
-	if from == to {
-		return un, true
-	}
-	if from.gen < to.gen {
-		from, to = to, from
-	}
-	for hops := 0; from != to; hops++ {
-		p := from.prev
-		if hops >= maxDeltaChainHops || p == nil || p.gen != from.prevGen ||
-			p.gen < to.gen || len(from.sincePrev) != nd {
-			return nil, false
-		}
-		for i, w := range from.sincePrev {
-			un[i] |= w
-		}
-		from = p
-	}
-	return un, true
-}
-
-// restoreDelta rewrites exactly the blocks named by the union bitmap
-// with their content under snapshot s. fit first gives the memory s's
-// extents, which zeroes every word s does not back densely and moves in
-// the clean words the gap held; what is left of a dirty block is then
-// its overlap with s.lo and s.hi, and rebase installs s's own gap whole.
-func (m *Memory) restoreDelta(s *MemSnap, un []uint64) RestoreStats {
-	size := s.size
-	m.fit(len(s.lo), len(s.hi))
-	loEnd, hiBase := 1+int64(len(s.lo)), size-int64(len(s.hi))
-	var blocks int
-	var bytes int64
-	for wi, w := range un {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			w &^= 1 << bit
-			start := (int64(wi)<<6 | int64(bit)) << blockShift
-			if start >= size {
-				continue
-			}
-			end := min(start+blockWords, size)
-			if a, b := max(start, 1), min(end, loEnd); a < b {
-				copy(m.lo[a-1:b-1], s.lo[a-1:b-1])
-			}
-			if a := max(start, hiBase); a < end {
-				copy(m.stack[a-hiBase:end-hiBase], s.hi[a-hiBase:end-hiBase])
-			}
-			blocks++
-			bytes += (end - start) * 8
-		}
-	}
-	m.rebase(s)
-	return RestoreStats{Bytes: bytes, DirtyBlocks: blocks, TotalBlocks: totalBlocks(size), Delta: true}
+	return RestoreStats{Bytes: int64(len(s.lo)+len(s.hi)+len(s.gap)*pageWords) * 8}
 }

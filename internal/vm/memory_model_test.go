@@ -9,25 +9,17 @@ import (
 // flatMem is the reference model of Memory: the address space as one flat
 // array, every word backed, which is what Memory was before its backing
 // followed what is written. It keeps the same logical rules (null word,
-// bounds, heap-meets-stack, dirty blocks, snapshot chains) in the most
-// literal form, so any difference from Memory is a bug in the extents.
+// bounds, heap-meets-stack, snapshots) in the most literal form, so any
+// difference from Memory is a bug in the extents.
 type flatMem struct {
 	words              []uint64
 	globalEnd, brk, sp int64
-	dirty              map[int64]bool // blocks written since base
-	base               *flatSnap
-	baseGen            uint64
 }
 
 type flatSnap struct {
 	words              []uint64
 	globalEnd, brk, sp int64
-	gen, prevGen       uint64
-	prev               *flatSnap
-	since              map[int64]bool
 }
-
-var flatGen uint64
 
 func newFlat(size, globalWords int64) *flatMem {
 	f := &flatMem{}
@@ -39,17 +31,10 @@ func (f *flatMem) reset(size, globalWords int64) {
 	size = max(size, globalWords+64)
 	f.words = make([]uint64, size)
 	f.globalEnd, f.brk, f.sp = 1+globalWords, 1+globalWords, size
-	f.dirty, f.base = map[int64]bool{}, nil
 }
 
 func (f *flatMem) in(base, count int64) bool {
 	return count >= 0 && base >= 1 && base+count <= int64(len(f.words)) && base < int64(len(f.words))
-}
-
-func (f *flatMem) mark(base, count int64) {
-	for a := base; a < base+count; a++ {
-		f.dirty[a>>blockShift] = true
-	}
 }
 
 func (f *flatMem) read(addr int64) (uint64, bool) {
@@ -64,7 +49,6 @@ func (f *flatMem) copyIn(base int64, data []uint64) bool {
 		return false
 	}
 	copy(f.words[base:], data)
-	f.mark(base, int64(len(data)))
 	return true
 }
 
@@ -82,66 +66,16 @@ func (f *flatMem) pushFrame(n int64) (int64, bool) {
 	}
 	f.sp -= n
 	clear(f.words[f.sp : f.sp+n])
-	f.mark(f.sp, n)
 	return f.sp, true
 }
 
 func (f *flatMem) snapshot(s *flatSnap) {
 	*s = flatSnap{words: slices.Clone(f.words), globalEnd: f.globalEnd, brk: f.brk, sp: f.sp}
-	if f.base != nil && f.base.gen == f.baseGen && f.base != s {
-		s.prev, s.prevGen, s.since = f.base, f.baseGen, f.dirty
-	}
-	flatGen++
-	s.gen = flatGen
-	f.base, f.baseGen, f.dirty = s, s.gen, map[int64]bool{}
 }
 
-// restore installs s and returns the stats Memory must report: the delta
-// path whenever an intact chain joins s to the base, costing the union of
-// the dirt along it, and every block otherwise. Bytes of a full copy is
-// left zero: a flat array copies its watermarked extent, Memory only what
-// the snapshot backs, and the caller checks that separately.
-func (f *flatMem) restore(s *flatSnap) RestoreStats {
-	size := int64(len(s.words))
-	st := RestoreStats{TotalBlocks: totalBlocks(size), DirtyBlocks: totalBlocks(size)}
-	if un, ok := f.union(s); ok && len(f.words) == len(s.words) {
-		st.Delta, st.DirtyBlocks = true, 0
-		for blk := range un {
-			if start := blk << blockShift; start < size {
-				st.DirtyBlocks++
-				st.Bytes += (min(start+blockWords, size) - start) * 8
-			}
-		}
-	}
+func (f *flatMem) restore(s *flatSnap) {
 	f.words = slices.Clone(s.words)
 	f.globalEnd, f.brk, f.sp = s.globalEnd, s.brk, s.sp
-	f.base, f.baseGen, f.dirty = s, s.gen, map[int64]bool{}
-	return st
-}
-
-func (f *flatMem) union(s *flatSnap) (map[int64]bool, bool) {
-	if f.base == nil || f.base.gen != f.baseGen {
-		return nil, false
-	}
-	un := map[int64]bool{}
-	for blk := range f.dirty {
-		un[blk] = true
-	}
-	from, to := s, f.base
-	if from.gen < to.gen {
-		from, to = to, from
-	}
-	for from != to {
-		p := from.prev
-		if p == nil || p.gen != from.prevGen || p.gen < to.gen {
-			return nil, false
-		}
-		for blk := range from.since {
-			un[blk] = true
-		}
-		from = p
-	}
-	return un, true
 }
 
 // modelSize is small enough to compare every word after every restore and
@@ -216,8 +150,8 @@ func checkSame(t *testing.T, step int, p *pair, probes []int64, all bool) {
 
 // runModelOps decodes data into a sequence of Memory operations, applies
 // each to two memories and their flat models (two, so that a snapshot of
-// one chain is restored onto a memory based on another), and checks they
-// agree after every step.
+// one is restored onto the other), and checks they agree after every
+// step.
 func runModelOps(t *testing.T, data []byte) {
 	pos := 0
 	next := func() int64 {
@@ -255,7 +189,7 @@ func runModelOps(t *testing.T, data []byte) {
 		return a
 	}
 	count := func() int64 {
-		return []int64{0, 1, 2, blockWords - 1, blockWords, blockWords + 1, pageWords + 3, 3000, modelSize}[next()%9]
+		return []int64{0, 1, 2, minExtentWords - 1, minExtentWords, minExtentWords + 1, pageWords + 3, 3000, modelSize}[next()%9]
 	}
 	for step := 0; pos < len(data); step++ {
 		m, f := p.m, p.f
@@ -323,29 +257,21 @@ func runModelOps(t *testing.T, data []byte) {
 			sp.s = m.Snapshot(sp.s)
 			f.snapshot(sp.fs)
 			sp.frames = slices.Clone(p.frames)
-		case 9, 10: // restore, one time in four with the base dropped
+		case 9, 10: // restore
 			if len(snaps) == 0 {
 				continue
 			}
 			sp := snaps[next()%int64(len(snaps))]
-			if next()%4 == 0 {
-				m.base, m.baseGen, f.base = nil, 0, nil
-			}
-			st, want := m.RestoreSnap(sp.s), f.restore(sp.fs)
-			if !st.Delta {
-				want.Bytes = int64(len(sp.s.lo)+len(sp.s.hi)+len(sp.s.gap)*pageWords) * 8
-				nonzero := int64(0)
-				for _, w := range sp.fs.words {
-					if w != 0 {
-						nonzero += 8
-					}
-				}
-				if st.Bytes < nonzero {
-					t.Fatalf("step %d: full copy of %d bytes cannot hold %d non-zero ones", step, st.Bytes, nonzero)
+			st := m.RestoreSnap(sp.s)
+			f.restore(sp.fs)
+			nonzero := int64(0)
+			for _, w := range sp.fs.words {
+				if w != 0 {
+					nonzero += 8
 				}
 			}
-			if st != want {
-				t.Fatalf("step %d: RestoreSnap stats %+v, model %+v", step, st, want)
+			if st.Bytes < nonzero {
+				t.Fatalf("step %d: a restore of %d bytes cannot hold %d non-zero ones", step, st.Bytes, nonzero)
 			}
 			if len(m.lo) != len(sp.s.lo) || len(m.stack) != len(sp.s.hi) || len(m.gap) != len(sp.s.gap) {
 				t.Fatalf("step %d: restored memory is not backed as its snapshot is", step)

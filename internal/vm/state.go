@@ -5,12 +5,10 @@ import "repro/internal/fpm"
 // State is a reusable bundle of the stateful pieces of a VM: the address
 // space, the contamination table, the register file and the frame stack. A
 // campaign worker keeps one State per rank and threads it through
-// consecutive experiments. Allocation is the smaller reason — a Memory backs
-// only what its program stores to, a few KiB per rank for the applications
-// here, plus a 16 KiB dirty bitmap. The larger one is that a memory and a
-// table carried from one experiment to the next still know which snapshot
-// they last equalled and what has been dirtied since, which is what lets a
-// fork restore copy a delta instead of the whole state.
+// consecutive experiments, so an experiment allocates none of them: a
+// Memory backs only what its program stores to, a few KiB per rank for the
+// applications here, and a fork restore copies its snapshot into the
+// backing the State already holds.
 //
 // Deliberately NOT part of a State: the output vector, trace points and
 // injection-cycle list, which escape into results and must stay owned by
@@ -45,10 +43,8 @@ func (st *State) BackedBytes() int64 {
 
 // adopt installs st's buffers (reset) into v, allocating any the State does
 // not hold yet. When forkRestore is set the memory and table skip their
-// Reset: the caller restores a snapshot over them before the VM runs, and
-// keeping the previous run's state intact is exactly what lets that
-// restore take the delta path (the dirty bitmap/journal describe the
-// state relative to the last restored snapshot).
+// Reset: the caller restores a snapshot over them before the VM runs, which
+// overwrites both.
 func (st *State) adopt(v *VM, globalWords int64, forkRestore bool) {
 	if st.mem == nil {
 		st.mem = NewMemory(MemWords, globalWords)

@@ -61,9 +61,7 @@ type Config struct {
 	SiteObserver SiteObserver
 	// ForkRestore declares that the caller will RestoreSnap a snapshot
 	// onto this VM before running it. New then skips resetting the pooled
-	// State and skips global initialization — the restore overwrites both
-	// — which preserves the State's delta-restore base so the restore can
-	// copy only dirtied blocks instead of the whole golden state.
+	// State and skips global initialization, work the restore overwrites.
 	ForkRestore bool
 }
 
