@@ -93,7 +93,7 @@ func main() {
 	protectTop := flag.Float64("protect-top", 0, "selective protection: rank sites with a baseline campaign (implies -sites), duplicate the operands of the top PCT% most-vulnerable sites, and re-run to report coverage vs overhead; local runs only (0: off)")
 	jsonOut := flag.String("json", "", "also save results to this file (.json or .json.gz)")
 	workers := flag.Int("workers", 0, "concurrent experiments (0: GOMAXPROCS)")
-	snapshots := flag.Int("snapshots", 64, "golden-state snapshots per campaign: experiments fork from the latest one before their faults and end at a later one where every rank is back in the golden state (0: execute every experiment from step 0 to its end; results are byte-identical either way)")
+	snapshots := flag.Int("snapshots", 64, "snapshot-fork fast path, on when positive: experiments fork from the latest golden-state snapshot, captured at every quiesce cut, before their faults and end at a later one where every rank is back in the golden state (0: execute every experiment from step 0 to its end; results are byte-identical either way)")
 	checkpoint := flag.String("checkpoint", "", "journal completed experiments to this JSONL path (per-app suffix added when several apps run)")
 	resume := flag.Bool("resume", false, "replay the -checkpoint journal, skipping completed experiments")
 	progressEvery := flag.Duration("progress", 0, "print a status line to stderr on this interval (0: off)")

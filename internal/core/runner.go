@@ -87,44 +87,14 @@ type Reuse struct {
 	// program that every run needs.
 	regionsProg *ir.Program
 	regions     []StructRegion
-	// snapPool holds retired CampaignSnapshot shells whose backing buffers
-	// (MemSnap/TableSnap/RecorderSnap/WorldSnap arrays) RunGoldenCapture
-	// reuses for fresh captures, so repeated golden captures at different
-	// cuts allocate once instead of per capture.
-	snapPool []*CampaignSnapshot
 	// vote is the cut rendezvous of capture runs and of runs with a Tail.
 	vote cutVote
 }
 
-// ReleaseSnapshot returns a retired snapshot's backing buffers to the
-// pool for a later RunGoldenCapture with this Reuse. The snapshot must no
-// longer seed restores.
-func (ru *Reuse) ReleaseSnapshot(cs *CampaignSnapshot) {
-	if cs == nil {
-		return
-	}
-	cs.captured = false
-	ru.snapPool = append(ru.snapPool, cs)
-}
-
-// takeSnapshotShell hands out a pooled shell for a capture at seq, or
-// allocates one.
-func (ru *Reuse) takeSnapshotShell(seq uint64, ranks int) *CampaignSnapshot {
-	for i := len(ru.snapPool) - 1; i >= 0; i-- {
-		cs := ru.snapPool[i]
-		if len(cs.vms) == ranks {
-			ru.snapPool = append(ru.snapPool[:i], ru.snapPool[i+1:]...)
-			cs.Cut.Seq = seq
-			cs.captured = false
-			return cs
-		}
-	}
-	return &CampaignSnapshot{
-		Cut:  SiteCut{Seq: seq, Sites: make([]uint64, ranks)},
-		vms:  make([]*vm.Snapshot, ranks),
-		recs: make([]*trace.RecorderSnap, ranks),
-	}
-}
+// ReleaseSnapshot does nothing: captures are not recycled, because a
+// snapshot one caller retires may still seed another caller's forks. It
+// remains for callers that retire snapshots between timed captures.
+func (ru *Reuse) ReleaseSnapshot(*CampaignSnapshot) {}
 
 // NewReuse prepares a reuse bundle for jobs of the given rank count.
 func NewReuse(ranks int) *Reuse {

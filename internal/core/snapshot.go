@@ -13,11 +13,10 @@ import (
 )
 
 // Snapshot-fork orchestration. A campaign's golden execution runs with a
-// profiling hook that maps each quiesce point to the per-rank dynamic site
-// counts reached there (RunGoldenProfile: reference outcome and cut profile
-// from one run), and — once the campaign has chosen which cuts pay off for
-// its fault plans — the program runs fault-free once more with a capture
-// hook that records full job state at the chosen cuts (RunGoldenCapture).
+// capture hook that records full job state, and the per-rank dynamic site
+// counts reached, at the quiesce points it is asked for (RunGoldenCapture:
+// reference outcome, cut profile and captures from one run).
+// RunGoldenProfile is the same run recording only the site counts.
 // Experiments whose faults all lie at or after a captured cut then fork
 // from it via RunResumed instead of re-executing the clean prefix, and
 // may end at a later one instead of executing a golden tail (exit.go).
@@ -297,10 +296,11 @@ func (h *rankCut) Quiesce(v *vm.VM, seq uint64) bool {
 	return false
 }
 
-// RunGoldenCapture re-executes the golden run and captures full campaign
-// snapshots at the given quiesce seqs (as reported by RunGoldenProfile).
-// It returns the snapshots actually captured, ordered by seq; seqs past
-// the end of the execution are silently dropped.
+// RunGoldenCapture is Run for a fault-free golden execution that also
+// captures full campaign snapshots at the given quiesce seqs (counted from
+// 0, as vm.QuiesceHook numbers them). It returns the snapshots actually
+// captured, ordered by seq; seqs past the end of the execution are silently
+// dropped.
 func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcome, []*CampaignSnapshot) {
 	cfg = cfg.normalized()
 	snaps := make([]*CampaignSnapshot, 0, len(seqs))
@@ -308,9 +308,11 @@ func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcom
 		if slices.ContainsFunc(snaps, func(cs *CampaignSnapshot) bool { return cs.Cut.Seq == s }) {
 			continue
 		}
-		// Pooled shells carry the backing buffers of retired captures;
-		// vm/trace/mpi Snapshot() overwrite them in place.
-		snaps = append(snaps, cfg.Reuse.takeSnapshotShell(s, cfg.Ranks))
+		snaps = append(snaps, &CampaignSnapshot{
+			Cut:  SiteCut{Seq: s, Sites: make([]uint64, cfg.Ranks)},
+			vms:  make([]*vm.Snapshot, cfg.Ranks),
+			recs: make([]*trace.RecorderSnap, cfg.Ranks),
+		})
 	}
 	slices.SortFunc(snaps, func(a, b *CampaignSnapshot) int { return cmp.Compare(a.Cut.Seq, b.Cut.Seq) })
 	out := runWith(prog, cfg, extras{capture: snaps})

@@ -104,16 +104,15 @@ func (s Sampling) phases() int {
 type Execution struct {
 	// Workers bounds experiment-level parallelism (0: GOMAXPROCS).
 	Workers int
-	// Snapshots is the snapshot-fork capture budget: up to this many
-	// full-state snapshots of the golden execution are captured at quiesce
-	// points chosen to precede the shard's planned injections; each
-	// experiment forks from the best usable snapshot instead of
-	// re-executing the clean prefix, and ends at a later captured cut where
-	// every rank is back in the golden state instead of executing the
-	// golden tail (0: nothing is captured, every experiment runs from step
-	// 0 to its end). Purely a performance strategy — results
-	// are byte-identical with any budget — so it is excluded from the
-	// checkpoint fingerprint, and shards of one campaign may mix budgets
+	// Snapshots switches the snapshot-fork fast path. 0: every experiment
+	// runs from step 0 to its end, the reference path. Any positive value:
+	// each experiment forks from the latest golden-state snapshot, captured
+	// at every quiesce cut in the pack's golden execution, that precedes its
+	// planned faults instead of re-executing the clean prefix, and ends at a
+	// later captured cut where every rank is back in the golden state
+	// instead of executing the golden tail. Purely a performance strategy —
+	// results are byte-identical either way — so it is excluded from the
+	// checkpoint fingerprint, and shards of one campaign may mix settings
 	// freely.
 	Snapshots int
 	// HangFactor multiplies the golden cycle count into the hang budget.
@@ -602,14 +601,10 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		}
 	}
 
-	// Snapshot-fork schedule: capture snapshots, within the Snapshots
-	// budget, where this shard's plans can use them. A nil schedule
-	// (Snapshots: 0, nothing usable, a failed capture) just means every
-	// experiment runs from step 0 — results are identical either way.
-	// Adaptive shards schedule over the whole pending budget: a superset of
-	// what the planner will spend, which can only make the captured cuts
-	// less tailored, never change a result.
-	e.sched = pack.schedule(cfg, part.GoldenSites, pending)
+	// Snapshot-fork schedule: the pack's captured cuts. A nil schedule
+	// (Snapshots: 0, no quiesce points) just means every experiment runs
+	// from step 0 — results are identical either way.
+	e.sched = pack.schedule(cfg)
 
 	cfg.Progress.begin(spec.Size(), cfg.Workers)
 	cfg.Progress.noteResumed(e.resumed)

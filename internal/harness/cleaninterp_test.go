@@ -39,15 +39,15 @@ func forceFullInterp() (restore func()) {
 		}
 		return clones[p]
 	}
-	golden, run, resumed := coreGoldenProfile, coreRun, coreRunResumed
-	coreGoldenProfile = func(p *ir.Program, cfg core.RunConfig) (core.RunOutcome, []core.SiteCut) {
-		return golden(full(p), cfg)
+	golden, run, resumed := coreGoldenCapture, coreRun, coreRunResumed
+	coreGoldenCapture = func(p *ir.Program, cfg core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
+		return golden(full(p), cfg, seqs)
 	}
 	coreRun = func(p *ir.Program, cfg core.RunConfig) core.RunOutcome { return run(full(p), cfg) }
 	coreRunResumed = func(p *ir.Program, cfg core.RunConfig, s *core.CampaignSnapshot) core.RunOutcome {
 		return resumed(full(p), cfg, s)
 	}
-	return func() { coreGoldenProfile, coreRun, coreRunResumed = golden, run, resumed }
+	return func() { coreGoldenCapture, coreRun, coreRunResumed = golden, run, resumed }
 }
 
 // TestCleanInterpByteIdentical is the differential gate for the clean-mode

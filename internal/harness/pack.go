@@ -16,7 +16,7 @@ import (
 //
 // A pack is the process-wide owner of everything derived from the
 // fault-free execution of one (app, params, sampleEvery, protect)
-// configuration. It holds five artefacts, each produced at most once per
+// configuration. It holds four artefacts, each produced at most once per
 // pack and only when something first needs it:
 //
 //  1. the instrumented program and its static site table — prepare, on the
@@ -24,31 +24,26 @@ import (
 //     StaticSiteCount);
 //  2. the golden outcome, also in the shapes every partial result carries
 //     (classify.Golden, per-rank site counts) — prepare, same execution;
-//  3. the quiesce-point cut profile — prepare, same execution;
+//  3. the full state at each of the first maxCuts quiesce cuts, each with
+//     its cut (the per-rank site counts reached there) — prepare, same
+//     execution; campaigns fork from them (snapshots.go);
 //  4. the site-class profile (per-rank consumer-class bytes and dyn→static
 //     site ordinals) — profileSites, on the first stratified or per-site
-//     shard or adaptive planner, one slower site-observer execution;
-//  5. the captured snapshots, keyed by quiesce seq — schedule
-//     (snapshots.go), one capture execution per shard that finds chosen
-//     cuts missing, within the Execution.Snapshots budget.
+//     shard or adaptive planner, one slower site-observer execution.
 //
 // Nothing else in harness, service or cmd/campaign builds, instruments or
 // executes an application fault-free. None of the artefacts depends on
-// the seed, the budget or the shard, and snapshot placement is purely a
-// performance strategy — results are byte-identical with any placement,
-// including none — so sharing them across campaigns (service tenants
-// re-running a configuration, shards and adaptive rounds of one campaign in
-// one process, a resume) cannot change results; it only removes redundant
-// builds, golden re-executions and capture allocations.
+// the seed, Execution.Snapshots or the shard, and forking is purely a
+// performance strategy — results are byte-identical with it or without — so
+// sharing them across campaigns (service tenants re-running a
+// configuration, shards and adaptive rounds of one campaign in one process,
+// a resume) cannot change results; it only removes redundant builds and
+// golden executions.
 //
 // Snapshots stored in a pack are immutable once captured: forks copy out
-// of them, never into them, and incremental capture only fills seqs that
-// are missing from the pack. Evicting a map entry therefore never
-// invalidates a running campaign — its schedule keeps referencing the
-// evicted snapshots, which stay alive and read-only until the campaign
-// drops them. For the same reason evicted snapshots are NOT released into
-// the shell pool (a pooled shell would be overwritten in place by the next
-// capture while a campaign may still be forking from it).
+// of them, never into them. An evicted pack's snapshots therefore stay
+// alive and read-only until the last campaign forking from them drops its
+// schedule.
 const (
 	// maxPacks bounds the number of cached configurations (LRU beyond it).
 	// The paper's study is five applications, and `campaign -protect-top`
@@ -56,16 +51,17 @@ const (
 	// room to spare, so a study, its resume and its shards stop evicting and
 	// rebuilding each other's packs. An evicted pack is garbage, not cache.
 	maxPacks = 8
-	// maxPackSnaps bounds the per-pack snapshot map; past it, snapshots
-	// not chosen by the schedule being built are dropped for GC.
-	maxPackSnaps = 256
+	// maxCuts bounds the quiesce cuts a pack captures: it keeps the first
+	// maxCuts. CLI and daemon campaigns run at default or test scale, whose
+	// apps have at most 100 cuts; only library callers with custom Params
+	// go past it, and their later faults fork from the last kept cut.
+	maxCuts = 256
 )
 
 // packKey identifies one golden configuration. Everything the cached
 // artifacts depend on is in the key: the instrumented program is a
-// function of (app, params, protect), the golden outcome, cut profile and
-// captures additionally of (ranks, sampleEvery) — and ranks is part of
-// params.
+// function of (app, params, protect), the golden outcome and captures
+// additionally of (ranks, sampleEvery) — and ranks is part of params.
 type packKey struct {
 	app     string
 	params  apps.Params
@@ -74,9 +70,9 @@ type packKey struct {
 }
 
 type snapshotPack struct {
-	// mu serializes set-up and the capture runs of campaigns sharing the
-	// pack: they all execute on the pack's Reuse bundle. Experiment workers
-	// never take it — they read captured snapshots, which are immutable.
+	// mu serializes the pack's fault-free executions: they all run on the
+	// pack's Reuse bundle. Experiment workers never take it — they read
+	// captured snapshots, which are immutable.
 	mu sync.Mutex
 	// Set once by prepare, immutable afterwards.
 	ready  bool
@@ -84,7 +80,9 @@ type snapshotPack struct {
 	sites  []transform.SiteInfo
 	reuse  *core.Reuse
 	golden core.RunOutcome
-	cuts   []core.SiteCut
+	// snaps holds the captures of the golden execution's first maxCuts
+	// quiesce cuts, ordered by seq.
+	snaps []*core.CampaignSnapshot
 	// ref and goldenSites are the golden outcome in the shapes every
 	// partial result of the configuration carries.
 	ref         classify.Golden
@@ -92,8 +90,6 @@ type snapshotPack struct {
 
 	// profile is filled by profileSites on first use, immutable afterwards.
 	profile *siteProfile
-
-	snaps map[uint64]*core.CampaignSnapshot
 }
 
 // siteProfile is the golden execution as a site observer saw it: one
@@ -120,11 +116,11 @@ var (
 	packLRU []packKey // least recently used first
 )
 
-// coreGoldenProfile and coreGoldenSiteClasses indirect the pack's two
-// fault-free profiling executions so tests can count them, fail them and
-// route them through a reference program (like coreRun in campaign.go).
+// coreGoldenCapture and coreGoldenSiteClasses indirect the pack's two
+// fault-free executions so tests can count them, fail them and route them
+// through a reference program (like coreRun in campaign.go).
 var (
-	coreGoldenProfile     = core.RunGoldenProfile
+	coreGoldenCapture     = core.RunGoldenCapture
 	coreGoldenSiteClasses = core.RunGoldenSiteClasses
 )
 
@@ -142,7 +138,7 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 	packMu.Lock()
 	p := packs[key]
 	if p == nil {
-		p = &snapshotPack{snaps: make(map[uint64]*core.CampaignSnapshot)}
+		p = &snapshotPack{}
 		packs[key] = p
 	}
 	packLRU = append(slices.DeleteFunc(packLRU, sameKey), key)
@@ -164,10 +160,10 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 }
 
 // prepare builds and instruments the program and runs its one golden
-// execution — reference outcome and quiesce-point profile together — the
-// first time the pack is used. An app with no quiesce points keeps its
-// empty cut list like any other; one with no injection sites cannot be
-// campaigned on at all.
+// execution — reference outcome and the capture of every quiesce cut up to
+// maxCuts together — the first time the pack is used. An app with no
+// quiesce points keeps its empty capture list like any other; one with no
+// injection sites cannot be campaigned on at all.
 func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -183,11 +179,15 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 		return fmt.Errorf("harness: instrument %s: %w", cfg.App.Name(), err)
 	}
 	reuse := core.NewReuse(cfg.Params.Ranks)
-	golden, cuts := coreGoldenProfile(inst, core.RunConfig{
+	seqs := make([]uint64, maxCuts)
+	for i := range seqs {
+		seqs[i] = uint64(i)
+	}
+	golden, snaps := coreGoldenCapture(inst, core.RunConfig{
 		Ranks:       cfg.Params.Ranks,
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       reuse,
-	})
+	}, seqs)
 	if golden.Err != nil {
 		return fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), golden.Err)
 	}
@@ -196,7 +196,7 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 		return fmt.Errorf("inject: no rank has injection sites")
 	}
 	p.inst, p.sites, p.reuse = inst, infos, reuse
-	p.golden, p.cuts, p.ready = golden, cuts, true
+	p.golden, p.snaps, p.ready = golden, snaps, true
 	p.ref = classify.Golden{
 		Outputs:    golden.Outputs,
 		Cycles:     golden.Cycles,
@@ -254,24 +254,4 @@ func resetPacks() {
 	defer packMu.Unlock()
 	packs = make(map[packKey]*snapshotPack)
 	packLRU = nil
-}
-
-// trim bounds the snapshot map, preferring to keep the seqs the current
-// schedule chose. Caller holds p.mu.
-func (p *snapshotPack) trim(keep []uint64) {
-	if len(p.snaps) <= maxPackSnaps {
-		return
-	}
-	kept := make(map[uint64]bool, len(keep))
-	for _, s := range keep {
-		kept[s] = true
-	}
-	for s := range p.snaps {
-		if len(p.snaps) <= maxPackSnaps {
-			break
-		}
-		if !kept[s] {
-			delete(p.snaps, s)
-		}
-	}
 }

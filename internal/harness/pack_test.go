@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,17 +14,17 @@ import (
 	"repro/internal/transform"
 )
 
-// countGoldens wraps the coreGoldenProfile indirection and counts the
+// countGoldens wraps the coreGoldenCapture indirection and counts the
 // golden executions campaigns start until the test ends.
 func countGoldens(t *testing.T) *atomic.Int32 {
 	t.Helper()
 	n := new(atomic.Int32)
-	orig := coreGoldenProfile
-	coreGoldenProfile = func(prog *ir.Program, cfg core.RunConfig) (core.RunOutcome, []core.SiteCut) {
+	orig := coreGoldenCapture
+	coreGoldenCapture = func(prog *ir.Program, cfg core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
 		n.Add(1)
-		return orig(prog, cfg)
+		return orig(prog, cfg, seqs)
 	}
-	t.Cleanup(func() { coreGoldenProfile = orig })
+	t.Cleanup(func() { coreGoldenCapture = orig })
 	return n
 }
 
@@ -48,11 +49,11 @@ func lookupPack(key packKey) *snapshotPack {
 }
 
 // TestSnapshotPackSharedAcrossCampaigns checks that campaigns over one
-// configuration share one pack whatever their capture budget: a
-// Snapshots: 0 campaign sets the pack up with a single fault-free
-// execution (golden outcome and quiesce profile together), a Snapshots: 3
-// campaign after it adds only the capture run, a third captures nothing —
-// and all three produce byte-identical studies.
+// configuration share one pack whatever their Snapshots setting: a
+// Snapshots: 0 campaign sets the pack up with a single fault-free execution
+// that captures every cut, yet forks and exits nothing; a Snapshots: 3
+// campaign after it forks from those captures with no further fault-free
+// execution — and both produce byte-identical studies.
 func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
@@ -63,6 +64,7 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 		App:    app,
 		Params: app.TestParams(), Sampling: Sampling{Runs: 10, Seed: 77}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
+	exits := core.GoldenExits()
 	first, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,14 +74,15 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 	if p == nil {
 		t.Fatal("campaign left no pack behind")
 	}
-	if !p.ready || p.golden.Err != nil || len(p.golden.Ranks) != cfg.Params.Ranks || len(p.cuts) == 0 {
-		t.Fatalf("pack not set up: ready=%v golden.Err=%v ranks=%d cuts=%d",
-			p.ready, p.golden.Err, len(p.golden.Ranks), len(p.cuts))
+	if !p.ready || p.golden.Err != nil || len(p.golden.Ranks) != cfg.Params.Ranks || len(p.snaps) == 0 {
+		t.Fatalf("pack not set up: ready=%v golden.Err=%v ranks=%d snaps=%d",
+			p.ready, p.golden.Err, len(p.golden.Ranks), len(p.snaps))
 	}
-	if len(p.snaps) != 0 || *resumes != 0 {
-		t.Fatalf("Snapshots: 0 campaign captured %d snapshots and forked %d experiments", len(p.snaps), *resumes)
+	if *resumes != 0 || core.GoldenExits() != exits {
+		t.Fatalf("Snapshots: 0 campaign forked %d experiments and exited %d",
+			*resumes, core.GoldenExits()-exits)
 	}
-	cutsBefore := &p.cuts[0]
+	snapsBefore := &p.snaps[0]
 
 	cfg.Snapshots = 3
 	second, err := RunCampaign(cfg)
@@ -90,29 +93,101 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 		t.Fatal("second campaign built a fresh pack instead of sharing")
 	}
 	if n := goldens.Load(); n != 1 {
-		t.Errorf("fault-free program executed %d times before capture, want 1", n)
+		t.Errorf("fault-free program executed %d times over two campaigns, want 1", n)
 	}
-	if &p.cuts[0] != cutsBefore {
-		t.Error("second campaign re-profiled the golden execution")
+	if &p.snaps[0] != snapsBefore {
+		t.Error("second campaign recaptured the golden execution")
 	}
-	if len(p.snaps) == 0 || *resumes == 0 {
-		t.Fatalf("Snapshots: 3 campaign captured %d snapshots and forked %d experiments", len(p.snaps), *resumes)
+	if *resumes == 0 {
+		t.Fatal("Snapshots: 3 campaign forked no experiment")
 	}
-	snapsBefore := len(p.snaps)
+	assertStudyIdentical(t, "Snapshots: 3 after Snapshots: 0 on one pack", first, second)
+}
 
-	third, err := RunCampaign(cfg)
+// TestPackGoldenMatchesRun: the pack's capture run is the campaign's
+// reference run, so its golden outcome must equal a plain fault-free
+// core.Run in every result field — outputs, cycles, iterations, site
+// counts and the per-rank results that exit splicing reads — and it must
+// hold one capture per quiesce cut, each at the cut core.RunGoldenProfile
+// reports.
+func TestPackGoldenMatchesRun(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	for _, app := range apps.All() {
+		for _, ranks := range []int{1, 4} {
+			params := app.TestParams()
+			params.Ranks = ranks
+			cfg := CampaignConfig{App: app, Params: params, Sampling: Sampling{Runs: 1}, Execution: Execution{SampleEvery: 64}}
+			p, err := packFor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := core.RunConfig{Ranks: ranks, SampleEvery: cfg.SampleEvery}
+			want := core.Run(p.inst, rc)
+			got := p.golden
+			// Telemetry, not results: backing depends on the bundle's history.
+			want.BackedBytes, got.BackedBytes = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s r%d: pack golden outcome differs from core.Run:\n got %+v\nwant %+v",
+					app.Name(), ranks, got, want)
+			}
+			_, cuts := core.RunGoldenProfile(p.inst, rc)
+			if len(cuts) == 0 || len(p.snaps) != len(cuts) {
+				t.Errorf("%s r%d: pack holds %d captures of %d quiesce cuts", app.Name(), ranks, len(p.snaps), len(cuts))
+				continue
+			}
+			for i, cs := range p.snaps {
+				if !reflect.DeepEqual(cs.Cut, cuts[i]) {
+					t.Errorf("%s r%d: capture %d at cut %+v, profile has %+v", app.Name(), ranks, i, cs.Cut, cuts[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPackKeepsFirstMaxCuts raises LULESH's step count until its golden
+// execution passes more quiesce points than maxCuts: the pack keeps the
+// first maxCuts, and a campaign forking from them stays byte-identical to
+// re-execution.
+func TestPackKeepsFirstMaxCuts(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	app := apps.ByName("LULESH")
+	params := app.TestParams()
+	var cuts []core.SiteCut
+	for len(cuts) <= maxCuts {
+		params.Steps *= 2
+		inst := buildInstrumented(t, app, params)
+		var out core.RunOutcome
+		out, cuts = core.RunGoldenProfile(inst, core.RunConfig{Ranks: params.Ranks, SampleEvery: 64})
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	cfg := CampaignConfig{App: app, Params: params, Sampling: Sampling{Runs: 20, Seed: 2015}, Execution: Execution{SampleEvery: 64, Workers: 1}}
+	want, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.snaps) != snapsBefore {
-		t.Errorf("third campaign over identical pending IDs recaptured: %d snaps, had %d",
-			len(p.snaps), snapsBefore)
+	p := lookupPack(packKey{app: app.Name(), params: params, sample: cfg.SampleEvery})
+	if len(p.snaps) != maxCuts {
+		t.Fatalf("pack holds %d captures of %d cuts, want the first %d", len(p.snaps), len(cuts), maxCuts)
 	}
-	if n := goldens.Load(); n != 1 {
-		t.Errorf("golden executed %d times across three campaigns, want 1", n)
+	for i, cs := range p.snaps {
+		if !reflect.DeepEqual(cs.Cut, cuts[i]) {
+			t.Fatalf("capture %d at cut %+v, want %+v", i, cs.Cut, cuts[i])
+		}
 	}
-	assertStudyIdentical(t, "Snapshots: 3 after Snapshots: 0 on one pack", first, second)
-	assertStudyIdentical(t, "pack-shared third campaign", first, third)
+	resumes := countResumes(t)
+	cfg.Snapshots = 64
+	got, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *resumes == 0 {
+		t.Error("campaign never forked from a capture")
+	}
+	assertStudyIdentical(t, "first maxCuts captured vs re-execution", want, got)
 }
 
 // TestPackConcurrentFirstUse starts several campaigns over one fresh
@@ -164,14 +239,14 @@ func TestPackSetupFailureNotCached(t *testing.T) {
 		App:    app,
 		Params: app.TestParams(), Sampling: Sampling{Runs: 2, Seed: 1}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
-	orig := coreGoldenProfile
-	coreGoldenProfile = func(prog *ir.Program, rc core.RunConfig) (core.RunOutcome, []core.SiteCut) {
-		out, _ := orig(prog, rc)
+	orig := coreGoldenCapture
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
+		out, _ := orig(prog, rc, seqs)
 		out.Err = errors.New("synthetic golden failure")
 		return out, nil
 	}
 	_, err := RunCampaign(cfg)
-	coreGoldenProfile = orig
+	coreGoldenCapture = orig
 	if want := "harness: golden run of " + app.Name() + " failed: synthetic golden failure"; err == nil || err.Error() != want {
 		t.Fatalf("campaign returned %v, want %q", err, want)
 	}
@@ -187,8 +262,8 @@ func TestPackSetupFailureNotCached(t *testing.T) {
 }
 
 // TestPackCachesEmptyCutList: an execution without quiesce points is a
-// valid profile. The pack keeps its empty cut list instead of re-profiling
-// on every campaign, and every experiment runs from step 0.
+// valid golden run. The pack keeps its empty capture list instead of
+// re-executing on every campaign, and every experiment runs from step 0.
 func TestPackCachesEmptyCutList(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
@@ -198,12 +273,12 @@ func TestPackCachesEmptyCutList(t *testing.T) {
 		App:    app,
 		Params: app.TestParams(), Sampling: Sampling{Runs: 4, Seed: 9}, Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 3},
 	}
-	orig := coreGoldenProfile
-	coreGoldenProfile = func(prog *ir.Program, rc core.RunConfig) (core.RunOutcome, []core.SiteCut) {
-		out, _ := orig(prog, rc)
+	orig := coreGoldenCapture
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
+		out, _ := orig(prog, rc, seqs)
 		return out, nil
 	}
-	t.Cleanup(func() { coreGoldenProfile = orig })
+	t.Cleanup(func() { coreGoldenCapture = orig })
 	goldens := countGoldens(t)
 	for i := 0; i < 2; i++ {
 		if _, err := RunCampaign(cfg); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -170,136 +171,120 @@ func TestTimingsMergeTolerantOfLegacyRestore(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotPlan fuzzes the snapshot scheduling decisions against
-// brute-force oracles: for arbitrary (monotone) cut profiles, fault plans,
-// and budgets, bestCutIndex must pick exactly the latest cut at or before
-// every fault, chooseSeqs must stay within budget while always serving the
-// experiment with the latest faults, and no experiment is ever left
-// unrunnable — a plan with no usable cut simply maps to re-execution.
-func FuzzSnapshotPlan(f *testing.F) {
-	f.Add([]byte{2, 4, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 10, 1, 3}, 2)
-	f.Add([]byte{1, 1, 0}, []byte{}, 1)
-	f.Add([]byte{4, 8, 9, 9, 9, 9, 0, 0, 0, 0, 1, 2, 3, 4}, []byte{3, 200, 0, 0, 1, 1, 2, 9}, 5)
-	f.Fuzz(func(t *testing.T, profile []byte, faultBytes []byte, budget int) {
+// FuzzSnapshotSchedule fuzzes the snapshot-fork schedule against
+// linear-scan oracles: for arbitrary monotone cut lists and fault plans —
+// zero-fault plans and out-of-range ranks included — Best must return the
+// latest cut at or before every fault (nil when there is none: the
+// experiment runs from step 0), and Tail the suffix of cuts after the fork
+// point and past every fault.
+func FuzzSnapshotSchedule(f *testing.F) {
+	f.Add([]byte{2, 4, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 0, 10, 2, 1, 3, 2, 4})
+	f.Add([]byte{1, 1, 0}, []byte{})
+	f.Add([]byte{4, 8, 9, 9, 9, 9, 0, 0, 0, 0, 1, 2, 3, 4}, []byte{3, 3, 200, 0, 0, 1, 1, 0, 2, 9})
+	f.Add([]byte{3, 0}, []byte{1, 5, 0})
+
+	// Schedules only read a snapshot's cut, so every fuzzed cut reuses one
+	// real capture's state.
+	resetPacks()
+	app := apps.ByName("LULESH")
+	pack, err := packFor(CampaignConfig{App: app, Params: app.TestParams(), Sampling: Sampling{Runs: 1}})
+	resetPacks()
+	if err != nil {
+		f.Fatal(err)
+	}
+	captured := pack.snaps[0]
+	golden := &pack.golden
+
+	f.Fuzz(func(t *testing.T, profile []byte, faultBytes []byte) {
 		if len(profile) < 2 {
 			return
 		}
 		ranks := 1 + int(profile[0])%4
-		ncuts := 1 + int(profile[1])%8
+		ncuts := int(profile[1]) % 9
 		profile = profile[2:]
-
-		// Build cuts with non-decreasing per-rank site counts (the shape
-		// RunGoldenProfile guarantees), consuming fuzz bytes as increments.
-		cuts := make([]core.SiteCut, ncuts)
-		sites := make([]uint64, ranks)
-		bi := 0
-		nextByte := func() uint64 {
+		next := func() uint64 {
 			if len(profile) == 0 {
 				return 0
 			}
-			b := profile[bi%len(profile)]
-			bi++
+			b := profile[0]
+			profile = profile[1:]
 			return uint64(b)
 		}
-		for i := range cuts {
-			for r := 0; r < ranks; r++ {
-				sites[r] += nextByte() % 16
+
+		// Cuts in seq order with non-decreasing per-rank site counts (the
+		// shape a golden execution guarantees).
+		snaps := make([]*core.CampaignSnapshot, ncuts)
+		sites := make([]uint64, ranks)
+		seq := uint64(0)
+		for i := range snaps {
+			seq += 1 + next()%3
+			for r := range sites {
+				sites[r] += next() % 16
 			}
-			cuts[i] = core.SiteCut{Seq: uint64(i) * 3, Sites: append([]uint64(nil), sites...)}
+			cs := *captured
+			cs.Cut = core.SiteCut{Seq: seq, Sites: append([]uint64(nil), sites...)}
+			snaps[i] = &cs
+		}
+		sched := &snapSchedule{snaps: snaps, golden: golden}
+
+		// Plans: a fault count, then (rank, site) pairs, ranks allowed out
+		// of range. The empty plan is always among them.
+		plans := []inject.Plan{{}}
+		for len(faultBytes) > 0 {
+			n := int(faultBytes[0]) % 4
+			faultBytes = faultBytes[1:]
+			var plan inject.Plan
+			for ; n > 0 && len(faultBytes) >= 2; n-- {
+				plan.Faults = append(plan.Faults, inject.Fault{
+					Rank: int(faultBytes[0])%(ranks+2) - 1,
+					Site: uint64(faultBytes[1]) / 2,
+				})
+				faultBytes = faultBytes[2:]
+			}
+			plans = append(plans, plan)
 		}
 
-		// Decode fault plans: (rank, site) pairs, ranks intentionally
-		// allowed out of range.
-		var plans []inject.Plan
-		for i := 0; i+2 < len(faultBytes); i += 3 {
-			plans = append(plans, inject.Plan{Faults: []inject.Fault{{
-				Rank: int(faultBytes[i])%(ranks+2) - 1,
-				Site: uint64(faultBytes[i+1])*2 + uint64(faultBytes[i+2])%3,
-			}}})
-		}
-
-		best := make([]int, 0, len(plans))
 		for _, plan := range plans {
-			idx := bestCutIndex(cuts, plan)
-
-			oracle := -1
-			for i := len(cuts) - 1; i >= 0; i-- {
-				if cuts[i].Usable(plan) {
-					oracle = i
-					break
+			var oracle *core.CampaignSnapshot
+			for _, cs := range snaps {
+				if cs.Cut.Usable(plan) {
+					oracle = cs
 				}
 			}
-			if idx != oracle {
-				t.Fatalf("bestCutIndex = %d, oracle = %d (cuts %v, plan %v)", idx, oracle, cuts, plan)
+			best := sched.Best(plan)
+			if best != oracle {
+				t.Fatalf("Best = %v, oracle = %v (cuts %v, plan %v)", cutsOf(best), cutsOf(oracle), cutsOf(snaps...), plan)
 			}
-			if idx >= 0 {
-				if !cuts[idx].Usable(plan) {
-					t.Fatalf("chosen cut %d not usable for %v", idx, plan)
-				}
-				// Preceding-or-equal: every fault lies at or after the cut.
-				for _, ft := range plan.Faults {
-					if cuts[idx].Sites[ft.Rank] > ft.Site {
-						t.Fatalf("cut %d site %d past fault %v", idx, cuts[idx].Sites[ft.Rank], ft)
+			if (*snapSchedule)(nil).Best(plan) != nil {
+				t.Fatal("nil schedule returned a snapshot")
+			}
+			for _, from := range append([]*core.CampaignSnapshot{nil, best}, snaps...) {
+				var want []*core.CampaignSnapshot
+				for _, cs := range snaps {
+					if (from == nil || cs.Cut.Seq > from.Cut.Seq) && cs.Cut.Past(plan) {
+						want = append(want, cs)
 					}
 				}
-				best = append(best, idx)
-			}
-			// idx < 0 is the never-skip contract: the experiment still
-			// runs, from step 0 (sched.Best returns nil there).
-		}
-
-		if budget < 0 {
-			budget = -budget
-		}
-		budget %= 8
-		seqs := chooseSeqs(cuts, append([]int(nil), best...), budget)
-		if len(seqs) > budget {
-			t.Fatalf("chooseSeqs returned %d seqs over budget %d", len(seqs), budget)
-		}
-		if len(best) > 0 && budget > 0 {
-			if len(seqs) == 0 {
-				t.Fatal("chooseSeqs returned nothing despite usable experiments and budget")
-			}
-			// The experiment with the latest best cut must always be
-			// served: its cut's seq is in the selection.
-			maxBest := best[0]
-			for _, b := range best {
-				if b > maxBest {
-					maxBest = b
+				tail := sched.Tail(plan, from)
+				if !slices.Equal(tail.Cuts, want) || len(want) > 0 && !slices.Equal(want, snaps[len(snaps)-len(want):]) {
+					t.Fatalf("Tail from %v = %v, oracle = %v (cuts %v, plan %v)",
+						cutsOf(from), cutsOf(tail.Cuts...), cutsOf(want...), cutsOf(snaps...), plan)
 				}
-			}
-			found := false
-			for _, s := range seqs {
-				if s == cuts[maxBest].Seq {
-					found = true
-					break
+				if (tail.Golden != nil) != (len(want) > 0) || tail.Golden != nil && tail.Golden != golden {
+					t.Fatalf("Tail from %v carries golden %p with %d cuts", cutsOf(from), tail.Golden, len(want))
 				}
-			}
-			if !found {
-				t.Fatalf("latest needed cut seq %d missing from %v", cuts[maxBest].Seq, seqs)
-			}
-		}
-		valid := make(map[uint64]bool, len(best))
-		for _, b := range best {
-			valid[cuts[b].Seq] = true
-		}
-		seen := make(map[uint64]bool, len(seqs))
-		for _, s := range seqs {
-			if !valid[s] {
-				t.Fatalf("chooseSeqs picked seq %d no experiment asked for", s)
-			}
-			if seen[s] {
-				t.Fatalf("chooseSeqs returned duplicate seq %d", s)
-			}
-			seen[s] = true
-		}
-
-		// Nil-schedule safety: campaigns without snapshots re-execute.
-		var nilSched *snapSchedule
-		for _, plan := range plans {
-			if nilSched.Best(plan) != nil {
-				t.Fatal("nil schedule returned a snapshot")
 			}
 		}
 	})
+}
+
+// cutsOf lists the cuts of snapshots (nil ones as nil) for failure messages.
+func cutsOf(snaps ...*core.CampaignSnapshot) []any {
+	cuts := make([]any, len(snaps))
+	for i, cs := range snaps {
+		if cs != nil {
+			cuts[i] = cs.Cut
+		}
+	}
+	return cuts
 }

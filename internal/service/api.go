@@ -94,12 +94,14 @@ type JobSpec struct {
 	SampleEvery uint64 `json:"sampleEvery,omitempty"`
 	// MaxSummaries bounds retained per-experiment summaries (0: keep all).
 	MaxSummaries int `json:"maxSummaries,omitempty"`
-	// Snapshots, when positive, enables the snapshot-fork fast path with
-	// that many golden-state snapshots per campaign (or shard): experiments
-	// fork from the latest snapshot preceding their faults instead of
-	// re-executing the clean prefix. Purely a performance strategy —
-	// results are byte-identical either way — so it is excluded from the
-	// campaign fingerprint and coordinators may mix modes across workers.
+	// Snapshots, when positive, enables the snapshot-fork fast path:
+	// experiments fork from the latest golden-state snapshot preceding their
+	// faults instead of re-executing the clean prefix, and end at a later one
+	// where every rank is back in the golden state. Every quiesce cut is
+	// captured, whatever the value; 0 runs every experiment from step 0 to
+	// its end. Purely a performance strategy — results are byte-identical
+	// either way — so it is excluded from the campaign fingerprint and
+	// coordinators may mix modes across workers.
 	Snapshots int `json:"snapshots,omitempty"`
 	// Priority orders the queue: higher runs first, ties run in submission
 	// order.
