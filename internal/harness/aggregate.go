@@ -4,225 +4,135 @@ import (
 	"sort"
 
 	"repro/internal/analytics"
-	"repro/internal/classify"
-	"repro/internal/model"
 )
 
-// aggregator folds completed experiments into campaign-level results in a
-// single streaming pass, so the campaign's memory footprint is bounded by
-// the retention configuration (profiles per class, summary cap) rather
-// than by the run count.
-//
-// Every retention rule is order-independent: it depends only on experiment
-// IDs and contents, never on arrival order. Any interleaving of workers —
-// and any split between journal replay and live execution on resume —
-// therefore yields byte-identical results, matching what the historical
-// sequential aggregation produced.
-type aggregator struct {
-	keepProfiles int
-	maxSummaries int // 0: retain every summary
+// The campaign aggregate is the PartialResult. The engine folds every
+// completed experiment — executed, or replayed from its journal — into its
+// shard's partial with add, the one-experiment case of Merge: both apply
+// each retention rule through the same helper (insertByID, keepProfile,
+// offerSpread, keyedIndex), so "sharded equals unsharded" is one
+// implementation rather than two kept in step. Every rule depends only on
+// experiment IDs and contents, never on arrival order, so any interleaving
+// of workers and any split between replay and live execution yields the
+// same bytes. Memory stays bounded by the retention configuration
+// (profiles per class, summary cap) rather than by the run count.
 
-	tally        classify.Tally
-	structTotals map[string]int
-	summaries    []ExperimentSummary
-	profiles     map[classify.Outcome][]Profile
-	fits         []idFit
-	spread       SpreadSeries
-	hasSpread    bool
-
-	// strata accumulates per-stratum outcome tallies; nil unless the
-	// campaign is stratified. phases labels the indices.
-	strata map[int]classify.Tally
-	phases int
-
-	// sites accumulates per-static-site outcome and pattern tallies; nil
-	// unless per-site analytics are enabled (Sampling.Sites). siteMap
-	// labels the ordinals at intoPartial time; every shard derives the
-	// same labels from the same golden profile.
-	sites   map[int]*siteAgg
-	siteMap *siteMap
-}
-
-// siteAgg is one static site's running aggregate.
-type siteAgg struct {
-	tally  classify.Tally
-	shapes analytics.ShapeCounts
-	causes analytics.CauseCounts
-}
-
-// idFit carries a run fit with its experiment ID so the model is built
-// from fits in ID order regardless of completion order (floating-point
-// accumulation is order-sensitive).
-type idFit struct {
-	id      int
-	fit     model.RunFit
-	stratum int
-}
-
-func newAggregator(cfg CampaignConfig) *aggregator {
-	a := &aggregator{
-		keepProfiles: cfg.KeepProfiles,
-		maxSummaries: cfg.MaxSummaries,
-		structTotals: make(map[string]int),
-		profiles:     make(map[classify.Outcome][]Profile),
+// add folds one completed experiment into p. strata and sites are the
+// engine's stratification and per-site views, nil when the campaign runs
+// without them; they gate the keyed tallies and label a key when it is
+// first inserted. Not safe for concurrent use; the campaign engine funnels
+// every completion through one goroutine.
+func (p *PartialResult) add(r *journalRecord, strata *Strata, sites *siteMap) {
+	s := &r.Sum
+	p.Tally.Add(s.Outcome)
+	for k, v := range r.StructCML {
+		p.StructTotals[k] += v
 	}
-	if cfg.stratified() {
-		a.strata = make(map[int]classify.Tally)
-		a.phases = cfg.Sampling.phases()
-	}
-	if cfg.Sites {
-		a.sites = make(map[int]*siteAgg)
-	}
-	return a
-}
-
-// add folds one completed experiment in. Not safe for concurrent use; the
-// campaign engine funnels every completion through one goroutine.
-func (a *aggregator) add(o expOut) {
-	a.tally.Add(o.sum.Outcome)
-	for k, v := range o.structCML {
-		a.structTotals[k] += v
-	}
-	a.addSummary(o.sum)
-	if a.strata != nil {
-		t := a.strata[o.sum.Stratum]
-		t.Add(o.sum.Outcome)
-		a.strata[o.sum.Stratum] = t
-	}
-	if a.sites != nil && o.sum.Pattern != nil {
-		p := o.sum.Pattern
-		s := a.sites[p.Site]
-		if s == nil {
-			s = &siteAgg{}
-			a.sites[p.Site] = s
+	p.Experiments = insertByID(p.Experiments, *s, p.MaxSummaries, summaryID)
+	if strata != nil {
+		var i int
+		var found bool
+		p.Strata, i, found = keyedIndex(p.Strata, s.Stratum, stratumKey)
+		if !found {
+			p.Strata[i] = StratumTally{Stratum: s.Stratum, Label: StratumLabel(s.Stratum, strata.Phases)}
 		}
-		s.tally.Add(o.sum.Outcome)
-		if p.Shape >= 0 && int(p.Shape) < analytics.NumShapes {
-			s.shapes[p.Shape]++
+		p.Strata[i].Tally.Add(s.Outcome)
+	}
+	if pat := s.Pattern; sites != nil && pat != nil {
+		var i int
+		var found bool
+		p.Sites, i, found = keyedIndex(p.Sites, pat.Site, siteKey)
+		st := &p.Sites[i]
+		if !found {
+			*st = SiteTally{Site: pat.Site, Label: sites.label(pat.Site)}
 		}
-		if p.Cause >= 0 && int(p.Cause) < analytics.NumCauses {
-			s.causes[p.Cause]++
+		st.Tally.Add(s.Outcome)
+		if pat.Shape >= 0 && int(pat.Shape) < analytics.NumShapes {
+			st.Shapes[pat.Shape]++
+		}
+		if pat.Cause >= 0 && int(pat.Cause) < analytics.NumCauses {
+			st.Causes[pat.Cause]++
 		}
 	}
-	if o.sum.HasFit {
-		a.fits = append(a.fits, idFit{id: o.sum.ID, fit: o.sum.Fit, stratum: o.sum.Stratum})
+	if s.HasFit {
+		p.Fits = insertByID(p.Fits, IDFit{ID: s.ID, Fit: s.Fit, Stratum: s.Stratum}, 0, fitID)
 	}
-	if len(o.points) >= 3 {
-		a.addProfile(Profile{ID: o.sum.ID, Outcome: o.sum.Outcome, Points: o.points})
+	if len(r.Points) >= 3 {
+		p.Profiles = keepProfile(p.Profiles, Profile{ID: s.ID, Outcome: s.Outcome, Points: r.Points}, p.KeepProfiles)
 	}
-	// Widest spread wins; ties go to the lowest experiment ID, as the
-	// historical in-order scan did.
-	if n := len(o.spread); n > 0 {
-		if !a.hasSpread || n > len(a.spread.Points) ||
-			(n == len(a.spread.Points) && o.sum.ID < a.spread.ID) {
-			a.spread = SpreadSeries{ID: o.sum.ID, Points: o.spread}
-			a.hasSpread = true
-		}
+	if len(r.Spread) > 0 {
+		p.offerSpread(SpreadSeries{ID: s.ID, Points: r.Spread})
 	}
 }
 
-// addSummary retains the summary, honoring the cap by keeping the
-// lowest-ID maxSummaries records.
-func (a *aggregator) addSummary(s ExperimentSummary) {
-	if a.maxSummaries <= 0 {
-		a.summaries = append(a.summaries, s)
-		return
-	}
-	a.summaries = insertByID(a.summaries, s, a.maxSummaries,
-		func(e ExperimentSummary) int { return e.ID })
-}
+// The ID and key accessors take pointers: the summaries they read are
+// ~250 bytes, too many to copy per comparison.
+func summaryID(e *ExperimentSummary) int { return e.ID }
+func profileID(e *Profile) int           { return e.ID }
+func fitID(f *IDFit) int                 { return f.ID }
 
-// addProfile retains per outcome class the keepProfiles qualifying
-// profiles with the lowest IDs — the same set the historical sequential
-// "first K in ID order" scan selected.
-func (a *aggregator) addProfile(p Profile) {
-	a.profiles[p.Outcome] = insertByID(a.profiles[p.Outcome], p, a.keepProfiles,
-		func(e Profile) int { return e.ID })
-}
-
-// insertByID inserts v into the ID-sorted slice s, then truncates to cap,
-// dropping the highest ID.
-func insertByID[T any](s []T, v T, cap int, id func(T) int) []T {
-	if cap <= 0 {
-		return s
+// insertByID inserts v into the ID-sorted slice s, then truncates to the
+// lowest-ID cap elements (cap <= 0: keep all), the convention
+// mergeSortedByID shares: the lowest K of a union is the lowest K of the
+// parts' lowest K.
+func insertByID[T any](s []T, v T, cap int, id func(*T) int) []T {
+	n := len(s)
+	s = append(s, v) // v's ID is read in place: &v would escape
+	key := id(&s[n])
+	i := sort.Search(n, func(i int) bool { return id(&s[i]) >= key })
+	if cap > 0 && i >= cap {
+		return s[:n]
 	}
-	i := sort.Search(len(s), func(i int) bool { return id(s[i]) >= id(v) })
-	if i == len(s) && len(s) >= cap {
-		return s
-	}
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
+	copy(s[i+1:], s[i:n])
 	s[i] = v
-	if len(s) > cap {
+	if cap > 0 && len(s) > cap {
 		s = s[:cap]
 	}
 	return s
 }
 
-// intoPartial writes the aggregate into the mergeable partial, every
-// retained slice sorted by experiment ID. The propagation model is NOT
-// built here — PartialResult.Finalize rebuilds it from the (merged) fits,
-// so sharded and single-process campaigns go through the same code path.
-func (a *aggregator) intoPartial(p *PartialResult) {
-	sort.Slice(a.summaries, func(i, j int) bool { return a.summaries[i].ID < a.summaries[j].ID })
-	p.Tally = a.tally
-	p.Experiments = a.summaries
-	p.StructTotals = a.structTotals
+// keepProfile inserts p into the ID-sorted profile set ps, then drops the
+// highest-ID profile of p's outcome class beyond keep (keep <= 0: keep
+// all). Every class thus retains its keep lowest-ID qualifying profiles —
+// the set the historical "first K in ID order" scan selected — whatever
+// order profiles arrive in.
+func keepProfile(ps []Profile, p Profile, keep int) []Profile {
+	ps = insertByID(ps, p, 0, profileID)
+	if keep <= 0 {
+		return ps
+	}
+	n := 0
+	for i := range ps {
+		if ps[i].Outcome != p.Outcome {
+			continue
+		}
+		if n++; n > keep {
+			return append(ps[:i], ps[i+1:]...)
+		}
+	}
+	return ps
+}
 
-	var profs []Profile
-	for _, ps := range a.profiles {
-		profs = append(profs, ps...)
+// offerSpread keeps the widest corrupted-ranks series; ties go to the
+// lowest experiment ID, as the historical in-order scan decided.
+func (p *PartialResult) offerSpread(s SpreadSeries) {
+	n, cur := len(s.Points), len(p.Spread.Points)
+	if !p.HasSpread || n > cur || (n == cur && s.ID < p.Spread.ID) {
+		p.Spread, p.HasSpread = s, true
 	}
-	sort.Slice(profs, func(i, j int) bool { return profs[i].ID < profs[j].ID })
-	p.Profiles = profs
-	p.Spread = a.spread
-	p.HasSpread = a.hasSpread
+}
 
-	sort.Slice(a.fits, func(i, j int) bool { return a.fits[i].id < a.fits[j].id })
-	fits := make([]IDFit, len(a.fits))
-	for i := range a.fits {
-		fits[i] = IDFit{ID: a.fits[i].id, Fit: a.fits[i].fit, Stratum: a.fits[i].stratum}
+// keyedIndex returns the index of key in ts, a keyed tally set sorted by
+// key (per-stratum, per-site), inserting a zero entry there when ts holds
+// none; found reports which, so the caller labels a new entry once.
+func keyedIndex[T any](ts []T, key int, keyOf func(*T) int) (out []T, i int, found bool) {
+	i = sort.Search(len(ts), func(i int) bool { return keyOf(&ts[i]) >= key })
+	if i < len(ts) && keyOf(&ts[i]) == key {
+		return ts, i, true
 	}
-	p.Fits = fits
-
-	if a.strata != nil {
-		idxs := make([]int, 0, len(a.strata))
-		for s := range a.strata {
-			idxs = append(idxs, s)
-		}
-		sort.Ints(idxs)
-		tallies := make([]StratumTally, 0, len(idxs))
-		for _, s := range idxs {
-			tallies = append(tallies, StratumTally{
-				Stratum: s,
-				Label:   StratumLabel(s, a.phases),
-				Tally:   a.strata[s],
-			})
-		}
-		p.Strata = tallies
-	}
-	if a.sites != nil {
-		ords := make([]int, 0, len(a.sites))
-		for s := range a.sites {
-			ords = append(ords, s)
-		}
-		sort.Ints(ords)
-		tallies := make([]SiteTally, 0, len(ords))
-		for _, s := range ords {
-			agg := a.sites[s]
-			label := "?"
-			if a.siteMap != nil {
-				label = a.siteMap.label(s)
-			}
-			tallies = append(tallies, SiteTally{
-				Site:   s,
-				Label:  label,
-				Tally:  agg.tally,
-				Shapes: agg.shapes,
-				Causes: agg.causes,
-			})
-		}
-		p.Sites = tallies
-	}
+	var zero T
+	ts = append(ts, zero)
+	copy(ts[i+1:], ts[i:])
+	ts[i] = zero
+	return ts, i, false
 }

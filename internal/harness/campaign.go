@@ -134,7 +134,7 @@ func (e Execution) Validate() error {
 	return nil
 }
 
-// Retention bounds what the aggregator keeps per campaign. Both caps shape
+// Retention bounds what the campaign aggregate keeps. Both caps shape
 // the retained result, never the per-experiment outcomes, so they are
 // excluded from the fingerprint (but partials with different retention do
 // not merge).
@@ -434,7 +434,7 @@ var (
 )
 
 // RunCampaign executes the campaign: a golden profiling run, then Runs
-// fault-injection experiments streamed through a single-pass aggregator.
+// fault-injection experiments folded one by one into the campaign aggregate.
 // Completed experiments are journaled to cfg.Checkpoint when set, and
 // cfg.Resume restarts a killed campaign where it left off, with results
 // identical to an uninterrupted run.
@@ -501,6 +501,10 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		AllocatedWords: pack.golden.AllocatedTotal,
 		KeepProfiles:   cfg.KeepProfiles,
 		MaxSummaries:   cfg.MaxSummaries,
+		// Initialised so an experiment-less shard encodes {} and [], not
+		// null.
+		StructTotals: map[string]int{},
+		Fits:         []IDFit{},
 	}
 
 	criteria := classify.DefaultCriteria()
@@ -537,10 +541,8 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 		cycleLimit: cycleLimit,
 		strata:     strata,
 		sites:      sites,
-		agg:        newAggregator(cfg),
 		completed:  make(map[int]bool, spec.Size()),
 	}
-	e.agg.siteMap = sites
 	if adaptive {
 		e.outcomes = make(map[int]classify.Outcome, spec.Size())
 	}
@@ -570,14 +572,15 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 			for _, id := range ids {
 				inShard[id] = true
 			}
-			for _, rec := range recs {
+			for i := range recs {
+				rec := &recs[i]
 				id := rec.Sum.ID
 				if !inShard[id] || e.completed[id] {
 					continue
 				}
 				e.completed[id] = true
 				e.resumed++
-				e.agg.add(rec.toExpOut())
+				part.add(rec, strata, sites)
 				if e.outcomes != nil {
 					e.outcomes[id] = rec.Sum.Outcome
 				}
@@ -635,7 +638,6 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 				ErrInterrupted, e.resumed+e.executed, spec.Size())
 		}
 	}
-	e.agg.intoPartial(part)
 	part.Timings = cfg.Timings
 	part.Ranges = completedRanges(ids, e.completed)
 	return part, nil
@@ -660,7 +662,7 @@ func completedRanges(ids []int, completed map[int]bool) []IDRange {
 
 // campaignEngine is the execution core shared by fixed-N and adaptive
 // campaigns: a worker pool that runs an arbitrary set of experiment IDs
-// through one streaming aggregator, journaling every completion. Fixed-N
+// into the shard's PartialResult, journaling every completion. Fixed-N
 // shards call runIDs once over their pending range; the adaptive planner
 // calls it once per round.
 type campaignEngine struct {
@@ -673,7 +675,6 @@ type campaignEngine struct {
 	sched      *snapSchedule
 	strata     *Strata
 	sites      *siteMap
-	agg        *aggregator
 	journal    *journalWriter
 
 	// completed marks every finished experiment (replayed or executed);
@@ -747,18 +748,18 @@ func (e *campaignEngine) runIDs(ids []int) error {
 				}
 				o := runExperiment(id, e.inst, plan, wcfg, e.criteria, e.part.Golden, e.cycleLimit, e.sched, tr)
 				if e.strata != nil {
-					o.sum.Stratum = e.strata.StratumOf(plan)
+					o.Sum.Stratum = e.strata.StratumOf(plan)
 				}
 				if e.sites != nil {
-					o.sum.Pattern = e.sites.patternFor(plan, o.sum, o.points)
+					o.Sum.Pattern = e.sites.patternFor(plan, o.Sum, o.Points)
 				}
 				elapsed := time.Since(t0)
-				cfg.Progress.noteDone(o.sum.Outcome, elapsed)
+				cfg.Progress.noteDone(o.Sum.Outcome, elapsed)
 				if o.exited {
 					cfg.Progress.noteExit()
 				}
 				if tr != nil {
-					tr.Outcome = o.sum.Outcome
+					tr.Outcome = o.Sum.Outcome
 					tr.Total = elapsed
 					cfg.Timings.Observe(*tr)
 					if cfg.OnPhase != nil {
@@ -790,20 +791,20 @@ func (e *campaignEngine) runIDs(ids []int) error {
 	var journalErr error
 	for o := range outs {
 		if e.journal != nil && journalErr == nil {
-			if err := e.journal.append(o); err != nil {
+			if err := e.journal.write(&o.journalRecord); err != nil {
 				journalErr = fmt.Errorf("harness: checkpoint append: %w", err)
 				e.halted = true
 				halt()
 			}
 		}
-		e.agg.add(o)
-		e.completed[o.sum.ID] = true
+		e.part.add(&o.journalRecord, e.strata, e.sites)
+		e.completed[o.Sum.ID] = true
 		if e.outcomes != nil {
-			e.outcomes[o.sum.ID] = o.sum.Outcome
+			e.outcomes[o.Sum.ID] = o.Sum.Outcome
 		}
 		e.executed++
 		if cfg.OnExperiment != nil {
-			cfg.OnExperiment(o.sum, false)
+			cfg.OnExperiment(o.Sum, false)
 		}
 		if cfg.StopAfter > 0 && e.executed >= cfg.StopAfter {
 			e.halted = true
@@ -831,14 +832,11 @@ func planFor(cfg CampaignConfig, id int, sites []uint64) inject.Plan {
 	return p
 }
 
-// expOut is the per-experiment material the aggregation step consumes.
+// expOut is one executed experiment: the record the journal writes and
+// the campaign aggregate folds, plus telemetry that is never journaled.
 type expOut struct {
-	sum       ExperimentSummary
-	points    []trace.Point
-	spread    []trace.SpreadPoint
-	structCML map[string]int
-	// exited reports a run that ended at a golden-equal cut (progress
-	// telemetry; never journaled).
+	journalRecord
+	// exited reports a run that ended at a golden-equal cut.
 	exited bool
 }
 
@@ -853,13 +851,13 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 
 	defer func() {
 		if p := recover(); p != nil {
-			out = expOut{sum: ExperimentSummary{
+			out = expOut{journalRecord: journalRecord{Kind: "exp", Sum: ExperimentSummary{
 				ID:      id,
 				Plan:    plan,
 				Planned: len(plan.Faults) > 0,
 				Outcome: classify.Crashed,
 				Diag:    fmt.Sprintf("experiment panic: %v\n%s", p, debug.Stack()),
-			}}
+			}}}
 		}
 	}()
 
@@ -938,5 +936,6 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 	if tr != nil {
 		tr.Classify = time.Since(phaseStart)
 	}
-	return expOut{sum: sum, points: points, spread: run.Spread.Series(), structCML: run.StructCML, exited: run.Exited}
+	return expOut{journalRecord: journalRecord{Kind: "exp", Sum: sum, Points: points,
+		Spread: run.Spread.Series(), StructCML: run.StructCML}, exited: run.Exited}
 }

@@ -15,10 +15,11 @@ import (
 
 // The checkpoint journal makes long campaigns restartable: one JSONL file
 // holding a header line that fingerprints the campaign configuration,
-// followed by one record per completed experiment. Records carry everything
-// the streaming aggregator consumes (summary, profile points, spread
-// series, per-structure totals), so a resumed campaign replays them into a
-// fresh aggregator and produces results identical to an uninterrupted run.
+// followed by one record per completed experiment. A record is exactly what
+// the campaign aggregate folds (summary, profile points, spread series,
+// per-structure totals), so a resumed campaign folds the replayed records
+// into a fresh PartialResult and produces results identical to an
+// uninterrupted run.
 // Every record reaches the OS as one write: a killed campaign loses at most
 // the in-flight line, and a resume cuts that torn tail off before it
 // appends (readJournal, openJournal). What a
@@ -49,10 +50,6 @@ type journalRecord struct {
 
 	header *journalHeader
 	plan   *planRecord
-}
-
-func (r journalRecord) toExpOut() expOut {
-	return expOut{sum: r.Sum, points: r.Points, spread: r.Spread, structCML: r.StructCML}
 }
 
 // planRecord journals one adaptive planner decision: the round number, the
@@ -189,26 +186,15 @@ func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, e
 	return w, nil
 }
 
-// append journals one completed experiment and hands it to the OS, so a
-// kill after this returns cannot lose the record.
-func (w *journalWriter) append(o expOut) error {
-	return w.write(&journalRecord{
-		Kind:      "exp",
-		Sum:       o.sum,
-		Points:    o.points,
-		Spread:    o.spread,
-		StructCML: o.structCML,
-	})
-}
-
 // appendPlan journals one adaptive planner decision, written like every
 // experiment record.
 func (w *journalWriter) appendPlan(round int, target float64, allocs []roundAlloc, run []int) error {
 	return w.write(&journalRecord{plan: &planRecord{Kind: "plan", Round: round, TargetCI: target, Allocs: allocs, Run: run}})
 }
 
-// write encodes rec and writes the line; nothing is written when rec does
-// not encode.
+// write encodes rec — an experiment record, or the header or plan it
+// carries — and hands the line to the OS, so a kill after this returns
+// cannot lose it; nothing is written when rec does not encode.
 func (w *journalWriter) write(rec *journalRecord) error {
 	buf, err := appendRecord(w.buf[:0], rec)
 	if err != nil {

@@ -536,7 +536,7 @@ func TestUnplannedRunNotAttributedToRankZero(t *testing.T) {
 	cfg := CampaignConfig{App: app, Params: p, Execution: Execution{HangFactor: 4}}
 	out := runExperiment(0, inst, inject.Plan{}, cfg,
 		classify.DefaultCriteria(), golden, goldenRun.Cycles*4, nil, nil)
-	sum := out.sum
+	sum := out.Sum
 	if sum.Planned {
 		t.Error("empty plan reported Planned=true")
 	}
@@ -554,9 +554,9 @@ func TestUnplannedRunNotAttributedToRankZero(t *testing.T) {
 	planned := runExperiment(1, inst,
 		inject.Plan{Faults: []inject.Fault{{Rank: 1, Site: 0, Bit: 3}}}, cfg,
 		classify.DefaultCriteria(), golden, goldenRun.Cycles*4, nil, nil)
-	if !planned.sum.Planned || planned.sum.InjRank != 1 {
+	if !planned.Sum.Planned || planned.Sum.InjRank != 1 {
 		t.Errorf("planned run: Planned=%v InjRank=%d, want true/1",
-			planned.sum.Planned, planned.sum.InjRank)
+			planned.Sum.Planned, planned.Sum.InjRank)
 	}
 
 	// Fig. 5 must count only planned, fired injections.

@@ -163,11 +163,11 @@ var (
 	ErrMergeMismatch = errors.New("harness: partial results disagree")
 )
 
-// PartialResult is the mergeable aggregate of a campaign slice: everything
-// the streaming aggregator accumulates for the experiments in Ranges, plus
-// the campaign metadata a finalized CampaignResult needs. Partials
-// round-trip JSON exactly, merge deterministically in any order, and
-// Finalize recomputes the propagation model from the merged fit inputs, so
+// PartialResult is the campaign aggregate of a campaign slice: every
+// experiment in Ranges folded in (add, aggregate.go), plus the campaign
+// metadata a finalized CampaignResult needs. Partials round-trip JSON
+// exactly, merge deterministically in any order, and Finalize recomputes
+// the propagation model from the merged fit inputs, so
 //
 //	merge(shard results in any order).Finalize()
 //
@@ -272,14 +272,17 @@ func (p *PartialResult) Merge(other *PartialResult) error {
 	// Summaries: the global lowest-K-by-ID set is the lowest K of the
 	// union of per-shard lowest-K sets, because any globally retained ID
 	// is necessarily retained by its own shard.
-	p.Experiments = mergeSortedByID(p.Experiments, other.Experiments, p.MaxSummaries,
-		func(e ExperimentSummary) int { return e.ID })
+	p.Experiments = mergeSortedByID(p.Experiments, other.Experiments, p.MaxSummaries, summaryID)
 
-	// Profiles: same argument, but the cap is per outcome class.
-	p.Profiles = mergeProfiles(p.Profiles, other.Profiles, p.KeepProfiles)
+	// Profiles: same argument, but the cap is per outcome class. other
+	// holds at most KeepProfiles × NumOutcomes of them; each folds in as
+	// add folds one.
+	for _, pr := range other.Profiles {
+		p.Profiles = keepProfile(p.Profiles, pr, p.KeepProfiles)
+	}
 
 	// Fits merge uncapped; the model is rebuilt from them at Finalize.
-	p.Fits = mergeSortedByID(p.Fits, other.Fits, 0, func(f IDFit) int { return f.ID })
+	p.Fits = mergeSortedByID(p.Fits, other.Fits, 0, fitID)
 
 	// Per-stratum tallies are pure integer counts: union by stratum index.
 	strata, err := mergeStratumTallies(p.Strata, other.Strata)
@@ -296,14 +299,8 @@ func (p *PartialResult) Merge(other *PartialResult) error {
 	p.Sites = sites
 	p.AdaptiveDone = p.AdaptiveDone || other.AdaptiveDone
 
-	// Widest spread wins; ties go to the lowest experiment ID, exactly as
-	// the streaming aggregator decides.
 	if other.HasSpread {
-		on, pn := len(other.Spread.Points), len(p.Spread.Points)
-		if !p.HasSpread || on > pn || (on == pn && other.Spread.ID < p.Spread.ID) {
-			p.Spread = other.Spread
-			p.HasSpread = true
-		}
+		p.offerSpread(other.Spread)
 	}
 
 	// Timings fold like any other aggregate; a shard that ran untraced
@@ -429,8 +426,10 @@ func mergeRanges(a, b []IDRange) ([]IDRange, error) {
 }
 
 // mergeSortedByID merges two ID-sorted slices, keeping the lowest-ID cap
-// elements (cap <= 0: keep all).
-func mergeSortedByID[T any](a, b []T, cap int, id func(T) int) []T {
+// elements (cap <= 0: keep all) — insertByID's rule, applied in one linear
+// pass: folding a bulk merge in element by element would go quadratic when
+// adaptive round partials interleave their IDs.
+func mergeSortedByID[T any](a, b []T, cap int, id func(*T) int) []T {
 	if len(b) == 0 {
 		return a
 	}
@@ -440,7 +439,7 @@ func mergeSortedByID[T any](a, b []T, cap int, id func(T) int) []T {
 	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if id(a[i]) <= id(b[j]) {
+		if id(&a[i]) <= id(&b[j]) {
 			out = append(out, a[i])
 			i++
 		} else {
@@ -453,27 +452,5 @@ func mergeSortedByID[T any](a, b []T, cap int, id func(T) int) []T {
 	if cap > 0 && len(out) > cap {
 		out = out[:cap]
 	}
-	return out
-}
-
-// mergeProfiles merges two ID-sorted profile sets, re-applying the
-// per-outcome retention cap, and returns the survivors ID-sorted.
-func mergeProfiles(a, b []Profile, keep int) []Profile {
-	if len(b) == 0 {
-		return a
-	}
-	byClass := make(map[classify.Outcome][]Profile)
-	for _, p := range a {
-		byClass[p.Outcome] = append(byClass[p.Outcome], p)
-	}
-	for _, p := range b {
-		byClass[p.Outcome] = insertByID(byClass[p.Outcome], p, keep,
-			func(e Profile) int { return e.ID })
-	}
-	var out []Profile
-	for _, ps := range byClass {
-		out = append(out, ps...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -93,11 +93,13 @@ type SiteTally struct {
 	Causes analytics.CauseCounts `json:"causes"`
 }
 
+func siteKey(st *SiteTally) int { return st.Site }
+
 // mergeSiteTallies unions two per-site tally sets by static site ordinal
 // (see mergeKeyed in strata.go).
 func mergeSiteTallies(a, b []SiteTally) ([]SiteTally, error) {
 	return mergeKeyed(a, b, "site",
-		func(st SiteTally) (int, string) { return st.Site, st.Label },
+		func(st *SiteTally) (int, string) { return st.Site, st.Label },
 		func(cur *SiteTally, st SiteTally) {
 			cur.Tally.Merge(st.Tally)
 			cur.Shapes.Add(st.Shapes)

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/inject"
@@ -130,55 +129,45 @@ func maxHalfWidth(t classify.Tally) float64 {
 	return w
 }
 
-// mergeKeyed unions two keyed tally sets (per-stratum, per-site) by key,
-// folding entries both sides hold with fold and returning the result in
-// ascending key order. Labels must agree — a mismatch means the partials
-// were built under different configurations and must not combine. An empty
-// b returns a unchanged, so partials that carry no such tallies stay nil.
-func mergeKeyed[T any](a, b []T, what string, keyOf func(T) (key int, label string),
+// mergeKeyed unions two key-sorted tally sets (per-stratum, per-site) by
+// key, folding entries both sides hold with fold, through the same
+// keyedIndex lookup the one-experiment fold (PartialResult.add) uses. Labels
+// must agree — a mismatch means the partials were built under different
+// configurations and must not combine. a is copied before folding, so
+// neither argument is modified; an empty b returns a unchanged, so
+// partials that carry no such tallies stay nil.
+func mergeKeyed[T any](a, b []T, what string, keyOf func(*T) (key int, label string),
 	fold func(cur *T, other T)) ([]T, error) {
 
 	if len(b) == 0 {
 		return a, nil
 	}
-	if len(a) == 0 {
-		return append([]T(nil), b...), nil
-	}
-	byKey := make(map[int]T, len(a)+len(b))
-	for _, t := range a {
-		k, _ := keyOf(t)
-		byKey[k] = t
-	}
+	key := func(t *T) int { k, _ := keyOf(t); return k }
+	out := append(make([]T, 0, len(a)+len(b)), a...)
 	for _, t := range b {
-		k, label := keyOf(t)
-		cur, ok := byKey[k]
-		if !ok {
-			byKey[k] = t
+		k, label := keyOf(&t)
+		var i int
+		var found bool
+		out, i, found = keyedIndex(out, k, key)
+		if !found {
+			out[i] = t
 			continue
 		}
-		if _, curLabel := keyOf(cur); curLabel != label {
+		if _, curLabel := keyOf(&out[i]); curLabel != label {
 			return nil, fmt.Errorf("%w: %s %d labeled %q vs %q",
 				ErrMergeMismatch, what, k, curLabel, label)
 		}
-		fold(&cur, t)
-		byKey[k] = cur
-	}
-	keys := make([]int, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]T, len(keys))
-	for i, k := range keys {
-		out[i] = byKey[k]
+		fold(&out[i], t)
 	}
 	return out, nil
 }
 
+func stratumKey(st *StratumTally) int { return st.Stratum }
+
 // mergeStratumTallies unions two per-stratum tally sets by stratum index.
 func mergeStratumTallies(a, b []StratumTally) ([]StratumTally, error) {
 	return mergeKeyed(a, b, "stratum",
-		func(st StratumTally) (int, string) { return st.Stratum, st.Label },
+		func(st *StratumTally) (int, string) { return st.Stratum, st.Label },
 		func(cur *StratumTally, st StratumTally) { cur.Tally.Merge(st.Tally) })
 }
 
