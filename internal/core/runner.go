@@ -220,12 +220,12 @@ type RunOutcome struct {
 
 // extras carries the golden runs' hooks through the shared runner body: a
 // snapshot to resume from, per-rank quiesce hooks (golden profiling), the
-// snapshots a capture run fills, and site observers.
+// snapshots a capture run fills, and the site map it records.
 type extras struct {
-	snap      *CampaignSnapshot
-	hooks     []vm.QuiesceHook
-	capture   []*CampaignSnapshot
-	observers []vm.SiteObserver
+	snap    *CampaignSnapshot
+	hooks   []vm.QuiesceHook
+	capture []*CampaignSnapshot
+	sites   SiteRuns
 }
 
 // Run executes prog on cfg.Ranks ranks and collects per-rank observations.
@@ -299,22 +299,22 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		case vote != nil:
 			quiesce = &vote.hooks[r]
 		}
-		var observer vm.SiteObserver
-		if r < len(ex.observers) {
-			observer = ex.observers[r]
+		var sites *[]vm.SiteRun
+		if r < len(ex.sites) {
+			sites = &ex.sites[r]
 		}
 		v := vm.New(prog, vm.Config{
-			CycleLimit:   cfg.CycleLimit,
-			Injector:     injr,
-			MPI:          job.Endpoint(r),
-			Tracer:       rec,
-			Abort:        job.Flag(),
-			TrackTaint:   cfg.TrackTaint,
-			MemFaults:    cfg.MemFaults[r],
-			State:        ru.states[r],
-			Quiesce:      quiesce,
-			SiteObserver: observer,
-			ForkRestore:  ex.snap != nil,
+			CycleLimit:  cfg.CycleLimit,
+			Injector:    injr,
+			MPI:         job.Endpoint(r),
+			Tracer:      rec,
+			Abort:       job.Flag(),
+			TrackTaint:  cfg.TrackTaint,
+			MemFaults:   cfg.MemFaults[r],
+			State:       ru.states[r],
+			Quiesce:     quiesce,
+			SiteRuns:    sites,
+			ForkRestore: ex.snap != nil,
 		})
 		if ex.snap != nil {
 			// Fork rank r from the cut: VM state and the trace history its

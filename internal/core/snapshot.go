@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/inject"
@@ -14,8 +15,9 @@ import (
 
 // Snapshot-fork orchestration. A campaign's golden execution runs with a
 // capture hook that records full job state, and the per-rank dynamic site
-// counts reached, at the quiesce points it is asked for (RunGoldenCapture:
-// reference outcome, cut profile and captures from one run).
+// counts reached, at the quiesce points it is asked for
+// (RunGoldenCaptureSites: reference outcome, cut profile, captures and,
+// when asked, the dyn→static site map from one run).
 // RunGoldenProfile is the same run recording only the site counts.
 // Experiments whose faults all lie at or after a captured cut then fork
 // from it via RunResumed instead of re-executing the clean prefix, and
@@ -121,36 +123,6 @@ func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
 		cuts[s] = cut
 	}
 	return out, cuts
-}
-
-// RunGoldenSiteClasses is Run for a fault-free golden execution that also
-// records, per rank, the injection class of every dynamic site (one
-// ir.Class byte per site, indexed by site number) and the static fim_inj
-// ordinal the transform stamped on it (one int32 per site). It is the
-// profiling pass behind stratified campaigns and per-site analytics: the
-// class arrays map any planned (rank, site) fault to its instruction-class
-// stratum, and the static arrays map it to its static injection site.
-// Observation forces the full interpreter, so this run is slower than a
-// plain golden run; the arrays are nil when the golden run fails.
-func RunGoldenSiteClasses(prog *ir.Program, cfg RunConfig) (RunOutcome, [][]byte, [][]int32) {
-	cfg = cfg.normalized()
-	ranks := cfg.Ranks
-	classes := make([][]byte, ranks)
-	statics := make([][]int32, ranks)
-	observers := make([]vm.SiteObserver, ranks)
-	for r := range observers {
-		r := r
-		observers[r] = func(site uint64, static int32, class ir.Class) {
-			// Sites arrive in order; append lands the entry at index site.
-			classes[r] = append(classes[r], byte(class))
-			statics[r] = append(statics[r], static)
-		}
-	}
-	out := runWith(prog, cfg, extras{observers: observers})
-	if out.Err != nil {
-		return out, nil, nil
-	}
-	return out, classes, statics
 }
 
 // cutVote is the rendezvous of one run's ranks at its cuts: the quiesce
@@ -296,12 +268,38 @@ func (h *rankCut) Quiesce(v *vm.VM, seq uint64) bool {
 	return false
 }
 
-// RunGoldenCapture is Run for a fault-free golden execution that also
-// captures full campaign snapshots at the given quiesce seqs (counted from
-// 0, as vm.QuiesceHook numbers them). It returns the snapshots actually
-// captured, ordered by seq; seqs past the end of the execution are silently
-// dropped.
+// SiteRuns is a fault-free execution's dyn→static site map: per rank, the
+// vm.SiteRun runs that cover its dynamic sites in order.
+type SiteRuns [][]vm.SiteRun
+
+// Static returns the static fim_inj ordinal of rank's dynamic site, or
+// false when the map does not cover that site.
+func (m SiteRuns) Static(rank int, site uint64) (int32, bool) {
+	if rank < 0 || rank >= len(m) {
+		return 0, false
+	}
+	runs := m[rank]
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].Site > site }) - 1
+	if i < 0 || site-runs[i].Site >= uint64(runs[i].N) {
+		return 0, false
+	}
+	return runs[i].Static + int32(site-runs[i].Site), true
+}
+
+// RunGoldenCapture is RunGoldenCaptureSites without the site map.
 func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcome, []*CampaignSnapshot) {
+	out, snaps, _ := RunGoldenCaptureSites(prog, cfg, seqs, false)
+	return out, snaps
+}
+
+// RunGoldenCaptureSites is Run for a fault-free golden execution that also
+// captures full campaign snapshots at the given quiesce seqs (counted from
+// 0, as vm.QuiesceHook numbers them) and, when sites is set, records the
+// dyn→static site map, which stratified and per-site campaigns attribute
+// faults through. It returns the snapshots actually captured, ordered by
+// seq; seqs past the end of the execution are silently dropped. The map is
+// nil when not asked for or when the golden run fails.
+func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites bool) (RunOutcome, []*CampaignSnapshot, SiteRuns) {
 	cfg = cfg.normalized()
 	snaps := make([]*CampaignSnapshot, 0, len(seqs))
 	for _, s := range seqs {
@@ -315,12 +313,19 @@ func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcom
 		})
 	}
 	slices.SortFunc(snaps, func(a, b *CampaignSnapshot) int { return cmp.Compare(a.Cut.Seq, b.Cut.Seq) })
-	out := runWith(prog, cfg, extras{capture: snaps})
+	var runs SiteRuns
+	if sites {
+		runs = make(SiteRuns, cfg.Ranks)
+	}
+	out := runWith(prog, cfg, extras{capture: snaps, sites: runs})
 	kept := snaps[:0]
 	for _, cs := range snaps {
 		if cs.captured {
 			kept = append(kept, cs)
 		}
 	}
-	return out, kept
+	if out.Err != nil {
+		runs = nil
+	}
+	return out, kept, runs
 }

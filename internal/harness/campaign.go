@@ -53,7 +53,7 @@ type Sampling struct {
 	MultiFaultLambda float64
 	// Sites, when set, enables per-site propagation analytics: every
 	// experiment is attributed to the static fim_inj site of its first
-	// fault (via the pack's golden site-class profile), its CML
+	// fault (via the pack's golden dyn→static site map), its CML
 	// trajectory shape and cleanse cause are recorded in the summary, and
 	// the campaign carries mergeable per-site tallies that finalize into a
 	// Wilson-ranked vulnerability table (CampaignResult.Sites).
@@ -85,6 +85,10 @@ func (s Sampling) Adaptive() bool { return s.TargetCI > 0 }
 // stratified reports whether experiments are assigned to strata at all
 // (adaptive campaigns always are; fixed-N campaigns opt in via Strata).
 func (s Sampling) stratified() bool { return s.TargetCI > 0 || s.Strata > 0 }
+
+// needsSiteMap reports whether the campaign attributes faults through the
+// pack's dyn→static site map: stratified and per-site campaigns do.
+func (s Sampling) needsSiteMap() bool { return s.Sites || s.stratified() }
 
 // phases resolves the Strata zero-value default.
 func (s Sampling) phases() int {
@@ -511,20 +515,20 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	cycleLimit := uint64(float64(pack.ref.Cycles) * cfg.HangFactor)
 
 	// Stratified and per-site-analytic campaigns additionally read the
-	// pack's site-class profile, which maps every (rank, site) to its
-	// instruction class and static fim_inj ordinal.
+	// pack's site map, which maps every (rank, site) to its static fim_inj
+	// ordinal and so to its instruction class.
 	var strata *Strata
 	var sites *siteMap
-	if cfg.stratified() || cfg.Sites {
-		prof, err := pack.profileSites(cfg)
+	if cfg.needsSiteMap() {
+		m, err := pack.siteMapOf(cfg)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.stratified() {
-			strata = prof.strata(cfg.Sampling.phases())
+			strata = pack.strata(m, cfg.Sampling.phases())
 		}
 		if cfg.Sites {
-			sites = prof.sites
+			sites = m
 		}
 	}
 	// The planner engages only for whole-range adaptive shards. An

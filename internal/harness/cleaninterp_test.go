@@ -40,8 +40,8 @@ func forceFullInterp() (restore func()) {
 		return clones[p]
 	}
 	golden, run, resumed := coreGoldenCapture, coreRun, coreRunResumed
-	coreGoldenCapture = func(p *ir.Program, cfg core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
-		return golden(full(p), cfg, seqs)
+	coreGoldenCapture = func(p *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+		return golden(full(p), cfg, seqs, sites)
 	}
 	coreRun = func(p *ir.Program, cfg core.RunConfig) core.RunOutcome { return run(full(p), cfg) }
 	coreRunResumed = func(p *ir.Program, cfg core.RunConfig, s *core.CampaignSnapshot) core.RunOutcome {

@@ -35,15 +35,17 @@ func newFusedCase(t testing.TB, app apps.App, ranks int) *fusedCase {
 	params := app.TestParams()
 	params.Ranks = ranks
 	inst := buildInstrumented(t, app, params)
-	golden, _, statics := core.RunGoldenSiteClasses(inst, core.RunConfig{Ranks: ranks})
+	golden, _, runs := core.RunGoldenCaptureSites(inst, core.RunConfig{Ranks: ranks}, nil, true)
 	if golden.Err != nil {
 		t.Fatalf("%s r%d golden run: %v", app.Name(), ranks, golden.Err)
 	}
 	c := &fusedCase{inst: inst, ref: unpaired(inst), ranks: ranks, golden: golden, fusions: vm.Fusions(inst)}
-	for _, st := range statics {
+	for _, rr := range runs {
 		m := map[int32][]uint64{}
-		for site, ord := range st {
-			m[ord] = append(m[ord], uint64(site))
+		for _, run := range rr {
+			for i := range run.N {
+				m[run.Static+int32(i)] = append(m[run.Static+int32(i)], run.Site+uint64(i))
+			}
 		}
 		c.occ = append(c.occ, m)
 	}

@@ -23,16 +23,20 @@ import (
 //     first packFor of the configuration (any campaign, planner or
 //     StaticSiteCount);
 //  2. the golden outcome, also in the shapes every partial result carries
-//     (classify.Golden, per-rank site counts) — prepare, same execution;
+//     (classify.Golden, per-rank site counts) — prepare, one execution;
 //  3. the full state at each of the first maxCuts quiesce cuts, each with
 //     its cut (the per-rank site counts reached there) — prepare, same
 //     execution; campaigns fork from them (snapshots.go);
-//  4. the site-class profile (per-rank consumer-class bytes and dyn→static
-//     site ordinals) — profileSites, on the first stratified or per-site
-//     shard or adaptive planner, one slower site-observer execution.
+//  4. the dyn→static site map (per-rank runs of static fim_inj ordinals,
+//     sites.go) — recorded by prepare's execution when the first campaign
+//     is stratified or per-site; a pack set up without it that is later
+//     asked for it records it once in siteMapOf, in an execution that
+//     captures nothing.
 //
-// Nothing else in harness, service or cmd/campaign builds, instruments or
-// executes an application fault-free. None of the artefacts depends on
+// Every one of them comes from the capture execution, the one kind of
+// fault-free execution a pack runs. Nothing else in harness, service or
+// cmd/campaign builds, instruments or executes an application fault-free.
+// None of the artefacts depends on
 // the seed, Execution.Snapshots or the shard, and forking is purely a
 // performance strategy — results are byte-identical with it or without — so
 // sharing them across campaigns (service tenants re-running a
@@ -88,23 +92,15 @@ type snapshotPack struct {
 	ref         classify.Golden
 	goldenSites []uint64
 
-	// profile is filled by profileSites on first use, immutable afterwards.
-	profile *siteProfile
+	// smap is the dyn→static site map, set by the first execution that
+	// records it and immutable afterwards.
+	smap *siteMap
 }
 
-// siteProfile is the golden execution as a site observer saw it: one
-// consumer-class byte per dynamic site of every rank (the stratification
-// axis) and the dyn→static site map (per-site analytics). Both are pure
-// functions of the pack's configuration.
-type siteProfile struct {
-	counts  []uint64
-	classes [][]byte
-	sites   *siteMap
-}
-
-// strata views the profile as a stratification with the given phase count.
-func (sp *siteProfile) strata(phases int) *Strata {
-	return &Strata{Phases: phases, sites: sp.counts, classes: sp.classes}
+// strata views the pack's site map as a stratification with the given
+// phase count.
+func (p *snapshotPack) strata(m *siteMap, phases int) *Strata {
+	return &Strata{Phases: phases, sites: p.goldenSites, m: m}
 }
 
 // packMu guards only the registry below; set-up runs under each pack's own
@@ -116,13 +112,10 @@ var (
 	packLRU []packKey // least recently used first
 )
 
-// coreGoldenCapture and coreGoldenSiteClasses indirect the pack's two
-// fault-free executions so tests can count them, fail them and route them
-// through a reference program (like coreRun in campaign.go).
-var (
-	coreGoldenCapture     = core.RunGoldenCapture
-	coreGoldenSiteClasses = core.RunGoldenSiteClasses
-)
+// coreGoldenCapture indirects the pack's one kind of fault-free execution
+// so tests can count it, fail it and route it through a reference program
+// (like coreRun in campaign.go).
+var coreGoldenCapture = core.RunGoldenCaptureSites
 
 // packFor returns the process-wide pack for the campaign's configuration,
 // set up on first use. A pack whose set-up failed is dropped from the
@@ -161,9 +154,10 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 
 // prepare builds and instruments the program and runs its one golden
 // execution — reference outcome and the capture of every quiesce cut up to
-// maxCuts together — the first time the pack is used. An app with no
-// quiesce points keeps its empty capture list like any other; one with no
-// injection sites cannot be campaigned on at all.
+// maxCuts together, and the site map when cfg needs it — the first time the
+// pack is used. An app with no quiesce points keeps its empty capture list
+// like any other; one with no injection sites cannot be campaigned on at
+// all.
 func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -183,11 +177,11 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	for i := range seqs {
 		seqs[i] = uint64(i)
 	}
-	golden, snaps := coreGoldenCapture(inst, core.RunConfig{
+	golden, snaps, runs := coreGoldenCapture(inst, core.RunConfig{
 		Ranks:       cfg.Params.Ranks,
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       reuse,
-	}, seqs)
+	}, seqs, cfg.needsSiteMap())
 	if golden.Err != nil {
 		return fmt.Errorf("harness: golden run of %s failed: %w", cfg.App.Name(), golden.Err)
 	}
@@ -203,35 +197,32 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 		Iterations: golden.Iterations,
 	}
 	p.goldenSites = goldenSites
+	if runs != nil {
+		p.smap = newSiteMap(infos, runs)
+	}
 	return nil
 }
 
-// profileSites returns the pack's site-class profile, running the golden
-// execution once more under a site observer (on the pack's Reuse, slower
-// than a plain golden run) the first time anything asks. A failed profile
-// is returned but not cached, so the next caller retries.
-func (p *snapshotPack) profileSites(cfg CampaignConfig) (*siteProfile, error) {
+// siteMapOf returns the pack's dyn→static site map, recording it in one
+// more capture execution that captures nothing (on the pack's Reuse) when
+// the pack was set up without it. A failed recording is returned but not
+// cached, so the next caller retries.
+func (p *snapshotPack) siteMapOf(cfg CampaignConfig) (*siteMap, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.profile != nil {
-		return p.profile, nil
+	if p.smap != nil {
+		return p.smap, nil
 	}
-	out, classes, statics := coreGoldenSiteClasses(p.inst, core.RunConfig{
-		Ranks: cfg.Params.Ranks,
-		Reuse: p.reuse,
-	})
+	out, _, runs := coreGoldenCapture(p.inst, core.RunConfig{
+		Ranks:       cfg.Params.Ranks,
+		SampleEvery: cfg.SampleEvery,
+		Reuse:       p.reuse,
+	}, nil, true)
 	if out.Err != nil {
 		return nil, fmt.Errorf("harness: site-class profile of %s failed: %w", cfg.App.Name(), out.Err)
 	}
-	counts := out.SiteCounts()
-	for r, n := range counts {
-		if uint64(len(classes[r])) != n {
-			return nil, fmt.Errorf("harness: site-class profile of %s: rank %d observed %d of %d sites",
-				cfg.App.Name(), r, len(classes[r]), n)
-		}
-	}
-	p.profile = &siteProfile{counts: counts, classes: classes, sites: newSiteMap(p.sites, statics)}
-	return p.profile, nil
+	p.smap = newSiteMap(p.sites, runs)
+	return p.smap, nil
 }
 
 // StaticSiteCount returns the number of static fim_inj sites in the

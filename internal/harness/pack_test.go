@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -14,32 +13,48 @@ import (
 	"repro/internal/transform"
 )
 
-// countGoldens wraps the coreGoldenCapture indirection and counts the
-// golden executions campaigns start until the test ends.
-func countGoldens(t *testing.T) *atomic.Int32 {
-	t.Helper()
-	n := new(atomic.Int32)
-	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, cfg core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
-		n.Add(1)
-		return orig(prog, cfg, seqs)
-	}
-	t.Cleanup(func() { coreGoldenCapture = orig })
-	return n
+// goldenCall is one fault-free execution through the pack's seam: whether
+// it was asked to capture cuts and whether it recorded the site map.
+type goldenCall struct{ captures, sites bool }
+
+// goldenLog records the fault-free executions campaigns start.
+type goldenLog struct {
+	mu    sync.Mutex
+	calls []goldenCall
 }
 
-// countSiteProfiles wraps the coreGoldenSiteClasses indirection and counts
-// the site-observer executions started until the test ends.
-func countSiteProfiles(t *testing.T) *atomic.Int32 {
+func (l *goldenLog) add(c goldenCall) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls = append(l.calls, c)
+}
+
+// Load returns the number of executions logged so far.
+func (l *goldenLog) Load() int32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int32(len(l.calls))
+}
+
+func (l *goldenLog) all() []goldenCall {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]goldenCall(nil), l.calls...)
+}
+
+// countGoldens wraps the coreGoldenCapture indirection, the pack's one
+// kind of fault-free execution, and logs the executions campaigns start
+// until the test ends.
+func countGoldens(t *testing.T) *goldenLog {
 	t.Helper()
-	n := new(atomic.Int32)
-	orig := coreGoldenSiteClasses
-	coreGoldenSiteClasses = func(prog *ir.Program, cfg core.RunConfig) (core.RunOutcome, [][]byte, [][]int32) {
-		n.Add(1)
-		return orig(prog, cfg)
+	l := &goldenLog{}
+	orig := coreGoldenCapture
+	coreGoldenCapture = func(prog *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+		l.add(goldenCall{captures: len(seqs) > 0, sites: sites})
+		return orig(prog, cfg, seqs, sites)
 	}
-	t.Cleanup(func() { coreGoldenSiteClasses = orig })
-	return n
+	t.Cleanup(func() { coreGoldenCapture = orig })
+	return l
 }
 
 func lookupPack(key packKey) *snapshotPack {
@@ -240,10 +255,10 @@ func TestPackSetupFailureNotCached(t *testing.T) {
 		Params: app.TestParams(), Sampling: Sampling{Runs: 2, Seed: 1}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
-		out, _ := orig(prog, rc, seqs)
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+		out, _, _ := orig(prog, rc, seqs, sites)
 		out.Err = errors.New("synthetic golden failure")
-		return out, nil
+		return out, nil, nil
 	}
 	_, err := RunCampaign(cfg)
 	coreGoldenCapture = orig
@@ -274,9 +289,9 @@ func TestPackCachesEmptyCutList(t *testing.T) {
 		Params: app.TestParams(), Sampling: Sampling{Runs: 4, Seed: 9}, Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 3},
 	}
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64) (core.RunOutcome, []*core.CampaignSnapshot) {
-		out, _ := orig(prog, rc, seqs)
-		return out, nil
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+		out, _, runs := orig(prog, rc, seqs, sites)
+		return out, nil, runs
 	}
 	t.Cleanup(func() { coreGoldenCapture = orig })
 	goldens := countGoldens(t)
@@ -321,17 +336,17 @@ func TestPackLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSiteProfileOncePerPack: everything that reads the site-class profile
-// of one configuration — a Sites+Strata campaign, its kill and resume, a
-// 3-shard run of it, an adaptive campaign and the explicit-ID round shards
-// a coordinator's planner dispatches for it — shares the pack's single
-// site-observer execution (and single golden execution), and each variant
-// is byte-identical to its unsharded run.
+// TestSiteProfileOncePerPack: everything that reads the site map of one
+// configuration — a Sites+Strata campaign, its kill and resume, a 3-shard
+// run of it, a plain campaign, an adaptive campaign and the explicit-ID
+// round shards a coordinator's planner dispatches for it — shares the
+// pack's one fault-free execution, which recorded the map because the
+// first campaign needed it, and each variant is byte-identical to its
+// unsharded run.
 func TestSiteProfileOncePerPack(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
 	goldens := countGoldens(t)
-	profiles := countSiteProfiles(t)
 	app := apps.NewHydro()
 	cfg := CampaignConfig{
 		App:       app,
@@ -344,7 +359,7 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(full.Strata) == 0 || len(full.Sites) == 0 {
-		t.Fatalf("campaign carries %d strata and %d sites; the profile was never read",
+		t.Fatalf("campaign carries %d strata and %d sites; the site map was never read",
 			len(full.Strata), len(full.Sites))
 	}
 
@@ -369,6 +384,12 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 	}
 	assertStudyIdentical(t, "3 shards", full, runShardedVariant(t, cfg, specs, []int{2, 0, 1}))
 
+	plain := cfg
+	plain.Strata, plain.Sites = 0, false
+	if _, err := RunCampaign(plain); err != nil {
+		t.Fatal(err)
+	}
+
 	adaptive := cfg
 	adaptive.TargetCI = 0.25
 	local, err := RunCampaign(adaptive)
@@ -387,17 +408,51 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 	}
 	assertStudyIdentical(t, "adaptive round shards", local, coordinated)
 
-	if n := profiles.Load(); n != 1 {
-		t.Errorf("site-class profile executed %d times over one configuration, want 1", n)
-	}
-	if n := goldens.Load(); n != 1 {
-		t.Errorf("golden executed %d times over one configuration, want 1", n)
+	if got, want := goldens.all(), []goldenCall{{captures: true, sites: true}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fault-free executions over one configuration: %+v, want %+v", got, want)
 	}
 }
 
-// TestSiteProfileFailureNotCached: a failed site-class profile is returned
+// TestSiteMapAfterPlainCampaign: a pack set up by a plain campaign holds
+// no site map, so a per-site campaign after it records the map in one
+// more fault-free execution, which captures nothing; a third campaign
+// reads the map the second recorded.
+func TestSiteMapAfterPlainCampaign(t *testing.T) {
+	resetPacks()
+	t.Cleanup(resetPacks)
+	app := apps.NewHydro()
+	cfg := CampaignConfig{
+		App:       app,
+		Params:    app.TestParams(),
+		Sampling:  Sampling{Runs: 12, Seed: 2015, Sites: true},
+		Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 2},
+	}
+	want, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetPacks()
+	goldens := countGoldens(t)
+	plain := cfg
+	plain.Sites = false
+	for _, c := range []CampaignConfig{plain, cfg} {
+		if _, err := RunCampaign(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStudyIdentical(t, "site map recorded after a plain campaign", want, got)
+	if got, want := goldens.all(), []goldenCall{{captures: true}, {sites: true}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fault-free executions: %+v, want %+v", got, want)
+	}
+}
+
+// TestSiteProfileFailureNotCached: a failed site-map recording is returned
 // with the campaign's usual wrapping and is not kept, so the next campaign
-// over the configuration profiles again — on the same pack, whose golden
+// over the configuration records again — on the same pack, whose golden
 // set-up did succeed.
 func TestSiteProfileFailureNotCached(t *testing.T) {
 	resetPacks()
@@ -407,31 +462,33 @@ func TestSiteProfileFailureNotCached(t *testing.T) {
 	cfg := CampaignConfig{
 		App:       app,
 		Params:    app.TestParams(),
-		Sampling:  Sampling{Runs: 4, Seed: 1, Sites: true},
+		Sampling:  Sampling{Runs: 4, Seed: 1},
 		Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
-	orig := coreGoldenSiteClasses
-	coreGoldenSiteClasses = func(prog *ir.Program, rc core.RunConfig) (core.RunOutcome, [][]byte, [][]int32) {
-		out, _, _ := orig(prog, rc)
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sites = true
+	orig := coreGoldenCapture
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+		out, _, _ := orig(prog, rc, seqs, sites)
 		out.Err = errors.New("synthetic profile failure")
 		return out, nil, nil
 	}
 	_, err := RunCampaign(cfg)
-	coreGoldenSiteClasses = orig
+	coreGoldenCapture = orig
 	if want := "harness: site-class profile of " + app.Name() + " failed: synthetic profile failure"; err == nil || err.Error() != want {
 		t.Fatalf("campaign returned %v, want %q", err, want)
 	}
-	profiles := countSiteProfiles(t)
 	for i := 0; i < 2; i++ {
 		if _, err := RunCampaign(cfg); err != nil {
-			t.Fatalf("campaign %d after a failed profile: %v", i, err)
+			t.Fatalf("campaign %d after a failed recording: %v", i, err)
 		}
 	}
-	if n := profiles.Load(); n != 1 {
-		t.Errorf("site-class profile executed %d times after the failure, want 1 (retried once, then cached)", n)
-	}
-	if n := goldens.Load(); n != 1 {
-		t.Errorf("golden executed %d times, want 1: a failed profile must not drop the pack", n)
+	want := []goldenCall{{captures: true}, {sites: true}, {sites: true}}
+	if got := goldens.all(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fault-free executions: %+v, want %+v (set-up, the failed recording, one retry, then cached; "+
+			"a failed recording must not drop the pack)", got, want)
 	}
 }
 

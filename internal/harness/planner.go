@@ -290,7 +290,7 @@ func NewAdaptivePlanner(cfg CampaignConfig) (*AdaptivePlanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := pack.profileSites(cfg)
+	m, err := pack.siteMapOf(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func NewAdaptivePlanner(cfg CampaignConfig) (*AdaptivePlanner, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	strata := prof.strata(cfg.Sampling.phases())
+	strata := pack.strata(m, cfg.Sampling.phases())
 	return &AdaptivePlanner{pol: newAdaptivePolicy(cfg, ids, strata, pack.goldenSites)}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -13,30 +14,32 @@ import (
 
 // Per-site propagation analytics (Sampling.Sites). Each experiment's fault
 // plan is attributed to the static fim_inj site of its first fault via the
-// golden dyn→static profile (the pack's site-class profile, the same one
-// stratification reads — see pack.go), and its outcome, CML trajectory
+// golden dyn→static site map (recorded by the pack's capture run, the same
+// map stratification reads — see pack.go), and its outcome, CML trajectory
 // shape, and cleanse cause are tallied per site. Everything is a pure integer count over
 // seed-pure per-experiment records, so per-site tallies merge exactly like
 // StratumTally and the ranked table is byte-identical across worker
 // counts, shard layouts, snapshot-fork scheduling, and checkpoint resume.
 
-// siteMap resolves planned faults to static injection sites: per-rank
-// dyn→static ordinal arrays from the golden site-observer profile, plus
-// one label per static site from the transform's SiteInfo table. Both are
-// pure functions of the pack's configuration; the pack builds the map once
-// and every shard on it shares it read-only.
+// siteMap resolves planned faults to static injection sites: the per-rank
+// dyn→static runs the pack's capture run recorded, plus the transform's
+// SiteInfo table, which holds each static site's injection class, and one
+// label per static site. All are pure functions of the pack's
+// configuration; the pack builds the map once and every shard on it shares
+// it read-only.
 type siteMap struct {
-	statics [][]int32
-	labels  []string
+	runs   core.SiteRuns
+	infos  []transform.SiteInfo
+	labels []string
 }
 
-func newSiteMap(infos []transform.SiteInfo, statics [][]int32) *siteMap {
+func newSiteMap(infos []transform.SiteInfo, runs core.SiteRuns) *siteMap {
 	labels := make([]string, len(infos))
 	for i, in := range infos {
 		labels[i] = fmt.Sprintf("%s#%d/%s",
 			in.Func, in.Index, stratumClasses[classBucket(in.Class)].label)
 	}
-	return &siteMap{statics: statics, labels: labels}
+	return &siteMap{runs: runs, infos: infos, labels: labels}
 }
 
 // staticOf maps the plan's first fault to its static site ordinal.
@@ -44,11 +47,8 @@ func (m *siteMap) staticOf(plan inject.Plan) (int, bool) {
 	if len(plan.Faults) == 0 {
 		return 0, false
 	}
-	f := plan.Faults[0]
-	if f.Rank < 0 || f.Rank >= len(m.statics) || f.Site >= uint64(len(m.statics[f.Rank])) {
-		return 0, false
-	}
-	return int(m.statics[f.Rank][f.Site]), true
+	s, ok := m.runs.Static(plan.Faults[0].Rank, plan.Faults[0].Site)
+	return int(s), ok
 }
 
 // label names a static site for reports and journals.

@@ -11,14 +11,15 @@ import (
 
 // Stratification. The adaptive planner partitions a campaign's experiment
 // space by where the (first) fault lands: the instruction class consuming
-// the corrupted operand (arith / mem / cmp / ctl, from the pack's
-// site-class profile — see pack.go, which owns the one golden execution
-// with a vm.SiteObserver) crossed with the golden-execution phase of the
-// dynamic site (which fraction of the rank's fault-free site space precedes
-// it). Both axes are pure functions of the seed and the golden execution,
-// so an experiment's stratum is identical no matter where, when, or by whom
-// it is computed — the property that lets shards tally strata independently
-// and a coordinator steer budget from merged tallies alone.
+// the corrupted operand (arith / mem / cmp / ctl: the SiteInfo class of the
+// static site that the dyn→static site map, recorded by the pack's capture
+// run, resolves it to — see pack.go) crossed with the golden-execution
+// phase of the dynamic site (which fraction of the rank's fault-free site
+// space precedes it). Both axes are pure functions of the seed and the
+// golden execution, so an experiment's stratum is identical no matter
+// where, when, or by whom it is computed — the property that lets shards
+// tally strata independently and a coordinator steer budget from merged
+// tallies alone.
 
 // defaultStrataPhases is the phase count used when TargetCI is set but
 // Strata is not.
@@ -51,16 +52,16 @@ func classBucket(c ir.Class) int {
 }
 
 // Strata maps fault plans to stratum indices for one campaign
-// configuration: a view of the pack's site-class profile at one phase
-// count. Index 0 is the catch-all for zero-fault plans (legal in
-// multi-fault mode); indices 1..NumStrata()-1 are class × phase cells.
+// configuration: a view of the pack's site map at one phase count. Index 0
+// is the catch-all for zero-fault plans (legal in multi-fault mode);
+// indices 1..NumStrata()-1 are class × phase cells.
 type Strata struct {
 	// Phases is the number of golden-execution phases per class.
 	Phases int
 	// sites are the per-rank golden dynamic site counts.
 	sites []uint64
-	// classes hold one ir.Class byte per dynamic site, per rank.
-	classes [][]byte
+	// m resolves a fault's site to its static site, and so to its class.
+	m *siteMap
 }
 
 // NumStrata is the stratum index space size: the zero-fault catch-all plus
@@ -75,10 +76,11 @@ func (s *Strata) StratumOf(plan inject.Plan) int {
 		return 0
 	}
 	f := plan.Faults[0]
-	if f.Rank < 0 || f.Rank >= len(s.classes) || f.Site >= uint64(len(s.classes[f.Rank])) {
+	static, ok := s.m.runs.Static(f.Rank, f.Site)
+	if !ok {
 		return 0
 	}
-	class := ir.Class(s.classes[f.Rank][f.Site])
+	class := s.m.infos[static].Class
 	phase := int(f.Site * uint64(s.Phases) / s.sites[f.Rank])
 	if phase >= s.Phases {
 		phase = s.Phases - 1

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -131,8 +130,8 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 
 	// Replay the shard journal: shards whose partials are already on disk
 	// (a previous coordinator run) are not re-dispatched.
-	saved := s.replayShardPartials(st.ID, fingerprint)
-	journal, err := s.appendShardJournal(st.ID)
+	saved, keep := s.replayShardPartials(st.ID, fingerprint)
+	journal, err := s.appendShardJournal(st.ID, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -560,41 +559,47 @@ type shardJournal struct {
 // replayShardPartials reads a coordinated job's shard journal (if any)
 // and loads every journaled partial that still exists and matches the
 // campaign fingerprint, keyed by the journal record's shard key.
-// Everything it does not return re-runs.
-func (s *Server) replayShardPartials(jobID, fingerprint string) map[int]*harness.PartialResult {
-	out := make(map[int]*harness.PartialResult)
+// Everything it does not return re-runs. keep is the length of the
+// journal's whole, decodable lines, where appendShardJournal cuts it.
+func (s *Server) replayShardPartials(jobID, fingerprint string) (saved map[int]*harness.PartialResult, keep int64) {
+	saved = make(map[int]*harness.PartialResult)
 	data, err := os.ReadFile(s.store.ShardJournalPath(jobID))
 	if err != nil {
-		return out
+		return saved, 0
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	for rest := data; ; {
+		line, after, whole := bytes.Cut(rest, []byte{'\n'})
+		if !whole {
+			break // torn tail: a line never finished
 		}
-		var rec shardJournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // truncated tail: ignore it and everything after
+		rest = after
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var rec shardJournalRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				break // torn line: ignore it and everything after
+			}
+			if rec.Shard >= 0 && saved[rec.Shard] == nil {
+				// A missing or foreign partial is not loaded: its shard re-runs.
+				if part, err := s.store.LoadPartial(rec.Path); err == nil && part.Fingerprint == fingerprint {
+					saved[rec.Shard] = part
+				}
+			}
 		}
-		if rec.Shard < 0 || out[rec.Shard] != nil {
-			continue
-		}
-		part, err := s.store.LoadPartial(rec.Path)
-		if err != nil || part.Fingerprint != fingerprint {
-			continue // missing or foreign partial: shard re-runs
-		}
-		out[rec.Shard] = part
+		keep = int64(len(data) - len(rest))
 	}
-	return out
+	return saved, keep
 }
 
 // appendShardJournal opens (creating if absent) the append handle of a
-// coordinated job's shard journal.
-func (s *Server) appendShardJournal(jobID string) (*shardJournal, error) {
+// coordinated job's shard journal, cut to its first keep bytes so a torn
+// tail does not swallow the records appended after it.
+func (s *Server) appendShardJournal(jobID string, keep int64) (*shardJournal, error) {
 	f, err := os.OpenFile(s.store.ShardJournalPath(jobID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("service: shard journal: %w", err)
+	}
+	if err := f.Truncate(keep); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("service: shard journal: %w", err)
 	}
 	return &shardJournal{s: s, f: f}, nil

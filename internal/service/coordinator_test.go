@@ -84,9 +84,10 @@ func TestCoordinatedShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRedispatchOnWorkerDeath kills one of two workers right
-// after submission: its shards must re-dispatch onto the survivor and the
-// merged result must still equal the single-process run.
+// TestCoordinatorRedispatchOnWorkerDeath kills one of two workers at the
+// first experiment of the first shard it runs: its shards must
+// re-dispatch onto the survivor, the merged result must still equal the
+// single-process run, and the heartbeat must declare the dead worker so.
 func TestCoordinatorRedispatchOnWorkerDeath(t *testing.T) {
 	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 60, Seed: 31, SampleEvery: 64, Shards: 6}
 	local := localReference(t, spec)
@@ -103,10 +104,10 @@ func TestCoordinatorRedispatchOnWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill worker 1's network endpoint mid-campaign. Its in-flight shards
-	// fail their polls and must requeue onto worker 0.
-	time.Sleep(20 * time.Millisecond)
-	fleet[1].http.Close()
+	// Kill worker 1's network endpoint once its first shard has run an
+	// experiment. Its in-flight shards fail their polls and must requeue
+	// onto worker 0.
+	killWorkerAtFirstExperiment(t, fleet[1])
 
 	final := waitDone(t, coord.c, st.ID)
 	if final.State != service.StateDone {
@@ -118,19 +119,60 @@ func TestCoordinatorRedispatchOnWorkerDeath(t *testing.T) {
 	}
 	assertSameCampaign(t, "redispatched", local, merged)
 
-	workers, err := coord.c.Workers(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive := 0
-	for _, w := range workers {
-		if w.Alive {
-			alive++
+	// The heartbeat declares the dead worker within a few periods.
+	alive, total := 0, 0
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		workers, err := coord.c.Workers(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alive, total = 0, len(workers)
+		for _, w := range workers {
+			if w.Alive {
+				alive++
+			}
+		}
+		if alive == 1 || time.Now().After(deadline) {
+			break
 		}
 	}
 	if alive != 1 {
-		t.Errorf("want exactly 1 alive worker after the kill, got %d of %d", alive, len(workers))
+		t.Errorf("want exactly 1 alive worker after the kill, got %d of %d", alive, total)
 	}
+}
+
+// killWorkerAtFirstExperiment waits for worker w to run a shard, follows
+// that shard's event stream to its first experiment and closes the
+// worker's network endpoint there.
+func killWorkerAtFirstExperiment(t *testing.T, w *testDaemon) {
+	t.Helper()
+	ctx := context.Background()
+	deadline := time.Now().Add(time.Minute)
+	var shard string
+	for shard == "" {
+		jobs, err := w.c.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) > 0 {
+			shard = jobs[0].ID
+		} else if time.Now().After(deadline) {
+			t.Fatal("worker never received a shard")
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	errFirst := errors.New("first experiment")
+	_, err := w.c.Watch(ctx, shard, func(ev service.Event) error {
+		if ev.Kind == service.EventExperiment {
+			return errFirst
+		}
+		return nil
+	})
+	if !errors.Is(err, errFirst) {
+		t.Fatalf("shard %s ended without an experiment event: %v", shard, err)
+	}
+	w.http.Close()
 }
 
 // TestCoordinatorRestartResumesShards drains the coordinator mid-campaign

@@ -210,7 +210,7 @@ func (rw *funcRewriter) tmp() ir.Reg {
 // instruction class is injectable and the operand is a register. It returns
 // the operand the primary instruction should use. Each emitted fim_inj
 // carries its global static ordinal in Target (unused by execution, read by
-// profiling observers) and appends its SiteInfo to the pass-wide table.
+// the site-map recorder) and appends its SiteInfo to the pass-wide table.
 func (rw *funcRewriter) inj(class ir.Class, o ir.Operand) ir.Operand {
 	if !o.IsReg() || rw.opts.InjectClasses&class == 0 {
 		return primOp(o)

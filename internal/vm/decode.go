@@ -23,12 +23,11 @@ import (
 // every one of them, which is what lets the interpreter switch arrays
 // mid-function.
 //
-//   - code is the 1:1 lowering. A VM runs it when it has a SiteObserver
-//     or an injector that cannot plan sites (every site must be seen), and
-//     for every function that lacks a PairedRegs declaration, where it is
-//     the differential reference the other arrays are tested against. The
-//     fused arrays fall back to it for the one instruction a planned fault
-//     lands in.
+//   - code is the 1:1 lowering. A VM runs it when it has an injector that
+//     cannot plan sites (every site must be seen), and for every function
+//     that lacks a PairedRegs declaration, where it is the differential
+//     reference the other arrays are tested against. The fused arrays fall
+//     back to it for the one instruction a planned fault lands in.
 //   - full is the dual-chain interpreter's array: code with every fim_inj
 //     group fused into its consumer (fuseInj) and each hot primary fused
 //     with its FlagSecondary twin (superinstructions below). A rank runs it
@@ -37,9 +36,10 @@ import (
 //   - clean is the clean-mode array (buildClean): the secondary chain
 //     skipped, fim_inj groups fused as in full, and hot pairs of
 //     application instructions fused along the threaded fall-through. A
-//     rank runs it while it is provably fault-free: the golden run, the
-//     prefix before a fault fires, and the tail after the contamination
-//     dies.
+//     rank runs it while it is provably fault-free: the golden run (also
+//     when it records the site map, reading each fused group's static
+//     ordinals from code), the prefix before a fault fires, and the tail
+//     after the contamination dies.
 //   - observed is built only when the taint or memory-fault ablation runs
 //     (buildObserved) and hands every pc to code after the ablation's hook.
 //

@@ -30,15 +30,16 @@ type SitePlanner interface {
 // NoSite is SitePlanner's "no remaining faults" sentinel.
 const NoSite = ^uint64(0)
 
-// SiteObserver profiles the dynamic injection-site space: it is called at
-// every fim_inj execution with the running dynamic site index, the static
-// site ordinal the transform stamped into the fim_inj (its global index in
-// the transform.SiteInfo table), and the injection class of the instruction
-// consuming the (possibly corrupted) operand — the axes campaigns stratify
-// and rank on. Observation forces the full interpreter over every site, so
-// it belongs in one-off golden profiling runs, never in injection
-// experiments. Sites arrive strictly in order (0, 1, 2, …).
-type SiteObserver func(site uint64, static int32, class ir.Class)
+// SiteRun is one run of a fault-free execution's dyn→static site map
+// (Config.SiteRuns): dynamic sites Site … Site+N-1 execute the fim_injs of
+// static ordinals Static … Static+N-1, the transform's global index into
+// its transform.SiteInfo table, where a site's injection class is too. A
+// rank's runs are in site order and cover every site it executed.
+type SiteRun struct {
+	Site   uint64
+	Static int32
+	N      uint32
+}
 
 // MPIEndpoint is the VM's view of the message-passing runtime. Messages are
 // encoded with fpm.EncodeMessage so contamination headers travel with the

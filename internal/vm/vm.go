@@ -54,11 +54,10 @@ type Config struct {
 	// Quiesce, when non-nil, observes quiesce points (see snapshot.go); it
 	// is how golden runs profile and capture snapshot-fork state.
 	Quiesce QuiesceHook
-	// SiteObserver, when non-nil, observes every dynamic injection site
-	// with its consumer's instruction class (see hooks.go). Profiling
-	// only: it disables the clean-mode interpreter and the site fast path
-	// so no site is skipped.
-	SiteObserver SiteObserver
+	// SiteRuns, when non-nil, records the run's dyn→static site map into
+	// *SiteRuns (see SiteRun). Fault-free runs only: a recording VM shows
+	// no site to its injector, and stays on the clean-mode interpreter.
+	SiteRuns *[]SiteRun
 	// ForkRestore declares that the caller will RestoreSnap a snapshot
 	// onto this VM before running it. New then skips resetting the pooled
 	// State and skips global initialization, work the restore overwrites.
@@ -177,7 +176,7 @@ func New(prog *ir.Program, cfg Config) *VM {
 	// and an injector that can announce its next site — otherwise the very
 	// first fim_inj would bounce the VM out of clean mode anyway.
 	v.cleanOK = v.dprog.cleanOK && !v.observing() &&
-		cfg.SiteObserver == nil && (cfg.Injector == nil || v.planner != nil)
+		(cfg.Injector == nil || v.planner != nil)
 	// A fresh run starts fault-free with an all-zero register file, so
 	// shadows trivially mirror primaries. Fork restores overwrite the mode
 	// from the snapshot (see RestoreSnap).
@@ -189,8 +188,8 @@ func New(prog *ir.Program, cfg Config) *VM {
 // that may have advanced it.
 func (v *VM) refreshNextSite() {
 	switch {
-	case v.cfg.SiteObserver != nil:
-		v.nextSite = 0 // profiling: every site takes the observed slow path
+	case v.cfg.SiteRuns != nil:
+		v.nextSite = 0 // recording: every site takes the recorder's path
 	case v.planner != nil:
 		v.nextSite = v.planner.NextSite()
 	case v.cfg.Injector != nil:
@@ -242,8 +241,8 @@ func (v *VM) trap(kind TrapKind, detail string) {
 // codeFor selects df's code array for this VM's interpreter mode (see
 // decode.go): clean while the rank is provably fault-free, observed when an
 // ablation watches every instruction, full otherwise — or the 1:1 code when
-// the VM may not run clean at all (cleanOK), which is when a SiteObserver
-// or an injector that cannot plan its sites must see every site.
+// the VM may not run clean at all (cleanOK), which is when an injector that
+// cannot plan its sites must see every site.
 func (v *VM) codeFor(df *dfunc) []dinstr {
 	switch {
 	case v.clean:
@@ -471,6 +470,8 @@ frames:
 					in = &fr.df.code[pc]
 				} else if ns := v.sites + uint64(in.nsites); ns <= v.nextSite {
 					v.sites = ns
+				} else if v.cfg.SiteRuns != nil {
+					v.recordSites(fr.df, pc-int(in.nsites), pc)
 				} else if v.clean {
 					fr.pc = pc - int(in.nsites)
 					v.toFullMode()
@@ -706,6 +707,11 @@ frames:
 					regs[base+int(in.dst)] = opA(regs, base, in)
 					break
 				}
+				if v.cfg.SiteRuns != nil {
+					v.recordSites(fr.df, pc, pc+1)
+					regs[base+int(in.dst)] = opA(regs, base, in)
+					break
+				}
 				if v.clean {
 					// The injector may corrupt state at this very site:
 					// leave clean mode first (reconstructing the shadow
@@ -717,7 +723,7 @@ frames:
 					v.reframe = false // this path refetches via continue
 					continue frames
 				}
-				v.fimInj(fr, in, pc)
+				v.fimInj(fr, in)
 
 			case ir.FpmFetch:
 				addr := int64(opA(regs, base, in))
@@ -810,28 +816,22 @@ frames:
 	}
 }
 
-// fimInj executes the fim_inj in at pc of fr with the full site semantics:
+// fimInj executes the fim_inj in of fr with the full site semantics:
 // it numbers the dynamic site and, from the injector's next planned site
-// on, shows it to the SiteObserver, offers it to the injector, timestamps
-// a flip and re-reads the plan. The loop's pass-through fast path retires
-// earlier sites without the call.
-func (v *VM) fimInj(fr *frame, in *dinstr, pc int) {
+// on, offers it to the injector, timestamps a flip and re-reads the plan.
+// The loop's pass-through fast path retires earlier sites without the call.
+func (v *VM) fimInj(fr *frame, in *dinstr) {
 	base := fr.regBase
 	val := opA(v.regs, base, in)
 	site := v.sites
 	v.sites++
-	if site >= v.nextSite {
-		if v.cfg.SiteObserver != nil {
-			v.cfg.SiteObserver(site, in.target, siteClass(fr.fn, pc))
+	if site >= v.nextSite && v.cfg.Injector != nil {
+		var flipped bool
+		val, flipped = v.cfg.Injector.OnSite(site, val)
+		if flipped {
+			v.injCycles = append(v.injCycles, v.cycles)
 		}
-		if v.cfg.Injector != nil {
-			var flipped bool
-			val, flipped = v.cfg.Injector.OnSite(site, val)
-			if flipped {
-				v.injCycles = append(v.injCycles, v.cycles)
-			}
-			v.refreshNextSite()
-		}
+		v.refreshNextSite()
 	}
 	v.regs[base+int(in.dst)] = val
 }
@@ -843,42 +843,30 @@ func (v *VM) fimInj(fr *frame, in *dinstr, pc int) {
 func (v *VM) replayFused(fr *frame, pc, n int) {
 	fusedReplays.Add(1)
 	for i := pc - n; i < pc; i++ {
-		v.fimInj(fr, &fr.df.code[i], i)
+		v.fimInj(fr, &fr.df.code[i])
 	}
 }
 
-// siteClass resolves the injection class of the fim_inj at pc: the
-// instrumentation emits one fim_inj per source operand immediately before
-// the instruction consuming the guarded temporaries, so the first
-// non-fim_inj opcode after pc is the site's consumer. Selective protection
-// (transform.Options.Protect) interposes a correction Mov that rewrites a
-// fim_inj temporary; such moves are part of the site, not its consumer, and
-// are skipped.
-func siteClass(fn *ir.Func, pc int) ir.Class {
-	for i := pc + 1; i < len(fn.Code); i++ {
-		in := &fn.Code[i]
-		if in.Op == ir.FimInj {
-			continue
+// recordSites retires the sites of df's fim_injs at pcs [from, to), one
+// dynamic site each in order, into the SiteRuns record, reading their
+// static ordinals from code: a site extends the last run when its static
+// ordinal is the run's next one, and opens a new run otherwise. Kept out
+// of line so the recording costs the interpreter loop one branch on its
+// cold path and nothing else.
+//
+//go:noinline
+func (v *VM) recordSites(df *dfunc, from, to int) {
+	runs := *v.cfg.SiteRuns
+	for i := from; i < to; i++ {
+		static := df.code[i].target
+		if n := len(runs); n > 0 && runs[n-1].Static+int32(runs[n-1].N) == static {
+			runs[n-1].N++
+		} else {
+			runs = append(runs, SiteRun{Site: v.sites, Static: static, N: 1})
 		}
-		if in.Op == ir.Mov && in.Flags == 0 && protectsInj(fn, pc, i) {
-			continue
-		}
-		return ir.ClassOf(in.Op)
+		v.sites++
 	}
-	return ir.ClassNone
-}
-
-// protectsInj reports whether the Mov at pc i restores the destination of a
-// fim_inj in [from, i) — the selective-protection idiom — rather than being
-// an ordinary move.
-func protectsInj(fn *ir.Func, from, i int) bool {
-	dst := fn.Code[i].Dst
-	for j := from; j < i; j++ {
-		if fn.Code[j].Op == ir.FimInj && fn.Code[j].Dst == dst {
-			return true
-		}
-	}
-	return false
+	*v.cfg.SiteRuns = runs
 }
 
 func (v *VM) trapMem(addr int64) {
