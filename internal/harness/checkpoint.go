@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/classify"
+	"repro/internal/durable"
 	"repro/internal/trace"
 )
 
@@ -20,9 +19,9 @@ import (
 // per-structure totals), so a resumed campaign folds the replayed records
 // into a fresh PartialResult and produces results identical to an
 // uninterrupted run.
-// Every record reaches the OS as one write: a killed campaign loses at most
-// the in-flight line, and a resume cuts that torn tail off before it
-// appends (readJournal, openJournal). What a
+// The journal is a durable log (internal/durable): created whole with its
+// header, then one write per record, so a killed campaign loses at most
+// the in-flight line, which a resume cuts off before it appends. What a
 // line holds is the codec's business (journalcodec.go); this file only
 // calls appendRecord and decodeRecord.
 
@@ -151,38 +150,33 @@ func journalFingerprint(campaignFP string, spec ShardSpec) string {
 // journalWriter appends records to the checkpoint file, one write per
 // line, each encoded into the buffer the last one used.
 type journalWriter struct {
-	f   *os.File
+	log *durable.Log
 	buf []byte
 }
 
-// openJournal opens the checkpoint journal for writing. A resume passes
+// openJournal opens the checkpoint journal for appending. A resume passes
 // keep, the length of the journal's whole lines (readJournal): the file is
-// cut there, dropping a torn tail, and appended to. keep 0 — a fresh
-// campaign, or a resume with no journal yet — starts a new journal with
-// its header.
+// cut there, dropping a torn tail. keep 0 — a fresh campaign, or a resume
+// with no journal yet — replaces the file with a new journal holding its
+// header alone, so a kill never leaves a journal without a whole header.
 func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, error) {
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	w := &journalWriter{}
 	if keep == 0 {
-		flags |= os.O_TRUNC
+		hdr := journalHeader{Kind: "header", Version: journalVersion, Fingerprint: fingerprint, Trace: trace}
+		buf, err := appendRecord(nil, &journalRecord{header: &hdr})
+		if err != nil {
+			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
+		}
+		if err := durable.Replace(path, buf); err != nil {
+			return nil, fmt.Errorf("harness: checkpoint: %w", err)
+		}
+		w.buf, keep = buf, int64(len(buf))
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	log, err := durable.AppendLog(path, keep)
 	if err != nil {
 		return nil, fmt.Errorf("harness: checkpoint: %w", err)
 	}
-	if keep > 0 {
-		if err := f.Truncate(keep); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: checkpoint: %w", err)
-		}
-	}
-	w := &journalWriter{f: f}
-	if keep == 0 {
-		hdr := journalHeader{Kind: "header", Version: journalVersion, Fingerprint: fingerprint, Trace: trace}
-		if err := w.write(&journalRecord{header: &hdr}); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
-		}
-	}
+	w.log = log
 	return w, nil
 }
 
@@ -192,71 +186,28 @@ func (w *journalWriter) appendPlan(round int, target float64, allocs []roundAllo
 	return w.write(&journalRecord{plan: &planRecord{Kind: "plan", Round: round, TargetCI: target, Allocs: allocs, Run: run}})
 }
 
-// write encodes rec — an experiment record, or the header or plan it
-// carries — and hands the line to the OS, so a kill after this returns
-// cannot lose it; nothing is written when rec does not encode.
+// write encodes rec — an experiment record, or the plan it carries — and
+// hands the line to the OS, so a kill after this returns cannot lose it;
+// nothing is written when rec does not encode.
 func (w *journalWriter) write(rec *journalRecord) error {
 	buf, err := appendRecord(w.buf[:0], rec)
 	if err != nil {
 		return err
 	}
 	w.buf = buf
-	_, err = w.f.Write(buf)
+	_, err = w.log.Write(buf)
 	return err
 }
 
-func (w *journalWriter) Close() error { return w.f.Close() }
+func (w *journalWriter) Close() error { return w.log.Close() }
 
-// journalScanner is the one reader of the journal's line format; resume
-// (readJournal), the adaptive-resume diagnosis (journalHeaderFP) and event
-// replay (ReplayJournal) all sit on it. A record line may reach 256 MiB;
-// the line buffer grows on demand, so a journal of short lines costs no
-// more than its longest one.
-type journalScanner struct {
-	*bufio.Scanner
-	// end is the byte offset just past the current line, and whole
-	// whether that line ends in '\n'.
-	end   int64
-	whole bool
-}
-
-func newJournalScanner(r io.Reader) *journalScanner {
-	s := &journalScanner{Scanner: bufio.NewScanner(r)}
-	s.Buffer(nil, 256<<20)
-	s.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		n, line, err := bufio.ScanLines(data, atEOF)
-		if n > 0 {
-			s.end += int64(n)
-			s.whole = data[n-1] == '\n'
-		}
-		return n, line, err
-	})
-	return s
-}
-
-// header decodes the journal's first line.
-func (s *journalScanner) header() (journalHeader, error) {
+// decodeHeader decodes a journal's first line.
+func decodeHeader(line []byte) (journalHeader, error) {
 	var hdr journalHeader
-	if !s.Scan() {
-		return hdr, errors.New("empty journal")
-	}
-	if err := decodeRecord(s.Bytes(), &journalRecord{header: &hdr}); err != nil || hdr.Kind != "header" {
+	if err := decodeRecord(line, &journalRecord{header: &hdr}); err != nil || hdr.Kind != "header" {
 		return hdr, errors.New("malformed header")
 	}
 	return hdr, nil
-}
-
-// next decodes the next non-blank line into rec. It returns false at the
-// end of the journal, at a last line that does not end in '\n' and at a
-// line that does not decode: the torn tail a killed campaign leaves,
-// dropped silently together with anything after it.
-func (s *journalScanner) next(rec *journalRecord) bool {
-	for s.Scan() && s.whole {
-		if line := bytes.TrimSpace(s.Bytes()); len(line) > 0 {
-			return decodeRecord(line, rec) == nil
-		}
-	}
-	return false
 }
 
 // JournalEvent is what an event stream shows of one journaled experiment:
@@ -277,19 +228,19 @@ type JournalEvent struct {
 // not resume, which must go through RunCampaign's guarded path. A
 // truncated tail is dropped like readJournal drops it.
 func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
-	js := newJournalScanner(r)
 	var rec journalRecord
-	for js.next(&rec) {
+	_, err := durable.ScanLog(r, func(line []byte) bool {
+		if decodeRecord(line, &rec) != nil {
+			return false
+		}
 		if rec.Kind != "exp" {
-			continue
+			return true
 		}
 		s := &rec.Sum
-		if !fn(JournalEvent{ID: s.ID, Outcome: s.Outcome, InjRank: s.InjRank,
-			InjCycle: s.InjCycle, Fired: s.Fired, MaxCML: s.MaxCML}) {
-			return nil
-		}
-	}
-	if err := js.Err(); err != nil {
+		return fn(JournalEvent{ID: s.ID, Outcome: s.Outcome, InjRank: s.InjRank,
+			InjCycle: s.InjCycle, Fired: s.Fired, MaxCML: s.MaxCML})
+	})
+	if err != nil {
 		return fmt.Errorf("harness: checkpoint: %w", err)
 	}
 	return nil
@@ -307,11 +258,15 @@ func journalHeaderFP(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	hdr, err := newJournalScanner(f).header()
-	if err != nil {
-		return "", nil
-	}
-	return hdr.Fingerprint, nil
+	var fp string
+	// A read error leaves fp "", which readJournal then diagnoses.
+	_, _ = durable.ScanLog(f, func(line []byte) bool {
+		if hdr, err := decodeHeader(line); err == nil {
+			fp = hdr.Fingerprint
+		}
+		return false
+	})
+	return fp, nil
 }
 
 // readJournal loads the completed-experiment records of a checkpoint
@@ -320,8 +275,7 @@ func journalHeaderFP(path string) (string, error) {
 // what a resume keeps of the file before appending (openJournal). A torn
 // final line — the signature of a killed campaign — lies beyond it and is
 // dropped silently, along with anything after it. keep is 0 when no
-// journal exists yet (a resume that starts from scratch), or when not even
-// its header is a whole line.
+// journal exists yet: a resume that starts from scratch.
 func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -331,32 +285,39 @@ func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, er
 		return nil, 0, err
 	}
 	defer f.Close()
-	js := newJournalScanner(f)
-	hdr, err := js.header()
-	if err != nil {
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, err)
-	}
-	if hdr.Version != journalVersion {
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
-			path, hdr.Version, journalVersion)
-	}
-	if hdr.Fingerprint != fingerprint {
-		return nil, 0, fmt.Errorf(
-			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
-			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
-	}
-	if js.whole {
-		keep = js.end
-	}
-	var rec journalRecord
-	for js.next(&rec) {
-		keep = js.end
+	var (
+		hdr    journalHeader
+		hdrErr error
+		lines  int
+		rec    journalRecord
+	)
+	keep, err = durable.ScanLog(f, func(line []byte) bool {
+		if lines++; lines == 1 {
+			hdr, hdrErr = decodeHeader(line)
+			return hdrErr == nil && hdr.Version == journalVersion && hdr.Fingerprint == fingerprint
+		}
+		if decodeRecord(line, &rec) != nil {
+			return false
+		}
 		if rec.Kind == "exp" {
 			recs = append(recs, rec)
 		}
-	}
-	if err := js.Err(); err != nil {
+		return true
+	})
+	switch {
+	case err != nil:
 		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+	case lines == 0:
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: empty journal", path)
+	case hdrErr != nil:
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, hdrErr)
+	case hdr.Version != journalVersion:
+		return nil, 0, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
+			path, hdr.Version, journalVersion)
+	case hdr.Fingerprint != fingerprint:
+		return nil, 0, fmt.Errorf(
+			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
+			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
 	}
 	return recs, keep, nil
 }

@@ -94,7 +94,7 @@ func TestJournalLegacyFixture(t *testing.T) {
 	stopped := false
 	for i, line := range lines {
 		if kind := kindOf(line); kind == "header" {
-			got, err := newJournalScanner(bytes.NewReader(line)).header()
+			got, err := decodeHeader(line)
 			var ref journalHeader
 			if json.Unmarshal(line, &ref) != nil || err != nil || got != ref {
 				t.Errorf("line %d: header %+v (err %v), encoding/json %+v", i+1, got, err, ref)

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // Campaign results serialize to JSON (gzip-compressed when the filename
@@ -25,29 +28,27 @@ type resultsFile struct {
 // misread (v1 summaries conflate "no fault planned" with "rank 0").
 const resultsVersion = 2
 
-// SaveResults writes campaign results to path.
-func SaveResults(path string, results []*CampaignResult) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
+// SaveResults writes campaign results to path, replacing the file whole:
+// a failed encode or a kill mid-write leaves the previous file as it was.
+func SaveResults(path string, results []*CampaignResult) error {
+	var buf bytes.Buffer
 	env := resultsFile{Version: resultsVersion, Results: results}
 	if strings.HasSuffix(path, ".gz") {
-		zw := gzip.NewWriter(f)
+		zw := gzip.NewWriter(&buf)
 		if err := json.NewEncoder(zw).Encode(env); err != nil {
-			zw.Close()
 			return err
 		}
-		return zw.Close()
+		if err := zw.Close(); err != nil {
+			return err
+		}
+	} else {
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(env); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	return enc.Encode(env)
+	return durable.Replace(path, buf.Bytes())
 }
 
 // LoadResults reads campaign results from path.

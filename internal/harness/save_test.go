@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"compress/gzip"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,5 +121,38 @@ func TestLoadResultsTruncatedFile(t *testing.T) {
 func TestLoadResultsMissingFile(t *testing.T) {
 	if _, err := LoadResults(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("LoadResults(missing) = nil error, want failure")
+	}
+}
+
+// TestSaveResultsKeepsPreviousFileOnError: a save that fails — here json
+// refusing a NaN — returns its error and leaves the results saved before
+// it byte-identical, with no temp file beside them.
+func TestSaveResultsKeepsPreviousFileOnError(t *testing.T) {
+	for _, name := range []string{"r.json", "r.json.gz"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			if err := SaveResults(path, sampleResults()); err != nil {
+				t.Fatalf("SaveResults: %v", err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := sampleResults()
+			bad[0].Model.FPS = math.NaN()
+			if err := SaveResults(path, bad); err == nil {
+				t.Fatal("SaveResults(NaN) = nil error, want json's refusal")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("the failed save changed the previous file (err %v, %d bytes, want %d)", err, len(after), len(before))
+			}
+			if _, err := LoadResults(path); err != nil {
+				t.Errorf("LoadResults after the failed save: %v", err)
+			}
+			if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+				t.Errorf("the failed save left %d files, want the results file alone", len(entries))
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -17,7 +17,8 @@ import (
 // shard jobs on registered peer workers:
 //
 //	plan    PlanShards carves [0, Runs) into fingerprint-guarded specs
-//	journal completed shards recorded in job-<id>.shards.jsonl, partials
+//	journal completed shards recorded in job-<id>.shards.jsonl (a
+//	        durable log, synced per line), each after its partial is
 //	        parked on disk — a coordinator restart re-runs only the
 //	        missing shards
 //	dispatch each pending shard goes to the least-loaded alive worker and
@@ -553,7 +554,7 @@ func (s *Server) attachShard(ctx context.Context, peer *Client, jobID string, on
 // partial.
 type shardJournal struct {
 	s *Server
-	f *os.File
+	f *durable.Log
 }
 
 // replayShardPartials reads a coordinated job's shard journal (if any)
@@ -563,30 +564,26 @@ type shardJournal struct {
 // journal's whole, decodable lines, where appendShardJournal cuts it.
 func (s *Server) replayShardPartials(jobID, fingerprint string) (saved map[int]*harness.PartialResult, keep int64) {
 	saved = make(map[int]*harness.PartialResult)
-	data, err := os.ReadFile(s.store.ShardJournalPath(jobID))
+	f, err := os.Open(s.store.ShardJournalPath(jobID))
 	if err != nil {
 		return saved, 0
 	}
-	for rest := data; ; {
-		line, after, whole := bytes.Cut(rest, []byte{'\n'})
-		if !whole {
-			break // torn tail: a line never finished
+	defer f.Close()
+	// A read error ends the replay like a torn line: the journal is cut
+	// after the last line it loaded, and every shard past it re-runs.
+	keep, _ = durable.ScanLog(f, func(line []byte) bool {
+		var rec shardJournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return false // torn line: ignore it and everything after
 		}
-		rest = after
-		if line = bytes.TrimSpace(line); len(line) > 0 {
-			var rec shardJournalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // torn line: ignore it and everything after
-			}
-			if rec.Shard >= 0 && saved[rec.Shard] == nil {
-				// A missing or foreign partial is not loaded: its shard re-runs.
-				if part, err := s.store.LoadPartial(rec.Path); err == nil && part.Fingerprint == fingerprint {
-					saved[rec.Shard] = part
-				}
+		if rec.Shard >= 0 && saved[rec.Shard] == nil {
+			// A missing or foreign partial is not loaded: its shard re-runs.
+			if part, err := s.store.LoadPartial(rec.Path); err == nil && part.Fingerprint == fingerprint {
+				saved[rec.Shard] = part
 			}
 		}
-		keep = int64(len(data) - len(rest))
-	}
+		return true
+	})
 	return saved, keep
 }
 
@@ -594,12 +591,8 @@ func (s *Server) replayShardPartials(jobID, fingerprint string) (saved map[int]*
 // coordinated job's shard journal, cut to its first keep bytes so a torn
 // tail does not swallow the records appended after it.
 func (s *Server) appendShardJournal(jobID string, keep int64) (*shardJournal, error) {
-	f, err := os.OpenFile(s.store.ShardJournalPath(jobID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := durable.AppendLog(s.store.ShardJournalPath(jobID), keep)
 	if err != nil {
-		return nil, fmt.Errorf("service: shard journal: %w", err)
-	}
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("service: shard journal: %w", err)
 	}
 	return &shardJournal{s: s, f: f}, nil

@@ -1,0 +1,335 @@
+package service_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/apps"
+	"repro/internal/classify"
+	"repro/internal/durable"
+	"repro/internal/harness"
+	"repro/internal/service"
+)
+
+// Crash points, enumerated: the source paper's method — a fault at every
+// point, each outcome classified — turned on our own persistence. A run is
+// recorded once through durable's write seam; then, for every point a
+// kill could land on, the directory is rebuilt as that kill would have
+// left it, the program restarts over it, and the restart must produce the
+// recorded run's result bytes (checkSameResult names the one exception,
+// which is not persistence's). Every file the harness and the service
+// write goes through durable (CI's "One durable write path" guard), so
+// the recorded ops are every write there is. The rebuilt state is a pure
+// function of the recording: no timers decide where a kill lands.
+
+// fileOp is one write the recording saw: an append to a log, or a Replace.
+type fileOp struct {
+	Path    string
+	Data    []byte
+	Replace bool
+}
+
+// crashPoint is where a kill lands: after the first n recorded ops
+// reached their files, and, when torn > 0, after the first torn bytes of
+// op n's append, or, with inReplace, while op n's Replace had its temp
+// file half written.
+type crashPoint struct {
+	n         int
+	torn      int
+	inReplace bool
+}
+
+func (p crashPoint) String() string {
+	switch {
+	case p.torn > 0:
+		return fmt.Sprintf("op %d torn at byte %d", p.n, p.torn)
+	case p.inReplace:
+		return fmt.Sprintf("inside replace op %d", p.n)
+	}
+	return fmt.Sprintf("after %d ops", p.n)
+}
+
+// recordOps runs fn and returns the writes it made under dir, in order.
+func recordOps(dir string, fn func()) []fileOp {
+	var mu sync.Mutex
+	var ops []fileOp
+	observe := func(path string, data []byte, replace bool) {
+		if strings.HasPrefix(path, dir+string(os.PathSeparator)) {
+			mu.Lock()
+			ops = append(ops, fileOp{path, data, replace})
+			mu.Unlock()
+		}
+	}
+	durable.Observer.Store(&observe)
+	fn()
+	durable.Observer.Store(nil)
+	mu.Lock()
+	defer mu.Unlock()
+	return ops
+}
+
+// crashPoints enumerates the kills of one recording: one at every write
+// boundary, one inside every Replace, and, for the append op tornOp, one
+// at each byte offset torn returns for its length.
+func crashPoints(ops []fileOp, tornOp int, torn func(n int) []int) []crashPoint {
+	var pts []crashPoint
+	for n := 0; n <= len(ops); n++ {
+		pts = append(pts, crashPoint{n: n})
+		if n < len(ops) && ops[n].Replace {
+			pts = append(pts, crashPoint{n: n, inReplace: true})
+		}
+	}
+	for _, b := range torn(len(ops[tornOp].Data)) {
+		pts = append(pts, crashPoint{n: tornOp, torn: b})
+	}
+	return pts
+}
+
+// lastAppend is the index of the last op that appends to a log at path.
+func lastAppend(t *testing.T, ops []fileOp, path string) int {
+	t.Helper()
+	for i := len(ops) - 1; i >= 0; i-- {
+		if !ops[i].Replace && ops[i].Path == path {
+			return i
+		}
+	}
+	t.Fatalf("the recording appended nothing to %s", path)
+	return -1
+}
+
+// rebuild empties dir and writes into it what a kill at p left. A log
+// AppendLog created but never wrote to is absent here rather than empty:
+// only the shard journal can be left so (a checkpoint journal is created
+// whole with its header), and its reader takes both for an empty log.
+func rebuild(t *testing.T, dir string, ops []fileOp, p crashPoint) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(path string, data []byte, replace bool) {
+		flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+		if replace {
+			flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		}
+		f, err := os.OpenFile(path, flags, 0o644)
+		if err == nil {
+			_, err = f.Write(data)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range ops[:p.n] {
+		write(op.Path, op.Data, op.Replace)
+	}
+	switch op := ops[min(p.n, len(ops)-1)]; {
+	case p.inReplace:
+		write(op.Path+durable.TempSuffix, op.Data[:len(op.Data)/2], true)
+	case p.torn > 0:
+		write(op.Path, op.Data[:p.torn], false)
+	}
+}
+
+// checkLogsWhole requires every log the recording appended to be whole
+// lines of JSON after a restart ran to completion: a torn tail the kill
+// left was cut off before the restart appended behind it.
+func checkLogsWhole(t *testing.T, ops []fileOp, p crashPoint) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, op := range ops {
+		if op.Replace || seen[op.Path] {
+			continue
+		}
+		seen[op.Path] = true
+		data, err := os.ReadFile(op.Path)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		keep, err := durable.ScanLog(bytes.NewReader(data), json.Valid)
+		if err != nil || keep != int64(len(data)) {
+			t.Fatalf("%v: %s holds %d bytes, of which whole JSON lines end at %d (err %v)",
+				p, filepath.Base(op.Path), len(data), keep, err)
+		}
+	}
+}
+
+// checkSameResult requires the restart's result bytes to equal the
+// uninterrupted run's. It forgives one difference, as the benchmark's
+// oracle does: the engine's known abort race. When a fault makes every
+// rank abort, a peer the scheduler preempts at that moment dies as a
+// casualty first and drops out of the run's contamination aggregates. A
+// difference confined to summaries both sides classify Crashed, with the
+// same ID and plan, under equal tallies, is that race, which lives in
+// re-execution, not in persistence: it is logged, not failed.
+func checkSameResult(t *testing.T, p crashPoint, want, got []byte, decode func(*testing.T, []byte) []*harness.CampaignResult) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	a, b := decode(t, want), decode(t, got)
+	var raced []int
+	same := len(a) == len(b)
+	for i := 0; same && i < len(a); i++ {
+		same = reflect.DeepEqual(a[i].Tally, b[i].Tally) && len(a[i].Experiments) == len(b[i].Experiments)
+		for j := 0; same && j < len(a[i].Experiments); j++ {
+			ea, eb := a[i].Experiments[j], b[i].Experiments[j]
+			if reflect.DeepEqual(ea, eb) {
+				continue
+			}
+			same = ea.Outcome == classify.Crashed && eb.Outcome == classify.Crashed &&
+				ea.ID == eb.ID && reflect.DeepEqual(ea.Plan, eb.Plan)
+			raced = append(raced, ea.ID)
+		}
+	}
+	if !same || len(raced) == 0 {
+		t.Fatalf("%v: the restart's %d result bytes differ from the uninterrupted run's %d", p, len(got), len(want))
+	}
+	t.Logf("%v: crashed experiments %v differ in their peers' observations only (the known abort race)", p, raced)
+}
+
+// everyOffset tears a line at every byte; sampled tears it at its first,
+// middle and last byte.
+func everyOffset(n int) []int {
+	var out []int
+	for b := 1; b < n; b++ {
+		out = append(out, b)
+	}
+	return out
+}
+
+func sampled(n int) []int { return []int{1, n / 2, n - 1} }
+
+// TestCrashPointsLocal: a local campaign with a checkpoint journal, then
+// SaveResults, killed at every write. The restart resumes the journal and
+// must write the same results file.
+func TestCrashPointsLocal(t *testing.T) {
+	app := apps.NewHydro()
+	decode := func(t *testing.T, data []byte) []*harness.CampaignResult {
+		var file struct{ Results []*harness.CampaignResult }
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatal(err)
+		}
+		return file.Results
+	}
+	for _, tc := range []struct {
+		name     string
+		sampling harness.Sampling
+		torn     func(int) []int
+	}{
+		{"fixed", harness.Sampling{Runs: 12, Seed: 29}, everyOffset},
+		{"adaptive", harness.Sampling{Runs: 40, Seed: 7, TargetCI: 0.3}, sampled},
+		{"sites", harness.Sampling{Runs: 8, Seed: 7, Sites: true, Strata: 4}, sampled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			journal := filepath.Join(dir, "ck.jsonl")
+			results := filepath.Join(dir, "results.json")
+			run := func() ([]byte, error) {
+				cfg := harness.CampaignConfig{
+					App: app, Params: app.TestParams(), Sampling: tc.sampling,
+					Execution:   harness.Execution{SampleEvery: 4096, Workers: 1, Snapshots: 64},
+					Persistence: harness.Persistence{Checkpoint: journal, Resume: true},
+				}
+				res, err := harness.RunCampaign(cfg)
+				if err != nil {
+					return nil, err
+				}
+				if err := harness.SaveResults(results, []*harness.CampaignResult{res}); err != nil {
+					return nil, err
+				}
+				return os.ReadFile(results)
+			}
+
+			var want []byte
+			ops := recordOps(dir, func() {
+				var err error
+				if want, err = run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			pts := crashPoints(ops, lastAppend(t, ops, journal), tc.torn)
+			for _, p := range pts {
+				rebuild(t, dir, ops, p)
+				got, err := run()
+				if err != nil {
+					t.Fatalf("%v: restart failed: %v", p, err)
+				}
+				checkSameResult(t, p, want, got, decode)
+				checkLogsWhole(t, ops, p)
+			}
+			t.Logf("%d ops, %d crash points", len(ops), len(pts))
+		})
+	}
+}
+
+// TestCrashPointsCoordinated: a 2-shard coordinated job whose coordinator
+// is killed at every write — status records, shard partials, shard
+// journal, result. The workers live on; the restarted coordinator must
+// settle the job with the recorded result bytes. A kill before the job's
+// first status record reached disk lost the submission, so the client
+// submits it again, as it would after a failed submit.
+func TestCrashPointsCoordinated(t *testing.T) {
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2}
+	_, urls := startWorkerFleet(t, 2)
+	cfg := service.Config{ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond, Peers: urls}
+	dir := t.TempDir()
+	decode := func(t *testing.T, data []byte) []*harness.CampaignResult {
+		var res harness.CampaignResult
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		return []*harness.CampaignResult{&res}
+	}
+	run := func() []byte {
+		t.Helper()
+		d := startDaemon(t, dir, cfg)
+		defer d.stop(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		id := "1"
+		if _, err := os.Stat(filepath.Join(dir, "job-1.json")); os.IsNotExist(err) {
+			st, err := d.c.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = st.ID
+		}
+		final, err := d.c.Watch(ctx, id, func(service.Event) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != service.StateDone {
+			t.Fatalf("job %s settled as %s: %s", id, final.State, final.Error)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "job-"+id+".result.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	var want []byte
+	ops := recordOps(dir, func() { want = run() })
+	pts := crashPoints(ops, lastAppend(t, ops, filepath.Join(dir, "job-1.shards.jsonl")), sampled)
+	for _, p := range pts {
+		rebuild(t, dir, ops, p)
+		checkSameResult(t, p, want, run(), decode)
+		checkLogsWhole(t, ops, p)
+	}
+	t.Logf("%d ops, %d crash points", len(ops), len(pts))
+}

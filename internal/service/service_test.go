@@ -2,12 +2,17 @@ package service_test
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/durable"
 	"repro/internal/harness"
 	"repro/internal/service"
 )
@@ -206,6 +211,20 @@ func TestDaemonKillRestartResumes(t *testing.T) {
 	}
 	d1.stop(t)
 
+	// Stray temp files, as a kill inside a status write leaves them: one
+	// beside the job's record, one for a job whose first record never
+	// landed. Neither is a job, and neither takes a job ID.
+	record, err := os.ReadFile(filepath.Join(dir, "job-"+st.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := strconv.Atoi(st.ID)
+	for _, stray := range []string{"job-" + st.ID + ".json", fmt.Sprintf("job-%d.json", id+5)} {
+		if err := os.WriteFile(filepath.Join(dir, stray+durable.TempSuffix), record[:len(record)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// The interrupted job must be persisted as queued, not lost.
 	d2 := startDaemon(t, dir, service.Config{JobSlots: 1})
 	final := waitDone(t, d2.c, st.ID)
@@ -217,6 +236,16 @@ func TestDaemonKillRestartResumes(t *testing.T) {
 	}
 	if final.Resumed >= spec.Runs {
 		t.Errorf("resumed %d of %d experiments: nothing was left to run after the kill", final.Resumed, spec.Runs)
+	}
+	if jobs, err := d2.c.Jobs(context.Background()); err != nil || len(jobs) != 1 {
+		t.Errorf("the restarted daemon lists %d jobs (err %v), want the one submitted", len(jobs), err)
+	}
+	reopened, err := service.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := reopened.NewID(); next != strconv.Itoa(id+1) {
+		t.Errorf("the store's next job ID is %s, want %d", next, id+1)
 	}
 
 	remote, err := d2.c.Result(context.Background(), st.ID)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/harness"
 )
 
@@ -30,10 +31,10 @@ import (
 //	job-<id>.shards.jsonl          a coordinator's shard-completion journal
 //	job-<id>.shard-<n>.partial.json  fetched partial of shard n, owned by the journal
 //
-// Status records are replaced atomically (write temp + rename), so a kill
-// mid-update leaves the previous consistent record. The journal is owned by
-// the harness and is crash-safe by construction (flushed per record,
-// truncated tails tolerated on replay).
+// Status records, partials and results are replaced whole
+// (durable.Replace), so a kill mid-update leaves the previous file and at
+// worst a stray temp file, which statusID skips. The checkpoint journal is
+// the harness's durable log: written once per record, never synced.
 type Store struct {
 	dir string
 
@@ -52,12 +53,7 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("service: store: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".json") ||
-			strings.HasSuffix(name, ".result.json") || strings.HasSuffix(name, ".partial.json") {
-			continue
-		}
-		if id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "job-"), ".json")); err == nil && id >= s.nextID {
+		if id, ok := statusID(e.Name()); ok && id >= s.nextID {
 			s.nextID = id + 1
 		}
 	}
@@ -74,6 +70,16 @@ func (s *Store) NewID() string {
 	id := s.nextID
 	s.nextID++
 	return strconv.Itoa(id)
+}
+
+// statusID parses a status record's file name, job-<id>.json. Any other
+// file — a journal, result, partial, or the temp file a kill inside
+// durable.Replace leaves — reports false.
+func statusID(name string) (int, bool) {
+	rest, isJob := strings.CutPrefix(name, "job-")
+	rest, isJSON := strings.CutSuffix(rest, ".json")
+	id, err := strconv.Atoi(rest)
+	return id, isJob && isJSON && err == nil
 }
 
 func (s *Store) statusPath(id string) string {
@@ -97,11 +103,7 @@ func (s *Store) SaveStatus(st JobStatus) error {
 	if err != nil {
 		return fmt.Errorf("service: store: %w", err)
 	}
-	tmp := s.statusPath(st.ID) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("service: store: %w", err)
-	}
-	if err := os.Rename(tmp, s.statusPath(st.ID)); err != nil {
+	if err := durable.Replace(s.statusPath(st.ID), append(data, '\n')); err != nil {
 		return fmt.Errorf("service: store: %w", err)
 	}
 	return nil
@@ -117,9 +119,7 @@ func (s *Store) LoadAll() ([]JobStatus, error) {
 	var jobs []JobStatus
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".json") ||
-			strings.HasSuffix(name, ".result.json") || strings.HasSuffix(name, ".partial.json") ||
-			strings.HasSuffix(name, ".tmp") {
+		if _, ok := statusID(name); !ok {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(s.dir, name))
@@ -164,11 +164,7 @@ func (s *Store) SavePartial(path string, part *harness.PartialResult) error {
 	if err != nil {
 		return fmt.Errorf("service: store partial: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("service: store partial: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := durable.Replace(path, data); err != nil {
 		return fmt.Errorf("service: store partial: %w", err)
 	}
 	return nil
@@ -191,11 +187,7 @@ func (s *Store) LoadPartial(path string) (*harness.PartialResult, error) {
 // SaveResultBytes atomically writes a done job's marshalled result — the
 // same bytes the archive commits and GET result serves.
 func (s *Store) SaveResultBytes(id string, data []byte) error {
-	tmp := s.resultPath(id) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("service: store result: %w", err)
-	}
-	if err := os.Rename(tmp, s.resultPath(id)); err != nil {
+	if err := durable.Replace(s.resultPath(id), data); err != nil {
 		return fmt.Errorf("service: store result: %w", err)
 	}
 	return nil
