@@ -70,8 +70,9 @@ func TestCampaignFootprint(t *testing.T) {
 
 // TestResidentPacksHeap bounds what five resident packs — the paper's
 // study, set up and forked from — pin in the Go heap. Each pack keeps a
-// bundle of four address spaces for its lifetime, which flat ones made
-// 160 MiB of.
+// bundle of four address spaces and one job for its lifetime: flat address
+// spaces made 160 MiB of them, and per-pair mailbox channels another
+// 0.5 MiB per four-rank job.
 func TestResidentPacksHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -91,7 +92,8 @@ func TestResidentPacksHeap(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapInuse > 48<<20 {
-		t.Errorf("HeapInuse = %d MiB with five packs resident, want at most 48", ms.HeapInuse>>20)
+	t.Logf("HeapInuse = %.1f MiB with five packs resident", float64(ms.HeapInuse)/(1<<20))
+	if ms.HeapInuse > 16<<20 {
+		t.Errorf("HeapInuse = %d MiB with five packs resident, want at most 16", ms.HeapInuse>>20)
 	}
 }

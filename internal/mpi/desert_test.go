@@ -80,7 +80,7 @@ func TestSendToDepartedRankDesertsWhenQueueFull(t *testing.T) {
 	j := NewJob(2, 30*time.Second)
 	e0 := j.Endpoint(0)
 	// Fill rank 1's queue from rank 0; the next send must block.
-	for i := 0; i < cap(j.mail[1][0]); i++ {
+	for i := 0; i < mailboxCap; i++ {
 		if err := e0.Send(1, 1, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -20,15 +20,17 @@ import (
 // its message, its mailbox slot or its round token, but has not yet run to
 // unregister, is not blocked, and must not be taken for blocked:
 //
-//  1. Point-to-point waits are judged by counters, not by len(chan). The
-//     sender counts a message after the channel send (Endpoint.sent), the
-//     receiver after the channel receive (Endpoint.taken). A Recv wait holds
-//     the receiver's taken count at registration: a higher sent count means
-//     the message is there or already handed over. A Send wait is ready when
-//     sent − taken is below the mailbox capacity, in signed arithmetic — the
-//     receiver may take a message before its sender has counted it, so the
-//     difference can be −1. Whoever is behind on a counter is running, so no
-//     judgement is passed while a counter is stale in the unsafe direction.
+//  1. Point-to-point waits are judged by counters, not by queue lengths. The
+//     sender counts a message after pushing it onto the receiver's inbox
+//     queue (Endpoint.sent), the receiver after popping it (Endpoint.taken).
+//     A Recv wait holds the receiver's taken count at registration: a higher
+//     sent count means the message is there or already handed over, so a
+//     Recv registers again after every take before it parks. A Send wait is
+//     ready when sent − taken is below the mailbox capacity, in signed
+//     arithmetic — the receiver may pop a message before its sender has
+//     counted it, so the difference can be −1. Whoever is behind on a
+//     counter is running, so no judgement is passed while a counter is
+//     stale in the unsafe direction.
 //  2. A collective wait is judged by round.arrived == size, and a waiter
 //     unregisters before it releases the round: a released round is recycled
 //     for the next collective, and a wait still registered on it would be
@@ -90,7 +92,7 @@ func (j *Job) judge(rank int, w *wait) verdict {
 			return ready
 		}
 		// A departed receiver never drains its queue: all its takes are
-		// counted before its Leave, so the mailbox stays full.
+		// counted before its Leave, so the queue stays full.
 		if j.left[w.peer] {
 			return deserted
 		}
@@ -307,7 +309,7 @@ func (j *Job) TimedOut() bool {
 
 // pause is the tests' scheduling seam: it runs the job's yield hook, if one
 // is set, at the edges of the windows the exactness rules are about (between
-// a channel operation and its counter, before registering, before
+// a queue operation and its counter, before registering, before
 // unregistering, before leaving).
 func (j *Job) pause() {
 	if j.yield != nil {

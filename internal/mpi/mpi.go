@@ -55,14 +55,96 @@ type message struct {
 	data []byte
 }
 
-// Job is one parallel run: size ranks, their mailboxes, and the shared
+// queue is one source's FIFO of messages in an inbox, oldest at head. Its
+// backing holds only what is in flight: a take that empties it rewinds it,
+// and a push that meets the end of the backing compacts first, so a queue
+// that never empties reuses its storage instead of growing it.
+type queue struct {
+	msgs []message
+	head int
+}
+
+func (q *queue) len() int { return len(q.msgs) - q.head }
+
+// items returns the queued messages, oldest first, aliasing the backing.
+func (q *queue) items() []message { return q.msgs[q.head:] }
+
+func (q *queue) push(m message) {
+	if len(q.msgs) == cap(q.msgs) && q.head > 0 {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, m)
+}
+
+func (q *queue) pop() message {
+	m := q.msgs[q.head]
+	q.msgs[q.head] = message{}
+	if q.head++; q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	}
+	return m
+}
+
+// keepQueued is the largest backing, in messages, that an emptied queue or
+// pending buffer keeps across runs. The applications keep a few messages in
+// flight per pair; a runaway sender's mailboxCap is given back, the way
+// vm.Memory gives back an extent.
+const keepQueued = 64
+
+// shrink empties ms, dropping its backing when it is larger than keepQueued.
+func shrink(ms []message) []message {
+	if cap(ms) > keepQueued {
+		return nil
+	}
+	clear(ms)
+	return ms[:0]
+}
+
+// inbox is one rank's receiving end: from[src] holds the messages src has
+// sent it and it has not taken yet, all under mu. A push is one lock and one
+// append; only a receiver parked on an empty queue is woken, through arrive.
+type inbox struct {
+	mu   sync.Mutex
+	from []queue
+	// waitFor is the source whose queue the owner found empty and is about
+	// to park on, or -1. The next push from it clears the flag and pokes
+	// arrive (capacity 1, so the poke outlives a receiver not yet parked).
+	waitFor int
+	arrive  chan struct{}
+}
+
+// put queues m from src, unless src's queue already holds mailboxCap
+// messages.
+func (in *inbox) put(src int, m message) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	q := &in.from[src]
+	if q.len() >= mailboxCap {
+		return false
+	}
+	q.push(m)
+	if in.waitFor == src {
+		in.waitFor = -1
+		poke(in.arrive)
+	}
+	return true
+}
+
+// poke leaves a token in a capacity-1 wake-up channel, unless one is there.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// Job is one parallel run: size ranks, their inboxes, and the shared
 // collective state.
 type Job struct {
 	size    int
 	timeout time.Duration
-
-	// mail[dst][src] is the ordered queue of messages from src to dst.
-	mail [][]chan message
 
 	done   chan struct{}
 	killMu sync.Mutex
@@ -98,9 +180,11 @@ type Job struct {
 // defaultTimeout bounds blocking calls when the caller passes zero.
 const defaultTimeout = 60 * time.Second
 
-// mailboxCap is the depth of each per-pair mailbox: deep enough that the
-// applications' halo exchanges never park a sender, so Send is effectively
-// MPI's buffered mode and only a runaway sender meets a full mailbox.
+// mailboxCap is the logical depth of each per-pair queue: deep enough that
+// the applications' halo exchanges never park a sender, so Send is
+// effectively MPI's buffered mode and only a runaway sender meets a full
+// mailbox. It bounds what may be in flight, not what is stored: a queue's
+// backing grows only with the messages actually queued.
 const mailboxCap = 1024
 
 // NewJob creates a job with the given number of ranks. timeout bounds every
@@ -115,18 +199,11 @@ func NewJob(size int, timeout time.Duration) *Job {
 	j := &Job{
 		size:    size,
 		timeout: timeout,
-		mail:    make([][]chan message, size),
 		done:    make(chan struct{}),
 		left:    make([]bool, size),
 		waits:   make([]wait, size),
 		leaveCh: make(chan struct{}),
 		bufs:    make(chan []byte, 256),
-	}
-	for dst := range j.mail {
-		j.mail[dst] = make([]chan message, size)
-		for src := range j.mail[dst] {
-			j.mail[dst][src] = make(chan message, mailboxCap)
-		}
 	}
 	j.coll.size = size
 	j.coll.done = j.done
@@ -135,14 +212,16 @@ func NewJob(size int, timeout time.Duration) *Job {
 		j.eps[r] = Endpoint{
 			job: j, rank: r, pending: make([][]message, size),
 			sent: make([]atomic.Int64, size), taken: make([]atomic.Int64, size),
+			space: make(chan struct{}, 1),
+			in:    inbox{from: make([]queue, size), waitFor: -1, arrive: make(chan struct{}, 1)},
 		}
 	}
 	return j
 }
 
 // Recycle prepares a completed job for another run of the same shape:
-// mailboxes are drained, pending buffers emptied and collective state
-// cleared, while the channels, endpoints and their timers survive. An
+// inboxes are drained, pending buffers emptied and collective state
+// cleared, while the endpoints and their timers survive. An
 // aborted job gets a fresh done channel and a lowered abort flag — once
 // every rank goroutine has exited there is nothing left to observe the old
 // ones. It returns false — leaving the job untouched — when the shape or
@@ -180,26 +259,15 @@ func (j *Job) Recycle(size int, timeout time.Duration) bool {
 	return true
 }
 
-// drainWorld empties every mailbox and pending buffer and zeroes the
+// drainWorld empties every inbox queue and pending buffer and zeroes the
 // liveness counters with them.
 func (j *Job) drainWorld() {
-	for _, row := range j.mail {
-		for _, ch := range row {
-			for {
-				select {
-				case <-ch:
-					continue
-				default:
-				}
-				break
-			}
-		}
-	}
 	for r := range j.eps {
 		e := &j.eps[r]
+		e.in.waitFor = -1
 		for peer := range e.pending {
-			clear(e.pending[peer])
-			e.pending[peer] = e.pending[peer][:0]
+			e.in.from[peer] = queue{msgs: shrink(e.in.from[peer].msgs)}
+			e.pending[peer] = shrink(e.pending[peer])
 			e.sent[peer].Store(0)
 			e.taken[peer].Store(0)
 		}
@@ -265,12 +333,18 @@ type Endpoint struct {
 	// waits. One timer per endpoint instead of one per call keeps the
 	// communication-heavy experiment loop allocation-free.
 	tmr *time.Timer
-	// sent[dst] counts the messages this rank has put into dst's mailbox,
-	// taken[src] the messages it has taken out of its mailbox from src —
-	// each counted after the channel operation, written only by the rank's
-	// own goroutine, and read by whoever judges the job's waits
+	// sent[dst] counts the messages this rank has pushed onto its queue in
+	// dst's inbox, taken[src] the messages it has popped off src's queue in
+	// its own — each counted after the queue operation, written only by the
+	// rank's own goroutine, and read by whoever judges the job's waits
 	// (liveness.go, rule 1).
 	sent, taken []atomic.Int64
+	// space is poked by a receiver that takes from this rank's full queue,
+	// waking the sender parked on it. Capacity 1: the poke outlives a sender
+	// not yet parked.
+	space chan struct{}
+	// in is this rank's inbox, shared with every sender under its mutex.
+	in inbox
 }
 
 // armTimer returns the endpoint's timeout timer, armed with the job
@@ -310,14 +384,12 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 	if dst < 0 || dst >= j.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
-	ch := j.mail[dst][e.rank]
+	in, m := &j.eps[dst].in, message{tag: tag, data: msg}
 	// Fast path: queue has room (the common case with deep mailboxes).
-	select {
-	case ch <- message{tag: tag, data: msg}:
+	if in.put(e.rank, m) {
 		j.pause()
 		e.sent[dst].Add(1)
 		return nil
-	default:
 	}
 	t := e.armTimer()
 	defer e.disarmTimer()
@@ -327,16 +399,18 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 			return err
 		}
 		select {
-		case ch <- message{tag: tag, data: msg}:
-			j.pause()
-			e.sent[dst].Add(1)
-			j.unblock(e.rank)
-			return nil
+		case <-e.space:
 		case <-j.done:
 			return j.fail(e.rank, ErrAborted)
 		case <-t.C:
 			return j.fail(e.rank, ErrTimeout)
 		case <-wake:
+		}
+		if in.put(e.rank, m) {
+			j.pause()
+			e.sent[dst].Add(1)
+			j.unblock(e.rank)
+			return nil
 		}
 	}
 }
@@ -358,49 +432,63 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 			return m.data, nil
 		}
 	}
-	ch := j.mail[e.rank][src]
-	// Fast path: drain whatever is already queued without arming the timer.
-	for {
-		select {
-		case m := <-ch:
-			j.pause()
-			e.taken[src].Add(1)
-			if m.tag == tag {
-				return m.data, nil
-			}
-			e.pending[src] = append(e.pending[src], m)
-			continue
-		default:
-		}
-		break
+	// Fast path: take whatever is already queued without arming the timer.
+	if data, ok := e.takeUntil(src, tag); ok {
+		return data, nil
 	}
 	t := e.armTimer()
 	defer e.disarmTimer()
 	for {
-		// A wait registered by an earlier iteration stays in place while a
-		// message of another tag is set aside; registering again brings its
-		// taken count up to date. Once src has left, block finds either a
-		// message still to take (all of src's sends are counted before its
-		// Leave) or ErrDeserted.
+		// Registered after every take, so the wait's taken count is current
+		// when the rank parks: a stale count would judge the wait ready for
+		// ever. Once src has left, block finds either a message still to
+		// take (all of src's sends are counted before its Leave) or
+		// ErrDeserted.
 		wake, err := j.block(e.rank, wait{kind: waitRecv, peer: src, tag: tag, taken: e.taken[src].Load()})
 		if err != nil {
 			return nil, err
 		}
 		select {
-		case m := <-ch:
-			j.pause()
-			e.taken[src].Add(1)
-			if m.tag == tag {
-				j.unblock(e.rank)
-				return m.data, nil
-			}
-			e.pending[src] = append(e.pending[src], m)
+		case <-e.in.arrive:
 		case <-j.done:
 			return nil, j.fail(e.rank, ErrAborted)
 		case <-t.C:
 			return nil, j.fail(e.rank, ErrTimeout)
 		case <-wake:
 		}
+		if data, ok := e.takeUntil(src, tag); ok {
+			j.unblock(e.rank)
+			return data, nil
+		}
+	}
+}
+
+// takeUntil takes src's queued messages in order until one carries tag,
+// setting the others aside. It returns false once the queue is empty,
+// leaving the inbox flagged so src's next push wakes this rank.
+func (e *Endpoint) takeUntil(src, tag int) ([]byte, bool) {
+	in := &e.in
+	for {
+		in.mu.Lock()
+		q := &in.from[src]
+		n := q.len()
+		if n == 0 {
+			in.waitFor = src
+			in.mu.Unlock()
+			return nil, false
+		}
+		m := q.pop()
+		in.mu.Unlock()
+		if n == mailboxCap {
+			// src may be parked on its full queue.
+			poke(e.job.eps[src].space)
+		}
+		e.job.pause()
+		e.taken[src].Add(1)
+		if m.tag == tag {
+			return m.data, true
+		}
+		e.pending[src] = append(e.pending[src], m)
 	}
 }
 

@@ -37,30 +37,16 @@ func copyMsgs(dst []message, src []message) []message {
 }
 
 // walkWorld shows visit every queue of the job's message-passing state:
-// mail[dst][src] in FIFO order (mail true), then each endpoint's
-// pending[rank][src] (mail false). A mail channel is observed by draining
-// it and refilling it with the very same messages, so live receive buffers
-// keep their identity. The walk stops at the first visit that returns
-// false and reports whether none did. Safe only while no rank goroutine
-// uses its endpoint — every rank parked at a cut, or none running.
+// each inbox's queue from src in FIFO order (mail true), then each
+// endpoint's pending[rank][src] (mail false). The slices it shows alias the
+// live queues and must not be kept or changed. The walk stops at the first
+// visit that returns false and reports whether none did. Safe only while no
+// rank goroutine uses its endpoint — every rank parked at a cut, or none
+// running.
 func (j *Job) walkWorld(visit func(mail bool, r, src int, msgs []message) bool) bool {
-	var scratch []message
-	for dst := range j.mail {
-		for src, ch := range j.mail[dst] {
-			scratch = scratch[:0]
-			for {
-				select {
-				case m := <-ch:
-					scratch = append(scratch, m)
-					continue
-				default:
-				}
-				break
-			}
-			for _, m := range scratch {
-				ch <- m
-			}
-			if !visit(true, dst, src, scratch) {
+	for dst := range j.eps {
+		for src := range j.eps[dst].in.from {
+			if !visit(true, dst, src, j.eps[dst].in.from[src].items()) {
 				return false
 			}
 		}
@@ -123,7 +109,7 @@ func (j *Job) WorldEqual(s *WorldSnap) bool {
 }
 
 // RestoreWorld rewinds the job's message-passing state to the snapshot:
-// it drains every queue and refills it, so it needs no earlier drain.
+// it empties every queue and refills it, so it needs no earlier drain.
 // Call it between runs on a job of the same shape with no rank goroutines
 // alive (after Recycle). Message payloads are deep-copied out of the
 // snapshot — restored runs hand receive buffers to the wire freelist, which
@@ -132,33 +118,16 @@ func (j *Job) RestoreWorld(s *WorldSnap) {
 	if s.size != j.size {
 		panic("mpi: RestoreWorld on a job of a different size")
 	}
-	for dst := range j.mail {
-		for src, ch := range j.mail[dst] {
-			for {
-				select {
-				case <-ch:
-					continue
-				default:
-				}
-				break
-			}
-			for _, m := range s.mail[dst][src] {
-				ch <- message{tag: m.tag, data: append([]byte(nil), m.data...)}
-			}
+	for dst := range j.eps {
+		e := &j.eps[dst]
+		for src := range e.in.from {
+			q := &e.in.from[src]
+			*q = queue{msgs: copyMsgs(shrink(q.msgs), s.mail[dst][src])}
 			// The liveness counters follow the world: what is queued was
 			// sent, and nothing of it has been taken.
-			j.eps[src].sent[dst].Store(int64(len(s.mail[dst][src])))
-			j.eps[dst].taken[src].Store(0)
-		}
-	}
-	for r := range j.eps {
-		e := &j.eps[r]
-		for src := range e.pending {
-			clear(e.pending[src])
-			e.pending[src] = e.pending[src][:0]
-			for _, m := range s.pending[r][src] {
-				e.pending[src] = append(e.pending[src], message{tag: m.tag, data: append([]byte(nil), m.data...)})
-			}
+			j.eps[src].sent[dst].Store(int64(q.len()))
+			e.taken[src].Store(0)
+			e.pending[src] = copyMsgs(shrink(e.pending[src]), s.pending[dst][src])
 		}
 	}
 }

@@ -5,17 +5,11 @@ import (
 	"time"
 )
 
-// rewriteMail drains the mail queue dst<-src, lets edit change its
-// contents, and queues the result again in order.
+// rewriteMail lets edit change the contents of the mail queue dst<-src and
+// queues the result again in order.
 func rewriteMail(j *Job, dst, src int, edit func([]message) []message) {
-	ch := j.mail[dst][src]
-	var msgs []message
-	for len(ch) > 0 {
-		msgs = append(msgs, <-ch)
-	}
-	for _, m := range edit(msgs) {
-		ch <- m
-	}
+	q := &j.eps[dst].in.from[src]
+	*q = queue{msgs: edit(append([]message(nil), q.items()...))}
 }
 
 // TestWorldEqualRejectsEachDifference pins the world comparison of the
