@@ -57,7 +57,7 @@ func coordLogger(level string) *slog.Logger {
 // temp dir goes.
 func runSharded(ctx context.Context, selected []apps.App, o options, coord service.Config) ([]*harness.CampaignResult, error) {
 	if o.checkpoint != "" || o.resume {
-		fmt.Fprintln(os.Stderr, "note: -checkpoint/-resume journal daemon-side and are ignored with -shards (the shard journal lives in a temp dir)")
+		fmt.Fprintln(os.Stderr, "note: -checkpoint/-resume journal daemon-side and are ignored with -shards (the shard partials live in a temp dir)")
 	}
 	if o.workers <= 0 {
 		o.workers = 2

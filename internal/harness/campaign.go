@@ -323,16 +323,11 @@ func (cfg CampaignConfig) transformOptions() transform.Options {
 }
 
 // withDefaults resolves the zero-value conventions into concrete settings.
-// Defaults that are result-determining (HangFactor, the adaptive phase
-// count) must be applied before fingerprinting, which is why Fingerprint
-// normalizes the same way.
+// The result-determining ones (HangFactor, the phase count) come from the
+// campaign key, which resolves them for the fingerprint too.
 func (cfg CampaignConfig) withDefaults() CampaignConfig {
-	if cfg.HangFactor == 0 {
-		cfg.HangFactor = 4
-	}
-	if cfg.Strata == 0 {
-		cfg.Strata = cfg.Sampling.phases()
-	}
+	k := cfg.key()
+	cfg.HangFactor, cfg.Strata = k.hang, k.strata
 	if cfg.KeepProfiles == 0 {
 		cfg.KeepProfiles = 2
 	}
@@ -495,8 +490,9 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	if err != nil {
 		return nil, err
 	}
+	key := cfg.key()
 	part := &PartialResult{
-		Fingerprint:    cfg.fingerprint(),
+		Fingerprint:    key.fingerprint(),
 		App:            cfg.App.Name(),
 		Params:         cfg.Params,
 		Runs:           cfg.Runs,
@@ -553,10 +549,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 
 	ids := spec.ids()
 	if cfg.Checkpoint != "" {
-		// The journal fingerprint binds the file to this shard's range as
-		// well as the campaign config (full-range runs keep the legacy
-		// campaign-only hash, so existing journals stay resumable).
-		fp := journalFingerprint(part.Fingerprint, spec)
+		fp := key.journalFingerprint(spec)
 		var keep int64
 		if cfg.Resume {
 			if adaptive {

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 
@@ -68,84 +67,6 @@ type planRecord struct {
 // partial result that belongs to a different campaign configuration than
 // the one in hand. Match it with errors.Is.
 var ErrFingerprintMismatch = errors.New("campaign fingerprint mismatch")
-
-// Fingerprint hashes the configuration fields that determine
-// per-experiment results. It binds checkpoint journals, shard specs, and
-// partial results to their campaign: merging or resuming under a different
-// seed, workload, or fault model is refused rather than silently mixing
-// incompatible experiments. Zero-value defaults that are result-
-// determining (HangFactor) are normalized first, so the fingerprint of a
-// config equals the fingerprint of the campaign it runs.
-func (cfg CampaignConfig) Fingerprint() string {
-	if cfg.HangFactor == 0 {
-		cfg.HangFactor = 4
-	}
-	if cfg.Strata == 0 {
-		cfg.Strata = cfg.Sampling.phases()
-	}
-	return cfg.fingerprint()
-}
-
-// fingerprint hashes the configuration fields that determine per-experiment
-// results, binding a journal to its campaign: resuming under a different
-// seed, workload, or fault model is refused rather than silently mixing
-// incompatible experiments. Fields that only shape aggregation or
-// scheduling (Workers, KeepProfiles, MaxSummaries, StopAfter) are excluded.
-// Sampling-policy fields (TargetCI, Strata) are appended only when set, so
-// every pre-existing fixed-N configuration keeps the fingerprint it had
-// before the policy existed and its journals stay resumable.
-func (cfg CampaignConfig) fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "app=%s|params=%+v|runs=%d|seed=%d|lambda=%g|hang=%g|sample=%d",
-		cfg.App.Name(), cfg.Params, cfg.Runs, cfg.Seed,
-		cfg.MultiFaultLambda, cfg.HangFactor, cfg.SampleEvery)
-	if cfg.stratified() {
-		fmt.Fprintf(h, "|ci=%g|strata=%d", cfg.TargetCI, cfg.Strata)
-	}
-	// Append-only-when-set, like the adaptive suffix: configurations
-	// without per-site analytics or protection keep their historical
-	// fingerprints, so existing journals and archive entries stay valid.
-	if cfg.Sites {
-		fmt.Fprintf(h, "|sites=1")
-	}
-	if len(cfg.Protect) > 0 {
-		fmt.Fprintf(h, "|protect=%s", protectKey(cfg.Protect))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// protectKey condenses a protection site list into a stable hash token,
-// used both in the fingerprint and as the snapshot-pack cache
-// discriminator.
-func protectKey(protect []int) string {
-	if len(protect) == 0 {
-		return ""
-	}
-	h := fnv.New64a()
-	for _, s := range protect {
-		fmt.Fprintf(h, "%d,", s)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// journalFingerprint derives the checkpoint-journal fingerprint for one
-// shard: the campaign fingerprint plus the shard's ID range, so a shard
-// cannot resume from a sibling's journal. Full-range runs keep the bare
-// campaign fingerprint — journals written before sharding existed stay
-// resumable.
-func journalFingerprint(campaignFP string, spec ShardSpec) string {
-	if len(spec.IDs) > 0 {
-		h := fnv.New64a()
-		for _, id := range spec.IDs {
-			fmt.Fprintf(h, "%d,", id)
-		}
-		return fmt.Sprintf("%s|ids=%016x", campaignFP, h.Sum64())
-	}
-	if spec.From == 0 && spec.To == spec.Runs {
-		return campaignFP
-	}
-	return fmt.Sprintf("%s|shard=%d-%d", campaignFP, spec.From, spec.To)
-}
 
 // journalWriter appends records to the checkpoint file, one write per
 // line, each encoded into the buffer the last one used.

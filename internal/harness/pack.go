@@ -125,7 +125,7 @@ func packFor(cfg CampaignConfig) (*snapshotPack, error) {
 		app:     cfg.App.Name(),
 		params:  cfg.Params,
 		sample:  cfg.SampleEvery,
-		protect: protectKey(cfg.Protect),
+		protect: token(cfg.Protect),
 	}
 	sameKey := func(k packKey) bool { return k == key }
 	packMu.Lock()

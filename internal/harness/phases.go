@@ -90,20 +90,54 @@ type CampaignTimings struct {
 	Skipped *obs.Histogram `json:"skipped,omitempty"`
 }
 
-// NewCampaignTimings returns timings over the stack's standard latency
-// buckets. Every campaign uses the same fixed layout so any two
-// CampaignTimings merge.
-func NewCampaignTimings() *CampaignTimings {
-	t := &CampaignTimings{
-		Inject:       obs.NewHistogram(obs.LatencyBuckets()),
-		Restore:      obs.NewHistogram(obs.LatencyBuckets()),
-		Execute:      obs.NewHistogram(obs.LatencyBuckets()),
-		Classify:     obs.NewHistogram(obs.LatencyBuckets()),
-		RestoreBytes: obs.NewHistogram(obs.SizeBuckets()),
-		Skipped:      obs.NewHistogram(obs.SizeBuckets()),
+// TimingHist is one histogram of CampaignTimings: its JSON name, the
+// outcome class a byOutcome histogram observes, and its bucket layout.
+type TimingHist struct {
+	Name    string
+	Outcome classify.Outcome
+	Buckets []float64
+	field   func(*CampaignTimings) **obs.Histogram
+}
+
+func (h TimingHist) String() string {
+	if h.Name == "byOutcome" {
+		return "outcome " + h.Outcome.String()
 	}
-	for i := range t.ByOutcome {
-		t.ByOutcome[i] = obs.NewHistogram(obs.LatencyBuckets())
+	return h.Name
+}
+
+// timingHists lists every CampaignTimings histogram once; construction,
+// Merge and Clone iterate it.
+var timingHists = func() []TimingHist {
+	var hs []TimingHist
+	for i := 0; i < classify.NumOutcomes; i++ {
+		hs = append(hs, TimingHist{"byOutcome", classify.Outcome(i), obs.LatencyBuckets(),
+			func(t *CampaignTimings) **obs.Histogram { return &t.ByOutcome[i] }})
+	}
+	return append(hs,
+		TimingHist{"inject", 0, obs.LatencyBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.Inject }},
+		TimingHist{"restore", 0, obs.LatencyBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.Restore }},
+		TimingHist{"execute", 0, obs.LatencyBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.Execute }},
+		TimingHist{"classify", 0, obs.LatencyBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.Classify }},
+		TimingHist{"restoreBytes", 0, obs.SizeBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.RestoreBytes }},
+		TimingHist{"skipped", 0, obs.SizeBuckets(), func(t *CampaignTimings) **obs.Histogram { return &t.Skipped }},
+	)
+}()
+
+// NewCampaignTimings returns timings over the stack's standard buckets.
+// Every campaign uses the same fixed layout so any two CampaignTimings
+// merge.
+func NewCampaignTimings() *CampaignTimings {
+	return NewCampaignTimingsFrom(func(h TimingHist) *obs.Histogram { return obs.NewHistogram(h.Buckets) })
+}
+
+// NewCampaignTimingsFrom returns timings whose histograms newHist
+// supplies, one call per TimingHist, such as a registry's series. Each
+// must have h's buckets.
+func NewCampaignTimingsFrom(newHist func(h TimingHist) *obs.Histogram) *CampaignTimings {
+	t := &CampaignTimings{}
+	for _, h := range timingHists {
+		*h.field(t) = newHist(h)
 	}
 	return t
 }
@@ -157,32 +191,13 @@ func (t *CampaignTimings) Merge(other *CampaignTimings) error {
 	if t == nil {
 		return fmt.Errorf("harness: merge timings into nil")
 	}
-	for i := range t.ByOutcome {
-		if t.ByOutcome[i] == nil {
-			t.ByOutcome[i] = obs.NewHistogram(obs.LatencyBuckets())
+	for _, h := range timingHists {
+		dst := h.field(t)
+		if *dst == nil {
+			*dst = obs.NewHistogram(h.Buckets)
 		}
-		if err := t.ByOutcome[i].Merge(other.ByOutcome[i]); err != nil {
-			return fmt.Errorf("harness: merge timings (outcome %s): %w", classify.Outcome(i), err)
-		}
-	}
-	for _, m := range []struct {
-		dst     **obs.Histogram
-		src     *obs.Histogram
-		buckets func() []float64
-		n       string
-	}{
-		{&t.Inject, other.Inject, obs.LatencyBuckets, "inject"},
-		{&t.Restore, other.Restore, obs.LatencyBuckets, "restore"},
-		{&t.Execute, other.Execute, obs.LatencyBuckets, "execute"},
-		{&t.Classify, other.Classify, obs.LatencyBuckets, "classify"},
-		{&t.RestoreBytes, other.RestoreBytes, obs.SizeBuckets, "restoreBytes"},
-		{&t.Skipped, other.Skipped, obs.SizeBuckets, "skipped"},
-	} {
-		if *m.dst == nil {
-			*m.dst = obs.NewHistogram(m.buckets())
-		}
-		if err := (*m.dst).Merge(m.src); err != nil {
-			return fmt.Errorf("harness: merge timings (%s): %w", m.n, err)
+		if err := (*dst).Merge(*h.field(other)); err != nil {
+			return fmt.Errorf("harness: merge timings (%s): %w", h, err)
 		}
 	}
 	return nil

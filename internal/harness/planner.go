@@ -382,10 +382,9 @@ func checkAdaptiveResume(cfg CampaignConfig, spec ShardSpec, wantFP string) erro
 		// which reports those conditions properly.
 		return nil
 	}
-	legacy := cfg
-	legacy.TargetCI = 0
-	legacy.Strata = 0
-	if hdrFP == journalFingerprint(legacy.Fingerprint(), spec) {
+	legacy := cfg.key()
+	legacy.targetCI, legacy.strata = 0, 0
+	if hdrFP == legacy.journalFingerprint(spec) {
 		return &FieldError{Field: "Sampling.TargetCI", Reason: fmt.Sprintf(
 			"checkpoint %s was written by a non-adaptive campaign; drop the target CI or start a fresh checkpoint",
 			cfg.Checkpoint)}

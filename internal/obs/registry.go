@@ -32,11 +32,12 @@ type family struct {
 }
 
 type series struct {
-	labels  []Label
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
-	hist    *Histogram
+	labels    []Label
+	counter   *Counter
+	counterFn func() uint64
+	gauge     *Gauge
+	gaugeFn   func() float64
+	hist      *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -95,6 +96,15 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return s.gauge
 }
 
+// CounterFunc registers a counter series whose value is read from fn at
+// render time.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, s := r.lookup(name, help, "counter", labels)
+	s.counterFn = fn
+}
+
 // GaugeFunc registers a gauge series whose value is read from fn at
 // render time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
@@ -148,6 +158,9 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	switch {
 	case s.counter != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(s.labels, "", ""), s.counter.Value())
+		return err
+	case s.counterFn != nil:
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(s.labels, "", ""), s.counterFn())
 		return err
 	case s.gaugeFn != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labelSet(s.labels, "", ""), formatFloat(s.gaugeFn()))

@@ -151,52 +151,13 @@ type SamplingSpec struct {
 	Protect []int `json:"protect,omitempty"`
 }
 
-// Validate checks the spec without building anything. Violations wrap
-// ErrInvalidSpec.
+// Validate checks the spec without running anything: what a spec alone
+// has (app, scale, sharding), then the campaign configuration it
+// translates to. Violations wrap ErrInvalidSpec, and a configuration's
+// harness.FieldError as well.
 func (s JobSpec) Validate() error {
-	if apps.ByName(s.App) == nil {
-		return fmt.Errorf("%w: unknown app %q", ErrInvalidSpec, s.App)
-	}
-	if s.Runs <= 0 {
-		return fmt.Errorf("%w: job needs runs > 0", ErrInvalidSpec)
-	}
-	switch s.Scale {
-	case "", "default", "test":
-	default:
-		return fmt.Errorf("%w: unknown scale %q (want default or test)", ErrInvalidSpec, s.Scale)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("%w: shards must be >= 0", ErrInvalidSpec)
-	}
-	if s.Snapshots < 0 {
-		return fmt.Errorf("%w: snapshots must be >= 0", ErrInvalidSpec)
-	}
-	if s.Shards > 1 && s.Shard != nil {
-		return fmt.Errorf("%w: shards and shard are mutually exclusive", ErrInvalidSpec)
-	}
-	if s.Shard != nil {
-		if s.Shard.From < 0 || s.Shard.From > s.Shard.To || s.Shard.To > s.Runs {
-			return fmt.Errorf("%w: shard range [%d,%d) outside campaign [0,%d)",
-				ErrInvalidSpec, s.Shard.From, s.Shard.To, s.Runs)
-		}
-	}
-	if s.Sampling != nil {
-		if s.Sampling.TargetCI < 0 || s.Sampling.TargetCI >= 1 {
-			return fmt.Errorf("%w: sampling.targetCI must be in [0, 1)", ErrInvalidSpec)
-		}
-		if s.Sampling.Strata < 0 {
-			return fmt.Errorf("%w: sampling.strata must be >= 0", ErrInvalidSpec)
-		}
-		for i, p := range s.Sampling.Protect {
-			if p < 0 {
-				return fmt.Errorf("%w: sampling.protect ordinals must be >= 0", ErrInvalidSpec)
-			}
-			if i > 0 && p <= s.Sampling.Protect[i-1] {
-				return fmt.Errorf("%w: sampling.protect must be strictly ascending", ErrInvalidSpec)
-			}
-		}
-	}
-	return nil
+	_, err := s.CampaignConfig()
+	return err
 }
 
 // Adaptive reports whether the spec requests adaptive sequential stopping.
@@ -204,40 +165,44 @@ func (s JobSpec) Adaptive() bool {
 	return s.Sampling != nil && s.Sampling.TargetCI > 0
 }
 
-// CampaignConfig translates the spec into the harness configuration that a
-// local run with the same flags would produce, so results are identical
-// across transports. Scheduling fields (Workers, Checkpoint, Gate,
-// Progress, hooks) are left for the scheduler to fill in.
+// CampaignConfig validates the spec and translates it into the harness
+// configuration that a local run with the same flags would produce, so
+// results are identical across transports. Scheduling fields (Workers,
+// Checkpoint, Gate, Progress, hooks) are left for the scheduler to fill in.
 func (s JobSpec) CampaignConfig() (harness.CampaignConfig, error) {
-	if err := s.Validate(); err != nil {
-		return harness.CampaignConfig{}, err
-	}
 	app := apps.ByName(s.App)
+	switch {
+	case app == nil:
+		return harness.CampaignConfig{}, fmt.Errorf("%w: unknown app %q", ErrInvalidSpec, s.App)
+	case s.Scale != "" && s.Scale != "default" && s.Scale != "test":
+		return harness.CampaignConfig{}, fmt.Errorf("%w: unknown scale %q (want default or test)", ErrInvalidSpec, s.Scale)
+	case s.Shards < 0:
+		return harness.CampaignConfig{}, fmt.Errorf("%w: shards must be >= 0", ErrInvalidSpec)
+	case s.Shards > 1 && s.Shard != nil:
+		return harness.CampaignConfig{}, fmt.Errorf("%w: shards and shard are mutually exclusive", ErrInvalidSpec)
+	case s.Shard != nil && (s.Shard.From < 0 || s.Shard.From > s.Shard.To || s.Shard.To > s.Runs):
+		return harness.CampaignConfig{}, fmt.Errorf("%w: shard range [%d,%d) outside campaign [0,%d)",
+			ErrInvalidSpec, s.Shard.From, s.Shard.To, s.Runs)
+	}
 	p := app.DefaultParams()
 	if s.Scale == "test" {
 		p = app.TestParams()
 	}
-	var targetCI float64
-	var strata int
-	var sites bool
-	var protect []int
+	var sampling SamplingSpec
 	if s.Sampling != nil {
-		targetCI = s.Sampling.TargetCI
-		strata = s.Sampling.Strata
-		sites = s.Sampling.Sites
-		protect = s.Sampling.Protect
+		sampling = *s.Sampling
 	}
-	return harness.CampaignConfig{
+	cfg := harness.CampaignConfig{
 		App:     app,
 		Params:  p,
-		Protect: protect,
+		Protect: sampling.Protect,
 		Sampling: harness.Sampling{
 			Runs:             s.Runs,
 			Seed:             s.Seed,
 			MultiFaultLambda: s.MultiFaultLambda,
-			TargetCI:         targetCI,
-			Strata:           strata,
-			Sites:            sites,
+			TargetCI:         sampling.TargetCI,
+			Strata:           sampling.Strata,
+			Sites:            sampling.Sites,
 		},
 		Execution: harness.Execution{
 			HangFactor:  s.HangFactor,
@@ -245,7 +210,11 @@ func (s JobSpec) CampaignConfig() (harness.CampaignConfig, error) {
 			Snapshots:   s.Snapshots,
 		},
 		Retention: harness.Retention{MaxSummaries: s.MaxSummaries},
-	}, nil
+	}
+	if err := cfg.Validate(); err != nil {
+		return harness.CampaignConfig{}, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
+	}
+	return cfg, nil
 }
 
 // JobState is the lifecycle state of a job.

@@ -12,42 +12,12 @@ import (
 	"repro/internal/harness"
 )
 
-// Campaign archive wiring: completed jobs are archived under their cache
-// key, and a repeat submission of an identical key is served straight
-// from the archive — a terminal job materializes instantly as a verified
-// reference to the entry: its result and its event history are the
-// entry's own bytes, read (and checked against the manifest) when asked
-// for, never copied.
-
-// cacheKey derives the archive key for a spec's campaign configuration.
-// The campaign fingerprint covers every field that determines
-// per-experiment results (app, params, runs, seed, fault model,
-// sampling), and deliberately excludes pure scheduling knobs (Workers,
-// Shards, Snapshots) — results are byte-identical across those, so they
-// must share a cache slot. MaxSummaries is the one excluded field that
-// DOES shape the stored result (it caps the retained per-experiment
-// summaries), so it is folded into the key as a suffix: runs differing
-// only in MaxSummaries cache separately instead of serving each other's
-// truncated (or untruncated) summary sets.
-func cacheKey(fingerprint string, maxSummaries int) string {
-	if maxSummaries > 0 {
-		return fmt.Sprintf("%s-max%d", fingerprint, maxSummaries)
-	}
-	return fingerprint
-}
-
-// specCacheKey computes the cache key for a validated spec ("" for shard
-// jobs, which are partial campaigns and never cached whole).
-func specCacheKey(spec JobSpec) string {
-	if spec.Shard != nil {
-		return ""
-	}
-	cfg, err := spec.CampaignConfig()
-	if err != nil {
-		return ""
-	}
-	return cacheKey(cfg.Fingerprint(), spec.MaxSummaries)
-}
+// Campaign archive wiring: completed jobs are archived under their
+// configuration's ArchiveKey, and a repeat submission of an identical key
+// is served straight from the archive — a terminal job materializes
+// instantly as a verified reference to the entry: its result and its
+// event history are the entry's own bytes, read (and checked against the
+// manifest) when asked for, never copied.
 
 // lookupCache consults the archive for key. On a verified hit it returns
 // the record; on any miss — no entry, or a corrupt one (which it evicts

@@ -2,13 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -17,9 +14,9 @@ import (
 // shard jobs on registered peer workers:
 //
 //	plan    PlanShards carves [0, Runs) into fingerprint-guarded specs
-//	journal completed shards recorded in job-<id>.shards.jsonl (a
-//	        durable log, synced per line), each after its partial is
-//	        parked on disk — a coordinator restart re-runs only the
+//	park    each completed shard's partial is written whole to
+//	        job-<id>.shard-<key>.partial.json, its completion record — a
+//	        coordinator restart loads what is parked and re-runs only the
 //	        missing shards
 //	dispatch each pending shard goes to the least-loaded alive worker and
 //	        is followed on that worker's event stream — its terminal
@@ -50,22 +47,14 @@ const maxShardAttempts = 5
 // shard's watch has no such bound: attachShard's silence timer covers it.
 const peerCallTimeout = 30 * time.Second
 
-// shardJournalRecord is one completed shard in the coordinator's journal.
-type shardJournalRecord struct {
-	Shard  int    `json:"shard"`
-	Worker string `json:"worker"`
-	// Path is the partial's on-disk location, owned by this record.
-	Path string `json:"path"`
-}
-
 // shardTask is the dispatch-loop state of one shard.
 type shardTask struct {
 	spec     harness.ShardSpec
 	attempts int
 	notAfter time.Time // backoff: do not dispatch before this
-	// key is the shard's journal identity and partial-path index. The
-	// fixed plan uses the spec index; the adaptive coordinator keys
-	// (round, slot) pairs so every round's shards journal distinctly.
+	// key is the shard's identity and partial-path index. The fixed plan
+	// uses the spec index; the adaptive coordinator keys (round, slot)
+	// pairs so every round's shards are parked distinctly.
 	key int
 	// slot is the task's position in its caller's parts slice.
 	slot int
@@ -103,10 +92,10 @@ type shardOutcome struct {
 // campaign executes the same experiment set as a local run and merges to
 // the same bytes.
 //
-// Completed shards journal under the key (round-1)*Shards + slot — the spec
-// index for a fixed plan. On coordinator restart the plan (and the planner,
-// fed the journaled partials) re-derives the identical round sequence, and
-// only what is missing is dispatched.
+// Completed shards are parked under the key (round-1)*Shards + slot — the
+// spec index for a fixed plan. On coordinator restart the plan (and the
+// planner, fed the parked partials) re-derives the identical round
+// sequence, and only what is missing is dispatched.
 func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*harness.CampaignResult, error) {
 	cfg, err := st.Spec.CampaignConfig()
 	if err != nil {
@@ -129,15 +118,6 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 	}
 	fingerprint := cfg.Fingerprint()
 
-	// Replay the shard journal: shards whose partials are already on disk
-	// (a previous coordinator run) are not re-dispatched.
-	saved, keep := s.replayShardPartials(st.ID, fingerprint)
-	journal, err := s.appendShardJournal(st.ID, keep)
-	if err != nil {
-		return nil, err
-	}
-	defer journal.close()
-
 	started := time.Now()
 	var acc *harness.PartialResult // every finished round, merged
 	resumedRuns := 0
@@ -153,20 +133,20 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 		var pending []*shardTask
 		for i := range specs {
 			key := (round-1)*st.Spec.Shards + i
-			if p := saved[key]; p != nil {
+			// A partial parked by a previous coordinator run is the shard's
+			// completion record: it is written whole or not at all, so one
+			// that decodes and carries the campaign fingerprint is not
+			// re-dispatched.
+			if p, err := s.store.LoadPartial(s.store.ShardPartialPath(st.ID, key)); err == nil && p.Fingerprint == fingerprint {
 				parts[i] = p
 				resumedRuns += specs[i].Size()
 				continue
 			}
 			pending = append(pending, &shardTask{spec: specs[i], key: key, slot: i})
 		}
-		onDone := func(t *shardTask, worker string, part *harness.PartialResult) error {
+		onDone := func(t *shardTask, part *harness.PartialResult) error {
 			parts[t.slot] = part
-			return journal.record(shardJournalRecord{
-				Shard:  t.key,
-				Worker: worker,
-				Path:   s.store.ShardPartialPath(st.ID, t.key),
-			}, part)
+			return s.store.SavePartial(s.store.ShardPartialPath(st.ID, t.key), part)
 		}
 		base := func() harness.Snapshot {
 			snap := harness.Snapshot{Total: cfg.Runs, Resumed: resumedRuns}
@@ -226,11 +206,11 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 // here, once per round of the campaign's shard plan.
 // onDone persists each fetched partial before the task counts as done;
 // base seeds each progress snapshot with the completed work the caller
-// already tracks (journal-resumed shards, earlier rounds); total sizes
+// already tracks (parked shards, earlier rounds); total sizes
 // the set's shard plan for interruption messages.
 func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 	pending []*shardTask, total int, started time.Time,
-	onDone func(t *shardTask, worker string, part *harness.PartialResult) error,
+	onDone func(t *shardTask, part *harness.PartialResult) error,
 	base func() harness.Snapshot) error {
 
 	remaining := len(pending)
@@ -358,15 +338,17 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 			s.registry.release(out.worker.Name)
 			switch {
 			case out.err == nil:
-				if err := onDone(out.task, out.worker.Name, out.partial); err != nil {
+				if err := onDone(out.task, out.partial); err != nil {
 					return err
 				}
 				remaining--
 				s.obs.shardDur.ObserveDuration(out.elapsed)
-				// Fold the shard's phase-latency histograms into this
-				// coordinator's registry: /v1/metrics then covers
-				// experiments that ran on workers, not just local ones.
-				s.obs.absorbTimings(out.partial.Timings)
+				// Fold the shard's timings into this coordinator's:
+				// /v1/metrics then covers experiments that ran on workers,
+				// not just local ones. Layouts are fixed stack-wide, so a
+				// merge error is a foreign partial's, and only its metrics
+				// are lost.
+				_ = s.obs.timings.Merge(out.partial.Timings)
 				s.log.Info("shard done", "job", st.ID, "trace", st.Trace,
 					"shard", out.task.key, "worker", out.worker.Name, "elapsed", out.elapsed)
 				publishProgress()
@@ -548,70 +530,3 @@ func (s *Server) attachShard(ctx context.Context, peer *Client, jobID string, on
 	})
 	return final, err
 }
-
-// shardJournal appends completed-shard records, persisting each shard's
-// partial before its journal line so a record always points at a readable
-// partial.
-type shardJournal struct {
-	s *Server
-	f *durable.Log
-}
-
-// replayShardPartials reads a coordinated job's shard journal (if any)
-// and loads every journaled partial that still exists and matches the
-// campaign fingerprint, keyed by the journal record's shard key.
-// Everything it does not return re-runs. keep is the length of the
-// journal's whole, decodable lines, where appendShardJournal cuts it.
-func (s *Server) replayShardPartials(jobID, fingerprint string) (saved map[int]*harness.PartialResult, keep int64) {
-	saved = make(map[int]*harness.PartialResult)
-	f, err := os.Open(s.store.ShardJournalPath(jobID))
-	if err != nil {
-		return saved, 0
-	}
-	defer f.Close()
-	// A read error ends the replay like a torn line: the journal is cut
-	// after the last line it loaded, and every shard past it re-runs.
-	keep, _ = durable.ScanLog(f, func(line []byte) bool {
-		var rec shardJournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return false // torn line: ignore it and everything after
-		}
-		if rec.Shard >= 0 && saved[rec.Shard] == nil {
-			// A missing or foreign partial is not loaded: its shard re-runs.
-			if part, err := s.store.LoadPartial(rec.Path); err == nil && part.Fingerprint == fingerprint {
-				saved[rec.Shard] = part
-			}
-		}
-		return true
-	})
-	return saved, keep
-}
-
-// appendShardJournal opens (creating if absent) the append handle of a
-// coordinated job's shard journal, cut to its first keep bytes so a torn
-// tail does not swallow the records appended after it.
-func (s *Server) appendShardJournal(jobID string, keep int64) (*shardJournal, error) {
-	f, err := durable.AppendLog(s.store.ShardJournalPath(jobID), keep)
-	if err != nil {
-		return nil, fmt.Errorf("service: shard journal: %w", err)
-	}
-	return &shardJournal{s: s, f: f}, nil
-}
-
-// record persists one completed shard: partial first, then the journal
-// line, flushed.
-func (j *shardJournal) record(rec shardJournalRecord, part *harness.PartialResult) error {
-	if err := j.s.store.SavePartial(rec.Path, part); err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: shard journal: %w", err)
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("service: shard journal: %w", err)
-	}
-	return j.f.Sync()
-}
-
-func (j *shardJournal) close() { _ = j.f.Close() }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -208,11 +207,14 @@ func TestCoordinatorRestartResumesShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Wait for enough shards to land in the journal, then drain.
-			journal := filepath.Join(dir, "job-"+st.ID+".shards.jsonl")
+			// Wait for enough shards to be parked, then drain.
+			parked := func() int {
+				m, _ := filepath.Glob(filepath.Join(dir, "job-"+st.ID+".shard-*.partial.json"))
+				return len(m)
+			}
 			deadline := time.Now().Add(time.Minute)
 			for {
-				if data, err := os.ReadFile(journal); err == nil && strings.Count(string(data), "\n") >= tc.journaled {
+				if parked() >= tc.journaled {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -222,11 +224,7 @@ func TestCoordinatorRestartResumesShards(t *testing.T) {
 			}
 			coord.stop(t)
 
-			before, err := os.ReadFile(journal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			journaled := strings.Count(string(before), "\n")
+			journaled := parked()
 
 			restarted := startDaemon(t, dir, cfg)
 			final := waitDone(t, restarted.c, st.ID)
@@ -241,8 +239,7 @@ func TestCoordinatorRestartResumesShards(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameCampaign(t, "restarted", local, merged)
-			after, _ := os.ReadFile(journal)
-			t.Logf("%d shards journaled before the drain, %d after the restart", journaled, strings.Count(string(after), "\n"))
+			t.Logf("%d shards journaled before the drain, %d after the restart", journaled, parked())
 			lj, _ := json.Marshal(local)
 			mj, _ := json.Marshal(merged)
 			if string(lj) != string(mj) {

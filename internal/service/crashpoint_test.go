@@ -78,8 +78,8 @@ func recordOps(dir string, fn func()) []fileOp {
 }
 
 // crashPoints enumerates the kills of one recording: one at every write
-// boundary, one inside every Replace, and, for the append op tornOp, one
-// at each byte offset torn returns for its length.
+// boundary, one inside every Replace, and, for the append op tornOp (none
+// when negative), one at each byte offset torn returns for its length.
 func crashPoints(ops []fileOp, tornOp int, torn func(n int) []int) []crashPoint {
 	var pts []crashPoint
 	for n := 0; n <= len(ops); n++ {
@@ -87,6 +87,9 @@ func crashPoints(ops []fileOp, tornOp int, torn func(n int) []int) []crashPoint 
 		if n < len(ops) && ops[n].Replace {
 			pts = append(pts, crashPoint{n: n, inReplace: true})
 		}
+	}
+	if tornOp < 0 {
+		return pts
 	}
 	for _, b := range torn(len(ops[tornOp].Data)) {
 		pts = append(pts, crashPoint{n: tornOp, torn: b})
@@ -106,10 +109,7 @@ func lastAppend(t *testing.T, ops []fileOp, path string) int {
 	return -1
 }
 
-// rebuild empties dir and writes into it what a kill at p left. A log
-// AppendLog created but never wrote to is absent here rather than empty:
-// only the shard journal can be left so (a checkpoint journal is created
-// whole with its header), and its reader takes both for an empty log.
+// rebuild empties dir and writes into it what a kill at p left.
 func rebuild(t *testing.T, dir string, ops []fileOp, p crashPoint) {
 	t.Helper()
 	if err := os.RemoveAll(dir); err != nil {
@@ -278,11 +278,12 @@ func TestCrashPointsLocal(t *testing.T) {
 }
 
 // TestCrashPointsCoordinated: a 2-shard coordinated job whose coordinator
-// is killed at every write — status records, shard partials, shard
-// journal, result. The workers live on; the restarted coordinator must
-// settle the job with the recorded result bytes. A kill before the job's
-// first status record reached disk lost the submission, so the client
-// submits it again, as it would after a failed submit.
+// is killed at every write — status records, shard partials, result. The
+// coordinator appends to no log, so no line is torn. The workers live
+// on; the restarted coordinator must settle the job with the recorded
+// result bytes. A kill before the job's first status record reached disk
+// lost the submission, so the client submits it again, as it would after
+// a failed submit.
 func TestCrashPointsCoordinated(t *testing.T) {
 	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2}
 	_, urls := startWorkerFleet(t, 2)
@@ -325,7 +326,7 @@ func TestCrashPointsCoordinated(t *testing.T) {
 
 	var want []byte
 	ops := recordOps(dir, func() { want = run() })
-	pts := crashPoints(ops, lastAppend(t, ops, filepath.Join(dir, "job-1.shards.jsonl")), sampled)
+	pts := crashPoints(ops, -1, nil)
 	for _, p := range pts {
 		rebuild(t, dir, ops, p)
 		checkSameResult(t, p, want, run(), decode)

@@ -18,8 +18,8 @@ func (s *Server) Metrics() Metrics {
 		StreamDrops:  s.obs.streamDrops.Value(),
 		CacheHits:    s.obs.cacheHits.Value(),
 		CacheMisses:  s.obs.cacheMisses.Value(),
-		RestoreBytes: s.obs.restoreBytes.Value(),
-		GoldenExits:  s.obs.goldenExits.Value(),
+		RestoreBytes: s.obs.restoreBytes(),
+		GoldenExits:  s.obs.goldenExits(),
 		Outcomes:     make(map[string]int),
 	}
 	if s.archive != nil {

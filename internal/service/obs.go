@@ -1,15 +1,15 @@
 package service
 
 import (
-	"repro/internal/classify"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
 // serverObs bundles the daemon's metrics registry and the collectors the
 // hot paths observe into. Histograms here are the live, daemon-lifetime
-// view; per-job CampaignTimings additionally ride inside shard partials
-// so a coordinator's registry also absorbs its workers' distributions.
+// view; per-job CampaignTimings additionally ride inside shard partials,
+// and a coordinator merges them into its own timings, so its registry
+// covers its workers' experiments too.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -41,12 +41,12 @@ type serverObs struct {
 	// httpRequests: API requests served, by method.
 	httpRequests map[string]*obs.Counter
 
-	// expLatency: whole-experiment wall time per outcome class.
-	expLatency [classify.NumOutcomes]*obs.Histogram
-	// phase latencies of the injection pipeline.
-	injectLat, restoreLat, execLat, classifyLat *obs.Histogram
-	// restoreBytes: total bytes copied by snapshot-fork restores.
-	restoreBytes *obs.Counter
+	// timings: the experiment histograms — wall time per outcome class,
+	// phase latencies, restore sizes, skipped golden tails — over local
+	// experiments and absorbed shard partials. The latencies are registry
+	// series; restored bytes and golden exits are read from it as
+	// counters.
+	timings *harness.CampaignTimings
 	// vmBacked: the most address-space backing any one experiment's ranks
 	// held between them; it stays in the tens of KiB while every run
 	// stores only to its own data.
@@ -55,9 +55,6 @@ type serverObs struct {
 	// time. mpiTimeouts: experiments in which a blocking MPI call ran into
 	// the wall-clock safety timeout instead — must read 0.
 	mpiDeadlocks, mpiTimeouts *obs.Counter
-	// goldenExits: experiments that ended at a golden-equal cut instead of
-	// executing the golden tail — the early exit, when it is taken.
-	goldenExits *obs.Counter
 }
 
 func newServerObs() *serverObs {
@@ -82,31 +79,30 @@ func newServerObs() *serverObs {
 			"Time a cache-hit submission spent on the archive lookup and on materializing its job.", obs.LatencyBuckets()),
 		verifyFailures: reg.Counter("faultpropd_archive_verify_failures_total",
 			"Archive reads that failed checksum verification while serving a submission, a result or an event stream."),
-		injectLat: reg.Histogram("faultpropd_experiment_phase_seconds",
-			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "inject")),
-		restoreLat: reg.Histogram("faultpropd_experiment_phase_seconds",
-			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "restore")),
-		restoreBytes: reg.Counter("faultpropd_restore_bytes_total",
-			"Bytes copied by snapshot-fork restores."),
+		timings: harness.NewCampaignTimingsFrom(func(h harness.TimingHist) *obs.Histogram {
+			switch h.Name {
+			case "byOutcome":
+				return reg.Histogram("faultpropd_experiment_seconds",
+					"Experiment wall time by outcome class.", h.Buckets, obs.L("outcome", h.Outcome.String()))
+			case "restoreBytes", "skipped":
+				return obs.NewHistogram(h.Buckets)
+			}
+			return reg.Histogram("faultpropd_experiment_phase_seconds",
+				"Experiment phase latency.", h.Buckets, obs.L("phase", h.Name))
+		}),
 		vmBacked: reg.Gauge("faultpropd_vm_backed_bytes",
 			"Largest address-space backing, summed over its ranks, that one experiment ended with."),
-		execLat: reg.Histogram("faultpropd_experiment_phase_seconds",
-			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "execute")),
-		classifyLat: reg.Histogram("faultpropd_experiment_phase_seconds",
-			"Experiment phase latency.", obs.LatencyBuckets(), obs.L("phase", "classify")),
 		mpiDeadlocks: reg.Counter("faultpropd_mpi_deadlocks_total",
 			"Experiments ended by the MPI deadlock detector, in logical time."),
 		mpiTimeouts: reg.Counter("faultpropd_mpi_timeouts_total",
 			"Experiments in which a blocking MPI call hit the wall-clock safety timeout; above 0 is a framework bug."),
-		goldenExits: reg.Counter("faultpropd_golden_exits_total",
-			"Experiments that ended at a captured cut where every rank was back in the golden state, instead of executing the golden tail."),
 		httpRequests: make(map[string]*obs.Counter),
 	}
-	for i := range o.expLatency {
-		o.expLatency[i] = reg.Histogram("faultpropd_experiment_seconds",
-			"Experiment wall time by outcome class.", obs.LatencyBuckets(),
-			obs.L("outcome", classify.Outcome(i).String()))
-	}
+	reg.CounterFunc("faultpropd_restore_bytes_total",
+		"Bytes copied by snapshot-fork restores.", o.restoreBytes)
+	reg.CounterFunc("faultpropd_golden_exits_total",
+		"Experiments that ended at a captured cut where every rank was back in the golden state, instead of executing the golden tail.",
+		o.goldenExits)
 	for _, m := range []string{"GET", "POST", "DELETE"} {
 		o.httpRequests[m] = reg.Counter("faultpropd_http_requests_total",
 			"API requests served, by method.", obs.L("method", m))
@@ -114,51 +110,25 @@ func newServerObs() *serverObs {
 	return o
 }
 
-// observePhase folds one locally executed experiment's phase timings into
-// the registry histograms.
-func (o *serverObs) observePhase(tr harness.PhaseTrace) {
-	if i := int(tr.Outcome); i >= 0 && i < classify.NumOutcomes {
-		o.expLatency[i].ObserveDuration(tr.Total)
-	}
-	o.injectLat.ObserveDuration(tr.Inject)
-	o.restoreLat.ObserveDuration(tr.Restore)
-	o.execLat.ObserveDuration(tr.Execute)
-	o.classifyLat.ObserveDuration(tr.Classify)
+// observe folds one locally executed experiment in: its timings, and
+// the three series that are not timings.
+func (o *serverObs) observe(tr harness.PhaseTrace) {
+	o.timings.Observe(tr)
 	o.vmBacked.SetMax(float64(tr.BackedBytes))
-	if tr.Forked {
-		o.restoreBytes.Add(uint64(tr.RestoreBytes))
-	}
 	if tr.Deadlock {
 		o.mpiDeadlocks.Inc()
 	}
 	if tr.Timeout {
 		o.mpiTimeouts.Inc()
 	}
-	if tr.Exited {
-		o.goldenExits.Inc()
-	}
 }
 
-// absorbTimings merges a shard partial's carried histograms into the
-// registry, so a coordinator's /v1/metrics covers experiments that ran on
-// its workers. Layouts are fixed stack-wide, so a mismatch cannot happen
-// with our own partials; a foreign layout is simply skipped.
-func (o *serverObs) absorbTimings(t *harness.CampaignTimings) {
-	if t == nil {
-		return
-	}
-	for i := range o.expLatency {
-		_ = o.expLatency[i].Merge(t.ByOutcome[i])
-	}
-	_ = o.injectLat.Merge(t.Inject)
-	_ = o.restoreLat.Merge(t.Restore)
-	_ = o.execLat.Merge(t.Execute)
-	_ = o.classifyLat.Merge(t.Classify)
-	// The bytes histogram carries the shard's exact per-restore copy
-	// sizes; its sum feeds the daemon-lifetime counter.
-	o.restoreBytes.Add(uint64(t.RestoreBytes.Sum()))
-	o.goldenExits.Add(uint64(t.Exits()))
-}
+// restoreBytes totals the bytes copied by snapshot-fork restores.
+func (o *serverObs) restoreBytes() uint64 { return uint64(o.timings.RestoreBytes.Sum()) }
+
+// goldenExits counts experiments that ended at a golden-equal cut
+// instead of executing the golden tail — the early exit, when taken.
+func (o *serverObs) goldenExits() uint64 { return uint64(o.timings.Exits()) }
 
 // countRequest bumps the per-method request counter (unknown methods are
 // uncounted rather than growing the label set unboundedly).

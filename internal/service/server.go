@@ -273,7 +273,12 @@ func (s *Server) SubmitTenant(spec JobSpec, trace, tenant string) (JobStatus, er
 	if trace = obs.CleanTrace(trace); trace == "" {
 		trace = obs.NewTraceID()
 	}
-	key := specCacheKey(spec)
+	// Shard jobs are partial campaigns: never archived, never served whole.
+	var key string
+	if spec.Shard == nil {
+		cfg, _ := spec.CampaignConfig() // validated above
+		key = cfg.ArchiveKey()
+	}
 	lookup := time.Now()
 	if rec := s.lookupCache(key, trace); rec != nil {
 		st, err := s.serveCached(spec, trace, tenant, key, rec)
@@ -530,7 +535,7 @@ func (s *Server) runJob(j *job) {
 	// them; OnPhase feeds this daemon's own registry live.
 	cfg.Timings = harness.NewCampaignTimings()
 	cfg.OnPhase = func(tr harness.PhaseTrace) {
-		s.obs.observePhase(tr)
+		s.obs.observe(tr)
 		if s.cfg.SlowExperiment > 0 && tr.Total >= s.cfg.SlowExperiment {
 			s.log.Warn("slow experiment", "job", st.ID, "trace", st.Trace,
 				"experiment", tr.ID, "outcome", tr.Outcome.String(),

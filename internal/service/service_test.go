@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -416,5 +417,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := d.c.Job(ctx, "999"); err == nil {
 		t.Error("unknown job id returned a status")
+	}
+}
+
+// TestSubmitRejectsInvalidConfig: a spec whose campaign configuration is
+// invalid is refused at submission with ErrInvalidSpec, naming the field,
+// instead of being queued and failing only when its run validates it.
+func TestSubmitRejectsInvalidConfig(t *testing.T) {
+	d := startDaemon(t, t.TempDir(), service.Config{})
+	for _, tc := range []struct {
+		field string
+		spec  service.JobSpec
+	}{
+		{"HangFactor", service.JobSpec{App: "LULESH", Scale: "test", Runs: 5, HangFactor: -1}},
+		{"MultiFaultLambda", service.JobSpec{App: "LULESH", Scale: "test", Runs: 5, MultiFaultLambda: -0.5}},
+	} {
+		_, err := d.srv.Submit(tc.spec)
+		var fe *harness.FieldError
+		if !errors.Is(err, service.ErrInvalidSpec) || !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: Submit = %v, want ErrInvalidSpec naming the field", tc.field, err)
+		}
+	}
+	if jobs := d.srv.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs queued, want none", len(jobs))
 	}
 }

@@ -27,9 +27,8 @@ import (
 //
 // Shard jobs and coordinated jobs add:
 //
-//	job-<id>.partial.json          a shard job's mergeable PartialResult
-//	job-<id>.shards.jsonl          a coordinator's shard-completion journal
-//	job-<id>.shard-<n>.partial.json  fetched partial of shard n, owned by the journal
+//	job-<id>.partial.json            a shard job's mergeable PartialResult
+//	job-<id>.shard-<n>.partial.json  fetched partial of shard n: its completion record
 //
 // Status records, partials and results are replaced whole
 // (durable.Replace), so a kill mid-update leaves the previous file and at
@@ -144,16 +143,9 @@ func (s *Store) partialPath(id string) string {
 	return filepath.Join(s.dir, "job-"+id+".partial.json")
 }
 
-// ShardJournalPath is the coordinator's shard-completion journal for one
-// job: one JSON line per finished shard, appended after the shard's
-// partial is persisted, so a coordinator restart re-dispatches only the
-// shards with no journal entry.
-func (s *Store) ShardJournalPath(id string) string {
-	return filepath.Join(s.dir, "job-"+id+".shards.jsonl")
-}
-
 // ShardPartialPath is where a coordinator parks the fetched partial of
-// one completed shard of job id.
+// one completed shard of job id: the shard's completion record, so a
+// coordinator restart re-dispatches only the shards with none.
 func (s *Store) ShardPartialPath(id string, shard int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("job-%s.shard-%d.partial.json", id, shard))
 }
