@@ -151,24 +151,18 @@ type SamplingSpec struct {
 	Protect []int `json:"protect,omitempty"`
 }
 
-// Validate checks the spec without running anything: what a spec alone
-// has (app, scale, sharding), then the campaign configuration it
-// translates to. Violations wrap ErrInvalidSpec, and a configuration's
-// harness.FieldError as well.
-func (s JobSpec) Validate() error {
-	_, err := s.CampaignConfig()
-	return err
-}
-
 // Adaptive reports whether the spec requests adaptive sequential stopping.
 func (s JobSpec) Adaptive() bool {
 	return s.Sampling != nil && s.Sampling.TargetCI > 0
 }
 
-// CampaignConfig validates the spec and translates it into the harness
-// configuration that a local run with the same flags would produce, so
-// results are identical across transports. Scheduling fields (Workers,
-// Checkpoint, Gate, Progress, hooks) are left for the scheduler to fill in.
+// CampaignConfig translates the spec into the harness configuration that a
+// local run with the same flags would produce, so results are identical
+// across transports. Scheduling fields (Workers, Checkpoint, Gate,
+// Progress, hooks) are left for the scheduler to fill in. It is the one
+// spec validator: it checks what a spec alone has (app, scale, sharding),
+// then validates the configuration. Violations wrap ErrInvalidSpec, and a
+// configuration's harness.FieldError as well.
 func (s JobSpec) CampaignConfig() (harness.CampaignConfig, error) {
 	app := apps.ByName(s.App)
 	switch {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -247,6 +248,56 @@ func TestCoordinatorRestartResumesShards(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoordinatorIgnoresForeignParkedPartial: a parked shard partial is
+// the shard's completion record only when it carries the campaign's
+// fingerprint. One left by another campaign at the same path is re-run,
+// not merged.
+func TestCoordinatorIgnoresForeignParkedPartial(t *testing.T) {
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 12, Seed: 31, SampleEvery: 64, Shards: 2}
+	local := localReference(t, spec)
+	other := spec
+	other.Seed = 32
+	cfg, err := other.CampaignConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := harness.PlanShards(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := harness.RunShard(cfg, specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data, err := json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-1.shard-0.partial.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, urls := startWorkerFleet(t, 1)
+	coord := startDaemon(t, dir, service.Config{ProgressEvery: 10 * time.Millisecond, Peers: urls})
+	st, err := coord.c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "1" {
+		t.Fatalf("job ID %s, want 1", st.ID)
+	}
+	final := waitDone(t, coord.c, st.ID)
+	if final.State != service.StateDone || final.Resumed != 0 {
+		t.Fatalf("job settled as %s with %d resumed runs (%s); want done with none", final.State, final.Resumed, final.Error)
+	}
+	merged, err := coord.c.Result(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCampaign(t, "foreign partial parked", local, merged)
 }
 
 // TestShardSubmitCarriesTenant: the shard jobs a coordinator submits to its

@@ -253,7 +253,8 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 // trace is stamped into the job's status, events, journal header, and
 // log lines.
 func (s *Server) SubmitTenant(spec JobSpec, trace, tenant string) (JobStatus, error) {
-	if err := spec.Validate(); err != nil {
+	cfg, err := spec.CampaignConfig()
+	if err != nil {
 		return JobStatus{}, err
 	}
 	tenant = cleanTenant(tenant)
@@ -276,7 +277,6 @@ func (s *Server) SubmitTenant(spec JobSpec, trace, tenant string) (JobStatus, er
 	// Shard jobs are partial campaigns: never archived, never served whole.
 	var key string
 	if spec.Shard == nil {
-		cfg, _ := spec.CampaignConfig() // validated above
 		key = cfg.ArchiveKey()
 	}
 	lookup := time.Now()
