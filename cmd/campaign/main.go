@@ -343,6 +343,10 @@ func (o options) printHeader(res *harness.CampaignResult, elapsed time.Duration,
 		res.App, ran, elapsed.Round(time.Millisecond), how, res.Golden.Cycles, res.Params.Ranks)
 	if snap != nil {
 		fmt.Printf(", %.1f runs/s, %d ended at a golden-equal cut", snap.RunsPerSec, snap.Exited)
+		if how == "" {
+			// Ghosts are local telemetry: the wire does not carry them.
+			fmt.Printf(", %d ranks ended replaying golden traffic", snap.Ghosts)
+		}
 	}
 	if o.targetCI > 0 {
 		fmt.Printf(", adaptive: spent %d of %d budget at ±%g", ran, o.runs, o.targetCI)

@@ -24,12 +24,15 @@ import "sync/atomic"
 // Tail is what lets a run end at a golden-equal cut: captured snapshots of
 // the golden run, in seq order, each later than the run's fork point and
 // than every planned fault, and the golden run's outcome, whose per-rank
-// final values an ended run takes. It is data about the golden run, not a
-// setting: the zero Tail (no cuts) executes every run to its end, and
-// results are the same either way.
+// final values an ended run takes. Traffic, the capture run's MPI traffic,
+// also lets a single golden-equal rank replay it instead of executing
+// (ghost.go); nil keeps that to whole-run exits. It is data about the
+// golden run, not a setting: the zero Tail (no cuts) executes every run to
+// its end, and results are the same either way.
 type Tail struct {
-	Cuts   []*CampaignSnapshot
-	Golden *RunOutcome
+	Cuts    []*CampaignSnapshot
+	Golden  *RunOutcome
+	Traffic Traffic
 }
 
 // goldenExits counts runs ended at a golden-equal cut, process-wide. The

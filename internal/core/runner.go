@@ -44,8 +44,9 @@ type RunConfig struct {
 	// injection-model ablation).
 	MemFaults map[int][]vm.MemFault
 	// Tail lists the golden cuts at which the run may end early because
-	// every rank is back in the golden state (see exit.go). Like Plan it is
-	// per-run data; golden profiling and capture runs ignore it.
+	// every rank is back in the golden state (see exit.go), or a rank may
+	// replay its golden traffic instead of executing (ghost.go). Like Plan
+	// it is per-run data; golden profiling and capture runs ignore it.
 	Tail Tail
 	// Reuse recycles the allocation-heavy run infrastructure (per-rank VM
 	// state and the MPI job fabric) across consecutive Run calls. A Reuse
@@ -89,6 +90,10 @@ type Reuse struct {
 	regions     []StructRegion
 	// vote is the cut rendezvous of capture runs and of runs with a Tail.
 	vote cutVote
+	// links are the ranks' MPI endpoints and aborts their VMs' abort flags
+	// (ghost.go).
+	links  []rankLink
+	aborts abortFlags
 }
 
 // ReleaseSnapshot does nothing: captures are not recycled, because a
@@ -106,6 +111,8 @@ func NewReuse(ranks int) *Reuse {
 		ticksHint: make([]int, ranks),
 		rs:        make([]rankState, ranks),
 		done:      make(chan int, ranks),
+		links:     make([]rankLink, ranks),
+		aborts:    abortFlags{flags: make([]vm.AbortFlag, ranks), held: make([]bool, ranks)},
 	}
 	for i := range r.states {
 		r.states[i] = vm.NewState()
@@ -160,6 +167,10 @@ type RankResult struct {
 	// StructCML attributes the rank's end-of-run contamination to data
 	// structures (global name, "(heap)", or "(stack)").
 	StructCML map[string]int
+	// Ghost marks a rank that ended replaying its golden traffic (ghost.go)
+	// and took the golden run's final values. Telemetry: its values are
+	// those of a full execution.
+	Ghost bool
 }
 
 // RunOutcome aggregates a run across ranks.
@@ -211,21 +222,25 @@ type RunOutcome struct {
 	Deadlock, Timeout bool
 	// Exited reports that the run ended at a golden-equal cut of its Tail
 	// and took the golden run's final values; SkippedCycles sums, over the
-	// ranks, the golden-tail cycles it therefore did not execute.
-	// Telemetry like the restore stats: the results are those of a full
-	// execution.
+	// ranks, the golden-tail cycles it therefore did not execute, the tails
+	// of ranks that ended as ghosts included. GhostExits counts those ranks,
+	// and GhostResumes the ghosts that resumed (ghost.go). Telemetry like the
+	// restore stats: the results are those of a full execution.
 	Exited        bool
 	SkippedCycles uint64
+	GhostExits    int
+	GhostResumes  int
 }
 
 // extras carries the golden runs' hooks through the shared runner body: a
 // snapshot to resume from, per-rank quiesce hooks (golden profiling), the
-// snapshots a capture run fills, and the site map it records.
+// snapshots a capture run fills, and the site map and traffic it records.
 type extras struct {
 	snap    *CampaignSnapshot
 	hooks   []vm.QuiesceHook
 	capture []*CampaignSnapshot
 	sites   SiteRuns
+	traffic Traffic
 }
 
 // Run executes prog on cfg.Ranks ranks and collects per-rank observations.
@@ -251,18 +266,30 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		ru.job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
 	}
 	job := ru.job
+	ru.aborts.reset(job)
+	for r := range ru.links {
+		l := &ru.links[r]
+		l.ep, l.rank, l.abort, l.log = job.Endpoint(r), r, &ru.aborts, nil
+		l.golden, l.catching, l.replayed, l.pend = nil, false, nil, surprise{}
+		if ex.traffic != nil {
+			l.log = &ex.traffic[r]
+		}
+	}
 	// A capture run, or a run with cuts to end at, votes at its cuts.
 	var vote *cutVote
 	switch {
 	case ex.capture != nil:
 		vote = &ru.vote
-		vote.reset(job, ex.capture, true, cfg.Ranks)
+		vote.reset(ru, ex.capture, true, nil)
 	case len(cfg.Tail.Cuts) > 0:
 		if g := cfg.Tail.Golden; g == nil || len(g.Ranks) != cfg.Ranks {
 			panic(fmt.Sprintf("core: a %d-rank run's tail lacks a golden outcome of as many ranks", cfg.Ranks))
 		}
+		if t := cfg.Tail.Traffic; t != nil && (len(t) != cfg.Ranks || len(cfg.Tail.Cuts[0].ops) != cfg.Ranks) {
+			panic(fmt.Sprintf("core: a %d-rank run's tail traffic is not of its capture", cfg.Ranks))
+		}
 		vote = &ru.vote
-		vote.reset(job, cfg.Tail.Cuts, false, cfg.Ranks)
+		vote.reset(ru, cfg.Tail.Cuts, false, cfg.Tail.Traffic)
 	}
 	var restoreStart time.Time
 	if ex.snap != nil {
@@ -306,9 +333,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		v := vm.New(prog, vm.Config{
 			CycleLimit:  cfg.CycleLimit,
 			Injector:    injr,
-			MPI:         job.Endpoint(r),
+			MPI:         &ru.links[r],
 			Tracer:      rec,
-			Abort:       job.Flag(),
+			Abort:       &ru.aborts.flags[r],
 			TrackTaint:  cfg.TrackTaint,
 			MemFaults:   cfg.MemFaults[r],
 			State:       ru.states[r],
@@ -338,9 +365,13 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			// run as crashed, like any other fatal rank failure.
 			defer func() {
 				if p := recover(); p != nil {
-					out.Ranks[r].Err = fmt.Errorf("core: rank %d panic: %v\n%s",
-						r, p, debug.Stack())
-					job.Kill()
+					if d, ok := p.(*divergence); ok {
+						out.Ranks[r].Err = d
+					} else {
+						out.Ranks[r].Err = fmt.Errorf("core: rank %d panic: %v\n%s",
+							r, p, debug.Stack())
+					}
+					ru.aborts.kill()
 				}
 			}()
 			run := states[r].v.Run
@@ -350,7 +381,7 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			if err := run(); err != nil {
 				out.Ranks[r].Err = err
 				// A dead rank takes the job down, as under real MPI.
-				job.Kill()
+				ru.aborts.kill()
 			} else {
 				// A cleanly finished rank never communicates again; announce
 				// the departure so peers blocked on it fail fast (a fault
@@ -383,8 +414,15 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		rr.FinalCML = st.v.Table().Len()
 		rr.Ever = st.v.Table().Ever()
 		rr.AllocatedWords = st.v.Mem().AllocatedWords()
-		if out.Exited {
+		if vote != nil {
+			rr.Ghost = vote.hooks[r].ended
+			out.GhostResumes += vote.hooks[r].resumes
+		}
+		if out.Exited || rr.Ghost {
 			out.SkippedCycles += spliceGolden(rr, &cfg.Tail.Golden.Ranks[r])
+		}
+		if rr.Ghost {
+			out.GhostExits++
 		}
 		out.BackedBytes += st.v.Mem().BackedBytes()
 		rr.TaintPeak = st.v.TaintPeak()
@@ -429,6 +467,13 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 	if out.Err == nil {
 		for r := 0; r < cfg.Ranks; r++ {
 			out.Outputs = append(out.Outputs, out.Ranks[r].Outputs...)
+		}
+	}
+	// A catch-up that left the golden log is a broken invariant, not an
+	// outcome: it reaches the caller as the panic it was.
+	for r := range out.Ranks {
+		if d, ok := out.Ranks[r].Err.(*divergence); ok {
+			panic(d)
 		}
 	}
 	return out

@@ -69,10 +69,13 @@ func (c SiteCut) Past(plan inject.Plan) bool {
 // rank's VM and trace recorder plus the message-passing world. One
 // snapshot forks any number of experiments.
 type CampaignSnapshot struct {
-	Cut      SiteCut
-	vms      []*vm.Snapshot
-	recs     []*trace.RecorderSnap
-	world    *mpi.WorldSnap
+	Cut   SiteCut
+	vms   []*vm.Snapshot
+	recs  []*trace.RecorderSnap
+	world *mpi.WorldSnap
+	// ops[r] is the number of MPI calls rank r had made at the cut: where
+	// its replay of the golden Traffic starts (ghost.go).
+	ops      []int
 	captured bool
 }
 
@@ -148,6 +151,11 @@ type cutVote struct {
 	// compares.
 	capture bool
 	hooks   []rankCut
+	// traffic is the golden run's MPI traffic, which a yes-voter whose cut
+	// does not end the run replays as a ghost (ghost.go); nil disables
+	// ghosts. aborts holds a ghost's abort flag.
+	traffic Traffic
+	aborts  *abortFlags
 
 	mu     sync.Mutex
 	rounds []cutRound
@@ -165,15 +173,17 @@ type cutRound struct {
 	release chan struct{}
 }
 
-// reset readies the rendezvous for one run of job over cuts, reusing the
-// previous run's buffers.
-func (z *cutVote) reset(job *mpi.Job, cuts []*CampaignSnapshot, capture bool, ranks int) {
-	z.job, z.dead, z.cuts, z.capture, z.exited = job, job.Done(), cuts, capture, false
+// reset readies the rendezvous for one run of the bundle's job over cuts,
+// reusing the previous run's buffers.
+func (z *cutVote) reset(ru *Reuse, cuts []*CampaignSnapshot, capture bool, traffic Traffic) {
+	z.job, z.dead, z.cuts, z.capture, z.exited = ru.job, ru.job.Done(), cuts, capture, false
+	z.traffic, z.aborts = traffic, &ru.aborts
 	z.rounds = slices.Grow(z.rounds[:0], len(cuts))[:len(cuts)]
 	clear(z.rounds)
+	ranks := len(ru.links)
 	z.hooks = slices.Grow(z.hooks[:0], ranks)[:ranks]
 	for r := range z.hooks {
-		z.hooks[r] = rankCut{vote: z, rank: r}
+		z.hooks[r] = rankCut{vote: z, rank: r, link: &ru.links[r]}
 	}
 }
 
@@ -241,8 +251,14 @@ func (z *cutVote) settle(i int) bool {
 type rankCut struct {
 	vote *cutVote
 	rank int
-	// next is the index of the first cut this rank has not reached.
+	link *rankLink
+	// next is the index of the first cut this rank has not reached, or
+	// has voted at as a ghost.
 	next int
+	// ended marks a rank that ended at the end of its golden log; resumes
+	// counts its ghosts that resumed.
+	ended   bool
+	resumes int
 }
 
 func (h *rankCut) Quiesce(v *vm.VM, seq uint64) bool {
@@ -257,13 +273,18 @@ func (h *rankCut) Quiesce(v *vm.VM, seq uint64) bool {
 	h.next++
 	cs := z.cuts[i]
 	if !z.capture {
-		return z.vote(i, v.GoldenEqual(cs.vms[h.rank]))
+		// A yes-voter whose cut does not end the run replays its golden
+		// traffic instead of executing, and continues here only if it
+		// resumes.
+		yes := v.GoldenEqual(cs.vms[h.rank])
+		return z.vote(i, yes) || yes && z.traffic != nil && h.ghost(i)
 	}
 	cs.vms[h.rank] = v.Snapshot(cs.vms[h.rank])
 	if rec, ok := v.Tracer().(*trace.Recorder); ok {
 		cs.recs[h.rank] = rec.Snapshot(cs.recs[h.rank])
 	}
 	cs.Cut.Sites[h.rank] = v.Sites()
+	cs.ops[h.rank] = len(h.link.log.ops)
 	z.vote(i, true)
 	return false
 }
@@ -286,20 +307,23 @@ func (m SiteRuns) Static(rank int, site uint64) (int32, bool) {
 	return runs[i].Static + int32(site-runs[i].Site), true
 }
 
-// RunGoldenCapture is RunGoldenCaptureSites without the site map.
+// RunGoldenCapture is RunGoldenCaptureSites without the site map and the
+// traffic.
 func RunGoldenCapture(prog *ir.Program, cfg RunConfig, seqs []uint64) (RunOutcome, []*CampaignSnapshot) {
-	out, snaps, _ := RunGoldenCaptureSites(prog, cfg, seqs, false)
+	out, snaps, _, _ := RunGoldenCaptureSites(prog, cfg, seqs, false)
 	return out, snaps
 }
 
 // RunGoldenCaptureSites is Run for a fault-free golden execution that also
 // captures full campaign snapshots at the given quiesce seqs (counted from
-// 0, as vm.QuiesceHook numbers them) and, when sites is set, records the
+// 0, as vm.QuiesceHook numbers them), records every rank's MPI traffic,
+// which ghosts replay (ghost.go), and, when sites is set, records the
 // dyn→static site map, which stratified and per-site campaigns attribute
 // faults through. It returns the snapshots actually captured, ordered by
-// seq; seqs past the end of the execution are silently dropped. The map is
-// nil when not asked for or when the golden run fails.
-func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites bool) (RunOutcome, []*CampaignSnapshot, SiteRuns) {
+// seq; seqs past the end of the execution are silently dropped. The map
+// and the traffic are nil when the golden run fails, and the map when not
+// asked for.
+func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites bool) (RunOutcome, []*CampaignSnapshot, SiteRuns, Traffic) {
 	cfg = cfg.normalized()
 	snaps := make([]*CampaignSnapshot, 0, len(seqs))
 	for _, s := range seqs {
@@ -310,6 +334,7 @@ func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites
 			Cut:  SiteCut{Seq: s, Sites: make([]uint64, cfg.Ranks)},
 			vms:  make([]*vm.Snapshot, cfg.Ranks),
 			recs: make([]*trace.RecorderSnap, cfg.Ranks),
+			ops:  make([]int, cfg.Ranks),
 		})
 	}
 	slices.SortFunc(snaps, func(a, b *CampaignSnapshot) int { return cmp.Compare(a.Cut.Seq, b.Cut.Seq) })
@@ -317,7 +342,8 @@ func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites
 	if sites {
 		runs = make(SiteRuns, cfg.Ranks)
 	}
-	out := runWith(prog, cfg, extras{capture: snaps, sites: runs})
+	traffic := make(Traffic, cfg.Ranks)
+	out := runWith(prog, cfg, extras{capture: snaps, sites: runs, traffic: traffic})
 	kept := snaps[:0]
 	for _, cs := range snaps {
 		if cs.captured {
@@ -325,7 +351,12 @@ func RunGoldenCaptureSites(prog *ir.Program, cfg RunConfig, seqs []uint64, sites
 		}
 	}
 	if out.Err != nil {
-		runs = nil
+		runs, traffic = nil, nil
 	}
-	return out, kept, runs
+	for r := range traffic {
+		// Sized exactly: the log lives as long as its pack.
+		t := &traffic[r]
+		t.ops, t.bytes, t.words = slices.Clone(t.ops), slices.Clone(t.bytes), slices.Clone(t.words)
+	}
+	return out, kept, runs, traffic
 }

@@ -40,7 +40,7 @@ func forceFullInterp() (restore func()) {
 		return clones[p]
 	}
 	golden, run, resumed := coreGoldenCapture, coreRun, coreRunResumed
-	coreGoldenCapture = func(p *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+	coreGoldenCapture = func(p *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns, core.Traffic) {
 		return golden(full(p), cfg, seqs, sites)
 	}
 	coreRun = func(p *ir.Program, cfg core.RunConfig) core.RunOutcome { return run(full(p), cfg) }

@@ -118,9 +118,7 @@ func (e *campaignEngine) runIDs(ids []int) error {
 				}
 				elapsed := time.Since(t0)
 				cfg.Progress.noteDone(o.Sum.Outcome, elapsed)
-				if o.exited {
-					cfg.Progress.noteExit()
-				}
+				cfg.Progress.noteExit(o.exited, o.ghosts)
 				if tr != nil {
 					tr.Outcome = o.Sum.Outcome
 					tr.Total = elapsed
@@ -199,8 +197,10 @@ func planFor(cfg CampaignConfig, id int, sites []uint64) inject.Plan {
 // the campaign aggregate folds, plus telemetry that is never journaled.
 type expOut struct {
 	journalRecord
-	// exited reports a run that ended at a golden-equal cut.
+	// exited reports a run that ended at a golden-equal cut, ghosts the
+	// ranks that ended replaying golden traffic.
 	exited bool
+	ghosts int
 }
 
 // runExperiment executes one fault-injection run and condenses it. A panic
@@ -255,6 +255,7 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.BackedBytes = run.BackedBytes
 		tr.Deadlock, tr.Timeout = run.Deadlock, run.Timeout
 		tr.Exited, tr.SkippedCycles = run.Exited, run.SkippedCycles
+		tr.GhostExits, tr.GhostResumes = run.GhostExits, run.GhostResumes
 		phaseStart = now
 	}
 	sum := ExperimentSummary{
@@ -300,5 +301,5 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		tr.Classify = time.Since(phaseStart)
 	}
 	return expOut{journalRecord: journalRecord{Kind: "exp", Sum: sum, Points: points,
-		Spread: run.Spread.Series(), StructCML: run.StructCML}, exited: run.Exited}
+		Spread: run.Spread.Series(), StructCML: run.StructCML}, exited: run.Exited, ghosts: run.GhostExits}
 }

@@ -35,7 +35,7 @@ func newFusedCase(t testing.TB, app apps.App, ranks int) *fusedCase {
 	params := app.TestParams()
 	params.Ranks = ranks
 	inst := buildInstrumented(t, app, params)
-	golden, _, runs := core.RunGoldenCaptureSites(inst, core.RunConfig{Ranks: ranks}, nil, true)
+	golden, _, runs, _ := core.RunGoldenCaptureSites(inst, core.RunConfig{Ranks: ranks}, nil, true)
 	if golden.Err != nil {
 		t.Fatalf("%s r%d golden run: %v", app.Name(), ranks, golden.Err)
 	}

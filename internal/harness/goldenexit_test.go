@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // recordRuns routes every experiment a campaign executes through a
@@ -35,24 +36,31 @@ func recordRuns(t testing.TB) *[]core.RunOutcome {
 }
 
 // withoutTelemetry drops what only says how a run executed — restore
-// stats, backing, the exit itself — from its outcome.
+// stats, backing, the exits themselves — from its outcome.
 func withoutTelemetry(o core.RunOutcome) outcomeView {
 	o.Forked, o.RestoreBytes = false, 0
 	o.BackedBytes, o.Exited, o.SkippedCycles = 0, false, 0
+	o.GhostExits, o.GhostResumes = 0, 0
+	o.Ranks = append([]core.RankResult(nil), o.Ranks...)
+	for r := range o.Ranks {
+		o.Ranks[r].Ghost = false
+	}
 	return viewOf(o)
 }
 
 // sameRun reports whether two executions of one experiment agree on the
 // whole RunOutcome. Where either lost ranks as casualties of a peer's
 // abort — which peers, is decided by goroutine scheduling (ROADMAP item 1)
-// — only the ranks that ended on their own on both sides must match; such
-// a run never exits, since an exit needs every rank's vote.
+// — both must still fail, with a root cause of the same kind, and only the
+// ranks that ended on their own on both sides must match; such a run never
+// exits, since an exit needs every rank's vote.
 func sameRun(got, want core.RunOutcome) bool {
 	gv, wv := withoutTelemetry(got), withoutTelemetry(want)
 	if reflect.DeepEqual(gv, wv) {
 		return true
 	}
-	if got.Exited || (!gv.casualties() && !wv.casualties()) {
+	if got.Exited || (!gv.casualties() && !wv.casualties()) ||
+		got.Err == nil || want.Err == nil || !sameTrapKind(got.Err, want.Err) {
 		return false
 	}
 	for r := range gv.O.Ranks {
@@ -67,12 +75,21 @@ func sameRun(got, want core.RunOutcome) bool {
 	return true
 }
 
+// sameTrapKind reports whether two failures are traps of one kind, or
+// both not traps.
+func sameTrapKind(a, b error) bool {
+	ta, tb := vm.AsTrap(a), vm.AsTrap(b)
+	return (ta == nil) == (tb == nil) && (ta == nil || ta.Kind == tb.Kind)
+}
+
 // checkGoldenExit runs cfg's experiments — all of them, or spec's — to
-// their end (Snapshots 0) and with the early exit (cfg.Snapshots), and
-// fails t unless every experiment's RunOutcome agrees and every exited
-// experiment is one the paper counts as correct output: V or ONA, no rank
-// contaminated at its end, and the golden run's cycles and sites. It
-// returns the summaries of the exited experiments.
+// their end (Snapshots 0) and with the early exits (cfg.Snapshots), and
+// fails t unless every experiment's RunOutcome agrees, every exited
+// experiment is one the paper counts as correct output — V or ONA, no rank
+// contaminated at its end, and the golden run's cycles and sites — and
+// every rank that ended replaying golden traffic ended uncontaminated,
+// without error, at the golden run's sites and cycles. It returns the
+// summaries of the exited experiments.
 func checkGoldenExit(t testing.TB, label string, cfg CampaignConfig, spec *ShardSpec) []ExperimentSummary {
 	t.Helper()
 	var want, got []core.RunOutcome
@@ -102,13 +119,26 @@ func checkGoldenExit(t testing.TB, label string, cfg CampaignConfig, spec *Shard
 	if len(got) != len(want) || len(sums) != len(got) {
 		t.Fatalf("%s: %d experiments with exits, %d without, %d summaries", label, len(got), len(want), len(sums))
 	}
+	pack, err := packFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var exited []ExperimentSummary
+	ghosts, resumes := 0, 0
 	for i := range got {
 		g, sum := got[i], sums[i]
 		if !sameRun(g, want[i]) {
 			t.Errorf("%s: experiment %d %v: run with exits diverged\n got: %+v\nwant: %+v",
 				label, sum.ID, sum.Plan.Faults, withoutTelemetry(g), withoutTelemetry(want[i]))
 			continue
+		}
+		ghosts, resumes = ghosts+g.GhostExits, resumes+g.GhostResumes
+		for r, rr := range g.Ranks {
+			if rr.Ghost && (rr.FinalCML != 0 || rr.Err != nil || rr.Sites != golden.GoldenSites[r] ||
+				rr.Cycles != pack.golden.Ranks[r].Cycles) {
+				t.Errorf("%s: experiment %d: rank %d ended as a ghost at CML %d, err %v, %d of %d sites, %d cycles",
+					label, sum.ID, r, rr.FinalCML, rr.Err, rr.Sites, golden.GoldenSites[r], rr.Cycles)
+			}
 		}
 		if !g.Exited {
 			continue
@@ -128,7 +158,8 @@ func checkGoldenExit(t testing.TB, label string, cfg CampaignConfig, spec *Shard
 			}
 		}
 	}
-	t.Logf("%s: %d of %d experiments ended at a golden-equal cut", label, len(exited), len(got))
+	t.Logf("%s: %d of %d experiments ended at a golden-equal cut; %d ranks ended as ghosts, %d ghosts resumed",
+		label, len(exited), len(got), ghosts, resumes)
 	return exited
 }
 
@@ -138,11 +169,14 @@ func checkGoldenExit(t testing.TB, label string, cfg CampaignConfig, spec *Shard
 // protected campaigns, every experiment run with the early exit must
 // produce the same core.RunOutcome as the same experiment executed to its
 // end (Snapshots 0, the byte-identity reference), and every exit must be a
-// correct-output run that ends golden. AMG2013 at seed 2015 includes
-// experiment 1458, whose ranks deadlock: it must still end as a detected
-// deadlock, so the vote never stalls a deadlocking run.
+// correct-output run that ends golden. Ranks must also have ended replaying
+// golden traffic and ghosts resumed, so both rank-level paths were taken.
+// AMG2013 at seed 2015 includes experiment 1458, whose ranks deadlock: it
+// must still end as a detected deadlock, so the vote never stalls a
+// deadlocking run.
 func TestGoldenExitMatchesReference(t *testing.T) {
 	before := core.GoldenExits()
+	ghosts, resumes := core.GhostExits(), core.GhostResumes()
 	exits := 0
 	for _, app := range apps.All() {
 		for _, ranks := range []int{1, 4} {
@@ -223,6 +257,10 @@ func TestGoldenExitMatchesReference(t *testing.T) {
 		t.Errorf("%d experiments exited, core.GoldenExits advanced %d: want both > 0 and equal",
 			exits, core.GoldenExits()-before)
 	}
+	if core.GhostExits() == ghosts || core.GhostResumes() == resumes {
+		t.Errorf("GhostExits advanced %d and GhostResumes %d: want both > 0",
+			core.GhostExits()-ghosts, core.GhostResumes()-resumes)
+	}
 	t.Logf("%d experiments ended at a golden-equal cut", exits)
 }
 
@@ -248,4 +286,54 @@ func FuzzGoldenExit(f *testing.F) {
 		}
 		checkGoldenExit(t, fmt.Sprintf("%s r%d seed %d budget %d", a.Name(), params.Ranks, seed, cfg.Snapshots), cfg, nil)
 	})
+}
+
+// TestGoldenTrafficImmutable runs two campaigns on one pack at once, each
+// with two workers, whose ghosts replay the pack's golden traffic
+// concurrently, and checks that no byte of the traffic changed: a log
+// slice handed to a peer or to the wire-buffer pool would be written into
+// by a later message. Under -race it also checks that the replays only
+// read the log.
+func TestGoldenTrafficImmutable(t *testing.T) {
+	app := apps.ByName("LULESH")
+	params := app.TestParams()
+	params.Ranks = 4
+	cfg := CampaignConfig{
+		App: app, Params: params,
+		Sampling:  Sampling{Runs: 60, Seed: 2015},
+		Execution: Execution{SampleEvery: 64, Workers: 2, Snapshots: 64},
+	}
+	pack, err := packFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pack.traffic.Digest()
+	exits, resumes := core.GhostExits(), core.GhostResumes()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := cfg
+			c.Seed += uint64(i)
+			_, errs[i] = RunCampaign(c)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, _ := packFor(cfg); p != pack {
+		t.Fatal("the campaigns did not share the pack")
+	}
+	if core.GhostExits() == exits || core.GhostResumes() == resumes {
+		t.Fatalf("GhostExits advanced %d and GhostResumes %d: the traffic was not replayed",
+			core.GhostExits()-exits, core.GhostResumes()-resumes)
+	}
+	if after := pack.traffic.Digest(); after != before {
+		t.Errorf("the pack's golden traffic changed: digest %x, was %x", after, before)
+	}
 }

@@ -25,8 +25,10 @@ import (
 //  2. the golden outcome, also in the shapes every partial result carries
 //     (classify.Golden, per-rank site counts) — prepare, one execution;
 //  3. the full state at each of the first maxCuts quiesce cuts, each with
-//     its cut (the per-rank site counts reached there) — prepare, same
-//     execution; campaigns fork from them (snapshots.go);
+//     its cut (the per-rank site counts reached there), and every rank's MPI
+//     traffic — prepare, same execution; campaigns fork from the cuts and
+//     end at them, and golden-equal ranks replay the traffic
+//     (snapshots.go);
 //  4. the dyn→static site map (per-rank runs of static fim_inj ordinals,
 //     sites.go) — recorded by prepare's execution when the first campaign
 //     is stratified or per-site; a pack set up without it that is later
@@ -85,8 +87,9 @@ type snapshotPack struct {
 	reuse  *core.Reuse
 	golden core.RunOutcome
 	// snaps holds the captures of the golden execution's first maxCuts
-	// quiesce cuts, ordered by seq.
-	snaps []*core.CampaignSnapshot
+	// quiesce cuts, ordered by seq, and traffic its MPI traffic.
+	snaps   []*core.CampaignSnapshot
+	traffic core.Traffic
 	// ref and goldenSites are the golden outcome in the shapes every
 	// partial result of the configuration carries.
 	ref         classify.Golden
@@ -177,7 +180,7 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 	for i := range seqs {
 		seqs[i] = uint64(i)
 	}
-	golden, snaps, runs := coreGoldenCapture(inst, core.RunConfig{
+	golden, snaps, runs, traffic := coreGoldenCapture(inst, core.RunConfig{
 		Ranks:       cfg.Params.Ranks,
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       reuse,
@@ -190,7 +193,7 @@ func (p *snapshotPack) prepare(cfg CampaignConfig) error {
 		return fmt.Errorf("inject: no rank has injection sites")
 	}
 	p.inst, p.sites, p.reuse = inst, infos, reuse
-	p.golden, p.snaps, p.ready = golden, snaps, true
+	p.golden, p.snaps, p.traffic, p.ready = golden, snaps, traffic, true
 	p.ref = classify.Golden{
 		Outputs:    golden.Outputs,
 		Cycles:     golden.Cycles,
@@ -213,7 +216,7 @@ func (p *snapshotPack) siteMapOf(cfg CampaignConfig) (*siteMap, error) {
 	if p.smap != nil {
 		return p.smap, nil
 	}
-	out, _, runs := coreGoldenCapture(p.inst, core.RunConfig{
+	out, _, runs, _ := coreGoldenCapture(p.inst, core.RunConfig{
 		Ranks:       cfg.Params.Ranks,
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       p.reuse,

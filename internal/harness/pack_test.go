@@ -49,7 +49,7 @@ func countGoldens(t *testing.T) *goldenLog {
 	t.Helper()
 	l := &goldenLog{}
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
+	coreGoldenCapture = func(prog *ir.Program, cfg core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns, core.Traffic) {
 		l.add(goldenCall{captures: len(seqs) > 0, sites: sites})
 		return orig(prog, cfg, seqs, sites)
 	}
@@ -255,10 +255,10 @@ func TestPackSetupFailureNotCached(t *testing.T) {
 		Params: app.TestParams(), Sampling: Sampling{Runs: 2, Seed: 1}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
-		out, _, _ := orig(prog, rc, seqs, sites)
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns, core.Traffic) {
+		out, _, _, _ := orig(prog, rc, seqs, sites)
 		out.Err = errors.New("synthetic golden failure")
-		return out, nil, nil
+		return out, nil, nil, nil
 	}
 	_, err := RunCampaign(cfg)
 	coreGoldenCapture = orig
@@ -289,9 +289,9 @@ func TestPackCachesEmptyCutList(t *testing.T) {
 		Params: app.TestParams(), Sampling: Sampling{Runs: 4, Seed: 9}, Execution: Execution{SampleEvery: 64, Workers: 1, Snapshots: 3},
 	}
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
-		out, _, runs := orig(prog, rc, seqs, sites)
-		return out, nil, runs
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns, core.Traffic) {
+		out, _, runs, _ := orig(prog, rc, seqs, sites)
+		return out, nil, runs, nil
 	}
 	t.Cleanup(func() { coreGoldenCapture = orig })
 	goldens := countGoldens(t)
@@ -470,10 +470,10 @@ func TestSiteProfileFailureNotCached(t *testing.T) {
 	}
 	cfg.Sites = true
 	orig := coreGoldenCapture
-	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns) {
-		out, _, _ := orig(prog, rc, seqs, sites)
+	coreGoldenCapture = func(prog *ir.Program, rc core.RunConfig, seqs []uint64, sites bool) (core.RunOutcome, []*core.CampaignSnapshot, core.SiteRuns, core.Traffic) {
+		out, _, _, _ := orig(prog, rc, seqs, sites)
 		out.Err = errors.New("synthetic profile failure")
-		return out, nil, nil
+		return out, nil, nil, nil
 	}
 	_, err := RunCampaign(cfg)
 	coreGoldenCapture = orig

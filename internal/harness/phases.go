@@ -54,9 +54,13 @@ type PhaseTrace struct {
 	// Exited reports that the experiment ended at a golden-equal cut
 	// instead of executing the golden tail, and SkippedCycles the tail
 	// cycles not executed, summed over ranks (core.RunOutcome): the answer
-	// to "is the early exit being taken?".
+	// to "is the early exit being taken?". GhostExits counts the ranks that
+	// ended replaying golden traffic and GhostResumes the ghosts that
+	// resumed (core.RunOutcome): "is the per-rank exit being taken?".
 	Exited        bool
 	SkippedCycles uint64
+	GhostExits    int
+	GhostResumes  int
 }
 
 // CampaignTimings aggregates PhaseTraces into mergeable fixed-bucket

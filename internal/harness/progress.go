@@ -27,6 +27,7 @@ type Progress struct {
 	busy     time.Duration
 	outcomes [classify.NumOutcomes]int
 	exited   int
+	ghosts   int
 }
 
 // Snapshot is a point-in-time view of campaign progress.
@@ -53,6 +54,9 @@ type Snapshot struct {
 	// Exited counts executed experiments that ended at a golden-equal cut
 	// instead of executing the golden tail.
 	Exited int `json:",omitempty"`
+	// Ghosts counts the ranks that ended replaying golden traffic. It is
+	// local telemetry, not carried on the wire.
+	Ghosts int `json:"-"`
 }
 
 // begin (re)arms the Progress for one campaign. A Progress may be
@@ -75,6 +79,7 @@ func (p *Progress) begin(total, workers int) {
 	p.busy = 0
 	p.outcomes = [classify.NumOutcomes]int{}
 	p.exited = 0
+	p.ghosts = 0
 }
 
 func (p *Progress) noteResumed(n int) {
@@ -110,15 +115,18 @@ func (p *Progress) noteDone(o classify.Outcome, d time.Duration) {
 	}
 }
 
-// noteExit counts an experiment, already noted done, that ended at a
-// golden-equal cut.
-func (p *Progress) noteExit() {
-	if p == nil {
+// noteExit counts, for an experiment already noted done, whether it ended
+// at a golden-equal cut and how many of its ranks ended as ghosts.
+func (p *Progress) noteExit(exited bool, ghosts int) {
+	if p == nil || !exited && ghosts == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.exited++
+	if exited {
+		p.exited++
+	}
+	p.ghosts += ghosts
 }
 
 // Snapshot returns the current metrics.
@@ -135,6 +143,7 @@ func (p *Progress) Snapshot() Snapshot {
 		Running:  p.running,
 		Outcomes: p.outcomes,
 		Exited:   p.exited,
+		Ghosts:   p.ghosts,
 	}
 	if p.started.IsZero() {
 		return s

@@ -27,7 +27,7 @@ const siteMapGolden = "testdata/sitemap.golden"
 func goldenSiteMap(t *testing.T, inst *ir.Program, ranks int) [][]int32 {
 	t.Helper()
 	switches := vm.CleanModeSwitches()
-	out, _, runs := core.RunGoldenCaptureSites(inst, core.RunConfig{Ranks: ranks}, nil, true)
+	out, _, runs, _ := core.RunGoldenCaptureSites(inst, core.RunConfig{Ranks: ranks}, nil, true)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}

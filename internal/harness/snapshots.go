@@ -10,23 +10,25 @@ import (
 // Snapshot-fork scheduling over the pack's captures (the third of the
 // artefacts pack.go lists). The pack's one golden execution captured full
 // state at every quiesce cut, up to maxCuts; with Execution.Snapshots
-// positive a campaign schedules over all of them. Each experiment then forks from the latest
-// captured cut that precedes all of its planned faults, skipping the clean
-// prefix, and may end at any later captured cut past all of them where
-// every rank is back in the golden state, skipping a clean tail
-// (core/exit.go). An experiment whose fault precedes every captured cut —
-// every experiment, when Snapshots is 0 or the app has no quiesce points —
-// runs from step 0. Forking is purely a performance strategy: results are
+// positive a campaign schedules over all of them. Each experiment then
+// forks from the latest captured cut that precedes all of its planned
+// faults, skipping the clean prefix, and may end at any later captured cut
+// past all of them where every rank is back in the golden state, skipping
+// a clean tail (core/exit.go); a single rank back in it replays the golden
+// traffic instead of executing (core/ghost.go). An experiment whose fault
+// precedes every captured cut — every experiment, when Snapshots is 0 or
+// the app has no quiesce points — runs from step 0. Forking is purely a performance strategy: results are
 // byte-identical with it or without, which is why Snapshots is excluded
 // from the checkpoint fingerprint.
 
-// snapSchedule holds the pack's captured snapshots, ordered by seq, and its
-// golden outcome. It is shared read-only across worker goroutines;
-// forking restores copy out of the snapshot, never into it, and the
-// golden-equivalence early exit only reads both.
+// snapSchedule holds the pack's captured snapshots, ordered by seq, its
+// golden outcome and its traffic. It is shared read-only across worker
+// goroutines; forking restores copy out of the snapshot, never into it, and
+// the golden-equivalence early exits only read all three.
 type snapSchedule struct {
-	snaps  []*core.CampaignSnapshot
-	golden *core.RunOutcome
+	snaps   []*core.CampaignSnapshot
+	golden  *core.RunOutcome
+	traffic core.Traffic
 }
 
 // Best returns the latest captured snapshot every planned fault lies at or
@@ -58,7 +60,7 @@ func (s *snapSchedule) Tail(plan inject.Plan, from *core.CampaignSnapshot) core.
 	if i == len(s.snaps) {
 		return core.Tail{}
 	}
-	return core.Tail{Cuts: s.snaps[i:], Golden: s.golden}
+	return core.Tail{Cuts: s.snaps[i:], Golden: s.golden, Traffic: s.traffic}
 }
 
 // schedule returns the campaign's snapshot-fork schedule: the pack's
@@ -68,5 +70,5 @@ func (p *snapshotPack) schedule(cfg CampaignConfig) *snapSchedule {
 	if cfg.Snapshots == 0 || len(p.snaps) == 0 {
 		return nil
 	}
-	return &snapSchedule{snaps: p.snaps, golden: &p.golden}
+	return &snapSchedule{snaps: p.snaps, golden: &p.golden, traffic: p.traffic}
 }
