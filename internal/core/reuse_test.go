@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,9 +15,28 @@ import (
 // TestRunIdenticalOnAnyReuse: a run's observables do not depend on the
 // bundle it is handed — none, one of the job's rank count (fresh, then
 // recycled), or one sized for another rank count, which the run must leave
-// untouched and replace with a private bundle — on a 1- and a 4-rank
-// application. The bundle-less runs execute concurrently so -race sees that
+// untouched and replace with a private bundle — nor on whether it is a Run
+// or a RunResumed from no snapshot, on a 1- and a 4-rank application. The bundle-less runs execute concurrently so -race sees that
 // private bundles share nothing.
+// wholeOutcome is every field of o in comparable form: outputs as bit
+// patterns, since a corrupted run may output NaN.
+func wholeOutcome(o RunOutcome) [2]any {
+	bits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	outs := [][]uint64{bits(o.Outputs)}
+	o.Outputs, o.Ranks = nil, slices.Clone(o.Ranks)
+	for r := range o.Ranks {
+		outs = append(outs, bits(o.Ranks[r].Outputs))
+		o.Ranks[r].Outputs = nil
+	}
+	return [2]any{o, outs}
+}
+
 func TestRunIdenticalOnAnyReuse(t *testing.T) {
 	app := apps.NewHydro()
 	for _, ranks := range []int{1, 4} {
@@ -44,6 +65,15 @@ func TestRunIdenticalOnAnyReuse(t *testing.T) {
 			cfg.Plan = inject.Plan{Faults: []inject.Fault{{Rank: last, Site: site, Bit: 52}}}
 			if Run(inst, cfg).Ever {
 				break
+			}
+		}
+
+		// The harness runs every experiment through RunResumed; with no
+		// snapshot it is Run, in every field of the outcome.
+		for _, c := range []RunConfig{{Ranks: ranks, SampleEvery: 16}, cfg} {
+			if got, want := wholeOutcome(RunResumed(inst, c, nil)), wholeOutcome(Run(inst, c)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d ranks, plan %v: RunResumed from no snapshot differs from Run\n got: %+v\nwant: %+v",
+					ranks, c.Plan.Faults, got, want)
 			}
 		}
 

@@ -254,7 +254,8 @@ func Run(prog *ir.Program, cfg RunConfig) RunOutcome {
 // instead of from step 0: each rank's VM is forked from the snapshot and
 // the job's message-passing world is rewound to the same cut, so the run is
 // observably identical to a from-scratch execution of the same plan. The
-// plan must be Usable with the snapshot.
+// plan must be Usable with the snapshot. A nil snapshot runs from step 0:
+// RunResumed(prog, cfg, nil) is Run(prog, cfg).
 func RunResumed(prog *ir.Program, cfg RunConfig, snap *CampaignSnapshot) RunOutcome {
 	return runWith(prog, cfg, extras{snap: snap})
 }

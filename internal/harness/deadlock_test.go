@@ -18,7 +18,8 @@ import (
 // explicit-ID shard, on one and four workers, re-executing and forking from
 // snapshots. The stall is detected, not waited out (the mpi timeout is 60 s,
 // the whole shard takes under a second), every variant yields the same
-// bytes, and the phase traces say which experiment deadlocked.
+// bytes and, experiment by experiment, the same outcomes (checkRuns), and
+// the phase traces say which experiment deadlocked.
 func TestDeadlockedExperimentInShard(t *testing.T) {
 	app := apps.ByName("AMG2013")
 	const stall = 1458
@@ -32,6 +33,7 @@ func TestDeadlockedExperimentInShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []byte
+	var ref *reference
 	for _, workers := range []int{1, 4} {
 		for _, snapshots := range []int{0, 64} {
 			label := fmt.Sprintf("workers=%d snapshots=%d", workers, snapshots)
@@ -56,8 +58,10 @@ func TestDeadlockedExperimentInShard(t *testing.T) {
 				Shards: 1, Runs: cfg.Runs, Fingerprint: cfg.Fingerprint(),
 				IDs: []int{stall - 2, stall - 1, stall, stall + 1, stall + 2},
 			}
+			rec := record(t, false)
 			start := time.Now()
 			part, err := RunShard(cfg, spec)
+			rec.stop()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -72,6 +76,11 @@ func TestDeadlockedExperimentInShard(t *testing.T) {
 			got, err := json.Marshal(part)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = newReference(t, &matrixRun{rec: rec}, cfg, part.Experiments)
+			} else {
+				ref.checkRuns(t, label, rec, part.Golden.Cycles, part.GoldenSites)
 			}
 			if want == nil {
 				want = got

@@ -19,134 +19,6 @@ import (
 	"repro/internal/ir"
 )
 
-// assertResultsIdentical requires two campaign results to be byte-identical
-// in every paper-facing aggregate.
-func assertResultsIdentical(t *testing.T, label string, a, b *CampaignResult) {
-	t.Helper()
-	if !reflect.DeepEqual(a.Tally, b.Tally) {
-		t.Errorf("%s: Tally differs: %v vs %v", label, a.Tally, b.Tally)
-	}
-	if !reflect.DeepEqual(a.Experiments, b.Experiments) {
-		t.Errorf("%s: Experiments differ (%d vs %d records)", label, len(a.Experiments), len(b.Experiments))
-		for i := range a.Experiments {
-			if i < len(b.Experiments) && !reflect.DeepEqual(a.Experiments[i], b.Experiments[i]) {
-				t.Errorf("%s: first divergence at experiment %d:\n  %+v\n  %+v",
-					label, i, a.Experiments[i], b.Experiments[i])
-				break
-			}
-		}
-	}
-	if !reflect.DeepEqual(a.Model, b.Model) {
-		t.Errorf("%s: Model differs: FPS %v vs %v (%d vs %d fits)",
-			label, a.Model.FPS, b.Model.FPS, len(a.Model.Fits), len(b.Model.Fits))
-	}
-	if !reflect.DeepEqual(a.Profiles, b.Profiles) {
-		t.Errorf("%s: Profiles differ (%d vs %d)", label, len(a.Profiles), len(b.Profiles))
-		for i := range a.Profiles {
-			if i < len(b.Profiles) && !reflect.DeepEqual(a.Profiles[i], b.Profiles[i]) {
-				t.Errorf("%s: first differing profile [%d]:\n  %+v\n  %+v",
-					label, i, a.Profiles[i], b.Profiles[i])
-				break
-			}
-		}
-	}
-	if !reflect.DeepEqual(a.BestSpread, b.BestSpread) {
-		t.Errorf("%s: BestSpread differs", label)
-	}
-	if !reflect.DeepEqual(a.StructTotals, b.StructTotals) {
-		t.Errorf("%s: StructTotals differ: %v vs %v", label, a.StructTotals, b.StructTotals)
-	}
-}
-
-// TestCampaignWorkerCountInvariance pins the engine's core determinism
-// contract: the same seed yields identical Tally, Experiments, and Model
-// whether experiments run serially or race across eight workers.
-func TestCampaignWorkerCountInvariance(t *testing.T) {
-	cases := []struct {
-		name   string
-		app    apps.App
-		runs   int
-		seed   uint64
-		lambda float64
-	}{
-		{"hydro-single", apps.NewHydro(), 16, 99, 0},
-		{"fe-multifault", apps.NewFE(), 12, 7, 1.5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := CampaignConfig{
-				App:    tc.app,
-				Params: tc.app.TestParams(), Sampling: Sampling{Runs: tc.runs, Seed: tc.seed, MultiFaultLambda: tc.lambda}, Execution: Execution{SampleEvery: 64},
-			}
-			serial := base
-			serial.Workers = 1
-			wide := base
-			wide.Workers = 8
-			a, err := RunCampaign(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunCampaign(wide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsIdentical(t, "workers 1 vs 8", a, b)
-		})
-	}
-}
-
-// TestCampaignResumeMatchesUninterrupted kills a campaign at 50% (via the
-// StopAfter hook), resumes it from its checkpoint journal, and requires the
-// resumed result to be identical to an uninterrupted run of the same seed.
-func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
-	cases := []struct {
-		name   string
-		app    apps.App
-		runs   int
-		seed   uint64
-		lambda float64
-	}{
-		{"hydro-single", apps.NewHydro(), 16, 5, 0},
-		{"fe-multifault", apps.NewFE(), 12, 21, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ck := filepath.Join(t.TempDir(), "campaign.ckpt.jsonl")
-			base := CampaignConfig{
-				App:    tc.app,
-				Params: tc.app.TestParams(), Sampling: Sampling{Runs: tc.runs, Seed: tc.seed, MultiFaultLambda: tc.lambda}, Execution: Execution{SampleEvery: 64, Workers: 4},
-			}
-			full, err := RunCampaign(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// When the engine folds its StopAfter-th experiment, up to
-			// Workers more wait in its output buffer and Workers more are
-			// running, so the stop interrupts only if runs >= StopAfter +
-			// 2·Workers + 1. One worker keeps that true for both cases
-			// (12 >= 6+3, 16 >= 8+3); four let fe-multifault finish all 12
-			// and return nil now and then.
-			interrupted := base
-			interrupted.Checkpoint = ck
-			interrupted.StopAfter = tc.runs / 2
-			interrupted.Workers = 1
-			if _, err := RunCampaign(interrupted); !errors.Is(err, ErrInterrupted) {
-				t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", err)
-			}
-
-			resume := base
-			resume.Checkpoint = ck
-			resume.Resume = true
-			got, err := RunCampaign(resume)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsIdentical(t, "resumed vs uninterrupted", full, got)
-		})
-	}
-}
-
 // TestCampaignResumeToleratesTruncatedTail simulates a kill mid-write: the
 // journal's final line is cut short. Resume must drop the partial record,
 // re-run that experiment, and still match the uninterrupted result.
@@ -182,7 +54,7 @@ func TestCampaignResumeToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, "resume after truncated tail", full, got)
+	assertSameStudy(t, "resume after truncated tail", full, got)
 }
 
 // TestCampaignResumeAfterTornTail cuts a journal inside its last record,
@@ -350,7 +222,7 @@ func TestCampaignCancelLeavesResumableJournal(t *testing.T) {
 	if resumed.Load() == 0 {
 		t.Error("resume replayed no journal records")
 	}
-	assertResultsIdentical(t, "resume after cancel", full, got)
+	assertSameStudy(t, "resume after cancel", full, got)
 }
 
 // TestCampaignJournalRejectionPaths covers every way a checkpoint journal
@@ -437,7 +309,7 @@ func TestCampaignGateBoundsParallelism(t *testing.T) {
 	orig := coreRun
 	defer func() { coreRun = orig }()
 	var inFlight, peak atomic.Int32
-	coreRun = func(prog *ir.Program, cfg core.RunConfig) core.RunOutcome {
+	coreRun = func(prog *ir.Program, cfg core.RunConfig, snap *core.CampaignSnapshot) core.RunOutcome {
 		n := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -446,7 +318,7 @@ func TestCampaignGateBoundsParallelism(t *testing.T) {
 			}
 		}
 		defer inFlight.Add(-1)
-		return orig(prog, cfg)
+		return orig(prog, cfg, snap)
 	}
 
 	app := apps.NewHydro()
@@ -472,7 +344,7 @@ func TestCampaignGateBoundsParallelism(t *testing.T) {
 	if p := peak.Load(); p > 2 {
 		t.Errorf("gate of 2 tokens allowed %d concurrent experiments", p)
 	}
-	assertResultsIdentical(t, "gated vs ungated", ungated, got)
+	assertSameStudy(t, "gated vs ungated", ungated, got)
 }
 
 // TestCampaignBoundedSummaryRetention: with MaxSummaries set, the resident
@@ -583,11 +455,11 @@ func TestUnplannedRunNotAttributedToRankZero(t *testing.T) {
 func TestCampaignContainsExperimentPanic(t *testing.T) {
 	orig := coreRun
 	defer func() { coreRun = orig }()
-	coreRun = func(prog *ir.Program, cfg core.RunConfig) core.RunOutcome {
+	coreRun = func(prog *ir.Program, cfg core.RunConfig, snap *core.CampaignSnapshot) core.RunOutcome {
 		if len(cfg.Plan.Faults) > 0 {
 			panic("synthetic interpreter bug")
 		}
-		return orig(prog, cfg)
+		return orig(prog, cfg, snap)
 	}
 	app := apps.NewHydro()
 	res, err := RunCampaign(CampaignConfig{

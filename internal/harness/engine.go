@@ -16,12 +16,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// coreRun and coreRunResumed indirect the core entry points so tests can
-// inject infrastructure failures.
-var (
-	coreRun        = core.Run
-	coreRunResumed = core.RunResumed
-)
+// coreRun indirects the one core entry point every experiment runs
+// through (a nil snapshot runs from step 0) so tests can record runs,
+// inject infrastructure failures and route runs onto a reference program.
+var coreRun = core.RunResumed
 
 // campaignEngine is the execution core shared by fixed-N and adaptive
 // campaigns: a worker pool that runs an arbitrary set of experiment IDs
@@ -235,14 +233,9 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 		SampleEvery: cfg.SampleEvery,
 		Reuse:       cfg.reuse,
 	}
-	var run core.RunOutcome
 	snap := sched.Best(plan)
 	rcfg.Tail = sched.Tail(plan, snap)
-	if snap != nil {
-		run = coreRunResumed(inst, rcfg, snap)
-	} else {
-		run = coreRun(inst, rcfg)
-	}
+	run := coreRun(inst, rcfg, snap)
 	if tr != nil {
 		now := time.Now()
 		tr.Restore = run.RestoreDur

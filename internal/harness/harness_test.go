@@ -79,28 +79,6 @@ func TestCampaignSmokeHydro(t *testing.T) {
 	}
 }
 
-func TestCampaignDeterministicAcrossRuns(t *testing.T) {
-	app := apps.NewFE()
-	cfg := CampaignConfig{App: app, Params: app.TestParams(), Sampling: Sampling{Runs: 8, Seed: 7}}
-	a, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Experiments {
-		if a.Experiments[i].Outcome != b.Experiments[i].Outcome {
-			t.Errorf("experiment %d outcome differs: %v vs %v",
-				i, a.Experiments[i].Outcome, b.Experiments[i].Outcome)
-		}
-		if a.Experiments[i].TotalPeakCML != b.Experiments[i].TotalPeakCML {
-			t.Errorf("experiment %d CML differs", i)
-		}
-	}
-}
-
 func TestCampaignMultiFault(t *testing.T) {
 	app := apps.NewHydro()
 	res, err := RunCampaign(CampaignConfig{

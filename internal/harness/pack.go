@@ -117,7 +117,7 @@ var (
 
 // coreGoldenCapture indirects the pack's one kind of fault-free execution
 // so tests can count it, fail it and route it through a reference program
-// (like coreRun in campaign.go).
+// (like coreRun in engine.go).
 var coreGoldenCapture = core.RunGoldenCaptureSites
 
 // packFor returns the process-wide pack for the campaign's configuration,

@@ -73,13 +73,12 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
 	goldens := countGoldens(t)
-	resumes := countResumes(t)
+	runs := record(t, false)
 	app := apps.All()[0]
 	cfg := CampaignConfig{
 		App:    app,
 		Params: app.TestParams(), Sampling: Sampling{Runs: 10, Seed: 77}, Execution: Execution{SampleEvery: 64, Workers: 1},
 	}
-	exits := core.GoldenExits()
 	first, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +92,8 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 		t.Fatalf("pack not set up: ready=%v golden.Err=%v ranks=%d snaps=%d",
 			p.ready, p.golden.Err, len(p.golden.Ranks), len(p.snaps))
 	}
-	if *resumes != 0 || core.GoldenExits() != exits {
-		t.Fatalf("Snapshots: 0 campaign forked %d experiments and exited %d",
-			*resumes, core.GoldenExits()-exits)
+	if c := runs.counts; c.forked != 0 || c.exited != 0 {
+		t.Fatalf("Snapshots: 0 campaign forked %d experiments and exited %d", c.forked, c.exited)
 	}
 	snapsBefore := &p.snaps[0]
 
@@ -113,10 +111,10 @@ func TestSnapshotPackSharedAcrossCampaigns(t *testing.T) {
 	if &p.snaps[0] != snapsBefore {
 		t.Error("second campaign recaptured the golden execution")
 	}
-	if *resumes == 0 {
+	if runs.counts.forked == 0 {
 		t.Fatal("Snapshots: 3 campaign forked no experiment")
 	}
-	assertStudyIdentical(t, "Snapshots: 3 after Snapshots: 0 on one pack", first, second)
+	assertSameStudy(t, "Snapshots: 3 after Snapshots: 0 on one pack", first, second)
 }
 
 // TestPackGoldenMatchesRun: the pack's capture run is the campaign's
@@ -193,16 +191,16 @@ func TestPackKeepsFirstMaxCuts(t *testing.T) {
 			t.Fatalf("capture %d at cut %+v, want %+v", i, cs.Cut, cuts[i])
 		}
 	}
-	resumes := countResumes(t)
+	runs := record(t, false)
 	cfg.Snapshots = 64
 	got, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *resumes == 0 {
+	if runs.counts.forked == 0 {
 		t.Error("campaign never forked from a capture")
 	}
-	assertStudyIdentical(t, "first maxCuts captured vs re-execution", want, got)
+	assertSameStudy(t, "first maxCuts captured vs re-execution", want, got)
 }
 
 // TestPackConcurrentFirstUse starts several campaigns over one fresh
@@ -239,7 +237,7 @@ func TestPackConcurrentFirstUse(t *testing.T) {
 		t.Errorf("golden executed %d times for one configuration, want 1", n)
 	}
 	for i := 1; i < len(results); i++ {
-		assertStudyIdentical(t, fmt.Sprintf("concurrent campaign %d", i), results[0], results[i])
+		assertSameStudy(t, fmt.Sprintf("concurrent campaign %d", i), results[0], results[i])
 	}
 }
 
@@ -282,7 +280,7 @@ func TestPackSetupFailureNotCached(t *testing.T) {
 func TestPackCachesEmptyCutList(t *testing.T) {
 	resetPacks()
 	t.Cleanup(resetPacks)
-	resumes := countResumes(t)
+	runs := record(t, false)
 	app := apps.All()[0]
 	cfg := CampaignConfig{
 		App:    app,
@@ -303,8 +301,8 @@ func TestPackCachesEmptyCutList(t *testing.T) {
 	if n := goldens.Load(); n != 1 {
 		t.Errorf("golden executed %d times over two campaigns, want 1", n)
 	}
-	if *resumes != 0 {
-		t.Errorf("%d experiments forked without a single cut", *resumes)
+	if n := runs.counts.forked; n != 0 {
+		t.Errorf("%d experiments forked without a single cut", n)
 	}
 }
 
@@ -376,13 +374,13 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudyIdentical(t, "resumed", full, resumed)
+	assertSameStudy(t, "resumed", full, resumed)
 
 	specs, err := PlanShards(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudyIdentical(t, "3 shards", full, runShardedVariant(t, cfg, specs, []int{2, 0, 1}))
+	assertSameStudy(t, "3 shards", full, runShardedVariant(t, cfg, specs, []int{2, 0, 1}))
 
 	plain := cfg
 	plain.Strata, plain.Sites = 0, false
@@ -406,7 +404,7 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudyIdentical(t, "adaptive round shards", local, coordinated)
+	assertSameStudy(t, "adaptive round shards", local, coordinated)
 
 	if got, want := goldens.all(), []goldenCall{{captures: true, sites: true}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("fault-free executions over one configuration: %+v, want %+v", got, want)
@@ -444,7 +442,7 @@ func TestSiteMapAfterPlainCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudyIdentical(t, "site map recorded after a plain campaign", want, got)
+	assertSameStudy(t, "site map recorded after a plain campaign", want, got)
 	if got, want := goldens.all(), []goldenCall{{captures: true}, {sites: true}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("fault-free executions: %+v, want %+v", got, want)
 	}

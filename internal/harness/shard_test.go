@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -45,50 +44,6 @@ func runShardedVariant(t *testing.T, cfg CampaignConfig, specs []ShardSpec, orde
 	return res
 }
 
-// assertStudyIdentical requires the rendered study and the JSON encoding
-// of two results to be byte-identical — the acceptance bar for sharding.
-func assertStudyIdentical(t *testing.T, label string, want, got *CampaignResult) {
-	t.Helper()
-	assertResultsIdentical(t, label, want, got)
-	wj, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wj, gj) {
-		t.Errorf("%s: JSON differs (%d vs %d bytes)", label, len(wj), len(gj))
-	}
-	// RenderStudy is the single shared byte-identity surface (every
-	// figure and table); the per-exhibit loop below only localizes a
-	// failure to one render for readable diagnostics.
-	if w, g := RenderStudy(want), RenderStudy(got); w == g {
-		return
-	}
-	for _, render := range []struct {
-		name string
-		f    func(*CampaignResult) string
-	}{
-		{"Fig5", func(r *CampaignResult) string { return FormatFig5(r, 10) }},
-		{"Fig6", func(r *CampaignResult) string { return FormatFig6([]*CampaignResult{r}) }},
-		{"Fig7", FormatFig7},
-		{"Fig7f", func(r *CampaignResult) string { return FormatFig7f([]*CampaignResult{r}) }},
-		{"Fig8", func(r *CampaignResult) string { return FormatFig8([]*CampaignResult{r}) }},
-		{"Table2", func(r *CampaignResult) string { return FormatTable2([]*CampaignResult{r}) }},
-		{"CO", func(r *CampaignResult) string { return FormatCOBreakdown([]*CampaignResult{r}) }},
-		{"Structs", func(r *CampaignResult) string { return FormatStructVulnerability([]*CampaignResult{r}) }},
-		{"Strata", FormatStrata},
-		{"Sites", FormatSites},
-	} {
-		if w, g := render.f(want), render.f(got); w != g {
-			t.Errorf("%s: rendered %s differs:\n--- unsharded\n%s\n--- merged\n%s", label, render.name, w, g)
-		}
-	}
-	t.Errorf("%s: rendered study differs", label)
-}
-
 // TestShardMergeByteIdentical is the merge-correctness property test: a
 // fixed-seed campaign split at arbitrary shard boundaries — including
 // 1-experiment and empty shards — and merged in shuffled order must
@@ -117,7 +72,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := runShardedVariant(t, cfg, specs, shuffled(len(specs)))
-		assertStudyIdentical(t, "4 shards", want, got)
+		assertSameStudy(t, "4 shards", want, got)
 	})
 
 	t.Run("one-experiment-shards", func(t *testing.T) {
@@ -127,7 +82,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := runShardedVariant(t, cfg, specs, shuffled(len(specs)))
-		assertStudyIdentical(t, "1-exp shards", want, got)
+		assertSameStudy(t, "1-exp shards", want, got)
 	})
 
 	t.Run("empty-shards", func(t *testing.T) {
@@ -147,7 +102,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			t.Fatalf("want 5 empty shards, got %d", empties)
 		}
 		got := runShardedVariant(t, cfg, specs, shuffled(len(specs)))
-		assertStudyIdentical(t, "empty shards", want, got)
+		assertSameStudy(t, "empty shards", want, got)
 	})
 
 	t.Run("arbitrary-boundaries", func(t *testing.T) {
@@ -172,7 +127,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				})
 			}
 			got := runShardedVariant(t, cfg, specs, shuffled(len(specs)))
-			assertStudyIdentical(t, "arbitrary boundaries", want, got)
+			assertSameStudy(t, "arbitrary boundaries", want, got)
 		}
 	})
 
@@ -193,9 +148,9 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertStudyIdentical(t, "sites forward order", swant,
+		assertSameStudy(t, "sites forward order", swant,
 			runShardedVariant(t, scfg, specs, []int{0, 1, 2, 3}))
-		assertStudyIdentical(t, "sites reverse order", swant,
+		assertSameStudy(t, "sites reverse order", swant,
 			runShardedVariant(t, scfg, specs, []int{3, 2, 1, 0}))
 
 		specs, err = PlanShards(scfg, scfg.Runs+3)
@@ -203,7 +158,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := runShardedVariant(t, scfg, specs, shuffled(len(specs)))
-		assertStudyIdentical(t, "sites 1-exp and empty shards", swant, got)
+		assertSameStudy(t, "sites 1-exp and empty shards", swant, got)
 	})
 }
 
@@ -233,7 +188,7 @@ func TestShardMergeWithRetentionCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runShardedVariant(t, cfg, specs, []int{2, 0, 1})
-	assertStudyIdentical(t, "capped retention", want, got)
+	assertSameStudy(t, "capped retention", want, got)
 	if len(got.Experiments) != 5 {
 		t.Fatalf("retained %d summaries, want 5", len(got.Experiments))
 	}
@@ -373,7 +328,7 @@ func TestShardCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudyIdentical(t, "resumed shard merge", want, got)
+	assertSameStudy(t, "resumed shard merge", want, got)
 }
 
 // TestCampaignConfigValidate pins the typed-field-error API.

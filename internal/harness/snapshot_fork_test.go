@@ -1,10 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -12,130 +8,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/inject"
-	"repro/internal/ir"
 )
-
-// countResumes wraps the coreRunResumed indirection so a test can prove a
-// campaign actually took the snapshot-fork path (a schedule that silently
-// fell back to re-execution would make the differential comparison
-// vacuous). Campaigns under test run with Workers: 1, so no atomics.
-func countResumes(t *testing.T) *int {
-	t.Helper()
-	n := new(int)
-	orig := coreRunResumed
-	coreRunResumed = func(prog *ir.Program, cfg core.RunConfig, snap *core.CampaignSnapshot) core.RunOutcome {
-		*n++
-		return orig(prog, cfg, snap)
-	}
-	t.Cleanup(func() { coreRunResumed = orig })
-	return n
-}
-
-// TestSnapshotForkByteIdentical is the headline differential suite for the
-// snapshot-fork fast path: for every application of the study, serial and
-// at four ranks, a fixed-seed campaign run in snapshot mode must be
-// byte-identical to the same campaign re-executing every experiment from
-// step 0 — across the full JSON results, every rendered figure and table,
-// and the checkpoint journal.
-func TestSnapshotForkByteIdentical(t *testing.T) {
-	for _, app := range apps.All() {
-		for _, ranks := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s-r%d", app.Name(), ranks), func(t *testing.T) {
-				params := app.TestParams()
-				params.Ranks = ranks
-				base := CampaignConfig{
-					App:    app,
-					Params: params, Sampling: Sampling{Runs: 12, Seed: 2015}, Execution: Execution{SampleEvery: 64, Workers: 1},
-				}
-				dir := t.TempDir()
-
-				reexec := base
-				reexec.Checkpoint = filepath.Join(dir, "reexec.journal")
-				want, err := RunCampaign(reexec)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				resumed := countResumes(t)
-				snapped := base
-				snapped.Snapshots = 3
-				snapped.Checkpoint = filepath.Join(dir, "snapshot.journal")
-				got, err := RunCampaign(snapped)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if *resumed == 0 {
-					t.Error("snapshot campaign never forked from a snapshot")
-				}
-
-				assertStudyIdentical(t, "snapshot vs re-execution", want, got)
-
-				wj, err := os.ReadFile(reexec.Checkpoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gj, err := os.ReadFile(snapped.Checkpoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wj, gj) {
-					t.Errorf("checkpoint journals differ (%d vs %d bytes)", len(wj), len(gj))
-				}
-			})
-		}
-	}
-}
-
-// TestShardMergeMixedSnapshotModes pins that Snapshots is a pure
-// performance strategy, invisible to sharding: a campaign split across
-// shards that disagree about snapshot mode must merge byte-identical to
-// the unsharded re-execution run, and the shards' phase timings — which DO
-// differ by mode — must still merge cleanly.
-func TestShardMergeMixedSnapshotModes(t *testing.T) {
-	app := apps.NewMD()
-	cfg := CampaignConfig{
-		App:    app,
-		Params: app.TestParams(), Sampling: Sampling{Runs: 18, Seed: 777}, Execution: Execution{SampleEvery: 64, Workers: 1},
-	}
-	want, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	specs, err := PlanShards(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := NewCampaignTimings()
-	parts := make([]*PartialResult, len(specs))
-	for i, spec := range specs {
-		scfg := cfg
-		scfg.Timings = NewCampaignTimings()
-		if i%2 == 0 {
-			scfg.Snapshots = 2
-		}
-		p, err := RunShard(scfg, spec)
-		if err != nil {
-			t.Fatalf("shard %d: %v", spec.Index, err)
-		}
-		if err := merged.Merge(p.Timings); err != nil {
-			t.Fatalf("merge shard %d timings: %v", spec.Index, err)
-		}
-		parts[i] = p
-	}
-	got, err := MergePartials(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStudyIdentical(t, "mixed-mode shards vs unsharded", want, got)
-	if gotN, wantN := merged.Count(), uint64(cfg.Runs); gotN != wantN {
-		t.Errorf("merged timings counted %d experiments, want %d", gotN, wantN)
-	}
-	if gotN := merged.Restore.Count(); gotN != uint64(cfg.Runs) {
-		t.Errorf("restore histogram counted %d, want %d (every executed experiment observes the phase)",
-			gotN, cfg.Runs)
-	}
-}
 
 // TestTimingsMergeTolerantOfLegacyRestore: partials from builds that
 // predate the restore phase carry a nil Restore histogram; merging them —

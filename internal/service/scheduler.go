@@ -93,7 +93,9 @@ type scheduler struct {
 	queue    []*job
 	running  int
 	draining bool
-	wg       sync.WaitGroup
+	// held stops dispatch while set (tests hold a job in the queue).
+	held bool
+	wg   sync.WaitGroup
 }
 
 func newScheduler(slots int, run func(*job)) *scheduler {
@@ -107,7 +109,7 @@ func (s *scheduler) start() {
 	go func() {
 		for {
 			s.mu.Lock()
-			for !s.draining && (len(s.queue) == 0 || s.running >= s.slots) {
+			for !s.draining && (len(s.queue) == 0 || s.running >= s.slots || s.held) {
 				s.cond.Wait()
 			}
 			if s.draining {

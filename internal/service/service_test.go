@@ -277,6 +277,21 @@ func TestMetricsUnderConcurrentJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Once both take a slot, dispatch is held: the third job stays queued
+	// until it is cancelled, however soon a slot frees.
+	deadline := time.Now().Add(time.Minute)
+	var m service.Metrics
+	for m.RunningJobs < 2 {
+		if m, err = d.c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the first two jobs never took both slots; last: %+v", m)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	release := d.srv.HoldDispatch()
+	defer release()
 	q, err := d.c.Submit(ctx, service.JobSpec{App: "MCB", Scale: "test", Runs: 5, Seed: 3, SampleEvery: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +299,6 @@ func TestMetricsUnderConcurrentJobs(t *testing.T) {
 
 	// Both slots busy, third job queued, per-job progress advancing, and
 	// outcome counters accumulating.
-	deadline := time.Now().Add(time.Minute)
-	var m service.Metrics
 	for {
 		if m, err = d.c.Metrics(ctx); err != nil {
 			t.Fatal(err)
@@ -320,6 +333,7 @@ func TestMetricsUnderConcurrentJobs(t *testing.T) {
 	if _, err := d.c.Cancel(ctx, q.ID); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	waitDone(t, d.c, a.ID)
 	waitDone(t, d.c, b.ID)
 	if st := waitDone(t, d.c, q.ID); st.State != service.StateCancelled {
