@@ -667,6 +667,147 @@ func TestExecModeMatrix(t *testing.T) {
 	}
 }
 
+// The tests below each hold one mechanism's promise on its own axis: a
+// row that differs from the reference execution there only, checked by
+// checkRow like a matrix row, so a regression in one mechanism fails the
+// test named after it as well as the matrix rows that cross it.
+
+// TestCampaignDeterministicAcrossRuns runs the all-reference row twice.
+func TestCampaignDeterministicAcrossRuns(t *testing.T) {
+	checkRow(t, referenceMode(1, sampleSingle), apps.NewFE(), 7, nil)
+}
+
+// invarianceCases are the single- and multi-fault campaigns the worker and
+// resume axes are held on.
+var invarianceCases = []struct {
+	name     string
+	app      apps.App
+	seed     uint64
+	sampling samplingMode
+}{
+	{"hydro-single", apps.NewHydro(), 99, sampleSingle},
+	{"fe-multifault", apps.NewFE(), 21, sampleMulti},
+}
+
+// TestCampaignWorkerCountInvariance: four workers give the one-worker
+// bytes and, plan by plan, the same outcomes.
+func TestCampaignWorkerCountInvariance(t *testing.T) {
+	for _, tc := range invarianceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := referenceMode(1, tc.sampling)
+			m.workers = 4
+			checkRow(t, m, tc.app, tc.seed, nil)
+		})
+	}
+}
+
+// TestCampaignResumeMatchesUninterrupted interrupts a campaign by
+// StopAfter and resumes it on four workers from its journal.
+func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
+	for _, tc := range invarianceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := referenceMode(1, tc.sampling)
+			m.workers, m.resume = 4, true
+			if got := checkRow(t, m, tc.app, tc.seed, nil); got.replayed == 0 {
+				t.Error("the resumed campaign replayed no journal record")
+			}
+		})
+	}
+}
+
+// checkAdaptive checks adaptive row m on LULESH at seed 2015 and requires
+// the target CI to have stopped the campaign under its budget.
+func checkAdaptive(t *testing.T, m execMode) *matrixRun {
+	got := checkRow(t, m, apps.NewHydro(), 2015, nil)
+	if got.res.Tally.Total >= got.res.Runs {
+		t.Errorf("%v: the campaign spent its whole budget (%d): the target CI never engaged", m, got.res.Runs)
+	}
+	return got
+}
+
+// TestAdaptiveWorkerCountInvariance runs adaptive rounds on four workers.
+func TestAdaptiveWorkerCountInvariance(t *testing.T) {
+	m := referenceMode(1, sampleAdaptive)
+	m.workers = 4
+	checkAdaptive(t, m)
+}
+
+// TestAdaptiveResumeMatchesUninterrupted interrupts an adaptive campaign
+// mid-round: the re-derived rounds must spend the same experiments.
+func TestAdaptiveResumeMatchesUninterrupted(t *testing.T) {
+	m := referenceMode(1, sampleAdaptive)
+	m.resume = true
+	if got := checkAdaptive(t, m); got.replayed == 0 {
+		t.Error("the resumed campaign replayed no journal record")
+	}
+}
+
+// TestCleanInterpByteIdentical runs every application, serial and at four
+// ranks, on the full dual-chain interpreter only, against the reference's
+// clean-mode code arrays; the reference must have left clean mode.
+func TestCleanInterpByteIdentical(t *testing.T) {
+	for _, app := range apps.All() {
+		t.Run(app.Name(), func(t *testing.T) {
+			for _, ranks := range []int{1, 4} {
+				t.Run(fmt.Sprintf("r%d", ranks), func(t *testing.T) {
+					m := referenceMode(ranks, sampleSingle)
+					m.interp = interpFull
+					refs := map[matrixKey]*reference{}
+					got := checkRow(t, m, app, 2015, refs)
+					ref := refs[matrixKey{app.Name(), 2015, ranks, sampleSingle}]
+					if got.switches != 0 || ref.switches == 0 {
+						t.Errorf("%d clean-mode switches on the full interpreter (want 0), %d in the reference (want some)", got.switches, ref.switches)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestSnapshotForkByteIdentical forks every experiment of every
+// application, serial and at four ranks, from its latest usable cut.
+func TestSnapshotForkByteIdentical(t *testing.T) {
+	for _, app := range apps.All() {
+		for _, ranks := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s-r%d", app.Name(), ranks), func(t *testing.T) {
+				m := referenceMode(ranks, sampleSingle)
+				m.tail = tailFork
+				if got := checkRow(t, m, app, 2015, nil); got.rec.counts.forked == 0 {
+					t.Error("the campaign never forked from a snapshot")
+				}
+			})
+		}
+	}
+}
+
+// TestShardMergeMixedSnapshotModes merges three shards that run without
+// snapshots, forking, and forking and exiting.
+func TestShardMergeMixedSnapshotModes(t *testing.T) {
+	m := referenceMode(1, sampleSingle)
+	m.shards, m.mixed = 3, true
+	checkRow(t, m, apps.NewMD(), 777, nil)
+}
+
+// TestGoldenExitMatchesReference ends experiments of every application at
+// golden-equal cuts, serial and at four ranks, where ranks also end
+// replaying golden traffic (checkRuns holds every exit and ghost); exits,
+// ghost ends and ghost resumes must all have been taken.
+func TestGoldenExitMatchesReference(t *testing.T) {
+	var c runCounts
+	for _, app := range apps.All() {
+		for _, ranks := range []int{1, 4} {
+			m := referenceMode(ranks, sampleSingle)
+			m.tail = map[int]tailMode{1: tailExit, 4: tailGhosts}[ranks]
+			for _, seed := range matrixSeeds {
+				c.add(checkRow(t, m, app, seed, nil).rec.counts)
+			}
+		}
+	}
+	if c.exited == 0 || c.ghostExits == 0 || c.ghostResumes == 0 {
+		t.Errorf("%d exits, %d ghost ends, %d ghost resumes: want each > 0", c.exited, c.ghostExits, c.ghostResumes)
+	}
+}
+
 // assertSameStudy requires two campaign results to be byte-identical: the
 // JSON encoding and the rendered study, every figure and table. On a
 // difference it names the first differing experiment and rendered line.
