@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -30,7 +29,7 @@ import (
 // they would be by the rank finishing.
 //
 // The first answer that differs from the log, and any failure of a call
-// (abort, deadlock, desertion, timeout), is a surprise: the ghost resumes.
+// (desertion, deadlock, timeout), is a surprise: the ghost resumes.
 // The paused VM continues from the cut, and its link serves the calls the
 // ghost already made from the log — dropping the sends, handing back the
 // golden messages and results — until it reaches the call the ghost was
@@ -40,7 +39,8 @@ import (
 // failed it traps exactly where a rank parked there would. The link checks
 // every call of the catch-up against the log as it goes, and a call that
 // differs panics with a divergence, which the runner rethrows: a broken
-// invariant, never a result.
+// invariant, never a result. So does a catch-up that fails before it
+// reaches the call the ghost was surprised at (runner.go).
 
 // opKind is the kind of one logged MPI call.
 type opKind uint8
@@ -160,9 +160,6 @@ func GhostResumes() uint64 { return ghostResumes.Load() }
 // false when it resumes, with its link set to catch the VM up.
 func (h *rankCut) ghost(i int) bool {
 	z, l := h.vote, h.link
-	if !z.aborts.hold(h.rank) {
-		return false
-	}
 	log := &z.traffic[h.rank]
 	l.golden = log
 	from := z.cuts[i].ops[h.rank]
@@ -175,12 +172,9 @@ func (h *rankCut) ghost(i int) bool {
 			}
 		}
 		if k == len(log.ops) {
-			// A rank ends only in a live job, as a run exits only when no
-			// rank crashed. In a dead one it resumes, to meet the abort
-			// where its VM polls for it, as it would have executing.
-			if z.aborts.release(h.rank) {
-				return h.resume(log.ops[from:k])
-			}
+			// Executing, the rank would finish here, whatever its peers
+			// did meanwhile: every call it made was answered as in the
+			// golden run.
 			h.ended = true
 			ghostExits.Add(1)
 			return true
@@ -205,9 +199,8 @@ func (h *rankCut) resume(replayed []trafficOp) bool {
 // through a layer that records the traffic in a capture run and serves a
 // resumed ghost's catch-up from the log.
 type rankLink struct {
-	ep    *mpi.Endpoint
-	rank  int
-	abort *abortFlags
+	ep   *mpi.Endpoint
+	rank int
 	// log receives every call the rank makes, in a capture run only.
 	log *rankLog
 	// golden is the rank's golden log while it is a ghost or catching up.
@@ -247,12 +240,6 @@ func (l *rankLink) Rank() int       { return l.rank }
 func (l *rankLink) Size() int       { return l.ep.Size() }
 func (l *rankLink) GetBuf() []byte  { return l.ep.GetBuf() }
 func (l *rankLink) PutBuf(b []byte) { l.ep.PutBuf(b) }
-func (l *rankLink) Abort(code int64) {
-	if l.catching {
-		panic(&divergence{fmt.Sprintf("core: rank %d catch-up: MPI_Abort, which its golden log does not hold", l.rank)})
-	}
-	l.abort.kill()
-}
 
 func (l *rankLink) Send(dst, tag int, msg []byte) error {
 	if l.catching {
@@ -408,69 +395,9 @@ func (l *rankLink) check(o *trafficOp, ok bool, what string) {
 }
 
 // live ends the catch-up at its pending call, whose answer it returns: the
-// VM runs live from here, and its abort flag is raised if the job died
-// meanwhile.
+// VM runs live from here.
 func (l *rankLink) live() surprise {
 	s := l.pend
 	l.catching, l.golden, l.replayed, l.pend = false, nil, nil, surprise{}
-	l.abort.release(l.rank)
 	return s
-}
-
-// abortFlags are a run's per-rank abort flags, the ones its VMs poll. kill
-// takes the job down and raises every flag but the held ones: a ghost holds
-// its flag until its catch-up reaches the call it was surprised at, where
-// a rank that never ghosted would have been parked when the job died, so
-// its VM traps there, with that call's error, and not at an earlier poll.
-type abortFlags struct {
-	job    *mpi.Job
-	flags  []vm.AbortFlag
-	mu     sync.Mutex
-	killed bool
-	held   []bool
-}
-
-func (a *abortFlags) reset(job *mpi.Job) {
-	a.job, a.killed = job, false
-	for r := range a.flags {
-		a.flags[r].Lower()
-	}
-	clear(a.held)
-}
-
-// kill aborts the job and raises every flag not held. Idempotent.
-func (a *abortFlags) kill() {
-	a.job.Kill()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.killed = true
-	for r := range a.flags {
-		if !a.held[r] {
-			a.flags[r].Raise()
-		}
-	}
-}
-
-// hold keeps rank r's flag low from now on; false when the job is already
-// dead, and r must not ghost.
-func (a *abortFlags) hold(r int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.killed {
-		return false
-	}
-	a.held[r] = true
-	return true
-}
-
-// release lets rank r's flag follow the job again, and reports whether
-// the job is dead.
-func (a *abortFlags) release(r int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.held[r] = false
-	if a.killed {
-		a.flags[r].Raise()
-	}
-	return a.killed
 }

@@ -90,10 +90,8 @@ type Reuse struct {
 	regions     []StructRegion
 	// vote is the cut rendezvous of capture runs and of runs with a Tail.
 	vote cutVote
-	// links are the ranks' MPI endpoints and aborts their VMs' abort flags
-	// (ghost.go).
-	links  []rankLink
-	aborts abortFlags
+	// links are the ranks' MPI endpoints (ghost.go).
+	links []rankLink
 }
 
 // ReleaseSnapshot does nothing: captures are not recycled, because a
@@ -112,7 +110,6 @@ func NewReuse(ranks int) *Reuse {
 		rs:        make([]rankState, ranks),
 		done:      make(chan int, ranks),
 		links:     make([]rankLink, ranks),
-		aborts:    abortFlags{flags: make([]vm.AbortFlag, ranks), held: make([]bool, ranks)},
 	}
 	for i := range r.states {
 		r.states[i] = vm.NewState()
@@ -141,11 +138,12 @@ type rankState struct {
 // RankResult is one rank's observation of a run.
 type RankResult struct {
 	Err error
-	// Casualty marks a rank that died of TrapPeerFailure after another
-	// rank took the job down. Such a rank stopped at whatever point it
-	// happened to notice the abort — a scheduling-dependent moment — so
-	// its final observations are excluded from the run's aggregates to
-	// keep them a pure function of the seed. The raw fields below are
+	// Casualty marks a rank that died of TrapPeerFailure: a call of its own
+	// could never complete, because a peer it needed had left the job or
+	// the job deadlocked. It stopped where the failure around it stranded
+	// it, at a call fixed by what the ranks did, not where the fault took
+	// it, so the run's aggregates leave its final observations out and
+	// describe the ranks that ended on their own. The raw fields below are
 	// still populated for diagnostics.
 	Casualty       bool
 	Outputs        []float64
@@ -267,10 +265,9 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 		ru.job = mpi.NewJob(cfg.Ranks, cfg.Timeout)
 	}
 	job := ru.job
-	ru.aborts.reset(job)
 	for r := range ru.links {
 		l := &ru.links[r]
-		l.ep, l.rank, l.abort, l.log = job.Endpoint(r), r, &ru.aborts, nil
+		l.ep, l.rank, l.log = job.Endpoint(r), r, nil
 		l.golden, l.catching, l.replayed, l.pend = nil, false, nil, surprise{}
 		if ex.traffic != nil {
 			l.log = &ex.traffic[r]
@@ -336,7 +333,6 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 			Injector:    injr,
 			MPI:         &ru.links[r],
 			Tracer:      rec,
-			Abort:       &ru.aborts.flags[r],
 			TrackTaint:  cfg.TrackTaint,
 			MemFaults:   cfg.MemFaults[r],
 			State:       ru.states[r],
@@ -360,6 +356,18 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 	for r := 0; r < cfg.Ranks; r++ {
 		go func(r int) {
 			defer func() { done <- r }()
+			// However the rank returns — finished, trapped, aborted, or a
+			// contained panic — it leaves the job, and it never votes at a
+			// cut again. The departure is how its peers learn of it: each
+			// runs on until its own failure, or until a call of its own that
+			// needs this rank can never complete (mpi.ErrDeserted), at a
+			// point fixed by what the ranks did, never by the scheduler.
+			defer func() {
+				job.Leave(r)
+				if vote != nil {
+					vote.leave()
+				}
+			}()
 			// A panic escaping the VM (an interpreter bug surfaced by a
 			// hostile program or fault plan) must not take down the whole
 			// campaign process: contain it to this rank and classify the
@@ -372,25 +380,19 @@ func runWith(prog *ir.Program, cfg RunConfig, ex extras) RunOutcome {
 						out.Ranks[r].Err = fmt.Errorf("core: rank %d panic: %v\n%s",
 							r, p, debug.Stack())
 					}
-					ru.aborts.kill()
 				}
 			}()
 			run := states[r].v.Run
 			if ex.snap != nil {
 				run = states[r].v.Resume
 			}
-			if err := run(); err != nil {
-				out.Ranks[r].Err = err
-				// A dead rank takes the job down, as under real MPI.
-				ru.aborts.kill()
-			} else {
-				// A cleanly finished rank never communicates again; announce
-				// the departure so peers blocked on it fail fast (a fault
-				// that corrupts a trip count desynchronizes the collective
-				// schedule, which would otherwise stall until the wall-clock
-				// safety timeout).
-				job.Leave(r)
+			err := run()
+			if err != nil && ru.links[r].catching {
+				// A catch-up is a golden-equal rank answered as the golden
+				// run was, which never failed (ghost.go).
+				err = &divergence{fmt.Sprintf("core: rank %d catch-up: %v, which its golden log does not hold", r, err)}
 			}
+			out.Ranks[r].Err = err
 		}(r)
 	}
 	for i := 0; i < cfg.Ranks; i++ {

@@ -139,12 +139,14 @@ func RunGoldenProfile(prog *ir.Program, cfg RunConfig) (RunOutcome, []SiteCut) {
 // rank still to vote has entered the collective and reaches the hook
 // without waiting on a parked one. So the settling voter may read the
 // job's world: a capture run captures it, an experiment compares it with
-// the golden capture. Waiting voters also unblock when the job dies, since
-// a dead rank never votes. The verdict is a function of the ranks' states
-// at the cut, so which rank happens to settle it does not matter.
+// the golden capture. A rank that leaves the job never votes again, so its
+// departure decides every cut still open "no" (leave): a rank votes at
+// each cut it reaches, and parks on a yes until the cut is decided, so it
+// leaves only once every cut it voted at is decided, and no open cut can
+// gather all its votes any more. The verdict is a function of the ranks'
+// states at the cut, so which rank happens to settle it does not matter.
 type cutVote struct {
 	job  *mpi.Job
-	dead <-chan struct{}
 	cuts []*CampaignSnapshot
 	// capture marks a golden capture run: every vote is yes and settling
 	// captures the world. Otherwise ranks vote GoldenEqual and settling
@@ -153,9 +155,8 @@ type cutVote struct {
 	hooks   []rankCut
 	// traffic is the golden run's MPI traffic, which a yes-voter whose cut
 	// does not end the run replays as a ghost (ghost.go); nil disables
-	// ghosts. aborts holds a ghost's abort flag.
+	// ghosts.
 	traffic Traffic
-	aborts  *abortFlags
 
 	mu     sync.Mutex
 	rounds []cutRound
@@ -169,15 +170,15 @@ type cutRound struct {
 	no      bool
 	verdict bool
 	// release is made by the first yes-voter that has to wait and closed by
-	// the first no or the settling vote.
+	// the first no, the settling vote, or a departure.
 	release chan struct{}
 }
 
 // reset readies the rendezvous for one run of the bundle's job over cuts,
 // reusing the previous run's buffers.
 func (z *cutVote) reset(ru *Reuse, cuts []*CampaignSnapshot, capture bool, traffic Traffic) {
-	z.job, z.dead, z.cuts, z.capture, z.exited = ru.job, ru.job.Done(), cuts, capture, false
-	z.traffic, z.aborts = traffic, &ru.aborts
+	z.job, z.cuts, z.capture, z.exited = ru.job, cuts, capture, false
+	z.traffic = traffic
 	z.rounds = slices.Grow(z.rounds[:0], len(cuts))[:len(cuts)]
 	clear(z.rounds)
 	ranks := len(ru.links)
@@ -190,7 +191,7 @@ func (z *cutVote) reset(ru *Reuse, cuts []*CampaignSnapshot, capture bool, traff
 // vote casts one rank's vote at cut i and returns the cut's verdict: false
 // at once when the cut already has a "no" or this is one (which also
 // releases the parked voters), otherwise once every rank has voted (or
-// false when the job dies first).
+// false when a rank leaves first).
 func (z *cutVote) vote(i int, yes bool) bool {
 	z.mu.Lock()
 	rd := &z.rounds[i]
@@ -219,13 +220,24 @@ func (z *cutVote) vote(i int, yes bool) bool {
 	}
 	ch := rd.release
 	z.mu.Unlock()
-	select {
-	case <-ch:
-		return rd.verdict
-	case <-z.dead:
-		// A sibling died before voting; the job is going down. Returning
-		// lets this rank run into the abort flag and stop.
-		return false
+	<-ch
+	return rd.verdict
+}
+
+// leave decides every open cut "no" once a rank has left the job, releasing
+// the ranks parked there: the departed rank will never vote again.
+func (z *cutVote) leave() {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	for i := range z.rounds {
+		rd := &z.rounds[i]
+		if rd.no || rd.votes == len(z.hooks) {
+			continue
+		}
+		rd.no = true
+		if rd.release != nil {
+			close(rd.release)
+		}
 	}
 }
 

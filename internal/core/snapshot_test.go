@@ -58,18 +58,12 @@ func buildCrossCutProg(iters int64) *ir.Program {
 	return b.MustBuild()
 }
 
-// condense projects a RunOutcome onto the observables campaigns consume.
-// Per-rank state of casualty ranks is excluded, exactly as the harness
-// excludes it: the cycle at which a rank notices the job-wide abort flag
-// depends on goroutine scheduling, so only the casualty classification
-// itself is deterministic there.
+// condense projects a RunOutcome onto the observables campaigns consume,
+// every rank's included.
 func condense(o RunOutcome) map[string]any {
 	ranks := make([]map[string]any, len(o.Ranks))
 	for i, rr := range o.Ranks {
 		ranks[i] = map[string]any{"casualty": rr.Casualty}
-		if rr.Casualty {
-			continue
-		}
 		ranks[i]["trap"] = trapKind(rr.Err)
 		ranks[i]["failed"] = rr.Err != nil
 		ranks[i]["outputs"] = rr.Outputs

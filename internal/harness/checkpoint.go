@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -24,7 +25,11 @@ import (
 // line holds is the codec's business (journalcodec.go); this file only
 // calls appendRecord and decodeRecord.
 
-const journalVersion = 1
+// journalVersion 2: a rank's failure reaches its peers in logical time,
+// as its departure from the job, so a Crashed experiment's casualties —
+// and with them its summary's aggregates — differ from version 1's, whose
+// peers were stopped by a wall-clock abort flag.
+const journalVersion = 2
 
 type journalHeader struct {
 	Kind        string `json:"kind"`
@@ -165,6 +170,16 @@ func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
 		return fmt.Errorf("harness: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// CurrentJournal reports whether journal, the bytes of a checkpoint journal,
+// was written under this build's journal version. Results journaled under
+// another version are of another semantics: a cache must not serve them as
+// this build's.
+func CurrentJournal(journal []byte) bool {
+	line, _, _ := bytes.Cut(journal, []byte{'\n'})
+	hdr, err := decodeHeader(line)
+	return err == nil && hdr.Version == journalVersion
 }
 
 // journalHeaderFP reads just the fingerprint of a journal's header line,

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,6 +142,45 @@ func TestCampaignResumeAfterTornTail(t *testing.T) {
 	}
 }
 
+// TestSightedExperimentsOneOutcome re-executes, at GOMAXPROCS 8 on two
+// workers, the experiments in which a rank's failure was once seen to race
+// its peers' own — LULESH at campaign scale, AMG2013 at test scale, and
+// experiment 11 of TestCampaignResumeAfterTornTail's campaign — 200 times
+// each (20 under -race), and requires one RunOutcome per experiment.
+func TestSightedExperimentsOneOutcome(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	hydro, amg := apps.NewHydro(), apps.NewAMG()
+	for _, tc := range []struct {
+		app    apps.App
+		params apps.Params
+		seed   uint64
+		ids    []int
+	}{
+		{hydro, hydro.DefaultParams(), 2015, []int{208, 347}}, {hydro, hydro.DefaultParams(), 2020, []int{55}},
+		{hydro, hydro.DefaultParams(), 2035, []int{30}}, {amg, amg.TestParams(), 2015, []int{357, 889, 1479}},
+		{hydro, hydro.TestParams(), 29, []int{11}},
+	} {
+		cfg := CampaignConfig{App: tc.app, Params: tc.params, Sampling: Sampling{Runs: 1500, Seed: tc.seed},
+			Execution: Execution{SampleEvery: 256, Workers: 2, Snapshots: 64}}
+		rec, first := record(t, false), map[string]outcomeView{}
+		for i := 0; i < 200 && !(raceEnabled && i == 20); i++ {
+			if _, err := RunShard(cfg, ShardSpec{Shards: 1, IDs: tc.ids, Runs: cfg.Runs, Fingerprint: cfg.Fingerprint()}); err != nil {
+				t.Fatal(err)
+			}
+			for plan, o := range rec.runs {
+				if w, ok := first[plan]; !ok {
+					first[plan] = withoutTelemetry(o)
+				} else if g := withoutTelemetry(o); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s seed %d, plan %s, run %d:\n got: %+v\nwant: %+v", tc.app.Name(), tc.seed, plan, i, g, w)
+				}
+			}
+		}
+		if rec.stop(); len(first) != len(tc.ids) {
+			t.Errorf("%s seed %d: %d plans for experiments %v", tc.app.Name(), tc.seed, len(first), tc.ids)
+		}
+	}
+}
+
 // TestCampaignResumeRejectsMismatchedConfig: a journal written under one
 // seed must refuse to seed a campaign with another.
 func TestCampaignResumeRejectsMismatchedConfig(t *testing.T) {
@@ -261,7 +302,7 @@ func TestCampaignJournalRejectionPaths(t *testing.T) {
 
 	t.Run("wrong-version", func(t *testing.T) {
 		ck, lines := write(t)
-		lines[0] = strings.Replace(lines[0], `"version":1`, `"version":99`, 1)
+		lines[0] = strings.Replace(lines[0], fmt.Sprintf(`"version":%d`, journalVersion), `"version":99`, 1)
 		rewrite(t, ck, lines)
 		err := resumeErr(t, ck)
 		if err == nil || !strings.Contains(err.Error(), "journal version") {

@@ -265,9 +265,10 @@ func runExperiment(id int, inst *ir.Program, plan inject.Plan, cfg CampaignConfi
 	if run.AllocatedTotal > 0 {
 		sum.ContamPct = 100 * float64(run.MaxCMLTotal) / float64(run.AllocatedTotal)
 	}
-	// Casualty ranks (cut down at a scheduling-dependent moment after a
-	// peer crashed) carry no reliable observations; skipping them keeps
-	// every summary field a pure function of the seed.
+	// Casualty ranks stopped where a peer's failure stranded them, not
+	// where the fault took them (core.RankResult.Casualty): the summary,
+	// like the run's aggregates, counts only the ranks that ended on
+	// their own.
 	var points []trace.Point
 	if sum.Planned && sum.InjRank < len(run.Ranks) && !run.Ranks[sum.InjRank].Casualty {
 		rr := run.Ranks[sum.InjRank]

@@ -74,9 +74,8 @@ func (c *fusedCase) config(plan inject.Plan, cycleLimit uint64) core.RunConfig {
 
 // outcomeView is a RunOutcome in comparable form: outputs as bit
 // patterns (a corrupted run may output NaN), the spread as its series,
-// wall-clock restore time dropped, and casualty ranks reduced to the flag
-// (the cycle at which a rank notices a peer's abort depends on goroutine
-// scheduling). Every other field, every *vm.Trap field included, stays.
+// wall-clock restore time dropped. Every other field, every *vm.Trap field
+// included, stays.
 type outcomeView struct {
 	O       core.RunOutcome
 	Spread  []trace.SpreadPoint
@@ -97,62 +96,25 @@ func viewOf(o core.RunOutcome) outcomeView {
 	for r := range o.Ranks {
 		v.Outputs = append(v.Outputs, bits(o.Ranks[r].Outputs))
 		o.Ranks[r].Outputs = nil
-		if o.Ranks[r].Casualty {
-			o.Ranks[r] = core.RankResult{Casualty: true}
-		}
 	}
 	v.O = o
 	return v
 }
 
-func (v outcomeView) casualties() bool {
-	for _, rr := range v.O.Ranks {
-		if rr.Casualty {
-			return true
-		}
-	}
-	return false
-}
-
 // check runs cfg on the fused program and on its 1:1 reference and fails
 // t on any difference, returning the fused outcome.
-//
-// Ranks that fail together (a cycle limit every rank reaches, an abort
-// every rank calls) race for the job-wide abort flag, which is polled in
-// wall-clock order, so each side can lose a different set of casualties
-// (ROADMAP item 1). Such a mismatch is re-run; if the casualty sets still
-// differ, every rank that ended on its own on both sides must still match
-// exactly. A divergence of the fused code repeats on every attempt.
 func (c *fusedCase) check(t testing.TB, what string, cfg core.RunConfig) core.RunOutcome {
 	t.Helper()
-	for attempt := 0; ; attempt++ {
-		replays := vm.FusedReplays()
-		want := core.Run(c.ref, cfg)
-		if vm.FusedReplays() != replays {
-			t.Fatalf("%s: the 1:1 reference ran fused code", what)
-		}
-		got := core.Run(c.inst, cfg)
-		gv, wv := viewOf(got), viewOf(want)
-		if reflect.DeepEqual(gv, wv) {
-			return got
-		}
-		if !gv.casualties() && !wv.casualties() {
-			t.Fatalf("%s: fused run diverged from the 1:1 reference\n got: %+v\nwant: %+v", what, gv, wv)
-		}
-		if attempt < 2 {
-			continue
-		}
-		for r := range gv.O.Ranks {
-			g, w := gv.O.Ranks[r], wv.O.Ranks[r]
-			if g.Casualty || w.Casualty {
-				continue
-			}
-			if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(gv.Outputs[r+1], wv.Outputs[r+1]) {
-				t.Fatalf("%s: rank %d diverged from the 1:1 reference\n got: %+v\nwant: %+v", what, r, g, w)
-			}
-		}
-		return got
+	replays := vm.FusedReplays()
+	want := core.Run(c.ref, cfg)
+	if vm.FusedReplays() != replays {
+		t.Fatalf("%s: the 1:1 reference ran fused code", what)
 	}
+	got := core.Run(c.inst, cfg)
+	if gv, wv := viewOf(got), viewOf(want); !reflect.DeepEqual(gv, wv) {
+		t.Fatalf("%s: fused run diverged from the 1:1 reference\n got: %+v\nwant: %+v", what, gv, wv)
+	}
+	return got
 }
 
 // trapAt reports whether o's root cause is a trap of kind at fn:pc.

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/vm"
 )
 
 // withoutTelemetry drops what only says how a run executed — restore
@@ -21,41 +19,6 @@ func withoutTelemetry(o core.RunOutcome) outcomeView {
 		o.Ranks[r].Ghost = false
 	}
 	return viewOf(o)
-}
-
-// sameRun reports whether two executions of one experiment agree on the
-// whole RunOutcome, and whether that took forgiving casualties. Where
-// either lost ranks as casualties of a peer's abort — which peers, is
-// decided by goroutine scheduling (ROADMAP item 1) — both must still fail,
-// with a root cause of the same kind, and only the ranks that ended on
-// their own on both sides must match; such a run never exits, since an
-// exit needs every rank's vote.
-func sameRun(got, want core.RunOutcome) (same, forgiven bool) {
-	gv, wv := withoutTelemetry(got), withoutTelemetry(want)
-	if reflect.DeepEqual(gv, wv) {
-		return true, false
-	}
-	if got.Exited || (!gv.casualties() && !wv.casualties()) ||
-		got.Err == nil || want.Err == nil || !sameTrapKind(got.Err, want.Err) {
-		return false, false
-	}
-	for r := range gv.O.Ranks {
-		g, w := gv.O.Ranks[r], wv.O.Ranks[r]
-		if g.Casualty || w.Casualty {
-			continue
-		}
-		if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(gv.Outputs[r+1], wv.Outputs[r+1]) {
-			return false, false
-		}
-	}
-	return true, true
-}
-
-// sameTrapKind reports whether two failures are traps of one kind, or
-// both not traps.
-func sameTrapKind(a, b error) bool {
-	ta, tb := vm.AsTrap(a), vm.AsTrap(b)
-	return (ta == nil) == (tb == nil) && (ta == nil || ta.Kind == tb.Kind)
 }
 
 // FuzzGoldenExit drives the matrix's check (checkRow) over generated

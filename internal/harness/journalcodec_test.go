@@ -137,7 +137,21 @@ func TestJournalLegacyFixture(t *testing.T) {
 		t.Fatalf("the fixture must hold records and a line that does not decode (%d records, stopped %v)", len(want), stopped)
 	}
 
-	got, keep, err := readJournal(legacyJournal, hdr.Fingerprint)
+	// The fixture is a version 1 journal, which a resume refuses; its
+	// records, under a current header, it reads.
+	if _, _, err := readJournal(legacyJournal, hdr.Fingerprint); err == nil || !strings.Contains(err.Error(), "journal version 1") {
+		t.Errorf("readJournal of a version 1 journal: err %v, want a version error", err)
+	}
+	current := filepath.Join(t.TempDir(), "current.jsonl")
+	hdr.Version = journalVersion
+	head, err := appendRecord(nil, &journalRecord{header: &hdr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(current, append(head, data[len(lines[0])+1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, keep, err := readJournal(current, hdr.Fingerprint)
 	if err != nil || keep == 0 {
 		t.Fatalf("readJournal: keep=%d, err=%v", keep, err)
 	}

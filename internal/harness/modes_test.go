@@ -455,9 +455,7 @@ func newReference(t testing.TB, run *matrixRun, cfg CampaignConfig, sums []Exper
 // against its reference execution (cached in refs, which may be nil): the
 // same result bytes (JSON and every rendered exhibit), the same journal
 // bytes when unsharded on one worker, and the same experiments
-// (checkRuns). Until ROADMAP item 1 lands, bytes may differ only in
-// Crashed experiments whose casualty difference sameRun forgave, and each
-// such difference is logged.
+// (checkRuns).
 func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matrixKey]*reference) *matrixRun {
 	t.Helper()
 	key := matrixKey{app.Name(), seed, m.ranks, m.sampling}
@@ -472,12 +470,8 @@ func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matr
 	}
 	got := m.run(t, m.config(app, seed))
 	label := fmt.Sprintf("%s seed %d %v", app.Name(), seed, m)
-	forgiven := ref.checkRuns(t, label, got.rec, got.res.Golden.Cycles, got.res.GoldenSites)
-	if n := crashedOnly(ref.res.Experiments, got.res.Experiments, forgiven); n > 0 {
-		t.Logf("%s: results differ only in %d Crashed experiments whose casualties differ", label, n)
-	} else {
-		assertSameStudy(t, label, ref.res, got.res)
-	}
+	ref.checkRuns(t, label, got.rec, got.res.Golden.Cycles, got.res.GoldenSites)
+	assertSameStudy(t, label, ref.res, got.res)
 	if m.shards > 1 || m.workers > 1 {
 		return got
 	}
@@ -490,15 +484,10 @@ func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matr
 		return got
 	}
 	for i := range want {
-		if bytes.Equal(want[i], have[i]) {
-			continue
-		}
-		var w, g journalRecord
-		if decodeRecord(want[i], &w) != nil || decodeRecord(have[i], &g) != nil || !forgivable(w.Sum, g.Sum, forgiven) {
+		if !bytes.Equal(want[i], have[i]) {
 			t.Errorf("%s: checkpoint journal line %d differs from the reference's:\n got: %.300s\nwant: %.300s", label, i+1, have[i], want[i])
 			return got
 		}
-		t.Logf("%s: journal record of Crashed experiment %d differs in its casualties", label, w.Sum.ID)
 	}
 	return got
 }
@@ -509,52 +498,19 @@ func withoutPlans(lines [][]byte, drop bool) [][]byte {
 	return slices.DeleteFunc(lines, func(l []byte) bool { return drop && bytes.HasPrefix(l, []byte(`{"kind":"plan"`)) })
 }
 
-// forgivable reports whether two differing records of one experiment are
-// both Crashed, with a plan whose casualty difference sameRun forgave.
-func forgivable(w, g ExperimentSummary, forgiven map[string]bool) bool {
-	return w.ID == g.ID && w.Outcome == classify.Crashed && g.Outcome == classify.Crashed && forgiven[fmt.Sprint(w.Plan.Faults)]
-}
-
-// crashedOnly returns how many experiments differ between want and got
-// when every one that does is forgivable, and 0 otherwise.
-func crashedOnly(want, got []ExperimentSummary, forgiven map[string]bool) int {
-	if len(want) != len(got) {
-		return 0
-	}
-	n := 0
-	for i := range want {
-		if reflect.DeepEqual(want[i], got[i]) {
-			continue
-		}
-		if !forgivable(want[i], got[i], forgiven) {
-			return 0
-		}
-		n++
-	}
-	return n
-}
-
 // checkRuns requires every experiment got executed to have the reference's
-// core.RunOutcome for its plan under sameRun, and logs and returns the
-// plans whose casualty difference sameRun forgave. An experiment that
+// core.RunOutcome for its plan, telemetry aside. An experiment that
 // ended at a golden-equal cut must be one the paper counts as correct
 // output, ending at the golden run's cycles and sites with no rank
 // contaminated; a rank that ended replaying golden traffic must have ended
 // uncontaminated, without error, at the golden run's sites and cycles.
-func (ref *reference) checkRuns(t testing.TB, label string, got *runRecorder, goldenCycles uint64, goldenSites []uint64) (forgiven map[string]bool) {
+func (ref *reference) checkRuns(t testing.TB, label string, got *runRecorder, goldenCycles uint64, goldenSites []uint64) {
 	t.Helper()
-	forgiven = map[string]bool{}
 	for plan, g := range got.runs {
 		w, ok := ref.rec.runs[plan]
-		same, forgive := sameRun(g, w)
-		if !ok || !same {
-			t.Errorf("%s: plan %s diverged from the reference (ran there: %v)\n got: %+v\nwant: %+v",
-				label, plan, ok, withoutTelemetry(g), withoutTelemetry(w))
+		if gv, wv := withoutTelemetry(g), withoutTelemetry(w); !ok || !reflect.DeepEqual(gv, wv) {
+			t.Errorf("%s: plan %s diverged from the reference (ran there: %v)\n got: %+v\nwant: %+v", label, plan, ok, gv, wv)
 			continue
-		}
-		if forgive {
-			forgiven[plan] = true
-			t.Logf("%s: plan %s: casualties differ (ROADMAP item 1); the ranks that ended on their own and the root cause's kind agree", label, plan)
 		}
 		for r, rr := range g.Ranks {
 			if rr.Ghost && (rr.FinalCML != 0 || rr.Err != nil || rr.Sites != goldenSites[r] || rr.Cycles != ref.rankCycles[r]) {
@@ -578,7 +534,6 @@ func (ref *reference) checkRuns(t testing.TB, label string, got *runRecorder, go
 			}
 		}
 	}
-	return forgiven
 }
 
 // TestExecModeMatrix is the differential gate for every execution

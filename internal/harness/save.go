@@ -26,7 +26,9 @@ type resultsFile struct {
 // campaigns may retain a bounded subset of summaries (MaxSummaries).
 // Files written by earlier versions are rejected rather than silently
 // misread (v1 summaries conflate "no fault planned" with "rank 0").
-const resultsVersion = 2
+// resultsVersion 3: Crashed summaries follow journalVersion 2's failure
+// semantics.
+const resultsVersion = 3
 
 // SaveResults writes campaign results to path, replacing the file whole:
 // a failed encode or a kill mid-write leaves the previous file as it was.

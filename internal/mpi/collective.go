@@ -65,10 +65,9 @@ type round struct {
 type coll struct {
 	mu   sync.Mutex
 	size int
-	done chan struct{}
 	cur  *round
 	// free is a one-slot round freelist. A round is recycled only after
-	// every rank has read its result; rounds abandoned by aborting ranks
+	// every rank has read its result; rounds deserted by a departed rank
 	// never reach that count and simply fall to the garbage collector.
 	free *round
 }
@@ -148,10 +147,8 @@ func (c *coll) join(e *Endpoint, cb contribution) (result, error) {
 			res, err := r.res, r.err
 			c.release(r)
 			return res, err
-		case <-c.done:
-			return result{}, j.fail(rank, ErrAborted)
 		case <-t.C:
-			return result{}, j.fail(rank, ErrTimeout)
+			return result{}, j.timeOut(rank)
 		case <-wake:
 		}
 	}

@@ -107,14 +107,23 @@ func TestRecycleClearsDepartures(t *testing.T) {
 	}
 }
 
+// A departure ends nothing by itself: the peer that stays goes on
+// communicating, and only a call that needs the departed rank fails.
 func TestLeaveIsIdempotentAndDoesNotAbort(t *testing.T) {
 	j := NewJob(2, time.Second)
 	j.Leave(0)
 	j.Leave(0)
-	if j.Aborted() {
-		t.Fatal("Leave must not abort the job")
-	}
 	if !j.hasLeft(0) || j.hasLeft(1) {
 		t.Fatal("departure flags wrong")
+	}
+	e1 := j.Endpoint(1)
+	if err := e1.Send(1, 3, []byte("to self")); err != nil {
+		t.Fatalf("send after a peer left: %v", err)
+	}
+	if got, err := e1.Recv(1, 3); err != nil || string(got) != "to self" {
+		t.Fatalf("recv after a peer left: %q, %v", got, err)
+	}
+	if j.Deadlocked() {
+		t.Fatal("Leave declared a deadlock with a rank still running")
 	}
 }

@@ -43,9 +43,8 @@ import (
 // message nobody will send, a mailbox slot nobody will free, or a collective
 // round that will never fill. The returned error wraps ErrDeadlock and names
 // each rank's wait. It is the logical-time form of what ErrTimeout reports
-// after the wall-clock timeout, surfaces in the VM as the same peer-failure
-// trap, and is preferred over ErrAborted when both are ready, so a rank's
-// error does not depend on which deadlocked peer was scheduled first.
+// after the wall-clock timeout, and surfaces in the VM as the same
+// peer-failure trap.
 var ErrDeadlock = errors.New("mpi: deadlock")
 
 type waitKind uint8
@@ -163,20 +162,18 @@ func (j *Job) unblock(rank int) {
 	j.leaveMu.Unlock()
 }
 
-// fail removes rank's wait after the call it parked in failed with err
-// (ErrAborted or ErrTimeout), and returns the error the call reports: the
-// deadlock error if the job was declared deadlocked meanwhile, else err.
-func (j *Job) fail(rank int, err error) error {
+// timeOut removes rank's wait after the call it parked in hit the safety
+// timeout, and returns the error the call reports: the deadlock error if the
+// job was declared deadlocked meanwhile, else ErrTimeout.
+func (j *Job) timeOut(rank int) error {
 	j.leaveMu.Lock()
 	defer j.leaveMu.Unlock()
 	j.unregister(rank)
 	if j.deadlock != nil {
 		return j.deadlock
 	}
-	if err == ErrTimeout {
-		j.timedOut = true
-	}
-	return err
+	j.timedOut = true
+	return ErrTimeout
 }
 
 // unregister clears rank's wait table entry. leaveMu held.
@@ -262,15 +259,16 @@ func (j *Job) describeWait(rank int) string {
 		return fmt.Sprintf("%v %d/%d arrived", w.round.contrib[rank].kind, w.round.arrived, c.size)
 	}
 	// With no rank running, a rank without a wait has left.
-	return "finished"
+	return "left"
 }
 
-// Leave records that rank's goroutine has returned cleanly and will never
-// communicate again, and wakes every parked call so it is judged anew: once
-// a rank has left, no collective round it is absent from can ever complete,
-// and no new message from it can ever arrive. If the departure leaves no
-// rank running and no parked call able to complete, the job is deadlocked.
-// The caller must guarantee all of rank's sends happened before Leave
+// Leave records that rank's goroutine has returned — finished, or failed —
+// and will never communicate again, and wakes every parked call so it is
+// judged anew: once a rank has left, no collective round it is absent from
+// can ever complete, and no new message from it can ever arrive, while the
+// messages it sent stay deliverable. If the departure leaves no rank
+// running and no parked call able to complete, the job is deadlocked. The
+// caller must guarantee all of rank's sends happened before Leave
 // (returning from the rank's program body does). Idempotent.
 func (j *Job) Leave(rank int) {
 	if rank < 0 || rank >= j.size {

@@ -68,7 +68,7 @@ func TestDeadlockDeclaredByTheLastDeparture(t *testing.T) {
 		j.Leave(2)
 		return nil
 	})
-	const want = "mpi: deadlock: rank 0: recv from 1 tag 1; rank 1: recv from 0 tag 1; rank 2: finished"
+	const want = "mpi: deadlock: rank 0: recv from 1 tag 1; rank 1: recv from 0 tag 1; rank 2: left"
 	for r, err := range errs[:2] {
 		if err == nil || err.Error() != want {
 			t.Errorf("rank %d: got %v, want %q", r, err, want)
@@ -77,13 +77,14 @@ func TestDeadlockDeclaredByTheLastDeparture(t *testing.T) {
 }
 
 // Every rank reports the deadlock, whichever of them is scheduled first and
-// kills the job on its way out, as core's rank goroutines do.
-func TestDeadlockPreferredOverAbort(t *testing.T) {
+// leaves the job on its way out with the error, as core's rank goroutines
+// do: a departure after the verdict changes no rank's error.
+func TestDeadlockSurvivesFailedDepartures(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		j := NewJob(3, farTimeout)
 		errs := runRanks(j, func(e *Endpoint) error {
 			_, err := e.Recv((e.Rank()+1)%3, 0)
-			j.Kill()
+			j.Leave(e.Rank())
 			return err
 		})
 		for r, err := range errs {

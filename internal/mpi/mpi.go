@@ -4,17 +4,17 @@
 // contamination header, paper Fig. 4) over per-pair ordered queues, and
 // synchronize through rendezvous-based collectives.
 //
-// Failure semantics mirror a production MPI: when any rank dies — a trap, an
-// application MPI_Abort, or a framework kill — the whole job aborts and every
-// blocked communication call returns an error, so sibling ranks crash out
-// instead of hanging (class C in the outcome taxonomy).
-//
-// A job whose ranks are all alive but can make no progress ends in logical
-// time as well (liveness.go): a call that waits on a rank that has finished
-// returns ErrDeserted, and once every rank is parked or gone and no parked
-// call can complete, all of them return ErrDeadlock. Both are decided from
-// what the ranks did, under one mutex, with no clock involved; the
-// wall-clock timeout remains only as the net under framework bugs.
+// A rank leaves the job when its goroutine returns, cleanly or with a
+// failure — a trap, an application MPI_Abort — and a departure is the only
+// way a rank's fate reaches its peers (liveness.go). The messages it sent
+// stay deliverable; a call that waits on it and can never complete returns
+// ErrDeserted, and once every rank is parked or gone and no parked call can
+// complete, all of them return ErrDeadlock. A peer of a failed rank thus
+// runs on until its own failure, or until its first call that needs the
+// departed rank, so which ranks fail, and where, is a function of what the
+// ranks did, decided under one mutex with no clock involved (class C in the
+// outcome taxonomy). The wall-clock timeout remains only as the net under
+// framework bugs.
 package mpi
 
 import (
@@ -29,9 +29,6 @@ import (
 	"repro/internal/vm"
 )
 
-// ErrAborted is returned by communication calls after the job has aborted.
-var ErrAborted = errors.New("mpi: job aborted")
-
 // ErrTimeout is returned when a blocking call exceeds the job's wall-clock
 // safety timeout. It is a defense against framework bugs, not an MPI feature
 // and not how stalled experiments end: a wait that can never complete is
@@ -41,14 +38,14 @@ var ErrAborted = errors.New("mpi: job aborted")
 var ErrTimeout = errors.New("mpi: wall-clock timeout")
 
 // ErrDeserted is returned when a blocking call can provably never complete
-// because a peer rank it depends on has finished its program and left the
-// job: a collective round missing a departed rank will never fill, and a
-// receive from a departed rank with an empty queue will never match. A
-// desynchronized collective schedule is a common consequence of an injected
-// fault corrupting a trip count. ErrDeadlock is the general case, with every
-// rank still alive. Like ErrTimeout and ErrAborted both surface in the VM as
-// a peer-failure trap, so outcome classification is unchanged.
-var ErrDeserted = errors.New("mpi: peer rank finished; operation can never complete")
+// because a peer rank it depends on has left the job, by finishing its
+// program or by failing: a collective round missing a departed rank will
+// never fill, and a receive from a departed rank with an empty queue will
+// never match. A desynchronized collective schedule is a common consequence
+// of an injected fault corrupting a trip count. ErrDeadlock is the general
+// case, with every remaining rank parked. Like ErrTimeout it surfaces in
+// the VM as a peer-failure trap.
+var ErrDeserted = errors.New("mpi: peer rank left; operation can never complete")
 
 type message struct {
 	tag  int
@@ -146,12 +143,9 @@ type Job struct {
 	size    int
 	timeout time.Duration
 
-	done   chan struct{}
-	killMu sync.Mutex
-	flag   vm.AbortFlag
-
 	// Liveness (liveness.go), all under leaveMu. left[r] is set once rank
-	// r's goroutine has returned cleanly and will never communicate again;
+	// r's goroutine has returned, cleanly or not, and will never
+	// communicate again;
 	// waits[r] is what rank r is parked on, if it is. leaveCh is closed and
 	// replaced on every departure and on a deadlock verdict, waking parked
 	// calls so they register again and are judged anew. deadlock is the
@@ -199,14 +193,12 @@ func NewJob(size int, timeout time.Duration) *Job {
 	j := &Job{
 		size:    size,
 		timeout: timeout,
-		done:    make(chan struct{}),
 		left:    make([]bool, size),
 		waits:   make([]wait, size),
 		leaveCh: make(chan struct{}),
 		bufs:    make(chan []byte, 256),
 	}
 	j.coll.size = size
-	j.coll.done = j.done
 	j.eps = make([]Endpoint, size)
 	for r := range j.eps {
 		j.eps[r] = Endpoint{
@@ -220,26 +212,17 @@ func NewJob(size int, timeout time.Duration) *Job {
 }
 
 // Recycle prepares a completed job for another run of the same shape:
-// inboxes are drained, pending buffers emptied and collective state
-// cleared, while the endpoints and their timers survive. An
-// aborted job gets a fresh done channel and a lowered abort flag — once
-// every rank goroutine has exited there is nothing left to observe the old
-// ones. It returns false — leaving the job untouched — when the shape or
-// timeout differs; the caller must then build a fresh job. Only call
-// between runs, with no rank goroutines alive.
+// inboxes are drained, pending buffers emptied, departures, waits and
+// collective state cleared, while the endpoints and their timers survive.
+// It returns false — leaving the job untouched — when the shape or timeout
+// differs; the caller must then build a fresh job. Only call between runs,
+// with no rank goroutines alive.
 func (j *Job) Recycle(size int, timeout time.Duration) bool {
 	if timeout == 0 {
 		timeout = defaultTimeout
 	}
 	if j.size != size || j.timeout != timeout {
 		return false
-	}
-	if j.Aborted() {
-		j.killMu.Lock()
-		j.done = make(chan struct{})
-		j.coll.done = j.done
-		j.flag.Lower()
-		j.killMu.Unlock()
 	}
 	j.leaveMu.Lock()
 	if j.nleft > 0 {
@@ -277,38 +260,14 @@ func (j *Job) drainWorld() {
 // Size returns the number of ranks.
 func (j *Job) Size() int { return j.size }
 
-// Flag returns the job's abort flag, to be shared with every rank's VM.
-func (j *Job) Flag() *vm.AbortFlag { return &j.flag }
-
-// Kill aborts the job: the abort flag is raised and all blocked
-// communication calls return ErrAborted. Idempotent.
+// Kill makes every rank leave the job, so that each parked and future call
+// that waits on another rank ends with ErrDeserted instead of waiting out
+// the timeout: the teardown of a caller that drives endpoints by hand and
+// stops on the first error. Runs of core do not use it; there a rank leaves
+// when it returns.
 func (j *Job) Kill() {
-	j.killMu.Lock()
-	defer j.killMu.Unlock()
-	select {
-	case <-j.done:
-	default:
-		j.flag.Raise()
-		close(j.done)
-	}
-}
-
-// Done returns the channel closed when the job aborts, for callers that
-// must not block forever on a job that died. Capture it once per run:
-// Recycle replaces the channel after an aborted run.
-func (j *Job) Done() <-chan struct{} {
-	j.killMu.Lock()
-	defer j.killMu.Unlock()
-	return j.done
-}
-
-// Aborted reports whether the job has been killed.
-func (j *Job) Aborted() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
+	for r := range j.size {
+		j.Leave(r)
 	}
 }
 
@@ -400,10 +359,8 @@ func (e *Endpoint) Send(dst, tag int, msg []byte) error {
 		}
 		select {
 		case <-e.space:
-		case <-j.done:
-			return j.fail(e.rank, ErrAborted)
 		case <-t.C:
-			return j.fail(e.rank, ErrTimeout)
+			return j.timeOut(e.rank)
 		case <-wake:
 		}
 		if in.put(e.rank, m) {
@@ -450,10 +407,8 @@ func (e *Endpoint) Recv(src, tag int) ([]byte, error) {
 		}
 		select {
 		case <-e.in.arrive:
-		case <-j.done:
-			return nil, j.fail(e.rank, ErrAborted)
 		case <-t.C:
-			return nil, j.fail(e.rank, ErrTimeout)
+			return nil, j.timeOut(e.rank)
 		case <-wake:
 		}
 		if data, ok := e.takeUntil(src, tag); ok {
@@ -523,9 +478,6 @@ func (e *Endpoint) Bcast(root int, msg []byte) ([]byte, error) {
 	}
 	return res.bcast, nil
 }
-
-// Abort kills the whole job (MPI_Abort).
-func (e *Endpoint) Abort(code int64) { e.job.Kill() }
 
 // GetBuf returns a recycled wire buffer (nil when none is available). The
 // VM's message layer uses this (through an optional interface) to keep

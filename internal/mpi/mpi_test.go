@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -76,19 +77,16 @@ func TestRecvUnblocksOnKill(t *testing.T) {
 	j.Kill()
 	select {
 	case err := <-errCh:
-		if err != ErrAborted {
-			t.Errorf("err = %v, want ErrAborted", err)
+		if !errors.Is(err, ErrDeserted) {
+			t.Errorf("err = %v, want ErrDeserted", err)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("recv did not unblock")
 	}
-	if !j.Aborted() {
-		t.Error("job not marked aborted")
-	}
-	if !j.Flag().Raised() {
-		t.Error("abort flag not raised")
-	}
 	j.Kill() // idempotent
+	if _, err := e1.Recv(0, 0); !errors.Is(err, ErrDeserted) {
+		t.Errorf("recv after Kill: err = %v, want ErrDeserted", err)
+	}
 }
 
 func TestRecvTimeout(t *testing.T) {

@@ -15,9 +15,10 @@ import (
 
 // An independent oracle for the job's liveness verdicts. A schedule is what
 // each rank does, in order; reference executes it sequentially, with no
-// goroutines, channels, counters or wait table, and says how the job must
+// goroutines, channels, counters or wait table, and says how each rank must
 // end. The real Job, run on goroutines under an adversarial scheduler, must
-// end the same way on every schedule.
+// end every rank the same way on every schedule: with one mechanism for
+// departures, finished and failed alike, nothing is left to the scheduler.
 
 type opKind uint8
 
@@ -27,6 +28,9 @@ const (
 	opBarrier
 	opAllreduce
 	opBcast
+	// opFail is a rank failing on its own (a trap, an MPI_Abort): it stops
+	// there and leaves the job.
+	opFail
 )
 
 // op is one MPI call of a schedule. peer is a Send's destination, a Recv's
@@ -52,6 +56,8 @@ func (o op) String() string {
 		return fmt.Sprintf("allreduce(%d)", o.words)
 	case opBcast:
 		return fmt.Sprintf("bcast(%d)", o.peer)
+	case opFail:
+		return "fail"
 	}
 	return "barrier"
 }
@@ -77,35 +83,32 @@ func (s schedule) String() string {
 	return b.String()
 }
 
+// How a rank ends.
+const (
+	endFinished = "finished"
+	endFailed   = "failed"
+	endDeserted = "deserted"
+	endMismatch = "mismatch"
+	endDeadlock = "deadlock"
+)
+
 // expectation is the reference's verdict on a schedule.
 type expectation struct {
-	// Exactly one of completes, deadlock, or at least one failure kind.
-	completes, deadlock bool
-	// deserted, mismatch: the failures some rank meets when no rank is
-	// killed for another's failure. The real job kills on the first failure
-	// in wall time, so it must show at least one of them and nothing else.
-	deserted, mismatch bool
-	// finished[r]: rank r runs its schedule to the end (without failures
-	// elsewhere cutting it short).
-	finished []bool
-	// waits[r] words a live rank's wait at the deadlock as ErrDeadlock does.
+	// ends[r] is how rank r ends.
+	ends []string
+	// waits[r] words a deadlocked rank's wait as ErrDeadlock does.
 	waits []string
 }
 
 // reference executes s to its fixed point: every rank runs as far as it
-// can, a failed rank stops where it failed (nobody is killed for it), and
-// the rounds repeat until nothing moves. Messages, mailbox capacity, tag
+// can, a rank that fails stops there and leaves like a finished one, and
+// the rounds repeat until nothing moves; a rank still running then waits
+// for ever, and the job is deadlocked. Messages, mailbox capacity, tag
 // matching, collective rounds and departures follow the package's
 // documented semantics; the result does not depend on the order ranks are
 // visited in, because every wait is monotone: once it can end, it always can.
 func reference(s schedule, mailCap int) expectation {
 	n := len(s)
-	const (
-		running = iota
-		left
-		dead
-	)
-	state := make([]int, n)
 	pc := make([]int, n)
 	queue := make([][][]int, n)   // queue[dst][src]: tags in the mailbox
 	pending := make([][][]int, n) // pending[dst][src]: tags set aside
@@ -113,24 +116,27 @@ func reference(s schedule, mailCap int) expectation {
 		queue[r], pending[r] = make([][]int, n), make([][]int, n)
 	}
 	var arrived []int // ranks in the current collective round
-	exp := expectation{finished: make([]bool, n), waits: make([]string, n)}
+	exp := expectation{ends: make([]string, n), waits: make([]string, n)}
+	gone := func(r int) bool { return exp.ends[r] != "" }
 	for moved := true; moved; {
 		moved = false
 		for r := 0; r < n; r++ {
-			for state[r] == running {
+			for !gone(r) {
 				if pc[r] == len(s[r]) {
-					state[r], exp.finished[r], moved = left, true, true
+					exp.ends[r], moved = endFinished, true
 					break
 				}
 				o := s[r][pc[r]]
 				done := false
 				switch o.kind {
+				case opFail:
+					exp.ends[r], moved = endFailed, true
 				case opSend:
 					q := &queue[o.peer][r]
 					if len(*q) < mailCap {
 						*q, done = append(*q, o.tag), true
-					} else if state[o.peer] == left {
-						state[r], exp.deserted = dead, true
+					} else if gone(o.peer) {
+						exp.ends[r], moved = endDeserted, true
 					}
 					exp.waits[r] = fmt.Sprintf("send to %d tag %d, mailbox full", o.peer, o.tag)
 				case opRecv:
@@ -148,8 +154,8 @@ func reference(s schedule, mailCap int) expectation {
 						}
 						*q, moved = (*q)[1:], true
 					}
-					if !done && state[o.peer] == left {
-						state[r], exp.deserted = dead, true
+					if !done && gone(o.peer) {
+						exp.ends[r], moved = endDeserted, true
 					}
 					exp.waits[r] = fmt.Sprintf("recv from %d tag %d", o.peer, o.tag)
 				default:
@@ -158,32 +164,31 @@ func reference(s schedule, mailCap int) expectation {
 					}
 					if len(arrived) == n {
 						// Complete: everyone in it fails or advances together.
-						roots := 0
+						bad, roots := false, 0
 						for x := range s {
 							ox := s[x][pc[x]]
 							if ox.kind != o.kind || o.kind == opAllreduce && ox.words != o.words {
-								exp.mismatch = true
+								bad = true
 							}
 							if ox.kind == opBcast && ox.peer == x {
 								roots++
 							}
 						}
-						if o.kind == opBcast && roots != 1 {
-							exp.mismatch = true
-						}
+						bad = bad || o.kind == opBcast && roots != 1
 						for x := range s {
-							if exp.mismatch {
-								state[x] = dead
+							if bad {
+								exp.ends[x] = endMismatch
 							} else if x != r {
 								pc[x]++
 							}
 						}
-						arrived, done = nil, !exp.mismatch
+						arrived, done = nil, !bad
 						break
 					}
+					// A round that a departed rank is absent from never fills.
 					for x := range s {
-						if state[x] == left && !slices.Contains(arrived, x) {
-							state[r], exp.deserted = dead, true
+						if gone(x) && !slices.Contains(arrived, x) {
+							exp.ends[r], moved = endDeserted, true
 						}
 					}
 					exp.waits[r] = fmt.Sprintf("%v %d/%d arrived", collKind(o.kind-opBarrier), len(arrived), n)
@@ -196,19 +201,22 @@ func reference(s schedule, mailCap int) expectation {
 			}
 		}
 	}
-	switch {
-	case exp.deserted || exp.mismatch:
-	case !slices.Contains(exp.finished, false):
-		exp.completes = true
-	default:
-		exp.deadlock = true
+	for r, e := range exp.ends {
+		if e == "" {
+			exp.ends[r] = endDeadlock
+		}
 	}
 	return exp
 }
 
+// errFailed is what a rank returns at its opFail.
+var errFailed = errors.New("rank failed")
+
 // perform executes one op on the real endpoint.
 func perform(e *Endpoint, o op) error {
 	switch o.kind {
+	case opFail:
+		return errFailed
 	case opSend:
 		return e.Send(o.peer, o.tag, nil)
 	case opRecv:
@@ -231,98 +239,80 @@ func perform(e *Endpoint, o op) error {
 }
 
 // runSchedule executes s on j the way core runs a job: one goroutine per
-// rank, a rank that fails kills the job, a rank that finishes leaves.
+// rank, each leaving the job however it returns — at its end, at its first
+// failed call, or at its opFail.
 func runSchedule(j *Job, s schedule) []error {
 	return runRanks(j, func(e *Endpoint) error {
+		defer j.Leave(e.Rank())
 		for _, o := range s[e.Rank()] {
 			if err := perform(e, o); err != nil {
-				j.Kill()
 				return err
 			}
 		}
-		j.Leave(e.Rank())
 		return nil
 	})
 }
 
-// checkSchedule runs s on j and compares the outcome with the reference's.
-// It returns the reference's verdict in a word, for the callers' tallies.
+// endOf names how a rank that returned err ended.
+func endOf(err error) string {
+	switch {
+	case err == nil:
+		return endFinished
+	case errors.Is(err, errFailed):
+		return endFailed
+	case errors.Is(err, ErrDeserted):
+		return endDeserted
+	case errors.Is(err, ErrDeadlock):
+		return endDeadlock
+	case errors.Is(err, ErrTimeout):
+		return "timeout"
+	}
+	return endMismatch
+}
+
+// checkSchedule runs s on j and requires every rank to end as the reference
+// says. It returns the ends the ranks met, for the callers' tallies: the
+// distinct ones other than finished, comma-separated, or "completes" when
+// every rank finished.
 func checkSchedule(t *testing.T, j *Job, s schedule) string {
 	t.Helper()
 	exp := reference(s, mailboxCap)
 	errs := runSchedule(j, s)
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Errorf("%s\nschedule: %v\nerrors: %q", fmt.Sprintf(format, args...), s, errs)
+		t.Errorf("%s\nschedule: %v\nerrors: %q\nreference: %q", fmt.Sprintf(format, args...), s, errs, exp.ends)
 	}
-	var deserted, mismatch bool
+	var ends []string
+	var text string
 	for r, err := range errs {
-		switch {
-		case errors.Is(err, ErrTimeout):
-			fail("rank %d waited out the wall-clock timeout: a verdict was missed", r)
-		case errors.Is(err, ErrDeadlock):
-			if !exp.deadlock {
-				fail("rank %d reports a deadlock, the reference does not", r)
-			}
-		case errors.Is(err, ErrDeserted):
-			deserted = true
-		case err != nil && !errors.Is(err, ErrAborted):
-			mismatch = true
+		if got := endOf(err); got != exp.ends[r] {
+			fail("rank %d ends %s, the reference says %s", r, got, exp.ends[r])
+		}
+		switch e := exp.ends[r]; {
+		case e == endDeadlock && text == "":
+			text = err.Error()
+		case e == endDeadlock && err.Error() != text:
+			// Every deadlocked rank reports the same verdict.
+			fail("ranks report the deadlock in different words")
+		}
+		if e := exp.ends[r]; e != endFinished && !slices.Contains(ends, e) {
+			ends = append(ends, e)
 		}
 	}
-	switch {
-	case exp.completes:
-		for r, err := range errs {
-			if err != nil {
-				fail("rank %d failed, the reference completes", r)
-			}
+	for r, e := range exp.ends {
+		// The verdict names each deadlocked rank's wait.
+		if e == endDeadlock && !strings.Contains(text, ": "+exp.waits[r]) {
+			fail("rank %d waits on %q, which the deadlock error does not say", r, exp.waits[r])
 		}
+	}
+	if j.Deadlocked() != (text != "") || j.TimedOut() {
+		fail("Deadlocked=%v TimedOut=%v", j.Deadlocked(), j.TimedOut())
+	}
+	if len(ends) == 0 {
 		return "completes"
-	case exp.deadlock:
-		// Every rank that has not finished reports the deadlock — not
-		// ErrAborted, whichever peer was woken first — in the same words,
-		// and the words name its wait.
-		var text string
-		for r, err := range errs {
-			switch {
-			case exp.finished[r]:
-				if err != nil {
-					fail("rank %d failed, the reference lets it finish before the deadlock", r)
-				}
-			case !errors.Is(err, ErrDeadlock):
-				fail("rank %d: live at the deadlock, but does not report it", r)
-			case text == "":
-				text = err.Error()
-			case err.Error() != text:
-				fail("ranks report the deadlock in different words")
-			}
-		}
-		for r := range errs {
-			if !exp.finished[r] && !strings.Contains(text, ": "+exp.waits[r]) {
-				fail("rank %d waits on %q, which the deadlock error does not say", r, exp.waits[r])
-			}
-		}
-		if !j.Deadlocked() || j.TimedOut() {
-			fail("Deadlocked=%v TimedOut=%v after a deadlock", j.Deadlocked(), j.TimedOut())
-		}
-		return "deadlock"
 	}
-	// A failure: the job shows at least one of the failures the reference
-	// finds, and no kind it does not find.
-	if !deserted && !mismatch {
-		fail("no rank failed, the reference finds deserted=%v mismatch=%v", exp.deserted, exp.mismatch)
-	}
-	if deserted && !exp.deserted || mismatch && !exp.mismatch {
-		fail("job shows deserted=%v mismatch=%v, the reference deserted=%v mismatch=%v",
-			deserted, mismatch, exp.deserted, exp.mismatch)
-	}
-	if j.Deadlocked() {
-		fail("Deadlocked after a failure")
-	}
-	if exp.mismatch {
-		return "mismatch"
-	}
-	return "deserted"
+	slices.Sort(ends)
+	return strings.Join(ends, ",")
 }
 
 // genSchedule draws a schedule the way faults produce them: a consistent
@@ -363,8 +353,8 @@ func genSchedule(rng *rand.Rand, mut []byte) schedule {
 }
 
 // mutate damages one rank's program the way a flipped trip count, index or
-// branch does: an op dropped, repeated, retargeted or moved, or the program
-// cut short.
+// branch does: an op dropped, repeated, retargeted or moved, the program
+// cut short, or the rank failing on its own there.
 func mutate(s schedule, kind byte, rank, idx, val int) {
 	rank %= len(s)
 	p := s[rank]
@@ -372,7 +362,7 @@ func mutate(s schedule, kind byte, rank, idx, val int) {
 		return
 	}
 	idx %= len(p)
-	switch kind % 6 {
+	switch kind % 7 {
 	case 0:
 		s[rank] = slices.Delete(p, idx, idx+1)
 	case 1:
@@ -391,6 +381,8 @@ func mutate(s schedule, kind byte, rank, idx, val int) {
 		}
 	case 5:
 		p[idx].words = 1 + val%2
+	case 6:
+		s[rank] = slices.Insert(p, idx, op{kind: opFail})
 	}
 }
 
@@ -438,7 +430,8 @@ func (p *jobPool) get(size int) *Job {
 
 // TestSchedulesMatchReference is the no-false-positive, no-false-negative
 // stress: a few thousand seeded schedules at GOMAXPROCS 1, 2 and 8, each
-// ending on the real job exactly as the sequential reference says.
+// rank of each ending on the real job exactly as the sequential reference
+// says.
 func TestSchedulesMatchReference(t *testing.T) {
 	seeds := 1500
 	if testing.Short() {
@@ -450,12 +443,14 @@ func TestSchedulesMatchReference(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for i := 0; i < seeds && !t.Failed(); i++ {
 			s := scheduleFromSeed(int64(procs*1_000_000 + i))
-			tally[checkSchedule(t, pool.get(len(s)), s)]++
+			for _, e := range strings.Split(checkSchedule(t, pool.get(len(s)), s), ",") {
+				tally[e]++
+			}
 		}
 		runtime.GOMAXPROCS(prev)
 	}
-	t.Logf("verdicts: %v", tally)
-	for _, v := range []string{"completes", "deadlock", "deserted", "mismatch"} {
+	t.Logf("ends met: %v", tally)
+	for _, v := range []string{"completes", endDeadlock, endDeserted, endMismatch, endFailed} {
 		if !t.Failed() && tally[v] < seeds/20 {
 			t.Errorf("only %d schedules end as %q: the generator no longer covers that verdict", tally[v], v)
 		}
@@ -533,6 +528,7 @@ func FuzzSchedule(f *testing.F) {
 	f.Add(int64(2), []byte{0, 1, 2, 3}, uint8(2))
 	f.Add(int64(3), []byte{2, 0, 1, 0, 4, 1, 3, 7}, uint8(8))
 	f.Add(int64(4), []byte{3, 1, 3, 5, 5, 0, 2, 1, 1, 2, 0, 0}, uint8(1))
+	f.Add(int64(5), []byte{6, 1, 2, 0}, uint8(2))
 	var pool jobPool
 	f.Fuzz(func(t *testing.T, seed int64, mut []byte, procs uint8) {
 		if len(mut) > 32 {

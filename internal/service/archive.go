@@ -20,15 +20,23 @@ import (
 // manifest) when asked for, never copied.
 
 // lookupCache consults the archive for key. On a verified hit it returns
-// the record; on any miss — no entry, or a corrupt one (which it evicts
-// so the slot heals on the next Put) — it returns nil. Counted into the
-// cache-hit/miss metrics either way.
+// the record; on any miss — no entry, a corrupt one, or one whose journal
+// another journal version wrote (either of which it evicts so the slot
+// heals on the next Put) — it returns nil. Counted into the cache-hit/miss
+// metrics either way.
 func (s *Server) lookupCache(key, trace string) *archive.Record {
 	if s.archive == nil || key == "" {
 		return nil
 	}
 	rec, err := s.archive.Get(key)
 	switch {
+	case err == nil && rec.Journal != nil && !harness.CurrentJournal(rec.Journal):
+		// The fingerprint names the campaign, not the semantics its
+		// results were computed under.
+		s.log.Warn("archive entry of another journal version, evicting", "fingerprint", key, "trace", trace)
+		if rerr := s.archive.Remove(key); rerr != nil {
+			s.log.Warn("archive eviction failed", "fingerprint", key, "err", rerr)
+		}
 	case err == nil:
 		s.obs.cacheHits.Inc()
 		return rec

@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/harness"
 	"repro/internal/service"
 )
@@ -315,6 +317,38 @@ func TestCorruptEntryDegradesToFreshRun(t *testing.T) {
 	if !tst.CacheHit {
 		t.Error("slot did not heal: third submission was not a cache hit")
 	}
+}
+
+// TestOldJournalVersionMisses: an entry archived with a journal of another
+// version holds results of another semantics, though its fingerprint is
+// the same. The submission runs fresh, and its archival replaces the entry.
+func TestOldJournalVersionMisses(t *testing.T) {
+	arch := t.TempDir()
+	d := startDaemon(t, t.TempDir(), service.Config{ArchiveDir: arch})
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 14, Seed: 5, SampleEvery: 64}
+	first := settle(t, d, spec, false)
+	a, err := archive.Open(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Get(first.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same entry, as a daemon of journal version 1 archived it.
+	old := filepath.Join(t.TempDir(), "journal.jsonl")
+	v1 := regexp.MustCompile(`^(\{[^\n]*"version":)\d+`).ReplaceAll(rec.Journal, []byte("${1}1"))
+	if err := errors.Join(os.WriteFile(old, v1, 0o644), a.Remove(first.Fingerprint), a.Put(rec.Meta, rec.Result, old)); err != nil {
+		t.Fatal(err)
+	}
+	second := settle(t, d, spec, false)
+	if got, want := rawResult(t, d.http.URL, second.ID), rawResult(t, d.http.URL, first.ID); string(got) != string(want) {
+		t.Error("the fresh run does not match the original result")
+	}
+	if rec, err := a.Get(first.Fingerprint); err != nil || !harness.CurrentJournal(rec.Journal) {
+		t.Fatalf("the entry was not re-archived under the current journal version (err %v)", err)
+	}
+	settle(t, d, spec, true)
 }
 
 // TestTenantQuotaOverWire: per-tenant active-job quotas reject the

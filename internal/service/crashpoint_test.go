@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/classify"
 	"repro/internal/durable"
 	"repro/internal/harness"
 	"repro/internal/service"
@@ -25,8 +23,7 @@ import (
 // recorded once through durable's write seam; then, for every point a
 // kill could land on, the directory is rebuilt as that kill would have
 // left it, the program restarts over it, and the restart must produce the
-// recorded run's result bytes (checkSameResult names the one exception,
-// which is not persistence's). Every file the harness and the service
+// recorded run's result bytes. Every file the harness and the service
 // write goes through durable (CI's "One durable write path" guard), so
 // the recorded ops are every write there is. The rebuilt state is a pure
 // function of the recording: no timers decide where a kill lands.
@@ -169,37 +166,12 @@ func checkLogsWhole(t *testing.T, ops []fileOp, p crashPoint) {
 }
 
 // checkSameResult requires the restart's result bytes to equal the
-// uninterrupted run's. It forgives one difference, as the benchmark's
-// oracle does: the engine's known abort race. When a fault makes every
-// rank abort, a peer the scheduler preempts at that moment dies as a
-// casualty first and drops out of the run's contamination aggregates. A
-// difference confined to summaries both sides classify Crashed, with the
-// same ID and plan, under equal tallies, is that race, which lives in
-// re-execution, not in persistence: it is logged, not failed.
-func checkSameResult(t *testing.T, p crashPoint, want, got []byte, decode func(*testing.T, []byte) []*harness.CampaignResult) {
+// uninterrupted run's.
+func checkSameResult(t *testing.T, p crashPoint, want, got []byte) {
 	t.Helper()
-	if bytes.Equal(got, want) {
-		return
-	}
-	a, b := decode(t, want), decode(t, got)
-	var raced []int
-	same := len(a) == len(b)
-	for i := 0; same && i < len(a); i++ {
-		same = reflect.DeepEqual(a[i].Tally, b[i].Tally) && len(a[i].Experiments) == len(b[i].Experiments)
-		for j := 0; same && j < len(a[i].Experiments); j++ {
-			ea, eb := a[i].Experiments[j], b[i].Experiments[j]
-			if reflect.DeepEqual(ea, eb) {
-				continue
-			}
-			same = ea.Outcome == classify.Crashed && eb.Outcome == classify.Crashed &&
-				ea.ID == eb.ID && reflect.DeepEqual(ea.Plan, eb.Plan)
-			raced = append(raced, ea.ID)
-		}
-	}
-	if !same || len(raced) == 0 {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("%v: the restart's %d result bytes differ from the uninterrupted run's %d", p, len(got), len(want))
 	}
-	t.Logf("%v: crashed experiments %v differ in their peers' observations only (the known abort race)", p, raced)
 }
 
 // everyOffset tears a line at every byte; sampled tears it at its first,
@@ -219,13 +191,6 @@ func sampled(n int) []int { return []int{1, n / 2, n - 1} }
 // must write the same results file.
 func TestCrashPointsLocal(t *testing.T) {
 	app := apps.NewHydro()
-	decode := func(t *testing.T, data []byte) []*harness.CampaignResult {
-		var file struct{ Results []*harness.CampaignResult }
-		if err := json.Unmarshal(data, &file); err != nil {
-			t.Fatal(err)
-		}
-		return file.Results
-	}
 	for _, tc := range []struct {
 		name     string
 		sampling harness.Sampling
@@ -269,7 +234,7 @@ func TestCrashPointsLocal(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: restart failed: %v", p, err)
 				}
-				checkSameResult(t, p, want, got, decode)
+				checkSameResult(t, p, want, got)
 				checkLogsWhole(t, ops, p)
 			}
 			t.Logf("%d ops, %d crash points", len(ops), len(pts))
@@ -289,13 +254,6 @@ func TestCrashPointsCoordinated(t *testing.T) {
 	_, urls := startWorkerFleet(t, 2)
 	cfg := service.Config{ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond, Peers: urls}
 	dir := t.TempDir()
-	decode := func(t *testing.T, data []byte) []*harness.CampaignResult {
-		var res harness.CampaignResult
-		if err := json.Unmarshal(data, &res); err != nil {
-			t.Fatal(err)
-		}
-		return []*harness.CampaignResult{&res}
-	}
 	run := func() []byte {
 		t.Helper()
 		d := startDaemon(t, dir, cfg)
@@ -329,7 +287,7 @@ func TestCrashPointsCoordinated(t *testing.T) {
 	pts := crashPoints(ops, -1, nil)
 	for _, p := range pts {
 		rebuild(t, dir, ops, p)
-		checkSameResult(t, p, want, run(), decode)
+		checkSameResult(t, p, want, run())
 		checkLogsWhole(t, ops, p)
 	}
 	t.Logf("%d ops, %d crash points", len(ops), len(pts))

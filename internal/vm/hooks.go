@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"sync/atomic"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Injector decides, at each dynamic fim_inj execution, whether to corrupt
 // the operand value. site is the running dynamic site index (0-based) within
@@ -58,7 +54,6 @@ type MPIEndpoint interface {
 	// Bcast distributes root's message to every rank. Non-root ranks pass
 	// a nil msg and receive root's; root receives its own back.
 	Bcast(root int, msg []byte) ([]byte, error)
-	Abort(code int64)
 }
 
 // WireBufs is an optional extension of MPIEndpoint: a transport that
@@ -81,19 +76,3 @@ type Tracer interface {
 	// OnTick fires at application timestep boundaries (IntrinCheckpointT).
 	OnTick(localCycles uint64, tick int64)
 }
-
-// AbortFlag is a job-wide flag raised when any rank crashes or aborts, so
-// sibling ranks stop instead of hanging.
-type AbortFlag struct {
-	f atomic.Bool
-}
-
-// Raise sets the flag.
-func (a *AbortFlag) Raise() { a.f.Store(true) }
-
-// Lower clears the flag, for reuse of a job's infrastructure between runs.
-// Only call while no VM is observing the flag.
-func (a *AbortFlag) Lower() { a.f.Store(false) }
-
-// Raised reports whether the flag is set.
-func (a *AbortFlag) Raised() bool { return a.f.Load() }

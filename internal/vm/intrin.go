@@ -122,9 +122,8 @@ func (v *VM) intrin(fr *frame, in *ir.Instr) {
 		v.mpiBcast(arg(0), arg(1), arg(2))
 		v.armQuiesce()
 	case ir.IntrinMPIAbort:
-		if v.cfg.MPI != nil {
-			v.cfg.MPI.Abort(argI(0))
-		}
+		// The trap is the whole abort: the runner makes the rank leave the
+		// job, and its peers learn of it at their next call that needs it.
 		v.trap(TrapAbort, fmt.Sprintf("code %d", argI(0)))
 
 	default:

@@ -67,8 +67,6 @@ func (f *fakeEndpoint) Bcast(root int, msg []byte) ([]byte, error) {
 	return f.bcastMsg, nil
 }
 
-func (f *fakeEndpoint) Abort(code int64) {}
-
 func TestMPISendCollectsContamination(t *testing.T) {
 	b := ir.NewBuilder()
 	buf := b.Global("buf", 4)

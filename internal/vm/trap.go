@@ -19,7 +19,7 @@ const (
 	TrapStackOverflow           // stack met the heap
 	TrapCycleLimit              // cycle budget exceeded (hang)
 	TrapAbort                   // application called MPI_Abort
-	TrapPeerFailure             // another rank crashed or aborted the job
+	TrapPeerFailure             // an MPI call can never complete: a peer left, or the job deadlocked
 	TrapInvalid                 // malformed instruction reached the interpreter
 	TrapOutputOverflow          // output vector limit exceeded
 )

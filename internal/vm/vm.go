@@ -34,8 +34,6 @@ type Config struct {
 	MPI MPIEndpoint
 	// Tracer observes contamination changes and timesteps; nil disables.
 	Tracer Tracer
-	// Abort is the job-wide failure flag; nil disables peer-failure checks.
-	Abort *AbortFlag
 	// Stdout receives debug prints (default: discarded).
 	Stdout io.Writer
 	// OutputLimit bounds the observable output vector (default 1<<20).
@@ -317,18 +315,18 @@ func fptosi(f float64) int64 {
 	return int64(f)
 }
 
+// housekeep is the loop's periodic check, every 1024 application cycles:
+// a run past its cycle budget is a hang. Nothing else stops a running VM —
+// a peer's failure reaches this rank only through its MPI calls.
 func (v *VM) housekeep() {
 	if v.cfg.CycleLimit > 0 && v.cycles > v.cfg.CycleLimit {
 		v.trap(TrapCycleLimit, "")
-	}
-	if v.cfg.Abort != nil && v.cfg.Abort.Raised() {
-		v.trap(TrapPeerFailure, "job aborted")
 	}
 }
 
 // secondCycle charges the second application cycle of a two-cycle
 // superinstruction, between its halves, with the loop's housekeeping check
-// at the second instruction's pc — so a cycle-limit or abort trap lands on
+// at the second instruction's pc — so a cycle-limit trap lands on
 // the same cycle and pc as in code.
 func (v *VM) secondCycle(fr *frame, in *dinstr) {
 	v.cycles++
@@ -408,9 +406,6 @@ func (v *VM) execute() (err error) {
 				panic(r)
 			}
 			err = tp.t
-			if v.cfg.Abort != nil {
-				v.cfg.Abort.Raise()
-			}
 		}
 	}()
 	if len(v.frames) == 0 {
@@ -431,7 +426,7 @@ func (v *VM) execute() (err error) {
 // the inner loop touches the VM and frame structs only on the cold paths.
 // fr.pc is therefore stale between sync points and MUST be re-synced
 // (fr.pc = pc) before anything that can observe it: every trap, housekeep
-// (cycle limit / abort can trap), and intrinsics (whose quiesce hook
+// (the cycle limit can trap), and intrinsics (whose quiesce hook
 // captures the frame stack). Frame changes (Call, Ret) and anything that
 // may swap the register file restart the outer loop, which refetches all
 // cached state. The ablations have no code here: they run on the observed

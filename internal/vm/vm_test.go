@@ -409,23 +409,6 @@ func TestMPIIntrinsicsWithoutEndpoint(t *testing.T) {
 	}
 }
 
-func TestAbortFlagStopsRun(t *testing.T) {
-	b := ir.NewBuilder()
-	f := b.Func("main", 0, 0)
-	l := f.NewLabel()
-	f.Bind(l)
-	f.Jmp(l)
-	f.Ret()
-	var flag AbortFlag
-	flag.Raise()
-	v := New(b.MustBuild(), Config{Abort: &flag})
-	err := v.Run()
-	tr := AsTrap(err)
-	if tr == nil || tr.Kind != TrapPeerFailure {
-		t.Errorf("err = %v, want peer failure trap", err)
-	}
-}
-
 func TestMemoryBasics(t *testing.T) {
 	m := NewMemory(1024, 16)
 	if m.Size() != 1024 {
