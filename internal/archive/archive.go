@@ -73,6 +73,14 @@ type Meta struct {
 	// queries never load result.json.
 	Outcomes map[string]int `json:"outcomes,omitempty"`
 	FPS      float64        `json:"fps,omitempty"`
+	// JournalVersion is the journal version the result was computed
+	// under — the semantics its bytes carry, which the fingerprint does
+	// not name; 0 for an entry archived before manifests recorded it.
+	JournalVersion int `json:"journalVersion,omitempty"`
+	// Strata is the result's per-stratum table, as the result holds it
+	// (absent for an unstratified campaign). With Outcomes and FPS it is
+	// what a cache hit's status shows, so serving one reads no result.
+	Strata json.RawMessage `json:"strata,omitempty"`
 }
 
 // manifest is the on-disk manifest.json: the metadata plus integrity

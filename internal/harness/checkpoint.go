@@ -23,13 +23,15 @@ import (
 // header, then one write per record, so a killed campaign loses at most
 // the in-flight line, which a resume cuts off before it appends. What a
 // line holds is the codec's business (journalcodec.go); this file only
-// calls appendRecord and decodeRecord.
+// calls appendRecord, decodeRecord and decodeReplayed.
 
-// journalVersion 2: a rank's failure reaches its peers in logical time,
+// JournalVersion is the version the engine writes into every journal's
+// header; an archive entry records the one its result was computed under.
+// JournalVersion 2: a rank's failure reaches its peers in logical time,
 // as its departure from the job, so a Crashed experiment's casualties —
 // and with them its summary's aggregates — differ from version 1's, whose
 // peers were stopped by a wall-clock abort flag.
-const journalVersion = 2
+const JournalVersion = 2
 
 type journalHeader struct {
 	Kind        string `json:"kind"`
@@ -88,7 +90,7 @@ type journalWriter struct {
 func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, error) {
 	w := &journalWriter{}
 	if keep == 0 {
-		hdr := journalHeader{Kind: "header", Version: journalVersion, Fingerprint: fingerprint, Trace: trace}
+		hdr := journalHeader{Kind: "header", Version: JournalVersion, Fingerprint: fingerprint, Trace: trace}
 		buf, err := appendRecord(nil, &journalRecord{header: &hdr})
 		if err != nil {
 			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
@@ -147,24 +149,29 @@ type JournalEvent struct {
 	MaxCML   int
 }
 
+// journalEvent is what a stream shows of the experiment s summarizes.
+func journalEvent(s *ExperimentSummary) JournalEvent {
+	return JournalEvent{ID: s.ID, Outcome: s.Outcome, InjRank: s.InjRank,
+		InjCycle: s.InjCycle, Fired: s.Fired, MaxCML: s.MaxCML}
+}
+
 // ReplayJournal calls fn with every completed experiment of the journal in
-// r, in journal order, until fn returns false. It decodes each record as
-// readJournal does and does not validate the fingerprint: it serves
-// observability (streaming completed experiments to a late subscriber),
+// r, in journal order, until fn returns false. It decodes each record's
+// kind and summary as readJournal does, keeping none of the rest, and
+// does not validate the fingerprint: it serves observability (streaming
+// completed experiments to a late subscriber or to a cache hit's watcher),
 // not resume, which must go through RunCampaign's guarded path. A
 // truncated tail is dropped like readJournal drops it.
 func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
 	var rec journalRecord
 	_, err := durable.ScanLog(r, func(line []byte) bool {
-		if decodeRecord(line, &rec) != nil {
+		if decodeReplayed(line, &rec) != nil {
 			return false
 		}
 		if rec.Kind != "exp" {
 			return true
 		}
-		s := &rec.Sum
-		return fn(JournalEvent{ID: s.ID, Outcome: s.Outcome, InjRank: s.InjRank,
-			InjCycle: s.InjCycle, Fired: s.Fired, MaxCML: s.MaxCML})
+		return fn(journalEvent(&rec.Sum))
 	})
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint: %w", err)
@@ -179,7 +186,7 @@ func ReplayJournal(r io.Reader, fn func(JournalEvent) bool) error {
 func CurrentJournal(journal []byte) bool {
 	line, _, _ := bytes.Cut(journal, []byte{'\n'})
 	hdr, err := decodeHeader(line)
-	return err == nil && hdr.Version == journalVersion
+	return err == nil && hdr.Version == JournalVersion
 }
 
 // journalHeaderFP reads just the fingerprint of a journal's header line,
@@ -230,7 +237,7 @@ func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, er
 	keep, err = durable.ScanLog(f, func(line []byte) bool {
 		if lines++; lines == 1 {
 			hdr, hdrErr = decodeHeader(line)
-			return hdrErr == nil && hdr.Version == journalVersion && hdr.Fingerprint == fingerprint
+			return hdrErr == nil && hdr.Version == JournalVersion && hdr.Fingerprint == fingerprint
 		}
 		if decodeRecord(line, &rec) != nil {
 			return false
@@ -247,9 +254,9 @@ func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, er
 		return nil, 0, fmt.Errorf("harness: checkpoint %s: empty journal", path)
 	case hdrErr != nil:
 		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, hdrErr)
-	case hdr.Version != journalVersion:
+	case hdr.Version != JournalVersion:
 		return nil, 0, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
-			path, hdr.Version, journalVersion)
+			path, hdr.Version, JournalVersion)
 	case hdr.Fingerprint != fingerprint:
 		return nil, 0, fmt.Errorf(
 			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",

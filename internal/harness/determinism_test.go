@@ -302,7 +302,7 @@ func TestCampaignJournalRejectionPaths(t *testing.T) {
 
 	t.Run("wrong-version", func(t *testing.T) {
 		ck, lines := write(t)
-		lines[0] = strings.Replace(lines[0], fmt.Sprintf(`"version":%d`, journalVersion), `"version":99`, 1)
+		lines[0] = strings.Replace(lines[0], fmt.Sprintf(`"version":%d`, JournalVersion), `"version":99`, 1)
 		rewrite(t, ck, lines)
 		err := resumeErr(t, ck)
 		if err == nil || !strings.Contains(err.Error(), "journal version") {

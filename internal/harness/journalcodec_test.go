@@ -143,7 +143,7 @@ func TestJournalLegacyFixture(t *testing.T) {
 		t.Errorf("readJournal of a version 1 journal: err %v, want a version error", err)
 	}
 	current := filepath.Join(t.TempDir(), "current.jsonl")
-	hdr.Version = journalVersion
+	hdr.Version = JournalVersion
 	head, err := appendRecord(nil, &journalRecord{header: &hdr})
 	if err != nil {
 		t.Fatal(err)
@@ -262,9 +262,10 @@ func TestJournalDecodeEdges(t *testing.T) {
 	}
 }
 
-// TestJournalDecodeMutations holds the decoder to json.Unmarshal on every
-// prefix of every fixture line and on each line with any one byte deleted
-// or replaced by one of the bytes JSON's grammar turns on.
+// TestJournalDecodeMutations holds the decoder, and the replay's, to
+// json.Unmarshal on every prefix of every fixture line and on each line
+// with any one byte deleted or replaced by one of the bytes JSON's grammar
+// turns on.
 func TestJournalDecodeMutations(t *testing.T) {
 	data, err := os.ReadFile(legacyJournal)
 	if err != nil {
@@ -275,10 +276,13 @@ func TestJournalDecodeMutations(t *testing.T) {
 	for _, line := range journalLines(data) {
 		for i := 0; i <= len(line); i++ {
 			checkDecode(t, line[:i])
+			checkReplay(t, line[:i])
 			if i == len(line) {
 				break
 			}
-			checkDecode(t, append(line[:i:i], line[i+1:]...))
+			del := append(line[:i:i], line[i+1:]...)
+			checkDecode(t, del)
+			checkReplay(t, del)
 			for _, c := range []byte(subs) {
 				mut := append([]byte(nil), line...)
 				mut[i] = c
@@ -287,6 +291,7 @@ func TestJournalDecodeMutations(t *testing.T) {
 				if JournalFallbacks() == before {
 					fast++
 				}
+				checkReplay(t, mut)
 			}
 		}
 	}
@@ -298,8 +303,9 @@ func TestJournalDecodeMutations(t *testing.T) {
 // TestJournalFastPathTaken: every experiment record the engine writes —
 // five apps, fixed, per-site with strata, multi-fault and adaptive
 // campaigns — decodes without encoding/json, equals json.Unmarshal's
-// decoding, and re-encodes to its own bytes; a resume of each journal
-// hands encoding/json its plan lines and nothing else.
+// decoding, and re-encodes to its own bytes; a replay of each journal
+// hands encoding/json nothing, and a resume its plan lines and nothing
+// else.
 func TestJournalFastPathTaken(t *testing.T) {
 	modes := []struct {
 		name string
@@ -358,6 +364,13 @@ func TestJournalFastPathTaken(t *testing.T) {
 				}
 				if exps == 0 {
 					t.Fatal("the journal holds no experiment")
+				}
+				replayed, replayBefore := 0, ReplayFallbacks()
+				if err := ReplayJournal(bytes.NewReader(data), func(JournalEvent) bool { replayed++; return true }); err != nil || replayed != exps {
+					t.Errorf("ReplayJournal gave %d events (err %v), want %d", replayed, err, exps)
+				}
+				if d := ReplayFallbacks() - replayBefore; d != 0 {
+					t.Errorf("ReplayJournal sent %d lines to encoding/json, want none", d)
 				}
 				cfg.Resume = true
 				before := JournalFallbacks()
@@ -459,6 +472,89 @@ func FuzzJournalDecode(f *testing.F) {
 		f.Add(e.line())
 	}
 	f.Fuzz(func(t *testing.T, line []byte) { checkDecode(t, line) })
+}
+
+// recordMirror is journalRecord without any method it may gain: the
+// oracle's own decoding, which no codec can reach.
+type recordMirror journalRecord
+
+// checkReplay asserts that decodeReplayed gives line json.Unmarshal's
+// verdict, kind and summary — decodeRecord's — but for the plan's faults,
+// which the replay's fast path does not keep.
+func checkReplay(t testing.TB, line []byte) {
+	t.Helper()
+	var want, got journalRecord
+	werr := json.Unmarshal(line, (*recordMirror)(&want))
+	gerr := decodeReplayed(line, &got)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("replay of %q: replay error %v, encoding/json error %v", line, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	want.Sum.Plan.Faults, got.Sum.Plan.Faults = nil, nil
+	if got.Kind != want.Kind || !reflect.DeepEqual(got.Sum, want.Sum) {
+		t.Fatalf("replay of %q:\nreplay        %q %+v\nencoding/json %q %+v", line, got.Kind, got.Sum, want.Kind, want.Sum)
+	}
+}
+
+// replayEdges are lines whose keys a record's decoding skips, with the
+// path the replay must take.
+var replayEdges = []struct {
+	line string
+	fast bool
+}{
+	{`{"kind":"header","version":2,"fingerprint":"abc","trace":"t-1"}`, true},
+	{`{"kind":"header","version":2,"version":3}`, true},
+	{`{"kind":"plan","round":1,"targetCI":0.25,"allocs":[{"stratum":0,"label":"a/b","ids":[1,2]}],"run":[1,2]}`, true},
+	{`{"kind":"exp","x":[null,true,false,{},[],-0.5e3,"s"]}`, true},
+	{`{"kind":"exp","x":1e400}`, true},
+	{`{"kind":"exp","x":[1,]}`, false},
+	{`{"kind":"exp","x":"\u00e9"}`, false},
+	{`{"kind":"exp","KIND":"plan"}`, false},
+	{`{"kind":"exp","Sum":{}}`, false},
+	{`{"kind":"exp","structcml":{}}`, false},
+	{`{"kind":"exp","x":` + strings.Repeat("[", 1100) + strings.Repeat("]", 1100) + `}`, false},
+}
+
+// TestReplayMatchesDecodeRecord: on every edge line of either decoder,
+// and every prefix of them, the replay agrees with json.Unmarshal, as
+// decodeRecord does, through the path replayEdges names (the fixture's
+// lines, mutated, are TestJournalDecodeMutations').
+func TestReplayMatchesDecodeRecord(t *testing.T) {
+	var lines [][]byte
+	for _, e := range journalEdges {
+		lines = append(lines, e.line())
+	}
+	for _, e := range replayEdges {
+		before := ReplayFallbacks()
+		checkReplay(t, []byte(e.line))
+		if fast := ReplayFallbacks() == before; fast != e.fast {
+			t.Errorf("%.80s: fast path %v, want %v", e.line, fast, e.fast)
+		}
+		lines = append(lines, []byte(e.line))
+	}
+	for _, line := range lines {
+		for i := 0; i <= len(line); i++ {
+			checkReplay(t, line[:i])
+		}
+	}
+}
+
+// FuzzJournalReplay: any line gets json.Unmarshal's verdict, kind and
+// summary from the replay, as it does from decodeRecord
+// (FuzzJournalDecode), whose corpus seeds this one.
+func FuzzJournalReplay(f *testing.F) {
+	for _, line := range journalSeeds(f) {
+		f.Add(line)
+	}
+	for _, e := range journalEdges {
+		f.Add(e.line())
+	}
+	for _, e := range replayEdges {
+		f.Add([]byte(e.line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) { checkReplay(t, line) })
 }
 
 // benchJournal runs a small per-site, stratified LULESH campaign and

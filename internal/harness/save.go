@@ -26,7 +26,7 @@ type resultsFile struct {
 // campaigns may retain a bounded subset of summaries (MaxSummaries).
 // Files written by earlier versions are rejected rather than silently
 // misread (v1 summaries conflate "no fault planned" with "rank 0").
-// resultsVersion 3: Crashed summaries follow journalVersion 2's failure
+// resultsVersion 3: Crashed summaries follow JournalVersion 2's failure
 // semantics.
 const resultsVersion = 3
 

@@ -20,20 +20,21 @@ import (
 // manifest) when asked for, never copied.
 
 // lookupCache consults the archive for key. On a verified hit it returns
-// the record; on any miss — no entry, a corrupt one, or one whose journal
-// another journal version wrote (either of which it evicts so the slot
-// heals on the next Put) — it returns nil. Counted into the cache-hit/miss
-// metrics either way.
+// the record; on any miss — no entry, a corrupt one, or one archived under
+// another journal version or before manifests recorded the version
+// (either of which it evicts so the slot heals on the next Put) — it
+// returns nil. Counted into the cache-hit/miss metrics either way.
 func (s *Server) lookupCache(key, trace string) *archive.Record {
 	if s.archive == nil || key == "" {
 		return nil
 	}
 	rec, err := s.archive.Get(key)
 	switch {
-	case err == nil && rec.Journal != nil && !harness.CurrentJournal(rec.Journal):
+	case err == nil && !currentEntry(rec):
 		// The fingerprint names the campaign, not the semantics its
 		// results were computed under.
-		s.log.Warn("archive entry of another journal version, evicting", "fingerprint", key, "trace", trace)
+		s.log.Warn("archive entry of another journal version, evicting", "fingerprint", key,
+			"trace", trace, "version", rec.Meta.JournalVersion)
 		if rerr := s.archive.Remove(key); rerr != nil {
 			s.log.Warn("archive eviction failed", "fingerprint", key, "err", rerr)
 		}
@@ -56,6 +57,16 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 	return nil
 }
 
+// currentEntry reports whether rec was archived under this build's journal
+// version: its manifest says so, and so does its journal's header when it
+// has one. A coordinated job's entry has no journal, so its manifest is
+// the only witness; an entry whose manifest names no version predates the
+// field and is not served.
+func currentEntry(rec *archive.Record) bool {
+	return rec.Meta.JournalVersion == harness.JournalVersion &&
+		(rec.Journal == nil || harness.CurrentJournal(rec.Journal))
+}
+
 // serveCached materializes a cache hit as a terminal job: a fresh job ID
 // whose status record — the one thing persisted — names the entry by
 // Fingerprint. GET result and Watch streams of the job read the entry
@@ -63,19 +74,15 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 // run's; the only tells are CacheHit on the status and the zero-width
 // Started→Finished interval.
 func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archive.Record) (JobStatus, error) {
-	// The status carries three fields of the result; decoding only those
-	// still checks the syntax of the whole document.
-	var res struct {
-		Tally  classify.Tally
-		Model  struct{ FPS float64 }
-		Strata []harness.StratumReport
-	}
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
-		// The entry verified against its checksum but does not decode: it
-		// was archived corrupt. Evict and report a miss upstream.
-		s.log.Warn("archived result undecodable, evicting", "fingerprint", key, "err", err)
+	// The status carries three fields of the result, and the manifest
+	// holds each of them: a hit decodes no result.
+	tally, strata, err := entryStatus(rec.Meta)
+	if err != nil {
+		// The manifest parsed but does not say what the archiving daemon
+		// wrote into it. Evict and report a miss upstream.
+		s.log.Warn("archive manifest undecodable, evicting", "fingerprint", key, "err", err)
 		_ = s.archive.Remove(key)
-		return JobStatus{}, fmt.Errorf("%w: undecodable result: %v", archive.ErrCorrupt, err)
+		return JobStatus{}, fmt.Errorf("%w: %v", archive.ErrCorrupt, err)
 	}
 	id := s.store.NewID()
 	now := time.Now().UTC()
@@ -91,9 +98,9 @@ func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archi
 			Tenant:      tenant,
 			Fingerprint: key,
 			CacheHit:    true,
-			Tally:       &res.Tally,
-			FPS:         res.Model.FPS,
-			Strata:      res.Strata,
+			Tally:       &tally,
+			FPS:         rec.Meta.FPS,
+			Strata:      strata,
 		},
 		hub: newHub(trace, s.cfg.StreamBuffer, s.obs.streamDrops),
 	}
@@ -110,6 +117,30 @@ func (s *Server) serveCached(spec JobSpec, trace, tenant, key string, rec *archi
 	s.log.Info("job served from archive", "job", id, "trace", trace,
 		"tenant", tenant, "fingerprint", key, "source_job", rec.Meta.SourceJob)
 	return j.snapshot(), nil
+}
+
+// entryStatus rebuilds the tally and the strata table of an entry's
+// result from its manifest, which archiveResult derived from them.
+func entryStatus(m archive.Meta) (classify.Tally, []harness.StratumReport, error) {
+	var tally classify.Tally
+	for name, n := range m.Outcomes {
+		o := 0
+		for o < classify.NumOutcomes && classify.Outcome(o).String() != name {
+			o++
+		}
+		if o == classify.NumOutcomes {
+			return tally, nil, fmt.Errorf("unknown outcome %q in the manifest", name)
+		}
+		tally.Counts[o] = n
+		tally.Total += n
+	}
+	var strata []harness.StratumReport
+	if m.Strata != nil {
+		if err := json.Unmarshal(m.Strata, &strata); err != nil {
+			return tally, nil, fmt.Errorf("strata in the manifest: %w", err)
+		}
+	}
+	return tally, strata, nil
 }
 
 // entryFile reads one file (archive.ResultFile or JournalFile) of the entry
@@ -138,6 +169,12 @@ func (s *Server) archiveResult(st JobStatus, res *harness.CampaignResult, data [
 	if s.archive == nil || st.Spec.Shard != nil || st.Fingerprint == "" {
 		return
 	}
+	// Hits serve these bytes without decoding them, so their syntax is
+	// checked here, once.
+	if !json.Valid(data) {
+		s.log.Warn("result is not valid JSON, not archived", "job", st.ID, "trace", st.Trace)
+		return
+	}
 	outcomes := make(map[string]int)
 	for o := 0; o < classify.NumOutcomes; o++ {
 		if n := res.Tally.Counts[o]; n > 0 {
@@ -145,17 +182,26 @@ func (s *Server) archiveResult(st JobStatus, res *harness.CampaignResult, data [
 		}
 	}
 	meta := archive.Meta{
-		Fingerprint:  st.Fingerprint,
-		App:          st.Spec.App,
-		Runs:         st.Spec.Runs,
-		Seed:         st.Spec.Seed,
-		MaxSummaries: st.Spec.MaxSummaries,
-		Archived:     time.Now().UTC(),
-		SourceJob:    st.ID,
-		Tenant:       st.Tenant,
-		Label:        st.Spec.Label,
-		Outcomes:     outcomes,
-		FPS:          res.Model.FPS,
+		Fingerprint:    st.Fingerprint,
+		App:            st.Spec.App,
+		Runs:           st.Spec.Runs,
+		Seed:           st.Spec.Seed,
+		MaxSummaries:   st.Spec.MaxSummaries,
+		Archived:       time.Now().UTC(),
+		SourceJob:      st.ID,
+		Tenant:         st.Tenant,
+		Label:          st.Spec.Label,
+		Outcomes:       outcomes,
+		FPS:            res.Model.FPS,
+		JournalVersion: harness.JournalVersion,
+	}
+	if res.Strata != nil {
+		strata, err := json.Marshal(res.Strata)
+		if err != nil {
+			s.log.Warn("strata do not encode, not archived", "job", st.ID, "trace", st.Trace, "err", err)
+			return
+		}
+		meta.Strata = strata
 	}
 	// Coordinated jobs have no single experiment journal (their shards
 	// journaled on the workers); Put archives without one and cache hits
@@ -246,7 +292,7 @@ func (s *Server) ArchiveEntry(fp string) (ArchiveRecord, error) {
 		return ArchiveRecord{}, fmt.Errorf("%w: %s", ErrNoArchiveEntry, fp)
 	}
 	var res harness.CampaignResult
-	if err := json.Unmarshal(rec.Result, &res); err != nil {
+	if err := harness.DecodeResult(rec.Result, &res); err != nil {
 		return ArchiveRecord{}, fmt.Errorf("%w: %s", ErrNoArchiveEntry, fp)
 	}
 	return ArchiveRecord{Meta: rec.Meta, Result: &res}, nil

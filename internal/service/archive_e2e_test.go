@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/harness"
@@ -349,6 +351,43 @@ func TestOldJournalVersionMisses(t *testing.T) {
 		t.Fatalf("the entry was not re-archived under the current journal version (err %v)", err)
 	}
 	settle(t, d, spec, true)
+}
+
+// TestUnversionedEntryMisses: a coordinated job's entry has no journal,
+// so its manifest's journal version is the one witness of the semantics
+// its result carries. Archived again under an older version, or under
+// none (an entry from before manifests recorded it), it misses: the
+// submission runs fresh, and its archival restores the current version.
+func TestUnversionedEntryMisses(t *testing.T) {
+	_, urls := startWorkerFleet(t, 2)
+	arch := t.TempDir()
+	d := startDaemon(t, t.TempDir(), service.Config{ArchiveDir: arch,
+		ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond, Peers: urls})
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 14, Seed: 5, SampleEvery: 64, Shards: 2}
+	first := settle(t, d, spec, false)
+	want := rawResult(t, d.http.URL, first.ID)
+	a, err := archive.Open(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{harness.JournalVersion - 1, 0} {
+		rec, err := a.Get(first.Fingerprint)
+		if err != nil || rec.Journal != nil {
+			t.Fatalf("the coordinated job's entry: err %v, journal %d bytes", err, len(rec.Journal))
+		}
+		rec.Meta.JournalVersion = version
+		if err := errors.Join(a.Remove(first.Fingerprint), a.Put(rec.Meta, rec.Result, "")); err != nil {
+			t.Fatal(err)
+		}
+		fresh := settle(t, d, spec, false)
+		if got := rawResult(t, d.http.URL, fresh.ID); !bytes.Equal(got, want) {
+			t.Errorf("version %d: the fresh run does not match the original result", version)
+		}
+		if rec, err := a.Get(first.Fingerprint); err != nil || rec.Meta.JournalVersion != harness.JournalVersion {
+			t.Fatalf("version %d: the entry was not re-archived under the current version (err %v)", version, err)
+		}
+		settle(t, d, spec, true)
+	}
 }
 
 // TestTenantQuotaOverWire: per-tenant active-job quotas reject the

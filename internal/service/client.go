@@ -162,21 +162,36 @@ func (c *Client) send(ctx context.Context, method, path string, body any, header
 }
 
 // do is send for a request/response call: it decodes the JSON response
-// into out (when non-nil).
+// into out (when non-nil), or hands the body to out when it is a
+// decodeBody.
 func (c *Client) do(ctx context.Context, method, path string, body, out any, header ...string) error {
 	resp, err := c.send(ctx, method, path, body, header...)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case decodeBody:
+		var buf bytes.Buffer
+		if n := resp.ContentLength; n > 0 && n < 1<<30 {
+			buf.Grow(int(n) + bytes.MinRead) // the last read's room included
+		}
+		if _, err = buf.ReadFrom(resp.Body); err == nil {
+			err = out(buf.Bytes())
+		}
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err != nil {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
 	return nil
 }
+
+// decodeBody is an out for do that decodes the whole response body itself.
+type decodeBody func([]byte) error
 
 // doRetry is do with bounded exponential backoff; only for idempotent
 // requests.
@@ -240,10 +255,12 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Result fetches a done job's full campaign result.
+// Result fetches a done job's full campaign result, decoded in one pass
+// over the body (harness.DecodeResult).
 func (c *Client) Result(ctx context.Context, id string) (*harness.CampaignResult, error) {
 	var res harness.CampaignResult
-	if err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &res); err != nil {
+	decode := decodeBody(func(data []byte) error { return harness.DecodeResult(data, &res) })
+	if err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, decode); err != nil {
 		return nil, err
 	}
 	return &res, nil

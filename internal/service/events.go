@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -140,13 +139,14 @@ func ReadEvents(r io.Reader, fn func(Event) error) (settled bool, err error) {
 	// One event is one line; a progress event with every outcome and
 	// stratum is a few KiB, so 16 MiB only bounds a hostile peer.
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var dec eventDecoder
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+		if err := dec.decode(line, &ev); err != nil {
 			return false, fmt.Errorf("service: event stream: decode event: %w", err)
 		}
 		if fn != nil {

@@ -251,7 +251,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sub, unsubscribe := j.hub.subscribe()
 	defer unsubscribe()
 	trace := j.snapshot().Trace
-	enc := json.NewEncoder(w)
+	// Each event is framed in buf and leaves in one write.
+	var buf []byte
+	frame := func() {
+		buf = buf[:0]
+		if sse {
+			buf = append(buf, "data: "...)
+		}
+	}
+	send := func() bool {
+		if sse {
+			buf = append(buf, '\n')
+		}
+		_, err := w.Write(buf)
+		return err == nil
+	}
 	write := func(e Event) bool {
 		// Synthetic events (journal replay, the terminal epilogue) are
 		// built here rather than published through the hub, so stamp the
@@ -259,16 +273,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if e.Trace == "" {
 			e.Trace = trace
 		}
-		if sse {
-			fmt.Fprintf(w, "data: ")
-		}
-		if err := enc.Encode(e); err != nil {
+		frame()
+		var err error
+		if buf, err = appendEvent(buf, &e); err != nil {
 			return false
 		}
-		if sse {
-			fmt.Fprintf(w, "\n")
-		}
-		return true
+		return send()
 	}
 
 	// A terminal state must be the stream's last event (watchers stop on
@@ -290,7 +300,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if journal, err := s.openJournal(st); err == nil {
 		err = harness.ReplayJournal(journal, func(ev harness.JournalEvent) bool {
 			seen[ev.ID] = true
-			return write(Event{Kind: EventExperiment, Job: st.ID, Experiment: &ExperimentEvent{
+			frame()
+			buf = appendExperiment(buf, &Event{Kind: EventExperiment, Job: st.ID, Trace: trace, Experiment: &ExperimentEvent{
 				ID:      ev.ID,
 				Outcome: ev.Outcome.String(),
 				Rank:    ev.InjRank,
@@ -299,6 +310,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				MaxCML:  ev.MaxCML,
 				Resumed: true,
 			}})
+			return send()
 		})
 		journal.Close()
 		if err != nil {

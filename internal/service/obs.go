@@ -103,6 +103,22 @@ func newServerObs() *serverObs {
 	reg.CounterFunc("faultpropd_golden_exits_total",
 		"Experiments that ended at a captured cut where every rank was back in the golden state, instead of executing the golden tail.",
 		o.goldenExits)
+	// The hand-written decoders' fallbacks to encoding/json, process-wide:
+	// each reads 0 while every document decoded is one the engine or the
+	// daemon wrote.
+	for _, c := range []struct {
+		name  string
+		count func() uint64
+	}{
+		{"journal", harness.JournalFallbacks},
+		{"replay", harness.ReplayFallbacks},
+		{"result", harness.ResultFallbacks},
+		{"event", eventFallbacks.Load},
+	} {
+		reg.CounterFunc("faultpropd_codec_fallbacks_total",
+			"Documents a hand-written decoder handed to encoding/json, by codec: journal records (resume), journal replays (event streams), result documents, stream events. Adaptive plan records are the journal codec's by design; anything else above 0 is input no engine or daemon wrote.",
+			c.count, obs.L("codec", c.name))
+	}
 	for _, m := range []string{"GET", "POST", "DELETE"} {
 		o.httpRequests[m] = reg.Counter("faultpropd_http_requests_total",
 			"API requests served, by method.", obs.L("method", m))
