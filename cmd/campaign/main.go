@@ -367,6 +367,14 @@ func runLocal(ctx context.Context, selected []apps.App, o options) ([]*harness.C
 		cfg := o.campaignConfig(app)
 		cfg.Persistence = harness.Persistence{Checkpoint: ckpt, Resume: o.resume}
 		cfg.Progress = prog
+		// A journal of a shorter campaign of the family resumes this one:
+		// it runs only the experiments the journal lacks.
+		shorter := 0
+		if o.resume {
+			if n := harness.JournalRuns(ckpt); n < cfg.Runs {
+				shorter = n
+			}
+		}
 		res, err := harness.RunCampaignContext(ctx, cfg)
 		stopTicker()
 		snap := prog.Snapshot()
@@ -381,6 +389,9 @@ func runLocal(ctx context.Context, selected []apps.App, o options) ([]*harness.C
 			return results, fmt.Errorf("campaign %s: %w", app.Name(), err)
 		}
 		o.printHeader(res, time.Since(start), "", &snap)
+		if shorter > 0 {
+			fmt.Printf("# %s: resumed %d records from a %d-run journal of the same family\n", res.App, snap.Resumed, shorter)
+		}
 		results = append(results, res)
 	}
 	return results, nil

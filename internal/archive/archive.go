@@ -30,8 +30,10 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -55,9 +57,13 @@ type Meta struct {
 	// fingerprint, extended with any result-shaping knobs the caller
 	// folds in (see the service's cache-key derivation).
 	Fingerprint string `json:"fingerprint"`
-	App         string `json:"app"`
-	Runs        int    `json:"runs"`
-	Seed        uint64 `json:"seed"`
+	// Family names the campaigns that differ from this one in their run
+	// count alone (harness.CampaignConfig.Family); empty for one whose
+	// journal seeds no other campaign (Source).
+	Family string `json:"family,omitempty"`
+	App    string `json:"app"`
+	Runs   int    `json:"runs"`
+	Seed   uint64 `json:"seed"`
 	// MaxSummaries records the retained-summary cap baked into the
 	// archived result (0: all summaries retained).
 	MaxSummaries int `json:"maxSummaries,omitempty"`
@@ -120,6 +126,18 @@ type Archive struct {
 	dir     string
 	entries string
 	tmp     string
+
+	// families indexes the entries that hold a journal by their family,
+	// for Source. Open builds it from the manifests; Put and Remove keep
+	// it current.
+	mu       sync.Mutex
+	families map[string][]source
+}
+
+// source is one entry of the family index.
+type source struct {
+	fp            string
+	runs, version int
 }
 
 // Open opens (creating if needed) the archive rooted at dir and clears
@@ -142,7 +160,44 @@ func Open(dir string) (*Archive, error) {
 			os.RemoveAll(filepath.Join(a.tmp, e.Name()))
 		}
 	}
+	a.families = make(map[string][]source)
+	dirs, err := os.ReadDir(a.entries)
+	if err != nil {
+		return nil, fmt.Errorf("archive: open: %w", err)
+	}
+	for _, d := range dirs {
+		// A damaged entry is left out; the submission path evicts it.
+		if _, m, err := a.readManifest(d.Name()); err == nil {
+			a.index(m)
+		}
+	}
 	return a, nil
+}
+
+// index adds m's entry to the family index when it holds a journal.
+func (a *Archive) index(m *manifest) {
+	if _, ok := m.Files[JournalFile]; !ok || m.Family == "" {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.families[m.Family] = append(a.families[m.Family], source{fp: m.Fingerprint, runs: m.Runs, version: m.JournalVersion})
+}
+
+// Source returns the fingerprint and run count of the entry of family
+// with the most runs below runs whose journal was archived under journal
+// version version: the shorter campaign whose records a campaign of runs
+// runs need not execute again. ok is false when there is none. The entry's
+// journal is read, and verified, through File.
+func (a *Archive) Source(family string, runs, version int) (fp string, srcRuns int, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, e := range a.families[family] {
+		if e.version == version && e.runs < runs && e.runs > srcRuns {
+			fp, srcRuns, ok = e.fp, e.runs, true
+		}
+	}
+	return fp, srcRuns, ok
 }
 
 // Dir returns the archive root directory.
@@ -250,6 +305,7 @@ func (a *Archive) Put(meta Meta, result []byte, journalPath string) error {
 		}
 		return fmt.Errorf("archive: commit: %w", err)
 	}
+	a.index(&m)
 	return nil
 }
 
@@ -351,6 +407,11 @@ func (a *Archive) Remove(fp string) error {
 	if err := validFingerprint(fp); err != nil {
 		return err
 	}
+	a.mu.Lock()
+	for family, list := range a.families {
+		a.families[family] = slices.DeleteFunc(list, func(e source) bool { return e.fp == fp })
+	}
+	a.mu.Unlock()
 	if err := os.RemoveAll(a.entryDir(fp)); err != nil {
 		return fmt.Errorf("archive: remove: %w", err)
 	}

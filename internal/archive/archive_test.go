@@ -379,3 +379,50 @@ func TestPerFileReadsVerifyTheirOwnFile(t *testing.T) {
 		t.Errorf("File of a missing entry = %v, want ErrNotFound", err)
 	}
 }
+
+// TestFamilySource: Source picks, among the entries of a family that hold
+// a journal of the asked version, the one with the most runs below the
+// request. Put and Remove keep the index current, and a reopened archive
+// rebuilds it from the manifests.
+func TestFamilySource(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(jpath, []byte("header\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	put := func(fp, family string, runs, version int, journal string) {
+		m := testMeta(fp)
+		m.Family, m.Runs, m.JournalVersion = family, runs, version
+		if err := a.Put(m, []byte(`{}`), journal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("f10", "fam", 10, 2, jpath)
+	put("f20", "fam", 20, 2, jpath)
+	put("f30", "fam", 30, 2, jpath)
+	put("f25-nojournal", "fam", 25, 2, "")
+	put("f28-v1", "fam", 28, 1, jpath)
+	put("g15", "other", 15, 2, jpath)
+	check := func(label string, runs int, wantFP string) {
+		t.Helper()
+		fp, n, ok := a.Source("fam", runs, 2)
+		if fp != wantFP || ok != (wantFP != "") {
+			t.Errorf("%s: Source for %d runs = %q (%d runs, ok %v), want %q", label, runs, fp, n, ok, wantFP)
+		}
+	}
+	check("below every entry", 10, "")
+	check("between", 29, "f20")
+	check("above every entry", 100, "f30")
+	if err := a.Remove("f30"); err != nil {
+		t.Fatal(err)
+	}
+	check("after Remove", 100, "f20")
+	if a, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", 100, "f20")
+}

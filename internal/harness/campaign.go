@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -154,52 +155,13 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	if err := spec.validate(cfg); err != nil {
 		return nil, err
 	}
-	// Every campaign draws the instrumented program and the golden
-	// (fault-free) run — reference outputs, cycle budget, and the per-rank
-	// dynamic injection-site space — from the configuration's process-wide
-	// pack, so repeated campaigns over one configuration share one build and
-	// one golden execution (see pack.go).
-	pack, err := packFor(cfg)
+	pack, part, strata, sites, err := newPartial(cfg)
 	if err != nil {
 		return nil, err
 	}
 	key := cfg.key()
-	part := &PartialResult{
-		Fingerprint:    key.fingerprint(),
-		App:            cfg.App.Name(),
-		Params:         cfg.Params,
-		Runs:           cfg.Runs,
-		Golden:         pack.ref,
-		GoldenSites:    pack.goldenSites,
-		AllocatedWords: pack.golden.AllocatedTotal,
-		KeepProfiles:   cfg.KeepProfiles,
-		MaxSummaries:   cfg.MaxSummaries,
-		// Initialised so an experiment-less shard encodes {} and [], not
-		// null.
-		StructTotals: map[string]int{},
-		Fits:         []IDFit{},
-	}
-
 	criteria := classify.DefaultCriteria()
 	cycleLimit := uint64(float64(pack.ref.Cycles) * cfg.HangFactor)
-
-	// Stratified and per-site-analytic campaigns additionally read the
-	// pack's site map, which maps every (rank, site) to its static fim_inj
-	// ordinal and so to its instruction class.
-	var strata *Strata
-	var sites *siteMap
-	if cfg.needsSiteMap() {
-		m, err := pack.siteMapOf(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.stratified() {
-			strata = pack.strata(m, cfg.Sampling.phases())
-		}
-		if cfg.Sites {
-			sites = m
-		}
-	}
 	// The planner engages only for whole-range adaptive shards. An
 	// explicit-ID shard is already one planner's decision: its worker
 	// executes the round verbatim and stays policy-free.
@@ -222,22 +184,33 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 
 	ids := spec.ids()
 	if cfg.Checkpoint != "" {
-		fp := key.journalFingerprint(spec)
+		hdr := journalHeader{Kind: "header", Version: JournalVersion,
+			Fingerprint: key.journalFingerprint(spec), Runs: cfg.Runs, Trace: cfg.Trace}
+		if !cfg.Adaptive() {
+			hdr.Family = key.family()
+		}
+		// Only a whole campaign resumes from a shorter one's journal: a
+		// shard resumes from its own.
+		want := hdr
+		if hdr.Fingerprint != part.Fingerprint {
+			want.Family = ""
+		}
 		var keep int64
+		var rehead bool
 		if cfg.Resume {
 			if adaptive {
 				// An adaptive resume from a fixed-N journal is the one
 				// mismatch a config-level Validate cannot catch; diagnose it
 				// as the field error it is instead of a bare hash mismatch.
-				if err := checkAdaptiveResume(cfg, spec, fp); err != nil {
+				if err := checkAdaptiveResume(cfg, spec, hdr.Fingerprint); err != nil {
 					return nil, err
 				}
 			}
-			recs, k, err := readJournal(cfg.Checkpoint, fp)
+			recs, k, rh, err := readJournal(cfg.Checkpoint, want)
 			if err != nil {
 				return nil, err
 			}
-			keep = k
+			keep, rehead = k, rh
 			inShard := make(map[int]bool, len(ids))
 			for _, id := range ids {
 				inShard[id] = true
@@ -259,7 +232,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 				}
 			}
 		}
-		jw, err := openJournal(cfg.Checkpoint, fp, cfg.Trace, keep)
+		jw, err := openJournal(cfg.Checkpoint, hdr, keep, rehead)
 		if err != nil {
 			return nil, err
 		}
@@ -310,6 +283,98 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	}
 	part.Timings = cfg.Timings
 	part.Ranges = completedRanges(ids, e.completed)
+	return part, nil
+}
+
+// newPartial returns the pack of cfg (which withDefaults resolved) and an
+// empty partial of its campaign, with the strata and the site map its
+// experiments fold in under (nil when the campaign has none).
+func newPartial(cfg CampaignConfig) (*snapshotPack, *PartialResult, *Strata, *siteMap, error) {
+	// Every campaign draws the instrumented program and the golden
+	// (fault-free) run — reference outputs, cycle budget, and the per-rank
+	// dynamic injection-site space — from the configuration's process-wide
+	// pack, so repeated campaigns over one configuration share one build and
+	// one golden execution (see pack.go).
+	pack, err := packFor(cfg)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	part := &PartialResult{
+		Fingerprint:    cfg.key().fingerprint(),
+		App:            cfg.App.Name(),
+		Params:         cfg.Params,
+		Runs:           cfg.Runs,
+		Golden:         pack.ref,
+		GoldenSites:    pack.goldenSites,
+		AllocatedWords: pack.golden.AllocatedTotal,
+		KeepProfiles:   cfg.KeepProfiles,
+		MaxSummaries:   cfg.MaxSummaries,
+		// Initialised so an experiment-less shard encodes {} and [], not
+		// null.
+		StructTotals: map[string]int{},
+		Fits:         []IDFit{},
+	}
+	// Stratified and per-site-analytic campaigns additionally read the
+	// pack's site map, which maps every (rank, site) to its static fim_inj
+	// ordinal and so to its instruction class.
+	var strata *Strata
+	var sites *siteMap
+	if cfg.needsSiteMap() {
+		m, err := pack.siteMapOf(cfg)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		if cfg.stratified() {
+			strata = pack.strata(m, cfg.Sampling.phases())
+		}
+		if cfg.Sites {
+			sites = m
+		}
+	}
+	return pack, part, strata, sites, nil
+}
+
+// SeedPartial folds journal, the bytes of a checkpoint journal of a
+// campaign of cfg's family no longer than cfg's, into a partial of cfg's
+// campaign covering the experiments it journaled: the seed a coordinator
+// merges its shards with, which then need run only the rest. The records
+// fold, and reach cfg.OnExperiment, as a resume replays them. An adaptive
+// campaign has no seed: its rounds draw from [0, Runs).
+func SeedPartial(cfg CampaignConfig, journal []byte) (*PartialResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Adaptive() {
+		return nil, &FieldError{Field: "Sampling.TargetCI", Reason: "an adaptive campaign resumes from its own journal only"}
+	}
+	cfg = cfg.withDefaults()
+	_, part, strata, sites, err := newPartial(cfg)
+	if err != nil {
+		return nil, err
+	}
+	key := cfg.key()
+	want := journalHeader{Version: JournalVersion, Fingerprint: part.Fingerprint, Family: key.family(), Runs: cfg.Runs}
+	recs, _, _, err := scanJournal(bytes.NewReader(journal), want)
+	if err != nil {
+		return nil, fmt.Errorf("harness: seed journal: %w", err)
+	}
+	ids := make([]int, cfg.Runs)
+	completed := make(map[int]bool, len(recs))
+	for i := range ids {
+		ids[i] = i
+	}
+	for i := range recs {
+		rec := &recs[i]
+		if completed[rec.Sum.ID] {
+			continue
+		}
+		completed[rec.Sum.ID] = true
+		part.add(rec, strata, sites)
+		if cfg.OnExperiment != nil {
+			cfg.OnExperiment(rec.Sum, true)
+		}
+	}
+	part.Ranges = completedRanges(ids, completed)
 	return part, nil
 }
 

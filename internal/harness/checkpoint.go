@@ -37,6 +37,12 @@ type journalHeader struct {
 	Kind        string `json:"kind"`
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
+	// Family and Runs name the campaigns whose resume may start from this
+	// journal: those of the same family (key.go) with at least Runs runs.
+	// An adaptive campaign's journal names no family: its rounds draw
+	// from [0, Runs), so its records are no prefix of a longer campaign's.
+	Family string `json:"family,omitempty"`
+	Runs   int    `json:"runs,omitempty"`
 	// Trace is the campaign or shard span ID active when the journal was
 	// created — observability only, never validated on resume (a journal
 	// outlives the trace that wrote it).
@@ -87,13 +93,20 @@ type journalWriter struct {
 // cut there, dropping a torn tail. keep 0 — a fresh campaign, or a resume
 // with no journal yet — replaces the file with a new journal holding its
 // header alone, so a kill never leaves a journal without a whole header.
-func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, error) {
+// A resume from a journal of a shorter campaign of the family (rehead)
+// replaces the file with hdr and the kept records in one write, so what
+// is appended after them is never filed under another campaign's header.
+func openJournal(path string, hdr journalHeader, keep int64, rehead bool) (*journalWriter, error) {
 	w := &journalWriter{}
-	if keep == 0 {
-		hdr := journalHeader{Kind: "header", Version: JournalVersion, Fingerprint: fingerprint, Trace: trace}
+	if keep == 0 || rehead {
 		buf, err := appendRecord(nil, &journalRecord{header: &hdr})
 		if err != nil {
 			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
+		}
+		if rehead {
+			if buf, err = appendRecords(buf, path, keep); err != nil {
+				return nil, fmt.Errorf("harness: checkpoint: %w", err)
+			}
 		}
 		if err := durable.Replace(path, buf); err != nil {
 			return nil, fmt.Errorf("harness: checkpoint: %w", err)
@@ -106,6 +119,28 @@ func openJournal(path, fingerprint, trace string, keep int64) (*journalWriter, e
 	}
 	w.log = log
 	return w, nil
+}
+
+// appendRecords appends to dst the record lines of the journal at path:
+// its first keep bytes, less its header line.
+func appendRecords(dst []byte, path string, keep int64) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) < keep {
+		return nil, fmt.Errorf("%s shrank below its %d journaled bytes", path, keep)
+	}
+	data = data[:keep]
+	lines := 0
+	body, err := durable.ScanLog(bytes.NewReader(data), func([]byte) bool {
+		lines++
+		return lines == 1
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, data[body:]...), nil
 }
 
 // appendPlan journals one adaptive planner decision, written like every
@@ -189,78 +224,117 @@ func CurrentJournal(journal []byte) bool {
 	return err == nil && hdr.Version == JournalVersion
 }
 
-// journalHeaderFP reads just the fingerprint of a journal's header line,
-// returning "" when the journal does not exist or is unparseable (callers
+// readHeader reads a journal's header line, returning the zero header
+// when the journal does not exist or its first line is no header (callers
 // fall through to readJournal for proper diagnostics).
-func journalHeaderFP(path string) (string, error) {
+func readHeader(path string) (journalHeader, error) {
+	var hdr journalHeader
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return "", nil
+		return hdr, nil
 	}
 	if err != nil {
-		return "", err
+		return hdr, err
 	}
 	defer f.Close()
-	var fp string
-	// A read error leaves fp "", which readJournal then diagnoses.
+	// A read error leaves hdr zero, which readJournal then diagnoses.
 	_, _ = durable.ScanLog(f, func(line []byte) bool {
-		if hdr, err := decodeHeader(line); err == nil {
-			fp = hdr.Fingerprint
-		}
+		hdr, _ = decodeHeader(line)
 		return false
 	})
-	return fp, nil
+	return hdr, nil
+}
+
+// JournalRuns returns the run count the header of the journal at path
+// names: the length of the campaign that wrote it. It is 0 when the
+// journal is absent or unreadable, or predates the field.
+func JournalRuns(path string) int {
+	hdr, _ := readHeader(path)
+	return hdr.Runs
+}
+
+// resumes reports whether a campaign whose journal header is want may
+// resume from a journal headed hdr: its own, or, when want names a family,
+// one of a campaign of that family no longer than want's.
+func (want journalHeader) resumes(hdr journalHeader) bool {
+	if hdr.Version != JournalVersion {
+		return false
+	}
+	return hdr.Fingerprint == want.Fingerprint ||
+		want.Family != "" && hdr.Family == want.Family && hdr.Runs > 0 && hdr.Runs <= want.Runs
 }
 
 // readJournal loads the completed-experiment records of a checkpoint
-// journal, validating the header against the campaign fingerprint. keep is
-// the byte offset just past the last line that decodes and ends in '\n':
-// what a resume keeps of the file before appending (openJournal). A torn
-// final line — the signature of a killed campaign — lies beyond it and is
-// dropped silently, along with anything after it. keep is 0 when no
-// journal exists yet: a resume that starts from scratch.
-func readJournal(path, fingerprint string) (recs []journalRecord, keep int64, err error) {
+// journal, validating its header against want, the header the campaign
+// writes (scanJournal). keep is the byte offset just past the last line
+// that decodes and ends in '\n': what a resume keeps of the file before
+// appending (openJournal). A torn final line — the signature of a killed
+// campaign — lies beyond it and is dropped silently, along with anything
+// after it. keep is 0 when no journal exists yet: a resume that starts
+// from scratch. rehead reports a journal of a shorter campaign of the
+// family, which openJournal files under want before appending to it.
+func readJournal(path string, want journalHeader) (recs []journalRecord, keep int64, rehead bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
 	defer f.Close()
+	recs, keep, hdr, err := scanJournal(f, want)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+	}
+	return recs, keep, hdr.Fingerprint != want.Fingerprint, nil
+}
+
+// scanJournal decodes the journal in r for a campaign whose header is want
+// (want.resumes), returning its experiment records, the length of its
+// whole lines and its header. A record of an experiment outside
+// [0, want.Runs) fails the scan: no campaign of the family that wrote it
+// could be this one's prefix.
+func scanJournal(r io.Reader, want journalHeader) (recs []journalRecord, keep int64, hdr journalHeader, err error) {
 	var (
-		hdr    journalHeader
 		hdrErr error
 		lines  int
 		rec    journalRecord
+		stray  = -1
 	)
-	keep, err = durable.ScanLog(f, func(line []byte) bool {
+	keep, err = durable.ScanLog(r, func(line []byte) bool {
 		if lines++; lines == 1 {
 			hdr, hdrErr = decodeHeader(line)
-			return hdrErr == nil && hdr.Version == JournalVersion && hdr.Fingerprint == fingerprint
+			return hdrErr == nil && want.resumes(hdr)
 		}
 		if decodeRecord(line, &rec) != nil {
 			return false
 		}
 		if rec.Kind == "exp" {
+			if id := rec.Sum.ID; id < 0 || id >= want.Runs {
+				stray = id
+				return false
+			}
 			recs = append(recs, rec)
 		}
 		return true
 	})
 	switch {
 	case err != nil:
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, err)
 	case lines == 0:
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: empty journal", path)
+		err = errors.New("empty journal")
 	case hdrErr != nil:
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: %w", path, hdrErr)
+		err = hdrErr
 	case hdr.Version != JournalVersion:
-		return nil, 0, fmt.Errorf("harness: checkpoint %s: journal version %d, want %d",
-			path, hdr.Version, JournalVersion)
-	case hdr.Fingerprint != fingerprint:
-		return nil, 0, fmt.Errorf(
-			"harness: checkpoint %s was written by a different campaign (%w: journal %s, want %s)",
-			path, ErrFingerprintMismatch, hdr.Fingerprint, fingerprint)
+		err = fmt.Errorf("journal version %d, want %d", hdr.Version, JournalVersion)
+	case !want.resumes(hdr):
+		err = fmt.Errorf("written by a different campaign (%w: journal %s of %d runs, want %s)",
+			ErrFingerprintMismatch, hdr.Fingerprint, hdr.Runs, want.Fingerprint)
+	case stray >= 0:
+		err = fmt.Errorf("journals experiment %d, outside the campaign's [0,%d) (%w)",
+			stray, want.Runs, ErrFingerprintMismatch)
 	}
-	return recs, keep, nil
+	if err != nil {
+		return nil, 0, hdr, err
+	}
+	return recs, keep, hdr, nil
 }

@@ -26,9 +26,9 @@ func TestReplayJournalMatchesReadJournal(t *testing.T) {
 	if !bytes.Contains(whole, []byte(`{"kind":"plan"`)) {
 		t.Fatal("the adaptive journal interleaves no plan record")
 	}
-	fp, err := journalHeaderFP(ck)
-	if err != nil || fp == "" {
-		t.Fatalf("journal header fingerprint %q: %v", fp, err)
+	hdr, err := readHeader(ck)
+	if err != nil || hdr.Fingerprint == "" || hdr.Runs != 60 {
+		t.Fatalf("journal header %+v: %v", hdr, err)
 	}
 
 	lastLine := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
@@ -48,7 +48,7 @@ func TestReplayJournalMatchesReadJournal(t *testing.T) {
 			if err := os.WriteFile(path, whole[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recs, keep, err := readJournal(path, fp)
+			recs, keep, _, err := readJournal(path, hdr)
 			if err != nil || keep == 0 || len(recs) == 0 {
 				t.Fatalf("readJournal: %d records, keep=%d, err=%v", len(recs), keep, err)
 			}

@@ -69,9 +69,23 @@ func (cfg CampaignConfig) key() campaignKey {
 // journal and archive entry was written under: the params read as Go's
 // %+v of apps.Params did, and each policy field is appended only when
 // set, so configurations that predate a field keep their fingerprints.
-func (k campaignKey) fingerprint() string {
-	b := fmt.Appendf(nil, "app=%s|params={Ranks:%d Size:%d Steps:%d Seed:%d}|runs=%d|seed=%d|lambda=%g|hang=%g|sample=%d",
-		k.app, k.ranks, k.size, k.steps, k.paramSeed, k.runs, k.seed, k.lambda, k.hang, k.sample)
+func (k campaignKey) fingerprint() string { return hash64(k.encode(true)) }
+
+// family hashes the key's encoding without runs: the campaigns whose
+// experiment i is the same experiment, whatever their length. Experiment
+// i's plan draws from xrand.At(seed, i) and reads no run count, so a
+// journal of the family holds records any longer member can replay
+// (TestRecordsIndependentOfRuns).
+func (k campaignKey) family() string { return hash64(k.encode(false)) }
+
+// encode is the key's encoding (see fingerprint), with runs or without.
+func (k campaignKey) encode(runs bool) []byte {
+	b := fmt.Appendf(nil, "app=%s|params={Ranks:%d Size:%d Steps:%d Seed:%d}|",
+		k.app, k.ranks, k.size, k.steps, k.paramSeed)
+	if runs {
+		b = fmt.Appendf(b, "runs=%d|", k.runs)
+	}
+	b = fmt.Appendf(b, "seed=%d|lambda=%g|hang=%g|sample=%d", k.seed, k.lambda, k.hang, k.sample)
 	if k.strata > 0 {
 		b = fmt.Appendf(b, "|ci=%g|strata=%d", k.targetCI, k.strata)
 	}
@@ -82,7 +96,7 @@ func (k campaignKey) fingerprint() string {
 		b = append(b, "|protect="...)
 		b = append(b, token(k.protect)...)
 	}
-	return hash64(b)
+	return b
 }
 
 // journalFingerprint binds a shard's checkpoint journal to its ID range
@@ -124,6 +138,12 @@ func hash64(b []byte) string {
 // resuming or merging under a different seed, workload or fault model is
 // refused rather than silently mixing incompatible experiments.
 func (cfg CampaignConfig) Fingerprint() string { return cfg.key().fingerprint() }
+
+// Family identifies the campaigns that differ from this one in Runs
+// alone. A journal of the family resumes any campaign of it at least as
+// long (readJournal), and faultpropd seeds a longer campaign's job from
+// an archived shorter one.
+func (cfg CampaignConfig) Family() string { return cfg.key().family() }
 
 // ArchiveKey is the key a finished campaign is archived and looked up
 // under: the fingerprint, plus MaxSummaries when it is set. MaxSummaries

@@ -54,6 +54,15 @@ func TestCampaignKeysPinned(t *testing.T) {
 			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
 	}
+	// The family is the same encoding without runs: one value for every
+	// run count. A change orphans every family resume and archive seed.
+	for _, runs := range []int{40, 80} {
+		cfg := base
+		cfg.Runs = runs
+		if got := cfg.Family(); got != "f90224fa1636fff2" {
+			t.Errorf("%d runs: family %s, want f90224fa1636fff2", runs, got)
+		}
+	}
 
 	// A shard's checkpoint journal is bound to its range or ID set; the
 	// whole range keeps the bare campaign fingerprint.

@@ -52,15 +52,23 @@ const (
 	sampleProtect                      // selectively protected static sites
 )
 
+type resumeMode int
+
+const (
+	resumeNone    resumeMode = iota // one uninterrupted pass
+	resumeStopped                   // interrupted by StopAfter, then resumed from the journal
+	resumeFamily                    // resumed from the journal of a shorter campaign of its family
+)
+
 // execMode is one row of the matrix. Ranks and sampling fix the campaign
 // (with the app and the seed); the other axes say how it is executed.
 type execMode struct {
 	interp   interpMode
 	tail     tailMode
-	workers  int  // 1 or 4
-	shards   int  // 1 or 3, shipped in their wire form and merged in reverse
-	resume   bool // interrupted by StopAfter, then resumed from the journal
-	ranks    int  // 1 or 4
+	workers  int // 1 or 4
+	shards   int // 1 or 3, shipped in their wire form and merged in reverse
+	resume   resumeMode
+	ranks    int // 1 or 4
 	sampling samplingMode
 	// mixed runs shard i at tail (tail+i) mod 4: shards that disagree about
 	// how to execute still merge to the reference bytes.
@@ -70,7 +78,7 @@ type execMode struct {
 func (m execMode) String() string {
 	return fmt.Sprintf("%s/%s/w%d/sh%d/%s/r%d/%s%s",
 		[]string{"clean", "full"}[m.interp], []string{"none", "fork", "exit", "ghosts"}[m.tail],
-		m.workers, m.shards, map[bool]string{false: "whole", true: "resumed"}[m.resume], m.ranks,
+		m.workers, m.shards, []string{"whole", "resumed", "family"}[m.resume], m.ranks,
 		[]string{"single", "multi", "strata", "adaptive", "protect"}[m.sampling], map[bool]string{true: "/mixed"}[m.mixed])
 }
 
@@ -85,25 +93,29 @@ func referenceMode(ranks int, sampling samplingMode) execMode {
 // first row is the all-reference row: it pins determinism across runs.
 var matrixRows = []execMode{
 	referenceMode(1, sampleSingle),
-	{interpClean, tailNone, 1, 3, false, 4, sampleMulti, false},
-	{interpClean, tailNone, 1, 1, true, 1, sampleStrata, false},
-	{interpClean, tailNone, 4, 1, true, 1, sampleAdaptive, false},
-	{interpFull, tailNone, 4, 3, true, 4, sampleProtect, false},
-	{interpFull, tailFork, 4, 1, false, 4, sampleSingle, false},
-	{interpClean, tailFork, 4, 3, true, 1, sampleMulti, false},
-	{interpClean, tailFork, 1, 1, false, 4, sampleStrata, false},
-	{interpClean, tailFork, 4, 3, false, 4, sampleAdaptive, false},
-	{interpClean, tailFork, 4, 1, true, 4, sampleProtect, false},
-	{interpClean, tailExit, 4, 3, false, 1, sampleSingle, false},
-	{interpClean, tailExit, 1, 3, false, 4, sampleMulti, false},
-	{interpClean, tailExit, 4, 1, false, 1, sampleStrata, false},
-	{interpClean, tailExit, 1, 1, true, 4, sampleAdaptive, false},
-	{interpFull, tailExit, 1, 1, false, 1, sampleProtect, false},
-	{interpFull, tailGhosts, 4, 3, true, 4, sampleSingle, false},
-	{interpFull, tailGhosts, 1, 1, false, 4, sampleMulti, false},
-	{interpFull, tailGhosts, 4, 3, false, 4, sampleStrata, false},
-	{interpFull, tailGhosts, 4, 1, true, 4, sampleAdaptive, false},
-	{interpClean, tailGhosts, 1, 3, false, 4, sampleProtect, true},
+	{interpClean, tailNone, 1, 3, resumeNone, 4, sampleMulti, false},
+	{interpClean, tailNone, 1, 1, resumeStopped, 1, sampleStrata, false},
+	{interpClean, tailNone, 4, 1, resumeStopped, 1, sampleAdaptive, false},
+	{interpFull, tailNone, 4, 3, resumeStopped, 4, sampleProtect, false},
+	{interpFull, tailFork, 4, 1, resumeNone, 4, sampleSingle, false},
+	{interpClean, tailFork, 4, 3, resumeStopped, 1, sampleMulti, false},
+	{interpClean, tailFork, 1, 1, resumeNone, 4, sampleStrata, false},
+	{interpClean, tailFork, 4, 3, resumeNone, 4, sampleAdaptive, false},
+	{interpClean, tailFork, 4, 1, resumeStopped, 4, sampleProtect, false},
+	{interpClean, tailExit, 4, 3, resumeNone, 1, sampleSingle, false},
+	{interpClean, tailExit, 1, 3, resumeNone, 4, sampleMulti, false},
+	{interpClean, tailExit, 4, 1, resumeNone, 1, sampleStrata, false},
+	{interpClean, tailExit, 1, 1, resumeStopped, 4, sampleAdaptive, false},
+	{interpFull, tailExit, 1, 1, resumeNone, 1, sampleProtect, false},
+	{interpFull, tailGhosts, 4, 3, resumeStopped, 4, sampleSingle, false},
+	{interpFull, tailGhosts, 1, 1, resumeNone, 4, sampleMulti, false},
+	{interpFull, tailGhosts, 4, 3, resumeNone, 4, sampleStrata, false},
+	{interpFull, tailGhosts, 4, 1, resumeStopped, 4, sampleAdaptive, false},
+	{interpClean, tailGhosts, 1, 3, resumeNone, 4, sampleProtect, true},
+	{interpClean, tailNone, 1, 1, resumeFamily, 1, sampleSingle, false},
+	{interpFull, tailFork, 4, 3, resumeFamily, 4, sampleMulti, false},
+	{interpClean, tailExit, 4, 3, resumeFamily, 1, sampleStrata, false},
+	{interpFull, tailGhosts, 1, 1, resumeFamily, 4, sampleProtect, false},
 }
 
 // modeAxes are the matrix's axes: their values, and a row's value.
@@ -116,7 +128,7 @@ var modeAxes = []struct {
 	{"tail", []any{tailNone, tailFork, tailExit, tailGhosts}, func(m execMode) any { return m.tail }},
 	{"workers", []any{1, 4}, func(m execMode) any { return m.workers }},
 	{"shards", []any{1, 3}, func(m execMode) any { return m.shards }},
-	{"resume", []any{false, true}, func(m execMode) any { return m.resume }},
+	{"resume", []any{resumeNone, resumeStopped, resumeFamily}, func(m execMode) any { return m.resume }},
 	{"ranks", []any{1, 4}, func(m execMode) any { return m.ranks }},
 	{"sampling", []any{sampleSingle, sampleMulti, sampleStrata, sampleAdaptive, sampleProtect},
 		func(m execMode) any { return m.sampling }},
@@ -124,8 +136,10 @@ var modeAxes = []struct {
 
 // impossiblePairs are the value pairs no row can hold. Ghosts at one rank:
 // a 1-rank job has no peer to replay golden traffic to, and its one rank
-// back in the golden state ends the job instead.
-var impossiblePairs = [][4]any{{"tail", tailGhosts, "ranks", 1}}
+// back in the golden state ends the job instead. An adaptive campaign's
+// rounds draw from [0, Runs), so no shorter campaign's journal is a
+// prefix of its own.
+var impossiblePairs = [][4]any{{"tail", tailGhosts, "ranks", 1}, {"resume", resumeFamily, "sampling", sampleAdaptive}}
 
 // matrixRuns is each matrix campaign's experiment count. matrixSeeds are
 // the seed every exhibit is pinned at and a second one no exhibit uses.
@@ -326,13 +340,23 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 	// resumable runs pass on c. A resumed row first interrupts it on one
 	// worker, which stops within two experiments of stopAfter, and then
 	// resumes it from its journal (in a sharded row, shard 0's: the others
-	// may be too small to interrupt).
+	// may be too small to interrupt). An unsharded family row first runs
+	// the shorter campaign of familyRuns(c) experiments into the same
+	// journal (a sharded one merges a seed instead: familySeed).
 	resumable := func(c CampaignConfig, stopAfter int, pass func(CampaignConfig) error) {
-		if m.resume && stopAfter > 0 {
+		switch {
+		case m.resume == resumeStopped && stopAfter > 0:
 			stopped := c
 			stopped.Workers, stopped.StopAfter = 1, stopAfter
 			if err := pass(stopped); !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("%v: the interrupted pass returned %v, want ErrInterrupted", m, err)
+			}
+			c.Resume = true
+		case m.resume == resumeFamily && m.shards == 1:
+			shorter := c
+			shorter.Runs = familyRuns(c)
+			if err := pass(shorter); err != nil {
+				t.Fatalf("%v: the %d-run pass: %v", m, shorter.Runs, err)
 			}
 			c.Resume = true
 		}
@@ -342,6 +366,8 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 	}
 	var parts []*PartialResult
 	switch {
+	case m.resume == resumeFamily && cfg.Adaptive():
+		t.Fatalf("%v: an adaptive campaign has no family journal", m)
 	case m.shards == 1:
 		out.rec.setTail(&cfg, m.tail)
 		cfg.Checkpoint, cfg.Timings = filepath.Join(dir, "journal"), NewCampaignTimings()
@@ -355,7 +381,7 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 		}
 		out.timings = cfg.Timings
 	case cfg.Adaptive():
-		if m.resume {
+		if m.resume != resumeNone {
 			t.Fatalf("%v: coordinated adaptive rounds are not resumed here", m)
 		}
 		out.rec.setTail(&cfg, m.tail)
@@ -364,6 +390,21 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 		specs, err := PlanShards(cfg, m.shards)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m.resume == resumeFamily {
+			// A coordinator's seeded job: the shorter campaign's journal
+			// folds into a seed covering [0, k), and explicit-ID shards
+			// run [k, Runs).
+			src := cfg
+			out.rec.setTail(&src, m.tail)
+			seed := m.familySeed(t, src, filepath.Join(dir, "family"))
+			parts = append(parts, wireForm(t, seed))
+			k := familyRuns(cfg)
+			ids := make([]int, 0, cfg.Runs-k)
+			for id := k; id < cfg.Runs; id++ {
+				ids = append(ids, id)
+			}
+			specs = PlanRoundShards(cfg, ids, m.shards)
 		}
 		for i, spec := range specs {
 			c := cfg
@@ -382,10 +423,8 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 				if err != nil {
 					return err
 				}
-				// A worker ships its partial in this wire form.
-				wire := &PartialResult{}
-				parts = append(parts, wire)
-				return json.Unmarshal(mustJSON(t, p), wire)
+				parts = append(parts, wireForm(t, p))
+				return nil
 			})
 		}
 	}
@@ -416,6 +455,48 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 		t.Errorf("%v: timings counted %d experiments (restore phase %d), the recorder %d", m, n, out.timings.Restore.Count(), c.runs)
 	}
 	return out
+}
+
+// wireForm returns p as a worker ships it, and a coordinator parks it:
+// through its JSON encoding.
+func wireForm(t testing.TB, p *PartialResult) *PartialResult {
+	t.Helper()
+	wire := &PartialResult{}
+	if err := json.Unmarshal(mustJSON(t, p), wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// familyRuns is the length of the shorter campaign of cfg's family that a
+// family row resumes from.
+func familyRuns(cfg CampaignConfig) int { return cfg.Runs / 2 }
+
+// familySeed runs the shorter campaign of cfg's family, journaled at path,
+// in row m's tail, and folds its journal into the seed of cfg. The seed
+// carries the shorter campaign's timings, whose experiments the recorder
+// counted.
+func (m execMode) familySeed(t testing.TB, cfg CampaignConfig, path string) *PartialResult {
+	t.Helper()
+	shorter := cfg
+	shorter.Runs, shorter.Checkpoint, shorter.Timings = familyRuns(cfg), path, NewCampaignTimings()
+	shorter.OnExperiment = nil
+	if _, err := RunCampaign(shorter); err != nil {
+		t.Fatalf("%v: the %d-run campaign: %v", m, shorter.Runs, err)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := SeedPartial(cfg, journal)
+	if err != nil {
+		t.Fatalf("%v: %v", m, err)
+	}
+	if want := []IDRange{{0, shorter.Runs}}; !reflect.DeepEqual(seed.Ranges, want) {
+		t.Fatalf("%v: the seed covers %v, want %v", m, seed.Ranges, want)
+	}
+	seed.Timings = shorter.Timings
+	return seed
 }
 
 // reference is a campaign's reference execution, with each plan's
@@ -477,7 +558,7 @@ func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matr
 	}
 	// A resumed adaptive campaign journals the planner's decision for the
 	// rest of its interrupted round once more, an audit record.
-	audit := m.resume && m.sampling == sampleAdaptive
+	audit := m.resume == resumeStopped && m.sampling == sampleAdaptive
 	want, have := withoutPlans(journalLines(ref.journal), audit), withoutPlans(journalLines(got.journal), audit)
 	if len(want) != len(have) {
 		t.Errorf("%s: checkpoint journal holds %d lines, the reference's %d", label, len(have), len(want))
@@ -610,7 +691,7 @@ func TestExecModeMatrix(t *testing.T) {
 			{"ghost ends", c.ghostExits, m.tail == tailGhosts},
 			{"ghost resumes", c.ghostResumes, m.tail == tailGhosts},
 			{"clean-mode switches", switches[i], m.interp == interpClean},
-			{"journal replays", replayed[i], m.resume},
+			{"journal replays", replayed[i], m.resume != resumeNone},
 		} {
 			// A mixed row runs other tails on some shards: only what its own
 			// tail turns on is pinned.
@@ -662,7 +743,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	for _, tc := range invarianceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := referenceMode(1, tc.sampling)
-			m.workers, m.resume = 4, true
+			m.workers, m.resume = 4, resumeStopped
 			if got := checkRow(t, m, tc.app, tc.seed, nil); got.replayed == 0 {
 				t.Error("the resumed campaign replayed no journal record")
 			}
@@ -691,7 +772,7 @@ func TestAdaptiveWorkerCountInvariance(t *testing.T) {
 // mid-round: the re-derived rounds must spend the same experiments.
 func TestAdaptiveResumeMatchesUninterrupted(t *testing.T) {
 	m := referenceMode(1, sampleAdaptive)
-	m.resume = true
+	m.resume = resumeStopped
 	if got := checkAdaptive(t, m); got.replayed == 0 {
 		t.Error("the resumed campaign replayed no journal record")
 	}

@@ -376,7 +376,8 @@ func PlanRoundShards(cfg CampaignConfig, ids []int, n int) []ShardSpec {
 // mismatch error is technically right but opaque; this returns a typed
 // FieldError naming the offending knob instead.
 func checkAdaptiveResume(cfg CampaignConfig, spec ShardSpec, wantFP string) error {
-	hdrFP, err := journalHeaderFP(cfg.Checkpoint)
+	hdr, err := readHeader(cfg.Checkpoint)
+	hdrFP := hdr.Fingerprint
 	if err != nil || hdrFP == "" || hdrFP == wantFP {
 		// Absent, unreadable, or matching journals flow to readJournal,
 		// which reports those conditions properly.

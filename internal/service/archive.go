@@ -57,6 +57,46 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 	return nil
 }
 
+// familySource returns the verified journal of the archived campaign a
+// fresh job of cfg starts from: the campaign of its family with the most
+// runs below its own whose journal is of this build's version (Source).
+// Its records are experiments the job need not execute. journal is nil
+// when there is none. Adaptive campaigns, whose rounds draw from
+// [0, Runs), and shard jobs take no seed; coordinated entries are none,
+// having no journal.
+func (s *Server) familySource(st JobStatus, cfg harness.CampaignConfig) (fp string, runs int, journal []byte) {
+	if s.archive == nil || st.Spec.Shard != nil || cfg.Adaptive() {
+		return "", 0, nil
+	}
+	fp, runs, ok := s.archive.Source(cfg.Family(), cfg.Runs, harness.JournalVersion)
+	if !ok {
+		return "", 0, nil
+	}
+	journal, err := s.archive.File(fp, archive.JournalFile)
+	if err == nil && !harness.CurrentJournal(journal) {
+		err = fmt.Errorf("%w: journal of another version", archive.ErrCorrupt)
+	}
+	if err != nil {
+		if errors.Is(err, archive.ErrCorrupt) {
+			s.obs.verifyFailures.Inc()
+		}
+		// The job runs every experiment; the submission path evicts a
+		// damaged entry when its own key is asked for.
+		s.log.Warn("archive journal not seeded", "job", st.ID, "trace", st.Trace,
+			"source", fp, "err", err)
+		return "", 0, nil
+	}
+	return fp, runs, journal
+}
+
+// noteSeeded counts and logs a job started from source's runs records.
+func (s *Server) noteSeeded(st JobStatus, source string, runs int) {
+	s.obs.seededJobs.Inc()
+	s.obs.seededRecords.Add(uint64(runs))
+	s.log.Info("job seeded from archive", "job", st.ID, "trace", st.Trace,
+		"source", source, "source_runs", runs, "runs", st.Spec.Runs)
+}
+
 // currentEntry reports whether rec was archived under this build's journal
 // version: its manifest says so, and so does its journal's header when it
 // has one. A coordinated job's entry has no journal, so its manifest is
@@ -194,6 +234,10 @@ func (s *Server) archiveResult(st JobStatus, res *harness.CampaignResult, data [
 		Outcomes:       outcomes,
 		FPS:            res.Model.FPS,
 		JournalVersion: harness.JournalVersion,
+	}
+	// An adaptive campaign's journal is no prefix of another's.
+	if cfg, err := st.Spec.CampaignConfig(); err == nil && !cfg.Adaptive() {
+		meta.Family = cfg.Family()
 	}
 	if res.Strata != nil {
 		strata, err := json.Marshal(res.Strata)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/harness"
@@ -107,20 +108,25 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 			return nil, err
 		}
 	}
+	fingerprint := cfg.Fingerprint()
+	var acc *harness.PartialResult // the seed, and every finished round, merged
+	resumedRuns := 0
+	if seed := s.coordinatedSeed(st, cfg); seed != nil {
+		acc, resumedRuns = seed, seed.Tally.Total
+	}
 	nextRound := func(round int) ([]harness.ShardSpec, error) {
 		switch {
 		case planner != nil:
 			return harness.PlanRoundShards(cfg, planner.NextRound(), st.Spec.Shards), nil
-		case round == 1:
-			return harness.PlanShards(cfg, st.Spec.Shards)
+		case round > 1:
+			return nil, nil
+		case acc != nil:
+			return harness.PlanRoundShards(cfg, uncovered(acc), st.Spec.Shards), nil
 		}
-		return nil, nil
+		return harness.PlanShards(cfg, st.Spec.Shards)
 	}
-	fingerprint := cfg.Fingerprint()
 
 	started := time.Now()
-	var acc *harness.PartialResult // every finished round, merged
-	resumedRuns := 0
 	for round := 1; ; round++ {
 		specs, err := nextRound(round)
 		if err != nil {
@@ -198,6 +204,55 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 	s.log.Info("shards merged", "job", st.ID, "trace", st.Trace,
 		"spent", acc.Tally.Total, "budget", cfg.Runs, "fingerprint", fingerprint)
 	return res, nil
+}
+
+// coordinatedSeed returns the seed of a fixed-plan coordinated job: the
+// partial, parked beside its shards', of the experiments an archived
+// shorter campaign of its family ran, which its shards then need not run.
+// The seed is chosen and parked before the first dispatch, so a restarted
+// coordinator re-reads it and never consults the archive again. A job
+// with a parked shard but no parked seed began unseeded, and stays so:
+// its parked shards belong to the unseeded plan.
+func (s *Server) coordinatedSeed(st JobStatus, cfg harness.CampaignConfig) *harness.PartialResult {
+	path := s.store.SeedPartialPath(st.ID)
+	if p, err := s.store.LoadPartial(path); err == nil && p.Fingerprint == cfg.Fingerprint() {
+		return p
+	}
+	for i := 0; i < st.Spec.Shards; i++ {
+		if _, err := os.Stat(s.store.ShardPartialPath(st.ID, i)); err == nil {
+			return nil
+		}
+	}
+	src, runs, journal := s.familySource(st, cfg)
+	if journal == nil {
+		return nil
+	}
+	seed, err := harness.SeedPartial(cfg, journal)
+	if err == nil {
+		err = s.store.SavePartial(path, seed)
+	}
+	if err != nil {
+		s.log.Warn("job not seeded", "job", st.ID, "trace", st.Trace, "source", src, "err", err)
+		return nil
+	}
+	s.noteSeeded(st, src, runs)
+	return seed
+}
+
+// uncovered lists the IDs of p's campaign that p does not cover.
+func uncovered(p *harness.PartialResult) []int {
+	var ids []int
+	next := 0
+	for _, r := range p.Ranges {
+		for ; next < r.From; next++ {
+			ids = append(ids, next)
+		}
+		next = r.To
+	}
+	for ; next < p.Runs; next++ {
+		ids = append(ids, next)
+	}
+	return ids
 }
 
 // runShardSet dispatches a set of shard tasks across the registered

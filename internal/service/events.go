@@ -43,6 +43,13 @@ type subscriber struct {
 
 const defaultSubscriberBuffer = 256
 
+// closedEvents is the channel of every subscriber to a closed hub.
+var closedEvents = func() chan Event {
+	ch := make(chan Event)
+	close(ch)
+	return ch
+}()
+
 // newHub creates the event hub for one job. Every published event is
 // stamped with the job's trace ID; laggard drops are counted into drops.
 func newHub(trace string, buffer int, drops *obs.Counter) *hub {
@@ -55,13 +62,13 @@ func newHub(trace string, buffer int, drops *obs.Counter) *hub {
 // subscribe registers a new subscriber. The returned cancel is idempotent
 // and safe to call after the hub closed.
 func (h *hub) subscribe() (*subscriber, func()) {
-	sub := &subscriber{ch: make(chan Event, h.buffer)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		close(sub.ch)
-		return sub, func() {}
+		// A settled job's watchers (every cache hit's) get no buffer.
+		return &subscriber{ch: closedEvents}, func() {}
 	}
+	sub := &subscriber{ch: make(chan Event, h.buffer)}
 	h.subs[sub] = struct{}{}
 	var once sync.Once
 	return sub, func() {
@@ -136,9 +143,10 @@ var ErrStreamTruncated = errors.New("service: event stream truncated by daemon")
 // the job settled.
 func ReadEvents(r io.Reader, fn func(Event) error) (settled bool, err error) {
 	sc := bufio.NewScanner(r)
-	// One event is one line; a progress event with every outcome and
-	// stratum is a few KiB, so 16 MiB only bounds a hostile peer.
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// One event is one line, ~150 bytes for an experiment; the buffer
+	// grows for a progress event with every outcome and stratum, a few
+	// KiB, and 16 MiB only bounds a hostile peer.
+	sc.Buffer(make([]byte, 0, 4<<10), 16<<20)
 	var dec eventDecoder
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

@@ -1,0 +1,135 @@
+package service_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/service"
+)
+
+// executedOn reads how many experiments d executed or absorbed from its
+// shards' timings: the count of its execute-phase histogram.
+func executedOn(t *testing.T, d *testDaemon) int {
+	t.Helper()
+	v, ok := promValue(t, fetchProm(t, d.http.URL), `faultpropd_experiment_phase_seconds_count{phase="execute"}`)
+	if !ok {
+		t.Fatal("/metrics has no execute-phase count")
+	}
+	return int(v)
+}
+
+// TestArchiveSeedsLongerCampaign: after an N-run campaign is archived, a
+// 2N-run campaign of its family replays the N archived records and
+// executes only the other N, locally and as a two-shard coordinated job.
+// Its result bytes equal those of a fresh 2N-run job on a daemon with an
+// empty archive.
+func TestArchiveSeedsLongerCampaign(t *testing.T) {
+	const n = 12
+	for _, shards := range []int{0, 2} {
+		t.Run(map[int]string{0: "local", 2: "sharded"}[shards], func(t *testing.T) {
+			_, urls := startWorkerFleet(t, 2)
+			cfg := service.Config{Heartbeat: 100 * time.Millisecond, Peers: urls}
+			fresh := cfg
+			fresh.ArchiveDir = t.TempDir()
+			cfg.ArchiveDir = t.TempDir()
+			d := startDaemon(t, t.TempDir(), cfg)
+
+			short := service.JobSpec{App: "miniFE", Scale: "test", Runs: n, Seed: 61, SampleEvery: 64}
+			settle(t, d, short, false)
+			long := short
+			long.Runs, long.Shards = 2*n, shards
+			before := executedOn(t, d)
+			st := settle(t, d, long, false)
+			if st.Resumed != n {
+				t.Errorf("the %d-run job resumed %d experiments, want %d", 2*n, st.Resumed, n)
+			}
+			if got := executedOn(t, d) - before; got != n {
+				t.Errorf("the %d-run job executed %d experiments, want %d", 2*n, got, n)
+			}
+			body := fetchProm(t, d.http.URL)
+			for name, want := range map[string]float64{"faultpropd_seeded_jobs_total": 1, "faultpropd_seeded_records_total": n} {
+				if v, _ := promValue(t, body, name); v != want {
+					t.Errorf("%s = %v, want %v", name, v, want)
+				}
+			}
+
+			ref := startDaemon(t, t.TempDir(), fresh)
+			want := settle(t, ref, long, false)
+			if want.Resumed != 0 {
+				t.Fatalf("the reference job resumed %d experiments on an empty archive", want.Resumed)
+			}
+			if got, want := rawResult(t, d.http.URL, st.ID), rawResult(t, ref.http.URL, want.ID); !bytes.Equal(got, want) {
+				t.Errorf("the seeded job's result (%d bytes) differs from a fresh job's (%d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestCoordinatorRestartKeepsParkedSeed: a coordinated job parks its seed
+// before it dispatches a shard. Restarted mid-job after the seed's source
+// entry was removed from the archive, the coordinator still merges the
+// parked seed, runs only the shards of the rest, and yields the fresh
+// run's bytes; it seeds nothing from the archive again.
+func TestCoordinatorRestartKeepsParkedSeed(t *testing.T) {
+	const n = 10
+	workers, urls := startWorkerFleet(t, 2)
+	dir, arch := t.TempDir(), t.TempDir()
+	cfg := service.Config{Heartbeat: 100 * time.Millisecond, Peers: urls, ArchiveDir: arch}
+	coord := startDaemon(t, dir, cfg)
+
+	short := service.JobSpec{App: "LULESH", Scale: "test", Runs: n, Seed: 73, SampleEvery: 64}
+	source := settle(t, coord, short, false)
+	long := short
+	long.Runs, long.Shards = 2*n, 2
+	local := localReference(t, long)
+
+	var release []func()
+	for _, w := range workers {
+		release = append(release, w.srv.HoldDispatch())
+	}
+	st, err := coord.c.Submit(context.Background(), long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedPath := filepath.Join(dir, "job-"+st.ID+".seed.partial.json")
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(seedPath); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator parked no seed")
+		}
+	}
+	coord.stop(t)
+	if err := os.RemoveAll(filepath.Join(arch, "entries", source.Fingerprint)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range release {
+		r()
+	}
+
+	restarted := startDaemon(t, dir, cfg)
+	final := waitDone(t, restarted.c, st.ID)
+	if final.State != service.StateDone {
+		t.Fatalf("restarted job settled as %s: %s", final.State, final.Error)
+	}
+	if final.Resumed != n {
+		t.Errorf("the restarted job resumed %d experiments, want the parked seed's %d", final.Resumed, n)
+	}
+	if v, _ := promValue(t, fetchProm(t, restarted.http.URL), "faultpropd_seeded_jobs_total"); v != 0 {
+		t.Errorf("the restarted coordinator seeded %v jobs from the archive, want 0", v)
+	}
+	merged, err := restarted.c.Result(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCampaign(t, "restarted seeded job", local, merged)
+	if want, _ := json.Marshal(local); !bytes.Equal(rawResult(t, restarted.http.URL, st.ID), want) {
+		t.Error("the restarted seeded job's result is not byte-identical to the local run")
+	}
+}

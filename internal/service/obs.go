@@ -35,6 +35,10 @@ type serverObs struct {
 	// cacheHit: time a hit submission spent in the archive lookup and in
 	// materializing the job — the fast path, when it is taken.
 	cacheHit *obs.Histogram
+	// seededJobs: jobs that started from the archived journal of a shorter
+	// campaign of their family; seededRecords: the experiments those
+	// journals held, which the jobs replayed instead of executing.
+	seededJobs, seededRecords *obs.Counter
 	// verifyFailures: archive reads that failed their checksum, wherever
 	// the bytes were about to be served (submit, result, stream).
 	verifyFailures *obs.Counter
@@ -77,6 +81,10 @@ func newServerObs() *serverObs {
 			"Submissions not served from the archive (absent or corrupt entry)."),
 		cacheHit: reg.Histogram("faultpropd_cache_hit_seconds",
 			"Time a cache-hit submission spent on the archive lookup and on materializing its job.", obs.LatencyBuckets()),
+		seededJobs: reg.Counter("faultpropd_seeded_jobs_total",
+			"Jobs started from the archived journal of a shorter campaign of their family."),
+		seededRecords: reg.Counter("faultpropd_seeded_records_total",
+			"Experiments seeded jobs replayed from an archived journal instead of executing them."),
 		verifyFailures: reg.Counter("faultpropd_archive_verify_failures_total",
 			"Archive reads that failed checksum verification while serving a submission, a result or an event stream."),
 		timings: harness.NewCampaignTimingsFrom(func(h harness.TimingHist) *obs.Histogram {

@@ -528,8 +528,19 @@ func (s *Server) runJob(j *job) {
 	cfg.Checkpoint = s.store.JournalPath(st.ID)
 	// Resume is unconditional: a fresh job has no journal yet (the harness
 	// starts one), and a redispatched job replays its completed
-	// experiments instead of re-running them.
+	// experiments instead of re-running them. A fresh job whose family has
+	// a shorter campaign archived starts from that campaign's journal, and
+	// executes only the experiments it lacks.
 	cfg.Resume = true
+	if _, err := os.Stat(cfg.Checkpoint); os.IsNotExist(err) {
+		if src, runs, journal := s.familySource(st, cfg); journal != nil {
+			if err := s.store.SeedJournal(st.ID, journal); err != nil {
+				s.log.Warn("job not seeded", "job", st.ID, "trace", st.Trace, "err", err)
+			} else {
+				s.noteSeeded(st, src, runs)
+			}
+		}
+	}
 	cfg.Trace = st.Trace
 	// Timings ride in shard partials so the coordinator's metrics absorb
 	// them; OnPhase feeds this daemon's own registry live.

@@ -29,6 +29,8 @@ import (
 //
 //	job-<id>.partial.json            a shard job's mergeable PartialResult
 //	job-<id>.shard-<n>.partial.json  fetched partial of shard n: its completion record
+//	job-<id>.seed.partial.json       the experiments an archived shorter campaign
+//	                                 of the job's family ran, parked before dispatch
 //
 // Status records, partials and results are replaced whole
 // (durable.Replace), so a kill mid-update leaves the previous file and at
@@ -148,6 +150,21 @@ func (s *Store) partialPath(id string) string {
 // coordinator restart re-dispatches only the shards with none.
 func (s *Store) ShardPartialPath(id string, shard int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("job-%s.shard-%d.partial.json", id, shard))
+}
+
+// SeedPartialPath is where a coordinator parks the seed of a job, the
+// partial its shards merge with, before it dispatches any of them.
+func (s *Store) SeedPartialPath(id string) string {
+	return filepath.Join(s.dir, "job-"+id+".seed.partial.json")
+}
+
+// SeedJournal starts a job's checkpoint journal as journal, the journal of
+// a shorter campaign of its family, which the job's resume continues.
+func (s *Store) SeedJournal(id string, journal []byte) error {
+	if err := durable.Replace(s.JournalPath(id), journal); err != nil {
+		return fmt.Errorf("service: seed journal: %w", err)
+	}
+	return nil
 }
 
 // SavePartial atomically writes a mergeable partial aggregate to path.
