@@ -333,7 +333,7 @@ func (o options) jobSpec(app apps.App) service.JobSpec {
 // printHeader prints the "# APP: N runs in …" line that opens an app's
 // results. N is what ran — for an adaptive campaign what it spent, not its
 // budget; how says where (" via ADDR", " across …", "" for a local run);
-// snap is the campaign's last progress snapshot, when it published one.
+// snap is the campaign's last progress snapshot, when it has one.
 func (o options) printHeader(res *harness.CampaignResult, elapsed time.Duration, how string, snap *harness.Snapshot) {
 	ran := o.runs
 	if o.targetCI > 0 {
@@ -440,9 +440,10 @@ func runProtectTop(ctx context.Context, selected []apps.App, o options, pct floa
 
 // runRemote submits one job per app to the faultpropd daemon at addr,
 // follows each job's event stream, and fetches the final results; how words
-// the daemon in the header line. When ctx ends it stops following and
-// returns an error wrapping harness.ErrInterrupted; what becomes of the job
-// is its caller's to decide and to say.
+// the daemon in the header line, whose counts come from the job's terminal
+// status. When ctx ends it stops following and returns an error wrapping
+// harness.ErrInterrupted; what becomes of the job is its caller's to decide
+// and to say.
 func runRemote(ctx context.Context, addr, how string, selected []apps.App, o options) ([]*harness.CampaignResult, error) {
 	c, err := service.NewClient(addr)
 	if err != nil {
@@ -451,15 +452,12 @@ func runRemote(ctx context.Context, addr, how string, selected []apps.App, o opt
 	var results []*harness.CampaignResult
 	for _, app := range selected {
 		start := time.Now()
-		lastProgress := time.Time{}
-		var lastSnap *harness.Snapshot
-		res, err := c.Run(ctx, o.jobSpec(app), func(ev service.Event) error {
-			if ev.Kind == service.EventProgress && ev.Progress != nil {
-				lastSnap = ev.Progress
-				if o.progressEvery > 0 && time.Since(lastProgress) >= o.progressEvery {
-					lastProgress = time.Now()
-					fmt.Fprintf(os.Stderr, "%s: %s\n", app.Name(), ev.Progress)
-				}
+		var lastProgress time.Time
+		res, final, err := c.Run(ctx, o.jobSpec(app), func(ev service.Event) error {
+			if ev.Kind == service.EventProgress && ev.Progress != nil &&
+				o.progressEvery > 0 && time.Since(lastProgress) >= o.progressEvery {
+				lastProgress = time.Now()
+				fmt.Fprintf(os.Stderr, "%s: %s\n", app.Name(), ev.Progress)
 			}
 			return nil
 		})
@@ -469,40 +467,21 @@ func runRemote(ctx context.Context, addr, how string, selected []apps.App, o opt
 		if err != nil {
 			return results, fmt.Errorf("campaign %s%s: %w", app.Name(), how, err)
 		}
-		o.printHeader(res, time.Since(start), how, lastSnap)
+		o.printHeader(res, time.Since(start), how, final.Progress)
 		results = append(results, res)
 	}
 	return results, nil
 }
 
-// render prints every figure and table of the paper's evaluation.
+// render prints every figure and table of the paper's evaluation: Table 1,
+// the study (harness.RenderStudy), and each campaign's recovery-policy
+// evaluation.
 func render(results []*harness.CampaignResult) error {
-	fmt.Println()
 	t1, err := harness.FormatTable1()
 	if err != nil {
 		return fmt.Errorf("table 1: %w", err)
 	}
-	fmt.Println(t1)
-	fmt.Println(harness.FormatFig5(results[0], 50))
-	fmt.Println(harness.FormatFig6(results))
-	for _, r := range results {
-		fmt.Println(harness.FormatFig7(r))
-	}
-	fmt.Println(harness.FormatFig7f(results))
-	fmt.Println(harness.FormatFig8(results))
-	fmt.Println(harness.FormatTable2(results))
-	fmt.Println(harness.FormatCOBreakdown(results))
-	fmt.Println(harness.FormatStructVulnerability(results))
-	for _, r := range results {
-		if s := harness.FormatStrata(r); s != "" {
-			fmt.Println(s)
-		}
-	}
-	for _, r := range results {
-		if s := harness.FormatSites(r); s != "" {
-			fmt.Println(s)
-		}
-	}
+	fmt.Printf("\n%s\n%s", t1, harness.RenderStudy(results...))
 	for _, r := range results {
 		rep := recovery.Evaluate(recovery.Config{
 			Model:              r.Model,
@@ -512,8 +491,6 @@ func render(results []*harness.CampaignResult) error {
 		}, r)
 		fmt.Println(rep.Format())
 	}
-	fmt.Printf("FPS ordering (fastest propagation first): %s\n",
-		strings.Join(harness.SortedFPS(results), " > "))
 	return nil
 }
 

@@ -1,83 +1,56 @@
 // Command figures renders the paper's figures and tables from a saved
 // campaign results file (produced with `campaign -json results.json`),
-// so expensive campaigns can be re-rendered without re-running.
+// so expensive campaigns can be re-rendered without re-running. It prints
+// what campaign printed for them, less its `#` header lines and its
+// recovery-policy reports: Table 1 and the study (harness.RenderStudy).
 //
 // Usage:
 //
-//	figures -in results.json [-only fig6,table2]
+//	figures -in results.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"repro/internal/harness"
 )
 
 func main() {
 	in := flag.String("in", "results.json", "saved campaign results (.json or .json.gz)")
-	only := flag.String("only", "", "comma-separated subset: fig5,fig6,fig7,fig7f,fig8,table1,table2,co,dvf")
 	flag.Parse()
-
-	results, err := harness.LoadResults(*in)
-	if err != nil {
+	if err := run(os.Stdout, os.Stderr, *in); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// run renders the results saved at in to w; notes go to stderr.
+func run(w, stderr io.Writer, in string) error {
+	results, err := harness.LoadResults(in)
+	if err != nil {
+		return err
+	}
 	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "no results in file")
-		os.Exit(1)
+		return errors.New("no results in file")
 	}
 	for _, r := range results {
 		// Campaigns run with a summary cap (-max-summaries) tally every
 		// run but retain only a prefix of per-experiment records; figures
 		// derived from individual experiments then cover a subset.
 		if r.Runs > len(r.Experiments) {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"note: %s retained %d of %d experiment summaries; per-experiment figures (fig5, fig7f) cover that subset\n",
 				r.App, len(r.Experiments), r.Runs)
 		}
 	}
-	want := map[string]bool{}
-	for _, k := range strings.Split(*only, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			want[k] = true
-		}
+	t1, err := harness.FormatTable1()
+	if err != nil {
+		return fmt.Errorf("table 1: %w", err)
 	}
-	show := func(k string) bool { return len(want) == 0 || want[k] }
-
-	if show("table1") {
-		if t1, err := harness.FormatTable1(); err == nil {
-			fmt.Println(t1)
-		}
-	}
-	if show("fig5") {
-		fmt.Println(harness.FormatFig5(results[0], 50))
-	}
-	if show("fig6") {
-		fmt.Println(harness.FormatFig6(results))
-	}
-	if show("fig7") {
-		for _, r := range results {
-			fmt.Println(harness.FormatFig7(r))
-		}
-	}
-	if show("fig7f") {
-		fmt.Println(harness.FormatFig7f(results))
-	}
-	if show("fig8") {
-		fmt.Println(harness.FormatFig8(results))
-	}
-	if show("table2") {
-		fmt.Println(harness.FormatTable2(results))
-		fmt.Printf("FPS ordering: %s\n\n", strings.Join(harness.SortedFPS(results), " > "))
-	}
-	if show("co") {
-		fmt.Println(harness.FormatCOBreakdown(results))
-	}
-	if show("dvf") {
-		fmt.Println(harness.FormatStructVulnerability(results))
-	}
+	_, err = fmt.Fprintf(w, "%s\n%s", t1, harness.RenderStudy(results...))
+	return err
 }

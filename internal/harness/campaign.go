@@ -215,22 +215,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 			for _, id := range ids {
 				inShard[id] = true
 			}
-			for i := range recs {
-				rec := &recs[i]
-				id := rec.Sum.ID
-				if !inShard[id] || e.completed[id] {
-					continue
-				}
-				e.completed[id] = true
-				e.resumed++
-				part.add(rec, strata, sites)
-				if e.outcomes != nil {
-					e.outcomes[id] = rec.Sum.Outcome
-				}
-				if cfg.OnExperiment != nil {
-					cfg.OnExperiment(rec.Sum, true)
-				}
-			}
+			e.replay(recs, inShard)
 		}
 		jw, err := openJournal(cfg.Checkpoint, hdr, keep, rehead)
 		if err != nil {
@@ -352,30 +337,42 @@ func SeedPartial(cfg CampaignConfig, journal []byte) (*PartialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := cfg.key()
-	want := journalHeader{Version: JournalVersion, Fingerprint: part.Fingerprint, Family: key.family(), Runs: cfg.Runs}
+	want := journalHeader{Version: JournalVersion, Fingerprint: part.Fingerprint, Family: cfg.key().family(), Runs: cfg.Runs}
 	recs, _, _, err := scanJournal(bytes.NewReader(journal), want)
 	if err != nil {
 		return nil, fmt.Errorf("harness: seed journal: %w", err)
 	}
+	e := &campaignEngine{cfg: cfg, part: part, strata: strata, sites: sites, completed: make(map[int]bool, len(recs))}
+	e.replay(recs, nil)
 	ids := make([]int, cfg.Runs)
-	completed := make(map[int]bool, len(recs))
 	for i := range ids {
 		ids[i] = i
 	}
+	part.Ranges = completedRanges(ids, e.completed)
+	return part, nil
+}
+
+// replay folds the journaled records recs into the campaign as a resume
+// does: the first record of each experiment of the shard (inShard; nil
+// admits every one) is marked completed, added to the partial and shown to
+// OnExperiment as resumed, and its outcome feeds the adaptive planner.
+func (e *campaignEngine) replay(recs []journalRecord, inShard map[int]bool) {
 	for i := range recs {
 		rec := &recs[i]
-		if completed[rec.Sum.ID] {
+		id := rec.Sum.ID
+		if inShard != nil && !inShard[id] || e.completed[id] {
 			continue
 		}
-		completed[rec.Sum.ID] = true
-		part.add(rec, strata, sites)
-		if cfg.OnExperiment != nil {
-			cfg.OnExperiment(rec.Sum, true)
+		e.completed[id] = true
+		e.resumed++
+		e.part.add(rec, e.strata, e.sites)
+		if e.outcomes != nil {
+			e.outcomes[id] = rec.Sum.Outcome
+		}
+		if e.cfg.OnExperiment != nil {
+			e.cfg.OnExperiment(rec.Sum, true)
 		}
 	}
-	part.Ranges = completedRanges(ids, completed)
-	return part, nil
 }
 
 // completedRanges coalesces the completed subset of ids (ascending) into

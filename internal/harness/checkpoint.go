@@ -50,8 +50,9 @@ type journalHeader struct {
 }
 
 // journalRecord is one line of the journal: a completed experiment, or
-// the header or plan payload the codec (journalcodec.go) writes instead
-// when one is set.
+// the header the codec (journalcodec.go) writes instead when one is set.
+// Readers skip every line whose kind is not "exp" — among them the "plan"
+// lines in which older builds journaled each adaptive round's decision.
 type journalRecord struct {
 	Kind      string              `json:"kind"`
 	Sum       ExperimentSummary   `json:"sum"`
@@ -60,20 +61,6 @@ type journalRecord struct {
 	StructCML map[string]int      `json:"structCML,omitempty"`
 
 	header *journalHeader
-	plan   *planRecord
-}
-
-// planRecord journals one adaptive planner decision: the round number, the
-// per-stratum allocation, and the IDs actually dispatched (allocated minus
-// journal-replayed). Audit and test material — resume re-derives decisions
-// from the replayed experiments — and invisible to pre-adaptive readers,
-// which skip every record whose kind is not "exp".
-type planRecord struct {
-	Kind     string       `json:"kind"` // "plan"
-	Round    int          `json:"round"`
-	TargetCI float64      `json:"targetCI"`
-	Allocs   []roundAlloc `json:"allocs"`
-	Run      []int        `json:"run"`
 }
 
 // ErrFingerprintMismatch reports a checkpoint journal, shard spec, or
@@ -143,15 +130,9 @@ func appendRecords(dst []byte, path string, keep int64) ([]byte, error) {
 	return append(dst, data[body:]...), nil
 }
 
-// appendPlan journals one adaptive planner decision, written like every
-// experiment record.
-func (w *journalWriter) appendPlan(round int, target float64, allocs []roundAlloc, run []int) error {
-	return w.write(&journalRecord{plan: &planRecord{Kind: "plan", Round: round, TargetCI: target, Allocs: allocs, Run: run}})
-}
-
-// write encodes rec — an experiment record, or the plan it carries — and
-// hands the line to the OS, so a kill after this returns cannot lose it;
-// nothing is written when rec does not encode.
+// write encodes the experiment record rec and hands the line to the OS, so
+// a kill after this returns cannot lose it; nothing is written when rec
+// does not encode.
 func (w *journalWriter) write(rec *journalRecord) error {
 	buf, err := appendRecord(w.buf[:0], rec)
 	if err != nil {

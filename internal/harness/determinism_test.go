@@ -484,7 +484,7 @@ func TestUnplannedRunNotAttributedToRankZero(t *testing.T) {
 			{ID: 3, Planned: true, Fired: true, InjCycle: 75, InjRank: 1}, // counts
 		},
 	}
-	fig5 := FormatFig5(res, 10)
+	fig5 := FormatFig5(res)
 	if want := "2 injections"; !strings.Contains(fig5, want) {
 		t.Errorf("Fig. 5 header does not report %q:\n%s", want, fig5)
 	}

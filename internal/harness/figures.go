@@ -20,14 +20,16 @@ import (
 // Format* function corresponds to one exhibit of the evaluation (see
 // DESIGN.md's experiment index).
 
+// fig5Bins is Fig. 5's histogram resolution: the χ² test's bins, merged
+// into 20 for display.
+const fig5Bins = 50
+
 // FormatFig5 renders the fault-injection coverage histogram (paper Fig. 5):
 // injection times of all fired faults, normalized by the injected rank's
-// fault-free cycle count, binned uniformly, with a χ² uniformity verdict.
-func FormatFig5(res *CampaignResult, bins int) string {
-	if bins <= 0 {
-		bins = 50
-	}
-	h := stats.NewHistogram(0, 1, bins)
+// fault-free cycle count, binned uniformly into fig5Bins, with a χ²
+// uniformity verdict.
+func FormatFig5(res *CampaignResult) string {
+	h := stats.NewHistogram(0, 1, fig5Bins)
 	for _, e := range res.Experiments {
 		// Unplanned runs (multi-fault mode can draw zero faults) have no
 		// injection; without the Planned gate they would be misread as
@@ -43,7 +45,7 @@ func FormatFig5(res *CampaignResult, bins int) string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 5 — injection coverage over execution time (%s, %d injections, %d bins)\n",
-		res.App, h.N, bins)
+		res.App, h.N, fig5Bins)
 	chi2, dof := h.ChiSquareUniform()
 	fmt.Fprintf(&sb, "chi2 = %.1f (dof %d), uniform at 1%% level: %v, expected/bin = %.1f\n",
 		chi2, dof, h.ChiSquareUniformOK(), h.ExpectedUniform())
@@ -344,31 +346,43 @@ func FormatStrata(res *CampaignResult) string {
 	return sb.String()
 }
 
-// RenderStudy renders one campaign's full study — every per-campaign
-// figure and table of the evaluation — as a single deterministic text
-// document. It is the byte-identity surface of the determinism claims:
-// two results are "the same study" exactly when their RenderStudy
-// outputs (and JSON encodings) are byte-equal, which is how sharded
-// runs, snapshot-mode runs, and archive cache hits are all proven
-// equivalent to a plain run.
-func RenderStudy(res *CampaignResult) string {
-	rs := []*CampaignResult{res}
+// RenderStudy renders the study of one or more campaigns — every figure
+// and table of the evaluation that its results hold, Fig. 5 (of the first
+// campaign) through the per-site rankings, and the FPS ordering — as one
+// deterministic text document, each exhibit followed by a blank line. It
+// is the one composition of the exhibits, and the byte-identity surface
+// of the determinism claims: two results are "the same study" exactly when
+// their RenderStudy outputs (and JSON encodings) are byte-equal, which is
+// how sharded runs, snapshot-mode runs, and archive cache hits are all
+// proven equivalent to a plain run.
+func RenderStudy(results ...*CampaignResult) string {
+	if len(results) == 0 {
+		return ""
+	}
+	exhibits := []string{FormatFig5(results[0]), FormatFig6(results)}
+	for _, r := range results {
+		exhibits = append(exhibits, FormatFig7(r))
+	}
+	exhibits = append(exhibits, FormatFig7f(results), FormatFig8(results), FormatTable2(results),
+		FormatCOBreakdown(results), FormatStructVulnerability(results))
+	// The strata and per-site tables are empty for campaigns without
+	// strata or per-site analytics — archive cache-hit results whose
+	// PartialResult predates the fields among them — and are left out.
+	for _, r := range results {
+		exhibits = append(exhibits, FormatStrata(r))
+	}
+	for _, r := range results {
+		exhibits = append(exhibits, FormatSites(r))
+	}
+	exhibits = append(exhibits, fmt.Sprintf("FPS ordering (fastest propagation first): %s\n",
+		strings.Join(SortedFPS(results), " > ")))
 	var sb strings.Builder
-	sb.WriteString(FormatFig5(res, 10))
-	sb.WriteString(FormatFig6(rs))
-	sb.WriteString(FormatFig7(res))
-	sb.WriteString(FormatFig7f(rs))
-	sb.WriteString(FormatFig8(rs))
-	sb.WriteString(FormatTable2(rs))
-	sb.WriteString(FormatCOBreakdown(rs))
-	sb.WriteString(FormatStructVulnerability(rs))
-	// Empty for non-stratified campaigns, so their rendered bytes are
-	// exactly what they were before strata existed.
-	sb.WriteString(FormatStrata(res))
-	// Likewise empty for campaigns without per-site analytics — including
-	// archive cache-hit results whose PartialResult predates the field —
-	// so legacy results render byte-identically.
-	sb.WriteString(FormatSites(res))
+	for _, e := range exhibits {
+		if e != "" {
+			sb.WriteString(e)
+			sb.WriteByte('\n')
+		}
+	}
 	return sb.String()
 }
 

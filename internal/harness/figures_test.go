@@ -44,7 +44,7 @@ func fakeResult(app string) *CampaignResult {
 }
 
 func TestFormatFig5ContainsHistogram(t *testing.T) {
-	text := FormatFig5(fakeResult("LULESH"), 10)
+	text := FormatFig5(fakeResult("LULESH"))
 	for _, want := range []string{"Figure 5", "chi2", "LULESH"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)

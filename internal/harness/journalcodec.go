@@ -17,10 +17,10 @@ import (
 
 // The journal codec owns the checkpoint journal's line format, and
 // encoding/json defines it: every line means what json.Unmarshal makes of
-// it, and the engine writes what json.Encoder would write. Header and plan
-// lines, one per journal or adaptive round, go through encoding/json
-// itself. Experiment records, one per experiment and read back by every
-// resume, replay and cache-hit stream, go through a hand-written encoder
+// it, and the engine writes what json.Encoder would write. The header line,
+// one per journal, goes through encoding/json itself. Experiment records,
+// one per experiment and read back by every resume, replay and cache-hit
+// stream, go through a hand-written encoder
 // with json.Encoder's bytes and a fast decoder that accepts only the lines
 // it can decode exactly as json.Unmarshal would (the compact layout, known
 // keys each at most once, RFC 8259 numbers, integers in range, plain ASCII
@@ -33,13 +33,13 @@ import (
 
 // journalFallbacks counts, process-wide and like vm's cold-path counters,
 // the record lines decodeRecord handed to json.Unmarshal because its fast
-// path did not accept them: plan records, a Diag with escapes in it, and
-// any line the engine did not write.
+// path did not accept them: a Diag with escapes in it, and any line the
+// engine did not write (older builds' adaptive plan records among them).
 var journalFallbacks atomic.Uint64
 
 // replayFallbacks counts the lines ReplayJournal handed to json.Unmarshal:
 // a Diag with escapes in it, and any line the engine did not write (its
-// fast path takes header and plan lines).
+// fast path takes header lines, and older builds' plan lines).
 var replayFallbacks atomic.Uint64
 
 // JournalFallbacks returns the process-wide count of journal record lines
@@ -49,16 +49,14 @@ func JournalFallbacks() uint64 { return journalFallbacks.Load() }
 // ReplayFallbacks is JournalFallbacks for the lines ReplayJournal decodes.
 func ReplayFallbacks() uint64 { return replayFallbacks.Load() }
 
-// appendRecord appends rec as one journal line to dst: its header or plan
-// payload when one is set, otherwise the experiment record. The bytes and
+// appendRecord appends rec as one journal line to dst: its header when one
+// is set, otherwise the experiment record. The bytes and
 // the error are json.Encoder's; on error dst is returned unchanged.
 func appendRecord(dst []byte, rec *journalRecord) ([]byte, error) {
 	s := &rec.Sum
 	switch {
 	case rec.header != nil:
 		return appendJSON(dst, *rec.header)
-	case rec.plan != nil:
-		return appendJSON(dst, *rec.plan)
 	case !finite(s.ContamPct, s.Fit.A, s.Fit.B, s.Fit.Knee, s.Fit.Plateau, s.Fit.R2, s.Fit.ValidationErr):
 		// encoding/json refuses NaN and ±Inf; let it say so.
 		return appendJSON(dst, *rec)
@@ -229,10 +227,10 @@ func decodeRecord(line []byte, rec *journalRecord) error {
 // decodeReplayed is decodeRecord for a reader that shows each record's
 // kind and summary alone (ReplayJournal). Its fast path checks trace
 // points, spread, per-structure counts and the plan's faults exactly as
-// decodeRecord's does but keeps none of them, and takes header and plan
-// lines too, whose keys a record's decoding skips. On every line its
-// verdict, kind and summary are decodeRecord's, but for the faults when
-// the fast path took the line.
+// decodeRecord's does but keeps none of them, and takes header lines too
+// (and older builds' plan lines), whose keys a record's decoding skips. On
+// every line its verdict, kind and summary are decodeRecord's, but for
+// the faults when the fast path took the line.
 func decodeReplayed(line []byte, rec *journalRecord) error {
 	*rec = journalRecord{}
 	if decodeFast(line, rec, false) {
@@ -309,8 +307,9 @@ func decodeFast(line []byte, rec *journalRecord, keep bool) bool {
 			return 1 << 4
 		}
 		if !keep && !recordKey(key) {
-			// A header's or a plan's keys: json.Unmarshal skips their
-			// values, so the replay only checks them.
+			// A header's keys, or an older build's plan record's:
+			// json.Unmarshal skips their values, so the replay only
+			// checks them.
 			p.SkipValue()
 			return jsonlex.Ignored
 		}
@@ -333,16 +332,12 @@ func recordKey(key []byte) bool {
 	return false
 }
 
-// kind reads the record kind, without allocating for the engine's kinds.
+// kind reads the record kind, without allocating for the engine's.
 func kind(p *jsonlex.Lexer) string {
-	switch s := p.Str(); string(s) {
-	case "exp":
-		return "exp"
-	case "plan":
-		return "plan"
-	default:
+	if s := p.Str(); string(s) != "exp" {
 		return string(s)
 	}
+	return "exp"
 }
 
 // decodeSummary decodes an ExperimentSummary object: a journal record's

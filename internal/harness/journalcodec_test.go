@@ -47,11 +47,8 @@ func checkDecode(t testing.TB, line []byte) (journalRecord, error) {
 func checkEncode(t testing.TB, rec *journalRecord) []byte {
 	t.Helper()
 	var v any = *rec
-	switch {
-	case rec.header != nil:
+	if rec.header != nil {
 		v = *rec.header
-	case rec.plan != nil:
-		v = *rec.plan
 	}
 	var want bytes.Buffer
 	werr := json.NewEncoder(&want).Encode(v)
@@ -74,11 +71,12 @@ func checkEncode(t testing.TB, rec *journalRecord) []byte {
 // TestJournalLegacyFixture: every historical line form — headers with and
 // without a trace, records from before Stratum, Pattern and Diag, a
 // zero-fault plan, per-structure totals, a Diag that needs escaping,
-// floats in exponent form, an adaptive plan record, and a truncated line
-// followed by one more record — decodes exactly as json.Unmarshal decodes
-// it, re-encodes to its own bytes, and ends readJournal and ReplayJournal
-// at the truncated line. Only the line with escapes in it and the lines
-// that are not experiments take encoding/json's path.
+// floats in exponent form, an adaptive plan record as older builds wrote
+// one, and a truncated line followed by one more record — decodes exactly
+// as json.Unmarshal decodes it, headers and experiments re-encode to their
+// own bytes, and readJournal and ReplayJournal skip the plan record and
+// end at the truncated line. Only the line with escapes in it and the
+// lines that are not experiments take encoding/json's path.
 func TestJournalLegacyFixture(t *testing.T) {
 	data, err := os.ReadFile(legacyJournal)
 	if err != nil {
@@ -101,14 +99,6 @@ func TestJournalLegacyFixture(t *testing.T) {
 			}
 			if enc := checkEncode(t, &journalRecord{header: &got}); !bytes.Equal(enc, append(line, '\n')) {
 				t.Errorf("line %d: header re-encodes as %s", i+1, enc)
-			}
-		} else if kind == "plan" {
-			var plan planRecord
-			if err := json.Unmarshal(line, &plan); err != nil {
-				t.Fatal(err)
-			}
-			if enc := checkEncode(t, &journalRecord{plan: &plan}); !bytes.Equal(enc, append(line, '\n')) {
-				t.Errorf("line %d: plan re-encodes as %s", i+1, enc)
 			}
 		}
 		if i == 0 {
@@ -305,9 +295,9 @@ func TestJournalDecodeMutations(t *testing.T) {
 // TestJournalFastPathTaken: every experiment record the engine writes —
 // five apps, fixed, per-site with strata, multi-fault and adaptive
 // campaigns — decodes without encoding/json, equals json.Unmarshal's
-// decoding, and re-encodes to its own bytes; a replay of each journal
-// hands encoding/json nothing, and a resume its plan lines and nothing
-// else.
+// decoding, and re-encodes to its own bytes; no journal holds any other
+// line but its header, and neither a replay nor a resume of it hands
+// encoding/json anything.
 func TestJournalFastPathTaken(t *testing.T) {
 	modes := []struct {
 		name string
@@ -319,7 +309,7 @@ func TestJournalFastPathTaken(t *testing.T) {
 		{"adaptive", Sampling{Runs: 40, Seed: 7, TargetCI: 0.3}},
 	}
 	forms := map[string]int{`"Faults":null`: 0, `"HasFit":true`: 0, `"Pattern":`: 0,
-		`"points":`: 0, `"spread":`: 0, `"structCML":`: 0, `"kind":"plan"`: 0}
+		`"points":`: 0, `"spread":`: 0, `"structCML":`: 0}
 	defer func() {
 		for form, n := range forms {
 			if n == 0 {
@@ -345,7 +335,7 @@ func TestJournalFastPathTaken(t *testing.T) {
 				for form := range forms {
 					forms[form] += bytes.Count(data, []byte(form))
 				}
-				exps, others := 0, uint64(0)
+				exps := 0
 				for i, line := range journalLines(data)[1:] {
 					before := JournalFallbacks()
 					rec, err := checkDecode(t, line)
@@ -353,8 +343,7 @@ func TestJournalFastPathTaken(t *testing.T) {
 						t.Fatalf("line %d does not decode: %v", i+2, err)
 					}
 					if rec.Kind != "exp" {
-						others++
-						continue
+						t.Fatalf("line %d is a %q record", i+2, rec.Kind)
 					}
 					exps++
 					if JournalFallbacks() != before {
@@ -379,8 +368,8 @@ func TestJournalFastPathTaken(t *testing.T) {
 				if _, err := RunCampaign(cfg); err != nil {
 					t.Fatal(err)
 				}
-				if d := JournalFallbacks() - before; d != others {
-					t.Errorf("resume sent %d lines to encoding/json, want the %d plan lines", d, others)
+				if d := JournalFallbacks() - before; d != 0 {
+					t.Errorf("resume sent %d lines to encoding/json, want none", d)
 				}
 			})
 		}

@@ -556,10 +556,7 @@ func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matr
 	if m.shards > 1 || m.workers > 1 {
 		return got
 	}
-	// A resumed adaptive campaign journals the planner's decision for the
-	// rest of its interrupted round once more, an audit record.
-	audit := m.resume == resumeStopped && m.sampling == sampleAdaptive
-	want, have := withoutPlans(journalLines(ref.journal), audit), withoutPlans(journalLines(got.journal), audit)
+	want, have := journalLines(ref.journal), journalLines(got.journal)
 	if len(want) != len(have) {
 		t.Errorf("%s: checkpoint journal holds %d lines, the reference's %d", label, len(have), len(want))
 		return got
@@ -571,12 +568,6 @@ func checkRow(t testing.TB, m execMode, app apps.App, seed uint64, refs map[matr
 		}
 	}
 	return got
-}
-
-// withoutPlans drops the planner's audit records from journal lines when
-// drop is set.
-func withoutPlans(lines [][]byte, drop bool) [][]byte {
-	return slices.DeleteFunc(lines, func(l []byte) bool { return drop && bytes.HasPrefix(l, []byte(`{"kind":"plan"`)) })
 }
 
 // checkRuns requires every experiment got executed to have the reference's

@@ -20,9 +20,8 @@ import (
 // xrand.At(Seed, i)). Worker counts, completion order, and kill/resume
 // boundaries therefore cannot change a single decision: a resumed campaign
 // re-derives the very round sequence the killed one ran, skips the
-// journaled experiments, and continues byte-identically. The planner's
-// decisions are journaled as "plan" records for audit; resume does not
-// need them.
+// journaled experiments, and continues byte-identically. The journal
+// therefore holds experiments alone, never the decisions.
 //
 // The policy is split from the engine so a coordinator can run the same
 // decisions over remote workers: it consumes only (stratum, outcome)
@@ -52,9 +51,8 @@ func adaptiveRoundSize(budget int) int {
 
 // roundAlloc is one stratum's slice of a planner round.
 type roundAlloc struct {
-	Stratum int    `json:"stratum"`
-	Label   string `json:"label"`
-	IDs     []int  `json:"ids"`
+	Stratum int
+	IDs     []int
 }
 
 // adaptivePolicy is the pure decision core: per-stratum ID pools in
@@ -62,7 +60,6 @@ type roundAlloc struct {
 // allocator. It never executes anything.
 type adaptivePolicy struct {
 	target    float64
-	phases    int
 	roundSize int
 	// pools hold each stratum's not-yet-dispatched IDs, ascending.
 	pools map[int][]int
@@ -78,7 +75,6 @@ type adaptivePolicy struct {
 func newAdaptivePolicy(cfg CampaignConfig, ids []int, strata *Strata, sites []uint64) *adaptivePolicy {
 	p := &adaptivePolicy{
 		target:    cfg.TargetCI,
-		phases:    strata.Phases,
 		roundSize: adaptiveRoundSize(len(ids)),
 		pools:     make(map[int][]int),
 		tallies:   make(map[int]classify.Tally),
@@ -193,11 +189,7 @@ func (p *adaptivePolicy) nextRound() []roundAlloc {
 		pool := p.pools[o.stratum]
 		take := append([]int(nil), pool[:quota[i]]...)
 		p.pools[o.stratum] = pool[quota[i]:]
-		out = append(out, roundAlloc{
-			Stratum: o.stratum,
-			Label:   StratumLabel(o.stratum, p.phases),
-			IDs:     take,
-		})
+		out = append(out, roundAlloc{Stratum: o.stratum, IDs: take})
 	}
 	return out
 }
@@ -219,10 +211,10 @@ func (p *adaptivePolicy) fold(round []roundAlloc, outcomes map[int]classify.Outc
 // outcomes back, repeat until every stratum meets the target CI or runs
 // dry. Replayed journal records participate exactly like live runs — their
 // outcomes are pure functions of the seed, so the re-derived decision
-// sequence matches the one the killed campaign journaled.
+// sequence matches the one the killed campaign ran.
 func (e *campaignEngine) runAdaptive(ids []int) error {
 	pol := newAdaptivePolicy(e.cfg, ids, e.strata, e.part.GoldenSites)
-	for round := 1; ; round++ {
+	for {
 		allocs := pol.nextRound()
 		if allocs == nil {
 			e.part.AdaptiveDone = true
@@ -237,18 +229,8 @@ func (e *campaignEngine) runAdaptive(ids []int) error {
 			}
 		}
 		sort.Ints(torun)
-		if len(torun) > 0 {
-			// Journal the decision before acting on it. Rounds fully
-			// replayed from the journal are not re-recorded: their plan
-			// lines were written by the process that ran them.
-			if e.journal != nil {
-				if err := e.journal.appendPlan(round, e.cfg.TargetCI, allocs, torun); err != nil {
-					return fmt.Errorf("harness: checkpoint plan append: %w", err)
-				}
-			}
-			if err := e.runIDs(torun); err != nil {
-				return err
-			}
+		if err := e.runIDs(torun); err != nil {
+			return err
 		}
 		if e.halted {
 			// Interrupted mid-round: AdaptiveDone stays false, the caller

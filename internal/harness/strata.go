@@ -88,7 +88,7 @@ func (s *Strata) StratumOf(plan inject.Plan) int {
 	return 1 + classBucket(class)*s.Phases + phase
 }
 
-// StratumLabel names a stratum index for reports and journals, e.g.
+// StratumLabel names a stratum index for reports, e.g.
 // "arith/p2" (arithmetic consumers, third execution phase) or "none".
 func StratumLabel(stratum, phases int) string {
 	if stratum <= 0 || phases <= 0 {

@@ -275,7 +275,9 @@ type JobStatus struct {
 	// archive entry Fingerprint names, byte-identical to the original
 	// run's for as long as that entry exists.
 	CacheHit bool `json:"cacheHit,omitempty"`
-	// Progress is a live snapshot, present while the job runs.
+	// Progress is a live snapshot while the job runs. A campaign that ran
+	// to done keeps its last, across restarts too: its resumed count,
+	// golden exits and rate (a cache hit ran nothing and has none).
 	Progress *harness.Snapshot `json:"progress,omitempty"`
 	// Tally and FPS summarize a done job (the full CampaignResult is at
 	// /v1/jobs/{id}/result; shard jobs expose /v1/jobs/{id}/partial and
@@ -368,7 +370,9 @@ type Metrics struct {
 	// JobSlots and WorkerPool echo the daemon's configured capacity.
 	JobSlots   int `json:"jobSlots"`
 	WorkerPool int `json:"workerPool"`
-	// WorkersBusy counts experiments executing right now across all jobs.
+	// WorkersBusy counts experiments executing right now on this daemon,
+	// across all jobs: the worker pool's tokens held. A coordinated job's
+	// shards execute on its peers and count there.
 	WorkersBusy int `json:"workersBusy"`
 	// Utilization is WorkersBusy over WorkerPool, in [0, 1].
 	Utilization float64 `json:"utilization"`

@@ -443,8 +443,8 @@ func codecFallbacks(t *testing.T, d *testDaemon) map[string]float64 {
 }
 
 // TestCacheHitTakesEveryFastPath: serving a hit of engine-written bytes —
-// an adaptive, per-site, stratified campaign, whose journal holds plan
-// records too — hands nothing to encoding/json's fallbacks. Every
+// an adaptive, per-site, stratified campaign — hands nothing to
+// encoding/json's fallbacks. Every
 // faultpropd_codec_fallbacks_total series stays where it was through the
 // submit, the watch, the result and the archive entry. The counters are
 // process-wide, and client and daemon share this process.

@@ -408,21 +408,22 @@ func (c *Client) watchOnce(ctx context.Context, id string, fn func(Event) error)
 }
 
 // Run is the full lifecycle in one call: submit the spec, watch its stream
-// (fn may be nil), and fetch the final result. A cancelled ctx leaves the
-// job running on the daemon — cancel it explicitly for teardown. A job
-// that settles as failed or cancelled returns an error carrying the
-// terminal status.
-func (c *Client) Run(ctx context.Context, spec JobSpec, fn func(Event) error) (*harness.CampaignResult, error) {
+// (fn may be nil), and fetch the final result, returned with the job's
+// terminal status. A cancelled ctx leaves the job running on the daemon —
+// cancel it explicitly for teardown. A job that settles as failed or
+// cancelled returns an error carrying the terminal status.
+func (c *Client) Run(ctx context.Context, spec JobSpec, fn func(Event) error) (*harness.CampaignResult, JobStatus, error) {
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	final, err := c.Watch(ctx, st.ID, fn)
 	if err != nil {
-		return nil, err
+		return nil, final, err
 	}
 	if final.State != StateDone {
-		return nil, fmt.Errorf("client: job %s settled as %s: %s", st.ID, final.State, final.Error)
+		return nil, final, fmt.Errorf("client: job %s settled as %s: %s", st.ID, final.State, final.Error)
 	}
-	return c.Result(ctx, st.ID)
+	res, err := c.Result(ctx, st.ID)
+	return res, final, err
 }

@@ -333,6 +333,55 @@ func TestShardSubmitCarriesTenant(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBusyWithinPool: a coordinated job's shards execute on
+// its peers and hold none of the coordinator's workers, so however many
+// are in flight the coordinator's workersBusy stays within its pool and
+// its utilization within [0, 1]. Counting a job's in-flight shards as busy
+// workers read two busy workers of a pool of one here.
+func TestCoordinatorBusyWithinPool(t *testing.T) {
+	fleet, urls := startWorkerFleet(t, 2)
+	var release []func()
+	for _, w := range fleet {
+		release = append(release, w.srv.HoldDispatch())
+	}
+	coord := startDaemon(t, t.TempDir(), service.Config{
+		WorkerPool: 1, ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond, Peers: urls})
+	ctx := context.Background()
+	st, err := coord.c.Submit(ctx, service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		js, err := coord.c.Job(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.Progress != nil && js.Progress.Running == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the job's two shards were never in flight together; last status %+v", js)
+		}
+	}
+	m, err := coord.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.WorkersBusy > m.WorkerPool || m.Utilization > 1 {
+		t.Errorf("workersBusy %d of a pool of %d (utilization %v) with the job's shards on its peers",
+			m.WorkersBusy, m.WorkerPool, m.Utilization)
+	}
+	if v, ok := promValue(t, fetchProm(t, coord.http.URL), "faultpropd_workers_busy"); !ok || v > 1 {
+		t.Errorf("faultpropd_workers_busy %v (found %v), want at most the pool of 1", v, ok)
+	}
+	for _, r := range release {
+		r()
+	}
+	if final := waitDone(t, coord.c, st.ID); final.State != service.StateDone {
+		t.Fatalf("coordinated job settled as %s: %s", final.State, final.Error)
+	}
+}
+
 // TestCompatRedirectsGone pins the removal of the pre-versioning
 // /api/v1/* redirects: they were promised for one release (PR 4) and
 // that release has passed, so legacy paths now 404 instead of silently

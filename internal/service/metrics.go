@@ -11,10 +11,14 @@ import (
 func (s *Server) Metrics() Metrics {
 	queued, running := s.sched.counts()
 	m := Metrics{
-		QueueDepth:   queued,
-		RunningJobs:  running,
-		JobSlots:     s.cfg.JobSlots,
-		WorkerPool:   s.cfg.WorkerPool,
+		QueueDepth:  queued,
+		RunningJobs: running,
+		JobSlots:    s.cfg.JobSlots,
+		WorkerPool:  s.cfg.WorkerPool,
+		// A worker is busy while it holds a token of the shared gate.
+		// A coordinated job's progress counts its remote shards in
+		// flight, which take none.
+		WorkersBusy:  cap(s.gate) - len(s.gate),
 		StreamDrops:  s.obs.streamDrops.Value(),
 		CacheHits:    s.obs.cacheHits.Value(),
 		CacheMisses:  s.obs.cacheMisses.Value(),
@@ -43,15 +47,14 @@ func (s *Server) Metrics() Metrics {
 			Resumed:  st.Resumed,
 		}
 		switch {
+		case st.Tally != nil:
+			jm.Done = st.Tally.Total
+			outcomes = st.Tally.Counts
 		case st.Progress != nil:
 			jm.Done = st.Progress.Done
 			jm.RunsPerSec = st.Progress.RunsPerSec
 			outcomes = st.Progress.Outcomes
-			m.WorkersBusy += st.Progress.Running
 			m.RunsPerSec += st.Progress.RunsPerSec
-		case st.Tally != nil:
-			jm.Done = st.Tally.Total
-			outcomes = st.Tally.Counts
 		}
 		for o := 0; o < classify.NumOutcomes; o++ {
 			if outcomes[o] > 0 {

@@ -124,7 +124,7 @@ func newServerObs() *serverObs {
 		{"event", eventFallbacks.Load},
 	} {
 		reg.CounterFunc("faultpropd_codec_fallbacks_total",
-			"Documents a hand-written decoder handed to encoding/json, by codec: journal records (resume), journal replays (event streams), result documents, stream events. Adaptive plan records are the journal codec's by design; anything else above 0 is input no engine or daemon wrote.",
+			"Documents a hand-written decoder handed to encoding/json, by codec: journal records (resume), journal replays (event streams), result documents, stream events. Above 0 is input no engine or daemon of this build wrote.",
 			c.count, obs.L("codec", c.name))
 	}
 	for _, m := range []string{"GET", "POST", "DELETE"} {

@@ -501,14 +501,15 @@ func (s *Server) runJob(j *job) {
 		res, err := s.runCoordinated(ctx, j, st)
 		j.mu.Lock()
 		j.cancel = nil
-		if j.coordProg != nil {
-			j.status.Resumed = j.coordProg.Resumed
+		final := j.coordProg
+		if final != nil {
+			j.status.Resumed = final.Resumed
 		}
 		reason := j.reason
 		j.mu.Unlock()
 		switch {
 		case err == nil:
-			s.finish(j, res)
+			s.finish(j, res, final)
 		case errors.Is(err, harness.ErrInterrupted) && reason != stopNone:
 			s.settleStopped(j, reason, err)
 		default:
@@ -590,9 +591,10 @@ func (s *Server) runJob(j *job) {
 	}
 	close(tickDone)
 
+	final := prog.Snapshot()
 	j.mu.Lock()
 	j.cancel = nil
-	j.status.Resumed = prog.Snapshot().Resumed
+	j.status.Resumed = final.Resumed
 	reason := j.reason
 	j.mu.Unlock()
 
@@ -600,7 +602,7 @@ func (s *Server) runJob(j *job) {
 	case err == nil && part != nil:
 		s.finishPartial(j, part)
 	case err == nil:
-		s.finish(j, res)
+		s.finish(j, res, &final)
 	case errors.Is(err, harness.ErrInterrupted) && reason != stopNone:
 		s.settleStopped(j, reason, err)
 	default:
@@ -608,13 +610,14 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// finish records a successful campaign: result persisted, status done,
-// result event streamed, stream closed, and the result committed to the
-// campaign archive (when one is configured) under the job's cache key.
+// finish records a successful campaign: result persisted, status done
+// with final, the campaign's last progress snapshot, result event
+// streamed, stream closed, and the result committed to the campaign
+// archive (when one is configured) under the job's cache key.
 // The result is marshalled exactly once — the bytes in the job store, the
 // bytes in the archive and the bytes GET result sends are the same bytes,
 // which is what makes a later cache hit provably byte-identical.
-func (s *Server) finish(j *job, res *harness.CampaignResult) {
+func (s *Server) finish(j *job, res *harness.CampaignResult, final *harness.Snapshot) {
 	data, err := json.Marshal(res)
 	if err != nil {
 		s.fail(j, fmt.Errorf("service: store result: %w", err))
@@ -630,6 +633,7 @@ func (s *Server) finish(j *job, res *harness.CampaignResult) {
 	j.mu.Unlock()
 	st.State = StateDone
 	st.Finished = time.Now().UTC()
+	st.Progress = final
 	st.Tally = &tally
 	st.FPS = res.Model.FPS
 	st.Strata = res.Strata

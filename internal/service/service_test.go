@@ -124,7 +124,7 @@ func TestTransportDeterminism(t *testing.T) {
 	d := startDaemon(t, t.TempDir(), service.Config{JobSlots: 1})
 	var streamed *service.Event
 	experiments := 0
-	remote, err := d.c.Run(context.Background(), spec, func(ev service.Event) error {
+	remote, _, err := d.c.Run(context.Background(), spec, func(ev service.Event) error {
 		switch ev.Kind {
 		case service.EventExperiment:
 			experiments++

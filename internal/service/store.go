@@ -96,10 +96,13 @@ func (s *Store) resultPath(id string) string {
 	return filepath.Join(s.dir, "job-"+id+".result.json")
 }
 
-// SaveStatus atomically replaces the job's status record. Live-only fields
-// (Progress) are stripped: they are meaningless across a restart.
+// SaveStatus atomically replaces the job's status record. Progress is
+// kept only on a done status, whose last snapshot no longer changes; a
+// live one is meaningless across a restart.
 func (s *Store) SaveStatus(st JobStatus) error {
-	st.Progress = nil
+	if st.State != StateDone {
+		st.Progress = nil
+	}
 	data, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
 		return fmt.Errorf("service: store: %w", err)
