@@ -395,12 +395,6 @@ func (a *Archive) readManifest(fp string) (dir string, m *manifest, err error) {
 	return dir, m, nil
 }
 
-// Has reports whether a verified entry exists for the fingerprint.
-func (a *Archive) Has(fp string) bool {
-	_, err := a.Get(fp)
-	return err == nil
-}
-
 // Remove deletes one entry (corrupt-entry eviction, or operator cleanup).
 // Removing a missing entry is a no-op.
 func (a *Archive) Remove(fp string) error {

@@ -154,9 +154,9 @@ func (r Retention) Validate() error {
 
 // Persistence groups the checkpoint-journal settings.
 type Persistence struct {
-	// Checkpoint, when set, journals every completed experiment (and, for
-	// adaptive campaigns, every planner decision) to this JSONL path so a
-	// killed campaign can be resumed.
+	// Checkpoint, when set, journals every completed experiment to this
+	// JSONL path, behind one header record, so a killed campaign can be
+	// resumed.
 	Checkpoint string
 	// Resume replays the Checkpoint journal, skipping already-completed
 	// experiments. The journal must have been written by a campaign with

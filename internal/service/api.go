@@ -250,8 +250,11 @@ type JobStatus struct {
 	// to tell a retryable worker failure from a fatal one (e.g.
 	// "fingerprint_mismatch") without string matching.
 	ErrorCode string `json:"errorCode,omitempty"`
-	// Resumed counts experiments replayed from the checkpoint journal the
-	// last time the job (re)started — nonzero after a daemon restart.
+	// Resumed counts the experiments the job's last (re)start did not
+	// execute: for a whole or shard job, those replayed from its checkpoint
+	// journal; for a coordinated job, those its parked shard partials and
+	// its family seed cover. Nonzero after a daemon restart or a seeding
+	// from the archive; it equals Progress.Resumed.
 	Resumed int `json:"resumed,omitempty"`
 	// Trace is the job's span ID: taken from the submitter's
 	// X-Faultprop-Trace header when present (so one trace follows a

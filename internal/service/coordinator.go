@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -33,8 +34,9 @@ import (
 // explicit-ID shard specs, and each round's merged per-stratum tallies
 // steer the next round's allocation.
 //
-// The coordinator publishes merged progress events on the job's stream,
-// so watchers see one campaign, not N shards.
+// The coordinator is a runner like the local one: it returns the job's
+// merged partial, and its job's one progress source is the shardProgress
+// it keeps, so watchers see one campaign, not N shards.
 
 // maxShardAttempts bounds re-dispatches of one shard before the whole job
 // fails: transient worker deaths retry, a systematically failing shard
@@ -79,9 +81,10 @@ type shardOutcome struct {
 }
 
 // runCoordinated executes a Shards > 1 job by decomposition: it returns
-// the merged result, or an error (wrapping ErrInterrupted for
-// cancel/drain, like the local path, so runJob's settlement logic treats
-// both transports identically).
+// the merged partial, or an error (wrapping ErrInterrupted for
+// cancel/drain, like the local path), and runJob settles it as it settles
+// a local run. prog is the job's progress: what the seed and the parked
+// and fetched shards cover, plus what in-flight shards have reported.
 //
 // The campaign runs as a sequence of shard rounds. A fixed plan is one
 // round, PlanShards over [0, Runs). An adaptive job has a round per planner
@@ -97,7 +100,7 @@ type shardOutcome struct {
 // spec index for a fixed plan. On coordinator restart the plan (and the
 // planner, fed the parked partials) re-derives the identical round
 // sequence, and only what is missing is dispatched.
-func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*harness.CampaignResult, error) {
+func (s *Server) runCoordinated(ctx context.Context, st JobStatus, prog *shardProgress) (*harness.PartialResult, error) {
 	cfg, err := st.Spec.CampaignConfig()
 	if err != nil {
 		return nil, err
@@ -109,10 +112,10 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 		}
 	}
 	fingerprint := cfg.Fingerprint()
-	var acc *harness.PartialResult // the seed, and every finished round, merged
-	resumedRuns := 0
-	if seed := s.coordinatedSeed(st, cfg); seed != nil {
-		acc, resumedRuns = seed, seed.Tally.Total
+	prog.begin(cfg.Runs)
+	acc := s.coordinatedSeed(st, cfg) // the seed, and every finished round, merged
+	if acc != nil {
+		prog.resume(acc)
 	}
 	nextRound := func(round int) ([]harness.ShardSpec, error) {
 		switch {
@@ -126,7 +129,6 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 		return harness.PlanShards(cfg, st.Spec.Shards)
 	}
 
-	started := time.Now()
 	for round := 1; ; round++ {
 		specs, err := nextRound(round)
 		if err != nil {
@@ -145,7 +147,7 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 			// re-dispatched.
 			if p, err := s.store.LoadPartial(s.store.ShardPartialPath(st.ID, key)); err == nil && p.Fingerprint == fingerprint {
 				parts[i] = p
-				resumedRuns += specs[i].Size()
+				prog.resume(p)
 				continue
 			}
 			pending = append(pending, &shardTask{spec: specs[i], key: key, slot: i})
@@ -154,27 +156,9 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 			parts[t.slot] = part
 			return s.store.SavePartial(s.store.ShardPartialPath(st.ID, t.key), part)
 		}
-		base := func() harness.Snapshot {
-			snap := harness.Snapshot{Total: cfg.Runs, Resumed: resumedRuns}
-			fold := func(p *harness.PartialResult) {
-				if p == nil {
-					return
-				}
-				snap.Done += p.Tally.Total
-				snap.Exited += p.Timings.Exits()
-				for o := range p.Tally.Counts {
-					snap.Outcomes[o] += p.Tally.Counts[o]
-				}
-			}
-			fold(acc)
-			for _, p := range parts {
-				fold(p)
-			}
-			return snap
-		}
 		s.log.Info("shard round", "job", st.ID, "trace", st.Trace,
 			"round", round, "shards", len(specs), "pending", len(pending))
-		if err := s.runShardSet(ctx, j, st, pending, len(specs), started, onDone, base); err != nil {
+		if err := s.runShardSet(ctx, st, pending, len(specs), prog, onDone); err != nil {
 			return nil, err
 		}
 		for _, p := range parts {
@@ -197,13 +181,82 @@ func (s *Server) runCoordinated(ctx context.Context, j *job, st JobStatus) (*har
 	if planner != nil {
 		acc.AdaptiveDone = true
 	}
-	res, err := acc.Finalize()
-	if err != nil {
-		return nil, fmt.Errorf("merge shards: %w", err)
-	}
 	s.log.Info("shards merged", "job", st.ID, "trace", st.Trace,
 		"spent", acc.Tally.Total, "budget", cfg.Runs, "fingerprint", fingerprint)
-	return res, nil
+	return acc, nil
+}
+
+// shardProgress is a coordinated job's progress source. Completed work
+// counts once its partial is in hand — the seed and parked shards as
+// resumed, fetched shards as done — and an in-flight shard counts the
+// experiment events its stream has delivered. Its own lock guards it, so
+// status reads under the job's lock can take a snapshot.
+type shardProgress struct {
+	mu       sync.Mutex
+	started  time.Time
+	settled  harness.Snapshot   // Total, and what completed partials cover
+	inflight map[*shardTask]int // experiments each in-flight shard reported
+}
+
+// begin starts the clock on a campaign of total runs.
+func (p *shardProgress) begin(total int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.started = time.Now()
+	p.settled = harness.Snapshot{Total: total}
+	p.inflight = make(map[*shardTask]int)
+}
+
+// resume counts a partial the job did not execute: its seed, or a shard
+// parked by an earlier run.
+func (p *shardProgress) resume(part *harness.PartialResult) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fold(part)
+	p.settled.Resumed += part.Tally.Total
+}
+
+// report counts task t as in flight, done experiments into it.
+func (p *shardProgress) report(t *shardTask, done int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.inflight[t] = done
+}
+
+// land ends task t's flight; its partial, when it finished, counts as done.
+func (p *shardProgress) land(t *shardTask, part *harness.PartialResult) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.inflight, t)
+	if part != nil {
+		p.fold(part)
+	}
+}
+
+// fold adds a completed partial's counts. Caller holds p.mu.
+func (p *shardProgress) fold(part *harness.PartialResult) {
+	p.settled.Done += part.Tally.Total
+	p.settled.Exited += part.Timings.Exits()
+	for o := range part.Tally.Counts {
+		p.settled.Outcomes[o] += part.Tally.Counts[o]
+	}
+}
+
+func (p *shardProgress) snapshot() harness.Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	snap := p.settled
+	for _, done := range p.inflight {
+		snap.Done += done
+		snap.Running++
+	}
+	if !p.started.IsZero() {
+		snap.Elapsed = time.Since(p.started)
+	}
+	if snap.Elapsed > 0 {
+		snap.RunsPerSec = float64(snap.Done-snap.Resumed) / snap.Elapsed.Seconds()
+	}
+	return snap
 }
 
 // coordinatedSeed returns the seed of a fixed-plan coordinated job: the
@@ -257,65 +310,39 @@ func uncovered(p *harness.PartialResult) []int {
 
 // runShardSet dispatches a set of shard tasks across the registered
 // workers and runs them all to completion. Worker selection, the retry
-// taxonomy, merged-progress publication, and cancel/drain teardown live
-// here, once per round of the campaign's shard plan.
-// onDone persists each fetched partial before the task counts as done;
-// base seeds each progress snapshot with the completed work the caller
-// already tracks (parked shards, earlier rounds); total sizes
-// the set's shard plan for interruption messages.
-func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
-	pending []*shardTask, total int, started time.Time,
-	onDone func(t *shardTask, part *harness.PartialResult) error,
-	base func() harness.Snapshot) error {
+// taxonomy, and cancel/drain teardown live here, once per round of the
+// campaign's shard plan. onDone persists each fetched partial before the
+// task counts as done; prog follows the shards in flight and counts each
+// one that lands; total sizes the set's shard plan for interruption
+// messages.
+func (s *Server) runShardSet(ctx context.Context, st JobStatus,
+	pending []*shardTask, total int, prog *shardProgress,
+	onDone func(t *shardTask, part *harness.PartialResult) error) error {
 
 	remaining := len(pending)
 
-	// inflight tracks dispatched shards for progress merging and
-	// teardown. The map and the flight fields are guarded by j.mu: the
-	// dispatch goroutines update progress through it while the loop below
-	// reads it.
+	// inflight tracks dispatched shards for teardown. The loop below owns
+	// the map; mu guards the flights' jobID, which the dispatch goroutines
+	// set.
 	type flight struct {
 		worker WorkerInfo
 		jobID  string
-		done   int // experiments the shard's stream has reported
 	}
+	var mu sync.Mutex
 	inflight := make(map[*shardTask]*flight)
 	outcomes := make(chan shardOutcome)
 
-	publishProgress := func() {
-		snap := base()
-		snap.Elapsed = time.Since(started)
-		j.mu.Lock()
-		for _, f := range inflight {
-			snap.Done += f.done
-			snap.Running++
-		}
-		if snap.Elapsed > 0 {
-			snap.RunsPerSec = float64(snap.Done-snap.Resumed) / snap.Elapsed.Seconds()
-		}
-		cp := snap
-		j.coordProg = &cp
-		j.mu.Unlock()
-		j.hub.publish(Event{Kind: EventProgress, Job: st.ID, State: StateRunning, Progress: &snap})
-	}
-
 	dispatch := func(t *shardTask, w WorkerInfo) {
-		j.mu.Lock()
-		inflight[t] = &flight{worker: w}
-		j.mu.Unlock()
+		f := &flight{worker: w}
+		inflight[t] = f
+		prog.report(t, 0)
 		go func() {
 			out := s.runShardOn(ctx, w, st, t, func(done int) {
-				j.mu.Lock()
-				if f := inflight[t]; f != nil {
-					f.done = done
-				}
-				j.mu.Unlock()
+				prog.report(t, done)
 			}, func(jobID string) {
-				j.mu.Lock()
-				if f := inflight[t]; f != nil {
-					f.jobID = jobID
-				}
-				j.mu.Unlock()
+				mu.Lock()
+				f.jobID = jobID
+				mu.Unlock()
 			})
 			select {
 			case outcomes <- out:
@@ -326,8 +353,8 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 		}()
 	}
 
-	// The ticker publishes merged progress and lets re-dispatch backoffs
-	// expire; a finished shard arrives on outcomes without waiting for it.
+	// The ticker lets re-dispatch backoffs expire; a finished shard arrives
+	// on outcomes without waiting for it.
 	tick := time.NewTicker(s.cfg.ProgressEvery)
 	defer tick.Stop()
 
@@ -358,12 +385,12 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 		// remain; a re-dispatch starts a fresh worker job.
 		tctx, tcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer tcancel()
-		j.mu.Lock()
 		var tds []flight
+		mu.Lock()
 		for _, f := range inflight {
 			tds = append(tds, *f)
 		}
-		j.mu.Unlock()
+		mu.Unlock()
 		for _, td := range tds {
 			if td.jobID != "" {
 				_, _ = td.worker.peer.Cancel(tctx, td.jobID) // best effort
@@ -385,11 +412,9 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 			return interrupted()
 		case <-tick.C:
 			assign()
-			publishProgress()
 		case out := <-outcomes:
-			j.mu.Lock()
 			delete(inflight, out.task)
-			j.mu.Unlock()
+			prog.land(out.task, out.partial)
 			s.registry.release(out.worker.Name)
 			switch {
 			case out.err == nil:
@@ -406,7 +431,6 @@ func (s *Server) runShardSet(ctx context.Context, j *job, st JobStatus,
 				_ = s.obs.timings.Merge(out.partial.Timings)
 				s.log.Info("shard done", "job", st.ID, "trace", st.Trace,
 					"shard", out.task.key, "worker", out.worker.Name, "elapsed", out.elapsed)
-				publishProgress()
 			case out.category == CategoryFatal:
 				// Integrity violation (fingerprint mismatch): halt at once —
 				// retrying could silently merge incompatible experiments.

@@ -248,12 +248,17 @@ func TestCrashPointsLocal(t *testing.T) {
 // on; the restarted coordinator must settle the job with the recorded
 // result bytes. A kill before the job's first status record reached disk
 // lost the submission, so the client submits it again, as it would after
-// a failed submit.
+// a failed submit. The restart reports what it did not execute: its
+// terminal status, and the progress it carries, count as resumed exactly
+// the runs of the partials parked on disk, and as done every run, however
+// few shards were left to dispatch. A kill after the done status reached
+// disk leaves nothing to restart, and the recorded status stands.
 func TestCrashPointsCoordinated(t *testing.T) {
 	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2}
 	_, urls := startWorkerFleet(t, 2)
 	cfg := service.Config{ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond, Peers: urls}
 	dir := t.TempDir()
+	var final service.JobStatus
 	run := func() []byte {
 		t.Helper()
 		d := startDaemon(t, dir, cfg)
@@ -268,7 +273,8 @@ func TestCrashPointsCoordinated(t *testing.T) {
 			}
 			id = st.ID
 		}
-		final, err := d.c.Watch(ctx, id, func(service.Event) error { return nil })
+		var err error
+		final, err = d.c.Watch(ctx, id, func(service.Event) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,11 +290,60 @@ func TestCrashPointsCoordinated(t *testing.T) {
 
 	var want []byte
 	ops := recordOps(dir, func() { want = run() })
+	recorded := final.Resumed
 	pts := crashPoints(ops, -1, nil)
 	for _, p := range pts {
 		rebuild(t, dir, ops, p)
+		resumed := recorded
+		if !settledOnDisk(t, dir, "1") {
+			resumed = parkedRuns(t, dir, "1")
+		}
 		checkSameResult(t, p, want, run())
 		checkLogsWhole(t, ops, p)
+		if pr := final.Progress; final.Resumed != resumed || pr == nil || pr.Resumed != resumed || pr.Done != spec.Runs {
+			t.Fatalf("%v: the restart settled with resumed %d and progress %+v, want %d resumed of %d done",
+				p, final.Resumed, pr, resumed, spec.Runs)
+		}
 	}
 	t.Logf("%d ops, %d crash points", len(ops), len(pts))
+}
+
+// settledOnDisk reports whether job id's status record in dir is terminal.
+func settledOnDisk(t *testing.T, dir, id string) bool {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "job-"+id+".json"))
+	if os.IsNotExist(err) {
+		return false
+	}
+	var st service.JobStatus
+	if err == nil {
+		err = json.Unmarshal(data, &st)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.State.Terminal()
+}
+
+// parkedRuns sums the runs covered by the partials parked in dir for job
+// id: its shards' and its seed's.
+func parkedRuns(t *testing.T, dir, id string) int {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "job-"+id+".*.partial.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	for _, path := range paths {
+		var part harness.PartialResult
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &part)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs += part.Tally.Total
+	}
+	return runs
 }

@@ -25,14 +25,13 @@ const (
 type job struct {
 	mu     sync.Mutex
 	status JobStatus
-	prog   *harness.Progress
-	// coordProg is the merged progress of a coordinated (sharded) job,
-	// synthesized by the coordinator from the experiment events of its
-	// shards' streams. Guarded by mu.
-	coordProg *harness.Snapshot
-	hub       *hub
-	cancel    context.CancelFunc
-	reason    stopReason
+	// progress is the running job's one progress source: its campaign's
+	// Progress for a whole or shard job, the merged progress of its shards
+	// for a coordinated one. Set before the job runs; guarded by mu.
+	progress func() harness.Snapshot
+	hub      *hub
+	cancel   context.CancelFunc
+	reason   stopReason
 	// queuedAt is when the job last entered the queue (submission, daemon
 	// restart, or drain requeue); the queue-wait metric measures from here
 	// rather than Created so requeued jobs do not skew it. Guarded by mu.
@@ -52,14 +51,9 @@ func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := j.status
-	if st.State == StateRunning {
-		if j.prog != nil {
-			s := j.prog.Snapshot()
-			st.Progress = &s
-		} else if j.coordProg != nil {
-			s := *j.coordProg
-			st.Progress = &s
-		}
+	if st.State == StateRunning && j.progress != nil {
+		s := j.progress()
+		st.Progress = &s
 	}
 	return st
 }

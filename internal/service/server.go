@@ -332,17 +332,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, ErrJobNotFound
 	}
 	if s.sched.remove(j) {
-		j.mu.Lock()
-		j.status.State = StateCancelled
-		j.status.Finished = time.Now().UTC()
-		st := j.status
-		j.mu.Unlock()
-		if err := s.store.SaveStatus(st); err != nil {
-			return st, err
-		}
-		j.hub.publish(Event{Kind: EventState, Job: st.ID, State: StateCancelled})
-		j.hub.close()
-		return st, nil
+		err := s.record(j, stopped(stopCancel, nil))
+		return j.snapshot(), err
 	}
 	j.requestStop(stopCancel)
 	return j.snapshot(), nil
@@ -452,36 +443,40 @@ func (s *Server) job(id string) *job {
 	return s.jobs[id]
 }
 
-// runJob executes one campaign to completion, cancellation, or drain. It
-// is the scheduler's run callback and runs on a dedicated goroutine.
+// runJob executes one job to its end — done, failed, cancelled, or
+// requeued by a drain — the same way for every kind of job: a whole job,
+// a shard job and a coordinated job each run to a partial through one call,
+// report through one progress source, and settle through settle. It is
+// the scheduler's run callback and runs on a dedicated goroutine.
 func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	coordinated := false
-	var prog *harness.Progress
 
 	j.mu.Lock()
 	// A drain or cancel may have raced dispatch; honor it before starting.
-	if j.reason != stopNone {
-		alreadyStopped := j.reason
+	if reason := j.reason; reason != stopNone {
 		j.mu.Unlock()
-		s.settleStopped(j, alreadyStopped, nil)
+		s.record(j, stopped(reason, nil))
 		return
 	}
 	j.cancel = cancel
-	coordinated = j.status.Spec.Shards > 1
-	if coordinated {
-		// Merged progress arrives through j.coordProg instead.
-		j.prog = nil
-	} else {
-		prog = &harness.Progress{}
-		j.prog = prog
-	}
 	j.status.State = StateRunning
 	j.status.Started = time.Now().UTC()
 	j.status.Error = ""
 	j.status.ErrorCode = ""
 	st := j.status
+	coordinated := st.Spec.Shards > 1
+	var run func(context.Context) (*harness.PartialResult, error)
+	if coordinated {
+		prog := &shardProgress{}
+		j.progress = prog.snapshot
+		run = func(ctx context.Context) (*harness.PartialResult, error) { return s.runCoordinated(ctx, st, prog) }
+	} else {
+		prog := &harness.Progress{}
+		j.progress = prog.Snapshot
+		run = func(ctx context.Context) (*harness.PartialResult, error) { return s.runLocal(ctx, j, st, prog) }
+	}
+	progress := j.progress
 	queuedAt := j.queuedAt
 	j.mu.Unlock()
 
@@ -491,47 +486,49 @@ func (s *Server) runJob(j *job) {
 	s.log.Info("job started", "job", st.ID, "trace", st.Trace,
 		"coordinated", coordinated, "queue_wait", time.Since(queuedAt))
 
-	if err := s.store.SaveStatus(st); err != nil {
-		s.fail(j, fmt.Errorf("persist: %w", err))
-		return
+	var part *harness.PartialResult
+	err := s.store.SaveStatus(st)
+	if err != nil {
+		err = fmt.Errorf("persist: %w", err)
+	} else {
+		j.hub.publish(Event{Kind: EventState, Job: st.ID, State: StateRunning})
+		// One publisher streams every kind of job's progress to watchers.
+		tickDone := make(chan struct{})
+		go func() {
+			t := time.NewTicker(s.cfg.ProgressEvery)
+			defer t.Stop()
+			for {
+				select {
+				case <-t.C:
+					snap := progress()
+					j.hub.publish(Event{Kind: EventProgress, Job: st.ID, State: StateRunning, Progress: &snap})
+				case <-tickDone:
+					return
+				}
+			}
+		}()
+		part, err = run(ctx)
+		close(tickDone)
 	}
-	j.hub.publish(Event{Kind: EventState, Job: st.ID, State: StateRunning})
+	s.settle(j, part, progress(), err)
+}
 
-	if coordinated {
-		res, err := s.runCoordinated(ctx, j, st)
-		j.mu.Lock()
-		j.cancel = nil
-		final := j.coordProg
-		if final != nil {
-			j.status.Resumed = final.Resumed
-		}
-		reason := j.reason
-		j.mu.Unlock()
-		switch {
-		case err == nil:
-			s.finish(j, res, final)
-		case errors.Is(err, harness.ErrInterrupted) && reason != stopNone:
-			s.settleStopped(j, reason, err)
-		default:
-			s.fail(j, err)
-		}
-		return
-	}
-
+// runLocal runs a whole or shard job on this daemon's worker pool: a shard
+// job the experiments of its spec, a whole job [0, Runs). Resume is
+// unconditional: a fresh job has no journal yet (the harness starts one),
+// and a redispatched job replays its completed experiments instead of
+// re-running them. A fresh whole job whose family has a shorter campaign
+// archived starts from that campaign's journal, and executes only the
+// experiments it lacks.
+func (s *Server) runLocal(ctx context.Context, j *job, st JobStatus, prog *harness.Progress) (*harness.PartialResult, error) {
 	cfg, err := st.Spec.CampaignConfig()
 	if err != nil {
-		s.fail(j, err)
-		return
+		return nil, err
 	}
 	cfg.Workers = s.cfg.WorkerPool
 	cfg.Gate = s.gate
 	cfg.Progress = prog
 	cfg.Checkpoint = s.store.JournalPath(st.ID)
-	// Resume is unconditional: a fresh job has no journal yet (the harness
-	// starts one), and a redispatched job replays its completed
-	// experiments instead of re-running them. A fresh job whose family has
-	// a shorter campaign archived starts from that campaign's journal, and
-	// executes only the experiments it lacks.
 	cfg.Resume = true
 	if _, err := os.Stat(cfg.Checkpoint); os.IsNotExist(err) {
 		if src, runs, journal := s.familySource(st, cfg); journal != nil {
@@ -565,167 +562,139 @@ func (s *Server) runJob(j *job) {
 			Resumed: resumed,
 		}})
 	}
-
-	// Periodic progress events for watchers.
-	tickDone := make(chan struct{})
-	go func() {
-		t := time.NewTicker(s.cfg.ProgressEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				snap := prog.Snapshot()
-				j.hub.publish(Event{Kind: EventProgress, Job: st.ID, State: StateRunning, Progress: &snap})
-			case <-tickDone:
-				return
-			}
-		}
-	}()
-
-	var res *harness.CampaignResult
-	var part *harness.PartialResult
+	spec := harness.ShardSpec{Shards: 1, To: cfg.Runs, Runs: cfg.Runs}
 	if st.Spec.Shard != nil {
-		part, err = harness.RunShardContext(ctx, cfg, *st.Spec.Shard)
-	} else {
-		res, err = harness.RunCampaignContext(ctx, cfg)
+		spec = *st.Spec.Shard
 	}
-	close(tickDone)
+	return harness.RunShardContext(ctx, cfg, spec)
+}
 
-	final := prog.Snapshot()
+// settle ends a job's run. A run that returned its partial commits it and
+// the job is done; an interrupted one is cancelled or requeued by its stop
+// reason; any other error fails the job. final is the run's last
+// progress: its Resumed is the job's.
+func (s *Server) settle(j *job, part *harness.PartialResult, final harness.Snapshot, err error) {
 	j.mu.Lock()
 	j.cancel = nil
 	j.status.Resumed = final.Resumed
-	reason := j.reason
+	reason, st := j.reason, j.status
 	j.mu.Unlock()
-
 	switch {
-	case err == nil && part != nil:
-		s.finishPartial(j, part)
 	case err == nil:
-		s.finish(j, res, &final)
+		done, err := s.commit(st, part, final)
+		if err == nil {
+			err = s.record(j, done)
+		}
+		if err != nil {
+			s.record(j, failed(err))
+		}
 	case errors.Is(err, harness.ErrInterrupted) && reason != stopNone:
-		s.settleStopped(j, reason, err)
+		s.record(j, stopped(reason, err))
 	default:
-		s.fail(j, err)
+		s.record(j, failed(err))
 	}
 }
 
-// finish records a successful campaign: result persisted, status done
-// with final, the campaign's last progress snapshot, result event
-// streamed, stream closed, and the result committed to the campaign
-// archive (when one is configured) under the job's cache key.
-// The result is marshalled exactly once — the bytes in the job store, the
-// bytes in the archive and the bytes GET result sends are the same bytes,
-// which is what makes a later cache hit provably byte-identical.
-func (s *Server) finish(j *job, res *harness.CampaignResult, final *harness.Snapshot) {
+// commit persists a finished run's partial where the job's kind is read,
+// and returns the edit that marks the job done. A shard job's partial is
+// parked for its coordinator's fetch (GET /v1/jobs/{id}/partial); it
+// carries no FPS model, which whoever merges the shards fits. Any other
+// job's partial finalizes into its result, and its done status keeps
+// final as its progress. The result is marshalled exactly once — the
+// bytes in the job store, the bytes in the archive and the bytes GET
+// result sends are the same bytes, which is what makes a later cache hit
+// provably byte-identical — and it is archived before the done status
+// becomes visible: a client that polls the job to completion and
+// immediately resubmits the same spec must find the entry.
+func (s *Server) commit(st JobStatus, part *harness.PartialResult, final harness.Snapshot) (func(*JobStatus), error) {
+	// The status keeps a copy of the tally, not a pointer into the result
+	// it would then hold in memory for as long as the job is listed.
+	tally := part.Tally
+	if st.Spec.Shard != nil {
+		if err := s.store.SavePartial(s.store.partialPath(st.ID), part); err != nil {
+			return nil, err
+		}
+		return func(st *JobStatus) {
+			st.State, st.Finished, st.Tally = StateDone, time.Now().UTC(), &tally
+		}, nil
+	}
+	res, err := part.Finalize()
+	if err != nil {
+		return nil, err
+	}
 	data, err := json.Marshal(res)
 	if err != nil {
-		s.fail(j, fmt.Errorf("service: store result: %w", err))
-		return
+		return nil, fmt.Errorf("service: store result: %w", err)
 	}
-	if err := s.store.SaveResultBytes(j.status.ID, data); err != nil {
-		s.fail(j, err)
-		return
+	if err := s.store.SaveResultBytes(st.ID, data); err != nil {
+		return nil, err
 	}
-	tally := res.Tally
-	j.mu.Lock()
-	st := j.status
-	j.mu.Unlock()
-	st.State = StateDone
-	st.Finished = time.Now().UTC()
-	st.Progress = final
-	st.Tally = &tally
-	st.FPS = res.Model.FPS
-	st.Strata = res.Strata
-	// Archive before the done status becomes visible (in memory or on
-	// disk): a client that polls the job to completion and immediately
-	// resubmits the same spec must find the entry — flipping the status
-	// first would open a cache-miss window.
 	s.archiveResult(st, res, data)
-	j.mu.Lock()
-	j.status = st
-	j.mu.Unlock()
-	if err := s.store.SaveStatus(st); err != nil {
-		s.fail(j, err)
-		return
-	}
-	j.hub.publish(Event{Kind: EventResult, Job: st.ID, State: StateDone, Tally: &tally, FPS: st.FPS})
-	j.hub.close()
-	s.log.Info("job done", "job", st.ID, "trace", st.Trace,
-		"runs", tally.Total, "elapsed", st.Finished.Sub(st.Started))
+	return func(st *JobStatus) {
+		st.State, st.Finished, st.Progress = StateDone, time.Now().UTC(), &final
+		st.Tally, st.FPS, st.Strata = &tally, res.Model.FPS, res.Strata
+	}, nil
 }
 
-// finishPartial records a successful shard job: the mergeable partial is
-// persisted where the coordinator's fetch (GET /v1/jobs/{id}/partial)
-// finds it, the status goes done, and the stream closes. No FPS model is
-// attached — fits are recomputed by whoever merges the shards.
-func (s *Server) finishPartial(j *job, part *harness.PartialResult) {
-	if err := s.store.SavePartial(s.store.partialPath(j.status.ID), part); err != nil {
-		s.fail(j, err)
-		return
+// stopped is the status edit of a job a stop reason ended: a client cancel
+// is terminal, a drain returns the job to the queue so the next daemon
+// start resumes it from its journal.
+func stopped(reason stopReason, cause error) func(*JobStatus) {
+	return func(st *JobStatus) {
+		if reason == stopCancel {
+			st.State, st.Finished = StateCancelled, time.Now().UTC()
+		} else {
+			st.State, st.Started, st.Finished = StateQueued, time.Time{}, time.Time{}
+		}
+		if cause != nil {
+			st.Error = cause.Error()
+		}
 	}
-	tally := part.Tally
-	j.mu.Lock()
-	j.status.State = StateDone
-	j.status.Finished = time.Now().UTC()
-	j.status.Tally = &tally
-	st := j.status
-	j.mu.Unlock()
-	if err := s.store.SaveStatus(st); err != nil {
-		s.fail(j, err)
-		return
-	}
-	j.hub.publish(Event{Kind: EventResult, Job: st.ID, State: StateDone, Tally: &tally})
-	j.hub.close()
-	s.log.Info("shard job done", "job", st.ID, "trace", st.Trace,
-		"runs", tally.Total, "elapsed", st.Finished.Sub(st.Started))
 }
 
-// settleStopped resolves an interrupted job: a client cancel is terminal,
-// a drain returns the job to the queue so the next daemon start resumes
-// it from its journal.
-func (s *Server) settleStopped(j *job, reason stopReason, cause error) {
+// failed is the status edit of a failed job. The wire code of the cause
+// (when it has one) lands in ErrorCode, so a coordinator reading a failed
+// shard job's status can tell fatal causes from transient ones without
+// string matching.
+func failed(err error) func(*JobStatus) {
+	return func(st *JobStatus) {
+		st.State, st.Finished = StateFailed, time.Now().UTC()
+		st.Error, st.ErrorCode = err.Error(), ErrorCode(err)
+	}
+}
+
+// record applies edit to j's status and makes the new state known, the
+// one way for every state a job settles in: the status persisted and
+// logged, announced on the job's stream — a done job's tally, any other
+// state's error — and the stream closed once the state is terminal. A
+// done status that did not persist is not announced: it must not look
+// like success, and the caller fails the job instead. Any other state
+// stands in memory whether or not it persisted.
+func (s *Server) record(j *job, edit func(*JobStatus)) error {
 	j.mu.Lock()
-	if reason == stopCancel {
-		j.status.State = StateCancelled
-		j.status.Finished = time.Now().UTC()
-	} else {
-		j.status.State = StateQueued
-		j.status.Started = time.Time{}
-		j.status.Finished = time.Time{}
-	}
-	if cause != nil {
-		j.status.Error = cause.Error()
-	}
+	edit(&j.status)
 	st := j.status
 	j.mu.Unlock()
-	// Persistence failure here must not look like success; surface it in
-	// the stored record on the next save, but keep the in-memory state.
-	_ = s.store.SaveStatus(st)
-	j.hub.publish(Event{Kind: EventState, Job: st.ID, State: st.State, Error: st.Error})
+	err := s.store.SaveStatus(st)
+	ev := Event{Kind: EventState, Job: st.ID, State: st.State, Error: st.Error}
+	attrs := []any{"job", st.ID, "trace", st.Trace}
+	switch st.State {
+	case StateDone:
+		if err != nil {
+			return err
+		}
+		ev = Event{Kind: EventResult, Job: st.ID, State: st.State, Tally: st.Tally, FPS: st.FPS}
+		s.log.Info("job done", append(attrs, "runs", st.Tally.Total, "elapsed", st.Finished.Sub(st.Started))...)
+	case StateFailed:
+		s.log.Error("job failed", append(attrs, "err", st.Error, "code", st.ErrorCode)...)
+	case StateCancelled:
+		s.log.Info("job cancelled", attrs...)
+	default:
+		s.log.Info("job requeued by drain", attrs...)
+	}
+	j.hub.publish(ev)
 	if st.State.Terminal() {
 		j.hub.close()
-		s.log.Info("job cancelled", "job", st.ID, "trace", st.Trace)
-	} else {
-		s.log.Info("job requeued by drain", "job", st.ID, "trace", st.Trace)
 	}
-}
-
-// fail marks a job failed. The wire code of the cause (when it has one)
-// lands in JobStatus.ErrorCode, so a coordinator reading a failed shard
-// job's status can tell fatal causes from transient ones without string
-// matching.
-func (s *Server) fail(j *job, err error) {
-	j.mu.Lock()
-	j.status.State = StateFailed
-	j.status.Finished = time.Now().UTC()
-	j.status.Error = err.Error()
-	j.status.ErrorCode = ErrorCode(err)
-	st := j.status
-	j.mu.Unlock()
-	_ = s.store.SaveStatus(st)
-	j.hub.publish(Event{Kind: EventState, Job: st.ID, State: StateFailed, Error: st.Error})
-	j.hub.close()
-	s.log.Error("job failed", "job", st.ID, "trace", st.Trace,
-		"err", st.Error, "code", st.ErrorCode)
+	return err
 }
