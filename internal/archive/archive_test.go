@@ -423,3 +423,102 @@ func TestFamilySource(t *testing.T) {
 	}
 	check("reopened", 100, "f20")
 }
+
+// TestCRCSumKnownInputs pins the manifest's checksum: CRC-32C (Castagnoli)
+// then IEEE CRC-32, each as 8 hex digits, on inputs whose CRCs an
+// independent bitwise implementation computed. A change of polynomial,
+// of their order or of byte order fails here rather than evicting every
+// archived entry.
+func TestCRCSumKnownInputs(t *testing.T) {
+	long := make([]byte, 100000)
+	for i := range long {
+		long[i] = byte(i * 7 % 251)
+	}
+	block := make([]byte, 1024)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	for _, tc := range []struct {
+		in   []byte
+		want string
+	}{
+		{nil, "0000000000000000"},
+		{[]byte("a"), "c1d04330e8b7be43"},
+		{[]byte("123456789"), "e3069283cbf43926"},
+		{[]byte("The quick brown fox jumps over the lazy dog"), "22620404414fa339"},
+		{[]byte(`{"kind":"header","version":2}` + "\n"), "e60d81e94c3bfe93"},
+		{block, "2cdf6e8fb70b4c26"},
+		{long, "ef3b5935b0a8c3cd"},
+	} {
+		if got := crcSum(tc.in); got != tc.want {
+			t.Errorf("crcSum of %d bytes %.20q = %s, want %s", len(tc.in), tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestPutWritesCRCSums: a new manifest records each file's size and CRC
+// sum under "crc", and no FNV-64a "sum".
+func TestPutWritesCRCSums(t *testing.T) {
+	a := mustOpen(t)
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(journal, []byte("{\"kind\":\"header\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	result := []byte(`{"app":"LULESH"}`)
+	if err := a.Put(testMeta("crc"), result, journal); err != nil {
+		t.Fatal(err)
+	}
+	_, m, err := a.readManifest("crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]fileSum{
+		ResultFile:  {Bytes: int64(len(result)), CRC: crcSum(result)},
+		JournalFile: {Bytes: 18, CRC: crcSum([]byte("{\"kind\":\"header\"}\n"))},
+	}
+	if fmt.Sprint(m.Files) != fmt.Sprint(want) {
+		t.Errorf("manifest files %+v, want %+v", m.Files, want)
+	}
+}
+
+// TestLegacySumVerifies: an entry whose manifest carries the FNV-64a
+// "sum" older builds wrote is served, verified against that sum; the
+// same entry with one payload byte flipped is ErrCorrupt.
+func TestLegacySumVerifies(t *testing.T) {
+	a := mustOpen(t)
+	result, journal := []byte(`{"app":"LULESH","runs":14}`), []byte("{\"kind\":\"header\"}\n")
+	dir := a.entryDir("legacy")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := fmt.Sprintf(`{"fingerprint":"legacy","app":"LULESH","runs":14,"seed":5,"archived":"2026-08-08T12:00:00Z",`+
+		`"files":{"result.json":{"bytes":%d,"sum":"%s"},"journal.jsonl":{"bytes":%d,"sum":"%s"}}}`,
+		len(result), fnvSum(result), len(journal), fnvSum(journal))
+	for name, data := range map[string][]byte{manifestFile: []byte(manifest), ResultFile: result, JournalFile: journal} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := a.Get("legacy")
+	if err != nil || !bytes.Equal(rec.Result, result) || !bytes.Equal(rec.Journal, journal) {
+		t.Fatalf("Get of a legacy entry = %v, want its bytes", err)
+	}
+	for _, name := range []string{ResultFile, JournalFile} {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := bytes.Clone(data)
+		flipped[len(flipped)/2] ^= 0x01
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.File("legacy", name); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s with one byte flipped: %v, want ErrCorrupt", name, err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

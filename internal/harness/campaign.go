@@ -184,11 +184,7 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 
 	ids := spec.ids()
 	if cfg.Checkpoint != "" {
-		hdr := journalHeader{Kind: "header", Version: JournalVersion,
-			Fingerprint: key.journalFingerprint(spec), Runs: cfg.Runs, Trace: cfg.Trace}
-		if !cfg.Adaptive() {
-			hdr.Family = key.family()
-		}
+		hdr := headerOf(cfg, key, spec)
 		// Only a whole campaign resumes from a shorter one's journal: a
 		// shard resumes from its own.
 		want := hdr

@@ -75,6 +75,17 @@ type journalWriter struct {
 	buf []byte
 }
 
+// headerOf is the header cfg's campaign writes into the journal of shard
+// spec; key is cfg.key().
+func headerOf(cfg CampaignConfig, key campaignKey, spec ShardSpec) journalHeader {
+	hdr := journalHeader{Kind: "header", Version: JournalVersion,
+		Fingerprint: key.journalFingerprint(spec), Runs: cfg.Runs, Trace: cfg.Trace}
+	if !cfg.Adaptive() {
+		hdr.Family = key.family()
+	}
+	return hdr
+}
+
 // openJournal opens the checkpoint journal for appending. A resume passes
 // keep, the length of the journal's whole lines (readJournal): the file is
 // cut there, dropping a torn tail. keep 0 — a fresh campaign, or a resume
@@ -86,16 +97,19 @@ type journalWriter struct {
 func openJournal(path string, hdr journalHeader, keep int64, rehead bool) (*journalWriter, error) {
 	w := &journalWriter{}
 	if keep == 0 || rehead {
-		buf, err := appendRecord(nil, &journalRecord{header: &hdr})
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
-		}
+		var src []byte
 		if rehead {
-			if buf, err = appendRecords(buf, path, keep); err != nil {
+			data, err := os.ReadFile(path)
+			if err == nil && int64(len(data)) < keep {
+				err = fmt.Errorf("%s shrank below its %d journaled bytes", path, keep)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("harness: checkpoint: %w", err)
 			}
+			src = data[:keep]
 		}
-		if err := durable.Replace(path, buf); err != nil {
+		buf, err := writeHeaded(path, hdr, src)
+		if err != nil {
 			return nil, fmt.Errorf("harness: checkpoint: %w", err)
 		}
 		w.buf, keep = buf, int64(len(buf))
@@ -108,26 +122,48 @@ func openJournal(path string, hdr journalHeader, keep int64, rehead bool) (*jour
 	return w, nil
 }
 
-// appendRecords appends to dst the record lines of the journal at path:
-// its first keep bytes, less its header line.
-func appendRecords(dst []byte, path string, keep int64) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// SeedJournal starts the checkpoint journal at path for cfg's campaign from
+// journal, the bytes of a checkpoint journal of a campaign of cfg's family
+// no longer than cfg's: journal's records under cfg's own header, written
+// once, so that cfg's resume replays them and only appends. The journal's
+// family and version are checked here, and an adaptive campaign, which
+// has no family, takes none; its records are checked by the resume.
+func SeedJournal(path string, cfg CampaignConfig, journal []byte) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	cfg = cfg.withDefaults()
+	hdr := headerOf(cfg, cfg.key(), ShardSpec{Shards: 1, To: cfg.Runs, Runs: cfg.Runs})
+	if _, err := writeHeaded(path, hdr, journal); err != nil {
+		return fmt.Errorf("harness: seed journal: %w", err)
+	}
+	return nil
+}
+
+// writeHeaded replaces the file at path with a journal headed hdr holding
+// the records of src, and returns its bytes. src is empty, or the bytes of
+// a journal that a campaign headed hdr resumes (journalHeader.resumes):
+// its whole lines after its header are the records, taken verbatim.
+func writeHeaded(path string, hdr journalHeader, src []byte) ([]byte, error) {
+	buf, err := appendRecord(nil, &journalRecord{header: &hdr})
 	if err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	if len(src) > 0 {
+		line, recs, _ := bytes.Cut(src, []byte{'\n'})
+		srcHdr, err := decodeHeader(bytes.TrimSpace(line))
+		if err == nil {
+			err = hdr.refuses(srcHdr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, recs[:bytes.LastIndexByte(recs, '\n')+1]...)
+	}
+	if err := durable.Replace(path, buf); err != nil {
 		return nil, err
 	}
-	if int64(len(data)) < keep {
-		return nil, fmt.Errorf("%s shrank below its %d journaled bytes", path, keep)
-	}
-	data = data[:keep]
-	lines := 0
-	body, err := durable.ScanLog(bytes.NewReader(data), func([]byte) bool {
-		lines++
-		return lines == 1
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, data[body:]...), nil
+	return buf, nil
 }
 
 // write encodes the experiment record rec and hands the line to the OS, so
@@ -245,6 +281,19 @@ func (want journalHeader) resumes(hdr journalHeader) bool {
 		want.Family != "" && hdr.Family == want.Family && hdr.Runs > 0 && hdr.Runs <= want.Runs
 }
 
+// refuses says why a campaign whose journal header is want may not resume
+// from a journal headed hdr (resumes), or is nil when it may.
+func (want journalHeader) refuses(hdr journalHeader) error {
+	switch {
+	case hdr.Version != JournalVersion:
+		return fmt.Errorf("journal version %d, want %d", hdr.Version, JournalVersion)
+	case !want.resumes(hdr):
+		return fmt.Errorf("written by a different campaign (%w: journal %s of %d runs, want %s)",
+			ErrFingerprintMismatch, hdr.Fingerprint, hdr.Runs, want.Fingerprint)
+	}
+	return nil
+}
+
 // readJournal loads the completed-experiment records of a checkpoint
 // journal, validating its header against want, the header the campaign
 // writes (scanJournal). keep is the byte offset just past the last line
@@ -305,11 +354,8 @@ func scanJournal(r io.Reader, want journalHeader) (recs []journalRecord, keep in
 		err = errors.New("empty journal")
 	case hdrErr != nil:
 		err = hdrErr
-	case hdr.Version != JournalVersion:
-		err = fmt.Errorf("journal version %d, want %d", hdr.Version, JournalVersion)
-	case !want.resumes(hdr):
-		err = fmt.Errorf("written by a different campaign (%w: journal %s of %d runs, want %s)",
-			ErrFingerprintMismatch, hdr.Fingerprint, hdr.Runs, want.Fingerprint)
+	case want.refuses(hdr) != nil:
+		err = want.refuses(hdr)
 	case stray >= 0:
 		err = fmt.Errorf("journals experiment %d, outside the campaign's [0,%d) (%w)",
 			stray, want.Runs, ErrFingerprintMismatch)

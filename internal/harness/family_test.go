@@ -5,9 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/durable"
 )
 
 // TestRecordsIndependentOfRuns holds the invariant incremental campaigns
@@ -173,6 +176,95 @@ func TestFamilyResume(t *testing.T) {
 				t.Errorf("the refused resume executed %d experiments and left %d journal bytes of %d", executed, len(after), len(tc.src))
 			}
 		})
+	}
+}
+
+// TestSeedJournal starts a longer campaign's journal from a shorter one of
+// its family in one write: the records under the longer campaign's own
+// header. Resuming from it replays them, runs only the rest, replaces no
+// file and leaves the journal a fresh run writes. A journal of another
+// family or version is refused and nothing is written, and an adaptive
+// campaign, which has no family, takes none.
+func TestSeedJournal(t *testing.T) {
+	dir := t.TempDir()
+	run := func(name string, cfg CampaignConfig) []byte {
+		cfg.Checkpoint = filepath.Join(dir, name)
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	short, fresh := run("short", familyBase(6)), run("fresh", familyBase(12))
+
+	cfg := familyBase(12)
+	cfg.Checkpoint, cfg.Resume = filepath.Join(dir, "seeded"), true
+	if err := SeedJournal(cfg.Checkpoint, cfg, short); err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(bytes.Clone(journalLines(fresh)[0]), '\n'); !bytes.HasPrefix(seeded, want) ||
+		!bytes.Equal(seeded[len(want):], short[len(journalLines(short)[0])+1:]) {
+		t.Fatalf("the seeded journal is not the 12-run header over the 6-run records:\n%.400s", seeded)
+	}
+
+	var replaced, appended atomic.Int32
+	observe := func(path string, _ []byte, replace bool) {
+		if path == cfg.Checkpoint && replace {
+			replaced.Add(1)
+		} else if path == cfg.Checkpoint {
+			appended.Add(1)
+		}
+	}
+	durable.Observer.Store(&observe)
+	executed := 0
+	cfg.OnExperiment = func(_ ExperimentSummary, resumed bool) {
+		if !resumed {
+			executed++
+		}
+	}
+	_, err = RunCampaign(cfg)
+	durable.Observer.Store(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed != 6 || replaced.Load() != 0 || appended.Load() != 6 {
+		t.Errorf("the resume executed %d experiments, replaced its journal %d times and appended %d records; want 6, 0, 6",
+			executed, replaced.Load(), appended.Load())
+	}
+	if after, _ := os.ReadFile(cfg.Checkpoint); !bytes.Equal(after, fresh) {
+		t.Errorf("the seeded and resumed journal differs from a fresh one:\n got: %.300s\nwant: %.300s", after, fresh)
+	}
+
+	other := familyBase(12)
+	other.Seed = 8
+	old := bytes.Replace(short, []byte(`"version":2`), []byte(`"version":1`), 1)
+	adaptive := familyBase(12)
+	adaptive.TargetCI = 0.2
+	for _, tc := range []struct {
+		name    string
+		cfg     CampaignConfig
+		journal []byte
+		ok      func(error) bool
+	}{
+		{"family", other, short, func(err error) bool { return errors.Is(err, ErrFingerprintMismatch) }},
+		{"longer", familyBase(5), short, func(err error) bool { return errors.Is(err, ErrFingerprintMismatch) }},
+		{"version", cfg, old, func(err error) bool { return err != nil && strings.Contains(err.Error(), "version 1") }},
+		{"adaptive", adaptive, short, func(err error) bool { return errors.Is(err, ErrFingerprintMismatch) }},
+	} {
+		path := filepath.Join(dir, "refused-"+tc.name)
+		if err := SeedJournal(path, tc.cfg, tc.journal); !tc.ok(err) {
+			t.Errorf("%s: SeedJournal = %v", tc.name, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: a refused seed left a journal (%v)", tc.name, err)
+		}
 	}
 }
 

@@ -108,7 +108,8 @@ func currentEntry(rec *archive.Record) bool {
 }
 
 // serveCached materializes a cache hit as a terminal job: a fresh job ID
-// whose status record — the one thing persisted — names the entry by
+// whose status record — the one thing persisted, a line of the status
+// log — names the entry by
 // Fingerprint. GET result and Watch streams of the job read the entry
 // (Result, handleStream), so they are indistinguishable from a fresh
 // run's; the only tells are CacheHit on the status and the zero-width

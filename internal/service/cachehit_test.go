@@ -175,38 +175,57 @@ func TestStoredDocumentsTravelVerbatim(t *testing.T) {
 	}
 }
 
-// TestCacheHitWritesOneFile: a hit persists its status record and nothing
-// else — disk per hit does not grow with the entry.
-func TestCacheHitWritesOneFile(t *testing.T) {
+// TestCacheHitCreatesNoFile: a hit persists one status record, appended
+// to the store's status log, and nothing else — three hits create no file
+// in the job store, replace none, and append exactly three status lines,
+// one naming each hit job; disk per hit does not grow with the entry.
+func TestCacheHitCreatesNoFile(t *testing.T) {
 	data := t.TempDir()
 	d := startDaemon(t, data, service.Config{ArchiveDir: t.TempDir()})
 	settle(t, d, hitSpec, false)
-	ls := func() map[string]bool {
+	ls := func() []string {
 		entries, err := os.ReadDir(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make(map[string]bool)
+		var names []string
 		for _, e := range entries {
-			names[e.Name()] = true
+			names = append(names, e.Name())
 		}
 		return names
 	}
-	before := ls()
-	var want []string
-	for i := 0; i < 3; i++ {
-		want = append(want, "job-"+settle(t, d, hitSpec, true).ID+".json")
+	log := filepath.Join(data, "status.jsonl")
+	before, logBefore := ls(), mustRead(t, log)
+	var hits []string
+	ops := recordOps(data, func() {
+		for i := 0; i < 3; i++ {
+			hits = append(hits, settle(t, d, hitSpec, true).ID)
+		}
+	})
+	if after := ls(); !reflect.DeepEqual(after, before) {
+		t.Errorf("3 cache hits changed the job store's files from %v to %v", before, after)
 	}
-	var added []string
-	for name := range ls() {
-		if !before[name] {
-			added = append(added, name)
+	logAfter := mustRead(t, log)
+	if !bytes.HasPrefix(logAfter, logBefore) {
+		t.Fatal("the status log was rewritten, not appended to")
+	}
+	added := bytes.SplitAfter(bytes.TrimSuffix(logAfter[len(logBefore):], []byte("\n")), []byte("\n"))
+	if len(added) != 3 {
+		t.Fatalf("3 cache hits appended %d status lines, want 3", len(added))
+	}
+	for i, line := range added {
+		var st service.JobStatus
+		if err := json.Unmarshal(line, &st); err != nil || st.ID != hits[i] || !st.CacheHit || st.State != service.StateDone {
+			t.Errorf("status line %d is %.200s (%v), want the done hit job %s", i, line, err, hits[i])
 		}
 	}
-	sort.Strings(added)
-	sort.Strings(want)
-	if !reflect.DeepEqual(added, want) {
-		t.Errorf("3 cache hits added %v to the job store, want exactly %v", added, want)
+	if len(ops) != 3 {
+		t.Errorf("3 cache hits made %d writes, want 3 appends", len(ops))
+	}
+	for _, op := range ops {
+		if op.Replace || op.Path != log {
+			t.Errorf("a cache hit wrote %s (replace %v), want only appends to the status log", op.Path, op.Replace)
+		}
 	}
 }
 

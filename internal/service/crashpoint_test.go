@@ -243,16 +243,18 @@ func TestCrashPointsLocal(t *testing.T) {
 }
 
 // TestCrashPointsCoordinated: a 2-shard coordinated job whose coordinator
-// is killed at every write — status records, shard partials, result. The
-// coordinator appends to no log, so no line is torn. The workers live
-// on; the restarted coordinator must settle the job with the recorded
-// result bytes. A kill before the job's first status record reached disk
-// lost the submission, so the client submits it again, as it would after
-// a failed submit. The restart reports what it did not execute: its
-// terminal status, and the progress it carries, count as resumed exactly
-// the runs of the partials parked on disk, and as done every run, however
-// few shards were left to dispatch. A kill after the done status reached
-// disk leaves nothing to restart, and the recorded status stands.
+// is killed at every write — status records, shard partials, result — and
+// at the first, middle and last byte of its last status record, the done
+// one. The workers live on; the restarted coordinator must settle the job
+// with the recorded result bytes. A kill before the job's first status
+// record reached disk lost the submission, so the client submits it
+// again, as it would after a failed submit. The restart reports what it
+// did not execute: its terminal status, and the progress it carries,
+// count as resumed exactly the runs of the partials parked on disk, and
+// as done every run, however few shards were left to dispatch. A kill
+// after the done status reached disk leaves nothing to restart, and the
+// recorded status stands; a torn done status is no status, and the
+// restart settles the job again.
 func TestCrashPointsCoordinated(t *testing.T) {
 	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2}
 	_, urls := startWorkerFleet(t, 2)
@@ -266,7 +268,7 @@ func TestCrashPointsCoordinated(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
 		id := "1"
-		if _, err := os.Stat(filepath.Join(dir, "job-1.json")); os.IsNotExist(err) {
+		if _, ok := statusOnDisk(t, dir, id); !ok {
 			st, err := d.c.Submit(ctx, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -291,11 +293,11 @@ func TestCrashPointsCoordinated(t *testing.T) {
 	var want []byte
 	ops := recordOps(dir, func() { want = run() })
 	recorded := final.Resumed
-	pts := crashPoints(ops, -1, nil)
+	pts := crashPoints(ops, lastAppend(t, ops, filepath.Join(dir, "status.jsonl")), sampled)
 	for _, p := range pts {
 		rebuild(t, dir, ops, p)
 		resumed := recorded
-		if !settledOnDisk(t, dir, "1") {
+		if st, ok := statusOnDisk(t, dir, "1"); !ok || !st.State.Terminal() {
 			resumed = parkedRuns(t, dir, "1")
 		}
 		checkSameResult(t, p, want, run())
@@ -308,21 +310,24 @@ func TestCrashPointsCoordinated(t *testing.T) {
 	t.Logf("%d ops, %d crash points", len(ops), len(pts))
 }
 
-// settledOnDisk reports whether job id's status record in dir is terminal.
-func settledOnDisk(t *testing.T, dir, id string) bool {
+// statusOnDisk returns job id's status as the job store in dir holds it,
+// and whether it holds one.
+func statusOnDisk(t *testing.T, dir, id string) (service.JobStatus, bool) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "job-"+id+".json"))
-	if os.IsNotExist(err) {
-		return false
-	}
-	var st service.JobStatus
-	if err == nil {
-		err = json.Unmarshal(data, &st)
-	}
+	store, err := service.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.State.Terminal()
+	jobs, err := store.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range jobs {
+		if st.ID == id {
+			return st, true
+		}
+	}
+	return service.JobStatus{}, false
 }
 
 // parkedRuns sums the runs covered by the partials parked in dir for job

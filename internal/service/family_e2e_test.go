@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -67,6 +68,58 @@ func TestArchiveSeedsLongerCampaign(t *testing.T) {
 				t.Errorf("the seeded job's result (%d bytes) differs from a fresh job's (%d bytes)", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestSeededJobWritesOnce: a seeded whole job writes its journal once,
+// the archived shorter campaign's records under its own header, and its
+// resume only appends to it. Its file writes are exactly two replaces —
+// that journal and its result — and appends: its status records and the
+// records of the experiments it executes.
+func TestSeededJobWritesOnce(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	d := startDaemon(t, dir, service.Config{ArchiveDir: t.TempDir()})
+	short := service.JobSpec{App: "miniFE", Scale: "test", Runs: n, Seed: 67, SampleEvery: 64}
+	settle(t, d, short, false)
+	long := short
+	long.Runs = 2 * n
+	var st service.JobStatus
+	ops := recordOps(dir, func() { st = settle(t, d, long, false) })
+	if st.Resumed != n {
+		t.Fatalf("the %d-run job resumed %d experiments, want %d", 2*n, st.Resumed, n)
+	}
+	journal := filepath.Join(dir, "job-"+st.ID+".ckpt.jsonl")
+	var replaced []string
+	var seeded []byte
+	appends := map[string]int{}
+	for _, op := range ops {
+		if op.Replace {
+			replaced = append(replaced, filepath.Base(op.Path))
+		} else {
+			appends[filepath.Base(op.Path)]++
+		}
+		if op.Replace && op.Path == journal {
+			seeded = op.Data
+		}
+	}
+	if want := []string{filepath.Base(journal), "job-" + st.ID + ".result.json"}; !reflect.DeepEqual(replaced, want) {
+		t.Errorf("the seeded job replaced %v, want %v", replaced, want)
+	}
+	if want := map[string]int{"status.jsonl": 3, filepath.Base(journal): n}; !reflect.DeepEqual(appends, want) {
+		t.Errorf("the seeded job appended %v, want %v", appends, want)
+	}
+	if len(seeded) == 0 || !bytes.HasPrefix(mustRead(t, journal), seeded) {
+		t.Fatal("the seeded journal is not the start of the job's journal")
+	}
+	header, _, _ := bytes.Cut(seeded, []byte("\n"))
+	var hdr struct {
+		Fingerprint string `json:"fingerprint"`
+		Runs        int    `json:"runs"`
+		Trace       string `json:"trace"`
+	}
+	if err := json.Unmarshal(header, &hdr); err != nil || hdr.Fingerprint != st.Fingerprint || hdr.Runs != 2*n || hdr.Trace != st.Trace {
+		t.Errorf("the seeded journal is headed %s (%v), want the %d-run job's own header", header, err, 2*n)
 	}
 }
 

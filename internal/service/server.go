@@ -177,28 +177,25 @@ func New(cfg Config) (*Server, error) {
 // and resume from their checkpoint journals: completed experiments replay
 // from disk instead of re-running.
 func (s *Server) Start() error {
-	persisted, err := s.store.LoadAll()
+	persisted, err := s.store.Recover(func(st *JobStatus) bool {
+		if st.State.Terminal() || st.State == StateQueued && st.Started.IsZero() {
+			return false
+		}
+		st.State, st.Started, st.Progress = StateQueued, time.Time{}, nil
+		return true
+	})
 	if err != nil {
 		return err
 	}
 	for _, st := range persisted {
 		j := &job{status: st, hub: newHub(st.Trace, s.cfg.StreamBuffer, s.obs.streamDrops)}
-		if st.State.Terminal() {
-			j.hub.close()
-			s.mu.Lock()
-			s.jobs[st.ID] = j
-			s.mu.Unlock()
-			continue
-		}
-		j.status.State = StateQueued
-		j.status.Started = time.Time{}
-		j.status.Progress = nil
-		if err := s.store.SaveStatus(j.status); err != nil {
-			return err
-		}
 		s.mu.Lock()
 		s.jobs[st.ID] = j
 		s.mu.Unlock()
+		if st.State.Terminal() {
+			j.hub.close()
+			continue
+		}
 		j.noteQueued()
 		s.sched.enqueue(j)
 		s.log.Info("job recovered", "job", st.ID, "trace", st.Trace)
@@ -213,7 +210,8 @@ func (s *Server) Start() error {
 // Drain gracefully stops the server: no new jobs are dispatched, running
 // campaigns are interrupted (their journals hold every completed
 // experiment and their status records return to queued), and Drain waits
-// for them to settle or for ctx to expire.
+// for them to settle or for ctx to expire. Once they have settled it
+// closes the job store's status log.
 func (s *Server) Drain(ctx context.Context) error {
 	if s.hbStop != nil {
 		s.hbStop()
@@ -231,7 +229,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		return nil
+		return s.store.Close()
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain: %w", ctx.Err())
 	}
@@ -530,16 +528,16 @@ func (s *Server) runLocal(ctx context.Context, j *job, st JobStatus, prog *harne
 	cfg.Progress = prog
 	cfg.Checkpoint = s.store.JournalPath(st.ID)
 	cfg.Resume = true
+	cfg.Trace = st.Trace
 	if _, err := os.Stat(cfg.Checkpoint); os.IsNotExist(err) {
 		if src, runs, journal := s.familySource(st, cfg); journal != nil {
-			if err := s.store.SeedJournal(st.ID, journal); err != nil {
+			if err := harness.SeedJournal(cfg.Checkpoint, cfg, journal); err != nil {
 				s.log.Warn("job not seeded", "job", st.ID, "trace", st.Trace, "err", err)
 			} else {
 				s.noteSeeded(st, src, runs)
 			}
 		}
 	}
-	cfg.Trace = st.Trace
 	// Timings ride in shard partials so the coordinator's metrics absorb
 	// them; OnPhase feeds this daemon's own registry live.
 	cfg.Timings = harness.NewCampaignTimings()

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -212,18 +213,31 @@ func TestDaemonKillRestartResumes(t *testing.T) {
 	}
 	d1.stop(t)
 
-	// Stray temp files, as a kill inside a status write leaves them: one
-	// beside the job's record, one for a job whose first record never
-	// landed. Neither is a job, and neither takes a job ID.
-	record, err := os.ReadFile(filepath.Join(dir, "job-"+st.ID+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// What kills leave behind: stray temp files, as a kill inside an
+	// older build's status write left them — one beside the job's record,
+	// one for a job whose first record never landed — and a torn half of
+	// a status record, of a job whose first record never landed, at the
+	// end of the status log. None of them is a job, and none takes a job
+	// ID.
+	log := filepath.Join(dir, "status.jsonl")
+	lines := bytes.Split(bytes.TrimSuffix(mustRead(t, log), []byte("\n")), []byte("\n"))
+	record := lines[len(lines)-1]
 	id, _ := strconv.Atoi(st.ID)
 	for _, stray := range []string{"job-" + st.ID + ".json", fmt.Sprintf("job-%d.json", id+5)} {
 		if err := os.WriteFile(filepath.Join(dir, stray+durable.TempSuffix), record[:len(record)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	torn := bytes.Replace(record, []byte(`"id":"`+st.ID+`"`), []byte(fmt.Sprintf(`"id":"%d"`, id+7)), 1)
+	f, err := os.OpenFile(log, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write(torn[:len(torn)/2])
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The interrupted job must be persisted as queued, not lost.
