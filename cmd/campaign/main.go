@@ -254,9 +254,9 @@ func exitCode(err error) int {
 	return 1
 }
 
-// options is the command line, filled from the flags once. campaignConfig
-// is what a local run executes and jobSpec what a daemon is sent, both read
-// from the same fields.
+// options is the command line, filled from the flags once. jobSpec is
+// what a daemon is sent, and its CampaignConfig what a local run executes:
+// the local, -remote and -shards paths read one translation of the flags.
 type options struct {
 	runs          int
 	seed          uint64
@@ -278,38 +278,11 @@ type options struct {
 	shards        int
 }
 
-// campaignConfig is the configuration runLocal executes for app, without
-// the per-invocation journal and progress wiring.
-func (o options) campaignConfig(app apps.App) harness.CampaignConfig {
-	p := app.DefaultParams()
-	if o.scale == "test" {
-		p = app.TestParams()
-	}
-	return harness.CampaignConfig{
-		App:    app,
-		Params: p,
-		Sampling: harness.Sampling{
-			Runs:             o.runs,
-			Seed:             o.seed,
-			MultiFaultLambda: o.multi,
-			TargetCI:         o.targetCI,
-			Strata:           o.strata,
-			Sites:            o.sites,
-		},
-		Protect: o.protect,
-		Execution: harness.Execution{
-			SampleEvery: o.sample,
-			Workers:     o.workers,
-			Snapshots:   o.snapshots,
-		},
-		Retention: harness.Retention{MaxSummaries: o.maxSummaries},
-		StopAfter: o.stopAfter,
-	}
-}
-
-// jobSpec is the /v1 submission that runs app's campaign on a daemon. The
-// sampling object is nil when no sampling-policy flag is set, which keeps
-// the wire spec byte-identical to pre-adaptive submissions.
+// jobSpec is the /v1 submission that runs app's campaign on a daemon, and
+// through its CampaignConfig the campaign a local run executes. The
+// sampling object is nil when no sampling-policy flag (or protect list) is
+// set, which keeps the wire spec byte-identical to pre-adaptive
+// submissions.
 func (o options) jobSpec(app apps.App) service.JobSpec {
 	spec := service.JobSpec{
 		App:              app.Name(),
@@ -324,8 +297,8 @@ func (o options) jobSpec(app apps.App) service.JobSpec {
 		Shards:           o.shards,
 		Label:            "cmd/campaign",
 	}
-	if o.targetCI != 0 || o.strata != 0 || o.sites {
-		spec.Sampling = &service.SamplingSpec{TargetCI: o.targetCI, Strata: o.strata, Sites: o.sites}
+	if o.targetCI != 0 || o.strata != 0 || o.sites || len(o.protect) > 0 {
+		spec.Sampling = &service.SamplingSpec{TargetCI: o.targetCI, Strata: o.strata, Sites: o.sites, Protect: o.protect}
 	}
 	return spec
 }
@@ -364,7 +337,12 @@ func runLocal(ctx context.Context, selected []apps.App, o options) ([]*harness.C
 		prog := &harness.Progress{}
 		stopTicker := prog.Ticker(os.Stderr, o.progressEvery)
 		ckpt := checkpointPath(o.checkpoint, app.Name(), len(selected))
-		cfg := o.campaignConfig(app)
+		cfg, err := o.jobSpec(app).CampaignConfig()
+		if err != nil {
+			stopTicker()
+			return results, fmt.Errorf("campaign %s: %w", app.Name(), err)
+		}
+		cfg.Workers, cfg.StopAfter = o.workers, o.stopAfter
 		cfg.Persistence = harness.Persistence{Checkpoint: ckpt, Resume: o.resume}
 		cfg.Progress = prog
 		// A journal of a shorter campaign of the family resumes this one:
@@ -417,7 +395,11 @@ func runProtectTop(ctx context.Context, selected []apps.App, o options, pct floa
 		}
 		// The baseline campaign's pack already holds the instrumented
 		// program; its static site table is the coverage denominator.
-		total, err := harness.StaticSiteCount(o.campaignConfig(app))
+		cfg, err := o.jobSpec(app).CampaignConfig()
+		if err != nil {
+			return results, fmt.Errorf("protect-top %s: %w", app.Name(), err)
+		}
+		total, err := harness.StaticSiteCount(cfg)
 		if err != nil {
 			return results, fmt.Errorf("protect-top %s: %w", app.Name(), err)
 		}

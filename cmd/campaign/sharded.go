@@ -25,7 +25,7 @@ import (
 // an in-process coordinator Server with those workers registered as
 // peers, serves it on loopback and submits each campaign to it with Shards
 // set, as -remote would to any daemon. The coordinator dispatches the
-// shards over loopback HTTP and merges the partials, so the local path and
+// shards over loopback HTTP and folds their journals, so the local path and
 // the -remote path exercise exactly the same code — and the merged result
 // is byte-identical to an unsharded run.
 
@@ -57,7 +57,7 @@ func coordLogger(level string) *slog.Logger {
 // temp dir goes.
 func runSharded(ctx context.Context, selected []apps.App, o options, coord service.Config) ([]*harness.CampaignResult, error) {
 	if o.checkpoint != "" || o.resume {
-		fmt.Fprintln(os.Stderr, "note: -checkpoint/-resume journal daemon-side and are ignored with -shards (the shard partials live in a temp dir)")
+		fmt.Fprintln(os.Stderr, "note: -checkpoint/-resume journal daemon-side and are ignored with -shards (the journals live in a temp dir)")
 	}
 	if o.workers <= 0 {
 		o.workers = 2

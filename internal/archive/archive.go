@@ -11,8 +11,8 @@
 //
 //	manifest.json   entry metadata plus per-file checksums
 //	result.json     the marshalled campaign result, byte-exact
-//	journal.jsonl   the checkpoint journal (optional; absent for merged
-//	                coordinated results, which have no single journal)
+//	journal.jsonl   the checkpoint journal (optional; absent from entries
+//	                older builds made of coordinated jobs, which kept none)
 //
 // Commits are atomic: an entry is staged under tmp/ — every file written
 // and synced — then renamed into entries/ in one step, so a crash mid-Put
@@ -317,8 +317,8 @@ func (a *Archive) Put(meta Meta, result []byte, journalPath string) error {
 			}
 			m.Files[JournalFile] = sumOf(jdata)
 		case os.IsNotExist(err):
-			// No journal (e.g. a coordinated job): the entry archives
-			// without one and cache hits replay no experiment history.
+			// No journal: the entry archives without one and cache hits
+			// replay no experiment history.
 		default:
 			return fmt.Errorf("archive: put journal: %w", err)
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // Golden-equivalence early exit. After a masked or fully cleansed fault
 // (the paper's V and ONA outcomes, §4.3) a run can come back to exactly
 // the golden state, and from then on nothing separates it from the golden
@@ -34,15 +32,6 @@ type Tail struct {
 	Golden  *RunOutcome
 	Traffic Traffic
 }
-
-// goldenExits counts runs ended at a golden-equal cut, process-wide. The
-// increment is on the cold path (once per exit), like vm's mode-switch
-// counters; differential tests read it to prove exits happened.
-var goldenExits atomic.Uint64
-
-// GoldenExits returns the process-wide count of runs that ended at a
-// golden-equal cut.
-func GoldenExits() uint64 { return goldenExits.Load() }
 
 // spliceGolden gives rank r's result, which stopped at a golden-equal cut,
 // the golden run's final values and returns the cycles it did not execute.

@@ -223,7 +223,6 @@ func TestGoldenExitNeverHidesADivergence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newExitCase(t, tc.prog, tc.ranks)
-			before := GoldenExits()
 			var exits, hidden int
 			for rank := 0; rank < tc.ranks; rank++ {
 				for site := uint64(0); site < c.golden.Ranks[rank].Sites; site++ {
@@ -242,8 +241,8 @@ func TestGoldenExitNeverHidesADivergence(t *testing.T) {
 					}
 				}
 			}
-			if exits == 0 || GoldenExits()-before != uint64(exits) {
-				t.Errorf("%d runs exited, GoldenExits advanced %d: want both > 0 and equal", exits, GoldenExits()-before)
+			if exits == 0 {
+				t.Error("no run ended at a golden-equal cut")
 			}
 			if hidden == 0 {
 				t.Error("no fault produced the divergence the cuts must not hide")
@@ -363,7 +362,6 @@ func buildGhostProg(steps int64) *ir.Program {
 //     waits on it is deserted as in the full run.
 func TestGhostReplayMatchesFullRun(t *testing.T) {
 	c := newExitCase(t, buildGhostProg(12), 2)
-	exits, resumes := GhostExits(), GhostResumes()
 	var runs, ghostExits, ghostResumes int
 	var resumedContaminated, deadlocks, deserted, aborted, endedDeserted int
 	desertion := mpi.ErrDeserted.Error()
@@ -402,10 +400,8 @@ func TestGhostReplayMatchesFullRun(t *testing.T) {
 			}
 		}
 	}
-	if ghostExits == 0 || ghostResumes == 0 ||
-		GhostExits()-exits != uint64(ghostExits) || GhostResumes()-resumes != uint64(ghostResumes) {
-		t.Errorf("%d ranks ended as ghosts and %d resumed, GhostExits advanced %d and GhostResumes %d: want all > 0 and equal in pairs",
-			ghostExits, ghostResumes, GhostExits()-exits, GhostResumes()-resumes)
+	if ghostExits == 0 || ghostResumes == 0 {
+		t.Errorf("%d ranks ended as ghosts and %d resumed: want both > 0", ghostExits, ghostResumes)
 	}
 	for _, cs := range []struct {
 		name string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/mpi"
@@ -142,18 +141,6 @@ func (t Traffic) Digest() uint64 {
 	return h.Sum64()
 }
 
-// ghostExits and ghostResumes count, process-wide, the ranks that ended
-// replaying golden traffic and the ghosts that resumed. The increments are
-// on the cold path, like goldenExits.
-var ghostExits, ghostResumes atomic.Uint64
-
-// GhostExits returns the process-wide count of ranks that ended at the end
-// of their golden log, in runs that did not end at a golden-equal cut.
-func GhostExits() uint64 { return ghostExits.Load() }
-
-// GhostResumes returns the process-wide count of ghosts that resumed.
-func GhostResumes() uint64 { return ghostResumes.Load() }
-
 // ghost is rank h.rank's replay of its golden traffic from cut i, where it
 // voted yes and the cut did not end the run. It returns true when the rank
 // ends — at the end of its log, or at a later cut that ends the run — and
@@ -176,7 +163,6 @@ func (h *rankCut) ghost(i int) bool {
 			// did meanwhile: every call it made was answered as in the
 			// golden run.
 			h.ended = true
-			ghostExits.Add(1)
 			return true
 		}
 		if !l.replay(&log.ops[k]) {
@@ -191,7 +177,6 @@ func (h *rankCut) ghost(i int) bool {
 func (h *rankCut) resume(replayed []trafficOp) bool {
 	h.link.catching, h.link.replayed = true, replayed
 	h.resumes++
-	ghostResumes.Add(1)
 	return false
 }
 

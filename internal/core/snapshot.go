@@ -255,7 +255,6 @@ func (z *cutVote) settle(i int) bool {
 		return false
 	}
 	z.exited = true
-	goldenExits.Add(1)
 	return true
 }
 

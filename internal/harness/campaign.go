@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -145,6 +144,38 @@ func RunShard(cfg CampaignConfig, spec ShardSpec) (*PartialResult, error) {
 // a Fingerprint it must match the configuration; cfg.Checkpoint journals
 // are per-shard (give each shard its own path).
 func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*PartialResult, error) {
+	return runShard(ctx, cfg, spec, nil)
+}
+
+// Executor runs batches of a campaign's experiments outside the engine's
+// worker pool, on other processes or machines. The engine calls it with
+// each batch it would otherwise execute itself: a fixed campaign's pending
+// IDs, or one adaptive round's. The executor splits the batch into
+// explicit-ID shard specs (PlanRoundShards), runs each as a shard with its
+// own checkpoint journal, and calls fold with each finished spec and the
+// bytes of its journal. fold checks the journal against the spec and folds
+// its records into the campaign as the engine folds the experiments it
+// executes: journal, aggregate, OnExperiment, Progress. It must be called
+// from the executor's calling goroutine, which the engine blocks in the
+// meantime. An executor returns once every ID of the batch is folded, or
+// with the error that stopped it: the first error fold returned, or one
+// wrapping ErrInterrupted when ctx ended.
+type Executor func(ctx context.Context, ids []int, fold func(spec ShardSpec, journal []byte) error) error
+
+// RunRemoteContext runs cfg's whole campaign as RunCampaignContext does —
+// its journal at cfg.Checkpoint, resumed when cfg.Resume is set, the fixed
+// or adaptive plan of the local engine — but every batch of experiments
+// runs on exec, and it returns the campaign's partial for the caller to
+// finalize. The journal it writes is the campaign's own: a resume of it
+// executes only what it lacks, locally or remotely alike. StopAfter does
+// not apply.
+func RunRemoteContext(ctx context.Context, cfg CampaignConfig, exec Executor) (*PartialResult, error) {
+	return runShard(ctx, cfg, ShardSpec{Shards: 1, To: cfg.Runs, Runs: cfg.Runs}, exec)
+}
+
+// runShard is RunShardContext, with the batches it executes handed to exec
+// when that is set.
+func runShard(ctx context.Context, cfg CampaignConfig, spec ShardSpec, exec Executor) (*PartialResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,6 +201,8 @@ func RunShardContext(ctx context.Context, cfg CampaignConfig, spec ShardSpec) (*
 	e := &campaignEngine{
 		ctx:        ctx,
 		cfg:        cfg,
+		key:        key,
+		exec:       exec,
 		inst:       pack.inst,
 		part:       part,
 		criteria:   criteria,
@@ -315,48 +348,15 @@ func newPartial(cfg CampaignConfig) (*snapshotPack, *PartialResult, *Strata, *si
 	return pack, part, strata, sites, nil
 }
 
-// SeedPartial folds journal, the bytes of a checkpoint journal of a
-// campaign of cfg's family no longer than cfg's, into a partial of cfg's
-// campaign covering the experiments it journaled: the seed a coordinator
-// merges its shards with, which then need run only the rest. The records
-// fold, and reach cfg.OnExperiment, as a resume replays them. An adaptive
-// campaign has no seed: its rounds draw from [0, Runs).
-func SeedPartial(cfg CampaignConfig, journal []byte) (*PartialResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Adaptive() {
-		return nil, &FieldError{Field: "Sampling.TargetCI", Reason: "an adaptive campaign resumes from its own journal only"}
-	}
-	cfg = cfg.withDefaults()
-	_, part, strata, sites, err := newPartial(cfg)
-	if err != nil {
-		return nil, err
-	}
-	want := journalHeader{Version: JournalVersion, Fingerprint: part.Fingerprint, Family: cfg.key().family(), Runs: cfg.Runs}
-	recs, _, _, err := scanJournal(bytes.NewReader(journal), want)
-	if err != nil {
-		return nil, fmt.Errorf("harness: seed journal: %w", err)
-	}
-	e := &campaignEngine{cfg: cfg, part: part, strata: strata, sites: sites, completed: make(map[int]bool, len(recs))}
-	e.replay(recs, nil)
-	ids := make([]int, cfg.Runs)
-	for i := range ids {
-		ids[i] = i
-	}
-	part.Ranges = completedRanges(ids, e.completed)
-	return part, nil
-}
-
 // replay folds the journaled records recs into the campaign as a resume
-// does: the first record of each experiment of the shard (inShard; nil
-// admits every one) is marked completed, added to the partial and shown to
+// does: the first record of each experiment of the shard (inShard) is
+// marked completed, added to the partial and shown to
 // OnExperiment as resumed, and its outcome feeds the adaptive planner.
 func (e *campaignEngine) replay(recs []journalRecord, inShard map[int]bool) {
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.Sum.ID
-		if inShard != nil && !inShard[id] || e.completed[id] {
+		if !inShard[id] || e.completed[id] {
 			continue
 		}
 		e.completed[id] = true

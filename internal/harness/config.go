@@ -223,8 +223,9 @@ type CampaignConfig struct {
 	Trace string
 	// Timings, when non-nil, aggregates per-outcome and per-phase latency
 	// histograms over every executed (not resumed) experiment;
-	// RunShardContext stamps them into the PartialResult so shard timings
-	// merge back at the coordinator. Observed from worker goroutines
+	// RunShardContext stamps them into the PartialResult, and faultpropd
+	// into a shard job's done status, so shard timings merge back at the
+	// coordinator. Observed from worker goroutines
 	// (CampaignTimings is concurrency-safe). Excluded from the
 	// fingerprint.
 	Timings *CampaignTimings

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -22,13 +24,16 @@ import (
 var coreRun = core.RunResumed
 
 // campaignEngine is the execution core shared by fixed-N and adaptive
-// campaigns: a worker pool that runs an arbitrary set of experiment IDs
-// into the shard's PartialResult, journaling every completion. Fixed-N
-// shards call runIDs once over their pending range; the adaptive planner
-// calls it once per round.
+// campaigns: a worker pool, or an Executor, that runs an arbitrary set of
+// experiment IDs into the shard's PartialResult, journaling every
+// completion. Fixed-N shards call runIDs once over their pending range;
+// the adaptive planner calls it once per round.
 type campaignEngine struct {
-	ctx        context.Context
-	cfg        CampaignConfig
+	ctx  context.Context
+	cfg  CampaignConfig
+	key  campaignKey
+	exec Executor // nil: the local worker pool executes
+
 	inst       *ir.Program
 	part       *PartialResult
 	criteria   classify.Criteria
@@ -37,6 +42,7 @@ type campaignEngine struct {
 	strata     *Strata
 	sites      *siteMap
 	journal    *journalWriter
+	journalErr error // the journal's first failed append
 
 	// completed marks every finished experiment (replayed or executed);
 	// outcomes mirrors their classifications for the adaptive planner (nil
@@ -59,6 +65,9 @@ type campaignEngine struct {
 func (e *campaignEngine) runIDs(ids []int) error {
 	if e.halted || len(ids) == 0 {
 		return nil
+	}
+	if e.exec != nil {
+		return e.runRemote(ids)
 	}
 	cfg := e.cfg
 	work := make(chan int)
@@ -147,23 +156,10 @@ func (e *campaignEngine) runIDs(ids []int) error {
 		close(outs)
 	}()
 
-	var journalErr error
 	for o := range outs {
-		if e.journal != nil && journalErr == nil {
-			if err := e.journal.write(&o.journalRecord); err != nil {
-				journalErr = fmt.Errorf("harness: checkpoint append: %w", err)
-				e.halted = true
-				halt()
-			}
-		}
-		e.part.add(&o.journalRecord, e.strata, e.sites)
-		e.completed[o.Sum.ID] = true
-		if e.outcomes != nil {
-			e.outcomes[o.Sum.ID] = o.Sum.Outcome
-		}
-		e.executed++
-		if cfg.OnExperiment != nil {
-			cfg.OnExperiment(o.Sum, false)
+		if e.fold(&o.journalRecord) != nil {
+			e.halted = true
+			halt()
 		}
 		if cfg.StopAfter > 0 && e.executed >= cfg.StopAfter {
 			e.halted = true
@@ -176,7 +172,108 @@ func (e *campaignEngine) runIDs(ids []int) error {
 	if e.ctx.Err() != nil {
 		e.halted = true
 	}
-	return journalErr
+	return e.journalErr
+}
+
+// runRemote hands ids to the campaign's Executor, which folds what it runs
+// through foldJournal. An executor the campaign's context stopped halts
+// the engine as a cancelled worker pool does; any other error of it is
+// the campaign's.
+func (e *campaignEngine) runRemote(ids []int) error {
+	err := e.exec(e.ctx, ids, e.foldJournal)
+	switch {
+	case err != nil && !errors.Is(err, ErrInterrupted):
+		return err
+	case e.ctx.Err() != nil:
+		e.halted = true
+		return nil
+	case err != nil:
+		return err
+	}
+	for _, id := range ids {
+		if !e.completed[id] {
+			return fmt.Errorf("harness: executor returned with experiment %d of its batch not folded", id)
+		}
+	}
+	return nil
+}
+
+// foldJournal checks journal, the checkpoint journal the Executor returned
+// for shard spec, and folds its records as runIDs folds the experiments it
+// executes. The journal must be headed as spec's shard heads its own and
+// must journal every experiment of spec, none outside it and none the
+// campaign holds already. A journal that is not is folded not at all, and
+// the error wraps ErrFingerprintMismatch: it is another campaign's.
+func (e *campaignEngine) foldJournal(spec ShardSpec, journal []byte) error {
+	refuse := func(err error) error {
+		if !errors.Is(err, ErrFingerprintMismatch) {
+			err = fmt.Errorf("%w: %v", ErrFingerprintMismatch, err)
+		}
+		return fmt.Errorf("harness: journal of shard %d: %w", spec.Index, err)
+	}
+	if err := spec.validate(e.cfg); err != nil {
+		return refuse(err)
+	}
+	want := headerOf(e.cfg, e.key, spec)
+	want.Family = "" // a shard resumes from its own journal only
+	recs, _, _, err := scanJournal(bytes.NewReader(journal), want)
+	if err != nil {
+		return refuse(err)
+	}
+	ids := spec.ids()
+	unseen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if e.completed[id] {
+			return refuse(fmt.Errorf("experiment %d is in the campaign already", id))
+		}
+		unseen[id] = true
+	}
+	keep := make([]*journalRecord, 0, len(ids))
+	for i := range recs {
+		id := recs[i].Sum.ID
+		first, ok := unseen[id]
+		if !ok {
+			return refuse(fmt.Errorf("experiment %d is outside the shard", id))
+		}
+		// A resume replays the first record of an experiment; so does this.
+		if first {
+			unseen[id] = false
+			keep = append(keep, &recs[i])
+		}
+	}
+	if len(keep) != len(ids) {
+		return refuse(fmt.Errorf("journals %d of the shard's %d experiments", len(keep), len(ids)))
+	}
+	for _, rec := range keep {
+		err := e.fold(rec)
+		e.cfg.Progress.noteFolded(rec.Sum.Outcome)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold folds one executed experiment into the campaign: its journal
+// record appended, its aggregate added, OnExperiment told. It returns the
+// journal's first append error; the experiment folds into the aggregate
+// either way, and no append follows a failed one.
+func (e *campaignEngine) fold(rec *journalRecord) error {
+	if e.journal != nil && e.journalErr == nil {
+		if err := e.journal.write(rec); err != nil {
+			e.journalErr = fmt.Errorf("harness: checkpoint append: %w", err)
+		}
+	}
+	e.part.add(rec, e.strata, e.sites)
+	e.completed[rec.Sum.ID] = true
+	if e.outcomes != nil {
+		e.outcomes[rec.Sum.ID] = rec.Sum.Outcome
+	}
+	e.executed++
+	if e.cfg.OnExperiment != nil {
+		e.cfg.OnExperiment(rec.Sum, false)
+	}
+	return e.journalErr
 }
 
 // planFor draws experiment id's fault plan from its position-addressable

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -268,11 +269,11 @@ func TestSeedJournal(t *testing.T) {
 	}
 }
 
-// TestSeedPartial folds a shorter campaign's journal into the seed of a
-// longer one: merged with shards of the rest, it finalizes to the longer
-// campaign's bytes. A journal of another family is no seed, and an
-// adaptive campaign takes none.
-func TestSeedPartial(t *testing.T) {
+// TestRemoteResumesSeededJournal: a coordinated campaign seeded from a
+// shorter one of its family resumes the seed's records from its own
+// journal and hands its executor only the rest, in one batch; the result
+// is the longer campaign's.
+func TestRemoteResumesSeededJournal(t *testing.T) {
 	short := familyBase(6)
 	short.Checkpoint = filepath.Join(t.TempDir(), "journal")
 	if _, err := RunCampaign(short); err != nil {
@@ -283,40 +284,28 @@ func TestSeedPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := familyBase(12)
-	seed, err := SeedPartial(cfg, journal)
-	if err != nil {
+	cfg.Checkpoint, cfg.Resume = filepath.Join(t.TempDir(), "seeded"), true
+	if err := SeedJournal(cfg.Checkpoint, cfg, journal); err != nil {
 		t.Fatal(err)
 	}
-	if len(seed.Ranges) != 1 || seed.Ranges[0] != (IDRange{0, 6}) || seed.Fingerprint != cfg.Fingerprint() {
-		t.Fatalf("the seed covers %v under %s, want [0,6) under %s", seed.Ranges, seed.Fingerprint, cfg.Fingerprint())
-	}
-	parts := []*PartialResult{seed}
-	for _, spec := range PlanRoundShards(cfg, []int{6, 7, 8, 9, 10, 11}, 2) {
-		p, err := RunShard(cfg, spec)
-		if err != nil {
-			t.Fatal(err)
+	resumed := 0
+	cfg.OnExperiment = func(_ ExperimentSummary, r bool) {
+		if r {
+			resumed++
 		}
-		parts = append(parts, p)
 	}
-	got, err := MergePartials(parts...)
+	part, batches := runOnShards(t, cfg, 2, nil)
+	if want := [][]int{{6, 7, 8, 9, 10, 11}}; resumed != 6 || !reflect.DeepEqual(batches, want) {
+		t.Errorf("the seeded campaign resumed %d records and handed out %v, want 6 and %v", resumed, batches, want)
+	}
+	got, err := part.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Checkpoint, cfg.Resume, cfg.OnExperiment = "", false, nil
 	want, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameStudy(t, "seed and shards", want, got)
-
-	other := familyBase(12)
-	other.Seed = 8
-	if _, err := SeedPartial(other, journal); !errors.Is(err, ErrFingerprintMismatch) {
-		t.Errorf("a seed of another seed's campaign: %v, want %v", err, ErrFingerprintMismatch)
-	}
-	adaptive := familyBase(12)
-	adaptive.TargetCI = 0.2
-	var fe *FieldError
-	if _, err := SeedPartial(adaptive, journal); !errors.As(err, &fe) {
-		t.Errorf("a seed of an adaptive campaign: %v, want a field error", err)
-	}
+	assertSameStudy(t, "seeded and remote", want, got)
 }

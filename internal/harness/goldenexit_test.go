@@ -2,6 +2,7 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -55,7 +56,12 @@ func TestGoldenTrafficImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := pack.traffic.Digest()
-	exits, resumes := core.GhostExits(), core.GhostResumes()
+	// Each run's phase trace reports its ghost ends and resumes.
+	var exits, resumes atomic.Int64
+	cfg.OnPhase = func(tr PhaseTrace) {
+		exits.Add(int64(tr.GhostExits))
+		resumes.Add(int64(tr.GhostResumes))
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := range errs {
@@ -76,9 +82,8 @@ func TestGoldenTrafficImmutable(t *testing.T) {
 	if p, _ := packFor(cfg); p != pack {
 		t.Fatal("the campaigns did not share the pack")
 	}
-	if core.GhostExits() == exits || core.GhostResumes() == resumes {
-		t.Fatalf("GhostExits advanced %d and GhostResumes %d: the traffic was not replayed",
-			core.GhostExits()-exits, core.GhostResumes()-resumes)
+	if exits.Load() == 0 || resumes.Load() == 0 {
+		t.Fatalf("%d ghost ends and %d resumes: the traffic was not replayed", exits.Load(), resumes.Load())
 	}
 	if after := pack.traffic.Digest(); after != before {
 		t.Errorf("the pack's golden traffic changed: digest %x, was %x", after, before)

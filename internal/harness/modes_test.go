@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -330,19 +330,29 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 	out := &matrixRun{rec: record(t, m.interp == interpFull)}
 	defer out.rec.stop()
 	dir := t.TempDir()
-	exits, ghosts, resumes := core.GoldenExits(), core.GhostExits(), core.GhostResumes()
 	switches := vm.CleanModeSwitches()
 	cfg.OnExperiment = func(_ ExperimentSummary, resumed bool) {
 		if resumed {
 			out.replayed++
 		}
 	}
+	// Every experiment's phase trace reports its ghost ends and resumes;
+	// a shard's and a shorter campaign's run inherit the hook.
+	var ghostEnds, ghostResumes atomic.Int64
+	cfg.OnPhase = func(tr PhaseTrace) {
+		ghostEnds.Add(int64(tr.GhostExits))
+		ghostResumes.Add(int64(tr.GhostResumes))
+	}
+	// The journal and the timings are the campaign's, a sharded row's
+	// shards observing into the same timings.
+	cfg.Checkpoint, cfg.Timings = filepath.Join(dir, "journal"), NewCampaignTimings()
+	out.timings = cfg.Timings
 	// resumable runs pass on c. A resumed row first interrupts it on one
 	// worker, which stops within two experiments of stopAfter, and then
 	// resumes it from its journal (in a sharded row, shard 0's: the others
 	// may be too small to interrupt). An unsharded family row first runs
 	// the shorter campaign of familyRuns(c) experiments into the same
-	// journal (a sharded one merges a seed instead: familySeed).
+	// journal (a sharded one seeds its journal instead: seedFamily).
 	resumable := func(c CampaignConfig, stopAfter int, pass func(CampaignConfig) error) {
 		switch {
 		case m.resume == resumeStopped && stopAfter > 0:
@@ -364,13 +374,11 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 			t.Fatalf("%v: %v", m, err)
 		}
 	}
-	var parts []*PartialResult
 	switch {
 	case m.resume == resumeFamily && cfg.Adaptive():
 		t.Fatalf("%v: an adaptive campaign has no family journal", m)
 	case m.shards == 1:
 		out.rec.setTail(&cfg, m.tail)
-		cfg.Checkpoint, cfg.Timings = filepath.Join(dir, "journal"), NewCampaignTimings()
 		resumable(cfg, cfg.Runs/4, func(c CampaignConfig) (err error) {
 			out.res, err = RunCampaign(c)
 			return err
@@ -379,64 +387,32 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 		if out.journal, err = os.ReadFile(cfg.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
-		out.timings = cfg.Timings
-	case cfg.Adaptive():
-		if m.resume != resumeNone {
-			t.Fatalf("%v: coordinated adaptive rounds are not resumed here", m)
-		}
-		out.rec.setTail(&cfg, m.tail)
-		_, parts = runCoordinatedRounds(t, cfg, m.shards)
 	default:
-		specs, err := PlanShards(cfg, m.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A coordinated campaign: the engine's own journal and plan, each
+		// batch run as explicit-ID shards whose journals, their wire form,
+		// fold back in reverse.
 		if m.resume == resumeFamily {
-			// A coordinator's seeded job: the shorter campaign's journal
-			// folds into a seed covering [0, k), and explicit-ID shards
-			// run [k, Runs).
-			src := cfg
-			out.rec.setTail(&src, m.tail)
-			seed := m.familySeed(t, src, filepath.Join(dir, "family"))
-			parts = append(parts, wireForm(t, seed))
-			k := familyRuns(cfg)
-			ids := make([]int, 0, cfg.Runs-k)
-			for id := k; id < cfg.Runs; id++ {
-				ids = append(ids, id)
-			}
-			specs = PlanRoundShards(cfg, ids, m.shards)
+			m.seedFamily(t, out.rec, cfg, filepath.Join(dir, "family"))
+			cfg.Resume = true
 		}
-		for i, spec := range specs {
-			c := cfg
+		part, _ := runOnShards(t, cfg, m.shards, func(i int, c CampaignConfig, spec ShardSpec) error {
 			tail := m.tail
 			if m.mixed {
 				tail = (tail + tailMode(i)) % 4
 			}
 			out.rec.setTail(&c, tail)
-			c.Timings = NewCampaignTimings()
 			stopAfter := 0
 			if i == 0 {
-				c.Checkpoint, stopAfter = filepath.Join(dir, "shard0"), 1
+				stopAfter = 1
 			}
 			resumable(c, stopAfter, func(c CampaignConfig) error {
-				p, err := RunShard(c, spec)
-				if err != nil {
-					return err
-				}
-				parts = append(parts, wireForm(t, p))
-				return nil
+				_, err := RunShard(c, spec)
+				return err
 			})
-		}
-	}
-	if parts != nil {
-		var acc *PartialResult
-		for i := len(parts) - 1; i >= 0; i-- {
-			acc = mergeInto(t, acc, parts[i])
-		}
-		acc.AdaptiveDone = cfg.Adaptive()
-		out.timings = acc.Timings
+			return nil
+		})
 		var err error
-		if out.res, err = acc.Finalize(); err != nil {
+		if out.res, err = part.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,11 +421,11 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 		t.Errorf("%v: %s", m, e)
 	}
 	c := out.rec.counts
-	if d := core.GoldenExits() - exits; d != uint64(c.exited) {
-		t.Errorf("%v: core.GoldenExits advanced %d for %d exited experiments", m, d, c.exited)
+	if d := out.timings.Exits(); d != c.exited {
+		t.Errorf("%v: the phase traces counted %d exits for %d exited experiments", m, d, c.exited)
 	}
-	if g, r := core.GhostExits()-ghosts, core.GhostResumes()-resumes; g != uint64(c.ghostExits) || r != uint64(c.ghostResumes) {
-		t.Errorf("%v: core counted %d ghost ends and %d resumes, the experiments %d and %d", m, g, r, c.ghostExits, c.ghostResumes)
+	if g, r := ghostEnds.Load(), ghostResumes.Load(); g != int64(c.ghostExits) || r != int64(c.ghostResumes) {
+		t.Errorf("%v: the phase traces counted %d ghost ends and %d resumes, the experiments %d and %d", m, g, r, c.ghostExits, c.ghostResumes)
 	}
 	if n := out.timings.Count(); n != uint64(c.runs) || out.timings.Restore.Count() != n {
 		t.Errorf("%v: timings counted %d experiments (restore phase %d), the recorder %d", m, n, out.timings.Restore.Count(), c.runs)
@@ -457,30 +433,19 @@ func (m execMode) run(t testing.TB, cfg CampaignConfig) *matrixRun {
 	return out
 }
 
-// wireForm returns p as a worker ships it, and a coordinator parks it:
-// through its JSON encoding.
-func wireForm(t testing.TB, p *PartialResult) *PartialResult {
-	t.Helper()
-	wire := &PartialResult{}
-	if err := json.Unmarshal(mustJSON(t, p), wire); err != nil {
-		t.Fatal(err)
-	}
-	return wire
-}
-
 // familyRuns is the length of the shorter campaign of cfg's family that a
 // family row resumes from.
 func familyRuns(cfg CampaignConfig) int { return cfg.Runs / 2 }
 
-// familySeed runs the shorter campaign of cfg's family, journaled at path,
-// in row m's tail, and folds its journal into the seed of cfg. The seed
-// carries the shorter campaign's timings, whose experiments the recorder
-// counted.
-func (m execMode) familySeed(t testing.TB, cfg CampaignConfig, path string) *PartialResult {
+// seedFamily seeds cfg's journal as a coordinator seeds a job's: it runs
+// the shorter campaign of cfg's family, journaled at path, in row m's
+// tail, and writes its records under cfg's header (SeedJournal), for
+// cfg's resume to replay.
+func (m execMode) seedFamily(t testing.TB, rec *runRecorder, cfg CampaignConfig, path string) {
 	t.Helper()
 	shorter := cfg
-	shorter.Runs, shorter.Checkpoint, shorter.Timings = familyRuns(cfg), path, NewCampaignTimings()
-	shorter.OnExperiment = nil
+	rec.setTail(&shorter, m.tail)
+	shorter.Runs, shorter.Checkpoint, shorter.OnExperiment = familyRuns(cfg), path, nil
 	if _, err := RunCampaign(shorter); err != nil {
 		t.Fatalf("%v: the %d-run campaign: %v", m, shorter.Runs, err)
 	}
@@ -488,15 +453,9 @@ func (m execMode) familySeed(t testing.TB, cfg CampaignConfig, path string) *Par
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := SeedPartial(cfg, journal)
-	if err != nil {
+	if err := SeedJournal(cfg.Checkpoint, cfg, journal); err != nil {
 		t.Fatalf("%v: %v", m, err)
 	}
-	if want := []IDRange{{0, shorter.Runs}}; !reflect.DeepEqual(seed.Ranges, want) {
-		t.Fatalf("%v: the seed covers %v, want %v", m, seed.Ranges, want)
-	}
-	seed.Timings = shorter.Timings
-	return seed
 }
 
 // reference is a campaign's reference execution, with each plan's

@@ -394,13 +394,8 @@ func TestSiteProfileOncePerPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parts := runCoordinatedRounds(t, adaptive, 3)
-	var acc *PartialResult
-	for _, p := range parts {
-		acc = mergeInto(t, acc, p)
-	}
-	acc.AdaptiveDone = true
-	coordinated, err := acc.Finalize()
+	part, _ := runOnShards(t, adaptive, 3, nil)
+	coordinated, err := part.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}

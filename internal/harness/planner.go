@@ -23,10 +23,9 @@ import (
 // journaled experiments, and continues byte-identically. The journal
 // therefore holds experiments alone, never the decisions.
 //
-// The policy is split from the engine so a coordinator can run the same
-// decisions over remote workers: it consumes only (stratum, outcome)
-// pairs, which the integer per-stratum tallies of merged PartialResults
-// provide, and emits explicit ID sets, which ShardSpec.IDs dispatches.
+// A coordinator runs the same loop: the engine hands each round to its
+// Executor (RunRemoteContext), which dispatches the round's IDs as
+// explicit-ID shard specs (ShardSpec.IDs) and folds back their journals.
 
 // minStratumRuns is the floor before a stratum may stop: below it the
 // Wilson interval is meaningless whatever its width.
@@ -242,86 +241,9 @@ func (e *campaignEngine) runAdaptive(ids []int) error {
 	}
 }
 
-// AdaptivePlanner is the exported decision core for coordinators that
-// execute adaptive rounds on remote workers. It makes exactly the
-// decisions the local engine makes: NextRound yields the experiment IDs of
-// the next deterministic round (nil once every stratum met the target CI
-// or ran dry), the coordinator executes them wherever it likes — typically
-// as explicit-ID ShardSpecs on peer workers — and Fold feeds the round's
-// merged per-stratum tallies back. Outcomes are pure functions of the
-// seed, so a coordinated adaptive campaign runs the same experiment set,
-// and merges to the same bytes, as a local adaptive run.
-type AdaptivePlanner struct {
-	pol  *adaptivePolicy
-	done bool
-}
-
-// NewAdaptivePlanner builds the planner for an adaptive configuration
-// (Sampling.TargetCI > 0). Its stratification comes from the
-// configuration's pack — the one workers of the same process and
-// configuration run their round shards on.
-func NewAdaptivePlanner(cfg CampaignConfig) (*AdaptivePlanner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if !cfg.Adaptive() {
-		return nil, &FieldError{Field: "Sampling.TargetCI", Reason: "adaptive planning needs a target CI"}
-	}
-	pack, err := packFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := pack.siteMapOf(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]int, cfg.Runs)
-	for i := range ids {
-		ids[i] = i
-	}
-	strata := pack.strata(m, cfg.Sampling.phases())
-	return &AdaptivePlanner{pol: newAdaptivePolicy(cfg, ids, strata, pack.goldenSites)}, nil
-}
-
-// NextRound returns the next round's experiment IDs in ascending order,
-// or nil when the campaign is done (Done() turns true).
-func (p *AdaptivePlanner) NextRound() []int {
-	if p.done {
-		return nil
-	}
-	allocs := p.pol.nextRound()
-	if allocs == nil {
-		p.done = true
-		return nil
-	}
-	var ids []int
-	for _, a := range allocs {
-		ids = append(ids, a.IDs...)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// Done reports whether every stratum has met the target CI or exhausted
-// its pool; the executed subset then finalizes with AdaptiveDone set.
-func (p *AdaptivePlanner) Done() bool { return p.done }
-
-// Fold feeds one executed round's per-stratum outcome tallies back into
-// the policy. The Strata field of the round's merged PartialResult is
-// exactly this shape; integer tallies commute, so worker merge order is
-// irrelevant.
-func (p *AdaptivePlanner) Fold(tallies []StratumTally) {
-	for _, st := range tallies {
-		t := p.pol.tallies[st.Stratum]
-		t.Merge(st.Tally)
-		p.pol.tallies[st.Stratum] = t
-	}
-}
-
-// PlanRoundShards splits one planner round's IDs across n workers as
-// contiguous near-equal explicit-ID shard specs carrying the campaign
-// fingerprint. Shards that would be empty are omitted, so the result may
+// PlanRoundShards splits a batch of experiment IDs — one planner round's,
+// or a fixed campaign's pending ones — across n workers as contiguous
+// near-equal explicit-ID shard specs carrying the campaign fingerprint. Shards that would be empty are omitted, so the result may
 // be shorter than n.
 func PlanRoundShards(cfg CampaignConfig, ids []int, n int) []ShardSpec {
 	if n < 1 {

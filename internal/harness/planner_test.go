@@ -59,79 +59,29 @@ func TestAdaptiveUnreachableTargetDegeneratesToFixedN(t *testing.T) {
 	assertSameStudy(t, "unreachable target vs fixed-N", a, f)
 }
 
-// runCoordinatedRounds drives the exported planner to convergence the way
-// a coordinator does: each round's IDs go out as explicit-ID shards over
-// RunShard and the round's merged per-stratum tallies fold back. It
-// returns every round's IDs and every shard partial, in execution order;
-// each partial carries its own shard's phase timings.
-func runCoordinatedRounds(t testing.TB, cfg CampaignConfig, shards int) ([][]int, []*PartialResult) {
-	t.Helper()
-	planner, err := NewAdaptivePlanner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rounds [][]int
-	var parts []*PartialResult
-	for {
-		ids := planner.NextRound()
-		if ids == nil {
-			break
-		}
-		rounds = append(rounds, ids)
-		var roundAcc *PartialResult
-		for i, spec := range PlanRoundShards(cfg, ids, shards) {
-			c := cfg
-			c.Timings = NewCampaignTimings()
-			p, err := RunShard(c, spec)
-			if err != nil {
-				t.Fatalf("round %d shard %d: %v", len(rounds), i, err)
-			}
-			parts = append(parts, p)
-			roundAcc = mergeInto(t, roundAcc, p)
-		}
-		planner.Fold(roundAcc.Strata)
-	}
-	if !planner.Done() {
-		t.Fatal("planner never converged")
-	}
-	return rounds, parts
-}
-
-// TestAdaptiveCoordinatedRoundsMatchLocal drives the exported planner the
-// way a coordinator does — rounds split into explicit-ID shards, executed
-// via RunShard, merged in opposite orders — and requires both merge orders
-// and the local engine to agree byte-for-byte.
+// TestAdaptiveCoordinatedRoundsMatchLocal runs the engine's adaptive loop
+// on an in-process executor, as a coordinator runs it on its workers — rounds
+// split into explicit-ID shards, executed via RunShard, their journals
+// folded back — and requires the local engine's bytes.
 func TestAdaptiveCoordinatedRoundsMatchLocal(t *testing.T) {
 	cfg := adaptiveConfig(80, 0.25)
 	local, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parts := runCoordinatedRounds(t, cfg, 3)
-	var fwd, rev *PartialResult
-	for i := range parts {
-		fwd = mergeInto(t, fwd, parts[i])
-		rev = mergeInto(t, rev, parts[len(parts)-1-i])
-	}
-	fwd.AdaptiveDone = true
-	rev.AdaptiveDone = true
-	a, err := fwd.Finalize()
+	part, _ := runOnShards(t, cfg, 3, nil)
+	remote, err := part.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rev.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStudy(t, "forward vs reverse merge", a, b)
-	assertSameStudy(t, "coordinated vs local", local, a)
+	assertSameStudy(t, "remote vs local", local, remote)
 }
 
 // TestAdaptivePlannerRoundSequencePinned pins the round sequences the
 // planner produced for this file's fixtures when callers still built its
-// stratification themselves (BuildStrata + NewAdaptivePlanner(cfg, strata),
-// recorded at that commit): fetching the stratification from the pack must
-// not move a single ID between rounds.
+// stratification themselves (recorded at that commit), as the batches the
+// engine hands an executor: fetching the stratification from the pack, or
+// running the rounds remotely, must not move a single ID between rounds.
 func TestAdaptivePlannerRoundSequencePinned(t *testing.T) {
 	for _, fx := range []struct {
 		runs   int
@@ -143,7 +93,7 @@ func TestAdaptivePlannerRoundSequencePinned(t *testing.T) {
 		{40, 1e-9, []int{16, 16, 8}, "483b905da445d6d1"},
 		{12, 0.25, []int{12}, "3a06181cfce1f71b"},
 	} {
-		rounds, _ := runCoordinatedRounds(t, adaptiveConfig(fx.runs, fx.target), 1)
+		_, rounds := runOnShards(t, adaptiveConfig(fx.runs, fx.target), 1, nil)
 		h := fnv.New64a()
 		var sizes []int
 		for _, ids := range rounds {

@@ -115,6 +115,20 @@ func (p *Progress) noteDone(o classify.Outcome, d time.Duration) {
 	}
 }
 
+// noteFolded counts an experiment another process executed, folded in
+// from its journal.
+func (p *Progress) noteFolded(o classify.Outcome) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	if o >= 0 && int(o) < classify.NumOutcomes {
+		p.outcomes[o]++
+	}
+}
+
 // noteExit counts, for an experiment already noted done, whether it ended
 // at a golden-equal cut and how many of its ranks ended as ghosts.
 func (p *Progress) noteExit(exited bool, ghosts int) {

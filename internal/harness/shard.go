@@ -36,10 +36,11 @@ type ShardSpec struct {
 	To   int `json:"to"`
 	// IDs, when non-empty, enumerates the exact experiment IDs this shard
 	// executes instead of the contiguous [From, To) range. This is the
-	// dispatch vehicle for adaptive coordinators: the planner chooses a
-	// round of IDs, splits it across workers as explicit-ID shards, and the
-	// workers execute them without knowing any policy. IDs must be strictly
-	// ascending and lie within [0, Runs); From and To are ignored.
+	// dispatch vehicle of coordinators: each batch of experiments the
+	// engine hands an Executor — pending IDs, or one adaptive round —
+	// splits across workers as explicit-ID shards, which the workers
+	// execute without knowing any policy. IDs must be strictly ascending
+	// and lie within [0, Runs); From and To are ignored.
 	IDs []int `json:"ids,omitempty"`
 	// Runs is the whole campaign's run count (the union of all shards).
 	Runs int `json:"runs"`
@@ -223,8 +224,7 @@ type PartialResult struct {
 	// stopping criterion: every stratum's outcome rates are within the
 	// target CI (or its ID pool is exhausted). Finalize accepts partial ID
 	// coverage from such a result — the uncovered IDs were deliberately
-	// not spent. ORed on merge; a coordinator sets it on the merged partial
-	// when its own planner stops.
+	// not spent. ORed on merge.
 	AdaptiveDone bool `json:"adaptiveDone,omitempty"`
 
 	// Timings carries the shard's phase-latency histograms when the run

@@ -7,9 +7,11 @@
 // any number of watchers.
 //
 // A daemon can also act as a shard coordinator: a job submitted with
-// Shards > 1 is decomposed into fingerprint-guarded shard jobs dispatched
-// to registered peer workers (other faultpropd instances), their partial
-// aggregates merged into a result byte-identical to a single-process run.
+// Shards > 1 runs through the same campaign engine and journal as a local
+// job, but its experiments run as fingerprint-guarded shard jobs on
+// registered peer workers (other faultpropd instances), whose journals
+// fold into the job's own: its result is byte-identical to a
+// single-process run.
 //
 // The HTTP surface, versioned under /v1/ (all request/response bodies are
 // JSON; error bodies carry {"error": message, "code": machine-code}):
@@ -23,8 +25,9 @@
 //	                            bytes that were stored (compact JSON, no
 //	                            trailing newline; 409 no_result for a cache
 //	                            hit whose archive entry is gone or damaged)
-//	GET    /v1/jobs/{id}/partial mergeable PartialResult of a finished shard
-//	                            job, likewise the stored bytes
+//	GET    /v1/jobs/{id}/journal checkpoint journal of a done job (JSONL),
+//	                            likewise the stored bytes (409 no_journal
+//	                            until the job is done)
 //	POST   /v1/jobs/{id}/cancel cancel a queued or running job
 //	DELETE /v1/jobs/{id}        alias for cancel
 //	GET    /v1/metrics          service metrics: JSON by default, the
@@ -109,13 +112,14 @@ type JobSpec struct {
 	// Label is a free-form operator annotation.
 	Label string `json:"label,omitempty"`
 	// Shards, when > 1, makes this a coordinated job: the daemon splits
-	// the campaign into that many shard jobs, dispatches them to its
-	// registered peer workers, and merges the partial aggregates into a
-	// result byte-identical to an unsharded run.
+	// every batch of the campaign's experiments into that many shard jobs,
+	// dispatches them to its registered peer workers, and folds their
+	// journals into its own, for a result byte-identical to an unsharded
+	// run.
 	Shards int `json:"shards,omitempty"`
 	// Shard marks this job as one shard of a coordinated campaign. Set by
 	// coordinators when dispatching to workers, not by end users; the
-	// worker runs only the spec's ID range and exposes a PartialResult
+	// worker runs only the spec's experiments and exposes its journal
 	// instead of a CampaignResult.
 	Shard *harness.ShardSpec `json:"shard,omitempty"`
 	// Sampling, when present, selects the adaptive stratified sampling
@@ -252,9 +256,8 @@ type JobStatus struct {
 	ErrorCode string `json:"errorCode,omitempty"`
 	// Resumed counts the experiments the job's last (re)start did not
 	// execute: for a whole or shard job, those replayed from its checkpoint
-	// journal; for a coordinated job, those its parked shard partials and
-	// its family seed cover. Nonzero after a daemon restart or a seeding
-	// from the archive; it equals Progress.Resumed.
+	// journal, its family seed's included. Nonzero after a daemon restart
+	// or a seeding from the archive; it equals Progress.Resumed.
 	Resumed int `json:"resumed,omitempty"`
 	// Trace is the job's span ID: taken from the submitter's
 	// X-Faultprop-Trace header when present (so one trace follows a
@@ -283,10 +286,14 @@ type JobStatus struct {
 	// golden exits and rate (a cache hit ran nothing and has none).
 	Progress *harness.Snapshot `json:"progress,omitempty"`
 	// Tally and FPS summarize a done job (the full CampaignResult is at
-	// /v1/jobs/{id}/result; shard jobs expose /v1/jobs/{id}/partial and
-	// leave FPS zero — the model is only built after the merge).
+	// /v1/jobs/{id}/result; shard jobs expose /v1/jobs/{id}/journal and
+	// leave FPS zero — the model is only built by the coordinator).
 	Tally *classify.Tally `json:"tally,omitempty"`
 	FPS   float64         `json:"fps,omitempty"`
+	// Timings are a done shard job's phase-latency histograms, which its
+	// coordinator absorbs into its own metrics: a journal does not carry
+	// them.
+	Timings *harness.CampaignTimings `json:"timings,omitempty"`
 	// Strata is the per-stratum vulnerability table of a done stratified
 	// job: one row per instruction-class × execution-phase stratum with
 	// its tally, vulnerability rate, and CI half-width.
@@ -358,7 +365,9 @@ type VersionInfo struct {
 	// API is the version prefix ("v1").
 	API string `json:"api"`
 	// Capabilities lists supported feature tags: "jobs", "stream",
-	// "metrics", "shards" (accepts shard jobs, serves partials),
+	// "metrics", "journals" (serves a done job's checkpoint journal; a
+	// coordinator dispatches only to workers that do), "shards" (accepts
+	// shard jobs),
 	// "coordinate" (decomposes Shards > 1 jobs across peer workers),
 	// "adaptive" (accepts JobSpec.Sampling adaptive stopping policies).
 	Capabilities []string `json:"capabilities"`
@@ -400,10 +409,10 @@ type Metrics struct {
 	ArchiveEntries int   `json:"archiveEntries"`
 	ArchiveBytes   int64 `json:"archiveBytes"`
 	// RestoreBytes totals the bytes copied by snapshot-fork restores
-	// (local experiments plus absorbed shard partials): every fork copies
+	// (local experiments plus absorbed shard timings): every fork copies
 	// its snapshot's whole backing, a few KiB per rank.
 	RestoreBytes uint64 `json:"restoreBytes"`
-	// GoldenExits counts experiments (local plus absorbed shard partials)
+	// GoldenExits counts experiments (local plus absorbed shard timings)
 	// that ended at a captured cut where every rank was back in the golden
 	// state instead of executing the golden tail.
 	GoldenExits uint64 `json:"goldenExits"`

@@ -62,8 +62,7 @@ func (s *Server) lookupCache(key, trace string) *archive.Record {
 // runs below its own whose journal is of this build's version (Source).
 // Its records are experiments the job need not execute. journal is nil
 // when there is none. Adaptive campaigns, whose rounds draw from
-// [0, Runs), and shard jobs take no seed; coordinated entries are none,
-// having no journal.
+// [0, Runs), and shard jobs take no seed.
 func (s *Server) familySource(st JobStatus, cfg harness.CampaignConfig) (fp string, runs int, journal []byte) {
 	if s.archive == nil || st.Spec.Shard != nil || cfg.Adaptive() {
 		return "", 0, nil
@@ -99,9 +98,9 @@ func (s *Server) noteSeeded(st JobStatus, source string, runs int) {
 
 // currentEntry reports whether rec was archived under this build's journal
 // version: its manifest says so, and so does its journal's header when it
-// has one. A coordinated job's entry has no journal, so its manifest is
-// the only witness; an entry whose manifest names no version predates the
-// field and is not served.
+// has one (entries of older builds' coordinated jobs have none, and their
+// manifest is the only witness); an entry whose manifest names no version
+// predates the field and is not served.
 func currentEntry(rec *archive.Record) bool {
 	return rec.Meta.JournalVersion == harness.JournalVersion &&
 		(rec.Journal == nil || harness.CurrentJournal(rec.Journal))
@@ -248,10 +247,6 @@ func (s *Server) archiveResult(st JobStatus, res *harness.CampaignResult, data [
 		}
 		meta.Strata = strata
 	}
-	// Coordinated jobs have no single experiment journal (their shards
-	// journaled on the workers); Put archives without one and cache hits
-	// for them replay no experiment history — the same view a watcher
-	// gets attaching to the finished coordinated job itself.
 	if err := s.archive.Put(meta, data, s.store.JournalPath(st.ID)); err != nil {
 		s.log.Warn("archive put failed", "job", st.ID, "trace", st.Trace,
 			"fingerprint", st.Fingerprint, "err", err)

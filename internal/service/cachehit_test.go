@@ -122,8 +122,8 @@ func mustRead(t *testing.T, path string) []byte {
 
 // TestStoredDocumentsTravelVerbatim: the body of GET result is the file
 // finish wrote, byte for byte — for the job that ran and for its cache hit,
-// whose bytes are the archive entry's — and the body of GET partial is the
-// shard job's stored partial. Client.Result still decodes both.
+// whose bytes are the archive entry's — and the body of GET journal is the
+// shard job's stored journal. Client.Result still decodes both.
 func TestStoredDocumentsTravelVerbatim(t *testing.T) {
 	arch, data := t.TempDir(), t.TempDir()
 	d := startDaemon(t, data, service.Config{ArchiveDir: arch})
@@ -154,8 +154,8 @@ func TestStoredDocumentsTravelVerbatim(t *testing.T) {
 		t.Error("rendered study differs between the run and its cache hit")
 	}
 
-	// Shard partials: run a two-shard job and compare every worker-side
-	// shard job's /partial body with its stored file.
+	// Shard journals: run a two-shard job and compare every worker-side
+	// shard job's /journal body with its stored file.
 	workerDir := t.TempDir()
 	worker := startDaemon(t, workerDir, service.Config{})
 	coord := startDaemon(t, t.TempDir(), service.Config{Peers: []string{worker.http.URL}})
@@ -167,10 +167,10 @@ func TestStoredDocumentsTravelVerbatim(t *testing.T) {
 		t.Fatalf("worker ran %d shard jobs (err %v), want 2", len(shards), err)
 	}
 	for _, sh := range shards {
-		code, body := get(t, worker, "/v1/jobs/"+sh.ID+"/partial", "")
-		want := mustRead(t, filepath.Join(workerDir, "job-"+sh.ID+".partial.json"))
+		code, body := get(t, worker, "/v1/jobs/"+sh.ID+"/journal", "")
+		want := mustRead(t, filepath.Join(workerDir, "job-"+sh.ID+".ckpt.jsonl"))
 		if code != http.StatusOK || !bytes.Equal(body, want) {
-			t.Errorf("GET partial of shard job %s = %d, %d bytes; stored %d bytes", sh.ID, code, len(body), len(want))
+			t.Errorf("GET journal of shard job %s = %d, %d bytes; stored %d bytes", sh.ID, code, len(body), len(want))
 		}
 	}
 }

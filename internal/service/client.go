@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -283,7 +284,9 @@ func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
 // ping is the heartbeat's liveness and API-compatibility probe: Version in
 // a single attempt. A retried probe would outlast its heartbeat interval,
 // and the dispatch loop would keep assigning shards to a dead worker for
-// the length of the back-off.
+// the length of the back-off. A worker that does not serve its shards'
+// journals ("journals") could run a shard but never hand it back: it fails
+// the probe like a dead one, and is handed no shard.
 func (c *Client) ping(ctx context.Context) error {
 	var v VersionInfo
 	if err := c.do(ctx, http.MethodGet, "/v1/version", nil, &v); err != nil {
@@ -292,16 +295,24 @@ func (c *Client) ping(ctx context.Context) error {
 	if v.API != APIVersion {
 		return fmt.Errorf("service: worker %s speaks API %q, want %q", c.base, v.API, APIVersion)
 	}
+	if !slices.Contains(v.Capabilities, "journals") {
+		return fmt.Errorf("service: worker %s serves no shard journals (capabilities %v)", c.base, v.Capabilities)
+	}
 	return nil
 }
 
-// Partial fetches a done shard job's mergeable partial aggregate.
-func (c *Client) Partial(ctx context.Context, id string) (*harness.PartialResult, error) {
-	var part harness.PartialResult
-	if err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/partial", nil, &part); err != nil {
+// Journal fetches a done job's checkpoint journal, the bytes the daemon
+// stored: a shard job's is what a coordinator folds into its own journal.
+func (c *Client) Journal(ctx context.Context, id string) ([]byte, error) {
+	var journal []byte
+	keep := decodeBody(func(data []byte) error {
+		journal = data
+		return nil
+	})
+	if err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/journal", nil, keep); err != nil {
 		return nil, err
 	}
-	return &part, nil
+	return journal, nil
 }
 
 // Workers lists the daemon's registered peer workers.

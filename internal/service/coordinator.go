@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -12,31 +11,30 @@ import (
 	"repro/internal/obs"
 )
 
-// The coordinator turns one submitted job with Shards > 1 into a fleet of
-// shard jobs on registered peer workers:
+// A submitted job with Shards > 1 runs through the harness campaign engine
+// like a local job (runCampaign): its journal at JournalPath, resumed on
+// every start, seeded from its family's archived journal, the engine's own
+// fixed or adaptive plan. The coordinator is the engine's Executor: every
+// batch of experiments the engine would execute itself — a fixed job's
+// pending IDs, or one adaptive round — runs on registered peer workers:
 //
-//	plan    PlanShards carves [0, Runs) into fingerprint-guarded specs
-//	park    each completed shard's partial is written whole to
-//	        job-<id>.shard-<key>.partial.json, its completion record — a
-//	        coordinator restart loads what is parked and re-runs only the
-//	        missing shards
-//	dispatch each pending shard goes to the least-loaded alive worker and
-//	        is followed on that worker's event stream — its terminal
+//	split    the batch splits into Shards explicit-ID specs (PlanRoundShards)
+//	dispatch each spec goes to the least-loaded alive worker as a shard job
+//	        and is followed on that worker's event stream — its terminal
 //	        event, not a timer, ends it; worker death (failed heartbeat,
 //	        or a severed or silent stream whose liveness probe fails)
 //	        requeues the shard with backoff onto surviving workers
-//	merge   partials merge order-independently; the finalized result is
-//	        byte-identical to a single-process run of the same spec
+//	fold    a finished shard's checkpoint journal is fetched
+//	        (GET /v1/jobs/{id}/journal) and handed back to the engine,
+//	        which checks it against its spec and appends its records to
+//	        the job's journal
 //
-// A job that also carries an adaptive sampling policy (JobSpec.Sampling
-// with a target CI) is coordinated round by round instead: the
-// coordinator owns the planner, workers stay policy-blind executors of
-// explicit-ID shard specs, and each round's merged per-stratum tallies
-// steer the next round's allocation.
-//
-// The coordinator is a runner like the local one: it returns the job's
-// merged partial, and its job's one progress source is the shardProgress
-// it keeps, so watchers see one campaign, not N shards.
+// The job's journal is therefore its record, as a local job's is: a
+// restarted coordinator resumes it and dispatches only the experiments it
+// lacks, watchers replay it, the archive keeps it, and a longer campaign of
+// the family starts from it. Its progress is the engine's, overlaid with
+// the shards in flight (shardProgress), so watchers see one campaign, not
+// N shards.
 
 // maxShardAttempts bounds re-dispatches of one shard before the whole job
 // fails: transient worker deaths retry, a systematically failing shard
@@ -44,7 +42,7 @@ import (
 const maxShardAttempts = 5
 
 // peerCallTimeout bounds each request/response exchange with a worker
-// (submit, status, partial; retries included). The Client sets no timeout
+// (submit, status, journal; retries included). The Client sets no timeout
 // of its own, and a worker that accepts a connection and then hangs must
 // surface as a Transient failure instead of holding its shard forever. A
 // shard's watch has no such bound: attachShard's silence timer covers it.
@@ -55,20 +53,20 @@ type shardTask struct {
 	spec     harness.ShardSpec
 	attempts int
 	notAfter time.Time // backoff: do not dispatch before this
-	// key is the shard's identity and partial-path index. The fixed plan
-	// uses the spec index; the adaptive coordinator keys (round, slot)
-	// pairs so every round's shards are parked distinctly.
+	// key numbers the job's shards, batch after batch, for logs and span
+	// IDs.
 	key int
-	// slot is the task's position in its caller's parts slice.
-	slot int
 }
 
 // shardOutcome is what one dispatch goroutine reports back.
 type shardOutcome struct {
-	task    *shardTask
-	worker  WorkerInfo
-	partial *harness.PartialResult
-	// elapsed is the shard's wall time, submit to fetched partial
+	task   *shardTask
+	worker WorkerInfo
+	// journal is the finished shard's checkpoint journal, and timings the
+	// phase timings its worker's done status carries.
+	journal []byte
+	timings *harness.CampaignTimings
+	// elapsed is the shard's wall time, submit to fetched journal
 	// (set on success; feeds the shard-duration histogram).
 	elapsed time.Duration
 	err     error
@@ -80,140 +78,43 @@ type shardOutcome struct {
 	category Category
 }
 
-// runCoordinated executes a Shards > 1 job by decomposition: it returns
-// the merged partial, or an error (wrapping ErrInterrupted for
-// cancel/drain, like the local path), and runJob settles it as it settles
-// a local run. prog is the job's progress: what the seed and the parked
-// and fetched shards cover, plus what in-flight shards have reported.
-//
-// The campaign runs as a sequence of shard rounds. A fixed plan is one
-// round, PlanShards over [0, Runs). An adaptive job has a round per planner
-// decision: the coordinator owns the sampling policy — the same pure
-// decision core the local engine runs — and the workers never see it. Each
-// round's experiment IDs are split into explicit-ID shard specs, and the
-// round's per-stratum tallies fold back into the planner to steer the next
-// one. Because outcomes are pure functions of the seed, the coordinated
-// campaign executes the same experiment set as a local run and merges to
-// the same bytes.
-//
-// Completed shards are parked under the key (round-1)*Shards + slot — the
-// spec index for a fixed plan. On coordinator restart the plan (and the
-// planner, fed the parked partials) re-derives the identical round
-// sequence, and only what is missing is dispatched.
-func (s *Server) runCoordinated(ctx context.Context, st JobStatus, prog *shardProgress) (*harness.PartialResult, error) {
-	cfg, err := st.Spec.CampaignConfig()
-	if err != nil {
-		return nil, err
-	}
-	var planner *harness.AdaptivePlanner
-	if st.Spec.Adaptive() {
-		if planner, err = harness.NewAdaptivePlanner(cfg); err != nil {
-			return nil, err
-		}
-	}
-	fingerprint := cfg.Fingerprint()
-	prog.begin(cfg.Runs)
-	acc := s.coordinatedSeed(st, cfg) // the seed, and every finished round, merged
-	if acc != nil {
-		prog.resume(acc)
-	}
-	nextRound := func(round int) ([]harness.ShardSpec, error) {
-		switch {
-		case planner != nil:
-			return harness.PlanRoundShards(cfg, planner.NextRound(), st.Spec.Shards), nil
-		case round > 1:
-			return nil, nil
-		case acc != nil:
-			return harness.PlanRoundShards(cfg, uncovered(acc), st.Spec.Shards), nil
-		}
-		return harness.PlanShards(cfg, st.Spec.Shards)
-	}
-
-	for round := 1; ; round++ {
-		specs, err := nextRound(round)
-		if err != nil {
-			return nil, err
-		}
-		if len(specs) == 0 {
-			break
-		}
-		parts := make([]*harness.PartialResult, len(specs))
-		var pending []*shardTask
+// executor is the harness.Executor of coordinated job st, whose campaign
+// is cfg: each batch the engine hands it splits into st.Spec.Shards
+// explicit-ID specs, runs on the workers, and folds back shard by shard as
+// each one's journal arrives. prog follows the shards in flight.
+func (s *Server) executor(st JobStatus, cfg harness.CampaignConfig, prog *shardProgress) harness.Executor {
+	next := 0 // the key of the next shard
+	return func(ctx context.Context, ids []int, fold func(harness.ShardSpec, []byte) error) error {
+		specs := harness.PlanRoundShards(cfg, ids, st.Spec.Shards)
+		tasks := make([]*shardTask, len(specs))
 		for i := range specs {
-			key := (round-1)*st.Spec.Shards + i
-			// A partial parked by a previous coordinator run is the shard's
-			// completion record: it is written whole or not at all, so one
-			// that decodes and carries the campaign fingerprint is not
-			// re-dispatched.
-			if p, err := s.store.LoadPartial(s.store.ShardPartialPath(st.ID, key)); err == nil && p.Fingerprint == fingerprint {
-				parts[i] = p
-				prog.resume(p)
-				continue
-			}
-			pending = append(pending, &shardTask{spec: specs[i], key: key, slot: i})
+			tasks[i] = &shardTask{spec: specs[i], key: next}
+			next++
 		}
-		onDone := func(t *shardTask, part *harness.PartialResult) error {
-			parts[t.slot] = part
-			return s.store.SavePartial(s.store.ShardPartialPath(st.ID, t.key), part)
-		}
-		s.log.Info("shard round", "job", st.ID, "trace", st.Trace,
-			"round", round, "shards", len(specs), "pending", len(pending))
-		if err := s.runShardSet(ctx, st, pending, len(specs), prog, onDone); err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			if planner != nil {
-				planner.Fold(p.Strata)
-			}
-			if acc == nil {
-				acc = p.Clone()
-			} else if err := acc.Merge(p); err != nil {
-				return nil, fmt.Errorf("merge round %d shards: %w", round, err)
-			}
-		}
+		s.log.Info("shard batch", "job", st.ID, "trace", st.Trace,
+			"experiments", len(ids), "shards", len(specs))
+		return s.runShardSet(ctx, st, tasks, prog, func(t *shardTask, journal []byte) error {
+			return fold(t.spec, journal)
+		})
 	}
-	if acc == nil {
-		return nil, fmt.Errorf("campaign planned zero experiments")
-	}
-	// An adaptive planner closed every stratum on purpose: the executed
-	// subset stands in for the whole budget when the merged partial
-	// finalizes. A fixed plan must cover [0, Runs).
-	if planner != nil {
-		acc.AdaptiveDone = true
-	}
-	s.log.Info("shards merged", "job", st.ID, "trace", st.Trace,
-		"spent", acc.Tally.Total, "budget", cfg.Runs, "fingerprint", fingerprint)
-	return acc, nil
 }
 
-// shardProgress is a coordinated job's progress source. Completed work
-// counts once its partial is in hand — the seed and parked shards as
-// resumed, fetched shards as done — and an in-flight shard counts the
-// experiment events its stream has delivered. Its own lock guards it, so
-// status reads under the job's lock can take a snapshot.
+// shardProgress is a coordinated job's progress source: the engine's
+// Progress, which counts what the job's journal holds, overlaid with the
+// shards in flight — each counting the experiment events its stream has
+// delivered — and with the golden exits of the shards that landed, which
+// their journals do not record. Its own lock guards it, so status reads
+// under the job's lock can take a snapshot.
 type shardProgress struct {
+	base *harness.Progress
+
 	mu       sync.Mutex
-	started  time.Time
-	settled  harness.Snapshot   // Total, and what completed partials cover
 	inflight map[*shardTask]int // experiments each in-flight shard reported
+	exited   int
 }
 
-// begin starts the clock on a campaign of total runs.
-func (p *shardProgress) begin(total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.started = time.Now()
-	p.settled = harness.Snapshot{Total: total}
-	p.inflight = make(map[*shardTask]int)
-}
-
-// resume counts a partial the job did not execute: its seed, or a shard
-// parked by an earlier run.
-func (p *shardProgress) resume(part *harness.PartialResult) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fold(part)
-	p.settled.Resumed += part.Tally.Total
+func newShardProgress(base *harness.Progress) *shardProgress {
+	return &shardProgress{base: base, inflight: make(map[*shardTask]int)}
 }
 
 // report counts task t as in flight, done experiments into it.
@@ -223,102 +124,47 @@ func (p *shardProgress) report(t *shardTask, done int) {
 	p.inflight[t] = done
 }
 
-// land ends task t's flight; its partial, when it finished, counts as done.
-func (p *shardProgress) land(t *shardTask, part *harness.PartialResult) {
+// land ends task t's flight and runs fold, when it is set, under the same
+// lock: the shard's experiments leave the overlay as they reach the engine,
+// and no snapshot counts them twice or not at all.
+func (p *shardProgress) land(t *shardTask, exited int, fold func() error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.inflight, t)
-	if part != nil {
-		p.fold(part)
+	p.exited += exited
+	if fold == nil {
+		return nil
 	}
-}
-
-// fold adds a completed partial's counts. Caller holds p.mu.
-func (p *shardProgress) fold(part *harness.PartialResult) {
-	p.settled.Done += part.Tally.Total
-	p.settled.Exited += part.Timings.Exits()
-	for o := range part.Tally.Counts {
-		p.settled.Outcomes[o] += part.Tally.Counts[o]
-	}
+	return fold()
 }
 
 func (p *shardProgress) snapshot() harness.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	snap := p.settled
+	snap := p.base.Snapshot()
 	for _, done := range p.inflight {
 		snap.Done += done
 		snap.Running++
 	}
-	if !p.started.IsZero() {
-		snap.Elapsed = time.Since(p.started)
-	}
+	snap.Exited += p.exited
 	if snap.Elapsed > 0 {
 		snap.RunsPerSec = float64(snap.Done-snap.Resumed) / snap.Elapsed.Seconds()
 	}
 	return snap
 }
 
-// coordinatedSeed returns the seed of a fixed-plan coordinated job: the
-// partial, parked beside its shards', of the experiments an archived
-// shorter campaign of its family ran, which its shards then need not run.
-// The seed is chosen and parked before the first dispatch, so a restarted
-// coordinator re-reads it and never consults the archive again. A job
-// with a parked shard but no parked seed began unseeded, and stays so:
-// its parked shards belong to the unseeded plan.
-func (s *Server) coordinatedSeed(st JobStatus, cfg harness.CampaignConfig) *harness.PartialResult {
-	path := s.store.SeedPartialPath(st.ID)
-	if p, err := s.store.LoadPartial(path); err == nil && p.Fingerprint == cfg.Fingerprint() {
-		return p
-	}
-	for i := 0; i < st.Spec.Shards; i++ {
-		if _, err := os.Stat(s.store.ShardPartialPath(st.ID, i)); err == nil {
-			return nil
-		}
-	}
-	src, runs, journal := s.familySource(st, cfg)
-	if journal == nil {
-		return nil
-	}
-	seed, err := harness.SeedPartial(cfg, journal)
-	if err == nil {
-		err = s.store.SavePartial(path, seed)
-	}
-	if err != nil {
-		s.log.Warn("job not seeded", "job", st.ID, "trace", st.Trace, "source", src, "err", err)
-		return nil
-	}
-	s.noteSeeded(st, src, runs)
-	return seed
-}
-
-// uncovered lists the IDs of p's campaign that p does not cover.
-func uncovered(p *harness.PartialResult) []int {
-	var ids []int
-	next := 0
-	for _, r := range p.Ranges {
-		for ; next < r.From; next++ {
-			ids = append(ids, next)
-		}
-		next = r.To
-	}
-	for ; next < p.Runs; next++ {
-		ids = append(ids, next)
-	}
-	return ids
-}
-
 // runShardSet dispatches a set of shard tasks across the registered
 // workers and runs them all to completion. Worker selection, the retry
-// taxonomy, and cancel/drain teardown live here, once per round of the
-// campaign's shard plan. onDone persists each fetched partial before the
-// task counts as done; prog follows the shards in flight and counts each
-// one that lands; total sizes the set's shard plan for interruption
-// messages.
+// taxonomy, and cancel/drain teardown live here, once per batch of the
+// campaign. fold hands each fetched journal to the engine before the task
+// counts as done; an error of it — a journal the engine refuses — halts
+// the set as a fatal shard failure. prog follows the shards in flight and
+// lands each one.
 func (s *Server) runShardSet(ctx context.Context, st JobStatus,
-	pending []*shardTask, total int, prog *shardProgress,
-	onDone func(t *shardTask, part *harness.PartialResult) error) error {
+	pending []*shardTask, prog *shardProgress,
+	fold func(t *shardTask, journal []byte) error) error {
 
+	total := len(pending)
 	remaining := len(pending)
 
 	// inflight tracks dispatched shards for teardown. The loop below owns
@@ -414,21 +260,27 @@ func (s *Server) runShardSet(ctx context.Context, st JobStatus,
 			assign()
 		case out := <-outcomes:
 			delete(inflight, out.task)
-			prog.land(out.task, out.partial)
 			s.registry.release(out.worker.Name)
+			if out.err != nil {
+				prog.land(out.task, 0, nil)
+			}
 			switch {
 			case out.err == nil:
-				if err := onDone(out.task, out.partial); err != nil {
-					return err
+				if err := prog.land(out.task, out.timings.Exits(), func() error { return fold(out.task, out.journal) }); err != nil {
+					// The engine refused the journal (another campaign's,
+					// or not the spec's experiments): folding nothing of
+					// it, halt as on any integrity violation.
+					return fmt.Errorf("shard %d on worker %s: fatal: %w",
+						out.task.key, out.worker.Name, err)
 				}
 				remaining--
 				s.obs.shardDur.ObserveDuration(out.elapsed)
 				// Fold the shard's timings into this coordinator's:
 				// /v1/metrics then covers experiments that ran on workers,
 				// not just local ones. Layouts are fixed stack-wide, so a
-				// merge error is a foreign partial's, and only its metrics
+				// merge error is a foreign worker's, and only its metrics
 				// are lost.
-				_ = s.obs.timings.Merge(out.partial.Timings)
+				_ = s.obs.timings.Merge(out.timings)
 				s.log.Info("shard done", "job", st.ID, "trace", st.Trace,
 					"shard", out.task.key, "worker", out.worker.Name, "elapsed", out.elapsed)
 			case out.category == CategoryFatal:
@@ -477,12 +329,13 @@ func (s *Server) runShardSet(ctx context.Context, st JobStatus,
 }
 
 // runShardOn runs one shard to completion on one worker: submit, watch the
-// worker job's event stream to its terminal event, fetch the partial,
-// sanity-check its fingerprint. The stream alone drives the happy path: a
-// done event triggers the fetch at once, and no timer sits between a
-// shard's end and its outcome. Liveness is the status GET's (Client.Job,
-// with its retries): it runs only when an attachment ended without a
-// terminal event — the connection broke, or nothing arrived for one
+// worker job's event stream to its terminal event, fetch the done status
+// (its timings) and the shard's journal, which the engine checks when it
+// folds it. The stream alone drives the happy path: a done event triggers
+// the fetches at once, and no timer sits between a shard's end and its
+// outcome. Liveness is the status GET's (Client.Job, with its retries):
+// as a probe it runs only when an attachment ended without a terminal
+// event — the connection broke, or nothing arrived for one
 // Config.Heartbeat — or on a failed or cancelled one, whose ErrorCode
 // events do not carry. What the taxonomy classifies is that call's error
 // or terminal status, never the stream's own error: a severed stream looks
@@ -536,6 +389,7 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 			s.obs.shardReconnects.Inc()
 			continue
 		}
+		var cur JobStatus
 		if state != StateDone {
 			if state == "" {
 				s.obs.shardProbes.Inc()
@@ -545,7 +399,7 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 					"shard", t.key, "worker", w.Name, "worker_job", wjob.ID, "err", err)
 			}
 			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-			cur, err := w.peer.Job(cctx, wjob.ID)
+			cur, err = w.peer.Job(cctx, wjob.ID)
 			cancel()
 			if err != nil {
 				return failed(err, Classify(err))
@@ -571,17 +425,22 @@ func (s *Server) runShardOn(ctx context.Context, w WorkerInfo, st JobStatus,
 				continue
 			}
 		}
+		if cur.State != StateDone {
+			// The stream ended on done: the status carries the timings.
+			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+			cur, err = w.peer.Job(cctx, wjob.ID)
+			cancel()
+			if err != nil {
+				return failed(err, Classify(err))
+			}
+		}
 		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-		part, err := w.peer.Partial(cctx, wjob.ID)
+		journal, err := w.peer.Journal(cctx, wjob.ID)
 		cancel()
 		if err != nil {
 			return failed(err, Classify(err))
 		}
-		if part.Fingerprint != t.spec.Fingerprint {
-			return failed(fmt.Errorf("%w: worker %s returned %s, want %s",
-				ErrFingerprintMismatch, w.Name, part.Fingerprint, t.spec.Fingerprint), CategoryFatal)
-		}
-		return shardOutcome{task: t, worker: w, partial: part, elapsed: time.Since(begun)}
+		return shardOutcome{task: t, worker: w, journal: journal, timings: cur.Timings, elapsed: time.Since(begun)}
 	}
 }
 

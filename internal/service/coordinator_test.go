@@ -1,13 +1,19 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,129 +181,275 @@ func killWorkerAtFirstExperiment(t *testing.T, w *testDaemon) {
 	w.http.Close()
 }
 
-// TestCoordinatorRestartResumesShards drains the coordinator mid-campaign
-// and restarts it over the same store: journaled shards must load from
-// disk (not re-run) and only the missing shards execute. The adaptive
-// campaign is drained inside its second planner round, so the restarted
-// planner has to re-derive round one from journaled partials alone and
-// continue with the partly journaled round two.
+// journalIDs lists the experiments the checkpoint journal at path holds,
+// in journal order.
+func journalIDs(t *testing.T, path string) []int {
+	t.Helper()
+	var ids []int
+	for i, line := range bytes.Split(bytes.TrimSuffix(mustRead(t, path), []byte("\n")), []byte("\n")) {
+		var rec struct {
+			Kind string           `json:"kind"`
+			Sum  struct{ ID int } `json:"sum"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("%s line %d: %v", path, i+1, err)
+		}
+		if rec.Kind == "exp" {
+			ids = append(ids, rec.Sum.ID)
+		}
+	}
+	return ids
+}
+
+// shardJobs returns the shard jobs worker w holds that skip does not name,
+// by job ID.
+func shardJobs(t *testing.T, w *testDaemon, skip map[string]service.JobStatus) map[string]service.JobStatus {
+	t.Helper()
+	jobs, err := w.c.Jobs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]service.JobStatus{}
+	for _, st := range jobs {
+		if _, ok := skip[st.ID]; !ok && st.Spec.Shard != nil {
+			out[st.ID] = st
+		}
+	}
+	return out
+}
+
+// TestCoordinatorRestartResumesShards drains the coordinator of a
+// fixed and of an adaptive job mid-campaign — the adaptive one inside its
+// second round, one shard of it folded and the other still running — and
+// restarts it over the same store. The restart resumes the job's journal
+// and dispatches exactly the experiments it lacks: none it journaled, and
+// for the fixed job every other one of [0, Runs). Its resumed count is the
+// journal's, and the result bytes are the local run's. The one worker runs
+// one shard at a time, so a round's shards land one by one.
 func TestCoordinatorRestartResumesShards(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		spec      service.JobSpec
-		journaled int // shards in the journal before the drain
+		name string
+		spec service.JobSpec
+		// drainAt is the journal length the drain waits for: one shard,
+		// or the first round (200 of the 1600 budget) and one shard more.
+		drainAt int
 	}{
-		{"fixed", service.JobSpec{App: "LULESH", Scale: "test", Runs: 64, Seed: 440, SampleEvery: 64, Shards: 8}, 1},
+		{"fixed", service.JobSpec{App: "LULESH", Scale: "test", Runs: 64, Seed: 440, SampleEvery: 64, Shards: 8}, 8},
 		{"adaptive", service.JobSpec{App: "LULESH", Scale: "test", Runs: 1600, Seed: 440, SampleEvery: 64, Shards: 2,
-			Sampling: &service.SamplingSpec{TargetCI: 0.04, Strata: 2}}, 3},
+			Sampling: &service.SamplingSpec{TargetCI: 0.04, Strata: 2}}, 201},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tc.spec
 			local := localReference(t, spec)
-
-			_, urls := startWorkerFleet(t, 2)
+			worker := startDaemon(t, t.TempDir(), service.Config{ProgressEvery: 10 * time.Millisecond, JobSlots: 1})
 			dir := t.TempDir()
-			cfg := service.Config{
-				ProgressEvery: 10 * time.Millisecond,
-				Heartbeat:     100 * time.Millisecond,
-				Peers:         urls,
-			}
+			cfg := service.Config{ProgressEvery: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond,
+				Peers: []string{worker.http.URL}}
 			coord := startDaemon(t, dir, cfg)
-
 			st, err := coord.c.Submit(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Wait for enough shards to be parked, then drain.
-			parked := func() int {
-				m, _ := filepath.Glob(filepath.Join(dir, "job-"+st.ID+".shard-*.partial.json"))
-				return len(m)
-			}
-			deadline := time.Now().Add(time.Minute)
-			for {
-				if parked() >= tc.journaled {
+			journal := filepath.Join(dir, "job-"+st.ID+".ckpt.jsonl")
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+				if data, err := os.ReadFile(journal); err == nil && bytes.Count(data, []byte("\n")) > tc.drainAt {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatal("too few shards completed before the drain")
+					t.Fatal("too few experiments journaled before the drain")
 				}
-				time.Sleep(time.Millisecond)
 			}
 			coord.stop(t)
-
-			journaled := parked()
+			before := journalIDs(t, journal)
+			dispatched := shardJobs(t, worker, nil)
+			// What the drained coordinator dispatched and did not journal:
+			// the shards it cancelled.
+			inJournal := map[int]bool{}
+			for _, id := range before {
+				inJournal[id] = true
+			}
+			unfolded := map[int]bool{}
+			for _, sh := range dispatched {
+				for _, id := range sh.Spec.Shard.IDs {
+					if !inJournal[id] {
+						unfolded[id] = true
+					}
+				}
+			}
 
 			restarted := startDaemon(t, dir, cfg)
 			final := waitDone(t, restarted.c, st.ID)
 			if final.State != service.StateDone {
 				t.Fatalf("restarted job settled as %s: %s", final.State, final.Error)
 			}
-			if final.Resumed == 0 {
-				t.Errorf("restarted coordinator reports 0 resumed runs; want the %d journaled shards' runs to replay from disk", journaled)
+			if final.Resumed != len(before) || final.Progress == nil || final.Progress.Resumed != len(before) {
+				t.Errorf("the restart resumed %d (progress %+v), want the %d journaled", final.Resumed, final.Progress, len(before))
 			}
+			var after []int
+			redone := 0
+			for _, sh := range shardJobs(t, worker, dispatched) {
+				for _, id := range sh.Spec.Shard.IDs {
+					if inJournal[id] {
+						t.Errorf("the restart dispatched experiment %d, which its journal holds", id)
+					}
+					if unfolded[id] {
+						redone++
+					}
+					after = append(after, id)
+				}
+			}
+			if redone == 0 {
+				t.Errorf("the drain landed between batches: the restart re-dispatched none of the %d experiments it cancelled", len(unfolded))
+			}
+			all := append(append([]int(nil), before...), after...)
+			sort.Ints(all)
+			if got := journalIDs(t, journal); len(got) != len(all) || final.Tally.Total != len(all) {
+				t.Errorf("journal holds %d experiments, the tally %d, the two runs dispatched %d", len(got), final.Tally.Total, len(all))
+			}
+			if spec.Sampling == nil {
+				for i, id := range all {
+					if id != i {
+						t.Fatalf("the journaled and re-dispatched experiments are not [0,%d): %v", spec.Runs, all)
+					}
+				}
+			}
+			t.Logf("%d journaled before the drain, %d cancelled, %d dispatched after it", len(before), len(unfolded), len(after))
 			merged, err := restarted.c.Result(context.Background(), st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameCampaign(t, "restarted", local, merged)
-			t.Logf("%d shards journaled before the drain, %d after the restart", journaled, parked())
 			lj, _ := json.Marshal(local)
 			mj, _ := json.Marshal(merged)
-			if string(lj) != string(mj) {
+			if !bytes.Equal(lj, mj) {
 				t.Errorf("restarted result JSON is not byte-identical to the local run (%d vs %d bytes)", len(lj), len(mj))
 			}
 		})
 	}
 }
 
-// TestCoordinatorIgnoresForeignParkedPartial: a parked shard partial is
-// the shard's completion record only when it carries the campaign's
-// fingerprint. One left by another campaign at the same path is re-run,
-// not merged.
-func TestCoordinatorIgnoresForeignParkedPartial(t *testing.T) {
-	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 12, Seed: 31, SampleEvery: 64, Shards: 2}
-	local := localReference(t, spec)
-	other := spec
-	other.Seed = 32
-	cfg, err := other.CampaignConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := harness.PlanShards(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := harness.RunShard(cfg, specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	data, err := json.Marshal(foreign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "job-1.shard-0.partial.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// stubWorker is a peer that finishes every shard job at once: a job whose
+// stream ends at once, whose status is done and whose journal is
+// journal(spec), spec being the shard it was submitted with. Its version
+// document advertises caps. It counts the submissions it took.
+func stubWorker(t *testing.T, caps []string, journal func(harness.ShardSpec) []byte) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	var submits atomic.Int32
+	var mu sync.Mutex
+	specs := map[string]harness.ShardSpec{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.VersionInfo{Service: "faultpropd", API: service.APIVersion, Capabilities: caps})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var js service.JobSpec
+		if err := json.NewDecoder(r.Body).Decode(&js); err != nil || js.Shard == nil {
+			http.Error(w, "not a shard", http.StatusBadRequest)
+			return
+		}
+		id := fmt.Sprint(submits.Add(1))
+		mu.Lock()
+		specs[id] = *js.Shard
+		mu.Unlock()
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(service.JobStatus{ID: id, State: service.StateQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.JobStatus{ID: r.PathValue("id"), State: service.StateDone})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/journal", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		spec := specs[r.PathValue("id")]
+		mu.Unlock()
+		w.Write(journal(spec))
+	})
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	return hs, &submits
+}
 
+// journalOfShard runs shard spec of cfg's campaign and returns its journal.
+func journalOfShard(t *testing.T, cfg harness.CampaignConfig, spec harness.ShardSpec) []byte {
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "journal")
+	if _, err := harness.RunShard(cfg, spec); err != nil {
+		t.Error(err)
+		return nil
+	}
+	data, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Error(err)
+	}
+	return data
+}
+
+// TestCoordinatorRefusesForeignJournal: a worker that hands back a journal
+// of another campaign, or one lacking an experiment of its shard, fails
+// the job as an integrity violation (fingerprint_mismatch, category
+// Fatal), and nothing of the journal reaches the job's own.
+func TestCoordinatorRefusesForeignJournal(t *testing.T) {
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 12, Seed: 31, SampleEvery: 64, Shards: 2}
+	cfg, err := spec.CampaignConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed++
+	for _, tc := range []struct {
+		name    string
+		journal func(harness.ShardSpec) []byte
+	}{
+		{"foreign", func(s harness.ShardSpec) []byte {
+			s.Fingerprint = other.Fingerprint()
+			return journalOfShard(t, other, s)
+		}},
+		{"truncated", func(s harness.ShardSpec) []byte {
+			data := journalOfShard(t, cfg, s)
+			return data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub, _ := stubWorker(t, []string{"journals"}, tc.journal)
+			dir := t.TempDir()
+			coord := startDaemon(t, dir, service.Config{ProgressEvery: 10 * time.Millisecond, Peers: []string{stub.URL}})
+			st, err := coord.c.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitDone(t, coord.c, st.ID)
+			if final.State != service.StateFailed || final.ErrorCode != "fingerprint_mismatch" ||
+				service.ClassifyCode(final.ErrorCode) != service.CategoryFatal {
+				t.Fatalf("the job settled as %s (code %q): %s; want failed on fingerprint_mismatch", final.State, final.ErrorCode, final.Error)
+			}
+			if ids := journalIDs(t, filepath.Join(dir, "job-"+st.ID+".ckpt.jsonl")); len(ids) != 0 {
+				t.Errorf("the refused journal folded experiments %v into the job's", ids)
+			}
+		})
+	}
+}
+
+// TestCoordinatorSkipsWorkerWithoutJournals: a peer that does not
+// advertise "journals" — a build that parks partials instead — fails the
+// heartbeat's probe, is marked dead, and is handed no shard; the job runs
+// on the peer that serves journals.
+func TestCoordinatorSkipsWorkerWithoutJournals(t *testing.T) {
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 5, SampleEvery: 64, Shards: 2}
+	local := localReference(t, spec)
+	old, submits := stubWorker(t, []string{"jobs", "stream", "metrics", "partials", "shards"}, nil)
 	_, urls := startWorkerFleet(t, 1)
-	coord := startDaemon(t, dir, service.Config{ProgressEvery: 10 * time.Millisecond, Peers: urls})
-	st, err := coord.c.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	coord := startDaemon(t, t.TempDir(), service.Config{ProgressEvery: 10 * time.Millisecond,
+		Heartbeat: 20 * time.Millisecond, Peers: []string{old.URL, urls[0]}})
+	for deadline := time.Now().Add(time.Minute); aliveWorkers(t, coord) != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the heartbeat never marked the peer without journals dead")
+		}
 	}
-	if st.ID != "1" {
-		t.Fatalf("job ID %s, want 1", st.ID)
+	runCoordinated(t, coord, spec, local)
+	if n := submits.Load(); n != 0 {
+		t.Errorf("the peer without journals was handed %d shards", n)
 	}
-	final := waitDone(t, coord.c, st.ID)
-	if final.State != service.StateDone || final.Resumed != 0 {
-		t.Fatalf("job settled as %s with %d resumed runs (%s); want done with none", final.State, final.Resumed, final.Error)
+	if alive := aliveWorkers(t, coord); alive != 1 {
+		t.Errorf("%d workers alive after the job, want the one serving journals", alive)
 	}
-	merged, err := coord.c.Result(context.Background(), st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCampaign(t, "foreign partial parked", local, merged)
 }
 
 // TestShardSubmitCarriesTenant: the shard jobs a coordinator submits to its
@@ -415,14 +567,19 @@ func TestErrorSentinelsOverWire(t *testing.T) {
 		t.Errorf("RemoveWorker(ghost) = %v, want errors.Is ErrWorkerNotFound", err)
 	}
 
+	release := d.srv.HoldDispatch()
 	st, err := d.c.Submit(ctx, service.JobSpec{App: "LULESH", Scale: "test", Runs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.c.Partial(ctx, st.ID); !errors.Is(err, service.ErrNoPartial) {
-		t.Errorf("Partial(unsharded job) = %v, want errors.Is ErrNoPartial", err)
+	if _, err := d.c.Journal(ctx, st.ID); !errors.Is(err, service.ErrNoJournal) {
+		t.Errorf("Journal(queued job) = %v, want errors.Is ErrNoJournal", err)
 	}
+	release()
 	waitDone(t, d.c, st.ID)
+	if journal, err := d.c.Journal(ctx, st.ID); err != nil || !bytes.HasPrefix(journal, []byte(`{"kind":"header"`)) {
+		t.Errorf("Journal(done job) = %.60q, %v; want its checkpoint journal", journal, err)
+	}
 
 	v, err := d.c.Version(ctx)
 	if err != nil {

@@ -243,18 +243,17 @@ func TestCrashPointsLocal(t *testing.T) {
 }
 
 // TestCrashPointsCoordinated: a 2-shard coordinated job whose coordinator
-// is killed at every write — status records, shard partials, result — and
-// at the first, middle and last byte of its last status record, the done
-// one. The workers live on; the restarted coordinator must settle the job
-// with the recorded result bytes. A kill before the job's first status
-// record reached disk lost the submission, so the client submits it
-// again, as it would after a failed submit. The restart reports what it
-// did not execute: its terminal status, and the progress it carries,
-// count as resumed exactly the runs of the partials parked on disk, and
-// as done every run, however few shards were left to dispatch. A kill
-// after the done status reached disk leaves nothing to restart, and the
-// recorded status stands; a torn done status is no status, and the
-// restart settles the job again.
+// is killed at every write — status records, its journal, result — and at
+// the first, middle and last byte of its last status record, the done
+// one, and of its last journal record. The workers live on; the restarted
+// coordinator must settle the job with the recorded result bytes. A kill
+// before the job's first status record reached disk lost the submission,
+// so the client submits it again, as it would after a failed submit. The
+// restart reports what it did not execute: its terminal status, and the
+// progress it carries, count as resumed exactly the records journaled
+// before the kill, and as done every run. A kill after the done status
+// reached disk leaves nothing to restart, and the recorded status stands;
+// a torn done status is no status, and the restart settles the job again.
 func TestCrashPointsCoordinated(t *testing.T) {
 	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 10, Seed: 31, SampleEvery: 64, Shards: 2}
 	_, urls := startWorkerFleet(t, 2)
@@ -293,12 +292,17 @@ func TestCrashPointsCoordinated(t *testing.T) {
 	var want []byte
 	ops := recordOps(dir, func() { want = run() })
 	recorded := final.Resumed
+	journal := filepath.Join(dir, "job-1.ckpt.jsonl")
 	pts := crashPoints(ops, lastAppend(t, ops, filepath.Join(dir, "status.jsonl")), sampled)
+	last := lastAppend(t, ops, journal)
+	for _, b := range sampled(len(ops[last].Data)) {
+		pts = append(pts, crashPoint{n: last, torn: b})
+	}
 	for _, p := range pts {
 		rebuild(t, dir, ops, p)
 		resumed := recorded
 		if st, ok := statusOnDisk(t, dir, "1"); !ok || !st.State.Terminal() {
-			resumed = parkedRuns(t, dir, "1")
+			resumed = journaled(t, journal)
 		}
 		checkSameResult(t, p, want, run())
 		checkLogsWhole(t, ops, p)
@@ -330,25 +334,32 @@ func statusOnDisk(t *testing.T, dir, id string) (service.JobStatus, bool) {
 	return service.JobStatus{}, false
 }
 
-// parkedRuns sums the runs covered by the partials parked in dir for job
-// id: its shards' and its seed's.
-func parkedRuns(t *testing.T, dir, id string) int {
+// journaled counts the experiment records of the checkpoint journal at
+// path that a resume replays: its whole lines after the header, none when
+// there is no journal.
+func journaled(t *testing.T, path string) int {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "job-"+id+".*.partial.json"))
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := 0
-	for _, path := range paths {
-		var part harness.PartialResult
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(data, &part)
+	n := 0
+	if _, err := durable.ScanLog(bytes.NewReader(data), func(line []byte) bool {
+		var rec struct {
+			Kind string `json:"kind"`
 		}
-		if err != nil {
-			t.Fatal(err)
+		if json.Unmarshal(line, &rec) != nil {
+			return false
 		}
-		runs += part.Tally.Total
+		if rec.Kind == "exp" {
+			n++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	return runs
+	return n
 }

@@ -20,11 +20,11 @@ var (
 	// ErrInvalidSpec: the submitted JobSpec failed validation.
 	ErrInvalidSpec = errors.New("service: invalid job spec")
 	// ErrNoResult: the job has no stored result (not done, or a shard job
-	// — those expose a partial instead).
+	// — those expose their journal instead).
 	ErrNoResult = errors.New("service: job has no result")
-	// ErrNoPartial: the job has no stored partial aggregate (not a shard
-	// job, or not done yet).
-	ErrNoPartial = errors.New("service: job has no partial result")
+	// ErrNoJournal: the job has no checkpoint journal to serve (not done
+	// yet, or its journal is gone).
+	ErrNoJournal = errors.New("service: job has no journal")
 	// ErrWorkerNotFound: the worker name names no registered peer.
 	ErrWorkerNotFound = errors.New("service: no such worker")
 	// ErrFingerprintMismatch re-exports the harness sentinel: a shard,
@@ -55,7 +55,7 @@ var wireCodes = []struct {
 	{ErrQueueFull, "queue_full"},
 	{ErrInvalidSpec, "invalid_spec"},
 	{ErrNoResult, "no_result"},
-	{ErrNoPartial, "no_partial"},
+	{ErrNoJournal, "no_journal"},
 	{ErrWorkerNotFound, "worker_not_found"},
 	{ErrFingerprintMismatch, "fingerprint_mismatch"},
 	{ErrRateLimited, "rate_limited"},

@@ -123,11 +123,47 @@ func TestSeededJobWritesOnce(t *testing.T) {
 	}
 }
 
+// TestCoordinatedFamilySource: a two-shard job's journal is archived like
+// a local job's, so it is a family source too. A two-shard 2N-run job
+// after a two-shard N-run job of its family resumes the N archived records
+// and executes only the other N on its workers, its seed counted in the
+// seeding metrics, and its result bytes are the local 2N-run campaign's.
+func TestCoordinatedFamilySource(t *testing.T) {
+	const n = 12
+	_, urls := startWorkerFleet(t, 2)
+	d := startDaemon(t, t.TempDir(), service.Config{Heartbeat: 100 * time.Millisecond, Peers: urls, ArchiveDir: t.TempDir()})
+	short := service.JobSpec{App: "miniFE", Scale: "test", Runs: n, Seed: 61, SampleEvery: 64, Shards: 2}
+	if st := settle(t, d, short, false); st.Resumed != 0 {
+		t.Fatalf("the first job of the family resumed %d experiments", st.Resumed)
+	}
+	long := short
+	long.Runs = 2 * n
+	before := executedOn(t, d)
+	st := settle(t, d, long, false)
+	if st.Resumed != n {
+		t.Errorf("the %d-run job resumed %d experiments, want %d", 2*n, st.Resumed, n)
+	}
+	if got := executedOn(t, d) - before; got != n {
+		t.Errorf("the %d-run job executed %d experiments on its workers, want %d", 2*n, got, n)
+	}
+	body := fetchProm(t, d.http.URL)
+	for name, want := range map[string]float64{"faultpropd_seeded_jobs_total": 1, "faultpropd_seeded_records_total": n} {
+		if v, _ := promValue(t, body, name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+	want, _ := json.Marshal(localReference(t, long))
+	if got := rawResult(t, d.http.URL, st.ID); !bytes.Equal(got, want) {
+		t.Errorf("the seeded coordinated job's result (%d bytes) differs from the local run's (%d bytes)", len(got), len(want))
+	}
+}
+
 // TestCoordinatorRestartKeepsParkedSeed: a coordinated job parks its seed
-// before it dispatches a shard. Restarted mid-job after the seed's source
-// entry was removed from the archive, the coordinator still merges the
-// parked seed, runs only the shards of the rest, and yields the fresh
-// run's bytes; it seeds nothing from the archive again.
+// in its own journal, written before it dispatches a shard. Restarted mid-job
+// after the seed's source entry was removed from the archive, the
+// coordinator still resumes the seed from its journal, runs only the
+// rest, and yields the fresh run's bytes; it seeds nothing from the
+// archive again.
 func TestCoordinatorRestartKeepsParkedSeed(t *testing.T) {
 	const n = 10
 	workers, urls := startWorkerFleet(t, 2)
@@ -149,13 +185,22 @@ func TestCoordinatorRestartKeepsParkedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedPath := filepath.Join(dir, "job-"+st.ID+".seed.partial.json")
+	// The shards are dispatched once the seeded journal is resumed: wait
+	// for them on the held workers.
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		if _, err := os.Stat(seedPath); err == nil {
+		jobs := 0
+		for _, w := range workers {
+			list, err := w.c.Jobs(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs += len(list)
+		}
+		if jobs == long.Shards {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the coordinator parked no seed")
+			t.Fatal("the coordinator dispatched no shard")
 		}
 	}
 	coord.stop(t)
@@ -172,7 +217,7 @@ func TestCoordinatorRestartKeepsParkedSeed(t *testing.T) {
 		t.Fatalf("restarted job settled as %s: %s", final.State, final.Error)
 	}
 	if final.Resumed != n {
-		t.Errorf("the restarted job resumed %d experiments, want the parked seed's %d", final.Resumed, n)
+		t.Errorf("the restarted job resumed %d experiments, want the seed's %d", final.Resumed, n)
 	}
 	if v, _ := promValue(t, fetchProm(t, restarted.http.URL), "faultpropd_seeded_jobs_total"); v != 0 {
 		t.Errorf("the restarted coordinator seeded %v jobs from the archive, want 0", v)
@@ -184,5 +229,31 @@ func TestCoordinatorRestartKeepsParkedSeed(t *testing.T) {
 	assertSameCampaign(t, "restarted seeded job", local, merged)
 	if want, _ := json.Marshal(local); !bytes.Equal(rawResult(t, restarted.http.URL, st.ID), want) {
 		t.Error("the restarted seeded job's result is not byte-identical to the local run")
+	}
+}
+
+// TestCoordinatedWatchReplaysJournal: a watcher that attaches to a settled
+// two-shard job replays its journal — every experiment exactly once, as
+// for a local job — and so does a watcher of its cache hit.
+func TestCoordinatedWatchReplaysJournal(t *testing.T) {
+	spec := service.JobSpec{App: "LULESH", Scale: "test", Runs: 20, Seed: 17, SampleEvery: 64, Shards: 2}
+	_, urls := startWorkerFleet(t, 2)
+	d := startDaemon(t, t.TempDir(), service.Config{Heartbeat: 100 * time.Millisecond, Peers: urls, ArchiveDir: t.TempDir()})
+	for _, hit := range []bool{false, true} {
+		st := settle(t, d, spec, hit)
+		seen := map[int]int{}
+		for _, ev := range streamOf(t, d, st.ID) {
+			if ev.Experiment != nil {
+				seen[ev.Experiment.ID]++
+			}
+		}
+		for id := 0; id < spec.Runs; id++ {
+			if seen[id] != 1 {
+				t.Errorf("cacheHit=%v: experiment %d streamed %d times, want once", hit, id, seen[id])
+			}
+		}
+		if len(seen) != spec.Runs {
+			t.Errorf("cacheHit=%v: %d experiments streamed, want %d", hit, len(seen), spec.Runs)
+		}
 	}
 }

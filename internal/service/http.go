@@ -119,7 +119,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", cancel)
 	// A stored document travels as the bytes that were stored: no decode,
 	// no re-encode, so what a client reads is what finish marshalled.
-	stored := func(load func(id string) ([]byte, error)) http.HandlerFunc {
+	stored := func(contentType string, load func(id string) ([]byte, error)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			data, err := load(r.PathValue("id"))
 			if errors.Is(err, ErrJobNotFound) {
@@ -130,13 +130,13 @@ func (s *Server) routes() {
 				httpError(w, http.StatusConflict, err)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Type", contentType)
 			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			w.Write(data)
 		}
 	}
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", stored(s.Result))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/partial", stored(s.Partial))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", stored("application/json", s.Result))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/journal", stored("application/x-ndjson", s.Journal))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		// JSON by default (the typed client's contract); the Prometheus

@@ -392,19 +392,31 @@ func (s *Server) Result(id string) ([]byte, error) {
 	return data, err
 }
 
-// Partial returns a done shard job's mergeable partial aggregate as the
-// bytes that were stored. ErrNoPartial when the job is known but stored no
-// partial (not a shard job, or not done yet).
-func (s *Server) Partial(id string) ([]byte, error) {
+// Journal returns a done job's checkpoint journal as the bytes stored: the
+// job store's file or, for a cache hit, the archive entry's. A shard job's
+// is what its coordinator folds into its own. ErrNoJournal when the job is
+// known but not done, or its journal is gone.
+func (s *Server) Journal(id string) ([]byte, error) {
 	j := s.job(id)
 	if j == nil {
 		return nil, ErrJobNotFound
 	}
-	data, err := os.ReadFile(s.store.partialPath(id))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: job %s (state %s)", ErrNoPartial, id, j.snapshot().State)
+	st := j.snapshot()
+	if st.State != StateDone {
+		return nil, fmt.Errorf("%w: job %s (state %s)", ErrNoJournal, id, st.State)
 	}
-	return data, err
+	var data []byte
+	var err error
+	if st.CacheHit {
+		data, err = s.entryFile(st, archive.JournalFile)
+	} else {
+		data, err = os.ReadFile(s.store.JournalPath(id))
+	}
+	if err != nil {
+		// %v: a corrupt entry under a fetch must not route Fatal.
+		return nil, fmt.Errorf("%w: job %s: %v", ErrNoJournal, id, err)
+	}
+	return data, nil
 }
 
 // Workers lists the registered peer workers.
@@ -423,7 +435,7 @@ func (s *Server) RemoveWorker(name string) error { return s.registry.remove(name
 // coordinator-side compatibility checks.
 func (s *Server) Version() VersionInfo {
 	caps := []string{
-		"jobs", "stream", "metrics", "partials", "shards", "coordinate", "workers", "tenants", "adaptive", "sites",
+		"jobs", "stream", "metrics", "journals", "shards", "coordinate", "workers", "tenants", "adaptive", "sites",
 	}
 	if s.archive != nil {
 		caps = append(caps, "archive")
@@ -464,15 +476,12 @@ func (s *Server) runJob(j *job) {
 	j.status.ErrorCode = ""
 	st := j.status
 	coordinated := st.Spec.Shards > 1
-	var run func(context.Context) (*harness.PartialResult, error)
+	prog := &harness.Progress{}
+	var flights *shardProgress
+	j.progress = prog.Snapshot
 	if coordinated {
-		prog := &shardProgress{}
-		j.progress = prog.snapshot
-		run = func(ctx context.Context) (*harness.PartialResult, error) { return s.runCoordinated(ctx, st, prog) }
-	} else {
-		prog := &harness.Progress{}
-		j.progress = prog.Snapshot
-		run = func(ctx context.Context) (*harness.PartialResult, error) { return s.runLocal(ctx, j, st, prog) }
+		flights = newShardProgress(prog)
+		j.progress = flights.snapshot
 	}
 	progress := j.progress
 	queuedAt := j.queuedAt
@@ -505,20 +514,22 @@ func (s *Server) runJob(j *job) {
 				}
 			}
 		}()
-		part, err = run(ctx)
+		part, err = s.runCampaign(ctx, j, st, prog, flights)
 		close(tickDone)
 	}
 	s.settle(j, part, progress(), err)
 }
 
-// runLocal runs a whole or shard job on this daemon's worker pool: a shard
-// job the experiments of its spec, a whole job [0, Runs). Resume is
-// unconditional: a fresh job has no journal yet (the harness starts one),
-// and a redispatched job replays its completed experiments instead of
-// re-running them. A fresh whole job whose family has a shorter campaign
+// runCampaign runs a job's campaign to its partial, one way for every
+// kind of job: a shard job the experiments of its spec, a whole or a
+// coordinated job [0, Runs), the coordinated one's batches on its peers
+// (flights follows them; nil for the others). Resume is unconditional: a
+// fresh job has no journal yet (the harness starts one), and a redispatched
+// job replays its completed experiments instead of re-running them. A
+// fresh whole or coordinated job whose family has a shorter campaign
 // archived starts from that campaign's journal, and executes only the
 // experiments it lacks.
-func (s *Server) runLocal(ctx context.Context, j *job, st JobStatus, prog *harness.Progress) (*harness.PartialResult, error) {
+func (s *Server) runCampaign(ctx context.Context, j *job, st JobStatus, prog *harness.Progress, flights *shardProgress) (*harness.PartialResult, error) {
 	cfg, err := st.Spec.CampaignConfig()
 	if err != nil {
 		return nil, err
@@ -538,8 +549,8 @@ func (s *Server) runLocal(ctx context.Context, j *job, st JobStatus, prog *harne
 			}
 		}
 	}
-	// Timings ride in shard partials so the coordinator's metrics absorb
-	// them; OnPhase feeds this daemon's own registry live.
+	// Timings ride in a shard job's done status so the coordinator's
+	// metrics absorb them; OnPhase feeds this daemon's own registry live.
 	cfg.Timings = harness.NewCampaignTimings()
 	cfg.OnPhase = func(tr harness.PhaseTrace) {
 		s.obs.observe(tr)
@@ -559,6 +570,9 @@ func (s *Server) runLocal(ctx context.Context, j *job, st JobStatus, prog *harne
 			MaxCML:  sum.MaxCML,
 			Resumed: resumed,
 		}})
+	}
+	if flights != nil {
+		return harness.RunRemoteContext(ctx, cfg, s.executor(st, cfg, flights))
 	}
 	spec := harness.ShardSpec{Shards: 1, To: cfg.Runs, Runs: cfg.Runs}
 	if st.Spec.Shard != nil {
@@ -594,26 +608,24 @@ func (s *Server) settle(j *job, part *harness.PartialResult, final harness.Snaps
 }
 
 // commit persists a finished run's partial where the job's kind is read,
-// and returns the edit that marks the job done. A shard job's partial is
-// parked for its coordinator's fetch (GET /v1/jobs/{id}/partial); it
-// carries no FPS model, which whoever merges the shards fits. Any other
-// job's partial finalizes into its result, and its done status keeps
-// final as its progress. The result is marshalled exactly once — the
-// bytes in the job store, the bytes in the archive and the bytes GET
-// result sends are the same bytes, which is what makes a later cache hit
-// provably byte-identical — and it is archived before the done status
-// becomes visible: a client that polls the job to completion and
-// immediately resubmits the same spec must find the entry.
+// and returns the edit that marks the job done. A shard job's is its
+// journal, already on disk, which its coordinator fetches (GET
+// /v1/jobs/{id}/journal); its done status carries its tally and the
+// phase timings the coordinator absorbs into its metrics. Any other job's
+// partial finalizes into its result, and its done status keeps final as
+// its progress. The result is marshalled exactly once — the bytes in the
+// job store, the bytes in the archive and the bytes GET result sends are
+// the same bytes, which is what makes a later cache hit provably
+// byte-identical — and it is archived before the done status becomes
+// visible: a client that polls the job to completion and immediately
+// resubmits the same spec must find the entry.
 func (s *Server) commit(st JobStatus, part *harness.PartialResult, final harness.Snapshot) (func(*JobStatus), error) {
 	// The status keeps a copy of the tally, not a pointer into the result
 	// it would then hold in memory for as long as the job is listed.
 	tally := part.Tally
 	if st.Spec.Shard != nil {
-		if err := s.store.SavePartial(s.store.partialPath(st.ID), part); err != nil {
-			return nil, err
-		}
 		return func(st *JobStatus) {
-			st.State, st.Finished, st.Tally = StateDone, time.Now().UTC(), &tally
+			st.State, st.Finished, st.Tally, st.Timings = StateDone, time.Now().UTC(), &tally, part.Timings
 		}, nil
 	}
 	res, err := part.Finalize()

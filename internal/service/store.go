@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/durable"
-	"repro/internal/harness"
 )
 
 // Store persists jobs under one directory so a killed daemon recovers its
@@ -24,20 +23,14 @@ import (
 //	job-<id>.ckpt.jsonl   the harness checkpoint journal (completed experiments)
 //	job-<id>.result.json  the final CampaignResult, written once on success
 //
-// A cache-hit job owns its status records alone: its Fingerprint names the
-// archive entry that holds the other two.
-//
-// Shard jobs and coordinated jobs add:
-//
-//	job-<id>.partial.json            a shard job's mergeable PartialResult
-//	job-<id>.shard-<n>.partial.json  fetched partial of shard n: its completion record
-//	job-<id>.seed.partial.json       the experiments an archived shorter campaign
-//	                                 of the job's family ran, parked before dispatch
+// Every kind of job keeps these: a shard job's journal is what its
+// coordinator folds, and a coordinated job's journal holds the records its
+// shards' journals folded into it. A cache-hit job owns its status records
+// alone: its Fingerprint names the archive entry that holds the other two.
 //
 // The status log and the checkpoint journals are durable logs, written
 // one whole line at a time and never synced: a kill leaves at most a torn
-// last line, which a restart drops. Partials and results are replaced
-// whole (durable.Replace), so a kill mid-update leaves the previous file
+// last line, which a restart drops. Results are replaced whole (durable.Replace), so a kill mid-update leaves the previous file
 // and at worst a stray temp file. A starting daemon (Recover) rewrites the
 // status log to one record per job when it holds more, and folds in the
 // per-job status files older builds kept in the directory, which it then
@@ -80,8 +73,8 @@ func (s *Store) NewID() string {
 
 // legacyID parses the name of a status file of the per-job layout older
 // builds wrote, job-<id>.json, or of the temp file a kill inside its
-// durable.Replace left (tmp). Any other file — a journal, result or
-// partial — reports false.
+// durable.Replace left (tmp). Any other file — a journal or a result —
+// reports false.
 func legacyID(name string) (id int, tmp, ok bool) {
 	name, tmp = strings.CutSuffix(name, durable.TempSuffix)
 	rest, isJob := strings.CutPrefix(name, "job-")
@@ -275,49 +268,6 @@ func replay(dir string) (replayed, error) {
 		r.jobs = append(r.jobs, last[id])
 	}
 	return r, nil
-}
-
-func (s *Store) partialPath(id string) string {
-	return filepath.Join(s.dir, "job-"+id+".partial.json")
-}
-
-// ShardPartialPath is where a coordinator parks the fetched partial of
-// one completed shard of job id: the shard's completion record, so a
-// coordinator restart re-dispatches only the shards with none.
-func (s *Store) ShardPartialPath(id string, shard int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("job-%s.shard-%d.partial.json", id, shard))
-}
-
-// SeedPartialPath is where a coordinator parks the seed of a job, the
-// partial its shards merge with, before it dispatches any of them.
-func (s *Store) SeedPartialPath(id string) string {
-	return filepath.Join(s.dir, "job-"+id+".seed.partial.json")
-}
-
-// SavePartial atomically writes a mergeable partial aggregate to path.
-func (s *Store) SavePartial(path string, part *harness.PartialResult) error {
-	data, err := json.Marshal(part)
-	if err != nil {
-		return fmt.Errorf("service: store partial: %w", err)
-	}
-	if err := durable.Replace(path, data); err != nil {
-		return fmt.Errorf("service: store partial: %w", err)
-	}
-	return nil
-}
-
-// LoadPartial reads a partial aggregate from path. os.IsNotExist(err)
-// when none was stored.
-func (s *Store) LoadPartial(path string) (*harness.PartialResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var part harness.PartialResult
-	if err := json.Unmarshal(data, &part); err != nil {
-		return nil, fmt.Errorf("service: store partial %s: %w", path, err)
-	}
-	return &part, nil
 }
 
 // SaveResultBytes atomically writes a done job's marshalled result — the

@@ -34,7 +34,7 @@ import (
 // category observed determines the outcome.
 type Category int
 
-// Categories, declared in ascending precedence so Aggregate is max().
+// Categories, declared in ascending precedence: the worst is the max.
 const (
 	CategoryNone Category = iota
 	CategoryTransient
@@ -76,7 +76,7 @@ func Classify(err error) Category {
 		errors.Is(err, ErrJobNotFound),
 		errors.Is(err, ErrWorkerNotFound),
 		errors.Is(err, ErrNoResult),
-		errors.Is(err, ErrNoPartial),
+		errors.Is(err, ErrNoJournal),
 		errors.Is(err, ErrNoArchiveEntry),
 		errors.Is(err, ErrArchiveDisabled):
 		return CategoryPermanent
@@ -123,17 +123,4 @@ func ClassifyCode(code string) Category {
 		return Classify(err)
 	}
 	return CategoryRetriable
-}
-
-// Aggregate folds many categories into one verdict under the
-// FATAL > PERMANENT > RETRIABLE > TRANSIENT precedence: the highest
-// category observed determines the outcome.
-func Aggregate(cats ...Category) Category {
-	worst := CategoryNone
-	for _, c := range cats {
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst
 }

